@@ -24,6 +24,10 @@ fn bench_graph(c: &mut Criterion) {
 
     let g = qa_graph(ds.num_users(), ds.threads());
     group.bench_function("closeness", |b| b.iter(|| closeness(&g)));
+    // Multi-source BFS gains grow with n: the paper's 14,643 users.
+    let (paper, _) = SynthConfig::paper_scale().generate().preprocess();
+    let g_paper = qa_graph(paper.num_users(), paper.threads());
+    group.bench_function("closeness_paper", |b| b.iter(|| closeness(&g_paper)));
     group.bench_function("betweenness_exact", |b| b.iter(|| betweenness(&g)));
     for &pivots in &[64usize, 256] {
         group.bench_with_input(

@@ -147,8 +147,9 @@ impl TrainConfig {
 
 /// Resumable training progress for [`ResponsePredictor::train_resumable`]:
 /// completed stages carry the finished predictor, the in-flight stage
-/// carries its mid-training snapshot. The (cheap) timing stage is
-/// always recomputed, so it never appears here.
+/// carries its mid-training snapshot. The timing stage never appears
+/// here: it is deterministic, so a resumed run recomputes it from the
+/// same inputs to the same bits.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrainProgress {
     /// Finished answer predictor, once that stage completes.
@@ -304,8 +305,9 @@ impl ResponsePredictor {
             v
         };
 
-        // The timing stage is a closed-form accumulation pass — cheap
-        // enough to always recompute rather than checkpoint.
+        // The timing stage is not checkpointed. It is a 40–200-epoch
+        // Adam loop and the costliest stage, but it is deterministic,
+        // so a resumed run recomputes it to the same bits.
         let timing_threads: Vec<ThreadObservation> = ts
             .timing_threads
             .iter()

@@ -179,6 +179,28 @@ impl Graph {
         2.0 * self.num_edges as f64 / self.num_nodes() as f64
     }
 
+    /// This graph with node `order[i]` renamed `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `order` is not a permutation of the nodes.
+    pub(crate) fn relabeled(&self, order: &[u32]) -> Graph {
+        let n = self.num_nodes();
+        let mut rank = vec![u32::MAX; n];
+        for (i, &u) in order.iter().enumerate() {
+            rank[u as usize] = i as u32;
+        }
+        assert!(
+            order.len() == n && !rank.contains(&u32::MAX),
+            "order is not a permutation of {n} nodes"
+        );
+        let edges: Vec<(u32, u32)> = self
+            .edges()
+            .map(|(u, v)| (rank[u as usize], rank[v as usize]))
+            .collect();
+        Graph::from_edges(n, &edges)
+    }
+
     /// Iterates over each undirected edge once, as `(u, v)` with
     /// `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -264,6 +286,22 @@ mod tests {
         let mut edges: Vec<_> = g.edges().collect();
         edges.sort_unstable();
         assert_eq!(edges, vec![(0, 1), (0, 3), (1, 2)]);
+    }
+
+    #[test]
+    fn relabeled_renames_nodes_and_keeps_edges() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (3, 0)]);
+        // Node 2 becomes 0, 0 becomes 1, 3 becomes 2, 1 becomes 3.
+        let r = g.relabeled(&[2, 0, 3, 1]);
+        let mut edges: Vec<_> = r.edges().collect();
+        edges.sort_unstable();
+        assert_eq!(edges, vec![(0, 3), (1, 2), (1, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn relabeled_rejects_a_repeated_node() {
+        Graph::from_edges(3, &[(0, 1)]).relabeled(&[0, 1, 1]);
     }
 
     #[test]

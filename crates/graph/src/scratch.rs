@@ -1,13 +1,15 @@
 //! Reusable per-thread scratch state for the BFS-based kernels.
 //!
-//! Every centrality in this crate runs one BFS (or one Brandes pass)
-//! per source node. Allocating the distance/σ/δ/predecessor buffers
-//! per source is the dominant non-traversal cost on forum-scale
-//! graphs, so the kernels draw scratch from a [`ScratchPool`] instead:
-//! a chunk of sources acquires one scratch, runs every source through
-//! it, and releases it for the next chunk. Resets are `O(visited)`,
-//! not `O(n)` — a per-node *visit epoch stamp* marks which entries
-//! belong to the current run, so untouched entries are never cleared.
+//! Betweenness runs one Brandes pass per source node, and closeness
+//! one multi-source BFS pass per 64 source nodes. Allocating the
+//! distance/σ/δ/predecessor buffers or the BFS masks per pass is the
+//! dominant non-traversal cost on forum-scale graphs, so the kernels
+//! draw scratch from a [`ScratchPool`] instead: a chunk of sources
+//! acquires one scratch, runs every source through it, and releases it
+//! for the next chunk. Resets are `O(visited)`, not `O(n)`: a per-node
+//! *visit epoch stamp* marks which entries belong to the current run
+//! ([`BfsScratch`], [`BrandesScratch`]), or a touched list names the
+//! entries to clear (`MsBfsScratch`).
 //!
 //! The pool reports how often a scratch was reused (`sources −
 //! scratches created`), surfaced by the kernels as the
@@ -96,6 +98,126 @@ impl BfsScratch {
     /// The nodes reached by the last run, in BFS order (source first).
     pub fn visited(&self) -> &[u32] {
         &self.queue
+    }
+}
+
+/// Sources one [`MsBfsScratch`] pass advances together: one bit each
+/// of a `u64` mask.
+pub(crate) const MS_BFS_WIDTH: usize = 64;
+
+/// Multi-source BFS scratch (Then et al., "The More the Merrier",
+/// VLDB 2014): up to [`MS_BFS_WIDTH`] sources advance level by level
+/// together, source `i` owning bit `i` of every per-node mask, so one
+/// scan of a frontier node's neighbors serves every source whose
+/// frontier holds it.
+///
+/// Every mask is zero between passes. A pass only ever visits nodes on
+/// the active lists, and `touched` records each node whose `seen` mask
+/// went nonzero, so a reset costs `O(reached)`, never `O(n)`.
+#[derive(Debug, Default)]
+pub(crate) struct MsBfsScratch {
+    /// Sources that have reached each node.
+    seen: Vec<u64>,
+    /// Sources whose current BFS level holds each node.
+    frontier: Vec<u64>,
+    /// Sources that first reach each node at the next level.
+    next: Vec<u64>,
+    /// Nodes with a nonzero `frontier` mask.
+    active: Vec<u32>,
+    /// Nodes with a nonzero `next` mask.
+    next_active: Vec<u32>,
+    /// Nodes with a nonzero `seen` mask.
+    touched: Vec<u32>,
+}
+
+impl MsBfsScratch {
+    /// Runs BFS from every node of `sources` (at most
+    /// [`MS_BFS_WIDTH`] of them) and returns, at index `i`, the sum of
+    /// the distances from source `sources.start + i` to every node it
+    /// reaches. Unreachable nodes add nothing; entries past the batch
+    /// stay 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the batch is wider than [`MS_BFS_WIDTH`] or runs
+    /// past the graph.
+    pub(crate) fn distance_sums(
+        &mut self,
+        g: &Graph,
+        sources: std::ops::Range<usize>,
+    ) -> [u64; MS_BFS_WIDTH] {
+        let n = g.num_nodes();
+        assert!(
+            sources.len() <= MS_BFS_WIDTH && sources.end <= n,
+            "source batch {sources:?} invalid for {n} nodes"
+        );
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.frontier.resize(n, 0);
+            self.next.resize(n, 0);
+        }
+        for (bit, s) in sources.enumerate() {
+            self.seen[s] = 1 << bit;
+            self.frontier[s] = 1 << bit;
+            self.active.push(s as u32);
+            self.touched.push(s as u32);
+        }
+        // Bit-sliced per-source counts of the nodes first reached at
+        // the current level: bit `b` of `planes[j]` is bit `j` of
+        // source `b`'s count. A level reaches fewer than `n ≤ 2^32`
+        // nodes, so 32 planes never overflow.
+        let mut planes = [0u64; 32];
+        let mut sums = [0u64; MS_BFS_WIDTH];
+        let mut level = 0u64;
+        while !self.active.is_empty() {
+            level += 1;
+            for &u in &self.active {
+                let f = std::mem::take(&mut self.frontier[u as usize]);
+                for &v in g.neighbors(u) {
+                    let new = f & !self.seen[v as usize];
+                    if new != 0 {
+                        let next = &mut self.next[v as usize];
+                        if *next == 0 {
+                            self.next_active.push(v);
+                        }
+                        *next |= new;
+                    }
+                }
+            }
+            self.active.clear();
+            for &v in &self.next_active {
+                let new = std::mem::take(&mut self.next[v as usize]);
+                let seen = &mut self.seen[v as usize];
+                if *seen == 0 {
+                    self.touched.push(v);
+                }
+                *seen |= new;
+                self.frontier[v as usize] = new;
+                // Ripple-carry add of one to every counter in `new`.
+                let mut carry = new;
+                for plane in &mut planes {
+                    if carry == 0 {
+                        break;
+                    }
+                    let p = *plane;
+                    *plane = p ^ carry;
+                    carry &= p;
+                }
+            }
+            for (j, plane) in planes.iter_mut().enumerate() {
+                let mut bits = std::mem::take(plane);
+                while bits != 0 {
+                    sums[bits.trailing_zeros() as usize] += level << j;
+                    bits &= bits - 1;
+                }
+            }
+            std::mem::swap(&mut self.active, &mut self.next_active);
+        }
+        for &v in &self.touched {
+            self.seen[v as usize] = 0;
+        }
+        self.touched.clear();
+        sums
     }
 }
 
@@ -288,6 +410,39 @@ mod tests {
         scratch.run(&g, 1);
         assert_eq!(scratch.dist(0), 1);
         assert_eq!(scratch.dist(2), u32::MAX);
+    }
+
+    #[test]
+    fn ms_bfs_sums_match_single_source_bfs_across_reused_batches() {
+        // A 150-node path (149 hops, so levels outrun the 64-bit
+        // width) plus a triangle and two isolated nodes, swept in
+        // three batches through one scratch: no batch may see another
+        // batch's masks.
+        let mut edges: Vec<(u32, u32)> = (0..149).map(|i| (i, i + 1)).collect();
+        edges.extend([(150, 151), (151, 152), (152, 150)]);
+        let g = Graph::from_edges(155, &edges);
+        let mut single = BfsScratch::new();
+        let mut multi = MsBfsScratch::default();
+        for batch in [0..64, 64..128, 128..155, 0..64] {
+            let sums = multi.distance_sums(&g, batch.clone());
+            for (i, s) in batch.clone().enumerate() {
+                single.run(&g, s as u32);
+                let want: u64 = single
+                    .visited()
+                    .iter()
+                    .map(|&v| single.dist(v) as u64)
+                    .sum();
+                assert_eq!(sums[i], want, "source {s}");
+            }
+            assert!(sums[batch.len()..].iter().all(|&s| s == 0));
+        }
+        assert!(multi.seen.iter().chain(&multi.frontier).all(|&m| m == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid")]
+    fn ms_bfs_rejects_a_batch_wider_than_a_word() {
+        MsBfsScratch::default().distance_sums(&Graph::new(100), 0..65);
     }
 
     #[test]

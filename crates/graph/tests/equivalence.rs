@@ -6,9 +6,12 @@
 //! predecessor vectors); the floating-point operation order is the
 //! contract, so the comparisons are on bits, not epsilons.
 //!
-//! Graphs stay under one parallel chunk (`CHUNK_SIZE` = 64 sources)
-//! so the serial reference and the chunk-merged production kernel
-//! share one FP reduction order.
+//! Betweenness graphs stay under one parallel chunk (`CHUNK_SIZE` =
+//! 64 sources) so the serial reference and the chunk-merged production
+//! kernel share one FP reduction order. Closeness has no such limit:
+//! each source's distance sum is an exact integer, so the production
+//! kernel, which batches 64 sources per multi-source BFS pass, is
+//! compared bitwise on graphs spanning several 64-source words.
 
 use std::collections::VecDeque;
 
@@ -150,7 +153,53 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Graphs of up to 300 nodes, half of them sized at a 64-source word
+/// boundary, with 0 to 1.5 edges per node: sparse draws leave isolated
+/// nodes and many components.
+fn arb_multiword_graph() -> impl Strategy<Value = Graph> {
+    const BOUNDARIES: [usize; 6] = [63, 64, 65, 128, 129, 300];
+    (0..2 * BOUNDARIES.len(), 2usize..300)
+        .prop_map(|(k, n)| BOUNDARIES.get(k).copied().unwrap_or(n))
+        .prop_flat_map(|n| {
+            proptest::collection::vec((0..n as u32, 0..n as u32), 0..n * 3 / 2)
+                .prop_map(move |edges| Graph::from_edges(n, &edges))
+        })
+}
+
+/// 300 nodes: a 199-hop path, a ring with chords, a star, and ten
+/// isolated nodes.
+fn long_path_and_components() -> Graph {
+    let mut edges: Vec<(u32, u32)> = (0..199).map(|i| (i, i + 1)).collect();
+    for i in 200..250 {
+        edges.push((i, if i == 249 { 200 } else { i + 1 }));
+        if i % 3 == 0 {
+            edges.push((i, 200 + (i * 7 + 5) % 50));
+        }
+    }
+    edges.extend((251..290).map(|leaf| (250, leaf)));
+    Graph::from_edges(300, &edges)
+}
+
+#[test]
+fn closeness_on_long_paths_and_components_matches_reference_at_1_2_7_threads() {
+    let g = long_path_and_components();
+    let want = bits(&ref_closeness(&adjacency(&g)));
+    for threads in [1, 2, 7] {
+        assert_eq!(
+            bits(&closeness_with_threads(&g, threads)),
+            want,
+            "{threads} threads"
+        );
+    }
+}
+
 proptest! {
+    #[test]
+    fn closeness_spanning_several_words_matches_reference_bitwise(g in arb_multiword_graph()) {
+        let adj = adjacency(&g);
+        prop_assert_eq!(bits(&closeness_with_threads(&g, 1)), bits(&ref_closeness(&adj)));
+    }
+
     #[test]
     fn bfs_matches_adjacency_list_reference(g in arb_graph()) {
         let adj = adjacency(&g);
