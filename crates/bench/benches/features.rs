@@ -1,10 +1,10 @@
-//! Criterion bench: fitting the feature extractor and assembling
-//! `x_{u,q}` vectors.
+//! Criterion bench: tokenizing history posts, fitting the feature
+//! extractor, and assembling `x_{u,q}` vectors.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use forumcast_data::UserId;
-use forumcast_features::{ExtractorConfig, FeatureExtractor};
+use forumcast_features::{ExtractorConfig, FeatureExtractor, TokenizedPosts};
 use forumcast_synth::SynthConfig;
 
 fn bench_features(c: &mut Criterion) {
@@ -12,6 +12,10 @@ fn bench_features(c: &mut Criterion) {
     let history = &ds.threads()[..ds.num_questions() - 20];
     let mut group = c.benchmark_group("features");
     group.sample_size(10);
+
+    group.bench_function("tokenize_posts_small", |b| {
+        b.iter(|| TokenizedPosts::new(history))
+    });
 
     group.bench_function("fit_extractor_small", |b| {
         b.iter(|| FeatureExtractor::fit(history, ds.num_users(), &ExtractorConfig::fast()))

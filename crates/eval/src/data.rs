@@ -6,7 +6,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use forumcast_data::{Dataset, UserId};
-use forumcast_features::{ExtractorConfig, FeatureExtractor, FeatureLayout};
+use forumcast_features::{
+    ExtractorConfig, FeatureExtractor, FeatureLayout, PostTopics, TokenizedPosts,
+};
 use forumcast_resilience::fault::{self, FaultSite};
 use forumcast_resilience::with_retry;
 
@@ -166,13 +168,38 @@ pub(crate) fn build_each(
     let mut total_neg = 0u64;
     let mut windows = vec![0.0; num_targets];
 
+    // Bucket `b` targets `threads[start..end]`, with every earlier
+    // thread as its history.
     let bucket_size = num_targets.div_ceil(buckets);
-    for b in 0..buckets {
-        let start = warmup + b * bucket_size;
-        let end = (start + bucket_size).min(threads.len());
-        if start >= end {
-            break;
-        }
+    let bounds: Vec<(usize, usize)> = (0..buckets)
+        .map(|b| {
+            let start = warmup + b * bucket_size;
+            (start, (start + bucket_size).min(threads.len()))
+        })
+        .take_while(|&(start, end)| start < end)
+        .collect();
+
+    // Pass 0 (parallel): every bucket's topic model. Each history is
+    // a prefix of the last bucket's, so the posts tokenize once; each
+    // fit is an independent Gibbs chain with its own seeded RNG, so
+    // the fits run concurrently and stay bit-identical. `parallel_map`
+    // claims items in index order, so the largest history goes first
+    // and the smaller ones share the other workers. Each fit gets a
+    // detached task span, so its `lda.train` path is the same whether
+    // it ran inline (one thread) or on a worker.
+    let fitted = {
+        let last_start = bounds.last().map_or(warmup, |&(start, _)| start);
+        let posts = TokenizedPosts::new(&threads[..last_start]);
+        let largest_first: Vec<usize> = (0..bounds.len()).rev().collect();
+        let mut fitted = forumcast_par::parallel_map(&largest_first, worker_threads, |&b| {
+            let _span = forumcast_obs::task_span("features.topics", b as u64);
+            PostTopics::fit_prefix(&posts, bounds[b].0, &extractor_config.lda)
+        });
+        fitted.reverse();
+        fitted
+    };
+
+    for (b, (&(start, end), topics)) in bounds.iter().zip(fitted).enumerate() {
         let _bucket_span = forumcast_obs::span_unit("features.bucket", b as u64);
 
         // Pass 1 (serial): windows, answerer lists, and negative
@@ -205,16 +232,21 @@ pub(crate) fn build_each(
             plans.push((thread, target, answerers, sampled));
         }
 
+        // The bucket's extractor: pass 0's topics plus the history's
+        // aggregates and centralities. It drops, topics and all, at
+        // the end of the bucket.
+        let extractor = FeatureExtractor::from_topics(
+            &threads[..start],
+            dataset.num_users(),
+            topics,
+            extractor_config.betweenness,
+        );
+
         // Pass 2 (parallel): per-thread feature extraction. Each
-        // `(u, q)` vector is a pure function of the fitted
-        // extractor and the plan, and results are flattened in
-        // thread order, so the output is identical for any
-        // worker-thread count.
-        let extractor =
-            FeatureExtractor::fit(&threads[..start], dataset.num_users(), extractor_config);
-        // The bucket's feature matrix is a pure function of the
-        // fitted extractor and the plans (the RNG was consumed
-        // entirely in pass 1), so the materialization pass can be
+        // `(u, q)` vector is a pure function of the extractor and the
+        // plan, and results are flattened in thread order, so the
+        // output is identical for any worker-thread count. The RNG
+        // was consumed entirely in pass 1, so this pass can be
         // retried wholesale. The `alloc-pressure` probe simulates
         // an allocation failure here — the largest transient
         // allocation of the build — and one bounded retry degrades

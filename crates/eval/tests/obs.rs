@@ -75,6 +75,47 @@ fn canonical_event_log_is_thread_count_independent() {
     );
 }
 
+/// The bucket topic fits run as parallel items: each is a detached
+/// `features.topics#b` task span, so its `lda.train` path is the same
+/// whether it ran inline on one thread or on a worker.
+#[test]
+fn build_event_log_is_thread_count_independent() {
+    let _lock = LOCK.lock().unwrap();
+    let (ds, _) = quick_config(1).synth.generate().preprocess();
+    let mut logs = Vec::new();
+    for threads in [1, 2, 7] {
+        let cfg = quick_config(threads);
+        let guard = forumcast_obs::arm();
+        let _ = ExperimentData::build(&ds, &cfg);
+        let mut log = forumcast_obs::drain().expect("collector armed");
+        drop(guard);
+        // How many BFS scratches the centralities' pool creates, and
+        // so how many sources reuse one, depends on how its workers
+        // interleave: the one counter outside the contract.
+        log.counters
+            .retain(|(name, _)| name != "graph.bfs.scratch_reuses");
+        logs.push((threads, log.canonical_lines(), log.counters.clone()));
+    }
+    let (_, lines_1, counters_1) = &logs[0];
+    for (threads, lines_n, counters_n) in &logs[1..] {
+        assert_eq!(
+            lines_1, lines_n,
+            "event log diverged between 1 and {threads} threads"
+        );
+        assert_eq!(
+            counters_1, counters_n,
+            "counters diverged between 1 and {threads} threads"
+        );
+    }
+    for b in 0..quick_config(1).buckets {
+        let path = format!("span features.topics#{b}/lda.train ");
+        assert!(
+            lines_1.iter().any(|l| l.starts_with(&path)),
+            "missing {path}: {lines_1:?}"
+        );
+    }
+}
+
 #[test]
 fn fold_retry_and_fault_counters_are_exact() {
     let _lock = LOCK.lock().unwrap();

@@ -74,7 +74,19 @@ impl FeatureExtractor {
     /// Fits topics and aggregates on the history partition.
     pub fn fit(history: &[Thread], num_users: u32, config: &ExtractorConfig) -> Self {
         let topics = PostTopics::fit(history, &config.lda);
-        let context = FeatureContext::build(history, num_users, &topics, config.betweenness);
+        FeatureExtractor::from_topics(history, num_users, topics, config.betweenness)
+    }
+
+    /// Fits the aggregates on the history partition around `topics`,
+    /// which must already be fitted on that same history — for
+    /// callers that fit several histories' topics at once.
+    pub fn from_topics(
+        history: &[Thread],
+        num_users: u32,
+        topics: PostTopics,
+        betweenness: BetweennessMode,
+    ) -> Self {
+        let context = FeatureContext::build(history, num_users, &topics, betweenness);
         let layout = FeatureLayout::new(topics.num_topics());
         FeatureExtractor {
             topics,

@@ -51,4 +51,4 @@ pub use forumcast_topics::{LdaConfig, LdaSampler};
 pub use layout::{feature_dim, feature_names, FeatureGroup, FeatureId, FeatureLayout};
 pub use normalize::Normalizer;
 pub use online::OnlineFeatureExtractor;
-pub use topics::PostTopics;
+pub use topics::{PostTopics, TokenizedPosts};

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use forumcast_data::{PostBody, QuestionId, Thread, UserId};
-use forumcast_text::{tokenize_filtered, BagOfWords, Corpus, Vocabulary};
+use forumcast_text::{tokenize_filtered, BagOfWords, InternedDocs, Vocabulary};
 use forumcast_topics::{LdaConfig, LdaModel};
 
 /// An LDA model fitted on the posts of a history partition, plus the
@@ -20,32 +20,72 @@ pub struct PostTopics {
     answer_topics: HashMap<(QuestionId, UserId), Vec<f64>>,
 }
 
+/// Every post of a thread list tokenized once, in [`PostTopics`]
+/// document order (each thread's question, then its answers) and
+/// interned, so the topics of any prefix of the threads fit without
+/// tokenizing again.
+#[derive(Debug, Clone)]
+pub struct TokenizedPosts {
+    docs: InternedDocs,
+    keys: Vec<PostKey>,
+    /// Documents in threads `..=i`, per thread `i`.
+    thread_ends: Vec<usize>,
+}
+
+impl TokenizedPosts {
+    /// Tokenizes every post of `threads`.
+    pub fn new(threads: &[Thread]) -> Self {
+        let mut docs = InternedDocs::new();
+        let mut keys = Vec::new();
+        let mut thread_ends = Vec::with_capacity(threads.len());
+        for t in threads {
+            docs.push(&tokenize_filtered(&t.question.body.text));
+            keys.push(PostKey::Question(t.id));
+            for a in &t.answers {
+                docs.push(&tokenize_filtered(&a.body.text));
+                keys.push(PostKey::Answer(t.id, a.author));
+            }
+            thread_ends.push(keys.len());
+        }
+        TokenizedPosts {
+            docs,
+            keys,
+            thread_ends,
+        }
+    }
+
+    /// Number of threads tokenized.
+    pub fn num_threads(&self) -> usize {
+        self.thread_ends.len()
+    }
+}
+
 impl PostTopics {
     /// Tokenizes every post in `history`, builds a pruned vocabulary,
     /// trains LDA with `config`, and records `d(p)` for each post.
     pub fn fit(history: &[Thread], config: &LdaConfig) -> Self {
-        // One document per post, question first within each thread.
-        let mut docs: Vec<Vec<String>> = Vec::new();
-        let mut keys: Vec<PostKey> = Vec::new();
-        for t in history {
-            docs.push(tokenize_filtered(&t.question.body.text));
-            keys.push(PostKey::Question(t.id));
-            for a in &t.answers {
-                docs.push(tokenize_filtered(&a.body.text));
-                keys.push(PostKey::Answer(t.id, a.author));
-            }
-        }
-        let mut vocab = Vocabulary::new();
-        for d in &docs {
-            vocab.observe(d);
-        }
-        vocab.prune(2, 0.6);
-        let corpus = Corpus::from_token_docs(&docs, &vocab);
-        let lda = LdaModel::train(&corpus, config);
+        PostTopics::fit_prefix(&TokenizedPosts::new(history), history.len(), config)
+    }
+
+    /// [`PostTopics::fit`] on the first `num_threads` threads of
+    /// `posts`, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `num_threads` exceeds
+    /// [`TokenizedPosts::num_threads`].
+    pub fn fit_prefix(posts: &TokenizedPosts, num_threads: usize, config: &LdaConfig) -> Self {
+        let num_docs = num_threads
+            .checked_sub(1)
+            .map_or(0, |last| posts.thread_ends[last]);
+        let (vocab, lda) = {
+            let (vocab, corpus) = posts.docs.prefix_corpus(num_docs, 2, 0.6);
+            (vocab, LdaModel::train(&corpus, config))
+        };
 
         let mut question_topics = HashMap::new();
         let mut answer_topics = HashMap::new();
-        for (i, key) in keys.into_iter().enumerate() {
+        for (i, &key) in posts.keys[..num_docs].iter().enumerate() {
             let theta = lda.doc_topics(i).to_vec();
             match key {
                 PostKey::Question(q) => {
@@ -171,6 +211,79 @@ mod tests {
         let history: Vec<Thread> = clean.threads()[..120].to_vec();
         let pt = PostTopics::fit(&history, &LdaConfig::new(4).with_iterations(40));
         (history, pt)
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts two fits equal bit for bit: θ, φ, the vocabulary, and
+    /// the question and answer maps.
+    fn assert_bitwise_equal(a: &PostTopics, b: &PostTopics) {
+        fn map_bits<K: Copy + Eq + std::hash::Hash>(
+            m: &HashMap<K, Vec<f64>>,
+        ) -> HashMap<K, Vec<u64>> {
+            m.iter().map(|(&k, v)| (k, bits(v))).collect()
+        }
+        assert_eq!(a.vocab, b.vocab);
+        assert_lda_bitwise_equal(&a.lda, &b.lda);
+        assert_eq!(map_bits(&a.question_topics), map_bits(&b.question_topics));
+        assert_eq!(map_bits(&a.answer_topics), map_bits(&b.answer_topics));
+    }
+
+    fn assert_lda_bitwise_equal(a: &LdaModel, b: &LdaModel) {
+        assert_eq!(
+            (a.num_docs(), a.num_words(), a.num_topics()),
+            (b.num_docs(), b.num_words(), b.num_topics())
+        );
+        for d in 0..a.num_docs() {
+            assert_eq!(bits(a.doc_topics(d)), bits(b.doc_topics(d)), "θ of doc {d}");
+        }
+        for k in 0..a.num_topics() {
+            assert_eq!(
+                bits(a.topic_words(k)),
+                bits(b.topic_words(k)),
+                "φ of topic {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn prefix_fits_match_fitting_each_prefix_alone() {
+        let ds = SynthConfig::small().with_seed(11).generate();
+        let (clean, _) = ds.preprocess();
+        let threads = &clean.threads()[..120];
+        let posts = TokenizedPosts::new(threads);
+        assert_eq!(posts.num_threads(), 120);
+        let config = LdaConfig::new(4).with_iterations(10);
+        for n in [0, 1, 37, 80, 120] {
+            let prefix = PostTopics::fit_prefix(&posts, n, &config);
+            assert_bitwise_equal(&prefix, &PostTopics::fit(&threads[..n], &config));
+        }
+    }
+
+    /// The interned fit trains on the very corpus that tokenizing each
+    /// post into strings, observing, pruning and encoding gives.
+    #[test]
+    fn fit_matches_the_string_token_pipeline() {
+        use forumcast_text::Corpus;
+        let ds = SynthConfig::small().with_seed(11).generate();
+        let (clean, _) = ds.preprocess();
+        let history = &clean.threads()[..80];
+        let config = LdaConfig::new(4).with_iterations(10);
+        let docs: Vec<Vec<String>> = history
+            .iter()
+            .flat_map(|t| t.posts().map(|p| tokenize_filtered(&p.body.text)))
+            .collect();
+        let mut vocab = Vocabulary::new();
+        for d in &docs {
+            vocab.observe(d);
+        }
+        vocab.prune(2, 0.6);
+        let reference = LdaModel::train(&Corpus::from_token_docs(&docs, &vocab), &config);
+        let fitted = PostTopics::fit(history, &config);
+        assert_eq!(fitted.vocab, vocab);
+        assert_lda_bitwise_equal(fitted.model(), &reference);
     }
 
     #[test]

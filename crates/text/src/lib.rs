@@ -9,7 +9,9 @@
 //! * [`stopwords`] — a compact English stop-word list;
 //! * [`Vocabulary`] — interning of tokens to dense word ids with
 //!   frequency-based pruning;
-//! * [`BagOfWords`] / [`Corpus`] — sparse document–term counts.
+//! * [`BagOfWords`] / [`Corpus`] — sparse document–term counts;
+//! * [`InternedDocs`] — token documents interned once, from which the
+//!   pruned vocabulary and corpus of any prefix derive.
 //!
 //! # Example
 //!
@@ -27,11 +29,13 @@
 //! ```
 
 pub mod bow;
+pub mod interned;
 pub mod stopwords;
 pub mod tokenizer;
 pub mod vocab;
 
 pub use bow::{BagOfWords, Corpus};
+pub use interned::InternedDocs;
 pub use stopwords::is_stopword;
 pub use tokenizer::{tokenize, tokenize_filtered};
 pub use vocab::Vocabulary;

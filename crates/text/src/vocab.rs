@@ -18,7 +18,7 @@ use std::collections::HashMap;
 /// assert_eq!(v.len(), 2);
 /// assert_eq!(v.count_of("rust"), 2);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Vocabulary {
     ids: HashMap<String, usize>,
     tokens: Vec<String>,
@@ -101,26 +101,48 @@ impl Vocabulary {
     /// This mirrors the usual Gensim `filter_extremes` preparation the
     /// paper's pipeline relies on.
     pub fn prune(&mut self, min_docs: usize, max_doc_frac: f64) -> usize {
-        let max_docs = (max_doc_frac * self.num_docs as f64).floor() as usize;
-        let keep: Vec<usize> = (0..self.tokens.len())
-            .filter(|&id| self.doc_counts[id] >= min_docs && self.doc_counts[id] <= max_docs)
+        let before = self.len();
+        let (pruned, _) = Vocabulary::pruned_from(
+            &self.tokens,
+            &self.counts,
+            &self.doc_counts,
+            self.num_docs,
+            min_docs,
+            max_doc_frac,
+        );
+        *self = pruned;
+        before - self.len()
+    }
+
+    /// The vocabulary [`prune`](Vocabulary::prune) leaves of one with
+    /// these per-id columns over `num_docs` documents, plus the old id
+    /// of each kept token in new-id order.
+    pub(crate) fn pruned_from(
+        tokens: &[String],
+        counts: &[usize],
+        doc_counts: &[usize],
+        num_docs: usize,
+        min_docs: usize,
+        max_doc_frac: f64,
+    ) -> (Vocabulary, Vec<usize>) {
+        let max_docs = (max_doc_frac * num_docs as f64).floor() as usize;
+        let keep: Vec<usize> = (0..tokens.len())
+            .filter(|&id| doc_counts[id] >= min_docs && doc_counts[id] <= max_docs)
             .collect();
-        let removed = self.tokens.len() - keep.len();
-        let mut ids = HashMap::with_capacity(keep.len());
-        let mut tokens = Vec::with_capacity(keep.len());
-        let mut counts = Vec::with_capacity(keep.len());
-        let mut doc_counts = Vec::with_capacity(keep.len());
+        let mut vocab = Vocabulary {
+            ids: HashMap::with_capacity(keep.len()),
+            tokens: Vec::with_capacity(keep.len()),
+            counts: Vec::with_capacity(keep.len()),
+            doc_counts: Vec::with_capacity(keep.len()),
+            num_docs,
+        };
         for (new_id, &old_id) in keep.iter().enumerate() {
-            ids.insert(self.tokens[old_id].clone(), new_id);
-            tokens.push(self.tokens[old_id].clone());
-            counts.push(self.counts[old_id]);
-            doc_counts.push(self.doc_counts[old_id]);
+            vocab.ids.insert(tokens[old_id].clone(), new_id);
+            vocab.tokens.push(tokens[old_id].clone());
+            vocab.counts.push(counts[old_id]);
+            vocab.doc_counts.push(doc_counts[old_id]);
         }
-        self.ids = ids;
-        self.tokens = tokens;
-        self.counts = counts;
-        self.doc_counts = doc_counts;
-        removed
+        (vocab, keep)
     }
 
     /// Iterates over `(token, term_count)` pairs in id order.

@@ -2,7 +2,59 @@
 
 use proptest::prelude::*;
 
-use forumcast_text::{tokenize, tokenize_filtered, BagOfWords, Vocabulary};
+use forumcast_text::{tokenize, tokenize_filtered, BagOfWords, Corpus, InternedDocs, Vocabulary};
+
+/// Checks every prefix of `docs`: the interned prefix vocabulary
+/// (ids, tokens, counts, doc counts) and corpus equal observing the
+/// prefix's token documents, pruning, and encoding them.
+fn assert_prefixes_match(docs: &[Vec<String>], min_docs: usize, max_doc_frac: f64) {
+    let mut interned = InternedDocs::new();
+    for d in docs {
+        interned.push(d);
+    }
+    for n in 0..=docs.len() {
+        let mut vocab = Vocabulary::new();
+        for d in &docs[..n] {
+            vocab.observe(d);
+        }
+        vocab.prune(min_docs, max_doc_frac);
+        let corpus = Corpus::from_token_docs(&docs[..n], &vocab);
+        let (prefix_vocab, prefix_corpus) = interned.prefix_corpus(n, min_docs, max_doc_frac);
+        assert_eq!(prefix_vocab, vocab, "vocabulary of the first {n} docs");
+        assert_eq!(prefix_corpus, corpus, "corpus of the first {n} docs");
+    }
+}
+
+fn docs(words: &[&[&str]]) -> Vec<Vec<String>> {
+    words
+        .iter()
+        .map(|d| d.iter().map(|w| w.to_string()).collect())
+        .collect()
+}
+
+#[test]
+fn prefix_corpus_handles_empty_docs_and_all_pruned_vocabularies() {
+    // Empty documents, including a leading one.
+    assert_prefixes_match(&docs(&[&[], &["a", "b"], &[], &["b", "a", "a"]]), 2, 0.6);
+    // Every token is in one document only: everything prunes.
+    let singletons = docs(&[&["a"], &["b", "b"], &["c"]]);
+    let (vocab, corpus) = {
+        let mut interned = InternedDocs::new();
+        for d in &singletons {
+            interned.push(d);
+        }
+        interned.prefix_corpus(3, 2, 0.6)
+    };
+    assert!(vocab.is_empty());
+    assert!(corpus.iter().all(BagOfWords::is_empty));
+    assert_prefixes_match(&singletons, 2, 0.6);
+    // "c" and "d" are first seen after the shorter prefixes.
+    assert_prefixes_match(
+        &docs(&[&["a", "b"], &["a"], &["c", "a"], &["c", "d", "b"]]),
+        2,
+        0.6,
+    );
+}
 
 proptest! {
     /// Tokens never contain separators and are all lowercase.
@@ -79,5 +131,17 @@ proptest! {
             let tok = v.token_of(id).to_owned();
             prop_assert_eq!(v.id_of(&tok), Some(id));
         }
+    }
+
+    /// Every prefix of interned documents gives the vocabulary and
+    /// corpus that observing, pruning and encoding it gives.
+    #[test]
+    fn interned_prefix_matches_observe_prune_encode(
+        docs in proptest::collection::vec(proptest::collection::vec("[a-f]{1,2}", 0..8), 0..16),
+        min_docs in 0usize..4,
+        max_doc_frac in 0.0f64..=1.0,
+    ) {
+        assert_prefixes_match(&docs, 2, 0.6);
+        assert_prefixes_match(&docs, min_docs, max_doc_frac);
     }
 }

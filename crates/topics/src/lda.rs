@@ -159,8 +159,9 @@ pub struct LdaModel {
 }
 
 /// Per-sampler bucket-hit tallies, accumulated locally during a sweep
-/// and flushed to the obs counters in one batch (the counter sink is
-/// a global mutex — per-token updates would serialize the hot loop).
+/// and flushed to the obs counters in one batch (each counter add
+/// locks the thread's telemetry shard and hashes the counter name —
+/// per-token updates would tax the hot loop).
 #[derive(Default)]
 struct BucketHits {
     s: u64,
