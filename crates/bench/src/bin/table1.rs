@@ -12,11 +12,16 @@ fn main() {
     let opts = parse_args();
     let root = root_span("table1");
     header("Table I — prediction performance vs. baselines", &opts);
-    let report = table1::run_with(&opts.config, opts.resume.as_deref(), &opts.cv_options())
-        .unwrap_or_else(|e| {
-            eprintln!("table1 failed: {e}");
-            std::process::exit(1);
-        });
+    let report = table1::run_with(
+        &opts.config,
+        None,
+        opts.resume.as_deref(),
+        &opts.cv_options(),
+    )
+    .unwrap_or_else(|e| {
+        eprintln!("table1 failed: {e}");
+        std::process::exit(1);
+    });
     status!("{report}");
     status!(
         "paper shape check: all three improvements positive? {}",

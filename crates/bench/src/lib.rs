@@ -15,9 +15,8 @@
 //! per-sub-run suffixes for the sweep figures) and skips them when the
 //! run is restarted with the same path; `--snapshot-every <N>` sets
 //! the epoch cadence of the nested sub-fold (mid-training) snapshots
-//! (`<path>.fold<job>.train.ckpt`, 0 disables). `--ckpt-format
-//! binary|json` picks the checkpoint encoding (framed binary store
-//! by default). `--faults <spec>` arms the
+//! (`<path>.fold<job>.train.ckpt`, 0 disables). `--faults <spec>`
+//! arms the
 //! deterministic fault injector (same grammar as `FORUMCAST_FAULTS`).
 //! `--trace <path>` writes a Chrome trace-event JSON file of pipeline
 //! spans (`FORUMCAST_TRACE` supplies a default path), `--metrics`
@@ -33,7 +32,7 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use forumcast_eval::{CkptFormat, CvOptions, EvalConfig};
+use forumcast_eval::{CvOptions, EvalConfig};
 use forumcast_resilience::FaultPlan;
 
 /// Command-line options shared by the regeneration binaries.
@@ -52,9 +51,6 @@ pub struct BinOptions {
     /// persists its full trainer state so a mid-fold crash resumes
     /// without recomputing the fold from its start (0 disables).
     pub snapshot_every: usize,
-    /// Checkpoint encoding (`--ckpt-format binary|json`): the framed,
-    /// CRC-checksummed binary store (default) or the legacy JSON.
-    pub ckpt_format: CkptFormat,
     /// Chrome trace-event JSON output path (`--trace <path>`, else
     /// the `FORUMCAST_TRACE` env var).
     pub trace: Option<PathBuf>,
@@ -79,13 +75,11 @@ pub fn status(args: std::fmt::Arguments<'_>) {
 
 impl BinOptions {
     /// The resilience options the experiment drivers consume,
-    /// assembled from the `--snapshot-every` and `--ckpt-format`
-    /// flags (the checkpoint path is threaded separately, as each
-    /// driver derives per-sub-run files from it).
+    /// assembled from the `--snapshot-every` flag (the checkpoint
+    /// path is threaded separately, as each driver derives per-sub-run
+    /// files from it).
     pub fn cv_options(&self) -> CvOptions {
-        CvOptions::default()
-            .with_snapshot_every(self.snapshot_every)
-            .with_format(self.ckpt_format)
+        CvOptions::default().with_snapshot_every(self.snapshot_every)
     }
 }
 
@@ -108,7 +102,6 @@ pub fn parse_args() -> BinOptions {
     let mut threads: Option<usize> = None;
     let mut resume: Option<PathBuf> = None;
     let mut snapshot_every: Option<usize> = None;
-    let mut ckpt_format = CkptFormat::default();
     let mut faults: Option<FaultPlan> = None;
     let mut trace: Option<PathBuf> = None;
     let mut metrics = false;
@@ -134,13 +127,6 @@ pub fn parse_args() -> BinOptions {
                         eprintln!("invalid value `{arg}` for --faults: {e}");
                         std::process::exit(2);
                     }));
-                    continue;
-                }
-                "ckpt-format" => {
-                    ckpt_format = CkptFormat::parse(&arg).unwrap_or_else(|e| {
-                        eprintln!("invalid value for --ckpt-format: {e}");
-                        std::process::exit(2);
-                    });
                     continue;
                 }
                 _ => {}
@@ -178,10 +164,6 @@ pub fn parse_args() -> BinOptions {
                 pending = Some("snapshot-every");
                 continue;
             }
-            "--ckpt-format" => {
-                pending = Some("ckpt-format");
-                continue;
-            }
             "--faults" => {
                 pending = Some("faults");
                 continue;
@@ -213,7 +195,7 @@ pub fn parse_args() -> BinOptions {
                 eprintln!(
                     "usage: <bin> [quick|standard|paper] [--json] [--folds N] [--repeats N] \
                      [--threads N] [--resume PATH] [--snapshot-every N] \
-                     [--ckpt-format binary|json] [--faults SPEC] \
+                     [--faults SPEC] \
                      [--trace PATH] [--metrics] [--bench-json PATH]"
                 );
                 std::process::exit(2);
@@ -265,7 +247,6 @@ pub fn parse_args() -> BinOptions {
         scale,
         resume,
         snapshot_every: snapshot_every.unwrap_or(CvOptions::default().snapshot_every),
-        ckpt_format,
         trace,
         metrics,
         bench_json,
@@ -351,7 +332,6 @@ mod tests {
             scale: "standard".into(),
             resume: None,
             snapshot_every: CvOptions::default().snapshot_every,
-            ckpt_format: CkptFormat::default(),
             trace: None,
             metrics: false,
             bench_json: None,

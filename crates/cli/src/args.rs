@@ -4,7 +4,6 @@
 use std::fmt;
 
 use forumcast_features::LdaSampler;
-use forumcast_resilience::CkptFormat;
 use forumcast_wal::FsyncPolicy;
 
 /// Usage text printed on parse errors and `--help`.
@@ -24,7 +23,6 @@ commands:
              [--lda-sampler <dense|sparse>] [--topics K]
              [--data-dir <dir>]
              [--resume <checkpoint-file>] [--snapshot-every N]
-             [--ckpt-format <binary|json>]
              [--faults <spec>] [--trace <trace-file>] [--metrics]
              [--bench-json <report-file>]
   ckpt       <inspect|verify|repair> --file <checkpoint-file>
@@ -44,18 +42,17 @@ commands:
 (unanswered fraction, answers per answered question, posts per user,
 response-delay quantiles) against the paper's Section III ranges and
 exits non-zero on drift. `evaluate --data-dir` spills the experiment
-to a columnar on-disk store in the given directory and streams folds
-back one at a time — metrics are bitwise-identical to the in-memory
-path while peak RSS stays around one fold; this path has no
-checkpoint support, so it rejects `--resume`.
-`--resume` saves completed cross-validation folds to the given file
-and skips them on restart; `--snapshot-every` additionally snapshots
-the in-flight fold's full trainer state every N epochs so a mid-fold
-crash resumes without recomputing the fold (0 disables).
-`--ckpt-format` picks the checkpoint encoding: `binary` (default) is
-the framed, CRC-checksummed store, `json` the legacy text files;
-loading sniffs the content, so either build resumes the other's
-files. `ckpt inspect` prints a checkpoint's header and frame layout,
+to a columnar on-disk store in the given directory and each fold
+streams its rows back from it — metrics are bitwise-identical to the
+in-memory path while peak RSS stays around one fold per worker
+thread; `--threads`, `--resume` and `--snapshot-every` work the same
+with or without it. `--resume` saves completed cross-validation
+folds to the given file and skips them on restart; `--snapshot-every`
+additionally snapshots the in-flight fold's full trainer state every
+N epochs so a mid-fold crash resumes without recomputing the fold (0
+disables). Checkpoints are written in the framed, CRC-checksummed
+binary store; loading sniffs the content, so JSON checkpoints from
+older builds still resume. `ckpt inspect` prints a checkpoint's header and frame layout,
 `ckpt verify` exits non-zero naming the first damaged frame, and
 `ckpt repair` truncates the file to its last valid frame. `--faults`
 arms the deterministic fault injector (same grammar as the
@@ -169,8 +166,8 @@ pub enum Command {
         /// preset's default).
         topics: Option<usize>,
         /// Spill directory for the columnar on-disk experiment store:
-        /// when set, folds stream from disk one at a time instead of
-        /// holding the whole feature matrix resident.
+        /// when set, each fold streams its rows from disk instead of
+        /// the whole feature matrix staying resident.
         data_dir: Option<String>,
         /// Checkpoint file: completed folds are saved here and
         /// skipped when the run restarts with the same path.
@@ -179,9 +176,6 @@ pub enum Command {
         /// fold persists its full trainer state every N epochs
         /// (0 disables mid-fold snapshots).
         snapshot_every: usize,
-        /// On-disk checkpoint encoding (framed binary store or the
-        /// legacy JSON).
-        ckpt_format: CkptFormat,
         /// Fault-injection spec (same grammar as `FORUMCAST_FAULTS`).
         faults: Option<String>,
         /// Chrome trace-event JSON output path (`FORUMCAST_TRACE`
@@ -459,11 +453,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                     "snapshot-every",
                     forumcast_eval::CvOptions::default().snapshot_every,
                 )?,
-                ckpt_format: match opts.get("ckpt-format") {
-                    None => CkptFormat::default(),
-                    Some(raw) => CkptFormat::parse(raw)
-                        .map_err(|e| ParseError(format!("invalid --ckpt-format: {e}")))?,
-                },
                 faults: opts.get("faults").map(str::to_owned),
                 trace: opts.get("trace").map(str::to_owned),
                 metrics: opts.flag("metrics"),
@@ -477,7 +466,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 "data-dir",
                 "resume",
                 "snapshot-every",
-                "ckpt-format",
                 "faults",
                 "trace",
                 "metrics",
@@ -705,7 +693,6 @@ mod tests {
                 data_dir: None,
                 resume: None,
                 snapshot_every: 25,
-                ckpt_format: CkptFormat::Binary,
                 faults: None,
                 trace: None,
                 metrics: false,
@@ -724,7 +711,6 @@ mod tests {
                 data_dir: None,
                 resume: None,
                 snapshot_every: 25,
-                ckpt_format: CkptFormat::Binary,
                 faults: None,
                 trace: None,
                 metrics: false,
@@ -746,7 +732,6 @@ mod tests {
                 data_dir: None,
                 resume: Some("cv.json".into()),
                 snapshot_every: 25,
-                ckpt_format: CkptFormat::Binary,
                 faults: Some("fold-panic:1".into()),
                 trace: None,
                 metrics: false,
@@ -785,7 +770,6 @@ mod tests {
                 data_dir: None,
                 resume: None,
                 snapshot_every: 25,
-                ckpt_format: CkptFormat::Binary,
                 faults: None,
                 trace: Some("out.json".into()),
                 metrics: true,
@@ -872,17 +856,6 @@ mod tests {
     fn malformed_numbers_error() {
         let err = parse(argv("predict --data d --model m --question abc --user 1")).unwrap_err();
         assert!(err.to_string().contains("abc"));
-    }
-
-    #[test]
-    fn parses_ckpt_format() {
-        let cmd = parse(argv("evaluate --resume cv.ckpt --ckpt-format json")).unwrap();
-        match cmd {
-            Command::Evaluate { ckpt_format, .. } => assert_eq!(ckpt_format, CkptFormat::Json),
-            other => panic!("{other:?}"),
-        }
-        let err = parse(argv("evaluate --ckpt-format yaml")).unwrap_err();
-        assert!(err.to_string().contains("yaml"), "{err}");
     }
 
     #[test]

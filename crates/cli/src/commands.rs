@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 use forumcast_abtest::AbTestConfig;
 use forumcast_core::{ResponsePredictor, TrainConfig, TrainingSet};
 use forumcast_data::{io as data_io, Dataset, QuestionId, UserId};
-use forumcast_eval::{experiments::table1, CkptFormat, CvOptions, EvalConfig};
+use forumcast_eval::{experiments::table1, CvOptions, EvalConfig};
 use forumcast_features::{ExtractorConfig, FeatureExtractor, LdaSampler};
 use forumcast_graph::{dense_graph, qa_graph, GraphStats};
 use forumcast_recsys::{Candidate, QuestionRouter, RouterConfig};
@@ -77,7 +77,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             data_dir,
             resume,
             snapshot_every,
-            ckpt_format,
             faults,
             trace,
             metrics,
@@ -90,7 +89,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             data_dir.as_deref(),
             resume.as_deref(),
             snapshot_every,
-            ckpt_format,
             faults.as_deref(),
             trace.as_deref(),
             metrics,
@@ -464,20 +462,12 @@ fn evaluate(
     data_dir: Option<&str>,
     resume: Option<&str>,
     snapshot_every: usize,
-    ckpt_format: CkptFormat,
     faults: Option<&str>,
     trace: Option<&str>,
     metrics: bool,
     bench_json: Option<&str>,
     out: &mut dyn Write,
 ) -> CmdResult {
-    if data_dir.is_some() && resume.is_some() {
-        return Err(
-            "--data-dir streams folds without checkpoint support; drop --resume \
-             (the spill itself is the durable artifact)"
-                .into(),
-        );
-    }
     let mut cfg = match scale {
         "quick" => EvalConfig::quick(),
         "standard" => EvalConfig::standard(),
@@ -525,34 +515,29 @@ fn evaluate(
         if snapshot_every > 0 {
             writeln!(
                 out,
-                "checkpointing completed folds to `{path}` as {} \
-                 (sub-fold snapshots every {snapshot_every} epochs)",
-                ckpt_format.name()
+                "checkpointing completed folds to `{path}` \
+                 (sub-fold snapshots every {snapshot_every} epochs)"
             )?;
         } else {
-            writeln!(
-                out,
-                "checkpointing completed folds to `{path}` as {}",
-                ckpt_format.name()
-            )?;
+            writeln!(out, "checkpointing completed folds to `{path}`")?;
         }
     }
     if let Some(dir) = data_dir {
         writeln!(
             out,
             "spilling the experiment to `{dir}` (columnar store, one fold \
-             resident at a time)"
+             resident per worker)"
         )?;
     }
-    let cv_opts = CvOptions::default()
-        .with_snapshot_every(snapshot_every)
-        .with_format(ckpt_format);
+    let cv_opts = CvOptions::default().with_snapshot_every(snapshot_every);
     let report = {
         let _root = forumcast_obs::span("evaluate");
-        match data_dir {
-            Some(dir) => table1::run_streamed(&cfg, Path::new(dir)),
-            None => table1::run_with(&cfg, resume.map(Path::new), &cv_opts),
-        }
+        table1::run_with(
+            &cfg,
+            data_dir.map(Path::new),
+            resume.map(Path::new),
+            &cv_opts,
+        )
         .map_err(|e| format!("evaluation failed: {e}"))?
     };
     writeln!(out, "{report}")?;
@@ -1126,24 +1111,42 @@ mod tests {
         std::fs::remove_file(&two).unwrap();
     }
 
+    /// `--data-dir` and `--resume` compose: a checkpointed streamed
+    /// run, and a rerun that restores every fold from its checkpoint,
+    /// print the plain streamed run's report.
     #[test]
-    fn evaluate_data_dir_rejects_resume() {
-        let (code, text) = run_cmd(Command::Evaluate {
-            scale: "quick".into(),
-            threads: 1,
-            lda_sampler: LdaSampler::Dense,
-            topics: None,
-            data_dir: Some(tmp("spill-conflict")),
-            resume: Some(tmp("spill-conflict.ckpt")),
-            snapshot_every: 0,
-            ckpt_format: CkptFormat::Binary,
-            faults: None,
-            trace: None,
-            metrics: false,
-            bench_json: None,
-        });
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("--resume"), "{text}");
+    fn evaluate_data_dir_resume_round_trips() {
+        let evaluate = |name: &str, resume: Option<String>| {
+            let (code, text) = run_cmd(Command::Evaluate {
+                scale: "quick".into(),
+                threads: 2,
+                lda_sampler: LdaSampler::Dense,
+                topics: None,
+                data_dir: Some(tmp(name)),
+                resume,
+                snapshot_every: 2,
+                faults: None,
+                trace: None,
+                metrics: false,
+                bench_json: None,
+            });
+            assert_eq!(code, 0, "{text}");
+            text.lines()
+                .filter(|l| !l.starts_with("checkpointing") && !l.starts_with("spilling"))
+                .filter(|l| !l.starts_with("peak RSS"))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        let ckpt = tmp("spill-resume.ckpt");
+        let _ = std::fs::remove_file(&ckpt);
+        let plain = evaluate("spill-plain", None);
+        assert!(plain.contains("Table I"), "{plain}");
+        assert_eq!(evaluate("spill-resume", Some(ckpt.clone())), plain);
+        assert_eq!(evaluate("spill-resume", Some(ckpt.clone())), plain);
+        std::fs::remove_file(&ckpt).unwrap();
+        for dir in ["spill-plain", "spill-resume"] {
+            std::fs::remove_dir_all(tmp(dir)).unwrap();
+        }
     }
 
     #[test]

@@ -47,13 +47,11 @@
 //! ```
 
 pub mod answer;
-pub mod online;
 pub mod predictor;
 pub mod timing;
 pub mod votes;
 
 pub use answer::{AnswerConfig, AnswerPredictor};
-pub use online::OnlineState;
 pub use predictor::{ResponsePredictor, TrainConfig, TrainProgress, TrainingSet};
 pub use timing::{DecayMode, PredictionMode, ThreadObservation, TimingConfig, TimingPredictor};
 pub use votes::{VoteConfig, VotePredictor, VoteTrainState};

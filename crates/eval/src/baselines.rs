@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use forumcast_features::Normalizer;
 use forumcast_ml::{MatrixFactorization, MfConfig, PoissonRegression, Sparfa, SparfaConfig};
 
-use crate::data::{ExperimentData, PairRecord};
+use crate::data::RowMeta;
 
 /// Trained baselines for one CV fold.
 #[derive(Debug)]
@@ -23,83 +23,44 @@ pub struct Baselines {
 }
 
 impl Baselines {
-    /// Trains all three baselines on the training-fold records.
+    /// Trains all three baselines on one fold's training records:
+    /// `pos` / `neg` are the training positives' and negatives'
+    /// metadata and `xs` the training positives' raw feature vectors,
+    /// all in row order.
     ///
     /// SPARFA and MF learn **only from `(user, question)` indices**
     /// (that is the point of the comparison: it isolates the value of
     /// the feature vectors); Poisson regression uses the same features
     /// `x_{u,q}` as our models with the discretized target `⌈r⌉`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `xs` holds one vector per training positive.
     pub fn train(
-        data: &ExperimentData,
-        train_pos: &[usize],
-        train_neg: &[usize],
-        seed: u64,
-    ) -> Self {
-        let pos: Vec<(usize, usize, f64, f64)> = train_pos
-            .iter()
-            .map(|&i| {
-                let p = &data.positives[i];
-                (p.user.index(), p.target, p.votes, p.response_time)
-            })
-            .collect();
-        let neg: Vec<(usize, usize)> = train_neg
-            .iter()
-            .map(|&i| {
-                let n = &data.negatives[i];
-                (n.user.index(), n.target)
-            })
-            .collect();
-        let xs: Vec<Vec<f64>> = train_pos
-            .iter()
-            .map(|&i| data.positives[i].x.clone())
-            .collect();
-        Self::train_from_parts(
-            data.num_users,
-            data.num_targets,
-            data.dim,
-            &pos,
-            &neg,
-            xs,
-            seed,
-        )
-    }
-
-    /// [`train`](Self::train) decomposed into its raw ingredients —
-    /// the entry point for the spilled (columnar) path, which holds
-    /// per-record metadata resident but streams feature vectors from
-    /// disk. `pos` carries `(user index, target, votes, response
-    /// time)` per training positive and `xs` the matching raw feature
-    /// vectors, both in training order; `neg` carries `(user index,
-    /// target)` per training negative. The RNG consumption sequence
-    /// is identical to [`train`](Self::train), so both paths produce
-    /// bitwise-identical models from the same training folds.
-    pub fn train_from_parts(
         num_users: usize,
         num_targets: usize,
         dim: usize,
-        pos: &[(usize, usize, f64, f64)],
-        neg: &[(usize, usize)],
-        xs: Vec<Vec<f64>>,
+        pos: &[RowMeta],
+        neg: &[RowMeta],
+        xs: &[Vec<f64>],
         seed: u64,
     ) -> Self {
         assert_eq!(pos.len(), xs.len(), "one raw x per training positive");
         let mut rng = StdRng::seed_from_u64(seed);
 
         // SPARFA on the binary answer matrix (positives + negatives).
-        let mut obs: Vec<(usize, usize, bool)> = Vec::with_capacity(pos.len() * 2);
-        for &(user, target, _, _) in pos {
-            obs.push((user, target, true));
-        }
-        for &(user, target) in neg {
-            obs.push((user, target, false));
-        }
+        let obs: Vec<(usize, usize, bool)> = pos
+            .iter()
+            .map(|m| (m.user.index(), m.target, true))
+            .chain(neg.iter().map(|m| (m.user.index(), m.target, false)))
+            .collect();
         let mut sparfa = Sparfa::new(num_users, num_targets, SparfaConfig::default(), &mut rng);
         sparfa.fit(&obs, &mut rng);
 
         // MF on observed votes.
         let triplets: Vec<(usize, usize, f64)> = pos
             .iter()
-            .map(|&(user, target, votes, _)| (user, target, votes))
+            .map(|m| (m.user.index(), m.target, m.votes))
             .collect();
         let mut mf =
             MatrixFactorization::new(num_users, num_targets, MfConfig::default(), &mut rng);
@@ -113,9 +74,9 @@ impl Baselines {
         // `baselines` ablation bench also measures a z-scored variant,
         // which is stronger than the paper's.)
         let poisson_norm = Normalizer::identity(dim);
-        let ys: Vec<f64> = pos.iter().map(|&(_, _, _, rt)| rt.ceil()).collect();
+        let ys: Vec<f64> = pos.iter().map(|m| m.response_time.ceil()).collect();
         let mut poisson = PoissonRegression::new(dim);
-        poisson.fit(&xs, &ys, 120, 0.02, 1e-4, &mut rng);
+        poisson.fit(xs, &ys, 120, 0.02, 1e-4, &mut rng);
         let max_train_delay = ys.iter().cloned().fold(1.0, f64::max);
 
         Baselines {
@@ -127,35 +88,20 @@ impl Baselines {
         }
     }
 
-    /// SPARFA score for a record (answer-task baseline).
-    pub fn score_answer(&self, r: &PairRecord) -> f64 {
-        self.score_answer_at(r.user.index(), r.target)
+    /// SPARFA score for a pair (answer-task baseline).
+    pub fn score_answer(&self, m: &RowMeta) -> f64 {
+        self.sparfa.predict_proba(m.user.index(), m.target)
     }
 
-    /// SPARFA score by `(user index, target)` — the spilled path's
-    /// entry, which has no materialized [`PairRecord`]s.
-    pub fn score_answer_at(&self, user: usize, target: usize) -> f64 {
-        self.sparfa.predict_proba(user, target)
+    /// MF prediction for a pair (vote-task baseline).
+    pub fn predict_votes(&self, m: &RowMeta) -> f64 {
+        self.mf.predict(m.user.index(), m.target)
     }
 
-    /// MF prediction for a record (vote-task baseline).
-    pub fn predict_votes(&self, r: &PairRecord) -> f64 {
-        self.predict_votes_at(r.user.index(), r.target)
-    }
-
-    /// MF prediction by `(user index, target)`.
-    pub fn predict_votes_at(&self, user: usize, target: usize) -> f64 {
-        self.mf.predict(user, target)
-    }
-
-    /// Poisson-regression prediction for a record (timing baseline),
-    /// clamped to the largest delay seen in training.
-    pub fn predict_response_time(&self, r: &PairRecord) -> f64 {
-        self.predict_response_time_x(&r.x)
-    }
-
-    /// Poisson-regression prediction from a raw feature vector.
-    pub fn predict_response_time_x(&self, x: &[f64]) -> f64 {
+    /// Poisson-regression prediction from a pair's raw feature vector
+    /// (timing baseline), clamped to the largest delay seen in
+    /// training.
+    pub fn predict_response_time(&self, x: &[f64]) -> f64 {
         self.poisson
             .predict(&self.poisson_norm.transform(x))
             .min(self.max_train_delay)
@@ -174,45 +120,45 @@ mod tests {
         ExperimentData::build(&ds, &cfg)
     }
 
+    /// Baselines trained on every record of `d`.
+    fn train_all(d: &ExperimentData, seed: u64) -> Baselines {
+        let pos: Vec<RowMeta> = d.positives.iter().map(|p| p.meta()).collect();
+        let neg: Vec<RowMeta> = d.negatives.iter().map(|n| n.meta()).collect();
+        let xs: Vec<Vec<f64>> = d.positives.iter().map(|p| p.x.clone()).collect();
+        Baselines::train(d.num_users, d.num_targets, d.dim, &pos, &neg, &xs, seed)
+    }
+
     #[test]
     fn baselines_train_and_predict_finite() {
         let d = data();
-        let pos: Vec<usize> = (0..d.positives.len()).collect();
-        let neg: Vec<usize> = (0..d.negatives.len()).collect();
-        let b = Baselines::train(&d, &pos, &neg, 1);
+        let b = train_all(&d, 1);
         let p = &d.positives[0];
-        assert!((0.0..=1.0).contains(&b.score_answer(p)));
-        assert!(b.predict_votes(p).is_finite());
-        assert!(b.predict_response_time(p) > 0.0);
+        assert!((0.0..=1.0).contains(&b.score_answer(&p.meta())));
+        assert!(b.predict_votes(&p.meta()).is_finite());
+        assert!(b.predict_response_time(&p.x) > 0.0);
     }
 
     #[test]
     fn sparfa_separates_train_positives_from_negatives() {
         let d = data();
-        let pos: Vec<usize> = (0..d.positives.len()).collect();
-        let neg: Vec<usize> = (0..d.negatives.len()).collect();
-        let b = Baselines::train(&d, &pos, &neg, 2);
-        let avg_pos: f64 = pos
-            .iter()
-            .map(|&i| b.score_answer(&d.positives[i]))
-            .sum::<f64>()
-            / pos.len() as f64;
-        let avg_neg: f64 = neg
-            .iter()
-            .map(|&i| b.score_answer(&d.negatives[i]))
-            .sum::<f64>()
-            / neg.len() as f64;
+        let b = train_all(&d, 2);
+        let avg = |records: &[crate::data::PairRecord]| {
+            records
+                .iter()
+                .map(|r| b.score_answer(&r.meta()))
+                .sum::<f64>()
+                / records.len() as f64
+        };
+        let (avg_pos, avg_neg) = (avg(&d.positives), avg(&d.negatives));
         assert!(avg_pos > avg_neg, "{avg_pos} vs {avg_neg}");
     }
 
     #[test]
     fn poisson_baseline_prediction_is_positive() {
         let d = data();
-        let pos: Vec<usize> = (0..d.positives.len()).collect();
-        let neg: Vec<usize> = (0..d.negatives.len()).collect();
-        let b = Baselines::train(&d, &pos, &neg, 3);
+        let b = train_all(&d, 3);
         for p in d.positives.iter().take(20) {
-            let r = b.predict_response_time(p);
+            let r = b.predict_response_time(&p.x);
             assert!(r > 0.0 && r.is_finite());
         }
     }

@@ -40,7 +40,7 @@ use forumcast_features::FeatureLayout;
 use forumcast_store::{frame_bytes, header_bytes, FrameReader, StoreError};
 
 use crate::config::EvalConfig;
-use crate::data::{build_each, ExperimentData, PairRecord};
+use crate::data::{build_each, ExperimentData, PairRecord, RowMeta, RowSource, Side};
 
 /// Rows per on-disk row group (one store frame). Large enough to
 /// amortize frame overhead and CRC work, small enough that one
@@ -48,28 +48,14 @@ use crate::data::{build_each, ExperimentData, PairRecord};
 /// working set.
 pub const ROW_GROUP: usize = 512;
 
-/// Resident per-record metadata: everything about a pair except its
-/// feature vector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RowMeta {
-    /// The user.
-    pub user: UserId,
-    /// Dense target index.
-    pub target: usize,
-    /// `v_{u,q}` (0 for negatives).
-    pub votes: f64,
-    /// `r_{u,q}` in hours (0 for negatives).
-    pub response_time: f64,
-}
-
 /// A columnar spill failed or a spilled file cannot be trusted.
 #[derive(Debug)]
 pub enum ColumnarError {
     /// Container-level failure (I/O, magic, CRC quarantine, version).
     Store(StoreError),
     /// A structurally valid frame whose payload contradicts the
-    /// declared experiment shape (bad column sizes, out-of-order
-    /// targets, row-count mismatch against `meta.fcr`).
+    /// declared experiment shape (bad column sizes, row-count
+    /// mismatch against `meta.fcr`).
     Malformed {
         /// File the damage was found in.
         path: PathBuf,
@@ -283,50 +269,38 @@ impl SpilledExperiment {
             )));
         }
 
-        let mut spilled = SpilledExperiment {
+        let read_metas = |file: &str, expected: usize| {
+            let mut stream = RowStream::open(&dir.join(file), dim, expected)?;
+            let mut metas = Vec::with_capacity(expected);
+            while let Some((meta, _x)) = stream.next_row()? {
+                metas.push(meta);
+            }
+            Ok::<_, ColumnarError>(metas)
+        };
+        Ok(SpilledExperiment {
             dim,
             layout,
             num_users,
             num_targets,
             windows,
-            pos: Vec::with_capacity(n_pos),
-            neg: Vec::with_capacity(n_neg),
+            pos: read_metas(POS_FILE, n_pos)?,
+            neg: read_metas(NEG_FILE, n_neg)?,
             dir: dir.to_path_buf(),
+        })
+    }
+
+    /// Streams the feature vectors of `side` from disk, in spill
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// [`ColumnarError`] when the row file cannot be opened.
+    pub fn stream(&self, side: Side) -> Result<RowStream, ColumnarError> {
+        let (file, rows) = match side {
+            Side::Positives => (POS_FILE, self.pos.len()),
+            Side::Negatives => (NEG_FILE, self.neg.len()),
         };
-        for (file, expected, which) in
-            [(POS_FILE, n_pos, Which::Pos), (NEG_FILE, n_neg, Which::Neg)]
-        {
-            let mut stream = RowStream::open(&spilled.dir.join(file), spilled.dim, expected)?;
-            let mut metas = Vec::with_capacity(expected);
-            while let Some((meta, _x)) = stream.next_row()? {
-                metas.push(meta);
-            }
-            match which {
-                Which::Pos => spilled.pos = metas,
-                Which::Neg => spilled.neg = metas,
-            }
-        }
-        Ok(spilled)
-    }
-
-    /// Streams the positive records' feature vectors from disk, in
-    /// spill order.
-    ///
-    /// # Errors
-    ///
-    /// [`ColumnarError`] when the row file cannot be opened.
-    pub fn stream_pos(&self) -> Result<RowStream, ColumnarError> {
-        RowStream::open(&self.dir.join(POS_FILE), self.dim, self.pos.len())
-    }
-
-    /// Streams the negative records' feature vectors from disk, in
-    /// spill order.
-    ///
-    /// # Errors
-    ///
-    /// [`ColumnarError`] when the row file cannot be opened.
-    pub fn stream_neg(&self) -> Result<RowStream, ColumnarError> {
-        RowStream::open(&self.dir.join(NEG_FILE), self.dim, self.neg.len())
+        RowStream::open(&self.dir.join(file), self.dim, rows)
     }
 
     /// Reads everything back into a resident [`ExperimentData`] —
@@ -336,28 +310,22 @@ impl SpilledExperiment {
     ///
     /// [`ColumnarError`] on any read failure.
     pub fn to_resident(&self) -> Result<ExperimentData, ColumnarError> {
-        let mut positives = Vec::with_capacity(self.pos.len());
-        let mut stream = self.stream_pos()?;
-        while let Some((meta, x)) = stream.next_row()? {
-            positives.push(PairRecord {
-                user: meta.user,
-                target: meta.target,
-                x,
-                votes: meta.votes,
-                response_time: meta.response_time,
-            });
-        }
-        let mut negatives = Vec::with_capacity(self.neg.len());
-        let mut stream = self.stream_neg()?;
-        while let Some((meta, x)) = stream.next_row()? {
-            negatives.push(PairRecord {
-                user: meta.user,
-                target: meta.target,
-                x,
-                votes: meta.votes,
-                response_time: meta.response_time,
-            });
-        }
+        let read = |side| {
+            let mut records = Vec::with_capacity(self.len(side));
+            let mut stream = self.stream(side)?;
+            while let Some((meta, x)) = stream.next_row()? {
+                records.push(PairRecord {
+                    user: meta.user,
+                    target: meta.target,
+                    x,
+                    votes: meta.votes,
+                    response_time: meta.response_time,
+                });
+            }
+            Ok::<_, ColumnarError>(records)
+        };
+        let positives = read(Side::Positives)?;
+        let negatives = read(Side::Negatives)?;
         Ok(ExperimentData {
             dim: self.dim,
             layout: self.layout,
@@ -372,6 +340,13 @@ impl SpilledExperiment {
     /// The spill directory.
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    fn metas(&self, side: Side) -> &[RowMeta] {
+        match side {
+            Side::Positives => &self.pos,
+            Side::Negatives => &self.neg,
+        }
     }
 
     fn write_meta(&self, fingerprint: &str) -> Result<(), ColumnarError> {
@@ -392,9 +367,40 @@ impl SpilledExperiment {
     }
 }
 
-enum Which {
-    Pos,
-    Neg,
+impl RowSource for SpilledExperiment {
+    type Error = ColumnarError;
+
+    fn layout(&self) -> FeatureLayout {
+        self.layout
+    }
+
+    fn num_users(&self) -> usize {
+        self.num_users
+    }
+
+    fn windows(&self) -> &[f64] {
+        &self.windows
+    }
+
+    fn len(&self, side: Side) -> usize {
+        self.metas(side).len()
+    }
+
+    fn users(&self, side: Side) -> Vec<u32> {
+        self.metas(side).iter().map(|m| m.user.0).collect()
+    }
+
+    fn for_each_row(
+        &self,
+        side: Side,
+        f: &mut dyn FnMut(RowMeta, &[f64]),
+    ) -> Result<(), ColumnarError> {
+        let mut stream = self.stream(side)?;
+        while let Some((meta, x)) = stream.next_row()? {
+            f(meta, &x);
+        }
+        Ok(())
+    }
 }
 
 const POS_FILE: &str = "pos.fcr";
@@ -740,11 +746,22 @@ impl RowStream {
     /// [`ColumnarError::Store`] on container damage (a CRC-mismatched
     /// frame is quarantined first) and [`ColumnarError::Malformed`]
     /// on a shape contradiction — including a torn file that ends
-    /// before the expected row count.
+    /// before the expected row count, or a file that runs past it.
     pub fn next_row(&mut self) -> Result<Option<(RowMeta, Vec<f64>)>, ColumnarError> {
         loop {
             if let Some(group) = &mut self.group {
                 if group.cursor < group.meta.len() {
+                    // Callers index per-row state by row number, so a
+                    // file longer than declared is damage, not data.
+                    if self.rows == self.expected_rows {
+                        return Err(ColumnarError::Malformed {
+                            path: self.path.clone(),
+                            message: format!(
+                                "row file holds more than the {} rows declared",
+                                self.expected_rows
+                            ),
+                        });
+                    }
                     let i = group.cursor;
                     group.cursor += 1;
                     self.rows += 1;
@@ -889,7 +906,7 @@ mod tests {
         // Cut into the final frame: the frame layer truncates to the
         // valid prefix, and the row layer reports the shortfall.
         std::fs::write(&path, &bytes[..bytes.len() - 9]).unwrap();
-        let mut stream = spilled.stream_pos().unwrap();
+        let mut stream = spilled.stream(Side::Positives).unwrap();
         let err = loop {
             match stream.next_row() {
                 Ok(Some(_)) => continue,
@@ -899,6 +916,30 @@ mod tests {
         };
         assert!(
             matches!(&err, ColumnarError::Malformed { message, .. } if message.contains("torn")),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn row_file_longer_than_declared_is_malformed() {
+        let (data, pos, _, _) = pristine();
+        let dir = temp_dir("long");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(POS_FILE), pos).unwrap();
+        let declared = data.positives.len() - 1;
+        let mut stream = RowStream::open(&dir.join(POS_FILE), data.dim, declared).unwrap();
+        let mut rows = 0;
+        let err = loop {
+            match stream.next_row() {
+                Ok(Some(_)) => rows += 1,
+                Ok(None) => panic!("an over-long file must not end the stream cleanly"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(rows, declared, "every declared row is yielded first");
+        assert!(
+            matches!(&err, ColumnarError::Malformed { message, .. } if message.contains("more than")),
             "{err}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
@@ -973,7 +1014,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
-        let mut stream = spilled.stream_pos().unwrap();
+        let mut stream = spilled.stream(Side::Positives).unwrap();
         let err = loop {
             match stream.next_row() {
                 Ok(Some(_)) => continue,

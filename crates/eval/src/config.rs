@@ -90,7 +90,7 @@ impl EvalConfig {
         if self.threads > 0 {
             self.threads
         } else {
-            crate::parallel::default_threads(8)
+            forumcast_par::default_threads(8)
         }
     }
 }

@@ -4,6 +4,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 use forumcast_data::{Dataset, UserId};
 use forumcast_features::{
@@ -104,24 +105,121 @@ impl ExperimentData {
             windows: shape.windows,
         }
     }
+}
 
-    /// Positive pairs grouped by target index (for per-thread timing
-    /// observations).
-    pub fn positives_by_target(&self) -> Vec<Vec<usize>> {
-        let mut by_target = vec![Vec::new(); self.num_targets];
-        for (i, p) in self.positives.iter().enumerate() {
-            by_target[p.target].push(i);
+/// Resident per-record metadata: everything about a pair except its
+/// feature vector.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RowMeta {
+    /// The user.
+    pub user: UserId,
+    /// Dense target index.
+    pub target: usize,
+    /// `v_{u,q}` (0 for negatives).
+    pub votes: f64,
+    /// `r_{u,q}` in hours (0 for negatives).
+    pub response_time: f64,
+}
+
+impl PairRecord {
+    /// The record's metadata (everything but `x`).
+    pub fn meta(&self) -> RowMeta {
+        RowMeta {
+            user: self.user,
+            target: self.target,
+            votes: self.votes,
+            response_time: self.response_time,
         }
-        by_target
+    }
+}
+
+/// One record side of an experiment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// Observed answer pairs.
+    Positives,
+    /// Sampled non-answering pairs.
+    Negatives,
+}
+
+/// The rows of a prepared experiment, as one CV fold reads them:
+/// implemented by the resident [`ExperimentData`] and by the spilled
+/// [`SpilledExperiment`](crate::columnar::SpilledExperiment), so the
+/// fold body and the CV driver are written once for both.
+pub trait RowSource: Sync {
+    /// Why a pass over the rows can fail: [`Infallible`] when the
+    /// rows are resident, a read error when they stream from disk.
+    type Error: std::fmt::Display + Send;
+
+    /// Slot layout (and so the feature dimension).
+    fn layout(&self) -> FeatureLayout;
+
+    /// Population size `|U|`.
+    fn num_users(&self) -> usize;
+
+    /// Observation window per target; its length is the target count.
+    fn windows(&self) -> &[f64];
+
+    /// Number of records on `side`.
+    fn len(&self, side: Side) -> usize;
+
+    /// The user column of `side`, in row order — the strata of
+    /// [`stratified_folds`](crate::split::stratified_folds).
+    fn users(&self, side: Side) -> Vec<u32>;
+
+    /// Visits every record on `side` once, in row order.
+    ///
+    /// # Errors
+    ///
+    /// [`Self::Error`] when the rows cannot be read.
+    fn for_each_row(
+        &self,
+        side: Side,
+        f: &mut dyn FnMut(RowMeta, &[f64]),
+    ) -> Result<(), Self::Error>;
+}
+
+impl ExperimentData {
+    fn records(&self, side: Side) -> &[PairRecord] {
+        match side {
+            Side::Positives => &self.positives,
+            Side::Negatives => &self.negatives,
+        }
+    }
+}
+
+impl RowSource for ExperimentData {
+    type Error = Infallible;
+
+    fn layout(&self) -> FeatureLayout {
+        self.layout
     }
 
-    /// Negative pairs grouped by target index.
-    pub fn negatives_by_target(&self) -> Vec<Vec<usize>> {
-        let mut by_target = vec![Vec::new(); self.num_targets];
-        for (i, n) in self.negatives.iter().enumerate() {
-            by_target[n.target].push(i);
+    fn num_users(&self) -> usize {
+        self.num_users
+    }
+
+    fn windows(&self) -> &[f64] {
+        &self.windows
+    }
+
+    fn len(&self, side: Side) -> usize {
+        self.records(side).len()
+    }
+
+    fn users(&self, side: Side) -> Vec<u32> {
+        self.records(side).iter().map(|r| r.user.0).collect()
+    }
+
+    fn for_each_row(
+        &self,
+        side: Side,
+        f: &mut dyn FnMut(RowMeta, &[f64]),
+    ) -> Result<(), Infallible> {
+        for r in self.records(side) {
+            f(r.meta(), &r.x);
         }
-        by_target
+        Ok(())
     }
 }
 
@@ -141,9 +239,7 @@ pub(crate) struct BuildShape {
 /// materializing the whole experiment. The record stream — contents
 /// *and* order — is identical to what
 /// [`ExperimentData::build_with_ranges`] accumulates, at any
-/// worker-thread count; records arrive in non-decreasing target
-/// order, which the columnar reader's per-target merge walk relies
-/// on.
+/// worker-thread count.
 pub(crate) fn build_each(
     dataset: &Dataset,
     config: &EvalConfig,
@@ -377,10 +473,8 @@ mod tests {
     fn windows_are_positive_and_targets_covered() {
         let data = quick_data();
         assert!(data.windows.iter().all(|&w| w > 0.0));
-        let by_target = data.positives_by_target();
-        assert_eq!(by_target.len(), data.num_targets);
-        let total: usize = by_target.iter().map(Vec::len).sum();
-        assert_eq!(total, data.positives.len());
+        assert_eq!(data.windows.len(), data.num_targets);
+        assert!(data.positives.iter().all(|p| p.target < data.num_targets));
     }
 
     #[test]
@@ -408,21 +502,6 @@ mod tests {
             assert_eq!(serial.positives, par.positives, "{threads} threads");
             assert_eq!(serial.negatives, par.negatives, "{threads} threads");
             assert_eq!(serial.windows, par.windows, "{threads} threads");
-        }
-    }
-
-    /// The spilled path relies on records leaving the build in
-    /// non-decreasing target order: each target's rows must form one
-    /// contiguous run so a single streaming pass can group them.
-    #[test]
-    fn records_stream_in_nondecreasing_target_order() {
-        let data = quick_data();
-        for recs in [&data.positives, &data.negatives] {
-            let mut last = 0usize;
-            for r in recs.iter() {
-                assert!(r.target >= last, "target {} after {last}", r.target);
-                last = r.target;
-            }
         }
     }
 

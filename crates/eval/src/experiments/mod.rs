@@ -25,13 +25,13 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use forumcast_par::parallel_try_map;
 use forumcast_resilience::fault::{self, FaultSite};
-use forumcast_resilience::{reclaim_tmp, with_retry, Checkpoint, CheckpointError, CkptFormat};
+use forumcast_resilience::{reclaim_tmp, with_retry, Checkpoint, CheckpointError};
 
 use crate::config::EvalConfig;
-use crate::data::ExperimentData;
-use crate::fold::{run_fold, FoldOutcome, MaskSpec};
-use crate::parallel::parallel_try_map;
+use crate::data::{ExperimentData, RowSource, Side};
+use crate::fold::{run_fold_on, FoldOutcome, MaskSpec};
 use crate::split::stratified_folds;
 use crate::subfold::SubfoldHandle;
 
@@ -53,11 +53,6 @@ pub struct CvOptions {
     /// `0` disables sub-fold snapshots; they are only active when
     /// `checkpoint` is also set.
     pub snapshot_every: usize,
-    /// On-disk checkpoint format: the framed, CRC-checked binary
-    /// store (default) or the legacy JSON files. Loading always
-    /// sniffs the file content, so a run can switch formats and still
-    /// resume from checkpoints written under the other one.
-    pub format: CkptFormat,
 }
 
 impl Default for CvOptions {
@@ -66,7 +61,6 @@ impl Default for CvOptions {
             checkpoint: None,
             fold_attempts: 3,
             snapshot_every: 25,
-            format: CkptFormat::default(),
         }
     }
 }
@@ -94,14 +88,6 @@ impl CvOptions {
     /// thread through from a `--snapshot-every` flag.
     pub fn with_snapshot_every(mut self, snapshot_every: usize) -> Self {
         self.snapshot_every = snapshot_every;
-        self
-    }
-
-    /// Returns the options with the on-disk checkpoint format set —
-    /// the shape the drivers thread through from a `--ckpt-format`
-    /// flag.
-    pub fn with_format(mut self, format: CkptFormat) -> Self {
-        self.format = format;
         self
     }
 
@@ -144,8 +130,9 @@ pub enum CvError {
         /// Last panic message.
         message: String,
     },
-    /// The spilled (columnar on-disk) experiment data could not be
-    /// read back — torn, corrupt, or unreadable row files.
+    /// The experiment's rows could not be read — a spilled
+    /// (columnar on-disk) row file is torn, corrupt, or unreadable.
+    /// Never retried: re-reading a damaged file cannot heal it.
     Data {
         /// What failed.
         message: String,
@@ -219,7 +206,13 @@ pub fn run_cv(
         .unwrap_or_else(|e| panic!("cross-validation failed: {e}"))
 }
 
-/// [`run_cv`] with fault isolation and checkpoint/resume.
+/// [`run_cv`] over any [`RowSource`] — resident or spilled rows —
+/// with fault isolation and checkpoint/resume. Folds run in parallel
+/// either way; a spilled fold streams its rows from disk, so peak
+/// memory is one fold's working set per worker instead of the full
+/// feature matrix. Outcomes are the same bits for both sources, and
+/// the checkpoint fingerprint has no data-source term, so a sweep
+/// checkpointed over one source resumes over the other.
 ///
 /// Each fold job runs under `catch_unwind` with bounded retry, and is
 /// instrumented with the `fold-panic` fault site (unit = job index).
@@ -242,23 +235,24 @@ pub fn run_cv(
 /// # Errors
 ///
 /// Returns [`CvError::FoldFailed`] when a fold exhausts its attempts,
-/// and [`CvError::Checkpoint`] when the checkpoint file (or a stale
+/// [`CvError::Checkpoint`] when the checkpoint file (or a stale
 /// sub-fold snapshot under it) is unusable — unreadable, corrupt, or
-/// from a different configuration.
-pub fn run_cv_resumable(
-    data: &ExperimentData,
+/// from a different configuration — and [`CvError::Data`] when the
+/// rows cannot be read.
+pub fn run_cv_resumable<S: RowSource>(
+    rows: &S,
     config: &EvalConfig,
     mask: Option<MaskSpec>,
     run_baselines: bool,
     options: &CvOptions,
 ) -> Result<Vec<FoldOutcome>, CvError> {
     let _span = forumcast_obs::span("eval.run_cv");
+    let pos_groups = rows.users(Side::Positives);
+    let neg_groups = rows.users(Side::Negatives);
     let mut jobs = Vec::new();
     for rep in 0..config.repeats {
         let mut rng = StdRng::seed_from_u64(config.seed ^ (0xC5 + rep as u64));
-        let pos_groups: Vec<u32> = data.positives.iter().map(|p| p.user.0).collect();
         let pos_folds = stratified_folds(&pos_groups, config.folds, &mut rng);
-        let neg_groups: Vec<u32> = data.negatives.iter().map(|p| p.user.0).collect();
         let neg_folds = stratified_folds(&neg_groups, config.folds, &mut rng);
         for fold in 0..config.folds {
             jobs.push((pos_folds.clone(), neg_folds.clone(), fold));
@@ -315,7 +309,6 @@ pub fn run_cv_resumable(
                     &meta,
                     options.snapshot_every,
                     (jobs.len() + job) as u64,
-                    options.format,
                 )
             })
     };
@@ -334,10 +327,12 @@ pub fn run_cv_resumable(
         let _fold_span = forumcast_obs::task_span("eval.fold", job as u64);
         let (pf, nf, fold) = &jobs[job];
         let subfold = subfold_for(job);
+        // Retry is for panics; a read error is returned as a value
+        // and fails the sweep on its first occurrence.
         let outcome = with_retry(&format!("cv fold job {job}"), options.fold_attempts, || {
             fault::panic_point(FaultSite::FoldPanic, job as u64);
-            run_fold(
-                data,
+            run_fold_on(
+                rows,
                 config,
                 pf,
                 nf,
@@ -351,11 +346,14 @@ pub fn run_cv_resumable(
             job,
             attempts: e.attempts,
             message: e.message,
+        })?
+        .map_err(|e| CvError::Data {
+            message: e.to_string(),
         })?;
         if let Some((cp, path)) = &checkpoint {
             let mut cp = cp.lock().expect("checkpoint lock");
             cp.record(job as u64, outcome);
-            cp.save_with(path, options.format)?;
+            cp.save(path)?;
         }
         // The fold's result is durable in the fold-level checkpoint;
         // its mid-training snapshot is no longer needed.
@@ -373,63 +371,10 @@ pub fn run_cv_resumable(
         .collect())
 }
 
-/// [`run_cv`] over a spilled (columnar on-disk) experiment: the same
-/// `repeats × folds` protocol with identical per-repeat fold
-/// assignment (the RNG seeding and consumption match [`run_cv`]
-/// exactly), but folds run **sequentially** and each streams its
-/// feature vectors from disk through
-/// [`run_fold_streamed`](crate::fold::run_fold_streamed) — so peak
-/// memory is one fold's working set instead of the full feature
-/// matrix plus one training set per worker thread. Outcomes are
-/// bitwise-identical to [`run_cv`] on the equivalent resident data.
-///
-/// Checkpoint/resume and sub-fold snapshots are not supported on
-/// this path; at the scales it targets, a fold recompute is cheaper
-/// than holding trainer snapshots alongside the spill.
-///
-/// # Errors
-///
-/// [`CvError::Data`] when a spilled row file is unreadable, torn, or
-/// corrupt (a CRC-mismatched file is quarantined first).
-pub fn run_cv_streamed(
-    spilled: &crate::columnar::SpilledExperiment,
-    config: &EvalConfig,
-    mask: Option<MaskSpec>,
-    run_baselines: bool,
-) -> Result<Vec<FoldOutcome>, CvError> {
-    let _span = forumcast_obs::span("eval.run_cv");
-    let mut outcomes = Vec::with_capacity(config.repeats * config.folds);
-    let mut job = 0u64;
-    for rep in 0..config.repeats {
-        let mut rng = StdRng::seed_from_u64(config.seed ^ (0xC5 + rep as u64));
-        let pos_groups: Vec<u32> = spilled.pos.iter().map(|m| m.user.0).collect();
-        let pos_folds = stratified_folds(&pos_groups, config.folds, &mut rng);
-        let neg_groups: Vec<u32> = spilled.neg.iter().map(|m| m.user.0).collect();
-        let neg_folds = stratified_folds(&neg_groups, config.folds, &mut rng);
-        for fold in 0..config.folds {
-            let _fold_span = forumcast_obs::task_span("eval.fold", job);
-            job += 1;
-            let outcome = crate::fold::run_fold_streamed(
-                spilled,
-                config,
-                &pos_folds,
-                &neg_folds,
-                fold,
-                mask,
-                run_baselines,
-            )
-            .map_err(|e| CvError::Data {
-                message: e.to_string(),
-            })?;
-            outcomes.push(outcome);
-        }
-    }
-    Ok(outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::SpilledExperiment;
 
     /// Armed fault plans are process-global: a concurrently running
     /// CV could consume another test's shots. Serialize CV tests.
@@ -465,11 +410,11 @@ mod tests {
         }
     }
 
-    /// The data-plane headline: a CV sweep over the spilled columnar
-    /// experiment — sequential folds, features streamed from disk —
-    /// reproduces the resident, parallel sweep bit for bit, across
+    /// The data-plane headline: the one CV driver over the spilled
+    /// columnar experiment — parallel folds streaming their rows from
+    /// disk — reproduces the resident sweep bit for bit, across
     /// repeats (each repeat re-derives its fold assignment from the
-    /// same seeds).
+    /// same seeds) and at any thread count.
     #[test]
     fn streamed_cv_is_bitwise_identical_to_resident_cv() {
         let _lock = CV_LOCK.lock().unwrap();
@@ -478,25 +423,127 @@ mod tests {
         cfg.repeats = 2;
         let (ds, _) = cfg.synth.generate().preprocess();
         let data = ExperimentData::build(&ds, &cfg);
-        let resident = run_cv(&data, &cfg, None, false);
+        let resident_bits: Vec<u64> = run_cv(&data, &cfg, None, false)
+            .iter()
+            .flat_map(outcome_bits)
+            .collect();
 
-        let dir =
-            std::env::temp_dir().join(format!("forumcast-cv-streamed-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spilled = crate::columnar::SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
-        let streamed = run_cv_streamed(&spilled, &cfg, None, false).unwrap();
-        let resident_bits: Vec<u64> = resident.iter().flat_map(outcome_bits).collect();
-        let streamed_bits: Vec<u64> = streamed.iter().flat_map(outcome_bits).collect();
-        assert_eq!(resident_bits, streamed_bits);
+        let dir = temp_spill("bitwise");
+        let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
+        for threads in [1, 2, 7] {
+            cfg.threads = threads;
+            let streamed =
+                run_cv_resumable(&spilled, &cfg, None, false, &CvOptions::default()).unwrap();
+            let streamed_bits: Vec<u64> = streamed.iter().flat_map(outcome_bits).collect();
+            assert_eq!(resident_bits, streamed_bits, "{threads} threads");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
-        // Damage a row file: the sweep surfaces a typed data error
-        // instead of computing on a short experiment.
+    /// Damage a row file: the parallel sweep surfaces a typed data
+    /// error on the first read instead of retrying or computing on a
+    /// short experiment.
+    #[test]
+    fn truncated_row_file_fails_the_sweep_as_a_data_error() {
+        let _lock = CV_LOCK.lock().unwrap();
+        let mut cfg = EvalConfig::quick();
+        cfg.folds = 2;
+        cfg.repeats = 1;
+        cfg.threads = 2;
+        let (ds, _) = cfg.synth.generate().preprocess();
+        let data = ExperimentData::build(&ds, &cfg);
+        let dir = temp_spill("torn");
+        let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
         let pos = dir.join("pos.fcr");
         let bytes = std::fs::read(&pos).unwrap();
         std::fs::write(&pos, &bytes[..bytes.len() - 7]).unwrap();
-        let err = run_cv_streamed(&spilled, &cfg, None, false).unwrap_err();
+        let err = run_cv_resumable(&spilled, &cfg, None, false, &CvOptions::default()).unwrap_err();
         assert!(matches!(err, CvError::Data { .. }), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A streamed run killed mid-training resumes from its sub-fold
+    /// snapshot to the resident run's bits.
+    #[test]
+    fn streamed_mid_training_kill_then_resume_matches_resident() {
+        let _lock = CV_LOCK.lock().unwrap();
+        let mut cfg = EvalConfig::quick();
+        cfg.folds = 2;
+        cfg.repeats = 1;
+        let (ds, _) = cfg.synth.generate().preprocess();
+        let data = ExperimentData::build(&ds, &cfg);
+        let clean = run_cv(&data, &cfg, None, false);
+        let dir = temp_spill("midkill");
+        let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
+
+        let path = temp_checkpoint("streamed-midkill");
+        let mut opts = CvOptions::with_checkpoint(&path);
+        opts.snapshot_every = 5;
+        opts.fold_attempts = 1;
+        {
+            let _guard = forumcast_resilience::FaultPlan::parse("fold-panic:3")
+                .unwrap()
+                .arm();
+            let err = run_cv_resumable(&spilled, &cfg, None, false, &opts).unwrap_err();
+            assert!(matches!(err, CvError::FoldFailed { job: 1, .. }), "{err}");
+        }
+        let snapshot = PathBuf::from(format!("{}.fold1.train.ckpt", path.display()));
+        assert!(snapshot.exists(), "mid-training snapshot must survive");
+
+        let resumed = run_cv_resumable(&spilled, &cfg, None, false, &opts).unwrap();
+        let clean_bits: Vec<u64> = clean.iter().flat_map(outcome_bits).collect();
+        let resumed_bits: Vec<u64> = resumed.iter().flat_map(outcome_bits).collect();
+        assert_eq!(clean_bits, resumed_bits);
+        assert!(
+            !snapshot.exists(),
+            "completed fold must discard its snapshot"
+        );
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The fingerprint has no data-source term: a fold-level
+    /// checkpoint written by a resident run resumes a streamed one,
+    /// and the restored folds are the resident run's outcomes.
+    #[test]
+    fn resident_checkpoint_resumes_a_streamed_run() {
+        let _lock = CV_LOCK.lock().unwrap();
+        let mut cfg = EvalConfig::quick();
+        cfg.folds = 2;
+        cfg.repeats = 1;
+        let (ds, _) = cfg.synth.generate().preprocess();
+        let data = ExperimentData::build(&ds, &cfg);
+        let path = temp_checkpoint("resident-to-streamed");
+        let opts = CvOptions::with_checkpoint(&path);
+        let resident = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
+
+        // Mark the recorded outcomes: a restored fold carries the mark,
+        // a recomputed one would not.
+        let meta = cv_fingerprint(&cfg, None, false, 2);
+        let mut cp = Checkpoint::<FoldOutcome>::load(&path, &meta)
+            .unwrap()
+            .unwrap();
+        cp.entries.retain(|(unit, _)| *unit == 0);
+        cp.entries[0].1.auc = 0.123;
+        cp.save(&path).unwrap();
+
+        let dir = temp_spill("resume");
+        let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
+        let streamed = run_cv_resumable(&spilled, &cfg, None, false, &opts).unwrap();
+        assert_eq!(
+            streamed[0].auc, 0.123,
+            "fold 0 restored from the checkpoint"
+        );
+        assert_eq!(outcome_bits(&streamed[1]), outcome_bits(&resident[1]));
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn temp_spill(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("forumcast-cv-spill-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
     }
 
     fn temp_checkpoint(name: &str) -> std::path::PathBuf {
@@ -712,10 +759,10 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// Format migration: a run interrupted under the legacy JSON
-    /// format resumes under the binary default — reading both the
-    /// JSON fold-level checkpoint and the JSON sub-fold snapshot —
-    /// to bits identical to an uninterrupted run.
+    /// Format migration: a run interrupted under the JSON-era format —
+    /// a JSON fold-level checkpoint and a JSON sub-fold snapshot —
+    /// resumes under the binary store to bits identical to an
+    /// uninterrupted run.
     #[test]
     fn json_era_checkpoints_resume_under_binary_bitwise_identically() {
         let _lock = CV_LOCK.lock().unwrap();
@@ -727,28 +774,36 @@ mod tests {
         let clean = run_cv(&data, &cfg, None, false);
 
         let path = temp_checkpoint("json-migration");
-        let mut json_opts = CvOptions::with_checkpoint(&path).with_format(CkptFormat::Json);
-        json_opts.snapshot_every = 5;
-        json_opts.fold_attempts = 1;
+        let mut opts = CvOptions::with_checkpoint(&path);
+        opts.snapshot_every = 5;
+        opts.fold_attempts = 1;
         {
             let _guard = forumcast_resilience::FaultPlan::parse("fold-panic:3")
                 .unwrap()
                 .arm();
-            run_cv_resumable(&data, &cfg, None, false, &json_opts).unwrap_err();
+            run_cv_resumable(&data, &cfg, None, false, &opts).unwrap_err();
         }
-        let snapshot = std::path::PathBuf::from(format!("{}.fold1.train.json", path.display()));
-        assert!(snapshot.exists(), "JSON-era sub-fold snapshot on disk");
-        assert!(
-            std::fs::read(&path).unwrap().starts_with(b"{"),
-            "fold-level checkpoint was written as JSON"
-        );
+        // Rewrite what the interrupted run left as the JSON a JSON-era
+        // build would have written, through the serde shim.
+        let meta = cv_fingerprint(&cfg, None, false, 2);
+        let cp = Checkpoint::<FoldOutcome>::load(&path, &meta)
+            .unwrap()
+            .unwrap();
+        std::fs::write(&path, serde_json::to_string_pretty(&cp).unwrap()).unwrap();
+        let binary_snapshot = PathBuf::from(format!("{}.fold1.train.ckpt", path.display()));
+        let snap = forumcast_resilience::TrainCheckpoint::<forumcast_core::TrainProgress>::load(
+            &binary_snapshot,
+            &format!("subfold-v1 job=1 {meta}"),
+        )
+        .unwrap()
+        .expect("mid-training snapshot on disk");
+        std::fs::remove_file(&binary_snapshot).unwrap();
+        let snapshot = PathBuf::from(format!("{}.fold1.train.json", path.display()));
+        std::fs::write(&snapshot, serde_json::to_string_pretty(&snap).unwrap()).unwrap();
 
-        // Resume with the binary default: both JSON files are read
-        // (sniffed / legacy fallback) and the result is bitwise
-        // identical to the uninterrupted run.
-        let mut bin_opts = CvOptions::with_checkpoint(&path);
-        bin_opts.snapshot_every = 5;
-        let resumed = run_cv_resumable(&data, &cfg, None, false, &bin_opts).unwrap();
+        // Resume: both JSON files are read (sniffed / legacy fallback)
+        // and the result is bitwise identical to the uninterrupted run.
+        let resumed = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
         let clean_bits: Vec<u64> = clean.iter().flat_map(outcome_bits).collect();
         let resumed_bits: Vec<u64> = resumed.iter().flat_map(outcome_bits).collect();
         assert_eq!(clean_bits, resumed_bits);
@@ -771,7 +826,7 @@ mod tests {
         let data = ExperimentData::build(&ds, &cfg);
         let path = temp_checkpoint("stale-subfold");
         let opts = CvOptions::with_checkpoint(&path);
-        SubfoldHandle::new(&path, 0, "some other run", 5, 2, CkptFormat::Binary)
+        SubfoldHandle::new(&path, 0, "some other run", 5, 2)
             .save(&forumcast_core::TrainProgress::default());
         let err = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap_err();
         match &err {

@@ -7,7 +7,7 @@ use std::path::Path;
 use crate::columnar::SpilledExperiment;
 use crate::config::EvalConfig;
 use crate::data::ExperimentData;
-use crate::experiments::{run_cv_resumable, run_cv_streamed, CvError, CvOptions};
+use crate::experiments::{run_cv_resumable, CvError, CvOptions};
 use crate::fold::mean_std;
 
 /// One row of Table I.
@@ -65,52 +65,52 @@ impl fmt::Display for Table1Report {
 ///
 /// Panics when the CV sweep fails despite per-fold retries.
 pub fn run(config: &EvalConfig) -> Table1Report {
-    run_with(config, None, &CvOptions::default()).unwrap_or_else(|e| panic!("table1: {e}"))
+    run_with(config, None, None, &CvOptions::default()).unwrap_or_else(|e| panic!("table1: {e}"))
 }
 
-/// [`run`] with an optional checkpoint file and resilience options:
-/// completed folds are saved after each fold (in `opts.format`) and
-/// skipped when rerun with the same path, and (with a checkpoint set)
-/// every `opts.snapshot_every` training epochs the in-flight fold
-/// persists its trainer state so even a mid-fold crash resumes
-/// without losing the fold. `opts.checkpoint` itself is ignored — the
-/// `checkpoint` argument names the file.
+/// [`run`] with an optional spill directory, an optional checkpoint
+/// file, and resilience options.
+///
+/// With `data_dir` set, the experiment is built straight into that
+/// columnar on-disk store (one bucket of records resident at a time,
+/// never the full feature matrix) and each fold streams its rows back,
+/// so peak memory is roughly one training fold per worker. Metrics are
+/// bitwise-identical either way.
+///
+/// With `checkpoint` set, completed folds are saved after each fold
+/// and skipped when rerun with the same path, and every
+/// `opts.snapshot_every` training epochs the in-flight fold persists
+/// its trainer state so even a mid-fold crash resumes without losing
+/// the fold. `opts.checkpoint` itself is ignored — the `checkpoint`
+/// argument names the file.
 ///
 /// # Errors
 ///
-/// Returns [`CvError`] when a fold exhausts its retries or the
-/// checkpoint file is unusable.
+/// Returns [`CvError`] when a fold exhausts its retries, the
+/// checkpoint file is unusable, or the spill cannot be written or
+/// read back.
 pub fn run_with(
     config: &EvalConfig,
+    data_dir: Option<&Path>,
     checkpoint: Option<&Path>,
     opts: &CvOptions,
 ) -> Result<Table1Report, CvError> {
     let (dataset, _) = config.synth.generate().preprocess();
-    let data = ExperimentData::build(&dataset, config);
     let opts = opts.for_sub(checkpoint.map(Path::to_path_buf));
-    let outcomes = run_cv_resumable(&data, config, None, true, &opts)?;
-    Ok(report_from(&outcomes))
-}
-
-/// [`run`] over the columnar on-disk store: the experiment is built
-/// straight into `dir` (one bucket of records resident at a time,
-/// never the full feature matrix) and folds stream back one at a
-/// time, so peak memory is bounded by roughly one training fold.
-/// Metrics are bitwise-identical to [`run`]'s. The streamed path has
-/// no checkpoint/snapshot support — its durability story is the spill
-/// itself.
-///
-/// # Errors
-///
-/// Returns [`CvError`] when the spill directory is unusable or a
-/// streamed fold fails.
-pub fn run_streamed(config: &EvalConfig, dir: &Path) -> Result<Table1Report, CvError> {
-    let (dataset, _) = config.synth.generate().preprocess();
-    let spilled = SpilledExperiment::build(&dataset, config, dir).map_err(|e| CvError::Data {
-        message: e.to_string(),
-    })?;
-    drop(dataset);
-    let outcomes = run_cv_streamed(&spilled, config, None, true)?;
+    let outcomes = match data_dir {
+        Some(dir) => {
+            let spilled =
+                SpilledExperiment::build(&dataset, config, dir).map_err(|e| CvError::Data {
+                    message: e.to_string(),
+                })?;
+            drop(dataset);
+            run_cv_resumable(&spilled, config, None, true, &opts)?
+        }
+        None => {
+            let data = ExperimentData::build(&dataset, config);
+            run_cv_resumable(&data, config, None, true, &opts)?
+        }
+    };
     Ok(report_from(&outcomes))
 }
 

@@ -7,9 +7,8 @@ use forumcast_core::{ResponsePredictor, TrainingSet};
 use forumcast_features::{FeatureGroup, FeatureId};
 
 use crate::baselines::Baselines;
-use crate::columnar::{ColumnarError, RowMeta, RowStream, SpilledExperiment};
 use crate::config::EvalConfig;
-use crate::data::ExperimentData;
+use crate::data::{ExperimentData, RowMeta, RowSource, Side};
 use crate::metrics::{auc, rmse};
 use crate::subfold::SubfoldHandle;
 
@@ -39,17 +38,8 @@ pub struct FoldOutcome {
     pub rmse_time_baseline: f64,
 }
 
-/// Runs one CV iteration. `pos_folds` / `neg_folds` assign a fold id
-/// to every positive / negative record; records with fold `test_fold`
-/// are held out. `mask` optionally zeroes feature slots everywhere
-/// (train and test), implementing the exclusion protocols of
-/// Figures 6–7. `run_baselines` can be disabled for masking sweeps
-/// (the baselines don't use features, so their numbers would not
-/// change). `subfold` optionally binds the fold to an epoch-granular
-/// training checkpoint: snapshots are persisted at the handle's
-/// cadence, and a snapshot left by an interrupted attempt is loaded
-/// back to fast-forward training along a bitwise-identical
-/// trajectory.
+/// Runs one CV iteration over resident experiment data: the
+/// infallible instantiation of [`run_fold_on`].
 #[allow(clippy::too_many_arguments)] // one knob per evaluation protocol axis
 pub fn run_fold(
     data: &ExperimentData,
@@ -61,68 +51,124 @@ pub fn run_fold(
     run_baselines: bool,
     subfold: Option<&SubfoldHandle>,
 ) -> FoldOutcome {
-    assert_eq!(pos_folds.len(), data.positives.len(), "pos fold map size");
-    assert_eq!(neg_folds.len(), data.negatives.len(), "neg fold map size");
+    match run_fold_on(
+        data,
+        config,
+        pos_folds,
+        neg_folds,
+        test_fold,
+        mask,
+        run_baselines,
+        subfold,
+    ) {
+        Ok(outcome) => outcome,
+        Err(never) => match never {},
+    }
+}
 
+/// Runs one CV iteration over any [`RowSource`]. `pos_folds` /
+/// `neg_folds` assign a fold id to every positive / negative record;
+/// records with fold `test_fold` are held out. `mask` optionally
+/// zeroes feature slots everywhere (train and test), implementing the
+/// exclusion protocols of Figures 6–7. `run_baselines` can be
+/// disabled for masking sweeps (the baselines don't use features, so
+/// their numbers would not change). `subfold` optionally binds the
+/// fold to an epoch-granular training checkpoint: snapshots are
+/// persisted at the handle's cadence, and a snapshot left by an
+/// interrupted attempt is loaded back to fast-forward training along
+/// a bitwise-identical trajectory.
+///
+/// Each side is read in one in-order pass: a training row feeds the
+/// answer (and, for positives, vote) observations and is bucketed by
+/// target for the timing threads, which are pushed in target order
+/// once both passes are done; a held-out row is kept for evaluation.
+/// The outcome is therefore the same bits whether the rows are
+/// resident or stream from disk.
+///
+/// # Errors
+///
+/// [`RowSource::Error`] when the rows cannot be read.
+#[allow(clippy::too_many_arguments)] // one knob per evaluation protocol axis
+pub fn run_fold_on<S: RowSource>(
+    rows: &S,
+    config: &EvalConfig,
+    pos_folds: &[usize],
+    neg_folds: &[usize],
+    test_fold: usize,
+    mask: Option<MaskSpec>,
+    run_baselines: bool,
+    subfold: Option<&SubfoldHandle>,
+) -> Result<FoldOutcome, S::Error> {
+    assert_eq!(
+        pos_folds.len(),
+        rows.len(Side::Positives),
+        "pos fold map size"
+    );
+    assert_eq!(
+        neg_folds.len(),
+        rows.len(Side::Negatives),
+        "neg fold map size"
+    );
+
+    let layout = rows.layout();
+    let windows = rows.windows();
     let masked = |x: &[f64]| -> Vec<f64> {
         let mut v = x.to_vec();
         match mask {
-            Some(MaskSpec::Feature(f)) => data.layout.mask_feature(&mut v, f),
-            Some(MaskSpec::Group(g)) => data.layout.mask_group(&mut v, g),
+            Some(MaskSpec::Feature(f)) => layout.mask_feature(&mut v, f),
+            Some(MaskSpec::Group(g)) => layout.mask_group(&mut v, g),
             None => {}
         }
         v
     };
 
-    let train_pos: Vec<usize> = (0..data.positives.len())
-        .filter(|&i| pos_folds[i] != test_fold)
-        .collect();
-    let test_pos: Vec<usize> = (0..data.positives.len())
-        .filter(|&i| pos_folds[i] == test_fold)
-        .collect();
-    let train_neg: Vec<usize> = (0..data.negatives.len())
-        .filter(|&i| neg_folds[i] != test_fold)
-        .collect();
-    let test_neg: Vec<usize> = (0..data.negatives.len())
-        .filter(|&i| neg_folds[i] == test_fold)
-        .collect();
-
     // --- our models ---
-    let mut ts = TrainingSet::new(data.dim);
-    for &i in &train_pos {
-        let p = &data.positives[i];
-        ts.push_answer(masked(&p.x), true);
-        ts.push_vote(masked(&p.x), p.votes);
-    }
-    for &i in &train_neg {
-        ts.push_answer(masked(&data.negatives[i].x), false);
-    }
-    // Timing observations grouped per target thread.
-    let mut pos_by_target = vec![Vec::new(); data.num_targets];
-    for &i in &train_pos {
-        pos_by_target[data.positives[i].target].push(i);
-    }
-    let mut neg_by_target = vec![Vec::new(); data.num_targets];
-    for &i in &train_neg {
-        neg_by_target[data.negatives[i].target].push(i);
-    }
-    for t in 0..data.num_targets {
-        if pos_by_target[t].is_empty() {
-            continue;
+    let mut ts = TrainingSet::new(layout.dim());
+    let mut answers_by_target: Vec<Vec<(Vec<f64>, f64)>> = vec![Vec::new(); windows.len()];
+    let mut non_by_target: Vec<Vec<Vec<f64>>> = vec![Vec::new(); windows.len()];
+    // Held-out rows for evaluation, and — for the baselines — the
+    // training rows' metadata and the positives' raw vectors (the
+    // Poisson regressor's design matrix).
+    let mut test_pos: Vec<(RowMeta, Vec<f64>)> = Vec::new();
+    let mut test_neg: Vec<(RowMeta, Vec<f64>)> = Vec::new();
+    let mut train_pos: Vec<RowMeta> = Vec::new();
+    let mut train_pos_x: Vec<Vec<f64>> = Vec::new();
+    let mut train_neg: Vec<RowMeta> = Vec::new();
+
+    let mut i = 0;
+    rows.for_each_row(Side::Positives, &mut |meta, x| {
+        if pos_folds[i] == test_fold {
+            test_pos.push((meta, x.to_vec()));
+        } else {
+            ts.push_answer(masked(x), true);
+            ts.push_vote(masked(x), meta.votes);
+            answers_by_target[meta.target].push((masked(x), meta.response_time));
+            if run_baselines {
+                train_pos.push(meta);
+                train_pos_x.push(x.to_vec());
+            }
         }
-        let answers: Vec<(Vec<f64>, f64)> = pos_by_target[t]
-            .iter()
-            .map(|&i| {
-                let p = &data.positives[i];
-                (masked(&p.x), p.response_time)
-            })
-            .collect();
-        let non: Vec<Vec<f64>> = neg_by_target[t]
-            .iter()
-            .map(|&i| masked(&data.negatives[i].x))
-            .collect();
-        ts.push_timing_thread(answers, non, data.windows[t], data.num_users);
+        i += 1;
+    })?;
+    let mut i = 0;
+    rows.for_each_row(Side::Negatives, &mut |meta, x| {
+        if neg_folds[i] == test_fold {
+            test_neg.push((meta, x.to_vec()));
+        } else {
+            ts.push_answer(masked(x), false);
+            non_by_target[meta.target].push(masked(x));
+            if run_baselines {
+                train_neg.push(meta);
+            }
+        }
+        i += 1;
+    })?;
+    for (t, (answers, non)) in answers_by_target.into_iter().zip(non_by_target).enumerate() {
+        if !answers.is_empty() {
+            ts.push_timing_thread(answers, non, windows[t], rows.num_users());
+        }
     }
+
     let model = match subfold {
         Some(handle) => {
             let resume = handle.load();
@@ -143,274 +189,61 @@ pub fn run_fold(
         }
         None => ResponsePredictor::train(&ts, &config.train),
     };
+    drop(ts);
 
     // --- evaluation ---
     let mut scores = Vec::with_capacity(test_pos.len() + test_neg.len());
     let mut labels = Vec::with_capacity(scores.capacity());
-    for &i in &test_pos {
-        scores.push(model.predict_answer(&masked(&data.positives[i].x)));
+    for (_, x) in &test_pos {
+        scores.push(model.predict_answer(&masked(x)));
         labels.push(true);
     }
-    for &i in &test_neg {
-        scores.push(model.predict_answer(&masked(&data.negatives[i].x)));
+    for (_, x) in &test_neg {
+        scores.push(model.predict_answer(&masked(x)));
         labels.push(false);
     }
     let our_auc = auc(&scores, &labels);
 
     let vote_pred: Vec<f64> = test_pos
         .iter()
-        .map(|&i| model.predict_votes(&masked(&data.positives[i].x)))
+        .map(|(_, x)| model.predict_votes(&masked(x)))
         .collect();
-    let vote_true: Vec<f64> = test_pos.iter().map(|&i| data.positives[i].votes).collect();
+    let vote_true: Vec<f64> = test_pos.iter().map(|(m, _)| m.votes).collect();
     let our_rmse_votes = rmse(&vote_pred, &vote_true);
 
     let time_pred: Vec<f64> = test_pos
         .iter()
-        .map(|&i| {
-            let p = &data.positives[i];
-            model.predict_response_time(&masked(&p.x), data.windows[p.target])
-        })
+        .map(|(m, x)| model.predict_response_time(&masked(x), windows[m.target]))
         .collect();
-    let time_true: Vec<f64> = test_pos
-        .iter()
-        .map(|&i| data.positives[i].response_time)
-        .collect();
+    let time_true: Vec<f64> = test_pos.iter().map(|(m, _)| m.response_time).collect();
     let our_rmse_time = rmse(&time_pred, &time_true);
 
     // --- baselines ---
     let (auc_b, rmse_v_b, rmse_t_b) = if run_baselines {
-        let baselines = Baselines::train(data, &train_pos, &train_neg, config.seed ^ 0xBA5E);
-        let mut scores_b = Vec::with_capacity(test_pos.len() + test_neg.len());
-        for &i in &test_pos {
-            scores_b.push(baselines.score_answer(&data.positives[i]));
-        }
-        for &i in &test_neg {
-            scores_b.push(baselines.score_answer(&data.negatives[i]));
-        }
-        let auc_b = auc(&scores_b, &labels);
+        let baselines = Baselines::train(
+            rows.num_users(),
+            windows.len(),
+            layout.dim(),
+            &train_pos,
+            &train_neg,
+            &train_pos_x,
+            config.seed ^ 0xBA5E,
+        );
+        let scores_b: Vec<f64> = test_pos
+            .iter()
+            .chain(&test_neg)
+            .map(|(m, _)| baselines.score_answer(m))
+            .collect();
         let votes_b: Vec<f64> = test_pos
             .iter()
-            .map(|&i| baselines.predict_votes(&data.positives[i]))
+            .map(|(m, _)| baselines.predict_votes(m))
             .collect();
         let times_b: Vec<f64> = test_pos
             .iter()
-            .map(|&i| baselines.predict_response_time(&data.positives[i]))
+            .map(|(_, x)| baselines.predict_response_time(x))
             .collect();
         (
-            auc_b,
-            rmse(&votes_b, &vote_true),
-            rmse(&times_b, &time_true),
-        )
-    } else {
-        (0.0, 0.0, 0.0)
-    };
-
-    FoldOutcome {
-        auc: our_auc,
-        auc_baseline: auc_b,
-        rmse_votes: our_rmse_votes,
-        rmse_votes_baseline: rmse_v_b,
-        rmse_time: our_rmse_time,
-        rmse_time_baseline: rmse_t_b,
-    }
-}
-
-/// [`run_fold`] over a spilled (columnar on-disk) experiment: the
-/// same CV iteration with the feature matrix streamed from disk one
-/// row group at a time instead of held resident.
-///
-/// Produces a [`FoldOutcome`] bitwise-identical to [`run_fold`] on
-/// the equivalent [`ExperimentData`]: the training set is assembled
-/// with the exact same push sequence (answers + votes per training
-/// positive in index order, answers per training negative, then one
-/// timing thread per target) from three streaming passes — records
-/// leave the build in non-decreasing target order, so each target's
-/// rows form a contiguous run and a parallel merge walk over the two
-/// row files reproduces the per-target grouping without an index.
-///
-/// Only the held-out fold's feature vectors (for evaluation) and —
-/// when `run_baselines` is set — the training positives' raw vectors
-/// (the Poisson regressor's design matrix) are kept resident; with
-/// baselines off, peak memory is the active fold's training set.
-///
-/// Sub-fold (mid-training) snapshots are not supported on this path.
-///
-/// # Errors
-///
-/// [`ColumnarError`] when a row file is unreadable, torn, or corrupt.
-pub fn run_fold_streamed(
-    spilled: &SpilledExperiment,
-    config: &EvalConfig,
-    pos_folds: &[usize],
-    neg_folds: &[usize],
-    test_fold: usize,
-    mask: Option<MaskSpec>,
-    run_baselines: bool,
-) -> Result<FoldOutcome, ColumnarError> {
-    assert_eq!(pos_folds.len(), spilled.pos.len(), "pos fold map size");
-    assert_eq!(neg_folds.len(), spilled.neg.len(), "neg fold map size");
-
-    let masked = |x: &[f64]| -> Vec<f64> {
-        let mut v = x.to_vec();
-        match mask {
-            Some(MaskSpec::Feature(f)) => spilled.layout.mask_feature(&mut v, f),
-            Some(MaskSpec::Group(g)) => spilled.layout.mask_group(&mut v, g),
-            None => {}
-        }
-        v
-    };
-
-    let test_pos: Vec<usize> = (0..spilled.pos.len())
-        .filter(|&i| pos_folds[i] == test_fold)
-        .collect();
-    let test_neg: Vec<usize> = (0..spilled.neg.len())
-        .filter(|&i| neg_folds[i] == test_fold)
-        .collect();
-
-    // --- our models ---
-    // Pass A over the positives: push answer + vote observations for
-    // training rows (rows stream in index order, so this is the same
-    // sequence as run_fold's `for &i in &train_pos`), keep the
-    // held-out rows' vectors for evaluation, and — for the Poisson
-    // baseline — the training rows' raw vectors.
-    let mut ts = TrainingSet::new(spilled.dim);
-    let mut test_pos_x: Vec<Vec<f64>> = Vec::with_capacity(test_pos.len());
-    let mut train_pos_raw: Vec<Vec<f64>> = Vec::new();
-    {
-        let mut stream = spilled.stream_pos()?;
-        let mut i = 0usize;
-        while let Some((meta, x)) = stream.next_row()? {
-            if pos_folds[i] != test_fold {
-                ts.push_answer(masked(&x), true);
-                ts.push_vote(masked(&x), meta.votes);
-                if run_baselines {
-                    train_pos_raw.push(x);
-                }
-            } else {
-                test_pos_x.push(x);
-            }
-            i += 1;
-        }
-    }
-    // Pass B over the negatives: answer observations for training
-    // rows, held-out vectors for evaluation.
-    let mut test_neg_x: Vec<Vec<f64>> = Vec::with_capacity(test_neg.len());
-    {
-        let mut stream = spilled.stream_neg()?;
-        let mut i = 0usize;
-        while let Some((_, x)) = stream.next_row()? {
-            if neg_folds[i] != test_fold {
-                ts.push_answer(masked(&x), false);
-            } else {
-                test_neg_x.push(x);
-            }
-            i += 1;
-        }
-    }
-    // Pass C: timing observations grouped per target thread, via a
-    // merge walk over both row files in target order.
-    {
-        let mut pos_walk = TargetWalk::new(spilled.stream_pos()?, pos_folds, test_fold);
-        let mut neg_walk = TargetWalk::new(spilled.stream_neg()?, neg_folds, test_fold);
-        for t in 0..spilled.num_targets {
-            let answer_rows = pos_walk.take_target(t)?;
-            let non_rows = neg_walk.take_target(t)?;
-            if answer_rows.is_empty() {
-                continue;
-            }
-            let answers: Vec<(Vec<f64>, f64)> = answer_rows
-                .iter()
-                .map(|(m, x)| (masked(x), m.response_time))
-                .collect();
-            let non: Vec<Vec<f64>> = non_rows.iter().map(|(_, x)| masked(x)).collect();
-            ts.push_timing_thread(answers, non, spilled.windows[t], spilled.num_users);
-        }
-    }
-    let model = ResponsePredictor::train(&ts, &config.train);
-    drop(ts);
-
-    // --- evaluation ---
-    let mut scores = Vec::with_capacity(test_pos.len() + test_neg.len());
-    let mut labels = Vec::with_capacity(scores.capacity());
-    for x in &test_pos_x {
-        scores.push(model.predict_answer(&masked(x)));
-        labels.push(true);
-    }
-    for x in &test_neg_x {
-        scores.push(model.predict_answer(&masked(x)));
-        labels.push(false);
-    }
-    let our_auc = auc(&scores, &labels);
-
-    let vote_pred: Vec<f64> = test_pos_x
-        .iter()
-        .map(|x| model.predict_votes(&masked(x)))
-        .collect();
-    let vote_true: Vec<f64> = test_pos.iter().map(|&i| spilled.pos[i].votes).collect();
-    let our_rmse_votes = rmse(&vote_pred, &vote_true);
-
-    let time_pred: Vec<f64> = test_pos
-        .iter()
-        .zip(&test_pos_x)
-        .map(|(&i, x)| {
-            model.predict_response_time(&masked(x), spilled.windows[spilled.pos[i].target])
-        })
-        .collect();
-    let time_true: Vec<f64> = test_pos
-        .iter()
-        .map(|&i| spilled.pos[i].response_time)
-        .collect();
-    let our_rmse_time = rmse(&time_pred, &time_true);
-
-    // --- baselines ---
-    let (auc_b, rmse_v_b, rmse_t_b) = if run_baselines {
-        let pos_parts: Vec<(usize, usize, f64, f64)> = (0..spilled.pos.len())
-            .filter(|&i| pos_folds[i] != test_fold)
-            .map(|i| {
-                let m = &spilled.pos[i];
-                (m.user.index(), m.target, m.votes, m.response_time)
-            })
-            .collect();
-        let neg_parts: Vec<(usize, usize)> = (0..spilled.neg.len())
-            .filter(|&i| neg_folds[i] != test_fold)
-            .map(|i| {
-                let m = &spilled.neg[i];
-                (m.user.index(), m.target)
-            })
-            .collect();
-        let baselines = Baselines::train_from_parts(
-            spilled.num_users,
-            spilled.num_targets,
-            spilled.dim,
-            &pos_parts,
-            &neg_parts,
-            train_pos_raw,
-            config.seed ^ 0xBA5E,
-        );
-        let mut scores_b = Vec::with_capacity(test_pos.len() + test_neg.len());
-        for &i in &test_pos {
-            scores_b.push(
-                baselines.score_answer_at(spilled.pos[i].user.index(), spilled.pos[i].target),
-            );
-        }
-        for &i in &test_neg {
-            scores_b.push(
-                baselines.score_answer_at(spilled.neg[i].user.index(), spilled.neg[i].target),
-            );
-        }
-        let auc_b = auc(&scores_b, &labels);
-        let votes_b: Vec<f64> = test_pos
-            .iter()
-            .map(|&i| {
-                baselines.predict_votes_at(spilled.pos[i].user.index(), spilled.pos[i].target)
-            })
-            .collect();
-        let times_b: Vec<f64> = test_pos_x
-            .iter()
-            .map(|x| baselines.predict_response_time_x(x))
-            .collect();
-        (
-            auc_b,
+            auc(&scores_b, &labels),
             rmse(&votes_b, &vote_true),
             rmse(&times_b, &time_true),
         )
@@ -428,59 +261,6 @@ pub fn run_fold_streamed(
     })
 }
 
-/// Pulls one row file in target order: records spill in
-/// non-decreasing target order, so each target's rows are one
-/// contiguous run and a single forward pass can group them.
-struct TargetWalk<'f> {
-    stream: RowStream,
-    folds: &'f [usize],
-    test_fold: usize,
-    row: usize,
-    pending: Option<(RowMeta, Vec<f64>)>,
-}
-
-impl<'f> TargetWalk<'f> {
-    fn new(stream: RowStream, folds: &'f [usize], test_fold: usize) -> Self {
-        TargetWalk {
-            stream,
-            folds,
-            test_fold,
-            row: 0,
-            pending: None,
-        }
-    }
-
-    /// Consumes every row with target `t` (held-out rows included)
-    /// and returns the *training* rows among them, in row order.
-    /// Targets must be requested in increasing order.
-    fn take_target(&mut self, t: usize) -> Result<Vec<(RowMeta, Vec<f64>)>, ColumnarError> {
-        let mut out = Vec::new();
-        loop {
-            let (meta, x) = match self.pending.take() {
-                Some(row) => row,
-                None => match self.stream.next_row()? {
-                    Some(row) => row,
-                    None => return Ok(out),
-                },
-            };
-            if meta.target > t {
-                self.pending = Some((meta, x));
-                return Ok(out);
-            }
-            if meta.target < t {
-                return Err(ColumnarError::Malformed {
-                    path: std::path::PathBuf::new(),
-                    message: format!("row targets out of order: {} after group {t}", meta.target),
-                });
-            }
-            if self.folds[self.row] != self.test_fold {
-                out.push((meta, x));
-            }
-            self.row += 1;
-        }
-    }
-}
-
 /// Mean and standard deviation of a metric across fold outcomes.
 pub fn mean_std(values: &[f64]) -> (f64, f64) {
     if values.is_empty() {
@@ -495,6 +275,7 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::SpilledExperiment;
     use crate::split::stratified_folds;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -544,7 +325,7 @@ mod tests {
         assert!(out.rmse_time.is_finite());
     }
 
-    /// The streamed path's contract: identical fold maps in, a
+    /// The one fold body over spilled rows: identical fold maps in, a
     /// bitwise-identical outcome out — with baselines and with a
     /// feature mask.
     #[test]
@@ -570,9 +351,10 @@ mod tests {
             let resident = run_fold(
                 &data, &cfg, &pos_folds, &neg_folds, 0, mask, baselines, None,
             );
-            let streamed =
-                run_fold_streamed(&spilled, &cfg, &pos_folds, &neg_folds, 0, mask, baselines)
-                    .unwrap();
+            let streamed = run_fold_on(
+                &spilled, &cfg, &pos_folds, &neg_folds, 0, mask, baselines, None,
+            )
+            .unwrap();
             let bits = |o: &FoldOutcome| {
                 [
                     o.auc.to_bits(),

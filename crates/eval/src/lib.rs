@@ -6,19 +6,18 @@
 //!   Pearson/Spearman correlation, CDFs;
 //! * [`data`] — assembling `(u, q)` pair records with features,
 //!   targets, balanced negative samples, and per-thread survival
-//!   samples from a dataset partition (`Ω`, `F(q)`);
+//!   samples from a dataset partition (`Ω`, `F(q)`), and the
+//!   [`RowSource`] trait every fold reads its rows through;
 //! * [`columnar`] — the experiment spilled to a columnar on-disk
 //!   store, streamed back one fold at a time for paper-scale++ runs;
 //! * [`split`] — 5-fold **stratified** cross-validation ("each user's
 //!   answers are allocated uniformly across folds", Section IV-A);
 //! * [`fold`] — one train/evaluate iteration of our three models and
 //!   the three baselines (SPARFA / MF / Poisson regression);
-//! * [`experiments`] — Table I, Figure 3 (vote/time correlation),
-//!   Figure 4 (feature CDFs), Figure 5 (topic-count sweep), Figure 6
-//!   (leave-one-feature-out importance), Figure 7 (feature groups ×
-//!   history length);
-//! * [`parallel`] — a small crossbeam-scoped parallel map used to run
-//!   folds and sweep points concurrently.
+//! * [`experiments`] — the CV driver, Table I, Figure 3 (vote/time
+//!   correlation), Figure 4 (feature CDFs), Figure 5 (topic-count
+//!   sweep), Figure 6 (leave-one-feature-out importance), Figure 7
+//!   (feature groups × history length).
 //!
 //! # Example
 //!
@@ -37,15 +36,13 @@ pub mod data;
 pub mod experiments;
 pub mod fold;
 pub mod metrics;
-pub mod parallel;
 pub mod split;
 pub mod subfold;
 
 pub use columnar::{ColumnarError, RowStream, SpilledExperiment};
 pub use config::EvalConfig;
-pub use data::{ExperimentData, PairRecord};
-pub use experiments::{run_cv, run_cv_resumable, run_cv_streamed, CvError, CvOptions};
-pub use fold::{run_fold_streamed, FoldOutcome, MaskSpec};
-pub use forumcast_resilience::CkptFormat;
+pub use data::{ExperimentData, PairRecord, RowSource};
+pub use experiments::{run_cv, run_cv_resumable, CvError, CvOptions};
+pub use fold::{FoldOutcome, MaskSpec};
 pub use metrics::{auc, cdf_points, mae, pearson, rmse, spearman};
 pub use subfold::SubfoldHandle;

@@ -2,8 +2,7 @@
 //!
 //! A [`SubfoldHandle`] binds one fold job to its on-disk
 //! [`TrainCheckpoint`] file: `<base>.fold<job>.train.ckpt` (framed
-//! binary; `.json` when the run selects the legacy JSON format), next
-//! to the fold-level checkpoint at `<base>`. While the fold trains,
+//! binary), next to the fold-level checkpoint at `<base>`. While the fold trains,
 //! the handle persists every `snapshot_every`-th epoch's
 //! [`TrainProgress`] atomically; when the fold is re-run after a
 //! crash, the handle loads the latest snapshot back and the trainer
@@ -11,10 +10,9 @@
 //! trajectory. A completed fold discards its file — the fold-level
 //! checkpoint now carries the outcome.
 //!
-//! A binary-format handle also *reads* the legacy
-//! `<base>.fold<job>.train.json` path left behind by an older build,
-//! so an in-flight resume survives the format switch; new snapshots
-//! are always written in the selected format.
+//! A handle also *reads* the legacy `<base>.fold<job>.train.json`
+//! path left behind by a JSON-era build, so an in-flight resume
+//! survives the format switch; new snapshots are always binary.
 //!
 //! Failure policy, per layer:
 //!
@@ -36,19 +34,18 @@ use std::time::Instant;
 
 use forumcast_core::TrainProgress;
 use forumcast_resilience::fault::{self, FaultSite};
-use forumcast_resilience::{reclaim_tmp, CheckpointError, CkptFormat, TrainCheckpoint};
+use forumcast_resilience::{reclaim_tmp, CheckpointError, TrainCheckpoint};
 
 /// One fold job's sub-fold checkpoint binding. See the module docs
 /// for the failure policy.
 #[derive(Debug)]
 pub struct SubfoldHandle {
     path: PathBuf,
-    /// Legacy JSON snapshot path, read (never written) by a
-    /// binary-format handle so resumes survive the format migration.
-    legacy_path: Option<PathBuf>,
+    /// Legacy JSON snapshot path, read (never written) so resumes
+    /// survive the format migration.
+    legacy_path: PathBuf,
     fingerprint: String,
     snapshot_every: usize,
-    format: CkptFormat,
     /// Fault unit for both the post-save kill probe (`fold-panic`)
     /// and the save-failure probes (`ckpt-write`, `torn-write`,
     /// `bit-flip`, `fsync-fail`): total job count + job index,
@@ -61,38 +58,31 @@ impl SubfoldHandle {
     /// snapshot file under `base` (the fold-level checkpoint path).
     /// `kill_unit` is the fault-probe unit (total jobs + job index).
     ///
-    /// The fingerprint deliberately excludes the snapshot cadence and
-    /// the on-disk format: neither perturbs training, so resuming
-    /// under a changed cadence or format still reproduces the
-    /// uninterrupted run.
+    /// The fingerprint deliberately excludes the snapshot cadence:
+    /// it does not perturb training, so resuming under a changed
+    /// cadence still reproduces the uninterrupted run.
     pub fn new(
         base: &Path,
         job: usize,
         cv_meta: &str,
         snapshot_every: usize,
         kill_unit: u64,
-        format: CkptFormat,
     ) -> Self {
         let suffixed = |ext: &str| {
             let mut name = base.as_os_str().to_os_string();
             name.push(format!(".fold{job}.train.{ext}"));
             PathBuf::from(name)
         };
-        let (path, legacy_path) = match format {
-            CkptFormat::Binary => (suffixed("ckpt"), Some(suffixed("json"))),
-            CkptFormat::Json => (suffixed("json"), None),
-        };
         SubfoldHandle {
-            path,
-            legacy_path,
+            path: suffixed("ckpt"),
+            legacy_path: suffixed("json"),
             fingerprint: format!("subfold-v1 job={job} {cv_meta}"),
             snapshot_every,
-            format,
             kill_unit,
         }
     }
 
-    /// The snapshot file path (in the handle's write format).
+    /// The snapshot file path.
     pub fn path(&self) -> &Path {
         &self.path
     }
@@ -105,8 +95,8 @@ impl SubfoldHandle {
 
     /// The paths a resume may read: the primary path first, then the
     /// legacy JSON path a pre-migration build would have written.
-    fn read_paths(&self) -> impl Iterator<Item = &Path> {
-        std::iter::once(self.path.as_path()).chain(self.legacy_path.as_deref())
+    fn read_paths(&self) -> [&Path; 2] {
+        [&self.path, &self.legacy_path]
     }
 
     /// Pre-flight check run before any fold work: surfaces a stale
@@ -164,17 +154,15 @@ impl SubfoldHandle {
         found
     }
 
-    /// Persists `progress` atomically in the handle's format, then
+    /// Persists `progress` atomically, then
     /// probes the mid-training kill site (`fold-panic` at
     /// `kill_unit`) — the injected analogue of a crash landing right
     /// after a snapshot hits disk. Save failures are best-effort
     /// (counted, training continues).
     pub fn save(&self, progress: &TrainProgress) {
-        match TrainCheckpoint::new(&*self.fingerprint, progress.clone()).save_with(
-            &self.path,
-            self.kill_unit,
-            self.format,
-        ) {
+        match TrainCheckpoint::new(&*self.fingerprint, progress.clone())
+            .save(&self.path, self.kill_unit)
+        {
             Ok(()) => {}
             Err(e) => {
                 forumcast_obs::counter_add("eval.subfold.save_failed", 1);
@@ -208,7 +196,7 @@ mod tests {
     }
 
     fn handle(base: &Path) -> SubfoldHandle {
-        SubfoldHandle::new(base, 3, "cv folds=2 seed=1", 25, 10, CkptFormat::Binary)
+        SubfoldHandle::new(base, 3, "cv folds=2 seed=1", 25, 10)
     }
 
     #[test]
@@ -217,9 +205,6 @@ mod tests {
         let h = handle(&base);
         let expected = format!("{}.fold3.train.ckpt", base.display());
         assert_eq!(h.path().display().to_string(), expected);
-        let legacy = SubfoldHandle::new(&base, 3, "m", 25, 10, CkptFormat::Json);
-        let expected = format!("{}.fold3.train.json", base.display());
-        assert_eq!(legacy.path().display().to_string(), expected);
     }
 
     #[test]
@@ -256,17 +241,20 @@ mod tests {
     #[test]
     fn legacy_json_snapshot_is_read_by_a_binary_handle() {
         let base = temp_base("legacy");
-        let meta = "cv folds=2 seed=1";
-        let old = SubfoldHandle::new(&base, 3, meta, 25, 10, CkptFormat::Json);
-        old.save(&TrainProgress::default());
-        let new = handle(&base);
-        assert!(new.check().is_ok());
+        let h = handle(&base);
+        // A JSON-era build wrote the snapshot through the serde shim.
+        let old = TrainCheckpoint::new(&*h.fingerprint, TrainProgress::default());
+        std::fs::write(&h.legacy_path, serde_json::to_string_pretty(&old).unwrap()).unwrap();
+        assert!(h.check().is_ok());
         assert!(
-            new.load().is_some(),
-            "binary handle must fall back to the legacy JSON snapshot"
+            h.load().is_some(),
+            "the handle must fall back to the legacy JSON snapshot"
         );
-        new.discard();
-        assert!(!old.path().exists(), "discard removes the legacy file too");
+        h.discard();
+        assert!(
+            !h.legacy_path.exists(),
+            "discard removes the legacy file too"
+        );
     }
 
     #[test]
@@ -282,7 +270,7 @@ mod tests {
     #[test]
     fn stale_snapshot_fails_the_preflight_check() {
         let base = temp_base("stale");
-        let writer = SubfoldHandle::new(&base, 3, "cv folds=5 seed=9", 25, 10, CkptFormat::Binary);
+        let writer = SubfoldHandle::new(&base, 3, "cv folds=5 seed=9", 25, 10);
         writer.save(&TrainProgress::default());
         let reader = handle(&base);
         let err = reader.check().unwrap_err();

@@ -40,7 +40,6 @@ pub mod context;
 pub mod extractor;
 pub mod layout;
 pub mod normalize;
-pub mod online;
 pub mod topics;
 
 pub use context::FeatureContext;
@@ -50,5 +49,4 @@ pub use extractor::{ExtractorConfig, FeatureExtractor};
 pub use forumcast_topics::{LdaConfig, LdaSampler};
 pub use layout::{feature_dim, feature_names, FeatureGroup, FeatureId, FeatureLayout};
 pub use normalize::Normalizer;
-pub use online::OnlineFeatureExtractor;
 pub use topics::{PostTopics, TokenizedPosts};

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// slice of node `u`). No self-loops, no parallel edges; both SLN
 /// graphs of the paper are symmetric binary adjacency matrices, which
 /// this mirrors sparsely — and the flat layout keeps BFS-heavy kernels
-/// (closeness, betweenness, PageRank) on two contiguous allocations
+/// (closeness, betweenness) on two contiguous allocations
 /// instead of one heap cell per node.
 ///
 /// # Example

@@ -36,7 +36,6 @@ pub mod bfs;
 pub mod build;
 pub mod centrality;
 pub mod graph;
-pub mod pagerank;
 pub mod ra;
 pub mod scratch;
 pub mod stats;
@@ -48,7 +47,6 @@ pub use centrality::{
     closeness, closeness_with_threads,
 };
 pub use graph::Graph;
-pub use pagerank::{average_clustering, clustering_coefficient, pagerank, PageRankScratch};
 pub use ra::resource_allocation;
 pub use scratch::{BfsScratch, BrandesScratch, ScratchPool};
 pub use stats::GraphStats;

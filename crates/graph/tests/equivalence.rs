@@ -17,9 +17,7 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use forumcast_graph::{
-    betweenness_with_threads, bfs_distances, closeness_with_threads, pagerank, Graph,
-};
+use forumcast_graph::{betweenness_with_threads, bfs_distances, closeness_with_threads, Graph};
 
 /// Sorted, deduped adjacency lists — the old storage layout.
 fn adjacency(g: &Graph) -> Vec<Vec<u32>> {
@@ -109,39 +107,6 @@ fn ref_betweenness(adj: &[Vec<u32>]) -> Vec<f64> {
     bc
 }
 
-fn ref_pagerank(adj: &[Vec<u32>], damping: f64, iterations: usize) -> Vec<f64> {
-    let n = adj.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let uniform = 1.0 / n as f64;
-    let mut rank = vec![uniform; n];
-    let mut next = vec![0.0; n];
-    for _ in 0..iterations {
-        let mut dangling_mass = 0.0;
-        for v in next.iter_mut() {
-            *v = 0.0;
-        }
-        for (u, &r) in rank.iter().enumerate() {
-            let deg = adj[u].len();
-            if deg == 0 {
-                dangling_mass += r;
-                continue;
-            }
-            let share = r / deg as f64;
-            for &v in &adj[u] {
-                next[v as usize] += share;
-            }
-        }
-        let teleport = (1.0 - damping) * uniform + damping * dangling_mass * uniform;
-        for v in next.iter_mut() {
-            *v = damping * *v + teleport;
-        }
-        std::mem::swap(&mut rank, &mut next);
-    }
-    rank
-}
-
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -218,14 +183,5 @@ proptest! {
     fn betweenness_matches_adjacency_list_reference_bitwise(g in arb_graph()) {
         let adj = adjacency(&g);
         prop_assert_eq!(bits(&betweenness_with_threads(&g, 1)), bits(&ref_betweenness(&adj)));
-    }
-
-    #[test]
-    fn pagerank_matches_adjacency_list_reference_bitwise(g in arb_graph()) {
-        let adj = adjacency(&g);
-        prop_assert_eq!(
-            bits(&pagerank(&g, 0.85, 60)),
-            bits(&ref_pagerank(&adj, 0.85, 60))
-        );
     }
 }

@@ -10,18 +10,17 @@
 //! freshly computed results reproduces an uninterrupted run bit for
 //! bit.
 //!
-//! # Formats
+//! # Format
 //!
-//! The default on-disk format ([`CkptFormat::Binary`]) is the framed
-//! binary store from `forumcast-store`: a CRC-guarded header carrying
-//! the fingerprint, then one CRC-guarded frame per entry. Torn tails
-//! truncate to the valid entry prefix (the lost tail is recomputed);
-//! any CRC mismatch quarantines the file to `<path>.corrupt` and
-//! surfaces as [`CheckpointError::Corrupt`]. The legacy JSON format
-//! ([`CkptFormat::Json`]) is still written on request and **read
-//! transparently for one release**: loads sniff the file magic, so a
-//! PR 4-era JSON checkpoint resumes seamlessly and the next save
-//! migrates it to binary.
+//! Checkpoints are written in the framed binary store from
+//! `forumcast-store`: a CRC-guarded header carrying the fingerprint,
+//! then one CRC-guarded frame per entry. Torn tails truncate to the
+//! valid entry prefix (the lost tail is recomputed); any CRC mismatch
+//! quarantines the file to `<path>.corrupt` and surfaces as
+//! [`CheckpointError::Corrupt`]. Checkpoints from JSON-era builds are
+//! still **read**: loads sniff the file magic, so an old JSON
+//! checkpoint resumes seamlessly and the next save migrates it to
+//! binary.
 //!
 //! # Fault sites
 //!
@@ -42,47 +41,6 @@ use forumcast_store::{
 };
 
 pub use forumcast_store::reclaim_tmp;
-
-/// On-disk checkpoint encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CkptFormat {
-    /// Framed, CRC-checksummed binary store (the default).
-    #[default]
-    Binary,
-    /// Legacy pretty-printed JSON (kept one release for migration).
-    Json,
-}
-
-impl CkptFormat {
-    /// Parses a `--ckpt-format` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the accepted values.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "binary" => Ok(CkptFormat::Binary),
-            "json" => Ok(CkptFormat::Json),
-            other => Err(format!(
-                "unknown checkpoint format `{other}` (expected `binary` or `json`)"
-            )),
-        }
-    }
-
-    /// The spec name (`binary` / `json`).
-    pub fn name(self) -> &'static str {
-        match self {
-            CkptFormat::Binary => "binary",
-            CkptFormat::Json => "json",
-        }
-    }
-}
-
-impl fmt::Display for CkptFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Builds the [`SaveOptions`] for one save by probing the
 /// media-damage fault sites at `unit`. `torn-write` and `bit-flip`
@@ -173,15 +131,6 @@ impl<T> Checkpoint<T> {
 }
 
 impl<T: Serialize> Checkpoint<T> {
-    /// Saves in the default (binary) format. See [`Self::save_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.save_with(path, CkptFormat::default())
-    }
-
     /// Atomically and durably saves the checkpoint: writes
     /// `<path>.tmp`, fsyncs, renames over `path`, fsyncs the parent
     /// directory — a crash mid-write never corrupts an existing
@@ -194,48 +143,25 @@ impl<T: Serialize> Checkpoint<T> {
     ///
     /// Returns [`CheckpointError::Io`] on filesystem failure
     /// (including the injected `ckpt-write`/`fsync-fail` faults).
-    pub fn save_with(&self, path: &Path, format: CkptFormat) -> Result<(), CheckpointError> {
+    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let unit = self.entries.len() as u64;
-        match format {
-            CkptFormat::Binary => {
-                // One frame per entry: a torn tail costs only the
-                // last entries, which resume recomputes.
-                let frames: Vec<Vec<u8>> = self
-                    .entries
-                    .iter()
-                    .map(|(u, r)| encode_value(&Value::Array(vec![Value::U64(*u), r.to_value()])))
-                    .collect();
-                let store = StoreFile::new(&self.meta, frames);
-                if let Some(err) = ckpt_write_fault(path, unit, || store.encode()) {
-                    return Err(err);
-                }
-                // Transient failures (an injected or real fsync error)
-                // cost a counted, deterministically-backed-off retry,
-                // not the save; the options are re-probed per attempt
-                // so bounded fault shots drain across retries.
-                crate::retry::save_with_retry(|_| store.save(path, &injected_save_options(unit)))
-                    .map_err(|e| store_io_err(path, e))?;
-            }
-            CkptFormat::Json => {
-                let json = serde_json::to_string_pretty(self).map_err(|e| CheckpointError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                })?;
-                if let Some(err) = ckpt_write_fault(path, unit, || json.clone().into_bytes()) {
-                    return Err(err);
-                }
-                let tmp = path.with_extension("tmp");
-                let io_err = |e: std::io::Error| CheckpointError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                };
-                crate::retry::save_with_retry(|_| {
-                    std::fs::write(&tmp, &json)?;
-                    std::fs::rename(&tmp, path)
-                })
-                .map_err(io_err)?;
-            }
+        // One frame per entry: a torn tail costs only the last
+        // entries, which resume recomputes.
+        let frames: Vec<Vec<u8>> = self
+            .entries
+            .iter()
+            .map(|(u, r)| encode_value(&Value::Array(vec![Value::U64(*u), r.to_value()])))
+            .collect();
+        let store = StoreFile::new(&self.meta, frames);
+        if let Some(err) = ckpt_write_fault(path, unit, || store.encode()) {
+            return Err(err);
         }
+        // Transient failures (an injected or real fsync error) cost a
+        // counted, deterministically-backed-off retry, not the save;
+        // the options are re-probed per attempt so bounded fault shots
+        // drain across retries.
+        crate::retry::save_with_retry(|_| store.save(path, &injected_save_options(unit)))
+            .map_err(|e| store_io_err(path, e))?;
         forumcast_obs::counter_add("ckpt.saves", 1);
         Ok(())
     }
@@ -392,7 +318,7 @@ pub const SUBFOLD_FORMAT_VERSION: u32 = 1;
 /// `TrainCheckpoint` holds *one* in-flight snapshot — the latest
 /// epoch-granular training state of the fold currently running — and
 /// nests beside the fold-level checkpoint (`<base>.fold<N>.train.ckpt`
-/// next to `<base>`; `.train.json` in the legacy format).
+/// next to `<base>`; `.train.json` from JSON-era builds).
 ///
 /// The same crash-consistency contract applies: saves are atomic and
 /// durable (tmp + fsync + rename, probing the save fault sites),
@@ -424,73 +350,34 @@ impl<T> TrainCheckpoint<T> {
 }
 
 impl<T: Serialize> TrainCheckpoint<T> {
-    /// Saves in the default (binary) format. See [`Self::save_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path, unit: u64) -> Result<(), CheckpointError> {
-        self.save_with(path, unit, CkptFormat::default())
-    }
-
     /// Atomically and durably saves the snapshot, probing the
     /// `ckpt-write`/`torn-write`/`bit-flip`/`fsync-fail` fault sites
     /// at `unit` — the caller picks a unit disjoint from fold-level
     /// saves so shot plans can target either layer independently.
     ///
-    /// Binary layout: frame 0 is the format version, frame 1 the
-    /// payload; the fingerprint rides in the store header.
+    /// Layout: frame 0 is the format version, frame 1 the payload;
+    /// the fingerprint rides in the store header.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Io`] on filesystem failure.
-    pub fn save_with(
-        &self,
-        path: &Path,
-        unit: u64,
-        format: CkptFormat,
-    ) -> Result<(), CheckpointError> {
+    pub fn save(&self, path: &Path, unit: u64) -> Result<(), CheckpointError> {
         let started = std::time::Instant::now();
-        let bytes = match format {
-            CkptFormat::Binary => {
-                let frames = vec![
-                    encode_value(&Value::U64(u64::from(self.version))),
-                    encode_value(&self.payload.to_value()),
-                ];
-                let store = StoreFile::new(&self.fingerprint, frames);
-                if let Some(err) = ckpt_write_fault(path, unit, || store.encode()) {
-                    return Err(err);
-                }
-                crate::retry::save_with_retry(|_| store.save(path, &injected_save_options(unit)))
-                    .map_err(|e| store_io_err(path, e))?
-            }
-            CkptFormat::Json => {
-                let json = serde_json::to_string_pretty(self).map_err(|e| CheckpointError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                })?;
-                if let Some(err) = ckpt_write_fault(path, unit, || json.clone().into_bytes()) {
-                    return Err(err);
-                }
-                let tmp = path.with_extension("tmp");
-                let io_err = |e: std::io::Error| CheckpointError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                };
-                let bytes = json.len() as u64;
-                crate::retry::save_with_retry(|_| {
-                    std::fs::write(&tmp, &json)?;
-                    std::fs::rename(&tmp, path)
-                })
-                .map_err(io_err)?;
-                bytes
-            }
-        };
+        let frames = vec![
+            encode_value(&Value::U64(u64::from(self.version))),
+            encode_value(&self.payload.to_value()),
+        ];
+        let store = StoreFile::new(&self.fingerprint, frames);
+        if let Some(err) = ckpt_write_fault(path, unit, || store.encode()) {
+            return Err(err);
+        }
+        let bytes =
+            crate::retry::save_with_retry(|_| store.save(path, &injected_save_options(unit)))
+                .map_err(|e| store_io_err(path, e))?;
         forumcast_obs::counter_add("ckpt.subfold.saves", 1);
-        // Snapshot cost telemetry: the ROADMAP's JSON-vs-binary format
-        // decision uses these as the before/after. Per-write durations
-        // go through the histogram path so the summary can report
-        // p50/p99 instead of only a lifetime total.
+        // Snapshot cost telemetry. Per-write durations go through the
+        // histogram path so the summary can report p50/p99 instead of
+        // only a lifetime total.
         forumcast_obs::counter_add("ckpt.subfold.bytes", bytes);
         forumcast_obs::observe(
             "ckpt.subfold.write_ms",
@@ -717,14 +604,23 @@ mod tests {
         p
     }
 
+    /// Writes `value` as a JSON-era build did, through the serde shim.
+    fn write_json<T: Serialize>(path: &Path, value: &T) {
+        std::fs::write(path, serde_json::to_string_pretty(value).unwrap()).unwrap();
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_entries_bitwise() {
-        for format in [CkptFormat::Binary, CkptFormat::Json] {
-            let path = temp_path(&format!("roundtrip-{format}"));
+        for json_era in [false, true] {
+            let path = temp_path(&format!("roundtrip-{json_era}"));
             let mut cp: Checkpoint<f64> = Checkpoint::new("run A");
             cp.record(3, 0.1 + 0.2);
             cp.record(1, f64::MIN_POSITIVE);
-            cp.save_with(&path, format).unwrap();
+            if json_era {
+                write_json(&path, &cp);
+            } else {
+                cp.save(&path).unwrap();
+            }
             let back = Checkpoint::<f64>::load(&path, "run A").unwrap().unwrap();
             assert_eq!(back.meta, "run A");
             assert_eq!(back.entries.len(), 2);
@@ -737,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn default_format_is_binary_and_json_still_loads() {
+    fn save_writes_binary_and_json_still_loads() {
         let path = temp_path("default-binary");
         let mut cp: Checkpoint<i32> = Checkpoint::new("m");
         cp.record(0, 7);
@@ -745,11 +641,11 @@ mod tests {
         let head = std::fs::read(&path).unwrap();
         assert!(
             forumcast_store::is_store_bytes(&head),
-            "default save must write the binary store format"
+            "save must write the binary store format"
         );
-        // Overwrite with the legacy JSON encoding: the sniffing load
-        // reads it transparently (one-release migration window).
-        cp.save_with(&path, CkptFormat::Json).unwrap();
+        // Overwrite with the JSON-era encoding: the sniffing load
+        // reads it transparently.
+        write_json(&path, &cp);
         let back = Checkpoint::<i32>::load(&path, "m").unwrap().unwrap();
         assert_eq!(back.get(0), Some(&7));
         std::fs::remove_file(&path).unwrap();
@@ -918,10 +814,14 @@ mod tests {
 
     #[test]
     fn subfold_roundtrip_preserves_payload_bitwise() {
-        for format in [CkptFormat::Binary, CkptFormat::Json] {
-            let path = temp_path(&format!("subfold-roundtrip-{format}"));
+        for json_era in [false, true] {
+            let path = temp_path(&format!("subfold-roundtrip-{json_era}"));
             let cp = TrainCheckpoint::new("fold 3 of run A", vec![0.1 + 0.2, f64::MIN_POSITIVE]);
-            cp.save_with(&path, 0, format).unwrap();
+            if json_era {
+                write_json(&path, &cp);
+            } else {
+                cp.save(&path, 0).unwrap();
+            }
             let back = TrainCheckpoint::<Vec<f64>>::load(&path, "fold 3 of run A")
                 .unwrap()
                 .unwrap();
@@ -942,7 +842,7 @@ mod tests {
         let path = temp_path("subfold-nan");
         let bits = 0x7FF8_0000_DEAD_BEEFu64;
         let cp = TrainCheckpoint::new("f", vec![f64::from_bits(bits)]);
-        cp.save_with(&path, 0, CkptFormat::Binary).unwrap();
+        cp.save(&path, 0).unwrap();
         let back = TrainCheckpoint::<Vec<f64>>::load(&path, "f")
             .unwrap()
             .unwrap();
@@ -958,11 +858,15 @@ mod tests {
 
     #[test]
     fn subfold_unknown_version_is_corrupt_not_trusted() {
-        for format in [CkptFormat::Binary, CkptFormat::Json] {
-            let path = temp_path(&format!("subfold-version-{format}"));
+        for json_era in [false, true] {
+            let path = temp_path(&format!("subfold-version-{json_era}"));
             let mut cp = TrainCheckpoint::new("f", 7i32);
             cp.version = SUBFOLD_FORMAT_VERSION + 1;
-            cp.save_with(&path, 0, format).unwrap();
+            if json_era {
+                write_json(&path, &cp);
+            } else {
+                cp.save(&path, 0).unwrap();
+            }
             let err = TrainCheckpoint::<i32>::load(&path, "f").unwrap_err();
             assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
             assert!(err.to_string().contains("format version"));
@@ -973,9 +877,7 @@ mod tests {
     #[test]
     fn subfold_truncated_json_is_corrupt_not_trusted() {
         let path = temp_path("subfold-truncated");
-        TrainCheckpoint::new("f", vec![1.0f64, 2.0])
-            .save_with(&path, 0, CkptFormat::Json)
-            .unwrap();
+        write_json(&path, &TrainCheckpoint::new("f", vec![1.0f64, 2.0]));
         let json = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &json[..json.len() / 2]).unwrap();
         let err = TrainCheckpoint::<Vec<f64>>::load(&path, "f").unwrap_err();
@@ -991,7 +893,7 @@ mod tests {
         let cp = TrainCheckpoint::new("f", vec![1.0f64; 64]);
         {
             let _guard = FaultPlan::parse("torn-write:5").unwrap().arm();
-            cp.save_with(&path, 5, CkptFormat::Binary).unwrap();
+            cp.save(&path, 5).unwrap();
         }
         let err = TrainCheckpoint::<Vec<f64>>::load(&path, "f").unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");

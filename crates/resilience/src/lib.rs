@@ -13,7 +13,7 @@
 //! * [`retry`] — [`with_retry`], a `catch_unwind`-based bounded retry
 //!   wrapper that isolates panics from one work item (e.g. one CV
 //!   fold) without poisoning the rest of the run;
-//! * [`checkpoint`] — a generic JSON [`Checkpoint`] file recording
+//! * [`checkpoint`] — a generic [`Checkpoint`] file recording
 //!   completed work items so an interrupted run can resume and skip
 //!   them, with a meta fingerprint guarding against resuming into a
 //!   differently-configured run.
@@ -32,7 +32,7 @@ pub mod fault;
 pub mod retry;
 
 pub use checkpoint::{
-    reclaim_tmp, Checkpoint, CheckpointError, CkptFormat, TrainCheckpoint, SUBFOLD_FORMAT_VERSION,
+    reclaim_tmp, Checkpoint, CheckpointError, TrainCheckpoint, SUBFOLD_FORMAT_VERSION,
 };
 pub use fault::{FaultGuard, FaultPlan, FaultSite, FaultSpecError, FAULTS_ENV};
 pub use retry::{save_with_retry, with_retry, RetryExhausted, SAVE_ATTEMPTS};

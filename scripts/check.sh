@@ -127,26 +127,24 @@ grep -Eq 'frame [0-9]+' "$work_dir/verify.txt" \
 "$fc" ckpt verify --file "$bad" > /dev/null
 echo "corruption: $(head -1 "$work_dir/verify.txt"), repaired and re-verified"
 
-echo "==> checkpoint size report (ckpt.subfold.bytes, JSON vs binary)"
-# Informational, like the perf smoke: the same checkpointed run in
-# both formats, reporting sub-fold snapshot volume and write time.
-for fmt in json binary; do
-  "$fc" evaluate --scale quick --threads 1 --ckpt-format "$fmt" \
-    --resume "$work_dir/size.$fmt.ckpt" --snapshot-every 2 --metrics \
-    > "$work_dir/size.$fmt.txt"
-  # write_ms lives in the histogram table: name count p50 p90 p99 max sum.
-  awk -v fmt="$fmt" '
-    $1 == "ckpt.subfold.saves"    { saves = $2 }
-    $1 == "ckpt.subfold.bytes"    { bytes = $2 }
-    $1 == "ckpt.subfold.write_ms" { wms = $7; wp50 = $3; wp99 = $5 }
-    END {
-      if (saves > 0)
-        printf "ckpt[%s]: %d sub-fold saves, %d bytes (%d/save), %d ms writing (p50 %d, p99 %d)\n",
-               fmt, saves, bytes, bytes / saves, wms, wp50, wp99
-      else
-        printf "ckpt[%s]: no sub-fold saves recorded\n", fmt
-    }' "$work_dir/size.$fmt.txt"
-done
+echo "==> checkpoint size report (ckpt.subfold.bytes, binary store)"
+# Informational, like the perf smoke: a checkpointed run's sub-fold
+# snapshot volume and write time.
+"$fc" evaluate --scale quick --threads 1 \
+  --resume "$work_dir/size.ckpt" --snapshot-every 2 --metrics \
+  > "$work_dir/size.txt"
+# write_ms lives in the histogram table: name count p50 p90 p99 max sum.
+awk '
+  $1 == "ckpt.subfold.saves"    { saves = $2 }
+  $1 == "ckpt.subfold.bytes"    { bytes = $2 }
+  $1 == "ckpt.subfold.write_ms" { wms = $7; wp50 = $3; wp99 = $5 }
+  END {
+    if (saves > 0)
+      printf "ckpt: %d sub-fold saves, %d bytes (%d/save), %d ms writing (p50 %d, p99 %d)\n",
+             saves, bytes, bytes / saves, wms, wp50, wp99
+    else
+      printf "ckpt: no sub-fold saves recorded\n"
+  }' "$work_dir/size.txt"
 
 echo "==> perf smoke (quick features.build, dense vs sparse Gibbs, release)"
 # Regressions surface in the log, not as a hard gate: the smoke prints
@@ -196,8 +194,9 @@ echo "==> streamed-fold smoke (--data-dir: bitwise metrics, bounded RSS)"
 # The columnar data plane's end-to-end contract: sharded generation is
 # bitwise thread-count-invariant, and evaluating from the on-disk
 # spill reproduces the fully-resident report byte-for-byte while peak
-# RSS stays bounded (the streamed path holds one fold, not the full
-# feature matrix).
+# RSS stays bounded. At --threads 2 two folds run concurrently, each
+# streaming its rows from the spill, so RSS is bounded by one fold per
+# worker rather than the full feature matrix.
 "$fcr" generate --scale medium --seed 9 --threads 2 --out "$work_dir/med-t2.json" > /dev/null
 "$fcr" generate --scale medium --seed 9 --threads 7 --out "$work_dir/med-t7.json" > /dev/null
 cmp "$work_dir/med-t2.json" "$work_dir/med-t7.json" \
@@ -220,7 +219,15 @@ if [ "$rss_mb" -ge "$rss_bound_mb" ]; then
   echo "streamed smoke: peak RSS ${rss_mb} MB exceeds the ${rss_bound_mb} MB bound" >&2
   exit 1
 fi
-echo "streamed-fold: generate invariant at 2/7 threads, metrics bitwise-identical, peak RSS ${rss_mb} MB < ${rss_bound_mb} MB"
+# The spilled path shares the resident path's CV driver, so it also
+# checkpoints and resumes: a checkpointed run with sub-fold snapshots
+# must print the same report.
+"$fcr" evaluate --scale quick --threads 2 --data-dir "$work_dir/resume-spill" \
+  --resume "$work_dir/streamed.ckpt" --snapshot-every 2 > "$work_dir/streamed.resume.txt"
+diff <(grep -v '^spilling\|^peak RSS\|^running\|^checkpointing' "$work_dir/streamed.resume.txt") \
+     <(grep -v '^running' tests/golden/eval_quick_t1.txt) \
+  || { echo "streamed smoke: --data-dir --resume metrics drifted from the resident golden" >&2; exit 1; }
+echo "streamed-fold: generate invariant at 2/7 threads, metrics bitwise-identical (plain and --resume), peak RSS ${rss_mb} MB < ${rss_bound_mb} MB"
 
 echo "==> ingest kill-storm smoke (SIGKILL mid-append, wal repair + replay heal)"
 # The WAL twin of the checkpoint storm: SIGKILL the event-log producer
