@@ -4,7 +4,6 @@
 use std::fmt;
 
 use forumcast_features::LdaSampler;
-use forumcast_wal::FsyncPolicy;
 
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -26,11 +25,6 @@ commands:
              [--faults <spec>] [--trace <trace-file>] [--metrics]
              [--bench-json <report-file>]
   ckpt       <inspect|verify|repair> --file <checkpoint-file>
-  wal        <inspect|verify|repair|replay> --dir <wal-dir> [--threads N]
-  ingest     --wal <wal-dir> [--scale <small|medium|paper>] [--seed N]
-             [--threads N] [--fsync <always|rotate|N>] [--segment-bytes N]
-             [--faults <spec>] [--trace <trace-file>] [--metrics]
-             [--bench-json <report-file>]
   bench      compare <baseline.json> <current.json>
              [--tolerance X] [--p99-tolerance X] [--min-ms MS]
   abtest     [--scale <quick|standard>] [--lambda X]
@@ -60,18 +54,6 @@ FORUMCAST_FAULTS env var, e.g. `fold-panic:1`). `--trace` writes a
 Chrome trace-event JSON file of pipeline spans (open in Perfetto;
 FORUMCAST_TRACE sets a default path, also honoured by `train` and
 `stats`) and `--metrics` prints a per-span wall/self-time summary.
-`wal` operates on a durable event log directory: `inspect` lists
-segments with their event-id ranges and any damage, `verify` exits
-non-zero naming the first damaged segment, `repair` heals the log in
-place (reclaims stale `.tmp` files, truncates torn tails to the valid
-frame prefix, quarantines CRC-damaged segments to `.corrupt` slots),
-and `replay` folds the log into a forum state and prints its hash —
-identical at any `--threads` count. `ingest` generates the synthetic
-event stream for `--scale`/`--seed` and appends it to the WAL at
-`--wal`, resuming idempotently from the log's first missing event id
-(so a killed run converges when re-run); `--fsync` picks the append
-durability cadence (`always`, `rotate`, or every-N) and
-`--segment-bytes` the rotation threshold.
 `--lda-sampler` picks the Gibbs kernel: `dense` is the reference
 O(K)-per-token sampler, `sparse` the bucket-decomposed fast path
 (same model, different — still seed-deterministic — chain). On
@@ -194,39 +176,6 @@ pub enum Command {
         /// The checkpoint file.
         file: String,
     },
-    /// Inspect, verify, repair, or replay a write-ahead event log.
-    Wal {
-        /// What to do with the log.
-        action: WalAction,
-        /// The WAL directory.
-        dir: String,
-        /// Worker threads for replay decoding (0 = auto).
-        threads: usize,
-    },
-    /// Append a synthetic event stream into a WAL, folding it into a
-    /// forum state and reporting the state hash.
-    Ingest {
-        /// The WAL directory.
-        wal: String,
-        /// Synthetic dataset scale preset.
-        scale: String,
-        /// Generator seed.
-        seed: Option<u64>,
-        /// Worker threads for the replay check (0 = auto).
-        threads: usize,
-        /// Append-path fsync cadence.
-        fsync: FsyncPolicy,
-        /// Segment rotation threshold in bytes.
-        segment_bytes: u64,
-        /// Fault-injection spec (same grammar as `FORUMCAST_FAULTS`).
-        faults: Option<String>,
-        /// Chrome trace-event JSON output path.
-        trace: Option<String>,
-        /// Print the per-span timing summary after the run.
-        metrics: bool,
-        /// Machine-readable bench report output path.
-        bench_json: Option<String>,
-    },
     /// Diff two bench reports and gate on regressions.
     BenchCompare {
         /// Committed baseline report path.
@@ -261,20 +210,6 @@ pub enum CkptAction {
     Verify,
     /// Truncate the file to its last valid frame.
     Repair,
-}
-
-/// Sub-action of the `wal` command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalAction {
-    /// List segments, event-id ranges, and any damage.
-    Inspect,
-    /// Exit non-zero naming the first damaged segment, if any.
-    Verify,
-    /// Heal the log in place (tmp reclaim, torn-tail truncation,
-    /// segment quarantine).
-    Repair,
-    /// Fold the log into a forum state and print its hash.
-    Replay,
 }
 
 /// Argument-parsing failure.
@@ -323,33 +258,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
         opts.reject_unknown(&["file"])?;
         return Ok(Command::Ckpt { action, file });
     }
-    // `wal` likewise takes a positional action word.
-    if cmd == "wal" {
-        let action = match rest.first().map(String::as_str) {
-            Some("inspect") => WalAction::Inspect,
-            Some("verify") => WalAction::Verify,
-            Some("repair") => WalAction::Repair,
-            Some("replay") => WalAction::Replay,
-            Some(other) => {
-                return Err(ParseError(format!(
-                    "unknown wal action `{other}` (inspect|verify|repair|replay)"
-                )))
-            }
-            None => {
-                return Err(ParseError(
-                    "wal requires an action: inspect|verify|repair|replay".into(),
-                ))
-            }
-        };
-        let opts = Options::parse(&rest[1..])?;
-        let c = Command::Wal {
-            action,
-            dir: opts.require("dir")?,
-            threads: opts.get_parsed_or("threads", 0)?,
-        };
-        opts.reject_unknown(&["dir", "threads"])?;
-        return Ok(c);
-    }
     // `bench` takes an action word plus two positional report paths.
     if cmd == "bench" {
         match rest.first().map(String::as_str) {
@@ -384,9 +292,12 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
         opts.reject_unknown(&["tolerance", "p99-tolerance", "min-ms"])?;
         return Ok(c);
     }
-    let opts = Options::parse(&rest)?;
+    // Options are parsed inside each arm, so an unknown command is
+    // reported as such even when positional words follow it.
+    let opts = Options::parse(&rest);
     match cmd.as_str() {
         "generate" => {
+            let opts = opts?;
             let c = Command::Generate {
                 scale: opts.get_or("scale", "small")?,
                 seed: opts.get_parsed_opt("seed")?,
@@ -398,6 +309,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             Ok(c)
         }
         "stats" => {
+            let opts = opts?;
             let c = Command::Stats {
                 data: opts.require("data")?,
                 gate: opts.flag("gate"),
@@ -406,6 +318,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             Ok(c)
         }
         "train" => {
+            let opts = opts?;
             let c = Command::Train {
                 data: opts.require("data")?,
                 fast: opts.flag("fast"),
@@ -417,6 +330,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             Ok(c)
         }
         "predict" => {
+            let opts = opts?;
             let c = Command::Predict {
                 data: opts.require("data")?,
                 model: opts.require("model")?,
@@ -427,6 +341,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             Ok(c)
         }
         "route" => {
+            let opts = opts?;
             let c = Command::Route {
                 data: opts.require("data")?,
                 model: opts.require("model")?,
@@ -442,6 +357,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             Ok(c)
         }
         "evaluate" => {
+            let opts = opts?;
             let c = Command::Evaluate {
                 scale: opts.get_or("scale", "quick")?,
                 threads: opts.get_parsed_or("threads", 0)?,
@@ -473,39 +389,8 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             ])?;
             Ok(c)
         }
-        "ingest" => {
-            let c = Command::Ingest {
-                wal: opts.require("wal")?,
-                scale: opts.get_or("scale", "small")?,
-                seed: opts.get_parsed_opt("seed")?,
-                threads: opts.get_parsed_or("threads", 0)?,
-                fsync: match opts.get("fsync") {
-                    None => FsyncPolicy::default(),
-                    Some(raw) => FsyncPolicy::parse(raw)
-                        .map_err(|e| ParseError(format!("invalid --fsync: {e}")))?,
-                },
-                segment_bytes: opts
-                    .get_parsed_or("segment-bytes", forumcast_wal::DEFAULT_SEGMENT_BYTES)?,
-                faults: opts.get("faults").map(str::to_owned),
-                trace: opts.get("trace").map(str::to_owned),
-                metrics: opts.flag("metrics"),
-                bench_json: opts.get("bench-json").map(str::to_owned),
-            };
-            opts.reject_unknown(&[
-                "wal",
-                "scale",
-                "seed",
-                "threads",
-                "fsync",
-                "segment-bytes",
-                "faults",
-                "trace",
-                "metrics",
-                "bench-json",
-            ])?;
-            Ok(c)
-        }
         "abtest" => {
+            let opts = opts?;
             let c = Command::AbTest {
                 scale: opts.get_or("scale", "quick")?,
                 lambda: opts.get_parsed_or("lambda", 0.5)?,
@@ -656,6 +541,10 @@ mod tests {
     fn unknown_command_rejected() {
         let err = parse(argv("frobnicate")).unwrap_err();
         assert!(err.to_string().contains("frobnicate"));
+        for line in ["ingest --wal w", "wal verify --dir w"] {
+            let err = parse(argv(line)).unwrap_err();
+            assert!(err.to_string().starts_with("unknown command"), "{err}");
+        }
     }
 
     #[test]
@@ -883,99 +772,6 @@ mod tests {
         assert!(err.to_string().contains("defrag"), "{err}");
         let err = parse(argv("ckpt verify")).unwrap_err();
         assert!(err.to_string().contains("--file"), "{err}");
-    }
-
-    #[test]
-    fn parses_wal_subcommand() {
-        let cmd = parse(argv("wal replay --dir events.wal --threads 4")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Wal {
-                action: WalAction::Replay,
-                dir: "events.wal".into(),
-                threads: 4,
-            }
-        );
-        for (word, action) in [
-            ("inspect", WalAction::Inspect),
-            ("verify", WalAction::Verify),
-            ("repair", WalAction::Repair),
-        ] {
-            match parse(argv(&format!("wal {word} --dir d"))).unwrap() {
-                Command::Wal {
-                    action: a, threads, ..
-                } => {
-                    assert_eq!(a, action);
-                    assert_eq!(threads, 0, "threads defaults to auto");
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-        let err = parse(argv("wal --dir d")).unwrap_err();
-        assert!(err.to_string().contains("action"), "{err}");
-        let err = parse(argv("wal compact --dir d")).unwrap_err();
-        assert!(err.to_string().contains("compact"), "{err}");
-        let err = parse(argv("wal verify")).unwrap_err();
-        assert!(err.to_string().contains("--dir"), "{err}");
-    }
-
-    #[test]
-    fn parses_ingest_with_defaults() {
-        let cmd = parse(argv("ingest --wal events.wal")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Ingest {
-                wal: "events.wal".into(),
-                scale: "small".into(),
-                seed: None,
-                threads: 0,
-                fsync: FsyncPolicy::default(),
-                segment_bytes: forumcast_wal::DEFAULT_SEGMENT_BYTES,
-                faults: None,
-                trace: None,
-                metrics: false,
-                bench_json: None,
-            }
-        );
-    }
-
-    #[test]
-    fn parses_ingest_with_everything() {
-        let cmd = parse(argv(
-            "ingest --wal w --scale medium --seed 7 --threads 2 --fsync always \
-             --segment-bytes 4096 --faults wal-torn-append:0x4 --trace t.json \
-             --metrics --bench-json b.json",
-        ))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Ingest {
-                wal: "w".into(),
-                scale: "medium".into(),
-                seed: Some(7),
-                threads: 2,
-                fsync: FsyncPolicy::Always,
-                segment_bytes: 4096,
-                faults: Some("wal-torn-append:0x4".into()),
-                trace: Some("t.json".into()),
-                metrics: true,
-                bench_json: Some("b.json".into()),
-            }
-        );
-        match parse(argv("ingest --wal w --fsync 16")).unwrap() {
-            Command::Ingest { fsync, .. } => assert_eq!(fsync, FsyncPolicy::EveryN(16)),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn ingest_rejects_bad_fsync_and_unknown_options() {
-        let err = parse(argv("ingest --wal w --fsync sometimes")).unwrap_err();
-        assert!(err.to_string().contains("--fsync"), "{err}");
-        let err = parse(argv("ingest --wal w --bogus 1")).unwrap_err();
-        assert!(err.to_string().contains("bogus"), "{err}");
-        let err = parse(argv("ingest")).unwrap_err();
-        assert!(err.to_string().contains("--wal"), "{err}");
     }
 
     #[test]

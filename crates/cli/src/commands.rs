@@ -17,9 +17,7 @@ use forumcast_recsys::{Candidate, QuestionRouter, RouterConfig};
 use forumcast_resilience::FaultPlan;
 use forumcast_synth::SynthConfig;
 
-use forumcast_wal::{FsyncPolicy, Wal, WalConfig};
-
-use crate::args::{CkptAction, Command, WalAction, USAGE};
+use crate::args::{CkptAction, Command, USAGE};
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -96,35 +94,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             out,
         ),
         Command::Ckpt { action, file } => ckpt(action, &file, out),
-        Command::Wal {
-            action,
-            dir,
-            threads,
-        } => wal_cmd(action, &dir, threads, out),
-        Command::Ingest {
-            wal,
-            scale,
-            seed,
-            threads,
-            fsync,
-            segment_bytes,
-            faults,
-            trace,
-            metrics,
-            bench_json,
-        } => ingest(
-            &wal,
-            &scale,
-            seed,
-            threads,
-            fsync,
-            segment_bytes,
-            faults.as_deref(),
-            trace.as_deref(),
-            metrics,
-            bench_json.as_deref(),
-            out,
-        ),
         Command::BenchCompare {
             baseline,
             current,
@@ -293,11 +262,65 @@ fn build_training_set(dataset: &Dataset, extractor: &FeatureExtractor, seed: u64
 }
 
 /// Model + extractor are persisted together so `predict`/`route` can
-/// featurize raw questions consistently.
+/// featurize raw questions consistently: the extractor is refit from
+/// the dataset with exactly the settings the model was trained on.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct SavedModel {
     predictor: ResponsePredictor,
     history_threads: usize,
+    /// Whether `train --fast` built the extractor (`None` in model
+    /// files written before the setting was recorded).
+    fast: Option<bool>,
+    /// The LDA sampler the extractor's topic model was fit with.
+    lda_sampler: Option<LdaSampler>,
+}
+
+/// Why a saved model cannot score a dataset's features.
+#[derive(Debug)]
+enum ModelError {
+    /// The model file does not record its extractor settings.
+    MissingSettings { model: String },
+    /// The model expects a different feature width than the refit
+    /// extractor produces.
+    DimensionMismatch {
+        model: String,
+        model_dim: usize,
+        extractor_dim: usize,
+    },
+}
+
+impl std::fmt::Display for ModelError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelError::MissingSettings { model } => write!(
+                f,
+                "model `{model}` does not record the extractor settings it was \
+                 trained with (`fast`, `lda_sampler`); retrain it with `forumcast train`"
+            ),
+            ModelError::DimensionMismatch {
+                model,
+                model_dim,
+                extractor_dim,
+            } => write!(
+                f,
+                "model `{model}` expects {model_dim}-dimensional features but its \
+                 recorded extractor settings produce {extractor_dim}; retrain it \
+                 with `forumcast train`"
+            ),
+        }
+    }
+}
+
+impl Error for ModelError {}
+
+fn extractor_config(fast: bool, lda_sampler: LdaSampler) -> ExtractorConfig {
+    let mut cfg = if fast {
+        ExtractorConfig::fast()
+    } else {
+        ExtractorConfig::paper()
+    };
+    cfg.lda.sampler = lda_sampler;
+    cfg
 }
 
 fn train(
@@ -310,12 +333,7 @@ fn train(
 ) -> CmdResult {
     let dataset = load_dataset(data)?;
     let (clean, _) = dataset.preprocess();
-    let mut ex_cfg = if fast {
-        ExtractorConfig::fast()
-    } else {
-        ExtractorConfig::paper()
-    };
-    ex_cfg.lda.sampler = lda_sampler;
+    let ex_cfg = extractor_config(fast, lda_sampler);
     let extractor = FeatureExtractor::fit(clean.threads(), clean.num_users(), &ex_cfg);
     let ts = build_training_set(&clean, &extractor, seed.unwrap_or(0x7EA1));
     let (na, nv, nt) = ts.counts();
@@ -332,6 +350,8 @@ fn train(
     let saved = SavedModel {
         predictor,
         history_threads: clean.num_questions(),
+        fast: Some(fast),
+        lda_sampler: Some(lda_sampler),
     };
     std::fs::write(path, serde_json::to_string(&saved)?)
         .map_err(|e| format!("cannot write model to `{path}`: {e}"))?;
@@ -340,29 +360,42 @@ fn train(
 }
 
 /// Loads a model and refits the (deterministic) feature extractor on
-/// the dataset it was trained against.
+/// the dataset it was trained against, with the recorded settings.
 fn load_model_and_extractor(
     data: &str,
     model: &str,
-    fast_features: bool,
 ) -> Result<(Dataset, FeatureExtractor, ResponsePredictor), Box<dyn Error>> {
-    let dataset = load_dataset(data)?;
-    let (clean, _) = dataset.preprocess();
     let json =
         std::fs::read_to_string(model).map_err(|e| format!("cannot read model `{model}`: {e}"))?;
     let saved: SavedModel =
         serde_json::from_str(&json).map_err(|e| format!("invalid model `{model}`: {e}"))?;
-    let ex_cfg = if fast_features {
-        ExtractorConfig::fast()
-    } else {
-        ExtractorConfig::paper()
+    let (Some(fast), Some(lda_sampler)) = (saved.fast, saved.lda_sampler) else {
+        return Err(ModelError::MissingSettings {
+            model: model.to_owned(),
+        }
+        .into());
     };
+    let ex_cfg = extractor_config(fast, lda_sampler);
+    // The width follows from the topic count alone, so a mismatch is
+    // refused before paying for the fit.
+    let model_dim = saved.predictor.normalizer().dim();
+    let extractor_dim = forumcast_features::feature_dim(ex_cfg.lda.num_topics);
+    if model_dim != extractor_dim {
+        return Err(ModelError::DimensionMismatch {
+            model: model.to_owned(),
+            model_dim,
+            extractor_dim,
+        }
+        .into());
+    }
+    let dataset = load_dataset(data)?;
+    let (clean, _) = dataset.preprocess();
     let extractor = FeatureExtractor::fit(clean.threads(), clean.num_users(), &ex_cfg);
     Ok((clean, extractor, saved.predictor))
 }
 
 fn predict(data: &str, model: &str, question: u32, user: u32, out: &mut dyn Write) -> CmdResult {
-    let (clean, extractor, predictor) = load_model_and_extractor(data, model, true)?;
+    let (clean, extractor, predictor) = load_model_and_extractor(data, model)?;
     let thread = clean
         .thread(QuestionId(question))
         .ok_or_else(|| format!("question q{question} not found"))?;
@@ -391,7 +424,7 @@ fn route(
     top: usize,
     out: &mut dyn Write,
 ) -> CmdResult {
-    let (clean, extractor, predictor) = load_model_and_extractor(data, model, true)?;
+    let (clean, extractor, predictor) = load_model_and_extractor(data, model)?;
     let thread = clean
         .thread(QuestionId(question))
         .ok_or_else(|| format!("question q{question} not found"))?;
@@ -759,227 +792,6 @@ fn ckpt(action: CkptAction, file: &str, out: &mut dyn Write) -> CmdResult {
     }
 }
 
-/// `forumcast wal <inspect|verify|repair|replay> --dir <path>`:
-/// offline tooling over the segmented write-ahead event log.
-/// `inspect`, `verify`, and `replay` run on a pure, non-mutating scan
-/// of the directory; only `repair` writes (the same tmp-reclaim /
-/// torn-tail-truncation / quarantine pass a producer runs on open).
-fn wal_cmd(action: WalAction, dir: &str, threads: usize, out: &mut dyn Write) -> CmdResult {
-    let path = Path::new(dir);
-    match action {
-        WalAction::Inspect => {
-            let segments = forumcast_wal::scan_dir(path).map_err(|e| e.to_string())?;
-            writeln!(out, "{dir}: {} segment(s)", segments.len())?;
-            for seg in &segments {
-                let name = seg
-                    .path
-                    .file_name()
-                    .map(|n| n.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| seg.path.display().to_string());
-                let ids: Vec<u64> = seg.entries.iter().filter_map(|e| e.id).collect();
-                let range = match (ids.iter().min(), ids.iter().max()) {
-                    (Some(lo), Some(hi)) => format!("ids {lo}..={hi}"),
-                    _ => "no decodable ids".to_owned(),
-                };
-                writeln!(
-                    out,
-                    "  {name}: {} event(s), {range}, fingerprint `{}`",
-                    seg.entries.len(),
-                    seg.fingerprint.as_deref().unwrap_or("<unreadable>")
-                )?;
-                if let Some(damage) = &seg.damage {
-                    let fate = if seg.torn {
-                        "torn tail — repair truncates to the valid prefix"
-                    } else {
-                        "repair quarantines the segment"
-                    };
-                    writeln!(out, "    damage: {damage} ({fate})")?;
-                }
-            }
-            Ok(())
-        }
-        WalAction::Verify => {
-            let segments = forumcast_wal::scan_dir(path).map_err(|e| e.to_string())?;
-            if let Some(seg) = segments.iter().find(|s| s.damage.is_some()) {
-                return Err(format!(
-                    "wal {dir}: segment {} is damaged: {} \
-                     (`forumcast wal repair --dir {dir}` heals the log)",
-                    seg.path.display(),
-                    seg.damage.as_deref().unwrap_or("unknown damage"),
-                )
-                .into());
-            }
-            let events: usize = segments.iter().map(|s| s.entries.len()).sum();
-            writeln!(out, "ok: {} segment(s), {events} event(s)", segments.len())?;
-            Ok(())
-        }
-        WalAction::Repair => {
-            let recovery = Wal::repair(path).map_err(|e| e.to_string())?;
-            writeln!(out, "repaired {dir}: {recovery}")?;
-            Ok(())
-        }
-        WalAction::Replay => {
-            let outcome = forumcast_data::replay_wal(path, threads).map_err(|e| e.to_string())?;
-            if outcome.damaged > 0 {
-                writeln!(
-                    out,
-                    "warning: {} damaged segment(s) replayed by valid prefix only \
-                     (`forumcast wal repair --dir {dir}` heals the log)",
-                    outcome.damaged
-                )?;
-            }
-            writeln!(
-                out,
-                "replayed {} segment(s): {}",
-                outcome.segments, outcome.report
-            )?;
-            for p in &outcome.poison_samples {
-                match p.id {
-                    Some(id) => writeln!(out, "  poison: event {id}: {}", p.reason)?,
-                    None => writeln!(out, "  poison: <unidentifiable frame>: {}", p.reason)?,
-                }
-            }
-            writeln!(
-                out,
-                "state: {} thread(s), {} post(s)",
-                outcome.state.num_threads(),
-                outcome.state.num_posts()
-            )?;
-            writeln!(out, "state hash: {:#018x}", outcome.state.hash())?;
-            Ok(())
-        }
-    }
-}
-
-/// `forumcast ingest --wal <dir>`: the event-sourced producer path.
-/// Generates the deterministic synthetic event stream for the
-/// scale/seed shard-by-shard (the full forum is never materialized,
-/// so 10M-post ingests are bounded by one shard batch, not the
-/// dataset), appends it to the WAL (resuming idempotently from the
-/// log's first missing id, so a killed run converges when re-run),
-/// then independently replays the log and refuses to report a state
-/// hash the replay does not reproduce.
-#[allow(clippy::too_many_arguments)]
-fn ingest(
-    wal_dir: &str,
-    scale: &str,
-    seed: Option<u64>,
-    threads: usize,
-    fsync: FsyncPolicy,
-    segment_bytes: u64,
-    faults: Option<&str>,
-    trace: Option<&str>,
-    metrics: bool,
-    bench_json: Option<&str>,
-    out: &mut dyn Write,
-) -> CmdResult {
-    let mut synth = synth_config(scale)?;
-    if let Some(s) = seed {
-        synth = synth.with_seed(s);
-    }
-    // The fingerprint pins the log to one generator config: resuming
-    // with a different scale or seed is refused instead of silently
-    // interleaving two incompatible streams.
-    let cfg = WalConfig {
-        fingerprint: format!("forumcast-events v1 scale={scale} seed={}", synth.seed),
-        segment_bytes,
-        fsync,
-    };
-    // --faults wins over the FORUMCAST_FAULTS env var (same contract
-    // as `evaluate`).
-    let plan = match faults {
-        Some(spec) => Some(
-            FaultPlan::parse(spec)
-                .map_err(|e| format!("invalid value `{spec}` for --faults: {e}"))?,
-        ),
-        None => FaultPlan::from_env()
-            .map_err(|e| format!("invalid {}: {e}", forumcast_resilience::FAULTS_ENV))?,
-    };
-    if let Some(plan) = plan {
-        if !plan.is_empty() {
-            plan.arm_for_process();
-        }
-    }
-    let env_trace = std::env::var(forumcast_obs::TRACE_ENV).ok();
-    let trace_path = trace.map(str::to_owned).or(env_trace);
-    let collect = trace_path.is_some() || metrics || bench_json.is_some();
-    if collect {
-        forumcast_obs::arm_for_process();
-    }
-    writeln!(
-        out,
-        "ingesting scale `{scale}` (seed {}) into {wal_dir} (fsync {fsync}) …",
-        synth.seed
-    )?;
-    let dir = Path::new(wal_dir);
-    let (outcome, replay) = {
-        let _root = forumcast_obs::span("ingest");
-        let outcome = {
-            // The sharded stream generates events lazily inside the
-            // delivery loop — one batch of shards resident at a time,
-            // never the materialized forum (the `synth.shard` task
-            // spans land under this one).
-            let _g = forumcast_obs::span("ingest.deliver");
-            let events = forumcast_synth::ShardedEventStream::new(&synth, threads);
-            forumcast_data::ingest_event_iter(dir, &cfg, events).map_err(|e| e.to_string())?
-        };
-        let replay = {
-            let _g = forumcast_obs::span("ingest.replay");
-            forumcast_data::replay_wal(dir, threads).map_err(|e| e.to_string())?
-        };
-        (outcome, replay)
-    };
-    let healed =
-        outcome.recovery.torn + outcome.recovery.quarantined + outcome.recovery.tmp_reclaimed;
-    if healed > 0 {
-        writeln!(out, "recovery: {}", outcome.recovery)?;
-    }
-    if outcome.resumed_from > 0 {
-        writeln!(
-            out,
-            "resumed from event id {} ({} event(s) already durable)",
-            outcome.resumed_from, outcome.resumed_from
-        )?;
-    }
-    if outcome.reopens > 0 {
-        writeln!(out, "healed {} torn append(s) in-flight", outcome.reopens)?;
-    }
-    writeln!(out, "{}", outcome.report)?;
-    let ingest_hash = outcome.state.hash();
-    let replay_hash = replay.state.hash();
-    if replay_hash != ingest_hash {
-        return Err(format!(
-            "replay verification failed: the log folds to {replay_hash:#018x} \
-             but the live ingest reached {ingest_hash:#018x}"
-        )
-        .into());
-    }
-    writeln!(
-        out,
-        "state: {} thread(s), {} post(s)",
-        outcome.state.num_threads(),
-        outcome.state.num_posts()
-    )?;
-    writeln!(out, "state hash: {ingest_hash:#018x} (replay-verified)")?;
-    if collect {
-        let log = forumcast_obs::drain().ok_or("trace collector was disarmed mid-run")?;
-        if let Some(path) = &trace_path {
-            std::fs::write(path, log.to_chrome_json())
-                .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
-            writeln!(out, "trace written to {path}")?;
-        }
-        if let Some(path) = bench_json {
-            std::fs::write(path, log.to_bench_json())
-                .map_err(|e| format!("cannot write bench report to `{path}`: {e}"))?;
-            writeln!(out, "bench report written to {path}")?;
-        }
-        if metrics {
-            writeln!(out, "{}", log.summary().render())?;
-        }
-    }
-    Ok(())
-}
-
 fn abtest(scale: &str, lambda: f64, out: &mut dyn Write) -> CmdResult {
     let cfg = match scale {
         "quick" => AbTestConfig::quick(),
@@ -1177,6 +989,82 @@ mod tests {
         assert!(text.contains("not found"));
     }
 
+    /// A model whose recorded extractor settings do not reproduce its
+    /// feature width, or that records none, is refused with a typed
+    /// error instead of panicking inside the normalizer.
+    #[test]
+    fn predict_refuses_a_model_with_wrong_or_missing_settings() {
+        let data_path = tmp("settings.json");
+        let model_path = tmp("settings-model.json");
+        let (code, text) = run_cmd(Command::Generate {
+            scale: "small".into(),
+            seed: Some(3),
+            topics: Some(2),
+            threads: 0,
+            out: data_path.clone(),
+        });
+        assert_eq!(code, 0, "{text}");
+        let (code, text) = run_cmd(Command::Train {
+            data: data_path.clone(),
+            fast: true,
+            seed: None,
+            lda_sampler: LdaSampler::Dense,
+            out: model_path.clone(),
+        });
+        assert_eq!(code, 0, "{text}");
+        let json = std::fs::read_to_string(&data_path).unwrap();
+        let (clean, _) = forumcast_data::io::from_json(&json).unwrap().preprocess();
+        let pair = clean.answered_pairs()[0];
+        let predict = || {
+            run_cmd(Command::Predict {
+                data: data_path.clone(),
+                model: model_path.clone(),
+                question: pair.question.0,
+                user: pair.user.0,
+            })
+        };
+        let (code, text) = predict();
+        assert_eq!(code, 0, "{text}");
+
+        let json = std::fs::read_to_string(&model_path).unwrap();
+        let mut saved: SavedModel = serde_json::from_str(&json).unwrap();
+        assert_eq!(saved.fast, Some(true));
+        assert_eq!(saved.lda_sampler, Some(LdaSampler::Dense));
+        saved.fast = Some(false);
+        std::fs::write(&model_path, serde_json::to_string(&saved).unwrap()).unwrap();
+        let (code, text) = predict();
+        assert_eq!(code, 1, "{text}");
+        let fast_dim = forumcast_features::feature_dim(ExtractorConfig::fast().lda.num_topics);
+        let paper_dim = forumcast_features::feature_dim(ExtractorConfig::paper().lda.num_topics);
+        assert!(
+            text.contains(&format!(
+                "expects {fast_dim}-dimensional features but its recorded \
+                 extractor settings produce {paper_dim}"
+            )),
+            "{text}"
+        );
+
+        // The pre-fix layout: no recorded settings at all.
+        #[derive(serde::Serialize)]
+        struct Unversioned {
+            predictor: ResponsePredictor,
+            history_threads: usize,
+        }
+        let legacy = Unversioned {
+            predictor: saved.predictor,
+            history_threads: saved.history_threads,
+        };
+        std::fs::write(&model_path, serde_json::to_string(&legacy).unwrap()).unwrap();
+        let (code, text) = predict();
+        assert_eq!(code, 1, "{text}");
+        assert!(
+            text.contains("does not record the extractor settings"),
+            "{text}"
+        );
+        std::fs::remove_file(&data_path).unwrap();
+        std::fs::remove_file(&model_path).unwrap();
+    }
+
     #[test]
     fn ckpt_inspect_verify_repair_roundtrip() {
         use forumcast_store::{SaveOptions, StoreFile};
@@ -1239,152 +1127,6 @@ mod tests {
         assert_eq!(code, 1);
         assert!(text.contains("not a framed binary checkpoint"), "{text}");
         std::fs::remove_file(&file).unwrap();
-    }
-
-    #[test]
-    fn wal_tool_inspect_verify_repair_replay_roundtrip() {
-        use forumcast_data::{encode_event, ForumEvent};
-        let dir = tmp("wal-tool.wal");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = std::path::Path::new(&dir);
-        let cfg = forumcast_wal::WalConfig {
-            fingerprint: "cli-wal-test v1".into(),
-            segment_bytes: 128,
-            fsync: FsyncPolicy::OnRotate,
-        };
-        let events = [
-            ForumEvent::NewQuestion {
-                question: 0,
-                author: 0,
-                timestamp: 1.0,
-                text: "how do I sort a vec".into(),
-                code: String::new(),
-            },
-            ForumEvent::NewAnswer {
-                question: 0,
-                author: 1,
-                timestamp: 2.0,
-                text: "call sort()".into(),
-                code: "v.sort();".into(),
-            },
-            ForumEvent::NewVote {
-                question: 0,
-                post: 1,
-                delta: 3,
-            },
-        ];
-        let (mut wal, _) = forumcast_wal::Wal::open(path, cfg).unwrap();
-        for (i, ev) in events.iter().enumerate() {
-            wal.append(i as u64, &encode_event(ev)).unwrap();
-        }
-        wal.finish().unwrap();
-
-        let wal_cmd = |action: WalAction| Command::Wal {
-            action,
-            dir: dir.clone(),
-            threads: 1,
-        };
-        let (code, text) = run_cmd(wal_cmd(WalAction::Inspect));
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("cli-wal-test v1"), "{text}");
-        assert!(text.contains("ids 0..="), "{text}");
-
-        let (code, text) = run_cmd(wal_cmd(WalAction::Verify));
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("3 event(s)"), "{text}");
-
-        let (code, text) = run_cmd(wal_cmd(WalAction::Replay));
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("applied 3/3"), "{text}");
-        assert!(text.contains("state hash: 0x"), "{text}");
-
-        // Tear the tail of the last segment: verify must fail naming
-        // it, repair must heal, and replay then sees one fewer event.
-        let mut segs: Vec<_> = std::fs::read_dir(path)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        segs.sort();
-        let last = segs.last().unwrap();
-        let bytes = std::fs::read(last).unwrap();
-        std::fs::write(last, &bytes[..bytes.len() - 3]).unwrap();
-
-        let (code, text) = run_cmd(wal_cmd(WalAction::Verify));
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("damaged"), "{text}");
-        assert!(text.contains("wal repair"), "{text}");
-
-        let (code, text) = run_cmd(wal_cmd(WalAction::Repair));
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("repaired"), "{text}");
-        let (code, text) = run_cmd(wal_cmd(WalAction::Verify));
-        assert_eq!(code, 0, "healed log must verify clean: {text}");
-        let (code, text) = run_cmd(wal_cmd(WalAction::Replay));
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("applied 2/2"), "{text}");
-        std::fs::remove_dir_all(path).unwrap();
-    }
-
-    #[test]
-    fn ingest_is_idempotent_and_replay_verified() {
-        let dir = tmp("ingest-cli.wal");
-        let _ = std::fs::remove_dir_all(&dir);
-        let bench = tmp("ingest-cli-bench.json");
-        let cmd = |bench_json: Option<String>| Command::Ingest {
-            wal: dir.clone(),
-            scale: "small".into(),
-            seed: Some(11),
-            threads: 2,
-            fsync: FsyncPolicy::OnRotate,
-            segment_bytes: 64 * 1024,
-            faults: None,
-            trace: None,
-            metrics: false,
-            bench_json,
-        };
-        let (code, text) = run_cmd(cmd(None));
-        assert_eq!(code, 0, "{text}");
-        let hash_line = |text: &str| {
-            text.lines()
-                .find(|l| l.starts_with("state hash:"))
-                .map(str::to_owned)
-                .unwrap_or_else(|| panic!("no state hash in: {text}"))
-        };
-        let first = hash_line(&text);
-        assert!(text.contains("replay-verified"), "{text}");
-        assert!(
-            !text.contains("resumed from"),
-            "first run starts at 0: {text}"
-        );
-
-        // Re-running the same config over the same log appends
-        // nothing and lands on the identical hash.
-        let (code, text) = run_cmd(cmd(Some(bench.clone())));
-        assert_eq!(code, 0, "{text}");
-        assert_eq!(hash_line(&text), first);
-        assert!(text.contains("resumed from event id"), "{text}");
-        let report = std::fs::read_to_string(&bench).unwrap();
-        assert!(report.contains("\"ingest\""), "ingest span in bench json");
-        assert!(report.contains("ingest.replay"), "{report}");
-
-        // A different seed must be refused: the log is fingerprinted
-        // to one generator config.
-        let (code, text) = run_cmd(Command::Ingest {
-            wal: dir.clone(),
-            scale: "small".into(),
-            seed: Some(12),
-            threads: 2,
-            fsync: FsyncPolicy::OnRotate,
-            segment_bytes: 64 * 1024,
-            faults: None,
-            trace: None,
-            metrics: false,
-            bench_json: None,
-        });
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("fingerprint"), "{text}");
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_file(&bench).unwrap();
     }
 
     #[test]

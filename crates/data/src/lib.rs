@@ -43,7 +43,6 @@ pub mod calibration;
 pub mod dataset;
 pub mod days;
 pub mod error;
-pub mod event;
 pub mod io;
 pub mod post;
 pub mod quarantine;
@@ -54,12 +53,6 @@ pub use calibration::{calibrate, CalibrationCheck, CalibrationReport};
 pub use dataset::{AnsweredPair, Dataset};
 pub use days::DayPartition;
 pub use error::DataError;
-pub use event::{
-    decode_delivery, decode_event, encode_event, events_from_dataset, events_from_threads,
-    ingest_event_iter, ingest_events, replay_wal, Delivery, ForumEvent, ForumState, IngestOutcome,
-    Ingestor, PoisonReason, PoisonRecord, ReplayOutcome, ReplayReport, MAX_PENDING,
-    MAX_POISON_KEPT,
-};
 pub use post::{Post, PostBody, UserId};
 pub use quarantine::{
     import_records_lenient, import_records_lenient_with, IngestReport, LenientMode,

@@ -73,24 +73,11 @@ pub enum FaultSite {
     /// before the rename, leaving the previous checkpoint intact
     /// (unit = same save-unit as `ckpt-write`).
     FsyncFail,
-    /// Torn WAL append: the frame for one event is cut mid-payload
-    /// and the append reports failure (unit = event id). Reopening
-    /// the log must truncate the torn tail back to the valid prefix
-    /// so the append can be repeated.
-    WalTornAppend,
-    /// Duplicate delivery of one event to the WAL ingest path (unit =
-    /// event id): the event is appended and offered twice, and replay
-    /// must skip the duplicate id idempotently.
-    WalDupDeliver,
-    /// Delivery reorder at the WAL ingest path (unit = event id): the
-    /// event swaps places with its successor, and the ingestor's
-    /// bounded reorder buffer must restore id order.
-    WalReorder,
 }
 
 impl FaultSite {
     /// All sites, in spec-name order.
-    pub const ALL: [FaultSite; 11] = [
+    pub const ALL: [FaultSite; 8] = [
         FaultSite::FoldPanic,
         FaultSite::IngestIo,
         FaultSite::NanGrad,
@@ -99,15 +86,11 @@ impl FaultSite {
         FaultSite::TornWrite,
         FaultSite::BitFlip,
         FaultSite::FsyncFail,
-        FaultSite::WalTornAppend,
-        FaultSite::WalDupDeliver,
-        FaultSite::WalReorder,
     ];
 
     /// The spec name (`fold-panic`, `ingest-io`, `nan-grad`,
     /// `ckpt-write`, `alloc-pressure`, `torn-write`, `bit-flip`,
-    /// `fsync-fail`, `wal-torn-append`, `wal-dup-deliver`,
-    /// `wal-reorder`).
+    /// `fsync-fail`).
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::FoldPanic => "fold-panic",
@@ -118,9 +101,6 @@ impl FaultSite {
             FaultSite::TornWrite => "torn-write",
             FaultSite::BitFlip => "bit-flip",
             FaultSite::FsyncFail => "fsync-fail",
-            FaultSite::WalTornAppend => "wal-torn-append",
-            FaultSite::WalDupDeliver => "wal-dup-deliver",
-            FaultSite::WalReorder => "wal-reorder",
         }
     }
 
@@ -129,10 +109,10 @@ impl FaultSite {
             .into_iter()
             .find(|s| s.name() == name)
             .ok_or_else(|| {
+                let names: Vec<&str> = FaultSite::ALL.iter().map(|s| s.name()).collect();
                 FaultSpecError(format!(
-                    "unknown fault site `{name}` (expected one of: fold-panic, ingest-io, \
-                     nan-grad, ckpt-write, alloc-pressure, torn-write, bit-flip, fsync-fail, \
-                     wal-torn-append, wal-dup-deliver, wal-reorder)"
+                    "unknown fault site `{name}` (expected one of: {})",
+                    names.join(", ")
                 ))
             })
     }
@@ -365,6 +345,10 @@ mod tests {
         );
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse("  ,  ").unwrap().is_empty());
+        for site in FaultSite::ALL {
+            let plan = FaultPlan::parse(&format!("{site}:3x2")).unwrap();
+            assert_eq!(plan.shots, vec![(site, 3, 2)], "{site} must round-trip");
+        }
     }
 
     #[test]
@@ -378,6 +362,17 @@ mod tests {
         ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(err.to_string().contains(FAULTS_ENV), "{err}");
+        }
+        // An unknown site is a typed error, not a panic, and the
+        // message lists exactly the sites that exist.
+        let err = FaultPlan::parse("wal-torn-append:0").unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("unknown fault site `wal-torn-append`"),
+            "{msg}"
+        );
+        for site in FaultSite::ALL {
+            assert!(msg.contains(site.name()), "{msg} omits {site}");
         }
     }
 

@@ -83,7 +83,7 @@ pub fn with_retry<T, F: FnMut() -> T>(
     })
 }
 
-/// How many times checkpoint/WAL saves attempt a transiently failing
+/// How many times checkpoint saves attempt a transiently failing
 /// I/O operation before giving up (first try + two retries).
 pub const SAVE_ATTEMPTS: usize = 3;
 
@@ -94,7 +94,7 @@ const SAVE_BACKOFF_MS: [u64; SAVE_ATTEMPTS] = [1, 2, 4];
 
 /// Runs a fallible I/O operation up to [`SAVE_ATTEMPTS`] times with
 /// the deterministic [`SAVE_BACKOFF_MS`] schedule between failures —
-/// the containment boundary around checkpoint and WAL saves, where an
+/// the containment boundary around checkpoint saves, where an
 /// injected (or real) transient `fsync`/write failure should cost a
 /// counted retry, not the save. Each retry bumps the
 /// `ckpt.save.retries` counter and emits a `ckpt.save.retry` mark at

@@ -1,11 +1,10 @@
 //! Crash-consistent framed binary record store.
 //!
 //! The durability substrate for forumcast's checkpoint/resume stack
-//! (and, per the roadmap, the future replayable event log): a
-//! versioned file header carrying a config fingerprint, followed by
-//! length-prefixed frames that each carry a CRC32, with payloads in
-//! a postcard-style varint/little-endian codec over the serde shim's
-//! `Value` tree.
+//! and the columnar experiment spill: a versioned file header
+//! carrying a config fingerprint, followed by length-prefixed frames
+//! that each carry a CRC32, with payloads in a postcard-style
+//! varint/little-endian codec over the serde shim's `Value` tree.
 //!
 //! Guarantees:
 //!
@@ -40,175 +39,3 @@ pub use frame::{
     Corruption, FrameIssue, FrameReader, SaveOptions, Scan, StoreError, StoreFile, FORMAT_VERSION,
     MAGIC,
 };
-
-use serde::{Deserialize, Serialize};
-use std::path::Path;
-
-/// Everything that can go wrong turning a frame back into a typed
-/// record: container-level damage or a payload that fails either the
-/// codec or the type's own `from_value` validation.
-#[derive(Debug)]
-pub enum RecordError {
-    /// File/frame-level failure (I/O, magic, CRC, version).
-    Store(StoreError),
-    /// Frame payload is not a well-formed encoded value.
-    Codec {
-        /// Zero-based frame index.
-        frame: usize,
-        /// Codec failure.
-        source: CodecError,
-    },
-    /// The decoded value failed the type's `from_value` validation.
-    Decode {
-        /// Zero-based frame index.
-        frame: usize,
-        /// Validation failure message.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for RecordError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RecordError::Store(e) => e.fmt(f),
-            RecordError::Codec { frame, source } => {
-                write!(f, "frame {frame} payload malformed: {source}")
-            }
-            RecordError::Decode { frame, message } => {
-                write!(f, "frame {frame} failed validation: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RecordError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RecordError::Store(e) => Some(e),
-            RecordError::Codec { source, .. } => Some(source),
-            RecordError::Decode { .. } => None,
-        }
-    }
-}
-
-impl From<StoreError> for RecordError {
-    fn from(e: StoreError) -> Self {
-        RecordError::Store(e)
-    }
-}
-
-/// Encodes one `Serialize` record into frame-payload bytes.
-pub fn record_to_bytes<T: Serialize>(record: &T) -> Vec<u8> {
-    encode_value(&record.to_value())
-}
-
-/// Decodes frame-payload bytes back into a typed record, running the
-/// type's own `from_value` validation.
-///
-/// # Errors
-///
-/// [`RecordError::Codec`] or [`RecordError::Decode`]; `frame`
-/// contextualizes errors when decoding one of many frames.
-pub fn record_from_bytes<T: Deserialize>(bytes: &[u8], frame: usize) -> Result<T, RecordError> {
-    let value = decode_value(bytes).map_err(|source| RecordError::Codec { frame, source })?;
-    T::from_value(&value).map_err(|e| RecordError::Decode {
-        frame,
-        message: e.to_string(),
-    })
-}
-
-/// Saves `records` as one store file, one frame per record.
-///
-/// # Errors
-///
-/// [`StoreError`] from the underlying save.
-pub fn save_records<T: Serialize>(
-    path: &Path,
-    fingerprint: &str,
-    records: &[T],
-    opts: &SaveOptions,
-) -> Result<u64, StoreError> {
-    let frames = records.iter().map(record_to_bytes).collect();
-    StoreFile::new(fingerprint, frames).save(path, opts)
-}
-
-/// Loads a store file and decodes every frame of its valid prefix,
-/// returning the fingerprint alongside the records.
-///
-/// # Errors
-///
-/// [`RecordError`] on container damage or payload decode failure.
-pub fn load_records<T: Deserialize>(path: &Path) -> Result<(String, Vec<T>), RecordError> {
-    let store = StoreFile::load(path)?;
-    let mut records = Vec::with_capacity(store.frames.len());
-    for (i, frame) in store.frames.iter().enumerate() {
-        records.push(record_from_bytes(frame, i)?);
-    }
-    Ok((store.fingerprint, records))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use serde::Value;
-
-    #[derive(Debug, PartialEq)]
-    struct Rec {
-        id: u64,
-        score: f64,
-    }
-
-    impl Serialize for Rec {
-        fn to_value(&self) -> Value {
-            Value::Object(vec![
-                ("id".into(), Value::U64(self.id)),
-                ("score".into(), Value::F64(self.score)),
-            ])
-        }
-    }
-
-    impl Deserialize for Rec {
-        fn from_value(v: &Value) -> Result<Self, serde::DeError> {
-            let fields = serde::expect_object(v, "Rec")?;
-            let id = match serde::obj_get(fields, "id") {
-                Some(Value::U64(n)) => *n,
-                Some(Value::I64(n)) if *n >= 0 => *n as u64,
-                _ => return Err(serde::DeError::custom("Rec.id")),
-            };
-            let score = match serde::obj_get(fields, "score") {
-                Some(Value::F64(f)) => *f,
-                _ => return Err(serde::DeError::custom("Rec.score")),
-            };
-            Ok(Rec { id, score })
-        }
-    }
-
-    #[test]
-    fn typed_records_roundtrip_through_a_file() {
-        let dir = std::env::temp_dir().join(format!("forumcast-store-rec-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let path = dir.join("recs.ckpt");
-
-        let records = vec![
-            Rec { id: 1, score: 0.25 },
-            Rec {
-                id: 2,
-                score: -1.5e-300,
-            },
-        ];
-        save_records(&path, "rec-fp", &records, &SaveOptions::default()).expect("save");
-        let (fp, back): (String, Vec<Rec>) = load_records(&path).expect("load");
-        assert_eq!(fp, "rec-fp");
-        assert_eq!(back, records);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn validation_failure_is_a_typed_decode_error() {
-        // A frame that decodes as a Value but fails Rec::from_value.
-        let bytes = encode_value(&Value::Object(vec![("id".into(), Value::U64(1))]));
-        let err = record_from_bytes::<Rec>(&bytes, 3).expect_err("missing score");
-        assert!(matches!(err, RecordError::Decode { frame: 3, .. }), "{err}");
-    }
-}

@@ -1,11 +1,10 @@
 //! The forum simulator entry point: turns a latent population into a
 //! complete dataset. The stepwise machinery lives in
 //! [`crate::simulator`]; this module provides the one-shot
-//! [`generate`], the thread-count-invariant sharded
-//! [`generate_with_threads`], and the shard-by-shard streaming
-//! [`event_stream`] / [`ShardedEventStream`].
+//! [`generate`] and the thread-count-invariant sharded
+//! [`generate_with_threads`].
 
-use forumcast_data::{events_from_threads, Dataset, ForumEvent, Thread};
+use forumcast_data::{Dataset, Thread};
 
 use crate::config::SynthConfig;
 #[cfg(test)]
@@ -70,84 +69,6 @@ pub fn generate_with_threads(config: &SynthConfig, threads: usize) -> Dataset {
     Dataset::new(config.num_users, all).expect("generator invariants hold")
 }
 
-/// Generates the synthetic forum as a deterministic *event stream*:
-/// each shard's threads flattened into (timestamp, kind, question,
-/// post)-ordered [`ForumEvent`]s, shards concatenated in order (event
-/// id = stream index). Threads never span shards, so replaying the
-/// stream rebuilds exactly the [`generate`] dataset. The canonical
-/// producer input for WAL ingestion — `forumcast ingest --wal`
-/// appends exactly this stream, so any two runs with the same config
-/// fold to the same state hash.
-///
-/// Materializes the full stream; at scale, iterate a
-/// [`ShardedEventStream`] instead (same events, same order, one batch
-/// of shards resident at a time).
-pub fn event_stream(config: &SynthConfig) -> Vec<ForumEvent> {
-    ShardedEventStream::new(config, 0).collect()
-}
-
-/// Streaming variant of [`event_stream`]: yields the same events in
-/// the same order, but generates shard-by-shard — one batch of shards
-/// (≤ thread count) is resident at a time, never the whole `Dataset`.
-/// Feeds `forumcast ingest --wal` at scales where the materialized
-/// forum would not fit in memory.
-pub struct ShardedEventStream {
-    sim: ForumSimulator,
-    shards: Vec<(usize, usize)>,
-    next_shard: usize,
-    max_threads: usize,
-    buf: std::vec::IntoIter<ForumEvent>,
-}
-
-impl ShardedEventStream {
-    /// A stream over `config`'s forum, generating with up to
-    /// `threads` workers per batch (0 = auto).
-    pub fn new(config: &SynthConfig, threads: usize) -> Self {
-        ShardedEventStream {
-            sim: ForumSimulator::new(config),
-            shards: shard_ranges(config.num_questions),
-            next_shard: 0,
-            max_threads: forumcast_par::resolve_threads(threads),
-            buf: Vec::new().into_iter(),
-        }
-    }
-
-    fn refill(&mut self) -> bool {
-        if self.next_shard >= self.shards.len() {
-            return false;
-        }
-        let end = (self.next_shard + self.max_threads.max(1)).min(self.shards.len());
-        let batch = &self.shards[self.next_shard..end];
-        self.next_shard = end;
-        let per_shard: Vec<Vec<ForumEvent>> =
-            forumcast_par::parallel_map(batch, self.max_threads, |&(start, end)| {
-                let threads = run_shard(&self.sim, start, end);
-                events_from_threads(&threads)
-            });
-        let mut events = Vec::new();
-        for shard in per_shard {
-            events.extend(shard);
-        }
-        self.buf = events.into_iter();
-        true
-    }
-}
-
-impl Iterator for ShardedEventStream {
-    type Item = ForumEvent;
-
-    fn next(&mut self) -> Option<ForumEvent> {
-        loop {
-            if let Some(ev) = self.buf.next() {
-                return Some(ev);
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,36 +118,6 @@ mod tests {
                 "question {} changed when the forum grew",
                 t.id.0
             );
-        }
-    }
-
-    #[test]
-    fn event_stream_is_deterministic_and_rebuilds_the_dataset() {
-        let cfg = SynthConfig::small().with_seed(42);
-        let a = event_stream(&cfg);
-        let b = event_stream(&cfg);
-        assert_eq!(a, b);
-        let mut ing = forumcast_data::Ingestor::new();
-        for (i, ev) in a.iter().enumerate() {
-            ing.offer_event(i as u64, ev.clone());
-        }
-        let report = ing.finish();
-        assert_eq!(report.poison_total(), 0, "synth events are all valid");
-        assert_eq!(report.applied, a.len() as u64);
-        assert_eq!(
-            ing.state().to_dataset().threads(),
-            small_dataset().threads(),
-            "replaying the stream rebuilds the generated forum"
-        );
-    }
-
-    #[test]
-    fn streamed_events_match_materialized_stream_at_any_thread_count() {
-        let cfg = SynthConfig::small().with_seed(13);
-        let all = event_stream(&cfg);
-        for threads in [1usize, 2, 7] {
-            let streamed: Vec<_> = ShardedEventStream::new(&cfg, threads).collect();
-            assert_eq!(all, streamed, "stream diverged at {threads} threads");
         }
     }
 

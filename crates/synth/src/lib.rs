@@ -45,6 +45,6 @@ pub mod simulator;
 pub mod text;
 
 pub use config::{SynthConfig, TimingNoise};
-pub use generator::{event_stream, generate, generate_with_threads, ShardedEventStream};
+pub use generator::{generate, generate_with_threads};
 pub use population::{Population, UserProfile};
 pub use simulator::{derive_question_seed, ForumSimulator, QuestionEvent, SHARD_SIZE};
