@@ -331,6 +331,9 @@ fn train(
     path: &str,
     out: &mut dyn Write,
 ) -> CmdResult {
+    // Training uses `FORUMCAST_THREADS` workers, else every core; the
+    // model is bitwise identical at any count.
+    forumcast_ml::set_train_threads(0);
     let dataset = load_dataset(data)?;
     let (clean, _) = dataset.preprocess();
     let ex_cfg = extractor_config(fast, lda_sampler);

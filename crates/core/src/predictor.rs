@@ -231,6 +231,22 @@ impl ResponsePredictor {
         snapshot_every: usize,
         save: &mut dyn FnMut(&TrainProgress),
     ) -> Self {
+        let workers = crate::timing::training_workers();
+        Self::train_with_workers(ts, config, resume, snapshot_every, save, workers)
+    }
+
+    /// [`train_resumable`](Self::train_resumable) with the timing
+    /// stage on an explicit number of training workers (see
+    /// [`TimingPredictor::train`]). The model is bit-identical at any
+    /// count.
+    pub(crate) fn train_with_workers(
+        ts: &TrainingSet,
+        config: &TrainConfig,
+        resume: Option<&TrainProgress>,
+        snapshot_every: usize,
+        save: &mut dyn FnMut(&TrainProgress),
+        timing_workers: usize,
+    ) -> Self {
         assert!(
             !ts.answer_xs.is_empty() && !ts.vote_xs.is_empty() && !ts.timing_threads.is_empty(),
             "all three tasks need training data"
@@ -318,7 +334,8 @@ impl ResponsePredictor {
                 population: t.population,
             })
             .collect();
-        let timing = TimingPredictor::train(&timing_threads, &config.timing);
+        let timing =
+            TimingPredictor::train_with_workers(&timing_threads, &config.timing, timing_workers);
 
         ResponsePredictor {
             signed_log: config.signed_log,
@@ -427,6 +444,51 @@ mod tests {
         assert!((0.0..=1.0).contains(&a));
         assert!(v.is_finite());
         assert!(r > 0.0);
+    }
+
+    fn train_on(ts: &TrainingSet, workers: usize) -> ResponsePredictor {
+        ResponsePredictor::train_with_workers(
+            ts,
+            &TrainConfig::fast(),
+            None,
+            0,
+            &mut |_| {},
+            workers,
+        )
+    }
+
+    #[test]
+    fn two_timing_workers_train_a_bit_identical_model() {
+        let ts = training_set();
+        assert_eq!(
+            serde_json::to_string(&train_on(&ts, 1)).unwrap(),
+            serde_json::to_string(&train_on(&ts, 2)).unwrap()
+        );
+    }
+
+    #[test]
+    fn two_timing_workers_emit_the_same_obs_log() {
+        let ts = training_set();
+        const ROOT: &str = "test.timing_workers";
+        let log = |workers: usize| {
+            let _armed = forumcast_obs::arm();
+            {
+                let _root = forumcast_obs::span(ROOT);
+                train_on(&ts, workers);
+            }
+            // Other tests in this binary may train while the collector
+            // is armed; keep the events recorded under this test's root.
+            let lines = forumcast_obs::drain().expect("armed").canonical_lines();
+            let ours = |l: &String| l.split(' ').nth(1).is_some_and(|p| p.starts_with(ROOT));
+            lines.into_iter().filter(ours).collect::<Vec<_>>()
+        };
+        let serial = log(1);
+        let calibrate = format!("span {ROOT}/ml.timing.train/ml.timing.calibrate ");
+        assert!(
+            serial.iter().any(|l| l.starts_with(&calibrate)),
+            "{serial:?}"
+        );
+        assert_eq!(serial, log(2));
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! likelihoods. Gradients flow through [`forumcast_ml::Mlp::backward`]
 //! exactly as TensorFlow's autodiff does for the paper's authors.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -209,11 +211,27 @@ pub struct TimingPredictor {
 impl TimingPredictor {
     /// Trains the model on thread observations.
     ///
+    /// With a learned decay network and two training workers free
+    /// ([`forumcast_ml::train_threads`] ≥ 2, called outside a
+    /// `forumcast-par` worker), the μ and ω networks train on two
+    /// threads in lockstep. The model is bit-identical either way.
+    ///
     /// # Panics
     ///
     /// Panics when `threads` contains no answers at all, or when
     /// feature dimensions are inconsistent.
     pub fn train(threads: &[ThreadObservation], config: &TimingConfig) -> Self {
+        Self::train_with_workers(threads, config, training_workers())
+    }
+
+    /// [`train`](Self::train) on an explicit number of training
+    /// workers: two or more run the μ and ω networks side by side,
+    /// one runs both on the caller.
+    pub(crate) fn train_with_workers(
+        threads: &[ThreadObservation],
+        config: &TimingConfig,
+        workers: usize,
+    ) -> Self {
         let _span = forumcast_obs::span("ml.timing.train");
         let dim = threads
             .iter()
@@ -244,9 +262,9 @@ impl TimingPredictor {
             prev = h;
         }
         f_specs.push(LayerSpec::new(prev, 1, config.output_activation));
-        let mut excitation = Mlp::new(&f_specs, &mut rng);
+        let excitation = Mlp::new(&f_specs, &mut rng);
 
-        let (mut decay_net, constant_decay) = match &config.decay {
+        let (decay_net, constant_decay) = match &config.decay {
             DecayMode::Constant(c) => {
                 assert!(*c > 0.0, "constant decay must be positive");
                 (None, *c)
@@ -263,55 +281,26 @@ impl TimingPredictor {
             }
         };
 
-        let mut opt_f = Adam::new(config.learning_rate);
-        let mut opt_g = Adam::new(config.learning_rate);
-        let mut order: Vec<usize> = (0..threads.len()).collect();
-        let mut grads_f = vec![0.0; excitation.num_params()];
-        let mut grads_g = decay_net
-            .as_ref()
-            .map(|g| vec![0.0; g.num_params()])
-            .unwrap_or_default();
-        // One scratch per network, reused across every observation and
-        // epoch — the hot loop performs no allocations.
-        let mut scratch_f = MlpScratch::new();
-        let mut scratch_g = MlpScratch::new();
-
-        for _epoch in 0..config.epochs {
-            order.shuffle(&mut rng);
-            for &ti in &order {
-                let t = &threads[ti];
-                if t.answers.is_empty() {
-                    continue;
-                }
-                grads_f.iter_mut().for_each(|v| *v = 0.0);
-                grads_g.iter_mut().for_each(|v| *v = 0.0);
-                accumulate_thread_grads(
-                    t,
-                    &excitation,
-                    decay_net.as_ref(),
-                    constant_decay,
-                    config.max_survival_weight,
-                    &mut scratch_f,
-                    &mut scratch_g,
-                    &mut grads_f,
-                    &mut grads_g,
-                );
-                opt_f.step(excitation.params_mut(), &grads_f);
-                if let Some(g) = decay_net.as_mut() {
-                    opt_g.step(g.params_mut(), &grads_g);
-                }
-            }
-        }
+        let epochs = EpochLoop {
+            threads,
+            epochs: config.epochs,
+            constant_decay,
+            max_survival_weight: config.max_survival_weight,
+        };
+        let mut f = NetHalf::new(Net::Excitation, excitation, config.learning_rate);
+        let g = decay_net.map(|g| NetHalf::new(Net::Decay, g, config.learning_rate));
+        let g = epochs.run(&mut f, g, &mut rng, workers);
 
         let mut model = TimingPredictor {
-            excitation,
-            decay_net,
+            excitation: f.net,
+            decay_net: g.map(|g| g.net),
             constant_decay,
             prediction: config.prediction,
             max_survival_weight: config.max_survival_weight,
             calibration: None,
         };
         if config.calibrate {
+            let _span = forumcast_obs::span("ml.timing.calibrate");
             let mut raw = Vec::new();
             let mut observed = Vec::new();
             for t in threads {
@@ -455,8 +444,13 @@ impl IsotonicMap {
         Some(IsotonicMap { xs, ys })
     }
 
-    /// Evaluates the map with interpolation and boundary clamping.
+    /// Evaluates the map with interpolation and boundary clamping. A
+    /// NaN input (e.g. a raw expectation over a non-finite window)
+    /// maps to NaN.
     fn apply(&self, x: f64) -> f64 {
+        if x.is_nan() {
+            return f64::NAN;
+        }
         if x <= self.xs[0] {
             return self.ys[0];
         }
@@ -516,63 +510,327 @@ fn first_event_expectation(mu: f64, omega: f64, window: f64) -> f64 {
     (sum * step / 3.0) / mass
 }
 
-/// Accumulates ∂(−L_q)/∂Θ for one thread into `grads_f` / `grads_g`,
-/// running every forward/backward pass through the caller's pooled
-/// scratches (no per-observation allocation).
-#[allow(clippy::too_many_arguments)] // the two nets each carry grads plus scratch
-fn accumulate_thread_grads(
-    t: &ThreadObservation,
-    f: &Mlp,
-    g: Option<&Mlp>,
+/// Training workers free for one [`TimingPredictor::train`] call: the
+/// global training-thread count, or 1 inside a `forumcast-par` worker,
+/// whose parallel section (e.g. cross-validation folds) already fills
+/// the cores.
+pub(crate) fn training_workers() -> usize {
+    if forumcast_par::in_worker() {
+        1
+    } else {
+        forumcast_ml::train_threads()
+    }
+}
+
+/// `∂(−L_q)/∂μ_raw` of one likelihood row: the upstream gradient of
+/// f's output. `event` is the row's response time for an answer and
+/// `None` for a sampled non-answerer, whose survival term carries
+/// `weight`.
+fn mu_upstream(mu_raw: f64, omega: f64, window: f64, event: Option<f64>, weight: f64) -> f64 {
+    let mu = mu_raw.max(MU_FLOOR);
+    let exd = (-omega * window).exp();
+    // Survival term S = μ(1 − e^{−ωΔ})/ω appears for every user.
+    let ds_dmu = (1.0 - exd) / omega;
+    // Gradient of L (to be maximized).
+    let mut dl_dmu = -weight * ds_dmu;
+    if event.is_some() {
+        dl_dmu += 1.0 / mu;
+    }
+    // Clamped region passes no gradient.
+    if mu_raw < MU_FLOOR {
+        dl_dmu = 0.0;
+    }
+    // Minimize −L → upstream gradient is −dL.
+    -dl_dmu
+}
+
+/// `∂(−L_q)/∂ω` of one likelihood row: the upstream gradient of g's
+/// output, for a row whose raw ω is at or above [`OMEGA_FLOOR`].
+fn omega_upstream(mu_raw: f64, omega: f64, window: f64, event: Option<f64>, weight: f64) -> f64 {
+    let mu = mu_raw.max(MU_FLOOR);
+    let exd = (-omega * window).exp();
+    let ds_domega = mu * (window * exd / omega - (1.0 - exd) / (omega * omega));
+    let mut dl_domega = -weight * ds_domega;
+    if let Some(r) = event {
+        dl_domega -= r;
+    }
+    -dl_domega
+}
+
+/// Which network a [`NetHalf`] trains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Net {
+    /// f, the excitation μ.
+    Excitation,
+    /// g, the learned decay ω.
+    Decay,
+}
+
+/// One network's training state: the net, its optimizer, its gradient
+/// buffer, and one scratch per row of a thread, since the backward
+/// half needs every row's forward pass. μ and ω share no
+/// floating-point state inside a thread step, so each half runs the
+/// same operations in the same order whichever thread runs it.
+struct NetHalf {
+    kind: Net,
+    net: Mlp,
+    opt: Adam,
+    grads: Vec<f64>,
+    scratches: Vec<MlpScratch>,
+}
+
+impl NetHalf {
+    fn new(kind: Net, net: Mlp, learning_rate: f64) -> Self {
+        NetHalf {
+            kind,
+            grads: vec![0.0; net.num_params()],
+            opt: Adam::new(learning_rate),
+            net,
+            scratches: Vec::new(),
+        }
+    }
+
+    /// Forward half of a thread step: the net's raw output for every
+    /// row into `raw`, answers first, then non-answerers.
+    fn forward(&mut self, t: &ThreadObservation, raw: &mut Vec<f64>) {
+        let rows = t.answers.len() + t.non_answerers.len();
+        if self.scratches.len() < rows {
+            self.scratches.resize_with(rows, MlpScratch::new);
+        }
+        raw.clear();
+        let xs = t.answers.iter().map(|(x, _)| x).chain(&t.non_answerers);
+        for (x, scratch) in xs.zip(&mut self.scratches) {
+            raw.push(self.net.forward_scratch(x, scratch)[0]);
+        }
+    }
+
+    /// Backward half of a thread step: backpropagates each row's share
+    /// of `∂(−L_q)` in row order, then takes one Adam step. `mu_raw`
+    /// and `omega_raw` are both nets' forward outputs for the thread;
+    /// `omega_raw` is `None` under a constant decay.
+    fn backward_step(
+        &mut self,
+        epochs: &EpochLoop,
+        t: &ThreadObservation,
+        mu_raw: &[f64],
+        omega_raw: Option<&[f64]>,
+    ) {
+        self.grads.fill(0.0);
+        let w_non = t.survival_weight().min(epochs.max_survival_weight);
+        let rows = t.answers.iter().map(|&(_, r)| (Some(r), 1.0));
+        let rows = rows.chain(t.non_answerers.iter().map(|_| (None, w_non)));
+        for (i, (event, weight)) in rows.enumerate() {
+            let omega = omega_raw.map_or(epochs.constant_decay, |raw| raw[i].max(OMEGA_FLOOR));
+            let upstream = match self.kind {
+                Net::Excitation => Some(mu_upstream(mu_raw[i], omega, t.window, event, weight)),
+                // The clamped region passes no gradient; a NaN raw ω
+                // fails the test and passes none either.
+                Net::Decay => omega_raw
+                    .filter(|raw| raw[i] >= OMEGA_FLOOR)
+                    .map(|_| omega_upstream(mu_raw[i], omega, t.window, event, weight)),
+            };
+            if let Some(upstream) = upstream {
+                self.net
+                    .backward_scratch(&mut self.scratches[i], &[upstream], &mut self.grads);
+            }
+        }
+        self.opt.step(self.net.params_mut(), &self.grads);
+    }
+}
+
+/// The epoch loop of [`TimingPredictor::train`]: one Adam step per
+/// answered thread, in an order reshuffled every epoch.
+struct EpochLoop<'a> {
+    threads: &'a [ThreadObservation],
+    epochs: usize,
     constant_decay: f64,
     max_survival_weight: f64,
-    scratch_f: &mut MlpScratch,
-    scratch_g: &mut MlpScratch,
-    grads_f: &mut [f64],
-    grads_g: &mut [f64],
-) {
-    let w_non = t.survival_weight().min(max_survival_weight);
-    let window = t.window;
+}
 
-    let mut handle = |x: &Vec<f64>, event: Option<f64>, weight: f64| {
-        let mu_raw = f.forward_scratch(x, scratch_f)[0];
-        let mu = mu_raw.max(MU_FLOOR);
-        let (omega, omega_raw) = match g {
-            Some(gn) => {
-                let raw = gn.forward_scratch(x, scratch_g)[0];
-                (raw.max(OMEGA_FLOOR), Some(raw))
-            }
-            None => (constant_decay, None),
-        };
-        let exd = (-omega * window).exp();
-        // Survival term S = μ(1 − e^{−ωΔ})/ω appears for every user.
-        let ds_dmu = (1.0 - exd) / omega;
-        let ds_domega = mu * (window * exd / omega - (1.0 - exd) / (omega * omega));
-        // Gradient of L (to be maximized).
-        let mut dl_dmu = -weight * ds_dmu;
-        let mut dl_domega = -weight * ds_domega;
-        if let Some(r) = event {
-            dl_dmu += 1.0 / mu;
-            dl_domega -= r;
-        }
-        // Clamped region passes no gradient.
-        if mu_raw < MU_FLOOR {
-            dl_dmu = 0.0;
-        }
-        // Minimize −L → upstream gradient is −dL.
-        f.backward_scratch(scratch_f, &[-dl_dmu], grads_f);
-        if let (Some(gn), Some(raw)) = (g, omega_raw) {
-            if raw >= OMEGA_FLOOR {
-                gn.backward_scratch(scratch_g, &[-dl_domega], grads_g);
+impl EpochLoop<'_> {
+    /// Calls `step` on every answered thread, each epoch in a fresh
+    /// shuffle drawn from `rng`. Stops early when `step` returns false.
+    fn walk(&self, rng: &mut StdRng, mut step: impl FnMut(&ThreadObservation) -> bool) {
+        let mut order: Vec<usize> = (0..self.threads.len()).collect();
+        for _ in 0..self.epochs {
+            order.shuffle(rng);
+            for &ti in &order {
+                let t = &self.threads[ti];
+                if !t.answers.is_empty() && !step(t) {
+                    return;
+                }
             }
         }
-    };
-
-    for (x, r) in &t.answers {
-        handle(x, Some(*r), 1.0);
     }
-    for x in &t.non_answerers {
-        handle(x, None, w_non);
+
+    /// Trains f, and g when the decay is learned, returning g: in
+    /// lockstep when g exists and `workers >= 2`, else serially.
+    fn run(
+        &self,
+        f: &mut NetHalf,
+        g: Option<NetHalf>,
+        rng: &mut StdRng,
+        workers: usize,
+    ) -> Option<NetHalf> {
+        match g {
+            Some(g) if workers >= 2 => Some(self.run_lockstep(f, g, rng)),
+            mut g => {
+                self.run_serial(f, g.as_mut(), rng);
+                g
+            }
+        }
+    }
+
+    /// Both halves of every step on the caller, one after the other.
+    fn run_serial(&self, f: &mut NetHalf, mut g: Option<&mut NetHalf>, rng: &mut StdRng) {
+        let (mut mu_raw, mut omega_raw) = (Vec::new(), Vec::new());
+        self.walk(rng, |t| {
+            f.forward(t, &mut mu_raw);
+            if let Some(g) = g.as_deref_mut() {
+                g.forward(t, &mut omega_raw);
+            }
+            let omega = g.is_some().then_some(omega_raw.as_slice());
+            f.backward_step(self, t, &mu_raw, omega);
+            if let Some(g) = g.as_deref_mut() {
+                g.backward_step(self, t, &mu_raw, omega);
+            }
+            true
+        });
+    }
+
+    /// f's halves on the caller and g's on a helper thread, in
+    /// lockstep. Both walk identical clones of `rng`, so they visit
+    /// the same threads in the same order. Returns the trained g.
+    /// A panic on either side aborts the other and reaches the caller.
+    fn run_lockstep(&self, f: &mut NetHalf, mut g: NetHalf, rng: &mut StdRng) -> NetHalf {
+        let rows = self
+            .threads
+            .iter()
+            .map(|t| t.answers.len() + t.non_answerers.len())
+            .max()
+            .unwrap_or(0);
+        let (lane_f, lane_g) = (Lane::new(rows), Lane::new(rows));
+        let abort = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let mut helper_rng = rng.clone();
+            let (lane_f, lane_g, abort) = (&lane_f, &lane_g, &abort);
+            let helper = s.spawn(move || {
+                self.run_lane(&mut g, &mut helper_rng, lane_g, lane_f, abort);
+                g
+            });
+            // The caller's lane stops early only when the helper
+            // panicked, and joining resumes that panic here.
+            self.run_lane(f, rng, lane_f, lane_g, abort);
+            helper
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        })
+    }
+
+    /// One net's side of the lockstep schedule. Per step it publishes
+    /// its raw outputs into `mine`, waits once for the partner's step
+    /// counter, reads the partner's outputs and runs its backward
+    /// half. Stops early when the partner aborted.
+    fn run_lane(
+        &self,
+        me: &mut NetHalf,
+        rng: &mut StdRng,
+        mine: &Lane,
+        theirs: &Lane,
+        abort: &AtomicBool,
+    ) {
+        let _abort_on_panic = AbortOnPanic(abort);
+        let (mut own, mut partner) = (Vec::new(), Vec::new());
+        let mut steps = 0;
+        self.walk(rng, |t| {
+            me.forward(t, &mut own);
+            // Step `steps` uses buffer `steps % 2`. Writing it again at
+            // step `steps + 2` waits for the partner to publish step
+            // `steps + 1`, which it does only after reading this one.
+            let parity = steps % 2;
+            mine.publish(parity, &own);
+            steps += 1;
+            mine.step.0.store(steps, Ordering::Release);
+            if !theirs.wait_for(steps, abort) {
+                return false;
+            }
+            theirs.read(parity, own.len(), &mut partner);
+            let (mu_raw, omega_raw) = match me.kind {
+                Net::Excitation => (&own, &partner),
+                Net::Decay => (&partner, &own),
+            };
+            me.backward_step(self, t, mu_raw, Some(omega_raw));
+            true
+        });
+    }
+}
+
+/// Spin iterations before a lockstep wait starts yielding its core.
+/// A thread step takes tens of µs, so the partner usually arrives
+/// within the spin; yielding keeps an oversubscribed box moving.
+const SPINS_BEFORE_YIELD: u32 = 1 << 12;
+
+/// A step counter alone on its cache line, so publishing it does not
+/// invalidate the line the partner polls for its own counter.
+#[repr(align(128))]
+struct PaddedCounter(AtomicUsize);
+
+/// One lockstep worker's outbox: how many steps it has published, and
+/// its raw outputs double-buffered by step parity (f64 bits).
+struct Lane {
+    step: PaddedCounter,
+    raw: [Vec<AtomicU64>; 2],
+}
+
+impl Lane {
+    fn new(rows: usize) -> Self {
+        let buffer = || (0..rows).map(|_| AtomicU64::new(0)).collect();
+        Lane {
+            step: PaddedCounter(AtomicUsize::new(0)),
+            raw: [buffer(), buffer()],
+        }
+    }
+
+    fn publish(&self, parity: usize, raw: &[f64]) {
+        for (slot, v) in self.raw[parity].iter().zip(raw) {
+            slot.store(v.to_bits(), Ordering::Relaxed);
+        }
+    }
+
+    fn read(&self, parity: usize, rows: usize, out: &mut Vec<f64>) {
+        out.clear();
+        let slots = self.raw[parity][..rows].iter();
+        out.extend(slots.map(|slot| f64::from_bits(slot.load(Ordering::Relaxed))));
+    }
+
+    /// Waits until this lane has published `steps` steps. Returns
+    /// false when `abort` is raised first.
+    fn wait_for(&self, steps: usize, abort: &AtomicBool) -> bool {
+        let mut spins = 0;
+        while self.step.0.load(Ordering::Acquire) < steps {
+            if abort.load(Ordering::Relaxed) {
+                return false;
+            }
+            if spins < SPINS_BEFORE_YIELD {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        true
+    }
+}
+
+/// Raises the lockstep abort flag when its worker unwinds, so the
+/// partner's wait returns instead of spinning forever.
+struct AbortOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -813,21 +1071,22 @@ mod tests {
             };
             -model.log_likelihood(std::slice::from_ref(&t))
         };
-        let mut grads_f = vec![0.0; f.num_params()];
-        let mut grads_g = vec![0.0; g.num_params()];
-        let mut scratch_f = MlpScratch::new();
-        let mut scratch_g = MlpScratch::new();
-        accumulate_thread_grads(
-            &t,
-            &f,
-            Some(&g),
-            0.0,
-            f64::INFINITY,
-            &mut scratch_f,
-            &mut scratch_g,
-            &mut grads_f,
-            &mut grads_g,
-        );
+        // One thread step through the per-net halves; each half's
+        // gradient buffer keeps the step's gradient after its Adam step.
+        let epochs = EpochLoop {
+            threads: std::slice::from_ref(&t),
+            epochs: 1,
+            constant_decay: 0.0,
+            max_survival_weight: f64::INFINITY,
+        };
+        let mut half_f = NetHalf::new(Net::Excitation, f.clone(), 0.01);
+        let mut half_g = NetHalf::new(Net::Decay, g.clone(), 0.01);
+        let (mut mu_raw, mut omega_raw) = (Vec::new(), Vec::new());
+        half_f.forward(&t, &mut mu_raw);
+        half_g.forward(&t, &mut omega_raw);
+        half_f.backward_step(&epochs, &t, &mu_raw, Some(&omega_raw));
+        half_g.backward_step(&epochs, &t, &mu_raw, Some(&omega_raw));
+        let (grads_f, grads_g) = (half_f.grads, half_g.grads);
         let eps = 1e-6;
         for i in (0..f.num_params()).step_by(7) {
             let orig = f.params()[i];
@@ -859,6 +1118,227 @@ mod tests {
                 grads_g[i]
             );
         }
+    }
+
+    /// Trains `threads` serially and on two workers and asserts the
+    /// models serialize identically.
+    fn assert_schedules_agree(threads: &[ThreadObservation], cfg: &TimingConfig) {
+        let serial = TimingPredictor::train_with_workers(threads, cfg, 1);
+        let lockstep = TimingPredictor::train_with_workers(threads, cfg, 2);
+        assert_eq!(
+            serde_json::to_string(&serial).unwrap(),
+            serde_json::to_string(&lockstep).unwrap()
+        );
+    }
+
+    fn short() -> TimingConfig {
+        TimingConfig {
+            epochs: 6,
+            ..TimingConfig::fast()
+        }
+    }
+
+    #[test]
+    fn two_worker_schedule_is_bit_identical() {
+        let threads = synthetic_threads(40);
+        for calibrate in [false, true] {
+            let cfg = TimingConfig {
+                calibrate,
+                ..short()
+            };
+            assert_schedules_agree(&threads, &cfg);
+        }
+        let cfg = TimingConfig {
+            epochs: 0,
+            ..short()
+        };
+        assert_schedules_agree(&threads, &cfg);
+    }
+
+    #[test]
+    fn two_worker_schedule_matches_on_ragged_threads() {
+        // Empty samples, unanswered threads and threads of differing
+        // row counts in one training set.
+        let threads: Vec<ThreadObservation> = synthetic_threads(30)
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut t)| {
+                match i % 4 {
+                    0 => t.non_answerers.clear(),
+                    1 => t.answers.clear(),
+                    2 => t.answers.push((vec![0.3, -0.7], 4.0)),
+                    _ => t.non_answerers.push(vec![0.9, 0.9]),
+                }
+                t
+            })
+            .collect();
+        assert_schedules_agree(&threads, &short());
+        let unsampled: Vec<ThreadObservation> = synthetic_threads(20)
+            .into_iter()
+            .map(|t| ThreadObservation {
+                non_answerers: vec![],
+                ..t
+            })
+            .collect();
+        assert_schedules_agree(&unsampled, &short());
+    }
+
+    /// A 2-input net with the given output bias.
+    fn biased_net(hidden: usize, bias: f64, seed: u64) -> Mlp {
+        let mut net = Mlp::new(
+            &[
+                LayerSpec::new(2, hidden, Activation::Tanh),
+                LayerSpec::new(hidden, 1, Activation::Softplus),
+            ],
+            &mut StdRng::seed_from_u64(seed),
+        );
+        *net.params_mut().last_mut().expect("output bias") = bias;
+        net
+    }
+
+    #[test]
+    fn two_worker_schedule_matches_through_both_clamps() {
+        // Output biases far below zero put softplus under MU_FLOOR and
+        // OMEGA_FLOOR for some rows and not others.
+        let threads: Vec<ThreadObservation> = (0..24)
+            .map(|i| {
+                let a = (i as f64 * 0.7).sin() * 3.0;
+                ThreadObservation {
+                    answers: vec![(vec![a, -a], 1.0 + i as f64)],
+                    non_answerers: vec![vec![-a, 0.5 * a], vec![0.2 * a, a]],
+                    window: 50.0,
+                    population: 40,
+                }
+            })
+            .collect();
+        let (f, g) = (biased_net(6, -19.0, 1), biased_net(4, -9.2, 2));
+        let rows: Vec<&Vec<f64>> = threads
+            .iter()
+            .flat_map(|t| t.answers.iter().map(|(x, _)| x).chain(&t.non_answerers))
+            .collect();
+        let clamps = |net: &Mlp, floor: f64| {
+            let below = rows.iter().filter(|x| net.forward(x)[0] < floor).count();
+            (below, rows.len() - below)
+        };
+        let (mu_low, mu_high) = clamps(&f, MU_FLOOR);
+        let (omega_low, omega_high) = clamps(&g, OMEGA_FLOOR);
+        assert!(mu_low > 0 && mu_high > 0, "μ rows {mu_low}/{mu_high}");
+        assert!(
+            omega_low > 0 && omega_high > 0,
+            "ω rows {omega_low}/{omega_high}"
+        );
+        let epochs = EpochLoop {
+            threads: &threads,
+            epochs: 5,
+            constant_decay: 0.0,
+            max_survival_weight: 25.0,
+        };
+        let train = |workers: usize| {
+            let mut half_f = NetHalf::new(Net::Excitation, f.clone(), 0.01);
+            let half_g = NetHalf::new(Net::Decay, g.clone(), 0.01);
+            let mut rng = StdRng::seed_from_u64(5);
+            let half_g = epochs.run(&mut half_f, Some(half_g), &mut rng, workers);
+            let json = |net: &Mlp| serde_json::to_string(net).unwrap();
+            (json(&half_f.net), json(&half_g.expect("learned decay").net))
+        };
+        assert_eq!(train(1), train(2));
+    }
+
+    #[test]
+    fn constant_decay_trains_serially_at_any_worker_count() {
+        let cfg = TimingConfig {
+            epochs: 4,
+            ..TimingConfig::constant_decay(0.25)
+        };
+        assert_schedules_agree(&synthetic_threads(20), &cfg);
+    }
+
+    /// Runs `train` on its own thread and returns its panic message,
+    /// failing the test if it neither panics nor returns in time.
+    fn panic_message_within_timeout(train: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(train));
+            let message = result.err().map(|panic| {
+                panic
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            });
+            tx.send(message).ok();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .expect("training hung")
+            .expect("training did not panic")
+    }
+
+    #[test]
+    fn wrong_width_row_panics_under_two_workers() {
+        let mut threads = synthetic_threads(12);
+        threads[5].non_answerers.push(vec![0.0; 3]);
+        let message = panic_message_within_timeout(move || {
+            TimingPredictor::train_with_workers(&threads, &short(), 2);
+        });
+        assert!(message.contains("input dimension mismatch"), "{message}");
+    }
+
+    #[test]
+    fn a_panic_on_one_worker_aborts_its_partner() {
+        // Only one net has the wrong input width, so only one side
+        // panics; the other must leave its wait, and the panic must
+        // reach the caller.
+        for wrong in [Net::Excitation, Net::Decay] {
+            let message = panic_message_within_timeout(move || {
+                let threads = synthetic_threads(8);
+                let net = |kind: Net, inputs: usize| {
+                    let net = Mlp::new(
+                        &[LayerSpec::new(inputs, 1, Activation::Softplus)],
+                        &mut StdRng::seed_from_u64(1),
+                    );
+                    NetHalf::new(kind, net, 0.01)
+                };
+                let width = |kind: Net| if kind == wrong { 3 } else { 2 };
+                let mut f = net(Net::Excitation, width(Net::Excitation));
+                let g = net(Net::Decay, width(Net::Decay));
+                let epochs = EpochLoop {
+                    threads: &threads,
+                    epochs: 2,
+                    constant_decay: 0.0,
+                    max_survival_weight: 25.0,
+                };
+                epochs.run(&mut f, Some(g), &mut StdRng::seed_from_u64(0), 2);
+            });
+            assert!(
+                message.contains("input dimension mismatch"),
+                "{wrong:?}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn lockstep_wait_returns_on_abort() {
+        let lane = Lane::new(1);
+        let abort = AtomicBool::new(true);
+        assert!(!lane.wait_for(1, &abort));
+        lane.step.0.store(1, Ordering::Release);
+        assert!(lane.wait_for(1, &abort));
+    }
+
+    #[test]
+    fn calibrated_prediction_survives_non_finite_windows() {
+        let threads = synthetic_threads(40);
+        let model = TimingPredictor::train(&threads, &short());
+        let map = model.calibration.as_ref().expect("calibrated");
+        assert!(map.apply(f64::NAN).is_nan());
+        assert_eq!(map.apply(f64::INFINITY), *map.ys.last().unwrap());
+        assert_eq!(map.apply(f64::NEG_INFINITY), map.ys[0]);
+        let (lo, hi) = (map.ys[0], *map.ys.last().unwrap());
+        for window in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let r = model.predict(&[1.0, 0.2], window);
+            assert!(r.is_nan() || (lo..=hi).contains(&r), "window {window}: {r}");
+        }
+        assert!(model.predict(&[1.0, 0.2], f64::NAN).is_nan());
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! APIs take the count as an explicit argument so tests can pin it;
 //! entry points resolve it once via [`resolve_threads`].
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Environment variable overriding the default worker-thread count.
@@ -64,6 +65,24 @@ pub fn default_threads(cap: usize) -> usize {
     }
 }
 
+thread_local! {
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// True on a [`parallel_map`] / [`parallel_try_map`] worker thread,
+/// false on the caller (including its single-thread inline fallback).
+/// Code that could fan out on its own checks this to stay serial
+/// when an enclosing parallel section already fills the cores.
+pub fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
+/// Marks the current thread as a worker. Each worker is a scoped
+/// thread that exits with its closure, so the flag needs no reset.
+fn mark_worker() {
+    IN_WORKER.with(|w| w.set(true));
+}
+
 /// Runs `f` over `items` on up to `max_threads` scoped worker
 /// threads, returning results in input order. Work is claimed item
 /// by item from a shared counter, so uneven item costs balance
@@ -101,6 +120,7 @@ where
                 // item), and the shard returns to the pool when the
                 // scope ends instead of at thread exit.
                 let _obs = forumcast_obs::worker_shard();
+                mark_worker();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= items.len() {
@@ -151,6 +171,7 @@ where
         for _ in 0..threads {
             scope.spawn(|_| {
                 let _obs = forumcast_obs::worker_shard();
+                mark_worker();
                 loop {
                     if stop.load(Ordering::Relaxed) {
                         break;
@@ -263,6 +284,20 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         });
         assert!(ids.lock().unwrap().len() > 1);
+    }
+
+    #[test]
+    fn in_worker_is_set_inside_workers_only() {
+        assert!(!in_worker());
+        let items: Vec<usize> = (0..8).collect();
+        assert!(parallel_map(&items, 2, |_| in_worker())
+            .into_iter()
+            .all(|w| w));
+        let flags: Result<Vec<bool>, ()> = parallel_try_map(&items, 2, |_| Ok(in_worker()));
+        assert!(flags.unwrap().into_iter().all(|w| w));
+        // The inline fallback runs on the caller, which is no worker.
+        assert_eq!(parallel_map(&items, 1, |_| in_worker()), vec![false; 8]);
+        assert!(!in_worker());
     }
 
     #[test]

@@ -229,13 +229,21 @@ diff <(grep -v '^spilling\|^peak RSS\|^running\|^checkpointing' "$work_dir/strea
   || { echo "streamed smoke: --data-dir --resume metrics drifted from the resident golden" >&2; exit 1; }
 echo "streamed-fold: generate invariant at 2/7 threads, metrics bitwise-identical (plain and --resume), peak RSS ${rss_mb} MB < ${rss_bound_mb} MB"
 
-echo "==> model round-trip smoke (train without --fast, then predict and route)"
+echo "==> model round-trip smoke (train without --fast at 1 and 2 workers, then predict and route)"
 # `predict` and `route` refit the feature extractor with the settings
 # the model file records. The unit tests train `--fast` models only, so
 # this stage drives the default (paper-config) model through both
-# commands; any non-zero exit fails the build.
+# commands; any non-zero exit fails the build. `train` uses
+# FORUMCAST_THREADS training workers (two run the point-process μ and
+# ω networks side by side), and the model files must match byte for
+# byte.
 "$fcr" generate --scale small --seed 7 --out "$work_dir/roundtrip.json" > /dev/null
-"$fcr" train --data "$work_dir/roundtrip.json" --out "$work_dir/roundtrip.model.json" > /dev/null
+FORUMCAST_THREADS=1 "$fcr" train --data "$work_dir/roundtrip.json" \
+  --out "$work_dir/roundtrip.t1.model.json" > /dev/null
+FORUMCAST_THREADS=2 "$fcr" train --data "$work_dir/roundtrip.json" \
+  --out "$work_dir/roundtrip.model.json" > /dev/null
+cmp "$work_dir/roundtrip.t1.model.json" "$work_dir/roundtrip.model.json" \
+  || { echo "model round-trip smoke: 1-vs-2-worker model files differ" >&2; exit 1; }
 "$fcr" predict --data "$work_dir/roundtrip.json" --model "$work_dir/roundtrip.model.json" \
   --question 2 --user 5
 "$fcr" route --data "$work_dir/roundtrip.json" --model "$work_dir/roundtrip.model.json" \
