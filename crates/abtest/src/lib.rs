@@ -38,10 +38,10 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-use forumcast_core::{ResponsePredictor, TrainConfig, TrainingSet};
+use forumcast_core::{sample_training_set, ResponsePredictor, TrainConfig};
 use forumcast_data::{Dataset, Thread, UserId};
 use forumcast_features::{ExtractorConfig, FeatureExtractor};
-use forumcast_recsys::{Candidate, QuestionRouter, RouterConfig};
+use forumcast_recsys::{score_candidates, QuestionRouter, RouterConfig};
 use forumcast_synth::{ForumSimulator, QuestionEvent, SynthConfig};
 
 /// Configuration of the simulated A/B test.
@@ -67,8 +67,6 @@ pub struct AbTestConfig {
     pub acceptance_kappa: f64,
     /// Redraws before falling back to the organic answerer.
     pub max_attempts: usize,
-    /// Negative samples per thread for the timing survival term.
-    pub survival_samples: usize,
     /// RNG seed for training-side sampling.
     pub seed: u64,
 }
@@ -90,7 +88,6 @@ impl AbTestConfig {
             },
             acceptance_kappa: 0.5,
             max_attempts: 4,
-            survival_samples: 2,
             seed: 0xAB7E57,
         }
     }
@@ -223,7 +220,17 @@ pub fn run(config: &AbTestConfig) -> AbTestReport {
         "warmup produced no answered threads"
     );
     let extractor = FeatureExtractor::fit(warmup.threads(), warmup.num_users(), &config.extractor);
-    let model = train_offline(&warmup, &extractor, config);
+    // Offline training: all answers as positives, two random
+    // non-answerers per thread as negative/survival samples.
+    let ts = sample_training_set(
+        warmup.threads(),
+        &extractor,
+        warmup.num_users(),
+        warmup.horizon(),
+        |_| 2,
+        &mut StdRng::seed_from_u64(config.seed),
+    );
+    let model = ResponsePredictor::train(&ts, &config.train);
 
     // --- Phase 2: replay the question stream through both arms ---
     let mut router = QuestionRouter::new(config.router.clone());
@@ -294,45 +301,6 @@ pub fn run(config: &AbTestConfig) -> AbTestReport {
     }
 }
 
-/// Offline training on the warmup dataset: all answers as positives,
-/// random non-answerers as negatives/survival samples.
-fn train_offline(
-    warmup: &Dataset,
-    extractor: &FeatureExtractor,
-    config: &AbTestConfig,
-) -> ResponsePredictor {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let horizon = warmup.horizon();
-    let mut ts = TrainingSet::new(extractor.dim());
-    for thread in warmup.threads() {
-        let d_q = extractor.question_topics(thread);
-        let window = (horizon - thread.asked_at()).max(0.5);
-        let mut answers = Vec::new();
-        for a in &thread.answers {
-            let x = extractor.features(a.author, thread, &d_q);
-            ts.push_answer(x.clone(), true);
-            ts.push_vote(x.clone(), a.votes as f64);
-            answers.push((x, a.timestamp - thread.asked_at()));
-        }
-        let mut negatives = Vec::new();
-        let mut guard = 0;
-        while negatives.len() < config.survival_samples && guard < 50 {
-            guard += 1;
-            let u = UserId(rand::Rng::gen_range(&mut rng, 0..warmup.num_users()));
-            if thread.answered_by(u) || u == thread.asker() {
-                continue;
-            }
-            let x = extractor.features(u, thread, &d_q);
-            ts.push_answer(x.clone(), false);
-            negatives.push(x);
-        }
-        if !answers.is_empty() {
-            ts.push_timing_thread(answers, negatives, window, warmup.num_users() as usize);
-        }
-    }
-    ResponsePredictor::train(&ts, &config.train)
-}
-
 /// Routes one question in the treatment arm: scores every candidate,
 /// asks the router, then walks its ranking until a candidate accepts.
 #[allow(clippy::too_many_arguments)]
@@ -351,20 +319,14 @@ fn recommend_answerer(
     let pseudo_thread = Thread::new(u32::MAX, ev.question.clone(), Vec::new());
     let d_q = extractor.question_topics(&pseudo_thread);
     let window = (sim.horizon() - ev.time()).max(0.5);
-    let candidates: Vec<Candidate> = ev
-        .candidates
-        .iter()
-        .map(|&u| {
-            let x = extractor.features(UserId(u), &pseudo_thread, &d_q);
-            let (a, v, r) = model.predict(&x, window);
-            Candidate {
-                user: UserId(u),
-                answer_prob: a,
-                votes: v,
-                response_time: r,
-            }
-        })
-        .collect();
+    let candidates = score_candidates(
+        model,
+        window,
+        ev.candidates.iter().map(|&u| {
+            let u = UserId(u);
+            (u, extractor.features(u, &pseudo_thread, &d_q))
+        }),
+    );
     let rec = router.recommend(ev.time(), config.lambda, &candidates)?;
     for &user in rec.ranking().iter().take(config.max_attempts) {
         *offered += 1;

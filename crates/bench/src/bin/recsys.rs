@@ -4,10 +4,10 @@
 //! tradeoff λ and showing the load constraints in action.
 
 use forumcast_bench::{finish, header, parse_args, root_span, status};
-use forumcast_core::{ResponsePredictor, TrainingSet};
+use forumcast_core::{ResponsePredictor, TrainingRows};
 use forumcast_data::UserId;
 use forumcast_eval::ExperimentData;
-use forumcast_recsys::{Candidate, QuestionRouter, RouterConfig};
+use forumcast_recsys::{score_candidates, Candidate, QuestionRouter, RouterConfig};
 
 fn main() {
     let opts = parse_args();
@@ -19,35 +19,17 @@ fn main() {
 
     // Train on the earlier 80% of target questions.
     let cut = (data.num_targets as f64 * 0.8) as usize;
-    let mut ts = TrainingSet::new(data.dim);
-    let mut pos_by_target = vec![Vec::new(); data.num_targets];
-    for p in &data.positives {
-        pos_by_target[p.target].push(p);
-    }
-    let mut neg_by_target = vec![Vec::new(); data.num_targets];
-    for n in &data.negatives {
-        neg_by_target[n.target].push(n);
-    }
+    let mut rows = TrainingRows::new(data.dim);
     for t in 0..cut {
-        for p in &pos_by_target[t] {
-            ts.push_answer(p.x.clone(), true);
-            ts.push_vote(p.x.clone(), p.votes);
+        let (pos, neg) = data.target_records(t);
+        for p in pos {
+            rows.answered(t, p.x.clone(), p.votes, p.response_time);
         }
-        for n in &neg_by_target[t] {
-            ts.push_answer(n.x.clone(), false);
-        }
-        if !pos_by_target[t].is_empty() {
-            ts.push_timing_thread(
-                pos_by_target[t]
-                    .iter()
-                    .map(|p| (p.x.clone(), p.response_time))
-                    .collect(),
-                neg_by_target[t].iter().map(|n| n.x.clone()).collect(),
-                data.windows[t],
-                data.num_users,
-            );
+        for n in neg {
+            rows.unanswered(t, n.x.clone());
         }
     }
+    let ts = rows.finish(&data.windows, data.num_users);
     status!("training joint predictor on {cut} threads …");
     let model = ResponsePredictor::train(&ts, &cfg.train);
 
@@ -65,20 +47,12 @@ fn main() {
         let mut now = 0.0;
         for t in cut..data.num_targets {
             now += 0.5; // questions arrive every half hour
-            let candidates: Vec<Candidate> = pos_by_target[t]
-                .iter()
-                .map(|p| (p.user, &p.x))
-                .chain(neg_by_target[t].iter().map(|n| (n.user, &n.x)))
-                .map(|(user, x)| {
-                    let (a, v, r) = model.predict(x, data.windows[t]);
-                    Candidate {
-                        user,
-                        answer_prob: a,
-                        votes: v,
-                        response_time: r,
-                    }
-                })
-                .collect();
+            let (pos, neg) = data.target_records(t);
+            let candidates = score_candidates(
+                &model,
+                data.windows[t],
+                pos.iter().chain(neg).map(|r| (r.user, &r.x)),
+            );
             match router.recommend(now, lambda, &candidates) {
                 Some(rec) => {
                     routed += 1;

@@ -346,9 +346,9 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 data: opts.require("data")?,
                 model: opts.require("model")?,
                 question: opts.get_parsed("question")?,
-                lambda: opts.get_parsed_or("lambda", 0.5)?,
-                epsilon: opts.get_parsed_or("epsilon", 0.3)?,
-                capacity: opts.get_parsed_or("capacity", 1.0)?,
+                lambda: opts.get_real_or("lambda", 0.5, false)?,
+                epsilon: opts.get_real_or("epsilon", 0.3, false)?,
+                capacity: opts.get_real_or("capacity", 1.0, true)?,
                 top: opts.get_parsed_or("top", 5)?,
             };
             opts.reject_unknown(&[
@@ -393,7 +393,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             let opts = opts?;
             let c = Command::AbTest {
                 scale: opts.get_or("scale", "quick")?,
-                lambda: opts.get_parsed_or("lambda", 0.5)?,
+                lambda: opts.get_real_or("lambda", 0.5, false)?,
             };
             opts.reject_unknown(&["scale", "lambda"])?;
             Ok(c)
@@ -468,6 +468,23 @@ impl Options {
                 .parse()
                 .map_err(|_| ParseError(format!("invalid value `{raw}` for --{key}"))),
         }
+    }
+
+    /// A real-valued option that must be finite, and non-negative
+    /// when `non_negative` is set.
+    fn get_real_or(&self, key: &str, default: f64, non_negative: bool) -> Result<f64, ParseError> {
+        let v: f64 = self.get_parsed_or(key, default)?;
+        if v.is_finite() && (v >= 0.0 || !non_negative) {
+            return Ok(v);
+        }
+        let bound = if non_negative {
+            "finite and non-negative"
+        } else {
+            "finite"
+        };
+        Err(ParseError(format!(
+            "invalid value `{v}` for --{key}: must be {bound}"
+        )))
     }
 
     fn get_parsed_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ParseError> {
@@ -737,6 +754,38 @@ mod tests {
         let cmd = parse(argv("train --data d.json --fast --out m.json")).unwrap();
         match cmd {
             Command::Train { fast, .. } => assert!(fast),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// Out-of-domain routing knobs are usage errors (exit 2), caught
+    /// before any data is read.
+    #[test]
+    fn route_and_abtest_reject_out_of_domain_knobs() {
+        let route = |extra: &str| format!("route --data d --model m --question 1 {extra}");
+        for (cmd, why) in [
+            (route("--lambda nan"), "--lambda: must be finite"),
+            (route("--lambda inf"), "--lambda: must be finite"),
+            (route("--epsilon NaN"), "--epsilon: must be finite"),
+            (route("--epsilon -inf"), "--epsilon: must be finite"),
+            (route("--capacity inf"), "--capacity: must be finite"),
+            (
+                route("--capacity -1"),
+                "--capacity: must be finite and non-negative",
+            ),
+            ("abtest --lambda nan".into(), "--lambda: must be finite"),
+            ("abtest --lambda -inf".into(), "--lambda: must be finite"),
+        ] {
+            let mut out = Vec::new();
+            let code = crate::run(argv(&cmd), &mut out);
+            let text = String::from_utf8(out).unwrap();
+            assert_eq!(code, 2, "{cmd}: {text}");
+            assert!(text.contains(why), "{cmd}: {text}");
+        }
+        match parse(argv(&route("--lambda -2 --capacity 0"))).unwrap() {
+            Command::Route {
+                lambda, capacity, ..
+            } => assert_eq!((lambda, capacity), (-2.0, 0.0)),
             other => panic!("{other:?}"),
         }
     }

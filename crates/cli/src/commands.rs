@@ -5,15 +5,15 @@ use std::io::Write;
 use std::path::Path;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use forumcast_abtest::AbTestConfig;
-use forumcast_core::{ResponsePredictor, TrainConfig, TrainingSet};
+use forumcast_core::{sample_training_set, ResponsePredictor, TrainConfig};
 use forumcast_data::{io as data_io, Dataset, QuestionId, UserId};
 use forumcast_eval::{experiments::table1, CvOptions, EvalConfig};
 use forumcast_features::{ExtractorConfig, FeatureExtractor, LdaSampler};
 use forumcast_graph::{dense_graph, qa_graph, GraphStats};
-use forumcast_recsys::{Candidate, QuestionRouter, RouterConfig};
+use forumcast_recsys::{score_candidates, QuestionRouter, RouterConfig};
 use forumcast_resilience::FaultPlan;
 use forumcast_synth::SynthConfig;
 
@@ -225,42 +225,6 @@ fn stats(data: &str, gate: bool, out: &mut dyn Write) -> CmdResult {
     Ok(())
 }
 
-/// Builds a training set over all threads of a (preprocessed) dataset,
-/// with one random non-answerer per answer as negative/survival
-/// samples.
-fn build_training_set(dataset: &Dataset, extractor: &FeatureExtractor, seed: u64) -> TrainingSet {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let horizon = dataset.horizon();
-    let mut ts = TrainingSet::new(extractor.dim());
-    for thread in dataset.threads() {
-        let d_q = extractor.question_topics(thread);
-        let window = (horizon - thread.asked_at()).max(0.5);
-        let mut answers = Vec::new();
-        for a in &thread.answers {
-            let x = extractor.features(a.author, thread, &d_q);
-            ts.push_answer(x.clone(), true);
-            ts.push_vote(x.clone(), a.votes as f64);
-            answers.push((x, a.timestamp - thread.asked_at()));
-        }
-        let mut negatives = Vec::new();
-        let mut guard = 0;
-        while negatives.len() < thread.answers.len() && guard < 50 {
-            guard += 1;
-            let u = UserId(rng.gen_range(0..dataset.num_users()));
-            if thread.answered_by(u) || u == thread.asker() {
-                continue;
-            }
-            let x = extractor.features(u, thread, &d_q);
-            ts.push_answer(x.clone(), false);
-            negatives.push(x);
-        }
-        if !answers.is_empty() {
-            ts.push_timing_thread(answers, negatives, window, dataset.num_users() as usize);
-        }
-    }
-    ts
-}
-
 /// Model + extractor are persisted together so `predict`/`route` can
 /// featurize raw questions consistently: the extractor is refit from
 /// the dataset with exactly the settings the model was trained on.
@@ -275,9 +239,9 @@ struct SavedModel {
     lda_sampler: Option<LdaSampler>,
 }
 
-/// Why a saved model cannot score a dataset's features.
+/// Why `predict`/`route` cannot score a request.
 #[derive(Debug)]
-enum ModelError {
+enum ScoreError {
     /// The model file does not record its extractor settings.
     MissingSettings { model: String },
     /// The model expects a different feature width than the refit
@@ -287,17 +251,19 @@ enum ModelError {
         model_dim: usize,
         extractor_dim: usize,
     },
+    /// The user id is outside the dataset's population.
+    UnknownUser { user: u32, num_users: u32 },
 }
 
-impl std::fmt::Display for ModelError {
+impl std::fmt::Display for ScoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ModelError::MissingSettings { model } => write!(
+            ScoreError::MissingSettings { model } => write!(
                 f,
                 "model `{model}` does not record the extractor settings it was \
                  trained with (`fast`, `lda_sampler`); retrain it with `forumcast train`"
             ),
-            ModelError::DimensionMismatch {
+            ScoreError::DimensionMismatch {
                 model,
                 model_dim,
                 extractor_dim,
@@ -307,11 +273,15 @@ impl std::fmt::Display for ModelError {
                  recorded extractor settings produce {extractor_dim}; retrain it \
                  with `forumcast train`"
             ),
+            ScoreError::UnknownUser { user, num_users } => write!(
+                f,
+                "user u{user} not found: the dataset has {num_users} users"
+            ),
         }
     }
 }
 
-impl Error for ModelError {}
+impl Error for ScoreError {}
 
 fn extractor_config(fast: bool, lda_sampler: LdaSampler) -> ExtractorConfig {
     let mut cfg = if fast {
@@ -338,7 +308,15 @@ fn train(
     let (clean, _) = dataset.preprocess();
     let ex_cfg = extractor_config(fast, lda_sampler);
     let extractor = FeatureExtractor::fit(clean.threads(), clean.num_users(), &ex_cfg);
-    let ts = build_training_set(&clean, &extractor, seed.unwrap_or(0x7EA1));
+    // One random non-answerer per answer as negative/survival samples.
+    let ts = sample_training_set(
+        clean.threads(),
+        &extractor,
+        clean.num_users(),
+        clean.horizon(),
+        |t| t.answers.len(),
+        &mut StdRng::seed_from_u64(seed.unwrap_or(0x7EA1)),
+    );
     let (na, nv, nt) = ts.counts();
     writeln!(
         out,
@@ -373,7 +351,7 @@ fn load_model_and_extractor(
     let saved: SavedModel =
         serde_json::from_str(&json).map_err(|e| format!("invalid model `{model}`: {e}"))?;
     let (Some(fast), Some(lda_sampler)) = (saved.fast, saved.lda_sampler) else {
-        return Err(ModelError::MissingSettings {
+        return Err(ScoreError::MissingSettings {
             model: model.to_owned(),
         }
         .into());
@@ -384,7 +362,7 @@ fn load_model_and_extractor(
     let model_dim = saved.predictor.normalizer().dim();
     let extractor_dim = forumcast_features::feature_dim(ex_cfg.lda.num_topics);
     if model_dim != extractor_dim {
-        return Err(ModelError::DimensionMismatch {
+        return Err(ScoreError::DimensionMismatch {
             model: model.to_owned(),
             model_dim,
             extractor_dim,
@@ -399,6 +377,10 @@ fn load_model_and_extractor(
 
 fn predict(data: &str, model: &str, question: u32, user: u32, out: &mut dyn Write) -> CmdResult {
     let (clean, extractor, predictor) = load_model_and_extractor(data, model)?;
+    let num_users = clean.num_users();
+    if user >= num_users {
+        return Err(ScoreError::UnknownUser { user, num_users }.into());
+    }
     let thread = clean
         .thread(QuestionId(question))
         .ok_or_else(|| format!("question q{question} not found"))?;
@@ -436,21 +418,15 @@ fn route(
 
     // Candidates: every user that has answered anything, except the
     // asker (a deployment would use its own eligibility source).
-    let mut candidates = Vec::new();
     let ctx = extractor.context();
-    for u in (0..clean.num_users()).map(UserId) {
-        if u == thread.asker() || ctx.answers_provided(u) == 0.0 {
-            continue;
-        }
-        let x = extractor.features(u, thread, &d_q);
-        let (a, v, r) = predictor.predict(&x, window);
-        candidates.push(Candidate {
-            user: u,
-            answer_prob: a,
-            votes: v,
-            response_time: r,
-        });
-    }
+    let candidates = score_candidates(
+        &predictor,
+        window,
+        (0..clean.num_users())
+            .map(UserId)
+            .filter(|&u| u != thread.asker() && ctx.answers_provided(u) != 0.0)
+            .map(|u| (u, extractor.features(u, thread, &d_q))),
+    );
     let mut router = QuestionRouter::new(RouterConfig {
         epsilon,
         default_capacity: capacity,
@@ -990,6 +966,50 @@ mod tests {
         });
         assert_eq!(code, 1);
         assert!(text.contains("not found"));
+    }
+
+    /// A user id past `|U|` is refused with an error naming the user
+    /// and the population size, instead of indexing out of bounds.
+    #[test]
+    fn predict_unknown_user_fails_cleanly() {
+        let data_path = tmp("unknown-u.json");
+        let model_path = tmp("unknown-u-model.json");
+        run_cmd(Command::Generate {
+            scale: "small".into(),
+            seed: Some(2),
+            topics: Some(2),
+            threads: 0,
+            out: data_path.clone(),
+        });
+        run_cmd(Command::Train {
+            data: data_path.clone(),
+            fast: true,
+            seed: None,
+            lda_sampler: LdaSampler::Dense,
+            out: model_path.clone(),
+        });
+        let mut out = Vec::new();
+        let code = crate::run(
+            [
+                "predict",
+                "--data",
+                &data_path,
+                "--model",
+                &model_path,
+                "--question",
+                "2",
+                "--user",
+                "999999",
+            ]
+            .map(str::to_owned),
+            &mut out,
+        );
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(code, 1, "{text}");
+        assert!(
+            text.contains("user u999999 not found: the dataset has 200 users"),
+            "{text}"
+        );
     }
 
     /// A model whose recorded extractor settings do not reproduce its

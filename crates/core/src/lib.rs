@@ -21,27 +21,24 @@
 //!   by importance-weighted sampled non-answerers.
 //!
 //! [`ResponsePredictor`] bundles all three behind one train/predict
-//! API with shared feature normalization.
+//! API with shared feature normalization. [`TrainingRows`] groups
+//! `(user, question)` rows into its [`TrainingSet`], and
+//! [`sample_training_set`] samples those rows from observed threads.
 //!
 //! # Example
 //!
 //! ```
-//! use forumcast_core::{ResponsePredictor, TrainConfig, TrainingSet};
+//! use forumcast_core::{ResponsePredictor, TrainConfig, TrainingRows};
 //!
-//! // Two users; user 0 answers fast with good votes when the single
-//! // feature is high.
-//! let mut ts = TrainingSet::new(1);
-//! for i in 0..40 {
-//!     let x = if i % 2 == 0 { 1.0 } else { -1.0 };
-//!     ts.push_answer(vec![x], i % 2 == 0);
-//!     ts.push_vote(vec![x], if i % 2 == 0 { 3.0 } else { -1.0 });
+//! // Twenty questions: on each, the user with the single feature
+//! // high answers after 2 h with 3 votes, and one with it low does not.
+//! let mut rows = TrainingRows::new(1);
+//! for q in 0..20 {
+//!     rows.answered(q, vec![1.0], 3.0, 2.0);
+//!     rows.unanswered(q, vec![-1.0]);
 //! }
-//! ts.push_timing_thread(
-//!     vec![(vec![1.0], 2.0)],  // an answer after 2 h
-//!     vec![vec![-1.0]],        // one sampled non-answerer
-//!     24.0,                    // observation window
-//!     10,                      // population size
-//! );
+//! // 24 h observation windows over a population of 10 users.
+//! let ts = rows.finish(&[24.0; 20], 10);
 //! let model = ResponsePredictor::train(&ts, &TrainConfig::fast());
 //! assert!(model.predict_answer(&[1.0]) > model.predict_answer(&[-1.0]));
 //! ```
@@ -52,6 +49,8 @@ pub mod timing;
 pub mod votes;
 
 pub use answer::{AnswerConfig, AnswerPredictor};
-pub use predictor::{ResponsePredictor, TrainConfig, TrainProgress, TrainingSet};
+pub use predictor::{
+    sample_training_set, ResponsePredictor, TrainConfig, TrainProgress, TrainingRows, TrainingSet,
+};
 pub use timing::{DecayMode, PredictionMode, ThreadObservation, TimingConfig, TimingPredictor};
 pub use votes::{VoteConfig, VotePredictor, VoteTrainState};

@@ -1,8 +1,10 @@
 //! The joint response predictor: `â`, `v̂`, `r̂` behind one API.
 
+use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use forumcast_features::Normalizer;
+use forumcast_data::{Hours, Thread, UserId};
+use forumcast_features::{FeatureExtractor, Normalizer};
 
 use forumcast_ml::TrainState;
 
@@ -11,8 +13,7 @@ use crate::timing::{ThreadObservation, TimingConfig, TimingPredictor};
 use crate::votes::{VoteConfig, VotePredictor, VoteTrainState};
 
 /// Labeled training data for all three tasks, in raw (unnormalized)
-/// feature space. The evaluation harness builds this from a dataset
-/// partition; see `forumcast-eval`.
+/// feature space, usually built with [`TrainingRows`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrainingSet {
     dim: usize,
@@ -100,6 +101,107 @@ impl TrainingSet {
             self.timing_threads.len(),
         )
     }
+}
+
+/// Builds a [`TrainingSet`] from `(user, question)` rows. Answer and
+/// vote samples are pushed in call order; [`finish`](Self::finish)
+/// then appends one timing thread per target with an answer, in
+/// target order, grouping its answerers with its non-answerers as the
+/// point-process likelihood does. A row of the wrong dimension panics.
+#[derive(Debug, Clone)]
+pub struct TrainingRows {
+    ts: TrainingSet,
+    threads: Vec<TargetRows>,
+}
+
+/// One target's answerers with their delays, and its non-answerers.
+type TargetRows = (Vec<(Vec<f64>, f64)>, Vec<Vec<f64>>);
+
+impl TrainingRows {
+    /// Starts an empty set of `dim`-dimensional rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `dim == 0`.
+    pub fn new(dim: usize) -> Self {
+        TrainingRows {
+            ts: TrainingSet::new(dim),
+            threads: Vec::new(),
+        }
+    }
+
+    fn thread(&mut self, target: usize) -> &mut TargetRows {
+        if self.threads.len() <= target {
+            self.threads.resize_with(target + 1, Default::default);
+        }
+        &mut self.threads[target]
+    }
+
+    /// Adds a user who answered `target` with `votes` net votes,
+    /// `delay` hours after it was asked.
+    pub fn answered(&mut self, target: usize, x: Vec<f64>, votes: f64, delay: f64) {
+        self.ts.push_answer(x.clone(), true);
+        self.ts.push_vote(x.clone(), votes);
+        self.thread(target).0.push((x, delay));
+    }
+
+    /// Adds a user who did not answer `target`.
+    pub fn unanswered(&mut self, target: usize, x: Vec<f64>) {
+        self.ts.push_answer(x.clone(), false);
+        self.thread(target).1.push(x);
+    }
+
+    /// Appends the timing threads: `windows[t]` is target `t`'s
+    /// observation window in hours, `population` is `|U|`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a target with an answer has no window.
+    pub fn finish(mut self, windows: &[f64], population: usize) -> TrainingSet {
+        for (t, (answers, non)) in self.threads.into_iter().enumerate() {
+            if !answers.is_empty() {
+                self.ts
+                    .push_timing_thread(answers, non, windows[t], population);
+            }
+        }
+        self.ts
+    }
+}
+
+/// Samples a training set from observed threads. Thread `i` is target
+/// `i`, with each answer an answered row and `negatives_for(thread)`
+/// non-answerers: uniform draws from `0..num_users` that skip the
+/// asker and the answerers, at most 50 draws per thread. A thread's
+/// window runs to `horizon`, and is at least half an hour.
+pub fn sample_training_set(
+    threads: &[Thread],
+    extractor: &FeatureExtractor,
+    num_users: u32,
+    horizon: Hours,
+    negatives_for: impl Fn(&Thread) -> usize,
+    rng: &mut impl Rng,
+) -> TrainingSet {
+    let mut rows = TrainingRows::new(extractor.dim());
+    let mut windows = Vec::with_capacity(threads.len());
+    for (target, thread) in threads.iter().enumerate() {
+        let d_q = extractor.question_topics(thread);
+        windows.push((horizon - thread.asked_at()).max(0.5));
+        for a in &thread.answers {
+            let x = extractor.features(a.author, thread, &d_q);
+            let delay = a.timestamp - thread.asked_at();
+            rows.answered(target, x, a.votes as f64, delay);
+        }
+        let (wanted, mut sampled, mut draws) = (negatives_for(thread), 0, 0);
+        while sampled < wanted && draws < 50 {
+            draws += 1;
+            let u = UserId(rng.gen_range(0..num_users));
+            if !thread.answered_by(u) && u != thread.asker() {
+                rows.unanswered(target, extractor.features(u, thread, &d_q));
+                sampled += 1;
+            }
+        }
+    }
+    rows.finish(&windows, num_users as usize)
 }
 
 /// Configuration for [`ResponsePredictor::train`].
@@ -489,6 +591,58 @@ mod tests {
             "{serial:?}"
         );
         assert_eq!(serial, log(2));
+    }
+
+    fn json(ts: &TrainingSet) -> String {
+        serde_json::to_string(ts).unwrap()
+    }
+
+    /// Rows of three targets, interleaved: answer and vote samples keep
+    /// call order, timing threads come out in target order, and target
+    /// 2 (non-answerers only) gets no timing thread.
+    #[test]
+    fn training_rows_equal_the_hand_written_pushes() {
+        let x = |v: f64| vec![v, -v];
+        let mut rows = TrainingRows::new(2);
+        rows.answered(1, x(1.0), 4.0, 0.5);
+        rows.unanswered(0, x(2.0));
+        rows.unanswered(2, x(3.0));
+        rows.answered(0, x(4.0), -1.0, 2.0);
+        rows.unanswered(1, x(5.0));
+        rows.answered(1, x(6.0), 0.0, 7.5);
+        let built = rows.finish(&[10.0, 20.0, 30.0], 9);
+
+        let mut ts = TrainingSet::new(2);
+        ts.push_answer(x(1.0), true);
+        ts.push_vote(x(1.0), 4.0);
+        ts.push_answer(x(2.0), false);
+        ts.push_answer(x(3.0), false);
+        ts.push_answer(x(4.0), true);
+        ts.push_vote(x(4.0), -1.0);
+        ts.push_answer(x(5.0), false);
+        ts.push_answer(x(6.0), true);
+        ts.push_vote(x(6.0), 0.0);
+        ts.push_timing_thread(vec![(x(4.0), 2.0)], vec![x(2.0)], 10.0, 9);
+        ts.push_timing_thread(vec![(x(1.0), 0.5), (x(6.0), 7.5)], vec![x(5.0)], 20.0, 9);
+        assert_eq!(built.counts(), (6, 3, 2));
+        assert_eq!(json(&built), json(&ts));
+    }
+
+    #[test]
+    fn training_rows_without_an_answer_have_no_timing_thread() {
+        let mut rows = TrainingRows::new(1);
+        rows.unanswered(3, vec![1.0]);
+        let mut ts = TrainingSet::new(1);
+        ts.push_answer(vec![1.0], false);
+        // No target has an answer, so no window is read.
+        assert_eq!(json(&rows.finish(&[], 5)), json(&ts));
+    }
+
+    #[test]
+    fn empty_training_rows_finish_empty() {
+        let built = TrainingRows::new(3).finish(&[], 5);
+        assert_eq!(built.counts(), (0, 0, 0));
+        assert_eq!(json(&built), json(&TrainingSet::new(3)));
     }
 
     #[test]

@@ -368,19 +368,6 @@ impl TimingPredictor {
         }
         ll
     }
-
-    /// The configured prediction mode.
-    pub fn prediction_mode(&self) -> PredictionMode {
-        self.prediction
-    }
-
-    /// Overrides the prediction mode (e.g. to compare the formulas
-    /// with one fitted model). Any isotonic calibration is discarded:
-    /// it was fitted to the previous mode's raw scale.
-    pub fn set_prediction_mode(&mut self, mode: PredictionMode) {
-        self.prediction = mode;
-        self.calibration = None;
-    }
 }
 
 /// A monotone non-decreasing map fitted by the pool-adjacent-violators

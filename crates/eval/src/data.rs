@@ -180,6 +180,18 @@ pub trait RowSource: Sync {
 }
 
 impl ExperimentData {
+    /// Target `t`'s positive and negative records. The build stores
+    /// both sides in target order, so each is one contiguous run.
+    pub fn target_records(&self, t: usize) -> (&[PairRecord], &[PairRecord]) {
+        let run = |rs: &[PairRecord]| {
+            rs.partition_point(|r| r.target < t)..rs.partition_point(|r| r.target <= t)
+        };
+        (
+            &self.positives[run(&self.positives)],
+            &self.negatives[run(&self.negatives)],
+        )
+    }
+
     fn records(&self, side: Side) -> &[PairRecord] {
         match side {
             Side::Positives => &self.positives,
@@ -475,6 +487,49 @@ mod tests {
         assert!(data.windows.iter().all(|&w| w > 0.0));
         assert_eq!(data.windows.len(), data.num_targets);
         assert!(data.positives.iter().all(|p| p.target < data.num_targets));
+        // Both sides are stored in target order, which
+        // `target_records` relies on.
+        for side in [&data.positives, &data.negatives] {
+            assert!(side.windows(2).all(|w| w[0].target <= w[1].target));
+        }
+    }
+
+    #[test]
+    fn target_records_slice_each_side_by_target() {
+        let rec = |user: u32, target: usize| PairRecord {
+            user: UserId(user),
+            target,
+            x: vec![user as f64],
+            votes: 0.0,
+            response_time: 0.0,
+        };
+        let layout = FeatureLayout::new(1);
+        let data = ExperimentData {
+            dim: layout.dim(),
+            layout,
+            num_users: 9,
+            num_targets: 4,
+            positives: vec![rec(1, 0), rec(2, 0), rec(3, 2), rec(4, 3)],
+            negatives: vec![rec(5, 1), rec(6, 2), rec(7, 2)],
+            windows: vec![1.0; 4],
+        };
+        let users = |rs: &[PairRecord]| rs.iter().map(|r| r.user.0).collect::<Vec<_>>();
+        let sliced: Vec<_> = (0..5)
+            .map(|t| {
+                let (p, n) = data.target_records(t);
+                (users(p), users(n))
+            })
+            .collect();
+        assert_eq!(
+            sliced,
+            [
+                (vec![1, 2], vec![]),
+                (vec![], vec![5]),
+                (vec![3], vec![6, 7]),
+                (vec![4], vec![]),
+                (vec![], vec![]),
+            ]
+        );
     }
 
     #[test]

@@ -74,15 +74,6 @@ impl CvOptions {
         }
     }
 
-    /// Options with an optional checkpoint path — the shape the
-    /// experiment drivers thread through from a `--resume` flag.
-    pub fn maybe_checkpoint(path: Option<PathBuf>) -> Self {
-        CvOptions {
-            checkpoint: path,
-            ..CvOptions::default()
-        }
-    }
-
     /// Returns the options with the sub-fold snapshot cadence set
     /// (`0` disables mid-training snapshots) — the shape the drivers
     /// thread through from a `--snapshot-every` flag.

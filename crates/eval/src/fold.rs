@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use forumcast_core::{ResponsePredictor, TrainingSet};
+use forumcast_core::{ResponsePredictor, TrainingRows};
 use forumcast_features::{FeatureGroup, FeatureId};
 
 use crate::baselines::Baselines;
@@ -78,10 +78,10 @@ pub fn run_fold(
 /// interrupted attempt is loaded back to fast-forward training along
 /// a bitwise-identical trajectory.
 ///
-/// Each side is read in one in-order pass: a training row feeds the
-/// answer (and, for positives, vote) observations and is bucketed by
-/// target for the timing threads, which are pushed in target order
-/// once both passes are done; a held-out row is kept for evaluation.
+/// Each side is read in one in-order pass: a training row goes to a
+/// [`TrainingRows`] builder (answer and vote samples in row order,
+/// timing threads in target order once both passes are done); a
+/// held-out row is kept for evaluation.
 /// The outcome is therefore the same bits whether the rows are
 /// resident or stream from disk.
 ///
@@ -123,9 +123,7 @@ pub fn run_fold_on<S: RowSource>(
     };
 
     // --- our models ---
-    let mut ts = TrainingSet::new(layout.dim());
-    let mut answers_by_target: Vec<Vec<(Vec<f64>, f64)>> = vec![Vec::new(); windows.len()];
-    let mut non_by_target: Vec<Vec<Vec<f64>>> = vec![Vec::new(); windows.len()];
+    let mut train = TrainingRows::new(layout.dim());
     // Held-out rows for evaluation, and — for the baselines — the
     // training rows' metadata and the positives' raw vectors (the
     // Poisson regressor's design matrix).
@@ -140,9 +138,7 @@ pub fn run_fold_on<S: RowSource>(
         if pos_folds[i] == test_fold {
             test_pos.push((meta, x.to_vec()));
         } else {
-            ts.push_answer(masked(x), true);
-            ts.push_vote(masked(x), meta.votes);
-            answers_by_target[meta.target].push((masked(x), meta.response_time));
+            train.answered(meta.target, masked(x), meta.votes, meta.response_time);
             if run_baselines {
                 train_pos.push(meta);
                 train_pos_x.push(x.to_vec());
@@ -155,19 +151,14 @@ pub fn run_fold_on<S: RowSource>(
         if neg_folds[i] == test_fold {
             test_neg.push((meta, x.to_vec()));
         } else {
-            ts.push_answer(masked(x), false);
-            non_by_target[meta.target].push(masked(x));
+            train.unanswered(meta.target, masked(x));
             if run_baselines {
                 train_neg.push(meta);
             }
         }
         i += 1;
     })?;
-    for (t, (answers, non)) in answers_by_target.into_iter().zip(non_by_target).enumerate() {
-        if !answers.is_empty() {
-            ts.push_timing_thread(answers, non, windows[t], rows.num_users());
-        }
-    }
+    let ts = train.finish(windows, rows.num_users());
 
     let model = match subfold {
         Some(handle) => {

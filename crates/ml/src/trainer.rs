@@ -219,11 +219,6 @@ impl<O: Optimizer> Trainer<O> {
     pub fn epochs_run(&self) -> usize {
         self.epochs_run
     }
-
-    /// The underlying optimizer.
-    pub fn optimizer_mut(&mut self) -> &mut O {
-        &mut self.optimizer
-    }
 }
 
 impl<O: Optimizer + SnapshotOptimizer> Trainer<O> {

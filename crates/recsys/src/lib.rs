@@ -19,7 +19,9 @@
 //! * [`routing`] — the specialized exact greedy solver for the
 //!   paper's box-plus-simplex structure;
 //! * [`router`] — a stateful [`QuestionRouter`] that tracks per-user
-//!   load over a sliding window and produces ranked recommendations.
+//!   load over a sliding window and produces ranked recommendations,
+//!   and [`score_candidates`], which turns a question's feature rows
+//!   into the router's [`Candidate`]s.
 //!
 //! # Example
 //!
@@ -47,6 +49,6 @@ pub mod router;
 pub mod routing;
 pub mod simplex;
 
-pub use router::{Candidate, QuestionRouter, Recommendation, RouterConfig};
+pub use router::{score_candidates, Candidate, QuestionRouter, Recommendation, RouterConfig};
 pub use routing::{solve_routing, RoutingProblem};
 pub use simplex::{maximize, LpError, LpSolution};

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
+use forumcast_core::ResponsePredictor;
 use forumcast_data::{Hours, UserId};
 
 use crate::routing::{solve_routing, RoutingProblem};
@@ -41,6 +42,28 @@ pub struct Candidate {
     pub votes: f64,
     /// `r̂_{u,q′}` — predicted response time (hours).
     pub response_time: f64,
+}
+
+/// Scores candidate answerers for one question: `rows` pairs each
+/// user with their raw feature vector, `window` is the question's
+/// observation window in hours, and each candidate carries the
+/// predictor's `(â, v̂, r̂)` for its row, in row order.
+pub fn score_candidates<X: AsRef<[f64]>>(
+    predictor: &ResponsePredictor,
+    window: Hours,
+    rows: impl IntoIterator<Item = (UserId, X)>,
+) -> Vec<Candidate> {
+    rows.into_iter()
+        .map(|(user, x)| {
+            let (answer_prob, votes, response_time) = predictor.predict(x.as_ref(), window);
+            Candidate {
+                user,
+                answer_prob,
+                votes,
+                response_time,
+            }
+        })
+        .collect()
 }
 
 /// A solved recommendation: eligible users with their routing
@@ -210,6 +233,37 @@ impl QuestionRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use forumcast_core::{TrainConfig, TrainingRows};
+
+    #[test]
+    fn score_candidates_equals_per_row_predict() {
+        let mut rows = TrainingRows::new(2);
+        for q in 0..12 {
+            let s = q as f64;
+            rows.answered(q, vec![1.0 + s, 2.0], 1.0 + s % 3.0, 0.5 + s % 4.0);
+            rows.unanswered(q, vec![-1.0, s]);
+        }
+        let windows: Vec<f64> = (0..12).map(|q| 10.0 + q as f64).collect();
+        let model = ResponsePredictor::train(&rows.finish(&windows, 20), &TrainConfig::fast());
+        let xs = [vec![3.0, 2.0], vec![-1.0, 4.0], vec![0.0, 0.0]];
+        let scored = score_candidates(
+            &model,
+            12.5,
+            xs.iter()
+                .enumerate()
+                .map(|(i, x)| (UserId(7 - i as u32), x)),
+        );
+        assert_eq!(scored.len(), xs.len());
+        for (i, (c, x)) in scored.iter().zip(&xs).enumerate() {
+            let (a, v, r) = model.predict(x, 12.5);
+            assert_eq!(c.user, UserId(7 - i as u32));
+            assert_eq!(
+                [c.answer_prob, c.votes, c.response_time].map(f64::to_bits),
+                [a, v, r].map(f64::to_bits)
+            );
+        }
+        assert!(score_candidates(&model, 1.0, Vec::<(UserId, Vec<f64>)>::new()).is_empty());
+    }
 
     fn candidates() -> Vec<Candidate> {
         vec![

@@ -17,32 +17,14 @@ fn main() {
 
     // Train the joint predictor on the first 80% of target threads.
     let cut = data.num_targets * 4 / 5;
-    let mut ts = TrainingSet::new(data.dim);
+    let mut rows = TrainingRows::new(data.dim);
     for p in data.positives.iter().filter(|p| p.target < cut) {
-        ts.push_answer(p.x.clone(), true);
-        ts.push_vote(p.x.clone(), p.votes);
+        rows.answered(p.target, p.x.clone(), p.votes, p.response_time);
     }
     for n in data.negatives.iter().filter(|n| n.target < cut) {
-        ts.push_answer(n.x.clone(), false);
+        rows.unanswered(n.target, n.x.clone());
     }
-    for t in 0..cut {
-        let answers: Vec<(Vec<f64>, f64)> = data
-            .positives
-            .iter()
-            .filter(|p| p.target == t)
-            .map(|p| (p.x.clone(), p.response_time))
-            .collect();
-        if answers.is_empty() {
-            continue;
-        }
-        let non: Vec<Vec<f64>> = data
-            .negatives
-            .iter()
-            .filter(|n| n.target == t)
-            .map(|n| n.x.clone())
-            .collect();
-        ts.push_timing_thread(answers, non, data.windows[t], data.num_users);
-    }
+    let ts = rows.finish(&data.windows, data.num_users);
     println!("training joint predictor …");
     let model = ResponsePredictor::train(&ts, &TrainConfig::fast());
 
@@ -57,27 +39,12 @@ fn main() {
         println!("\n── routing with λ = {lambda} ──");
         let mut shown = 0;
         for t in cut..data.num_targets {
-            let candidates: Vec<Candidate> = data
-                .positives
-                .iter()
-                .filter(|p| p.target == t)
-                .map(|p| (p.user, &p.x))
-                .chain(
-                    data.negatives
-                        .iter()
-                        .filter(|n| n.target == t)
-                        .map(|n| (n.user, &n.x)),
-                )
-                .map(|(user, x)| {
-                    let (a, v, r) = model.predict(x, data.windows[t]);
-                    Candidate {
-                        user,
-                        answer_prob: a,
-                        votes: v,
-                        response_time: r,
-                    }
-                })
-                .collect();
+            let (pos, neg) = data.target_records(t);
+            let candidates = score_candidates(
+                &model,
+                data.windows[t],
+                pos.iter().chain(neg).map(|r| (r.user, &r.x)),
+            );
             let now = t as f64 * 0.5;
             if let Some(rec) = router.recommend(now, lambda, &candidates) {
                 if let Some(&top) = rec.ranking().first() {

@@ -7,6 +7,8 @@
 //! ```
 
 use forumcast::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() {
     // 1. A synthetic Stack-Overflow-like forum (30 simulated days),
@@ -27,44 +29,18 @@ fn main() {
         extractor.topics().num_topics()
     );
 
-    // 3. Build a training set over the history threads themselves
-    //    (answers become positive samples for all three tasks).
+    // 3. Build a training set over the history threads themselves:
+    //    answers become positive samples for all three tasks, and one
+    //    random non-answerer per answer is a negative + survival sample.
     let horizon = dataset.horizon();
-    let mut ts = TrainingSet::new(extractor.dim());
-    let mut rng_state = 0x5EEDu64;
-    let mut next_user = |n: u32| {
-        // Tiny xorshift for negative sampling, keeping this example
-        // dependency-free.
-        rng_state ^= rng_state << 13;
-        rng_state ^= rng_state >> 7;
-        rng_state ^= rng_state << 17;
-        UserId((rng_state % n as u64) as u32)
-    };
-    for thread in history {
-        let d_q = extractor.question_topics(thread);
-        let window = (horizon - thread.asked_at()).max(0.5);
-        let mut answers = Vec::new();
-        for a in &thread.answers {
-            let x = extractor.features(a.author, thread, &d_q);
-            ts.push_answer(x.clone(), true);
-            ts.push_vote(x.clone(), a.votes as f64);
-            answers.push((x, a.timestamp - thread.asked_at()));
-        }
-        // One random non-answerer per answer (negative + survival sample).
-        let mut negatives = Vec::new();
-        for _ in 0..thread.answers.len() {
-            let u = next_user(dataset.num_users());
-            if thread.answered_by(u) || u == thread.asker() {
-                continue;
-            }
-            let x = extractor.features(u, thread, &d_q);
-            ts.push_answer(x.clone(), false);
-            negatives.push(x);
-        }
-        if !answers.is_empty() {
-            ts.push_timing_thread(answers, negatives, window, dataset.num_users() as usize);
-        }
-    }
+    let ts = sample_training_set(
+        history,
+        &extractor,
+        dataset.num_users(),
+        horizon,
+        |t| t.answers.len(),
+        &mut StdRng::seed_from_u64(0x5EED),
+    );
     let (na, nv, nt) = ts.counts();
     println!("training on {na} answer samples, {nv} vote samples, {nt} threads …");
     let model = ResponsePredictor::train(&ts, &TrainConfig::fast());

@@ -249,6 +249,29 @@ cmp "$work_dir/roundtrip.t1.model.json" "$work_dir/roundtrip.model.json" \
 "$fcr" route --data "$work_dir/roundtrip.json" --model "$work_dir/roundtrip.model.json" \
   --question 2
 
+echo "==> routing goldens (recsys, abtest, question_routing, trained model bytes)"
+# The routing and training paths outside the CV harness are pinned
+# byte for byte: the `recsys` demo, the simulated A/B test, the
+# question_routing example, and the model files `train` writes with
+# and without --fast. All are deterministic at any thread count.
+cargo build -q --release -p forumcast-bench --bin recsys
+cargo build -q --release --example question_routing
+target/release/recsys quick | diff tests/golden/recsys_quick.txt - \
+  || { echo "routing goldens: recsys quick drifted" >&2; exit 1; }
+"$fcr" abtest --scale quick | diff tests/golden/abtest_quick.txt - \
+  || { echo "routing goldens: abtest quick drifted" >&2; exit 1; }
+target/release/examples/question_routing | diff tests/golden/question_routing.txt - \
+  || { echo "routing goldens: question_routing example drifted" >&2; exit 1; }
+golden_dir="$work_dir/golden-models"
+mkdir -p "$golden_dir"
+"$fcr" train --data "$work_dir/roundtrip.json" --fast \
+  --out "$golden_dir/train-fast.model.json" > /dev/null
+cp "$work_dir/roundtrip.model.json" "$golden_dir/train.model.json"
+(cd "$golden_dir" && cksum train-fast.model.json train.model.json) \
+  | cmp tests/golden/train_small_seed7.cksum - \
+  || { echo "routing goldens: trained model bytes drifted" >&2; exit 1; }
+echo "routing goldens: recsys, abtest, question_routing and model bytes match"
+
 echo "==> training determinism smoke (serial vs --threads 2, bitwise params)"
 # Trains the same quick-scale MLP serially and with 2 workers: prints
 # samples/sec for both and hard-fails unless the learned parameters

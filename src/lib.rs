@@ -57,14 +57,14 @@ pub use forumcast_topics as topics;
 /// Convenient glob import for applications.
 pub mod prelude {
     pub use forumcast_core::{
-        AnswerPredictor, ResponsePredictor, TimingPredictor, TrainConfig, TrainingSet,
-        VotePredictor,
+        sample_training_set, AnswerPredictor, ResponsePredictor, TimingPredictor, TrainConfig,
+        TrainingRows, TrainingSet, VotePredictor,
     };
     pub use forumcast_data::{Dataset, Hours, Post, PostBody, QuestionId, Thread, UserId};
     pub use forumcast_eval::{EvalConfig, ExperimentData};
     pub use forumcast_features::{ExtractorConfig, FeatureExtractor, FeatureGroup, FeatureId};
     pub use forumcast_graph::{dense_graph, qa_graph, GraphStats};
-    pub use forumcast_recsys::{Candidate, QuestionRouter, RouterConfig};
+    pub use forumcast_recsys::{score_candidates, Candidate, QuestionRouter, RouterConfig};
     pub use forumcast_synth::SynthConfig;
     pub use forumcast_topics::{LdaConfig, LdaModel};
 }

@@ -46,30 +46,18 @@ fn predictor_generalizes_across_the_three_tasks() {
     let neg_groups: Vec<u32> = data.negatives.iter().map(|n| n.user.0).collect();
     let neg_folds = stratified_folds(&neg_groups, 3, &mut rng);
 
-    let mut ts = TrainingSet::new(data.dim);
+    let mut rows = TrainingRows::new(data.dim);
     for (i, p) in data.positives.iter().enumerate() {
         if pos_folds[i] != 0 {
-            ts.push_answer(p.x.clone(), true);
-            ts.push_vote(p.x.clone(), p.votes);
+            rows.answered(p.target, p.x.clone(), p.votes, p.response_time);
         }
     }
     for (i, n) in data.negatives.iter().enumerate() {
         if neg_folds[i] != 0 {
-            ts.push_answer(n.x.clone(), false);
+            rows.unanswered(n.target, n.x.clone());
         }
     }
-    // Group timing observations by target.
-    let mut by_target: Vec<Vec<(Vec<f64>, f64)>> = vec![Vec::new(); data.num_targets];
-    for (i, p) in data.positives.iter().enumerate() {
-        if pos_folds[i] != 0 {
-            by_target[p.target].push((p.x.clone(), p.response_time));
-        }
-    }
-    for (t, answers) in by_target.into_iter().enumerate() {
-        if !answers.is_empty() {
-            ts.push_timing_thread(answers, Vec::new(), data.windows[t], data.num_users);
-        }
-    }
+    let ts = rows.finish(&data.windows, data.num_users);
     let model = ResponsePredictor::train(&ts, &cfg.train);
 
     // Held-out answer AUC.

@@ -11,26 +11,14 @@ fn trained_predictions_route_questions() {
 
     // Train on the first 80% of targets.
     let cut = data.num_targets * 4 / 5;
-    let mut ts = TrainingSet::new(data.dim);
+    let mut rows = TrainingRows::new(data.dim);
     for p in data.positives.iter().filter(|p| p.target < cut) {
-        ts.push_answer(p.x.clone(), true);
-        ts.push_vote(p.x.clone(), p.votes);
+        rows.answered(p.target, p.x.clone(), p.votes, p.response_time);
     }
     for n in data.negatives.iter().filter(|n| n.target < cut) {
-        ts.push_answer(n.x.clone(), false);
+        rows.unanswered(n.target, n.x.clone());
     }
-    for t in 0..cut {
-        let answers: Vec<(Vec<f64>, f64)> = data
-            .positives
-            .iter()
-            .filter(|p| p.target == t)
-            .map(|p| (p.x.clone(), p.response_time))
-            .collect();
-        if answers.is_empty() {
-            continue;
-        }
-        ts.push_timing_thread(answers, Vec::new(), data.windows[t], data.num_users);
-    }
+    let ts = rows.finish(&data.windows, data.num_users);
     let model = ResponsePredictor::train(&ts, &TrainConfig::fast());
 
     let mut router = QuestionRouter::new(RouterConfig {
@@ -42,27 +30,12 @@ fn trained_predictions_route_questions() {
     let mut routed = 0;
     let mut ranked_real_answerer_first = 0;
     for t in cut..data.num_targets {
-        let candidates: Vec<Candidate> = data
-            .positives
-            .iter()
-            .filter(|p| p.target == t)
-            .map(|p| (p.user, &p.x))
-            .chain(
-                data.negatives
-                    .iter()
-                    .filter(|n| n.target == t)
-                    .map(|n| (n.user, &n.x)),
-            )
-            .map(|(user, x)| {
-                let (a, v, r) = model.predict(x, data.windows[t]);
-                Candidate {
-                    user,
-                    answer_prob: a,
-                    votes: v,
-                    response_time: r,
-                }
-            })
-            .collect();
+        let (pos, neg) = data.target_records(t);
+        let candidates = score_candidates(
+            &model,
+            data.windows[t],
+            pos.iter().chain(neg).map(|r| (r.user, &r.x)),
+        );
         if candidates.is_empty() {
             continue;
         }
@@ -73,11 +46,7 @@ fn trained_predictions_route_questions() {
             assert!((total - 1.0).abs() < 1e-9);
             // Does the router tend to surface real answerers?
             if let Some(&top) = rec.ranking().first() {
-                if data
-                    .positives
-                    .iter()
-                    .any(|p| p.target == t && p.user == top)
-                {
+                if pos.iter().any(|p| p.user == top) {
                     ranked_real_answerer_first += 1;
                 }
             }
