@@ -218,7 +218,7 @@ pub fn parse_args() -> BinOptions {
         config.threads = t;
     }
     // --faults wins over FORUMCAST_FAULTS; either arms the injector
-    // for the whole process.
+    // on the main thread, which every worker inherits.
     let plan = match faults {
         Some(plan) => Some(plan),
         None => FaultPlan::from_env().unwrap_or_else(|e| {
@@ -232,7 +232,7 @@ pub fn parse_args() -> BinOptions {
         }
     }
     // --trace wins over FORUMCAST_TRACE; either (or --metrics) arms
-    // the span collector for the whole process.
+    // the span collector on the main thread, which every worker inherits.
     let trace = trace.or_else(|| {
         std::env::var(forumcast_obs::TRACE_ENV)
             .ok()

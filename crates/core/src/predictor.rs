@@ -571,23 +571,16 @@ mod tests {
     #[test]
     fn two_timing_workers_emit_the_same_obs_log() {
         let ts = training_set();
-        const ROOT: &str = "test.timing_workers";
         let log = |workers: usize| {
             let _armed = forumcast_obs::arm();
-            {
-                let _root = forumcast_obs::span(ROOT);
-                train_on(&ts, workers);
-            }
-            // Other tests in this binary may train while the collector
-            // is armed; keep the events recorded under this test's root.
-            let lines = forumcast_obs::drain().expect("armed").canonical_lines();
-            let ours = |l: &String| l.split(' ').nth(1).is_some_and(|p| p.starts_with(ROOT));
-            lines.into_iter().filter(ours).collect::<Vec<_>>()
+            train_on(&ts, workers);
+            let log = forumcast_obs::drain().expect("armed");
+            (log.canonical_lines(), log.counters, log.hists)
         };
         let serial = log(1);
-        let calibrate = format!("span {ROOT}/ml.timing.train/ml.timing.calibrate ");
+        let calibrate = "span ml.timing.train/ml.timing.calibrate ";
         assert!(
-            serial.iter().any(|l| l.starts_with(&calibrate)),
+            serial.0.iter().any(|l| l.starts_with(calibrate)),
             "{serial:?}"
         );
         assert_eq!(serial, log(2));

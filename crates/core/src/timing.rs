@@ -685,8 +685,9 @@ impl EpochLoop<'_> {
         });
     }
 
-    /// f's halves on the caller and g's on a helper thread, in
-    /// lockstep. Both walk identical clones of `rng`, so they visit
+    /// f's halves on the caller and g's on a [`forumcast_par::join`]
+    /// helper (which inherits the caller's collector and fault plan),
+    /// in lockstep. Both walk identical clones of `rng`, so they visit
     /// the same threads in the same order. Returns the trained g.
     /// A panic on either side aborts the other and reaches the caller.
     fn run_lockstep(&self, f: &mut NetHalf, mut g: NetHalf, rng: &mut StdRng) -> NetHalf {
@@ -698,20 +699,17 @@ impl EpochLoop<'_> {
             .unwrap_or(0);
         let (lane_f, lane_g) = (Lane::new(rows), Lane::new(rows));
         let abort = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            let mut helper_rng = rng.clone();
-            let (lane_f, lane_g, abort) = (&lane_f, &lane_g, &abort);
-            let helper = s.spawn(move || {
-                self.run_lane(&mut g, &mut helper_rng, lane_g, lane_f, abort);
+        let mut helper_rng = rng.clone();
+        // The caller's lane stops early only when the helper panicked,
+        // and `join` resumes that panic here.
+        let (g, ()) = forumcast_par::join(
+            || {
+                self.run_lane(&mut g, &mut helper_rng, &lane_g, &lane_f, &abort);
                 g
-            });
-            // The caller's lane stops early only when the helper
-            // panicked, and joining resumes that panic here.
-            self.run_lane(f, rng, lane_f, lane_g, abort);
-            helper
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-        })
+            },
+            || self.run_lane(f, rng, &lane_f, &lane_g, &abort),
+        );
+        g
     }
 
     /// One net's side of the lockstep schedule. Per step it publishes

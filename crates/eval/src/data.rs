@@ -574,16 +574,28 @@ mod tests {
     /// aborting.
     #[test]
     fn alloc_pressure_heals_to_an_identical_build() {
-        let cfg = EvalConfig::quick();
+        let mut cfg = EvalConfig::quick();
         let (ds, _) = cfg.synth.generate().preprocess();
         let clean = ExperimentData::build(&ds, &cfg);
-        let _guard = forumcast_resilience::FaultPlan::parse("alloc-pressure:0,alloc-pressure:1")
-            .unwrap()
-            .arm();
-        let healed = ExperimentData::build(&ds, &cfg);
-        assert_eq!(clean.positives, healed.positives);
-        assert_eq!(clean.negatives, healed.negatives);
-        assert_eq!(clean.windows, healed.windows);
+        for threads in [1, 2] {
+            cfg.threads = threads;
+            let _guard =
+                forumcast_resilience::FaultPlan::parse("alloc-pressure:0,alloc-pressure:1")
+                    .unwrap()
+                    .arm();
+            let _obs = forumcast_obs::arm();
+            let healed = ExperimentData::build(&ds, &cfg);
+            let log = forumcast_obs::drain().expect("collector armed");
+            assert!(
+                log.counters
+                    .contains(&("fault.fired.alloc-pressure".to_string(), 2)),
+                "both planned shots fire at {threads} thread(s): {:?}",
+                log.counters
+            );
+            assert_eq!(clean.positives, healed.positives);
+            assert_eq!(clean.negatives, healed.negatives);
+            assert_eq!(clean.windows, healed.windows);
+        }
     }
 
     /// Exhausting the bucket retry is a hard, labeled failure.

@@ -367,13 +367,8 @@ mod tests {
     use super::*;
     use crate::columnar::SpilledExperiment;
 
-    /// Armed fault plans are process-global: a concurrently running
-    /// CV could consume another test's shots. Serialize CV tests.
-    static CV_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn run_cv_yields_repeats_times_folds_outcomes() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 2;
@@ -386,7 +381,6 @@ mod tests {
 
     #[test]
     fn run_cv_identical_across_thread_counts() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -408,7 +402,6 @@ mod tests {
     /// same seeds) and at any thread count.
     #[test]
     fn streamed_cv_is_bitwise_identical_to_resident_cv() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 2;
@@ -436,7 +429,6 @@ mod tests {
     /// short experiment.
     #[test]
     fn truncated_row_file_fails_the_sweep_as_a_data_error() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -457,7 +449,6 @@ mod tests {
     /// snapshot to the resident run's bits.
     #[test]
     fn streamed_mid_training_kill_then_resume_matches_resident() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -498,7 +489,6 @@ mod tests {
     /// and the restored folds are the resident run's outcomes.
     #[test]
     fn resident_checkpoint_resumes_a_streamed_run() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -546,7 +536,6 @@ mod tests {
 
     #[test]
     fn checkpointed_run_is_identical_and_skips_on_rerun() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -601,7 +590,6 @@ mod tests {
     /// and two worker threads.
     #[test]
     fn mid_training_kill_then_resume_is_bitwise_identical() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -667,7 +655,6 @@ mod tests {
     /// uninterrupted run.
     #[test]
     fn corrupt_subfold_snapshot_falls_back_to_fold_start_recompute() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -702,7 +689,6 @@ mod tests {
     /// loader and the sweep recomputes (counted) instead of aborting.
     #[test]
     fn corrupt_fold_checkpoint_recomputes_instead_of_aborting() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -735,7 +721,6 @@ mod tests {
     /// when the run restarts, before the checkpoint is read.
     #[test]
     fn stale_checkpoint_tmp_is_reclaimed_on_restart() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -756,7 +741,6 @@ mod tests {
     /// uninterrupted run.
     #[test]
     fn json_era_checkpoints_resume_under_binary_bitwise_identically() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -809,7 +793,6 @@ mod tests {
     /// fast with the stale-checkpoint remedy before any fold work.
     #[test]
     fn stale_subfold_snapshot_is_refused_with_the_remedy() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
@@ -831,7 +814,6 @@ mod tests {
 
     #[test]
     fn exhausted_fold_retries_surface_the_job_index() {
-        let _lock = CV_LOCK.lock().unwrap();
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;

@@ -6,14 +6,10 @@
 //! counters count *exactly* (one increment per logical occurrence,
 //! retries included).
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use forumcast_eval::{run_cv, EvalConfig, ExperimentData};
 use forumcast_resilience::FaultPlan;
-
-/// Armed collectors and fault plans are process-global; serialize the
-/// tests so one cannot pollute another's log.
-static LOCK: Mutex<()> = Mutex::new(());
 
 fn quick_config(threads: usize) -> EvalConfig {
     let mut cfg = EvalConfig::quick();
@@ -41,7 +37,6 @@ fn counter(log: &forumcast_obs::TraceLog, name: &str) -> u64 {
 
 #[test]
 fn canonical_event_log_is_thread_count_independent() {
-    let _lock = LOCK.lock().unwrap();
     let data = shared_data();
     let mut logs = Vec::new();
     // 7 deliberately exceeds the 2 fold jobs: idle workers must not
@@ -80,7 +75,6 @@ fn canonical_event_log_is_thread_count_independent() {
 /// whether it ran inline on one thread or on a worker.
 #[test]
 fn build_event_log_is_thread_count_independent() {
-    let _lock = LOCK.lock().unwrap();
     let (ds, _) = quick_config(1).synth.generate().preprocess();
     let mut logs = Vec::new();
     for threads in [1, 2, 7] {
@@ -118,7 +112,6 @@ fn build_event_log_is_thread_count_independent() {
 
 #[test]
 fn fold_retry_and_fault_counters_are_exact() {
-    let _lock = LOCK.lock().unwrap();
     let data = shared_data();
     let cfg = quick_config(1);
 

@@ -2,11 +2,6 @@
 //! scratch-reuse counter must equal the number of BFS sources minus
 //! the number of scratches the pool created — the proof that the
 //! centrality inner loops perform no per-source allocation.
-//!
-//! These live in their own integration binary because armed
-//! collector scopes are process-global: `forumcast_obs::arm`
-//! serializes armed tests, but unarmed tests running concurrently in
-//! the same process would still feed the counters.
 
 use forumcast_graph::{betweenness_with_threads, closeness_with_threads, Graph};
 

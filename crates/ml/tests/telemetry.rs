@@ -1,9 +1,4 @@
 //! Armed-collector regression tests for training telemetry.
-//!
-//! These live in their own integration binary because arming the
-//! process-global `forumcast-obs` collector serializes every armed
-//! scope; keeping them out of the unit-test binary avoids contending
-//! with the fault-injection tests there.
 
 use forumcast_ml::{Activation, Adam, LayerSpec, Mlp, Trainer};
 use forumcast_obs::EventKind;

@@ -7,11 +7,15 @@
 //!
 //! The repo is offline, so this is built from scratch instead of
 //! vendoring `tracing`. The collector is **sharded**: each recording
-//! thread owns a private buffer (a [`Shard`]) registered with a
-//! central registry, so the armed emit path takes no global lock —
-//! only one uncontended per-thread mutex plus one atomic fetch-add
-//! for the global arrival order. [`drain`] merges all shards back
-//! into the canonical event log.
+//! thread owns a private buffer (a [`Shard`]) registered with its
+//! collector, so the armed emit path takes no global lock — only one
+//! uncontended per-thread mutex plus one atomic fetch-add for the
+//! collector's arrival order. [`drain`] merges all shards back into
+//! the canonical event log.
+//!
+//! An armed collector belongs to the thread that called [`arm`], not to
+//! the process; other threads record into it only after entering its
+//! [`Scope`], as `forumcast-par` workers do.
 //!
 //! # Determinism contract
 //!
@@ -26,12 +30,12 @@
 //!
 //! Sharding preserves the contract because nothing about the merge
 //! depends on which shard an event landed in: the sequence number is
-//! derived from the global arrival order (an atomic counter sampled
-//! at record time, so any happens-before chain between two events at
-//! the same `(path, unit)` — a retry after a failed attempt, epochs
-//! of one training loop — orders them identically at every thread
-//! count), counters merge by commutative sum, and histogram buckets
-//! merge by element-wise sum.
+//! derived from the collector's arrival order (an atomic counter
+//! sampled at record time, so any happens-before chain between two
+//! events at the same `(path, unit)` — a retry after a failed attempt,
+//! epochs of one training loop — orders them identically at every
+//! thread count), counters merge by commutative sum, and histogram
+//! buckets merge by element-wise sum.
 //!
 //! Parallel work items must be delimited with [`task_span`] (a
 //! *detached* span that roots its own path) so that the paths of
@@ -40,9 +44,10 @@
 //!
 //! # Cost when disabled
 //!
-//! Every probe starts with one relaxed-ordering-free atomic load and
-//! a branch; no allocation, no locking, no clock read. Hot loops
-//! (Gibbs sweeps, optimizer steps) can call probes unconditionally.
+//! Every probe starts with one read of a `const`-initialised
+//! thread-local flag and a branch; no allocation, no locking, no
+//! clock read. Hot loops (Gibbs sweeps, optimizer steps) can call
+//! probes unconditionally.
 //!
 //! # Cost when armed
 //!
@@ -50,15 +55,16 @@
 //! thread's own shard mutex, which no other thread touches until
 //! [`drain`] — so concurrent emitters never serialize against each
 //! other the way the pre-sharding single global mutex forced them
-//! to. Shards are pooled: a worker thread exiting (or releasing via
-//! [`worker_shard`]) marks its shard free for the next registered
-//! thread, so long runs with many short-lived `forumcast-par` worker
-//! scopes keep a bounded shard set.
+//! to. Shards are pooled: a thread leaving its scope (the guard of
+//! [`Scope::enter`] dropping at the end of a `forumcast-par` worker)
+//! marks its shard free for the next thread that enters, so long runs
+//! with many short-lived worker scopes keep a bounded shard set.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 mod bench;
@@ -77,27 +83,15 @@ pub use report::{SpanRow, Summary, TraceLog};
 /// Chrome trace-event JSON here on exit.
 pub const TRACE_ENV: &str = "FORUMCAST_TRACE";
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Bumped on every [`arm`]; thread-local shard handles cache it and
-/// re-register when it moves on.
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-/// Global arrival order, sampled once per event with one fetch-add.
-/// Sequence numbers derive from it at drain time: any two events at
-/// the same `(path, unit)` with a happens-before relation get the
-/// same relative order at every thread count.
-static ORDER: AtomicU64 = AtomicU64::new(0);
-static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
-static ARM_LOCK: Mutex<()> = Mutex::new(());
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
-/// Shard-pool diagnostics (not part of the drained log: they depend
-/// on the thread count, which the canonical log must not).
-static SHARDS_CREATED: AtomicU64 = AtomicU64::new(0);
-static SHARDS_REUSED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
-    static SHARD: RefCell<Option<ShardHandle>> = const { RefCell::new(None) };
+    /// Whether this thread is in an armed scope: the one read a disarmed
+    /// probe makes (`const`, no destructor).
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static MEMBER: RefCell<Option<Member>> = const { RefCell::new(None) };
 }
 
 struct Frame {
@@ -111,9 +105,9 @@ struct Frame {
 /// writer; [`drain`] is the only other reader, so the mutex is
 /// effectively uncontended on the emit path.
 struct Shard {
-    /// Claimed by a live thread. Cleared when the owner exits (its
-    /// thread-local [`ShardHandle`] drops) so the shard returns to
-    /// the pool for the next registered thread.
+    /// Claimed by a thread in the scope. Cleared when the thread
+    /// leaves (its [`Member`] drops) so the shard returns to the pool
+    /// for the next thread that enters.
     busy: AtomicBool,
     data: Mutex<ShardData>,
 }
@@ -126,7 +120,7 @@ struct ShardData {
 }
 
 /// An event as buffered in a shard: no sequence number yet (that is
-/// assigned at drain from the global arrival order).
+/// assigned at drain from the collector's arrival order).
 struct RawEvent {
     kind: EventKind,
     path: String,
@@ -136,21 +130,53 @@ struct RawEvent {
     tid: u64,
 }
 
-struct Registry {
+/// One armed collector, shared by the threads of its scope.
+struct Collector {
     start: Instant,
-    epoch: u64,
-    shards: Vec<Arc<Shard>>,
+    /// Arrival order, sampled once per event with one fetch-add.
+    /// Sequence numbers derive from it at drain time: any two events at
+    /// the same `(path, unit)` with a happens-before relation get the
+    /// same relative order at every thread count.
+    order: AtomicU64,
+    shards: Mutex<Vec<Arc<Shard>>>,
+    /// Claims served from the pool: a shard-pool diagnostic, not part of
+    /// the drained log (it depends on the thread count, which the
+    /// canonical log must not).
+    reused: AtomicU64,
 }
 
-/// A thread's claim on a shard; dropping it (thread exit, or
-/// [`WorkerShardGuard`] release) frees the shard for reuse.
-struct ShardHandle {
-    epoch: u64,
-    start: Instant,
+impl Collector {
+    /// Claims a free pooled shard, or allocates one. Cold path: runs
+    /// once per thread per scope.
+    fn claim(&self) -> Arc<Shard> {
+        let mut shards = self.shards.lock().unwrap_or_else(PoisonError::into_inner);
+        for shard in shards.iter() {
+            if shard
+                .busy
+                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                self.reused.fetch_add(1, Ordering::Relaxed);
+                return Arc::clone(shard);
+            }
+        }
+        let shard = Arc::new(Shard {
+            busy: AtomicBool::new(true),
+            data: Mutex::new(ShardData::default()),
+        });
+        shards.push(Arc::clone(&shard));
+        shard
+    }
+}
+
+/// A thread's place in a collector: the shard it claimed, freed for
+/// reuse when the thread leaves the scope.
+struct Member {
+    collector: Arc<Collector>,
     shard: Arc<Shard>,
 }
 
-impl Drop for ShardHandle {
+impl Drop for Member {
     fn drop(&mut self) {
         self.shard.busy.store(false, Ordering::Release);
     }
@@ -217,150 +243,113 @@ impl Event {
     }
 }
 
-/// True when a collector is armed. Probes check this themselves;
-/// callers only need it to skip *preparing* expensive inputs (e.g.
-/// computing a gradient norm or formatting a dynamic name).
+/// True when the current thread is in an armed collector's scope.
+/// Probes check this themselves; callers only need it to skip
+/// *preparing* expensive inputs (e.g. computing a gradient norm or
+/// formatting a dynamic name).
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
+    ENABLED.get()
 }
 
-/// Disarms the collector (and releases the arming lock) on drop.
+/// Ends an armed or entered scope on drop, restoring the thread's
+/// previous one and freeing its shard. It must drop on the thread that
+/// created it.
+#[must_use = "the scope ends when the guard drops"]
 pub struct ObsGuard {
-    _lock: MutexGuard<'static, ()>,
+    prev: Option<Member>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::Release);
-        *REGISTRY.lock().unwrap_or_else(PoisonError::into_inner) = None;
+        let prev = self.prev.take();
+        ENABLED.set(prev.is_some());
+        // The replaced member drops outside the borrow, freeing its
+        // shard.
+        let _ = MEMBER.try_with(|m| m.replace(prev));
     }
 }
 
-/// Arms a fresh collector process-wide and returns a guard that
-/// disarms it on drop. Armed scopes are serialized exactly like
-/// fault plans: a second `arm` blocks until the first guard drops, so
-/// concurrent tests cannot pollute each other's event logs.
+/// Arms a fresh collector for the current thread (and the threads it
+/// hands its [`Scope`] to) and returns a guard that disarms it on
+/// drop. Other threads are untouched.
 pub fn arm() -> ObsGuard {
-    let lock = ARM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    let epoch = EPOCH.fetch_add(1, Ordering::AcqRel) + 1;
-    SHARDS_CREATED.store(0, Ordering::Relaxed);
-    SHARDS_REUSED.store(0, Ordering::Relaxed);
-    *REGISTRY.lock().unwrap_or_else(PoisonError::into_inner) = Some(Registry {
+    Scope(Some(Arc::new(Collector {
         start: Instant::now(),
-        epoch,
-        shards: Vec::new(),
-    });
-    ENABLED.store(true, Ordering::Release);
-    ObsGuard { _lock: lock }
+        order: AtomicU64::new(0),
+        shards: Mutex::new(Vec::new()),
+        reused: AtomicU64::new(0),
+    })))
+    .enter()
 }
 
-/// Arms the collector for the remainder of the process — for binaries
-/// wiring up `--trace` / [`TRACE_ENV`] at startup. Later `arm` calls
-/// in the same process will block forever; use [`arm`] in tests.
+/// Arms the collector on the calling thread for the rest of its life —
+/// for binaries wiring up `--trace` / [`TRACE_ENV`] on the main thread
+/// at startup; `forumcast-par` workers inherit it.
 pub fn arm_for_process() {
     std::mem::forget(arm());
 }
 
-/// Shard-pool diagnostics for the current armed scope: how many
-/// shards were freshly allocated and how many registrations reused a
-/// freed shard. Thread-count dependent, so deliberately *not* part of
-/// the drained log; exposed for tests and benches only.
-pub fn shard_stats() -> (u64, u64) {
-    (
-        SHARDS_CREATED.load(Ordering::Relaxed),
-        SHARDS_REUSED.load(Ordering::Relaxed),
-    )
-}
+/// The calling thread's armed collector (or none), to hand to the
+/// threads it starts: [`Scope::capture`] before spawning,
+/// [`Scope::enter`] first thing on each new thread.
+pub struct Scope(Option<Arc<Collector>>);
 
-/// Claims (or reuses) a shard for the current thread under the
-/// registry lock. Cold path: runs once per thread per armed scope.
-fn register_shard(epoch: u64) -> Option<ShardHandle> {
-    let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-    let reg = reg.as_mut()?;
-    if reg.epoch != epoch {
-        // A different arm than the one the caller observed; register
-        // against it anyway — the epoch check next probe resolves it.
+impl Scope {
+    /// The current thread's scope.
+    pub fn capture() -> Scope {
+        Scope(MEMBER.with_borrow(|m| m.as_ref().map(|m| Arc::clone(&m.collector))))
     }
-    for shard in &reg.shards {
-        if shard
-            .busy
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            SHARDS_REUSED.fetch_add(1, Ordering::Relaxed);
-            return Some(ShardHandle {
-                epoch: reg.epoch,
-                start: reg.start,
-                shard: Arc::clone(shard),
-            });
+
+    /// Makes this scope the current thread's until the guard drops. An
+    /// armed scope claims the thread's shard here, before any timed
+    /// work.
+    pub fn enter(&self) -> ObsGuard {
+        let member = self.0.as_ref().map(|collector| Member {
+            shard: collector.claim(),
+            collector: Arc::clone(collector),
+        });
+        ENABLED.set(member.is_some());
+        ObsGuard {
+            prev: MEMBER.replace(member),
+            _thread_bound: PhantomData,
         }
     }
-    let shard = Arc::new(Shard {
-        busy: AtomicBool::new(true),
-        data: Mutex::new(ShardData::default()),
-    });
-    reg.shards.push(Arc::clone(&shard));
-    SHARDS_CREATED.fetch_add(1, Ordering::Relaxed);
-    Some(ShardHandle {
-        epoch: reg.epoch,
-        start: reg.start,
-        shard,
+}
+
+/// Shard-pool diagnostics for the current thread's armed scope: how
+/// many shards were freshly allocated and how many registrations
+/// reused a freed shard. Thread-count dependent, so deliberately *not*
+/// part of the drained log; exposed for tests and benches only.
+pub fn shard_stats() -> (u64, u64) {
+    Scope::capture().0.map_or((0, 0), |c| {
+        let created = c
+            .shards
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len();
+        (created as u64, c.reused.load(Ordering::Relaxed))
     })
 }
 
-/// Runs `f` against the current thread's shard, registering one if
-/// needed. Returns `None` when no registry is armed (probe raced a
-/// disarm) — the observation is dropped, which is fine: the guard
-/// that disarmed has already drained.
-fn with_shard<R>(f: impl FnOnce(&mut ShardData, Instant) -> R) -> Option<R> {
-    SHARD.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let epoch = EPOCH.load(Ordering::Acquire);
-        if slot.as_ref().map(|h| h.epoch) != Some(epoch) {
-            *slot = None; // drop the stale claim first, freeing it
-            *slot = register_shard(epoch);
-        }
-        let handle = slot.as_ref()?;
-        let mut data = handle
+/// Runs `f` against the current thread's shard. Returns `None` outside
+/// an armed scope — the observation is dropped.
+fn with_shard<R>(f: impl FnOnce(&mut ShardData, &Collector) -> R) -> Option<R> {
+    MEMBER.with_borrow(|member| {
+        let member = member.as_ref()?;
+        let mut data = member
             .shard
             .data
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        Some(f(&mut data, handle.start))
+        Some(f(&mut data, &member.collector))
     })
 }
 
-/// Eagerly registers the current thread's shard and, on drop,
-/// releases it back to the pool. `forumcast-par` holds one per
-/// worker-thread lifetime so (a) registration cost lands before the
-/// timed work, and (b) shards recycle as soon as the worker scope
-/// ends instead of waiting for thread-local destructors — keeping
-/// the shard set bounded by the *concurrent* worker count across
-/// arbitrarily many parallel sections.
-#[must_use = "the guard holds the worker's shard claim"]
-pub struct WorkerShardGuard {
-    _priv: (),
-}
-
-/// See [`WorkerShardGuard`]. A no-op when the collector is disarmed.
-pub fn worker_shard() -> WorkerShardGuard {
-    if is_enabled() {
-        let _ = with_shard(|_, _| ());
-    }
-    WorkerShardGuard { _priv: () }
-}
-
-impl Drop for WorkerShardGuard {
-    fn drop(&mut self) {
-        // Release even if the collector disarmed meanwhile: a stale
-        // handle would otherwise pin its shard until thread exit.
-        let _ = SHARD.try_with(|slot| slot.borrow_mut().take());
-    }
-}
-
-/// Snapshots everything recorded since arming (or the previous drain)
-/// into a [`TraceLog`] with canonically ordered events, leaving the
-/// collector armed and empty. `None` when no collector is armed.
+/// Snapshots everything the current thread's collector recorded since
+/// arming (or the previous drain) into a [`TraceLog`] with canonically
+/// ordered events, leaving the collector armed and empty. `None`
+/// outside an armed scope.
 ///
 /// The merge is thread-count independent: events sort by
 /// `(path, unit, arrival order)` and the per-`(path, unit)` sequence
@@ -370,28 +359,26 @@ pub fn drain() -> Option<TraceLog> {
     let mut raw: Vec<RawEvent> = Vec::new();
     let mut counter_map: HashMap<String, u64> = HashMap::new();
     let mut hist_map: HashMap<String, Histogram> = HashMap::new();
-    let wall_ns = {
-        let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-        let reg = reg.as_mut()?;
-        for shard in &reg.shards {
-            let mut data = shard.data.lock().unwrap_or_else(PoisonError::into_inner);
-            raw.append(&mut data.events);
-            for (name, total) in data.counters.drain() {
-                *counter_map.entry(name).or_insert(0) += total;
-            }
-            for (name, hist) in data.hists.drain() {
-                match hist_map.get_mut(&name) {
-                    Some(merged) => merged.merge(&hist),
-                    None => {
-                        hist_map.insert(name, hist);
-                    }
+    let collector = Scope::capture().0?;
+    let shards = collector.shards.lock();
+    for shard in shards.unwrap_or_else(PoisonError::into_inner).iter() {
+        let mut data = shard.data.lock().unwrap_or_else(PoisonError::into_inner);
+        raw.append(&mut data.events);
+        for (name, total) in data.counters.drain() {
+            *counter_map.entry(name).or_insert(0) += total;
+        }
+        for (name, hist) in data.hists.drain() {
+            match hist_map.get_mut(&name) {
+                Some(merged) => merged.merge(&hist),
+                None => {
+                    hist_map.insert(name, hist);
                 }
             }
         }
-        reg.start.elapsed().as_nanos() as u64
-    };
+    }
+    let wall_ns = collector.start.elapsed().as_nanos() as u64;
     // Canonical total order: (path, unit, seq) is unique — seq ranks
-    // same-(path, unit) occurrences by global arrival order — and
+    // same-(path, unit) occurrences by arrival order — and
     // none of the three depend on thread count or wall clock.
     raw.sort_by(|a, b| (a.path.as_str(), a.unit, a.order).cmp(&(b.path.as_str(), b.unit, b.order)));
     let mut events: Vec<Event> = Vec::with_capacity(raw.len());
@@ -601,9 +588,9 @@ fn path_under_current(name: &str) -> String {
 
 fn record(kind: EventKind, path: String, unit: Option<u64>, at: Instant) {
     let tid = TID.with(|t| *t);
-    let order = ORDER.fetch_add(1, Ordering::Relaxed);
-    with_shard(|data, start| {
-        let ts_ns = at.saturating_duration_since(start).as_nanos() as u64;
+    with_shard(|data, collector| {
+        let order = collector.order.fetch_add(1, Ordering::Relaxed);
+        let ts_ns = at.saturating_duration_since(collector.start).as_nanos() as u64;
         data.events.push(RawEvent {
             kind,
             path,
@@ -681,12 +668,11 @@ mod tests {
         // Detached time is not charged to the parent.
         let outer = log.events.iter().find(|e| e.path == "outer").unwrap();
         let fold = log.events.iter().find(|e| e.path == "fold#3").unwrap();
-        let (EventKind::Span { self_ns, .. }, EventKind::Span { dur_ns, .. }) =
-            (&outer.kind, &fold.kind)
-        else {
-            panic!("expected span events");
+        let EventKind::Span { dur_ns, self_ns } = outer.kind else {
+            panic!("expected a span event");
         };
-        let _ = (self_ns, dur_ns); // self accounting checked structurally above
+        assert!(matches!(fold.kind, EventKind::Span { .. }));
+        assert_eq!(self_ns, dur_ns, "the detached fold is not outer's child");
     }
 
     #[test]
@@ -727,9 +713,11 @@ mod tests {
         // order in `seq`, because the second attempt's arrival order
         // is sampled strictly after the first attempt finished.
         let _g = arm();
+        let scope = &Scope::capture();
         for attempt in [1.0f64, 2.0] {
             std::thread::scope(|s| {
                 s.spawn(move || {
+                    let _in = scope.enter();
                     let _t = task_span("job", 0);
                     metric("attempt", 0, attempt);
                 });
@@ -761,9 +749,13 @@ mod tests {
             if threads == 1 {
                 jobs.iter().for_each(work);
             } else {
+                let scope = &Scope::capture();
                 std::thread::scope(|s| {
                     for chunk in jobs.chunks(jobs.len() / threads) {
-                        s.spawn(move || chunk.iter().for_each(work));
+                        s.spawn(move || {
+                            let _in = scope.enter();
+                            chunk.iter().for_each(work);
+                        });
                     }
                 });
             }
@@ -774,42 +766,47 @@ mod tests {
 
     #[test]
     fn armed_emit_takes_no_global_lock() {
-        // Regression guard for the sharding refactor: while one
-        // thread holds its own shard mutex mid-emit, another thread
-        // must still be able to emit. With the old global mutex this
-        // deadlocks/times out; with shards both proceed.
+        // Regression guard for the sharding refactor: while one thread
+        // holds its own shard mutex, another thread must still finish
+        // an emit. Under one global emit lock the second emit blocks
+        // and the holder times out.
         let _g = arm();
-        let barrier = std::sync::Barrier::new(2);
+        let scope = &Scope::capture();
+        let held = &std::sync::Barrier::new(2);
+        let (emitted, done) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
-            for t in 0..2u64 {
-                let barrier = &barrier;
-                s.spawn(move || {
-                    barrier.wait();
-                    for i in 0..10_000 {
-                        let _sp = task_span("hammer", t);
-                        counter_add("hits", 1);
-                        let _ = i;
-                    }
+            s.spawn(move || {
+                let _in = scope.enter();
+                with_shard(|_, _| {
+                    held.wait();
+                    done.recv_timeout(std::time::Duration::from_secs(30))
+                        .expect("an emit blocked on another thread's shard");
                 });
-            }
+            });
+            s.spawn(move || {
+                let _in = scope.enter();
+                held.wait();
+                {
+                    let _sp = task_span("hammer", 1);
+                    counter_add("hits", 1);
+                }
+                emitted.send(()).unwrap();
+            });
         });
         let log = drain().unwrap();
-        assert_eq!(
-            log.counters,
-            vec![("hits".to_string(), 20_000)],
-            "all emits from both threads must land"
-        );
-        let (created, _reused) = shard_stats();
-        assert!(created >= 2, "each concurrent thread gets its own shard");
+        assert_eq!(log.counters, vec![("hits".to_string(), 1)]);
+        assert_eq!(log.events.len(), 1, "{:?}", log.events);
+        assert_eq!(shard_stats(), (3, 0), "each thread gets its own shard");
     }
 
     #[test]
     fn shards_recycle_across_worker_scopes() {
         let _g = arm();
+        let scope = &Scope::capture();
         for round in 0..5u64 {
             std::thread::scope(|s| {
                 s.spawn(move || {
-                    let _w = worker_shard();
+                    let _in = scope.enter();
                     counter_add("round.hits", 1);
                     mark("round", round);
                 });
@@ -817,12 +814,46 @@ mod tests {
         }
         let log = drain().unwrap();
         assert_eq!(log.counters, vec![("round.hits".to_string(), 5)]);
-        let (created, reused) = shard_stats();
-        assert!(
-            created <= 2,
-            "sequential workers must reuse pooled shards, created {created}"
+        assert_eq!(
+            shard_stats(),
+            (2, 4),
+            "sequential workers must reuse one pooled shard"
         );
-        assert!(reused >= 3, "expected pool hits, got {reused}");
+    }
+
+    #[test]
+    fn an_armed_scope_is_invisible_to_other_threads() {
+        let barrier = &std::sync::Barrier::new(2);
+        let (log, (enabled, drained)) = std::thread::scope(|s| {
+            let armed = s.spawn(move || {
+                let _g = arm();
+                counter_add("a.hits", 1);
+                barrier.wait();
+                mark("a.mark", 0);
+                barrier.wait();
+                drain().unwrap()
+            });
+            let unarmed = s.spawn(move || {
+                barrier.wait();
+                let enabled = is_enabled();
+                {
+                    let _sp = span("b.span");
+                    counter_add("b.hits", 1);
+                    mark("b.mark", 0);
+                    observe("b.lat", 1);
+                }
+                let drained = drain().is_some();
+                barrier.wait();
+                (enabled, drained)
+            });
+            (armed.join().unwrap(), unarmed.join().unwrap())
+        });
+        assert!(!enabled, "another thread's arm leaked here");
+        assert!(!drained, "an unarmed thread drained a collector");
+        assert_eq!(log.counters, vec![("a.hits".to_string(), 1)]);
+        let paths: Vec<&str> = log.events.iter().map(|e| e.path.as_str()).collect();
+        assert_eq!(paths, vec!["a.mark"]);
+        assert!(log.hists.is_empty());
     }
 
     #[test]
@@ -835,9 +866,11 @@ mod tests {
                     observe("lat", v);
                 }
             } else {
+                let scope = &Scope::capture();
                 std::thread::scope(|s| {
                     for chunk in values.chunks(values.len() / threads) {
                         s.spawn(move || {
+                            let _in = scope.enter();
                             for &v in chunk {
                                 observe("lat", v);
                             }

@@ -20,9 +20,16 @@
 //! variable, then [`std::thread::available_parallelism`]. Library
 //! APIs take the count as an explicit argument so tests can pin it;
 //! entry points resolve it once via [`resolve_threads`].
+//!
+//! Every thread this crate starts first enters the spawning thread's
+//! `forumcast-obs` collector and `forumcast-resilience` fault plan.
 
 use std::cell::Cell;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+use forumcast_obs::{ObsGuard, Scope};
+use forumcast_resilience::{FaultGuard, FaultScope};
 
 /// Environment variable overriding the default worker-thread count.
 pub const THREADS_ENV: &str = "FORUMCAST_THREADS";
@@ -83,6 +90,36 @@ fn mark_worker() {
     IN_WORKER.with(|w| w.set(true));
 }
 
+/// Captures the calling thread's collector and fault plan; a thread
+/// this crate starts calls the returned closure first to enter both.
+fn inherit() -> impl Fn() -> (ObsGuard, FaultGuard) + Sync {
+    let (obs, faults) = (Scope::capture(), FaultScope::capture());
+    move || (obs.enter(), faults.enter())
+}
+
+/// Runs `helper` on a scoped thread while `caller` runs on the calling
+/// thread, and returns both results. The helper inherits the caller's
+/// collector and fault plan, but is not a [`parallel_map`] worker. A
+/// panic on either side reaches the caller once both have returned,
+/// so each side must stop on its own when the other fails.
+pub fn join<A, B>(helper: impl FnOnce() -> A + Send, caller: impl FnOnce() -> B) -> (A, B)
+where
+    A: Send,
+{
+    let enter = inherit();
+    std::thread::scope(|s| {
+        let helper = s.spawn(|| {
+            let _scope = enter();
+            helper()
+        });
+        let b = caller();
+        let a = helper
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (a, b)
+    })
+}
+
 /// Runs `f` over `items` on up to `max_threads` scoped worker
 /// threads, returning results in input order. Work is claimed item
 /// by item from a shared counter, so uneven item costs balance
@@ -103,41 +140,8 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    forumcast_obs::counter_add("par.tasks", items.len() as u64);
-    if items.len() <= 1 || max_threads <= 1 {
-        return items.iter().map(&f).collect();
-    }
-    let threads = max_threads.min(items.len());
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    let slots = parking_lot::Mutex::new(&mut results);
-
-    crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                // Claim a telemetry shard for this worker's lifetime:
-                // registration cost lands here (before any timed
-                // item), and the shard returns to the pool when the
-                // scope ends instead of at thread exit.
-                let _obs = forumcast_obs::worker_shard();
-                mark_worker();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let out = f(&items[i]);
-                    slots.lock()[i] = Some(out);
-                }
-            });
-        }
-    })
-    .expect("worker thread panicked");
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect()
+    let Ok(out) = parallel_try_map(items, max_threads, |item| Ok::<U, Infallible>(f(item)));
+    out
 }
 
 /// Fallible version of [`parallel_map`]: runs `f` over `items` and
@@ -166,11 +170,12 @@ where
     let stop = AtomicBool::new(false);
     let mut results: Vec<Option<Result<U, E>>> = (0..items.len()).map(|_| None).collect();
     let slots = parking_lot::Mutex::new(&mut results);
+    let enter = inherit();
 
     crossbeam::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|_| {
-                let _obs = forumcast_obs::worker_shard();
+                let _scope = enter();
                 mark_worker();
                 loop {
                     if stop.load(Ordering::Relaxed) {
@@ -363,11 +368,56 @@ mod tests {
             "{:?}",
             log.counters
         );
-        // Main thread + at most 2 concurrent workers; later sections
-        // must reuse pooled shards instead of growing the registry.
+        // One claim for the caller and one per worker per section, out
+        // of at most 3 shards: later sections reuse pooled shards
+        // instead of growing the collector.
         let (created, reused) = forumcast_obs::shard_stats();
+        assert_eq!(created + reused, 1 + 4 * 2);
         assert!(created <= 3, "created {created} shards for 2 workers");
-        assert!(reused >= 1, "no pool reuse across sections");
+    }
+
+    /// Workers and the `join` helper see the spawning thread's armed
+    /// collector and fault plan, and nothing leaks back: the caller's
+    /// scope is intact afterwards.
+    #[test]
+    fn spawned_threads_inherit_the_armed_collector_and_plan() {
+        use forumcast_resilience::fault::{fires, FaultSite};
+        let seen = |unit: u64| {
+            (
+                forumcast_obs::is_enabled(),
+                fires(FaultSite::IngestIo, unit),
+            )
+        };
+        let spec = "ingest-io:0,ingest-io:1,ingest-io:2,ingest-io:3,ingest-io:9";
+        let _faults = forumcast_resilience::FaultPlan::parse(spec).unwrap().arm();
+        let _obs = forumcast_obs::arm();
+        let items: Vec<u64> = (0..4).collect();
+        assert_eq!(parallel_map(&items, 2, |&u| seen(u)), vec![(true, true); 4]);
+        let tried: Result<Vec<_>, ()> = parallel_try_map(&items, 2, |&u| Ok(seen(u)));
+        assert_eq!(tried.unwrap(), vec![(true, false); 4], "shots are shared");
+        assert_eq!(join(|| seen(9), || seen(8)), ((true, true), (true, false)));
+        assert!(forumcast_obs::is_enabled());
+        let log = forumcast_obs::drain().unwrap();
+        assert!(
+            log.counters
+                .contains(&("fault.fired.ingest-io".to_string(), 5)),
+            "{:?}",
+            log.counters
+        );
+    }
+
+    #[test]
+    fn join_resumes_a_helper_panic_on_the_caller() {
+        let caller_ran = AtomicBool::new(false);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            join(
+                || panic!("helper failed"),
+                || caller_ran.store(true, Ordering::Relaxed),
+            )
+        }))
+        .unwrap_err();
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"helper failed"));
+        assert!(caller_ran.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -666,12 +666,11 @@ mod tests {
                 .map(|(_, v)| *v)
         };
         let written = std::fs::metadata(&path).unwrap().len();
-        // Concurrent unarmed tests may also save while we are armed,
-        // so assert lower bounds rather than exact equality.
-        assert!(counter("ckpt.subfold.saves").unwrap() >= 1);
-        assert!(
-            counter("ckpt.subfold.bytes").unwrap() >= written,
-            "byte counter must cover at least this save's payload"
+        assert_eq!(counter("ckpt.subfold.saves"), Some(1));
+        assert_eq!(
+            counter("ckpt.subfold.bytes"),
+            Some(written),
+            "byte counter must equal the saved file's size"
         );
         let write_hist = log
             .hists
@@ -679,7 +678,7 @@ mod tests {
             .find(|(n, _)| n == "ckpt.subfold.write_ms")
             .map(|(_, h)| h)
             .expect("write duration must land in the latency histogram");
-        assert!(write_hist.count() >= 1);
+        assert_eq!(write_hist.count(), 1);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -784,6 +783,44 @@ mod tests {
         let back = Checkpoint::<i32>::load(&path, "m").unwrap().unwrap();
         assert_eq!(back.entries, vec![(0, 1)]);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// An armed plan is the arming thread's alone: an unarmed thread
+    /// saving a checkpoint with the same entry count while the plan is
+    /// armed neither consumes its shots nor fails.
+    #[test]
+    fn a_plan_armed_on_one_thread_never_fires_on_another() {
+        let armed = std::sync::Barrier::new(2);
+        let saved = std::sync::Barrier::new(2);
+        let two_entries = |name: &str| {
+            let mut cp: Checkpoint<i32> = Checkpoint::new("m");
+            cp.record(0, 1);
+            cp.record(1, 2);
+            (temp_path(name), cp)
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (path, cp) = two_entries("hermetic-armed");
+                let _guard = FaultPlan::parse("fsync-fail:2x3").unwrap().arm();
+                armed.wait();
+                // The other thread saves while this plan is armed.
+                saved.wait();
+                let err = cp
+                    .save(&path)
+                    .expect_err("the arming thread's save must fail");
+                assert!(err.to_string().contains("fsync-fail:2"), "{err}");
+                assert!(!path.exists(), "a failed first save leaves no checkpoint");
+                let _ = std::fs::remove_file(path.with_extension("tmp"));
+            });
+            s.spawn(|| {
+                let (path, cp) = two_entries("hermetic-unarmed");
+                armed.wait();
+                let result = cp.save(&path);
+                saved.wait();
+                result.expect("another thread's plan fired here");
+                std::fs::remove_file(&path).unwrap();
+            });
+        });
     }
 
     #[test]

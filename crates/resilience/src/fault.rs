@@ -16,11 +16,16 @@
 //! exhaust a bounded retry and simulate a hard failure). The spec is
 //! read from the [`FAULTS_ENV`] environment variable or passed
 //! explicitly via a CLI flag.
+//!
+//! An armed plan belongs to the thread that armed it, not to the
+//! process; other threads see it only after entering its
+//! [`FaultScope`], as `forumcast-par` workers do.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError, RwLock};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, Once, PoisonError};
 
 /// Environment variable holding the fault-plan spec.
 pub const FAULTS_ENV: &str = "FORUMCAST_FAULTS";
@@ -208,51 +213,72 @@ impl FaultPlan {
         self.shots.is_empty()
     }
 
-    /// Arms the plan process-wide and returns a guard that disarms it
-    /// on drop. Armed scopes are serialized: a second `arm` blocks
-    /// until the first guard drops, so concurrent tests cannot see
-    /// each other's faults.
+    /// Arms the plan for the current thread (and the threads it hands
+    /// its [`FaultScope`] to) and returns a guard that disarms it on
+    /// drop. Other threads' probes never see it.
     pub fn arm(self) -> FaultGuard {
         install_quiet_hook();
-        let lock = ARM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let mut remaining: HashMap<(FaultSite, u64), u32> = HashMap::new();
         for (site, unit, count) in &self.shots {
             *remaining.entry((*site, *unit)).or_insert(0) += count;
         }
-        *ACTIVE.write().unwrap_or_else(PoisonError::into_inner) = Some(Arc::new(ActivePlan {
-            remaining: Mutex::new(remaining),
-        }));
-        ARMED.store(true, Ordering::Release);
-        FaultGuard { _lock: lock }
+        FaultScope(Some(Arc::new(Mutex::new(remaining)))).enter()
     }
 
-    /// Arms the plan for the remainder of the process — for binaries
-    /// wiring up `--faults` / [`FAULTS_ENV`] at startup. Later `arm`
-    /// calls in the same process will block forever; use [`Self::arm`]
-    /// in tests.
+    /// Arms the plan on the calling thread for the rest of its life —
+    /// for binaries wiring up `--faults` / [`FAULTS_ENV`] on the main
+    /// thread at startup; `forumcast-par` workers inherit it.
     pub fn arm_for_process(self) {
         std::mem::forget(self.arm());
     }
 }
 
-struct ActivePlan {
-    remaining: Mutex<HashMap<(FaultSite, u64), u32>>,
-}
+/// An armed plan's remaining shots, shared by the threads of its scope.
+type Shots = Mutex<HashMap<(FaultSite, u64), u32>>;
 
-static ARMED: AtomicBool = AtomicBool::new(false);
-static ACTIVE: RwLock<Option<Arc<ActivePlan>>> = RwLock::new(None);
-static ARM_LOCK: Mutex<()> = Mutex::new(());
 static HOOK: Once = Once::new();
 
-/// Disarms the plan (and releases the arming lock) on drop.
+thread_local! {
+    /// Whether this thread has a plan: the one read a disarmed probe
+    /// makes (`const`, no destructor).
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ACTIVE: RefCell<Option<Arc<Shots>>> = const { RefCell::new(None) };
+}
+
+/// The calling thread's armed plan (or none), to hand to the threads
+/// it starts: [`FaultScope::capture`] before spawning,
+/// [`FaultScope::enter`] first thing on each new thread.
+pub struct FaultScope(Option<Arc<Shots>>);
+
+impl FaultScope {
+    /// The current thread's scope.
+    pub fn capture() -> FaultScope {
+        FaultScope(ACTIVE.with_borrow(Clone::clone))
+    }
+
+    /// Makes this scope the current thread's until the guard drops.
+    pub fn enter(&self) -> FaultGuard {
+        ARMED.set(self.0.is_some());
+        FaultGuard {
+            prev: ACTIVE.replace(self.0.clone()),
+            _thread_bound: PhantomData,
+        }
+    }
+}
+
+/// Ends an armed or entered scope on drop, restoring the thread's
+/// previous plan. It must drop on the thread that created it.
+#[must_use = "the plan is disarmed when the guard drops"]
 pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
+    prev: Option<Arc<Shots>>,
+    _thread_bound: PhantomData<*const ()>,
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        ARMED.store(false, Ordering::Release);
-        *ACTIVE.write().unwrap_or_else(PoisonError::into_inner) = None;
+        let prev = self.prev.take();
+        ARMED.set(prev.is_some());
+        let _ = ACTIVE.try_with(|a| a.replace(prev));
     }
 }
 
@@ -277,33 +303,31 @@ fn install_quiet_hook() {
     });
 }
 
-/// Consumes one shot for `(site, unit)` from the armed plan, if any.
-/// Returns `false` when no plan is armed, the plan has no shot for
-/// this probe, or all its shots already fired. The armed-check fast
-/// path is a single atomic load, so probes are safe in hot loops.
+/// Consumes one shot for `(site, unit)` from the current thread's
+/// armed plan, if any. Returns `false` when no plan is armed here, the
+/// plan has no shot for this probe, or all its shots already fired.
+/// The armed-check fast path is a single thread-local read, so probes
+/// are safe in hot loops.
 pub fn fires(site: FaultSite, unit: u64) -> bool {
-    if !ARMED.load(Ordering::Acquire) {
+    if !ARMED.get() {
         return false;
     }
-    let active = ACTIVE.read().unwrap_or_else(PoisonError::into_inner);
-    let Some(plan) = active.as_ref() else {
-        return false;
-    };
-    let mut remaining = plan
-        .remaining
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    match remaining.get_mut(&(site, unit)) {
-        Some(n) if *n > 0 => {
-            *n -= 1;
-            if forumcast_obs::is_enabled() {
-                forumcast_obs::counter_add(&format!("fault.fired.{}", site.name()), 1);
-                forumcast_obs::mark("fault.fired", unit);
-            }
-            true
-        }
-        _ => false,
+    let fired = ACTIVE
+        .with_borrow(|shots| {
+            let mut shots = shots
+                .as_ref()?
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let left = shots.get_mut(&(site, unit)).filter(|n| **n > 0)?;
+            *left -= 1;
+            Some(())
+        })
+        .is_some();
+    if fired && forumcast_obs::is_enabled() {
+        forumcast_obs::counter_add(&format!("fault.fired.{}", site.name()), 1);
+        forumcast_obs::mark("fault.fired", unit);
     }
+    fired
 }
 
 /// Panics with an injected-fault payload when `(site, unit)` fires.

@@ -34,5 +34,5 @@ pub mod retry;
 pub use checkpoint::{
     reclaim_tmp, Checkpoint, CheckpointError, TrainCheckpoint, SUBFOLD_FORMAT_VERSION,
 };
-pub use fault::{FaultGuard, FaultPlan, FaultSite, FaultSpecError, FAULTS_ENV};
+pub use fault::{FaultGuard, FaultPlan, FaultScope, FaultSite, FaultSpecError, FAULTS_ENV};
 pub use retry::{save_with_retry, with_retry, RetryExhausted, SAVE_ATTEMPTS};

@@ -8,16 +8,12 @@
 //! exercise the injector through the highest-level consumer.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use forumcast_eval::{
     run_cv, run_cv_resumable, CvError, CvOptions, EvalConfig, ExperimentData, FoldOutcome,
 };
-use forumcast_resilience::FaultPlan;
-
-/// Armed fault plans are process-global, so tests that run CVs must
-/// not overlap — one could consume another's shots.
-static LOCK: Mutex<()> = Mutex::new(());
+use forumcast_resilience::{FaultPlan, FaultSite, FAULTS_ENV};
 
 fn quick_config(threads: usize) -> EvalConfig {
     let mut cfg = EvalConfig::quick();
@@ -56,6 +52,38 @@ fn bits(outcomes: &[FoldOutcome]) -> Vec<u64> {
         .collect()
 }
 
+/// Runs a CV sweep under the fault spec `spec` with the collector
+/// armed in the same scope, and asserts that every planned shot fired:
+/// a healed run whose workers never saw the plan would otherwise pass
+/// vacuously.
+fn run_cv_under(spec: &str, data: &ExperimentData, cfg: &EvalConfig) -> Vec<FoldOutcome> {
+    let _faults = FaultPlan::parse(spec).unwrap().arm();
+    let _obs = forumcast_obs::arm();
+    let healed = run_cv(data, cfg, None, false);
+    let log = forumcast_obs::drain().expect("collector armed");
+    for site in FaultSite::ALL {
+        // Shots per site, split as `FaultPlan::parse` splits them:
+        // `site:unit` is one, `site:unitxN` is N.
+        let planned: u64 = spec
+            .split(',')
+            .filter_map(|shot| shot.split_once(':'))
+            .filter(|(name, _)| name.trim() == site.name())
+            .map(|(_, rest)| {
+                rest.split_once('x')
+                    .map_or(1, |(_, n)| n.trim().parse().unwrap())
+            })
+            .sum();
+        let name = format!("fault.fired.{site}");
+        let fired = log
+            .counters
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, v)| *v);
+        assert_eq!(fired, planned, "{name} at {} thread(s)", cfg.threads);
+    }
+    healed
+}
+
 fn temp_checkpoint(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!(
@@ -68,7 +96,6 @@ fn temp_checkpoint(name: &str) -> PathBuf {
 
 #[test]
 fn injected_faults_heal_bitwise_identically() {
-    let _lock = LOCK.lock().unwrap();
     let data = shared_data();
     for threads in [1, 2] {
         let cfg = quick_config(threads);
@@ -76,11 +103,7 @@ fn injected_faults_heal_bitwise_identically() {
         // One panic in each fold job plus a NaN gradient in the vote
         // trainer: every fault is retried away and the healed run must
         // reproduce the fault-free bits.
-        let guard = FaultPlan::parse("fold-panic:0,fold-panic:1,nan-grad:3")
-            .unwrap()
-            .arm();
-        let healed = run_cv(data, &cfg, None, false);
-        drop(guard);
+        let healed = run_cv_under("fold-panic:0,fold-panic:1,nan-grad:3", data, &cfg);
         assert_eq!(
             bits(&clean),
             bits(&healed),
@@ -91,7 +114,6 @@ fn injected_faults_heal_bitwise_identically() {
 
 #[test]
 fn interrupted_sweep_resumes_bitwise_identically() {
-    let _lock = LOCK.lock().unwrap();
     let data = shared_data();
     for threads in [1, 2] {
         let cfg = quick_config(threads);
@@ -125,7 +147,6 @@ fn interrupted_sweep_resumes_bitwise_identically() {
 
 #[test]
 fn failed_checkpoint_write_leaves_no_partial_checkpoint_and_resumes() {
-    let _lock = LOCK.lock().unwrap();
     let data = shared_data();
     let cfg = quick_config(1);
     let uninterrupted = run_cv(data, &cfg, None, false);
@@ -179,14 +200,15 @@ fn failed_checkpoint_write_leaves_no_partial_checkpoint_and_resumes() {
 /// bounded retry can heal — that is the point of the smoke pass.
 #[test]
 fn env_fault_spec_is_honored_and_healed() {
-    let _lock = LOCK.lock().unwrap();
     let data = shared_data();
-    let cfg = quick_config(2);
-    let clean = run_cv(data, &cfg, None, false);
-    let plan = FaultPlan::from_env()
-        .expect("FORUMCAST_FAULTS parses")
-        .unwrap_or_else(|| FaultPlan::parse("fold-panic:0").unwrap());
-    let _guard = plan.arm();
-    let healed = run_cv(data, &cfg, None, false);
-    assert_eq!(bits(&clean), bits(&healed));
+    let spec = match FaultPlan::from_env().expect("FORUMCAST_FAULTS parses") {
+        Some(_) => std::env::var(FAULTS_ENV).unwrap(),
+        None => "fold-panic:0".to_string(),
+    };
+    for threads in [1, 2] {
+        let cfg = quick_config(threads);
+        let clean = run_cv(data, &cfg, None, false);
+        let healed = run_cv_under(&spec, data, &cfg);
+        assert_eq!(bits(&clean), bits(&healed), "{threads} thread(s)");
+    }
 }

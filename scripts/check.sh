@@ -13,6 +13,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> hermetic harness (obs/resilience/data/par lib tests x10, default parallelism)"
+# Fault plans and telemetry collectors belong to the thread that armed
+# them, so these binaries must pass under cargo's parallel harness
+# every time, with no test-serializing locks. Any red run fails.
+hermetic_log="$(mktemp -t forumcast-hermetic-XXXXXX.log)"
+for run in $(seq 1 10); do
+  if ! cargo test -q -p forumcast-obs -p forumcast-resilience -p forumcast-data \
+    -p forumcast-par --lib > "$hermetic_log" 2>&1; then
+    cat "$hermetic_log" >&2
+    echo "hermetic harness: run $run of 10 failed" >&2
+    exit 1
+  fi
+done
+rm -f "$hermetic_log"
+echo "hermetic harness: 10 of 10 runs green"
+
 echo "==> fault-injection smoke (FORUMCAST_FAULTS=fold-panic:1)"
 FORUMCAST_FAULTS=fold-panic:1 cargo test -q -p forumcast-resilience
 
