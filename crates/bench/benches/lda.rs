@@ -42,6 +42,16 @@ fn bench_lda(c: &mut Criterion) {
             );
         }
         let corpus = corpus_from_synth(300);
+        // K = 64 is the `build-k64` regime, where the per-token K-walk
+        // dominates.
+        group.bench_with_input(
+            BenchmarkId::new(format!("train_k64_20sweeps_{tag}"), 300),
+            &corpus,
+            |b, corpus| {
+                let cfg = LdaConfig::new(64).with_iterations(20).with_sampler(sampler);
+                b.iter(|| LdaModel::train(corpus, &cfg));
+            },
+        );
         let model = LdaModel::train(
             &corpus,
             &LdaConfig::new(8).with_iterations(30).with_sampler(sampler),

@@ -180,12 +180,17 @@ impl Optimizer for Adam {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        // Once `β^t` falls below half an ulp of 1 the correction is
+        // exactly 1.0 (from t ≈ 356 for β₁ = 0.9 and t ≈ 37,400 for
+        // β₂ = 0.999), and `x / 1.0` is `x` bit for bit, so the
+        // divisions are skipped.
+        let (skip1, skip2) = (bc1 == 1.0, bc2 == 1.0);
         for i in 0..params.len() {
             let g = grads[i];
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g;
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = self.m[i] / bc1;
-            let v_hat = self.v[i] / bc2;
+            let m_hat = if skip1 { self.m[i] } else { self.m[i] / bc1 };
+            let v_hat = if skip2 { self.v[i] } else { self.v[i] / bc2 };
             params[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
         }
     }
@@ -236,6 +241,78 @@ mod tests {
         let mut x = vec![0.0];
         opt.step(&mut x, &[123.0]);
         assert!((x[0] + 0.01).abs() < 1e-6);
+    }
+
+    /// The Adam update that always divides by both bias corrections:
+    /// the reference `Adam::step`'s exact-1.0 skip must match bit for
+    /// bit.
+    fn reference_adam_step(adam: &mut Adam, t: u64, params: &mut [f64], grads: &[f64]) {
+        let bc1 = 1.0 - adam.beta1.powi(t as i32);
+        let bc2 = 1.0 - adam.beta2.powi(t as i32);
+        for i in 0..params.len() {
+            let g = grads[i];
+            adam.m[i] = adam.beta1 * adam.m[i] + (1.0 - adam.beta1) * g;
+            adam.v[i] = adam.beta2 * adam.v[i] + (1.0 - adam.beta2) * g * g;
+            let m_hat = adam.m[i] / bc1;
+            let v_hat = adam.v[i] / bc2;
+            params[i] -= adam.learning_rate * m_hat / (v_hat.sqrt() + adam.epsilon);
+        }
+    }
+
+    #[test]
+    fn adam_matches_always_dividing_reference_bit_for_bit() {
+        const STEPS: u64 = 40_000;
+        // Both corrections reach exactly 1.0 inside the run, so both
+        // skips are exercised.
+        assert_eq!(1.0 - 0.9f64.powi(STEPS as i32), 1.0);
+        assert_eq!(1.0 - 0.999f64.powi(STEPS as i32), 1.0);
+        assert!(1.0 - 0.999f64.powi(30_000) < 1.0);
+
+        let n = 10;
+        let mut fast = Adam::new(1e-3);
+        let mut reference = Adam::new(1e-3);
+        reference.m = vec![0.0; n];
+        reference.v = vec![0.0; n];
+        let mut p_fast: Vec<f64> = (0..n).map(|i| i as f64 * 0.25 - 1.0).collect();
+        let mut p_ref = p_fast.clone();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut grads = vec![0.0f64; n];
+        for t in 1..=STEPS {
+            for (i, g) in grads.iter_mut().enumerate() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let u = (state >> 11) as f64 / (1u64 << 53) as f64;
+                *g = match i {
+                    // Signed zeros throughout.
+                    0 => 0.0,
+                    1 => -0.0,
+                    // Non-finite gradients from some step on: the
+                    // moments and the parameter go NaN/∞ and must
+                    // stay identical.
+                    2 if t >= 20_000 => f64::INFINITY,
+                    3 if t >= 38_000 => f64::NEG_INFINITY,
+                    4 if t % 1_000 == 0 => f64::NAN,
+                    // Tiny, huge and ordinary magnitudes of both signs.
+                    5 => (u - 0.5) * 1e-300,
+                    6 => (u - 0.5) * 1e150,
+                    _ => (u - 0.5) * 4.0,
+                };
+            }
+            fast.step(&mut p_fast, &grads);
+            reference_adam_step(&mut reference, t, &mut p_ref, &grads);
+            for i in 0..n {
+                assert_eq!(
+                    p_fast[i].to_bits(),
+                    p_ref[i].to_bits(),
+                    "param {i} at step {t}"
+                );
+                assert_eq!(fast.m[i].to_bits(), reference.m[i].to_bits(), "m {i} @ {t}");
+                assert_eq!(fast.v[i].to_bits(), reference.v[i].to_bits(), "v {i} @ {t}");
+            }
+        }
+        assert!(p_fast[4].is_nan() && p_fast[2].is_nan());
+        assert!(p_fast[7].is_finite());
     }
 
     #[test]

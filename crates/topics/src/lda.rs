@@ -20,6 +20,16 @@
 //! deterministic given the seed but follows a different (equally
 //! valid) Gibbs trajectory than dense, so the two are compared by
 //! perplexity/total-variation parity rather than bitwise equality.
+//!
+//! # Count layout
+//!
+//! During a fit the topic–word counts are stored word-major,
+//! `n_kw[w * K + t]`, so the `K` counts a token's conditional reads
+//! sit in one contiguous row (one or a few cache lines, not `K`
+//! strided ones). Doc–topic counts are row-major `D × K`. Only the
+//! fitted `φ` is topic-major (`K × V`, what
+//! [`LdaModel::topic_words`] serves); it is transposed out of the
+//! word-major counts once, after the last sweep.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -218,14 +228,14 @@ impl LdaModel {
         let mut z: Vec<u32> = tokens.iter().map(|_| rng.gen_range(0..k) as u32).collect();
 
         let mut n_dk = vec![0u32; d * k]; // doc–topic counts, row-major D × K
-        let mut n_kw = vec![0u32; k * v]; // topic–word counts, row-major K × V
+        let mut n_kw = vec![0u32; v * k]; // topic–word counts, word-major V × K
         let mut n_k = vec![0u64; k]; // topic totals
         for di in 0..d {
             for ti in doc_offsets[di]..doc_offsets[di + 1] {
                 let w = tokens[ti] as usize;
                 let t = z[ti] as usize;
                 n_dk[di * k + t] += 1;
-                n_kw[t * v + w] += 1;
+                n_kw[w * k + t] += 1;
                 n_k[t] += 1;
             }
         }
@@ -265,11 +275,13 @@ impl LdaModel {
         let alpha = config.alpha;
         let beta = config.beta;
         let vbeta = v as f64 * beta;
+        // φ is served topic-major, so the word-major counts are
+        // transposed here, once, into the K × V output.
+        let denom: Vec<f64> = n_k.iter().map(|&nk| nk as f64 + vbeta).collect();
         let mut phi = vec![0.0f64; k * v];
-        for t in 0..k {
-            let denom = n_k[t] as f64 + vbeta;
-            for w in 0..v {
-                phi[t * v + w] = (n_kw[t * v + w] as f64 + beta) / denom;
+        for (w, counts) in n_kw.chunks_exact(k).enumerate() {
+            for (t, &c) in counts.iter().enumerate() {
+                phi[t * v + w] = (c as f64 + beta) / denom[t];
             }
         }
         let mut theta = vec![0.0f64; d * k];
@@ -516,6 +528,12 @@ impl LdaModel {
 /// The reference dense Gibbs sweeps: per token, the full `K`-term
 /// conditional. Bitwise-identical to the historical implementation
 /// (same RNG stream, same floating-point operation order).
+///
+/// The conditional's row and denominator operands are cached as `f64`
+/// (`n_dk + α` for the current document, `n_k + Vβ` per topic) and only
+/// the two topics a token leaves and joins are refreshed. The cached
+/// values equal the ones computed inline, so every product and quotient
+/// is unchanged.
 #[allow(clippy::too_many_arguments)]
 fn dense_sweeps(
     config: &LdaConfig,
@@ -533,28 +551,41 @@ fn dense_sweeps(
     let beta = config.beta;
     let vbeta = v as f64 * beta;
     let mut probs = vec![0.0f64; k];
+    let mut nk_vbeta: Vec<f64> = n_k.iter().map(|&nk| nk as f64 + vbeta).collect();
+    let mut ndk_alpha = vec![0.0f64; k];
     for _sweep in 0..config.iterations {
         forumcast_obs::counter_add("lda.gibbs.sweeps", 1);
         for di in 0..doc_offsets.len() - 1 {
+            let ndk = &mut n_dk[di * k..(di + 1) * k];
+            for (a, &c) in ndk_alpha.iter_mut().zip(ndk.iter()) {
+                *a = c as f64 + alpha;
+            }
             for ti in doc_offsets[di]..doc_offsets[di + 1] {
-                let w = tokens[ti] as usize;
+                let nkw = &mut n_kw[tokens[ti] as usize * k..][..k];
                 let old = z[ti] as usize;
-                n_dk[di * k + old] -= 1;
-                n_kw[old * v + w] -= 1;
+                ndk[old] -= 1;
+                nkw[old] -= 1;
                 n_k[old] -= 1;
+                ndk_alpha[old] = ndk[old] as f64 + alpha;
+                nk_vbeta[old] = n_k[old] as f64 + vbeta;
 
                 let mut total = 0.0;
-                for t in 0..k {
-                    let p = (n_dk[di * k + t] as f64 + alpha) * (n_kw[t * v + w] as f64 + beta)
-                        / (n_k[t] as f64 + vbeta);
-                    probs[t] = p;
-                    total += p;
+                for (((p, &a), &c), &denom) in probs
+                    .iter_mut()
+                    .zip(&ndk_alpha)
+                    .zip(nkw.iter())
+                    .zip(&nk_vbeta)
+                {
+                    *p = a * (c as f64 + beta) / denom;
+                    total += *p;
                 }
                 let new = sample_index(&probs, total, rng);
                 z[ti] = new as u32;
-                n_dk[di * k + new] += 1;
-                n_kw[new * v + w] += 1;
+                ndk[new] += 1;
+                nkw[new] += 1;
                 n_k[new] += 1;
+                ndk_alpha[new] = ndk[new] as f64 + alpha;
+                nk_vbeta[new] = n_k[new] as f64 + vbeta;
             }
         }
     }
@@ -588,15 +619,12 @@ fn sparse_sweeps(
     // Cached reciprocals 1/(n_k + Vβ): the dense path pays K divisions
     // per token, this pays two (one per changed topic).
     let mut inv_nk: Vec<f64> = n_k.iter().map(|&nk| 1.0 / (nk as f64 + vbeta)).collect();
-    // Per-word list of topics with n_kw > 0 — the `q` walk domain.
-    let mut word_topics: Vec<Vec<u32>> = vec![Vec::new(); v];
-    for t in 0..k {
-        for w in 0..v {
-            if n_kw[t * v + w] > 0 {
-                word_topics[w].push(t as u32);
-            }
-        }
-    }
+    // Per-word list of topics with n_kw > 0, ascending — the `q` walk
+    // domain.
+    let mut word_topics: Vec<Vec<u32>> = n_kw
+        .chunks_exact(k)
+        .map(|counts| (0..k as u32).filter(|&t| counts[t as usize] > 0).collect())
+        .collect();
     // Per-document scratch, reused across all documents.
     let mut q_coef = vec![0.0f64; k];
     let mut q_terms: Vec<f64> = Vec::with_capacity(k);
@@ -633,8 +661,8 @@ fn sparse_sweeps(
                 s_sum -= ab * inv_nk[old];
                 r_sum -= n_dk[di * k + old] as f64 * beta * inv_nk[old];
                 n_dk[di * k + old] -= 1;
-                n_kw[old * v + w] -= 1;
-                if n_kw[old * v + w] == 0 {
+                n_kw[w * k + old] -= 1;
+                if n_kw[w * k + old] == 0 {
                     let wt = &mut word_topics[w];
                     let pos = wt
                         .iter()
@@ -660,7 +688,7 @@ fn sparse_sweeps(
                 q_terms.clear();
                 let mut q_sum = 0.0;
                 for &t in wt {
-                    let term = q_coef[t as usize] * n_kw[t as usize * v + w] as f64;
+                    let term = q_coef[t as usize] * n_kw[w * k + t as usize] as f64;
                     q_terms.push(term);
                     q_sum += term;
                 }
@@ -717,10 +745,10 @@ fn sparse_sweeps(
                 // Add the new assignment back, mirroring the removal.
                 s_sum -= ab * inv_nk[new];
                 r_sum -= n_dk[di * k + new] as f64 * beta * inv_nk[new];
-                if n_kw[new * v + w] == 0 {
+                if n_kw[w * k + new] == 0 {
                     word_topics[w].push(new as u32);
                 }
-                n_kw[new * v + w] += 1;
+                n_kw[w * k + new] += 1;
                 n_k[new] += 1;
                 inv_nk[new] = 1.0 / (n_k[new] as f64 + vbeta);
                 n_dk[di * k + new] += 1;
@@ -789,6 +817,100 @@ mod tests {
         }
         let corpus = Corpus::from_token_docs(&docs, &vocab);
         (corpus, vocab)
+    }
+
+    /// Four 10-word themes over 48 documents of 15 tokens; each doc
+    /// mixes its theme with a few words of the next one. Token picks
+    /// come from a fixed LCG so the corpus never changes.
+    fn themed_corpus() -> Corpus {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % n
+        };
+        let docs: Vec<Vec<String>> = (0..48)
+            .map(|d| {
+                (0..15)
+                    .map(|_| {
+                        let theme = if next(5) == 0 { (d + 1) % 4 } else { d % 4 };
+                        format!("t{theme}w{}", next(10))
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut vocab = Vocabulary::new();
+        for d in &docs {
+            vocab.observe(d);
+        }
+        Corpus::from_token_docs(&docs, &vocab)
+    }
+
+    /// FNV-1a over the little-endian bits of `xs`.
+    fn fnv_bits<'a>(xs: impl IntoIterator<Item = &'a f64>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for x in xs {
+            for b in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    /// Pins the exact output bits of both samplers: φ, θ and one
+    /// fold-in. Any change to the sweep's RNG use or floating-point
+    /// operation order shows up here, not only as drift in quality.
+    #[test]
+    fn output_bits_are_pinned() {
+        let corpus = themed_corpus();
+        // With one topic both samplers are forced to the same state.
+        let k1 = [0x3068ae9f53d99165, 0xf8d0cf8b73597625, 0xaab1693229ba1db8];
+        let expected: [(LdaSampler, usize, [u64; 3]); 6] = [
+            (LdaSampler::Dense, 1, k1),
+            (
+                LdaSampler::Dense,
+                4,
+                [0xc9591fb44c37bd8d, 0x44089a2374be7a3c, 0xe8272c7db14bacc6],
+            ),
+            (
+                LdaSampler::Dense,
+                64,
+                [0x95c435554b1fde7a, 0x2a919b1a5fb89dbd, 0x59bd50382cd59359],
+            ),
+            (LdaSampler::Sparse, 1, k1),
+            (
+                LdaSampler::Sparse,
+                4,
+                [0x53257a23bd1dd5ca, 0x762e84538c4a934d, 0x68037ac4b37f1a21],
+            ),
+            (
+                LdaSampler::Sparse,
+                64,
+                [0xb7d4dc60bffef26b, 0x1bae72f5eb1dc7d3, 0xc3d82d4005ab1e55],
+            ),
+        ];
+        let got: Vec<[u64; 3]> = expected
+            .iter()
+            .map(|&(sampler, k, _)| {
+                let cfg = LdaConfig::new(k)
+                    .with_iterations(25)
+                    .with_seed(0xD1CE)
+                    .with_sampler(sampler);
+                let model = LdaModel::train(&corpus, &cfg);
+                [
+                    fnv_bits((0..k).flat_map(|t| model.topic_words(t))),
+                    fnv_bits((0..corpus.num_docs()).flat_map(|d| model.doc_topics(d))),
+                    fnv_bits(&model.infer(corpus.doc(5), 17)),
+                ]
+            })
+            .collect();
+        for ((sampler, k, want), got_row) in expected.iter().zip(&got) {
+            assert_eq!(
+                got_row, want,
+                "{sampler} K={k} [φ, θ, infer]; all rows: {got:#x?}"
+            );
+        }
     }
 
     #[test]

@@ -206,6 +206,14 @@ echo "==> perf gate (bench compare against committed BENCH_quick.json)"
 "$fcr" bench compare BENCH_quick.json "$work_dir/BENCH_quick.json" \
   --tolerance 1.5 --p99-tolerance 2.0 --min-ms 20
 
+echo "==> perf gate at K = 64 (bench compare against committed BENCH_quick_k64.json)"
+# The same gate with 64 topics, where the dense Gibbs sweep's K-term
+# walk per token is what lda.train spends its time on.
+"$fcr" evaluate --scale quick --threads 1 --topics 64 \
+  --bench-json "$work_dir/BENCH_quick_k64.json" > /dev/null
+"$fcr" bench compare BENCH_quick_k64.json "$work_dir/BENCH_quick_k64.json" \
+  --tolerance 1.5 --p99-tolerance 2.0 --min-ms 20
+
 echo "==> streamed-fold smoke (--data-dir: bitwise metrics, bounded RSS)"
 # The columnar data plane's end-to-end contract: sharded generation is
 # bitwise thread-count-invariant, and evaluating from the on-disk
