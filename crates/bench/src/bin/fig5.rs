@@ -14,17 +14,11 @@ fn main() {
     } else {
         (vec![4, 8, 12, 15, 20], 8)
     };
-    let report = fig5::run_with(
-        &opts.config,
-        &ks,
-        reference,
-        opts.resume.as_deref(),
-        &opts.cv_options(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("fig5 failed: {e}");
-        std::process::exit(1);
-    });
+    let report = fig5::run_with(&opts.config, &ks, reference, opts.resume.as_deref())
+        .unwrap_or_else(|e| {
+            eprintln!("fig5 failed: {e}");
+            std::process::exit(1);
+        });
     status!("{report}");
     // Shape check: r̂ should move least across K.
     let spread = |f: &dyn Fn(&fig5::Fig5Point) -> f64| -> f64 {

@@ -14,17 +14,11 @@ fn main() {
     } else {
         vec![5, 10, 15, 20, 24]
     };
-    let report = fig7::run_with(
-        &opts.config,
-        &windows,
-        25,
-        opts.resume.as_deref(),
-        &opts.cv_options(),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("fig7 failed: {e}");
-        std::process::exit(1);
-    });
+    let report =
+        fig7::run_with(&opts.config, &windows, 25, opts.resume.as_deref()).unwrap_or_else(|e| {
+            eprintln!("fig7 failed: {e}");
+            std::process::exit(1);
+        });
     status!("{report}");
     for &w in &windows {
         status!(

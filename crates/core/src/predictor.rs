@@ -6,11 +6,9 @@ use serde::{Deserialize, Serialize};
 use forumcast_data::{Hours, Thread, UserId};
 use forumcast_features::{FeatureExtractor, Normalizer};
 
-use forumcast_ml::TrainState;
-
 use crate::answer::{AnswerConfig, AnswerPredictor};
 use crate::timing::{ThreadObservation, TimingConfig, TimingPredictor};
-use crate::votes::{VoteConfig, VotePredictor, VoteTrainState};
+use crate::votes::{VoteConfig, VotePredictor};
 
 /// Labeled training data for all three tasks, in raw (unnormalized)
 /// feature space, usually built with [`TrainingRows`].
@@ -247,42 +245,6 @@ impl TrainConfig {
     }
 }
 
-/// Resumable training progress for [`ResponsePredictor::train_resumable`]:
-/// completed stages carry the finished predictor, the in-flight stage
-/// carries its mid-training snapshot. The timing stage never appears
-/// here: it is deterministic, so a resumed run recomputes it from the
-/// same inputs to the same bits.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TrainProgress {
-    /// Finished answer predictor, once that stage completes.
-    pub answer: Option<AnswerPredictor>,
-    /// Mid-training answer snapshot while that stage is in flight.
-    pub answer_state: Option<TrainState>,
-    /// Finished vote predictor, once that stage completes.
-    pub votes: Option<VotePredictor>,
-    /// Mid-training vote snapshot while that stage is in flight.
-    pub votes_state: Option<VoteTrainState>,
-}
-
-impl TrainProgress {
-    /// Number of training epochs this progress makes skippable under
-    /// `config` — completed stages count in full, in-flight stages by
-    /// their snapshot epoch.
-    pub fn epochs_done(&self, config: &TrainConfig) -> u64 {
-        let answer = if self.answer.is_some() {
-            config.answer.epochs as u64
-        } else {
-            self.answer_state.as_ref().map_or(0, |s| s.epoch)
-        };
-        let votes = if self.votes.is_some() {
-            config.votes.epochs as u64
-        } else {
-            self.votes_state.as_ref().map_or(0, |s| s.train.epoch)
-        };
-        answer + votes
-    }
-}
-
 /// The paper's full system: all three predictors sharing one
 /// preprocessing pipeline (optional signed-log compression followed
 /// by z-scoring) fitted on the training features.
@@ -309,44 +271,15 @@ impl ResponsePredictor {
     ///
     /// Panics when any task has no training data.
     pub fn train(ts: &TrainingSet, config: &TrainConfig) -> Self {
-        Self::train_resumable(ts, config, None, 0, &mut |_| {})
+        Self::train_with_workers(ts, config, crate::timing::training_workers())
     }
 
-    /// [`train`](Self::train) with stage- and epoch-granular
-    /// checkpointing. `resume` restarts from a prior [`TrainProgress`]
-    /// snapshot; `snapshot_every > 0` invokes `save` with fresh
-    /// progress every that many epochs within the answer and vote
-    /// stages, plus once as each stage completes.
-    ///
-    /// Resuming from any snapshot emitted by this method reproduces
-    /// the uninterrupted run bitwise: the preprocessing preamble is
-    /// deterministically recomputed, then parameters, optimizer
-    /// moments, and the shuffle-RNG state are restored.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any task has no training data.
-    pub fn train_resumable(
-        ts: &TrainingSet,
-        config: &TrainConfig,
-        resume: Option<&TrainProgress>,
-        snapshot_every: usize,
-        save: &mut dyn FnMut(&TrainProgress),
-    ) -> Self {
-        let workers = crate::timing::training_workers();
-        Self::train_with_workers(ts, config, resume, snapshot_every, save, workers)
-    }
-
-    /// [`train_resumable`](Self::train_resumable) with the timing
-    /// stage on an explicit number of training workers (see
-    /// [`TimingPredictor::train`]). The model is bit-identical at any
-    /// count.
+    /// [`train`](Self::train) with the timing stage on an explicit
+    /// number of training workers (see [`TimingPredictor::train`]).
+    /// The model is bit-identical at any count.
     pub(crate) fn train_with_workers(
         ts: &TrainingSet,
         config: &TrainConfig,
-        resume: Option<&TrainProgress>,
-        snapshot_every: usize,
-        save: &mut dyn FnMut(&TrainProgress),
         timing_workers: usize,
     ) -> Self {
         assert!(
@@ -367,65 +300,14 @@ impl ResponsePredictor {
         let normalizer = Normalizer::fit(&all);
         let tf = |x: &[f64]| normalizer.transform(&pre(x));
 
-        let mut progress = resume.cloned().unwrap_or_default();
-
-        let answer = if let Some(a) = progress.answer.clone() {
-            a
-        } else {
+        let answer = {
             let answer_xs: Vec<Vec<f64>> = ts.answer_xs.iter().map(|x| tf(x)).collect();
-            let resume_state = progress.answer_state.take();
-            let a = AnswerPredictor::train_resumable(
-                &answer_xs,
-                &ts.answer_ys,
-                &config.answer,
-                resume_state.as_ref(),
-                snapshot_every,
-                &mut |s| {
-                    save(&TrainProgress {
-                        answer_state: Some(s.clone()),
-                        ..TrainProgress::default()
-                    })
-                },
-            );
-            progress.answer = Some(a.clone());
-            progress.answer_state = None;
-            if snapshot_every > 0 {
-                save(&progress);
-            }
-            a
+            AnswerPredictor::train(&answer_xs, &ts.answer_ys, &config.answer)
         };
-
-        let votes = if let Some(v) = progress.votes.clone() {
-            v
-        } else {
+        let votes = {
             let vote_xs: Vec<Vec<f64>> = ts.vote_xs.iter().map(|x| tf(x)).collect();
-            let resume_state = progress.votes_state.take();
-            let answer_done = progress.answer.clone();
-            let v = VotePredictor::train_resumable(
-                &vote_xs,
-                &ts.vote_ys,
-                &config.votes,
-                resume_state.as_ref(),
-                snapshot_every,
-                &mut |s| {
-                    save(&TrainProgress {
-                        answer: answer_done.clone(),
-                        votes_state: Some(s.clone()),
-                        ..TrainProgress::default()
-                    })
-                },
-            );
-            progress.votes = Some(v.clone());
-            progress.votes_state = None;
-            if snapshot_every > 0 {
-                save(&progress);
-            }
-            v
+            VotePredictor::train(&vote_xs, &ts.vote_ys, &config.votes)
         };
-
-        // The timing stage is not checkpointed. It is a 40–200-epoch
-        // Adam loop and the costliest stage, but it is deterministic,
-        // so a resumed run recomputes it to the same bits.
         let timing_threads: Vec<ThreadObservation> = ts
             .timing_threads
             .iter()
@@ -549,14 +431,7 @@ mod tests {
     }
 
     fn train_on(ts: &TrainingSet, workers: usize) -> ResponsePredictor {
-        ResponsePredictor::train_with_workers(
-            ts,
-            &TrainConfig::fast(),
-            None,
-            0,
-            &mut |_| {},
-            workers,
-        )
+        ResponsePredictor::train_with_workers(ts, &TrainConfig::fast(), workers)
     }
 
     #[test]
@@ -671,72 +546,5 @@ mod tests {
             back.predict_votes(&[100.0, 80.0]),
             model.predict_votes(&[100.0, 80.0])
         );
-    }
-
-    fn model_bits(m: &ResponsePredictor) -> Vec<u64> {
-        let (a, v, _) = m.parts();
-        a.coefficients()
-            .iter()
-            .chain(v.network().params().iter())
-            .map(|w| w.to_bits())
-            .collect()
-    }
-
-    #[test]
-    fn resume_from_every_progress_snapshot_is_bitwise_identical() {
-        let ts = training_set();
-        let cfg = TrainConfig {
-            votes: VoteConfig {
-                epochs: 40,
-                ..VoteConfig::fast()
-            },
-            ..TrainConfig::fast()
-        };
-        let reference = ResponsePredictor::train(&ts, &cfg);
-        let mut snapshots = Vec::new();
-        let snapshotted = ResponsePredictor::train_resumable(&ts, &cfg, None, 7, &mut |p| {
-            snapshots.push(p.clone())
-        });
-        assert_eq!(model_bits(&reference), model_bits(&snapshotted));
-        // Both stages must have produced in-flight snapshots, plus the
-        // two stage-completion snapshots.
-        assert!(snapshots.iter().any(|p| p.answer_state.is_some()));
-        assert!(snapshots.iter().any(|p| p.votes_state.is_some()));
-        assert!(snapshots.iter().any(|p| p.votes.is_some()));
-        for (i, snap) in snapshots.iter().enumerate() {
-            // Round-trip through JSON, as the on-disk checkpoint does.
-            let json = serde_json::to_string(snap).unwrap();
-            let snap: TrainProgress = serde_json::from_str(&json).unwrap();
-            let resumed =
-                ResponsePredictor::train_resumable(&ts, &cfg, Some(&snap), 0, &mut |_| {});
-            assert_eq!(
-                model_bits(&reference),
-                model_bits(&resumed),
-                "resume from snapshot {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn epochs_done_tracks_progress() {
-        let ts = training_set();
-        let cfg = TrainConfig {
-            votes: VoteConfig {
-                epochs: 40,
-                ..VoteConfig::fast()
-            },
-            ..TrainConfig::fast()
-        };
-        let mut snapshots = Vec::new();
-        ResponsePredictor::train_resumable(&ts, &cfg, None, 7, &mut |p| snapshots.push(p.clone()));
-        assert_eq!(TrainProgress::default().epochs_done(&cfg), 0);
-        let mut prev = 0;
-        for snap in &snapshots {
-            let done = snap.epochs_done(&cfg);
-            assert!(done >= prev, "progress must be monotone");
-            prev = done;
-        }
-        // The final snapshot has both stages complete.
-        assert_eq!(prev, (cfg.answer.epochs + cfg.votes.epochs) as u64);
     }
 }

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use forumcast_ml::{Activation, Adam, LayerSpec, Mlp, TrainError, TrainState, Trainer};
+use forumcast_ml::{Activation, Adam, LayerSpec, Mlp, TrainError, Trainer};
 
 /// Training configuration for [`VotePredictor`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -69,22 +69,6 @@ pub struct VotePredictor {
     mlp: Mlp,
 }
 
-/// Epoch-boundary snapshot of an in-progress vote-network run: the
-/// full [`TrainState`] plus the early-stopping bookkeeping that lives
-/// outside the trainer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct VoteTrainState {
-    /// Trainer snapshot (parameters, Adam moments, RNG state).
-    pub train: TrainState,
-    /// Best-so-far parameters by validation MSE.
-    pub best_params: Vec<f64>,
-    /// Best validation MSE, `None` when no validation split is in use
-    /// (the in-memory sentinel is `+∞`, which JSON cannot carry).
-    pub best_val: Option<f64>,
-    /// Epochs since the last validation improvement.
-    pub stale: u64,
-}
-
 impl VotePredictor {
     /// Trains on normalized feature vectors and observed net votes,
     /// recovering deterministically from divergence: a first diverged
@@ -100,30 +84,7 @@ impl VotePredictor {
     /// empty, or training still diverges at the reduced learning
     /// rate.
     pub fn train(xs: &[Vec<f64>], ys: &[f64], config: &VoteConfig) -> Self {
-        Self::train_resumable(xs, ys, config, None, 0, &mut |_| {})
-    }
-
-    /// [`Self::train`] with epoch-granular checkpointing: when
-    /// `resume` is given, training continues from that snapshot and
-    /// finishes bitwise-identically to an uninterrupted run; every
-    /// `snapshot_every` completed epochs (0 disables) `on_snapshot`
-    /// receives a fresh [`VoteTrainState`] to persist. Divergence
-    /// retries always restart from scratch (never from `resume`), so
-    /// the healed trajectory matches an uninterrupted run's retry bit
-    /// for bit.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::train`].
-    pub fn train_resumable(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        config: &VoteConfig,
-        resume: Option<&VoteTrainState>,
-        snapshot_every: usize,
-        on_snapshot: &mut dyn FnMut(&VoteTrainState),
-    ) -> Self {
-        match Self::try_train_resumable(xs, ys, config, resume, snapshot_every, on_snapshot) {
+        match Self::try_train(xs, ys, config) {
             Ok(p) => p,
             // Injected faults fire a bounded number of times, so a
             // clean retrain at the same configuration is the healed,
@@ -132,7 +93,7 @@ impl VotePredictor {
                 if let TrainError::Diverged { epoch } = first {
                     forumcast_obs::mark("ml.vote.divergence-retry", epoch as u64);
                 }
-                match Self::try_train_resumable(xs, ys, config, None, snapshot_every, on_snapshot) {
+                match Self::try_train(xs, ys, config) {
                     Ok(p) => p,
                     Err(TrainError::Diverged { epoch }) => {
                         forumcast_obs::mark("ml.vote.divergence-retry", epoch as u64);
@@ -167,43 +128,11 @@ impl VotePredictor {
     /// Panics when `xs` is empty, lengths mismatch, or `hidden` is
     /// empty.
     pub fn try_train(xs: &[Vec<f64>], ys: &[f64], config: &VoteConfig) -> Result<Self, TrainError> {
-        Self::try_train_resumable(xs, ys, config, None, 0, &mut |_| {})
-    }
-
-    /// [`Self::try_train`] with epoch-granular checkpointing; see
-    /// [`Self::train_resumable`] for the snapshot contract. A `resume`
-    /// snapshot that does not fit this configuration (it cannot, when
-    /// checkpoint fingerprints are checked upstream) is counted under
-    /// `ml.resume.invalid` and ignored — training restarts from
-    /// scratch rather than trusting it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainError::Diverged`] when an epoch's loss or the
-    /// network parameters become non-finite.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `xs` is empty, lengths mismatch, or `hidden` is
-    /// empty.
-    pub fn try_train_resumable(
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        config: &VoteConfig,
-        resume: Option<&VoteTrainState>,
-        snapshot_every: usize,
-        on_snapshot: &mut dyn FnMut(&VoteTrainState),
-    ) -> Result<Self, TrainError> {
         let _span = forumcast_obs::span("ml.vote.train");
         assert!(!xs.is_empty(), "need at least one training sample");
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
         assert!(!config.hidden.is_empty(), "need at least one hidden layer");
         let dim = xs[0].len();
-        // The preamble below (network init, validation split) replays
-        // deterministically from the seed on every attempt; a resume
-        // snapshot then overwrites parameters, optimizer moments, and
-        // RNG state, making the continuation bitwise-identical to the
-        // uninterrupted run.
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut specs = Vec::with_capacity(config.hidden.len() + 1);
         let mut prev = dim;
@@ -247,17 +176,6 @@ impl VotePredictor {
             f64::INFINITY
         };
         let mut stale = 0usize;
-        if let Some(state) = resume {
-            if state.best_params.len() == mlp.num_params()
-                && trainer.restore(&state.train, &mut mlp, &mut rng).is_ok()
-            {
-                best_params.copy_from_slice(&state.best_params);
-                best_val = state.best_val.unwrap_or(f64::INFINITY);
-                stale = state.stale as usize;
-            } else {
-                forumcast_obs::counter_add("ml.resume.invalid", 1);
-            }
-        }
         while trainer.epochs_run() < config.epochs {
             trainer.try_epoch(&mut mlp, &train_xs, &train_ys, &mut rng)?;
             if n_val > 0 {
@@ -272,15 +190,6 @@ impl VotePredictor {
                         break;
                     }
                 }
-            }
-            let done = trainer.epochs_run();
-            if snapshot_every > 0 && done < config.epochs && done.is_multiple_of(snapshot_every) {
-                on_snapshot(&VoteTrainState {
-                    train: trainer.snapshot(&mlp, &rng),
-                    best_params: best_params.clone(),
-                    best_val: (n_val > 0).then_some(best_val),
-                    stale: stale as u64,
-                });
             }
         }
         if n_val > 0 {
@@ -423,77 +332,27 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_every_snapshot_is_bitwise_identical() {
-        let (xs, ys) = toy();
-        let cfg = VoteConfig {
-            epochs: 40,
-            ..VoteConfig::fast()
-        };
-        let reference = VotePredictor::train(&xs, &ys, &cfg);
-        let mut snapshots = Vec::new();
-        let snapshotted = VotePredictor::train_resumable(&xs, &ys, &cfg, None, 9, &mut |s| {
-            snapshots.push(s.clone())
-        });
-        // Snapshotting itself must not perturb training.
-        assert_eq!(param_bits(&reference), param_bits(&snapshotted));
-        assert!(!snapshots.is_empty());
-        for snap in &snapshots {
-            // Round-trip through JSON, as the on-disk checkpoint does.
-            let json = serde_json::to_string(snap).unwrap();
-            let snap: VoteTrainState = serde_json::from_str(&json).unwrap();
-            let resumed =
-                VotePredictor::train_resumable(&xs, &ys, &cfg, Some(&snap), 0, &mut |_| {});
-            assert_eq!(
-                param_bits(&reference),
-                param_bits(&resumed),
-                "resume from epoch {}",
-                snap.train.epoch
-            );
-        }
-    }
-
-    #[test]
-    fn mismatched_resume_snapshot_falls_back_to_scratch() {
-        let (xs, ys) = toy();
-        let cfg = VoteConfig {
-            epochs: 20,
-            ..VoteConfig::fast()
-        };
-        let mut snapshots = Vec::new();
-        VotePredictor::train_resumable(&xs, &ys, &cfg, None, 5, &mut |s| snapshots.push(s.clone()));
-        // A snapshot from a different architecture must be ignored,
-        // not trusted.
-        let other_cfg = VoteConfig {
-            hidden: vec![4],
-            epochs: 20,
-            ..VoteConfig::fast()
-        };
-        let reference = VotePredictor::train(&xs, &ys, &other_cfg);
-        let resumed = VotePredictor::train_resumable(
-            &xs,
-            &ys,
-            &other_cfg,
-            Some(&snapshots[0]),
-            0,
-            &mut |_| {},
-        );
-        assert_eq!(param_bits(&reference), param_bits(&resumed));
-    }
-
-    #[test]
-    fn interrupted_divergence_retry_still_heals_bitwise() {
-        // Snapshots + injected divergence: the retry restarts from
-        // scratch and reproduces the clean result bit for bit.
+    fn second_divergence_retrains_once_at_a_tenth_of_the_learning_rate() {
+        // Two shots: the first attempt and its same-configuration
+        // retry both diverge at step 5, so the damped retrain runs.
         let (xs, ys) = toy();
         let cfg = VoteConfig {
             epochs: 30,
             ..VoteConfig::fast()
         };
-        let clean = VotePredictor::train(&xs, &ys, &cfg);
-        let _guard = forumcast_resilience::FaultPlan::parse("nan-grad:5")
+        let damped = VotePredictor::try_train(
+            &xs,
+            &ys,
+            &VoteConfig {
+                learning_rate: cfg.learning_rate * 0.1,
+                ..cfg.clone()
+            },
+        )
+        .unwrap();
+        let _guard = forumcast_resilience::FaultPlan::parse("nan-grad:5x2")
             .unwrap()
             .arm();
-        let healed = VotePredictor::train_resumable(&xs, &ys, &cfg, None, 7, &mut |_| {});
-        assert_eq!(param_bits(&clean), param_bits(&healed));
+        let healed = VotePredictor::train(&xs, &ys, &cfg);
+        assert_eq!(param_bits(&damped), param_bits(&healed));
     }
 }

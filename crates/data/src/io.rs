@@ -103,8 +103,7 @@ pub struct ThreadRecord {
 /// rejected up front so NaN can never flow into the epoch rebasing
 /// below — and [`DataError`] when the normalized records violate
 /// dataset invariants (e.g. an answer timestamped before its
-/// question). For noisy crawls that should be salvaged rather than
-/// rejected, see [`crate::quarantine::import_records_lenient`].
+/// question).
 pub fn import_records(
     records: &[ThreadRecord],
 ) -> Result<(Dataset, HashMap<String, UserId>), DataError> {

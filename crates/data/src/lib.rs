@@ -45,7 +45,6 @@ pub mod days;
 pub mod error;
 pub mod io;
 pub mod post;
-pub mod quarantine;
 pub mod stats;
 pub mod thread;
 
@@ -54,10 +53,6 @@ pub use dataset::{AnsweredPair, Dataset};
 pub use days::DayPartition;
 pub use error::DataError;
 pub use post::{Post, PostBody, UserId};
-pub use quarantine::{
-    import_records_lenient, import_records_lenient_with, IngestReport, LenientMode,
-    QuarantineReason,
-};
 pub use stats::{DatasetStats, PreprocessReport};
 pub use thread::{QuestionId, Thread};
 

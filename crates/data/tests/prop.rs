@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use forumcast_data::io::{PostRecord, ThreadRecord};
-use forumcast_data::{import_records_lenient, io, Dataset, Post, PostBody, Thread, UserId};
+use forumcast_data::{io, Dataset, Post, PostBody, Thread, UserId};
 
 fn arb_thread(id: u32, num_users: u32) -> impl Strategy<Value = Thread> {
     (
@@ -144,32 +144,15 @@ fn arb_records() -> impl Strategy<Value = Vec<ThreadRecord>> {
 }
 
 proptest! {
-    /// Lenient import is total (never panics) and its quarantine
-    /// counts balance: records in = threads kept + quarantined.
+    /// Strict import is total on adversarial crawls: it returns a
+    /// typed error or a dataset that satisfies every invariant, with
+    /// one user id per distinct user key, and never panics.
     #[test]
-    fn lenient_import_is_total_and_counts_balance(records in arb_records()) {
-        let (ds, users, report) = import_records_lenient(&records);
-        prop_assert_eq!(report.records_in, records.len());
-        prop_assert_eq!(report.threads_kept, ds.num_questions());
-        prop_assert_eq!(
-            report.records_in,
-            report.threads_kept + report.quarantined_total()
-        );
-        prop_assert_eq!(users.len() as u32, ds.num_users());
-        // The survivors satisfy every dataset invariant.
-        prop_assert!(Dataset::new(ds.num_users(), ds.threads().to_vec()).is_ok());
-    }
-
-    /// When nothing gets quarantined, lenient and strict import agree
-    /// exactly.
-    #[test]
-    fn lenient_matches_strict_on_clean_input(records in arb_records()) {
-        let (ds, users, report) = import_records_lenient(&records);
-        if report.quarantined_total() == 0 {
-            let (strict, strict_users) =
-                io::import_records(&records).expect("lenient found nothing to quarantine");
-            prop_assert_eq!(ds, strict);
-            prop_assert_eq!(users, strict_users);
+    fn strict_import_is_total_and_valid_when_accepted(records in arb_records()) {
+        if let Ok((ds, users)) = io::import_records(&records) {
+            prop_assert_eq!(ds.num_questions(), records.len());
+            prop_assert_eq!(users.len() as u32, ds.num_users());
+            prop_assert!(Dataset::new(ds.num_users(), ds.threads().to_vec()).is_ok());
         }
     }
 }

@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use forumcast_data::{Dataset, UserId};
 use forumcast_features::FeatureLayout;
-use forumcast_store::{frame_bytes, header_bytes, FrameReader, StoreError};
+use forumcast_store::{frame_bytes, header_bytes, tmp_path, FrameReader, StoreError};
 
 use crate::config::EvalConfig;
 use crate::data::{build_each, ExperimentData, PairRecord, RowMeta, RowSource, Side};
@@ -437,12 +437,6 @@ fn durable_write(path: &Path, bytes: &[u8]) -> Result<(), ColumnarError> {
         }
     }
     Ok(())
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_owned();
-    name.push(".tmp");
-    PathBuf::from(name)
 }
 
 /// Incremental row-group writer for one row file: buffers records,

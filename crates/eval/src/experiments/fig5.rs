@@ -72,13 +72,11 @@ impl fmt::Display for Fig5Report {
 /// Panics when `ks` does not contain `reference_k`, or when the
 /// sweep fails despite per-fold retries.
 pub fn run(config: &EvalConfig, ks: &[usize], reference_k: usize) -> Fig5Report {
-    run_with(config, ks, reference_k, None, &CvOptions::default())
-        .unwrap_or_else(|e| panic!("fig5: {e}"))
+    run_with(config, ks, reference_k, None).unwrap_or_else(|e| panic!("fig5: {e}"))
 }
 
-/// [`run`] with an optional checkpoint base path and resilience
-/// options (see [`CvOptions`]; `opts.checkpoint` itself is ignored):
-/// each swept `K` checkpoints into `<base>.k<K>.json`.
+/// [`run`] with an optional checkpoint base path: each swept `K`
+/// checkpoints into `<base>.k<K>.json`.
 ///
 /// # Errors
 ///
@@ -93,7 +91,6 @@ pub fn run_with(
     ks: &[usize],
     reference_k: usize,
     checkpoint: Option<&Path>,
-    opts: &CvOptions,
 ) -> Result<Fig5Report, CvError> {
     assert!(
         ks.contains(&reference_k),
@@ -105,7 +102,10 @@ pub fn run_with(
         let mut cfg = config.clone();
         cfg.extractor = cfg.extractor.with_topics(k);
         let data = ExperimentData::build(&dataset, &cfg);
-        let opts = opts.for_sub(sub_checkpoint(checkpoint, &format!("k{k}")));
+        let opts = CvOptions {
+            checkpoint: sub_checkpoint(checkpoint, &format!("k{k}")),
+            ..CvOptions::default()
+        };
         let outcomes = run_cv_resumable(&data, &cfg, None, false, &opts)?;
         let auc = mean_std(&outcomes.iter().map(|o| o.auc).collect::<Vec<_>>()).0;
         let rv = mean_std(&outcomes.iter().map(|o| o.rmse_votes).collect::<Vec<_>>()).0;

@@ -89,13 +89,12 @@ pub fn run(config: &EvalConfig) -> Fig6Report {
 ///
 /// Panics when a CV run fails despite per-fold retries.
 pub fn run_on(data: &ExperimentData, config: &EvalConfig) -> Fig6Report {
-    run_on_with(data, config, None, &CvOptions::default()).unwrap_or_else(|e| panic!("fig6: {e}"))
+    run_on_with(data, config, None).unwrap_or_else(|e| panic!("fig6: {e}"))
 }
 
-/// [`run_on`] with an optional checkpoint base path and resilience
-/// options (see [`CvOptions`]; `opts.checkpoint` itself is ignored):
-/// the reference run checkpoints into `<base>.ref.json` and the run
-/// excluding the `i`-th feature into `<base>.feat<i>.json`.
+/// [`run_on`] with an optional checkpoint base path: the reference
+/// run checkpoints into `<base>.ref.json` and the run excluding the
+/// `i`-th feature into `<base>.feat<i>.json`.
 ///
 /// # Errors
 ///
@@ -105,9 +104,11 @@ pub fn run_on_with(
     data: &ExperimentData,
     config: &EvalConfig,
     checkpoint: Option<&Path>,
-    opts: &CvOptions,
 ) -> Result<Fig6Report, CvError> {
-    let ref_opts = opts.for_sub(sub_checkpoint(checkpoint, "ref"));
+    let ref_opts = CvOptions {
+        checkpoint: sub_checkpoint(checkpoint, "ref"),
+        ..CvOptions::default()
+    };
     let reference = run_cv_resumable(data, config, None, false, &ref_opts)?;
     let ref_v = mean_std(&reference.iter().map(|o| o.rmse_votes).collect::<Vec<_>>()).0;
     let ref_t = mean_std(&reference.iter().map(|o| o.rmse_time).collect::<Vec<_>>()).0;
@@ -116,7 +117,10 @@ pub fn run_on_with(
     // features sequentially to bound memory.
     let mut bars = Vec::with_capacity(FeatureId::ALL.len());
     for (i, &feature) in FeatureId::ALL.iter().enumerate() {
-        let opts = opts.for_sub(sub_checkpoint(checkpoint, &format!("feat{i}")));
+        let opts = CvOptions {
+            checkpoint: sub_checkpoint(checkpoint, &format!("feat{i}")),
+            ..CvOptions::default()
+        };
         let outcomes =
             run_cv_resumable(data, config, Some(MaskSpec::Feature(feature)), false, &opts)?;
         let v = mean_std(&outcomes.iter().map(|o| o.rmse_votes).collect::<Vec<_>>()).0;

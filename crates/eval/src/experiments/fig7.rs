@@ -88,13 +88,11 @@ impl fmt::Display for Fig7Report {
 ///
 /// Panics when a CV run fails despite per-fold retries.
 pub fn run(config: &EvalConfig, windows: &[usize], eval_from_day: usize) -> Fig7Report {
-    run_with(config, windows, eval_from_day, None, &CvOptions::default())
-        .unwrap_or_else(|e| panic!("fig7: {e}"))
+    run_with(config, windows, eval_from_day, None).unwrap_or_else(|e| panic!("fig7: {e}"))
 }
 
-/// [`run`] with an optional checkpoint base path and resilience
-/// options (see [`CvOptions`]; `opts.checkpoint` itself is ignored):
-/// the cell for window `w` with the full feature set checkpoints into
+/// [`run`] with an optional checkpoint base path: the cell for window
+/// `w` with the full feature set checkpoints into
 /// `<base>.w<w>.ref.json` and the cell excluding the `j`-th group
 /// into `<base>.w<w>.g<j>.json`.
 ///
@@ -107,7 +105,6 @@ pub fn run_with(
     windows: &[usize],
     eval_from_day: usize,
     checkpoint: Option<&Path>,
-    opts: &CvOptions,
 ) -> Result<Fig7Report, CvError> {
     let (dataset, _) = config.synth.generate().preprocess();
     let days = DayPartition::new(&dataset);
@@ -135,7 +132,10 @@ pub fn run_with(
 
         let run_cell = |excluded: Option<FeatureGroup>, tag: String| -> Result<Fig7Cell, CvError> {
             let mask = excluded.map(MaskSpec::Group);
-            let opts = opts.for_sub(sub_checkpoint(checkpoint, &tag));
+            let opts = CvOptions {
+                checkpoint: sub_checkpoint(checkpoint, &tag),
+                ..CvOptions::default()
+            };
             let outcomes = run_cv_resumable(&data, &cfg, mask, false, &opts)?;
             let v = mean_std(&outcomes.iter().map(|o| o.rmse_votes).collect::<Vec<_>>()).0;
             let t = mean_std(&outcomes.iter().map(|o| o.rmse_time).collect::<Vec<_>>()).0;

@@ -33,7 +33,6 @@ use crate::config::EvalConfig;
 use crate::data::{ExperimentData, RowSource, Side};
 use crate::fold::{run_fold_on, FoldOutcome, MaskSpec};
 use crate::split::stratified_folds;
-use crate::subfold::SubfoldHandle;
 
 /// Resilience options for a CV sweep.
 #[derive(Debug, Clone)]
@@ -45,14 +44,6 @@ pub struct CvOptions {
     /// pure function of its inputs, so a retried fold reproduces the
     /// fault-free result bit for bit.
     pub fold_attempts: usize,
-    /// Epoch cadence for sub-fold training snapshots
-    /// (`<checkpoint>.fold<job>.train.ckpt`): every this many epochs
-    /// the in-flight fold persists its full trainer state — model
-    /// parameters, optimizer moments, shuffle-RNG state — so a
-    /// crashed fold resumes mid-training instead of from its start.
-    /// `0` disables sub-fold snapshots; they are only active when
-    /// `checkpoint` is also set.
-    pub snapshot_every: usize,
 }
 
 impl Default for CvOptions {
@@ -60,7 +51,6 @@ impl Default for CvOptions {
         CvOptions {
             checkpoint: None,
             fold_attempts: 3,
-            snapshot_every: 25,
         }
     }
 }
@@ -71,24 +61,6 @@ impl CvOptions {
         CvOptions {
             checkpoint: Some(path.into()),
             ..CvOptions::default()
-        }
-    }
-
-    /// Returns the options with the sub-fold snapshot cadence set
-    /// (`0` disables mid-training snapshots) — the shape the drivers
-    /// thread through from a `--snapshot-every` flag.
-    pub fn with_snapshot_every(mut self, snapshot_every: usize) -> Self {
-        self.snapshot_every = snapshot_every;
-        self
-    }
-
-    /// The same options re-targeted at a sub-run's checkpoint file —
-    /// how the multi-CV figure drivers carry one option set across
-    /// their per-`K` / per-feature / per-window sweeps.
-    pub fn for_sub(&self, checkpoint: Option<PathBuf>) -> Self {
-        CvOptions {
-            checkpoint,
-            ..self.clone()
         }
     }
 }
@@ -211,25 +183,20 @@ pub fn run_cv(
 /// the file atomically; on a rerun, recorded folds are skipped and
 /// merged back in job order, so an interrupted sweep resumes to
 /// output bitwise-identical to an uninterrupted one at any thread
-/// count.
+/// count. The fold is the unit of resume: a fold interrupted part-way
+/// recomputes from its start.
 ///
-/// With `snapshot_every > 0` on top of a checkpoint, resume is
-/// *epoch*-granular: each in-flight fold persists its full trainer
-/// state to `<checkpoint>.fold<job>.train.ckpt` at that cadence, a
-/// re-run fold fast-forwards from the latest snapshot along a
-/// bitwise-identical trajectory, and the snapshot file is discarded
-/// when the fold completes. A corrupt or truncated snapshot is never
-/// trusted — the fold recomputes from its start — while a snapshot
-/// from a differently-configured run fails fast with the stale-
-/// checkpoint remedy.
+/// A checkpoint that cannot be trusted — CRC damage, an undecodable
+/// entry, or a file that is not a checkpoint store at all — is
+/// quarantined to `<path>.corrupt` and its folds recompute (counted
+/// `eval.checkpoint.corrupt_recovered`); the run does not abort.
 ///
 /// # Errors
 ///
 /// Returns [`CvError::FoldFailed`] when a fold exhausts its attempts,
-/// [`CvError::Checkpoint`] when the checkpoint file (or a stale
-/// sub-fold snapshot under it) is unusable — unreadable, corrupt, or
-/// from a different configuration — and [`CvError::Data`] when the
-/// rows cannot be read.
+/// [`CvError::Checkpoint`] when the checkpoint file is unreadable,
+/// cannot be saved, or belongs to a different configuration, and
+/// [`CvError::Data`] when the rows cannot be read.
 pub fn run_cv_resumable<S: RowSource>(
     rows: &S,
     config: &EvalConfig,
@@ -284,54 +251,17 @@ pub fn run_cv_resumable<S: RowSource>(
 
     let pending: Vec<usize> = (0..jobs.len()).filter(|&i| outcomes[i].is_none()).collect();
 
-    // Sub-fold (mid-training) snapshots: one handle per pending job,
-    // nested under the fold-level checkpoint path. The kill-probe
-    // unit space starts past the fold-job indices so fault plans can
-    // target fold-start and mid-training crashes independently.
-    let subfold_for = |job: usize| -> Option<SubfoldHandle> {
-        options
-            .checkpoint
-            .as_deref()
-            .filter(|_| options.snapshot_every > 0)
-            .map(|base| {
-                SubfoldHandle::new(
-                    base,
-                    job,
-                    &meta,
-                    options.snapshot_every,
-                    (jobs.len() + job) as u64,
-                )
-            })
-    };
-    // Fail fast on stale snapshots (from a differently-configured
-    // run) before any fold work starts.
-    for &job in &pending {
-        if let Some(handle) = subfold_for(job) {
-            handle.check()?;
-        }
-    }
-
     let fresh = parallel_try_map(&pending, config.worker_threads(), |&job| {
         // Detached span: its path roots at `eval.fold#job` whether the
         // job ran on a worker thread or inline, keeping canonical
         // event logs identical across thread counts.
         let _fold_span = forumcast_obs::task_span("eval.fold", job as u64);
         let (pf, nf, fold) = &jobs[job];
-        let subfold = subfold_for(job);
         // Retry is for panics; a read error is returned as a value
         // and fails the sweep on its first occurrence.
         let outcome = with_retry(&format!("cv fold job {job}"), options.fold_attempts, || {
             fault::panic_point(FaultSite::FoldPanic, job as u64);
-            run_fold_on(
-                rows,
-                config,
-                pf,
-                nf,
-                *fold,
-                mask,
-                run_baselines,
-                subfold.as_ref(),
-            )
+            run_fold_on(rows, config, pf, nf, *fold, mask, run_baselines)
         })
         .map_err(|e| CvError::FoldFailed {
             job,
@@ -345,11 +275,6 @@ pub fn run_cv_resumable<S: RowSource>(
             let mut cp = cp.lock().expect("checkpoint lock");
             cp.record(job as u64, outcome);
             cp.save(path)?;
-        }
-        // The fold's result is durable in the fold-level checkpoint;
-        // its mid-training snapshot is no longer needed.
-        if let Some(handle) = &subfold {
-            handle.discard();
         }
         Ok::<FoldOutcome, CvError>(outcome)
     })?;
@@ -445,41 +370,36 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A streamed run killed mid-training resumes from its sub-fold
-    /// snapshot to the resident run's bits.
+    /// A streamed run killed at a fold (no in-process retry) resumes
+    /// from its fold-level checkpoint to the resident run's bits.
     #[test]
-    fn streamed_mid_training_kill_then_resume_matches_resident() {
+    fn streamed_fold_kill_then_resume_matches_resident() {
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
         cfg.repeats = 1;
         let (ds, _) = cfg.synth.generate().preprocess();
         let data = ExperimentData::build(&ds, &cfg);
         let clean = run_cv(&data, &cfg, None, false);
-        let dir = temp_spill("midkill");
+        let dir = temp_spill("foldkill");
         let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
 
-        let path = temp_checkpoint("streamed-midkill");
+        let path = temp_checkpoint("streamed-foldkill");
         let mut opts = CvOptions::with_checkpoint(&path);
-        opts.snapshot_every = 5;
+        // fold_attempts = 1: the injected panic at fold job 1 kills
+        // the whole run, the in-process analogue of a SIGKILL.
         opts.fold_attempts = 1;
         {
-            let _guard = forumcast_resilience::FaultPlan::parse("fold-panic:3")
+            let _guard = forumcast_resilience::FaultPlan::parse("fold-panic:1")
                 .unwrap()
                 .arm();
             let err = run_cv_resumable(&spilled, &cfg, None, false, &opts).unwrap_err();
             assert!(matches!(err, CvError::FoldFailed { job: 1, .. }), "{err}");
         }
-        let snapshot = PathBuf::from(format!("{}.fold1.train.ckpt", path.display()));
-        assert!(snapshot.exists(), "mid-training snapshot must survive");
 
         let resumed = run_cv_resumable(&spilled, &cfg, None, false, &opts).unwrap();
         let clean_bits: Vec<u64> = clean.iter().flat_map(outcome_bits).collect();
         let resumed_bits: Vec<u64> = resumed.iter().flat_map(outcome_bits).collect();
         assert_eq!(clean_bits, resumed_bits);
-        assert!(
-            !snapshot.exists(),
-            "completed fold must discard its snapshot"
-        );
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -529,7 +449,7 @@ mod tests {
 
     fn temp_checkpoint(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("forumcast-cv-{name}-{}.json", std::process::id()));
+        p.push(format!("forumcast-cv-{name}-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&p);
         p
     }
@@ -584,58 +504,6 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    /// The headline determinism contract: a run killed mid-training
-    /// (after a sub-fold snapshot hit disk) and then resumed produces
-    /// outcomes bitwise-identical to an uninterrupted run — at one
-    /// and two worker threads.
-    #[test]
-    fn mid_training_kill_then_resume_is_bitwise_identical() {
-        let mut cfg = EvalConfig::quick();
-        cfg.folds = 2;
-        cfg.repeats = 1;
-        let (ds, _) = cfg.synth.generate().preprocess();
-        for threads in [1, 2] {
-            cfg.threads = threads;
-            let data = ExperimentData::build(&ds, &cfg);
-            let clean = run_cv(&data, &cfg, None, false);
-
-            let path = temp_checkpoint(&format!("midkill-t{threads}"));
-            let mut opts = CvOptions::with_checkpoint(&path);
-            opts.snapshot_every = 5;
-            // fold_attempts = 1: the in-process retry is disabled, so
-            // the injected mid-training panic (fired right after fold
-            // job 1's first snapshot save, at the kill-probe unit
-            // jobs + job = 2 + 1) kills the whole run — the injected
-            // analogue of a SIGKILL — leaving the snapshot on disk.
-            opts.fold_attempts = 1;
-            {
-                let _guard = forumcast_resilience::FaultPlan::parse("fold-panic:3")
-                    .unwrap()
-                    .arm();
-                let err = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap_err();
-                assert!(matches!(err, CvError::FoldFailed { job: 1, .. }), "{err}");
-            }
-            let snapshot = std::path::PathBuf::from(format!("{}.fold1.train.ckpt", path.display()));
-            assert!(
-                snapshot.exists(),
-                "mid-training snapshot must survive the crash"
-            );
-
-            // Resume: the crashed fold fast-forwards from its
-            // snapshot; the completed fold replays from the fold-level
-            // checkpoint.
-            let resumed = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
-            let clean_bits: Vec<u64> = clean.iter().flat_map(outcome_bits).collect();
-            let resumed_bits: Vec<u64> = resumed.iter().flat_map(outcome_bits).collect();
-            assert_eq!(clean_bits, resumed_bits, "{threads} threads");
-            assert!(
-                !snapshot.exists(),
-                "completed fold must discard its snapshot"
-            );
-            std::fs::remove_file(&path).unwrap();
-        }
-    }
-
     fn outcome_bits(o: &FoldOutcome) -> Vec<u64> {
         [
             o.auc,
@@ -650,43 +518,10 @@ mod tests {
         .collect()
     }
 
-    /// A corrupted (truncated) sub-fold snapshot is detected at load
-    /// and the fold recomputes from its start — still reproducing the
-    /// uninterrupted run.
-    #[test]
-    fn corrupt_subfold_snapshot_falls_back_to_fold_start_recompute() {
-        let mut cfg = EvalConfig::quick();
-        cfg.folds = 2;
-        cfg.repeats = 1;
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let data = ExperimentData::build(&ds, &cfg);
-        let clean = run_cv(&data, &cfg, None, false);
-
-        let path = temp_checkpoint("corrupt-subfold");
-        let mut opts = CvOptions::with_checkpoint(&path);
-        opts.snapshot_every = 5;
-        opts.fold_attempts = 1;
-        {
-            let _guard = forumcast_resilience::FaultPlan::parse("fold-panic:3")
-                .unwrap()
-                .arm();
-            run_cv_resumable(&data, &cfg, None, false, &opts).unwrap_err();
-        }
-        let snapshot = std::path::PathBuf::from(format!("{}.fold1.train.ckpt", path.display()));
-        let bytes = std::fs::read(&snapshot).unwrap();
-        std::fs::write(&snapshot, &bytes[..bytes.len() / 2]).unwrap();
-
-        let resumed = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
-        assert_eq!(clean, resumed);
-        std::fs::remove_file(&path).unwrap();
-        // A truncation that still scans as a valid store prefix is
-        // silently truncated (not quarantined); one that breaks a
-        // frame is moved aside. Clean up either way.
-        let _ = std::fs::remove_file(format!("{}.corrupt", snapshot.display()));
-    }
-
-    /// A corrupted *fold-level* checkpoint is quarantined by the
-    /// loader and the sweep recomputes (counted) instead of aborting.
+    /// A fold-level checkpoint that cannot be trusted — CRC damage,
+    /// or a file in the JSON layout of old builds — is quarantined by
+    /// the loader and the sweep recomputes (counted) instead of
+    /// aborting.
     #[test]
     fn corrupt_fold_checkpoint_recomputes_instead_of_aborting() {
         let mut cfg = EvalConfig::quick();
@@ -695,26 +530,51 @@ mod tests {
         let (ds, _) = cfg.synth.generate().preprocess();
         let data = ExperimentData::build(&ds, &cfg);
         let clean = run_cv(&data, &cfg, None, false);
+        let meta = cv_fingerprint(&cfg, None, false, 2);
 
-        let path = temp_checkpoint("corrupt-fold-ckpt");
-        let opts = CvOptions::with_checkpoint(&path);
-        run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
-        // Flip a bit in the last frame's CRC: the frame is complete
-        // but its checksum no longer matches, so the next load
-        // detects and quarantines it.
-        let mut bytes = std::fs::read(&path).unwrap();
-        *bytes.last_mut().unwrap() ^= 0x08;
-        std::fs::write(&path, &bytes).unwrap();
-
-        let resumed = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
-        assert_eq!(clean, resumed, "recomputed run must match the clean one");
-        let quarantined = std::path::PathBuf::from(format!("{}.corrupt", path.display()));
-        assert!(
-            quarantined.exists(),
-            "corrupt checkpoint must be moved aside, not deleted"
+        // The same two entries as JSON, the layout of old builds.
+        let json_era = format!(
+            r#"{{"meta":{},"entries":[[0,{}],[1,{}]]}}"#,
+            serde_json::to_string(&meta).unwrap(),
+            serde_json::to_string(&clean[0]).unwrap(),
+            serde_json::to_string(&clean[1]).unwrap()
         );
-        std::fs::remove_file(&quarantined).unwrap();
-        std::fs::remove_file(&path).unwrap();
+        for name in ["crc", "json-era"] {
+            let path = temp_checkpoint(&format!("corrupt-fold-ckpt-{name}"));
+            let opts = CvOptions::with_checkpoint(&path);
+            run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            if name == "crc" {
+                // Flip a bit in the last frame's CRC: the frame is
+                // complete but its checksum no longer matches.
+                *bytes.last_mut().unwrap() ^= 0x08;
+            } else {
+                bytes = json_era.clone().into_bytes();
+            }
+            std::fs::write(&path, &bytes).unwrap();
+
+            let obs = forumcast_obs::arm();
+            let resumed = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
+            let log = forumcast_obs::drain().expect("collector armed");
+            drop(obs);
+            assert_eq!(
+                clean, resumed,
+                "{name}: recomputed run must match the clean one"
+            );
+            assert!(
+                log.counters
+                    .iter()
+                    .any(|(n, v)| n == "eval.checkpoint.corrupt_recovered" && *v == 1),
+                "{name}: the recompute must be counted"
+            );
+            let quarantined = std::path::PathBuf::from(format!("{}.corrupt", path.display()));
+            assert!(
+                quarantined.exists(),
+                "{name}: corrupt checkpoint must be moved aside, not deleted"
+            );
+            std::fs::remove_file(&quarantined).unwrap();
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     /// A stale `<path>.tmp` left by a crash mid-save is reclaimed
@@ -727,89 +587,12 @@ mod tests {
         let (ds, _) = cfg.synth.generate().preprocess();
         let data = ExperimentData::build(&ds, &cfg);
         let path = temp_checkpoint("tmp-reclaim");
-        let tmp = path.with_extension("tmp");
+        let tmp = forumcast_store::tmp_path(&path);
         std::fs::write(&tmp, b"half-written checkpoint junk").unwrap();
         let opts = CvOptions::with_checkpoint(&path);
         run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
         assert!(!tmp.exists(), "stale tmp must be reclaimed at startup");
         std::fs::remove_file(&path).unwrap();
-    }
-
-    /// Format migration: a run interrupted under the JSON-era format —
-    /// a JSON fold-level checkpoint and a JSON sub-fold snapshot —
-    /// resumes under the binary store to bits identical to an
-    /// uninterrupted run.
-    #[test]
-    fn json_era_checkpoints_resume_under_binary_bitwise_identically() {
-        let mut cfg = EvalConfig::quick();
-        cfg.folds = 2;
-        cfg.repeats = 1;
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let data = ExperimentData::build(&ds, &cfg);
-        let clean = run_cv(&data, &cfg, None, false);
-
-        let path = temp_checkpoint("json-migration");
-        let mut opts = CvOptions::with_checkpoint(&path);
-        opts.snapshot_every = 5;
-        opts.fold_attempts = 1;
-        {
-            let _guard = forumcast_resilience::FaultPlan::parse("fold-panic:3")
-                .unwrap()
-                .arm();
-            run_cv_resumable(&data, &cfg, None, false, &opts).unwrap_err();
-        }
-        // Rewrite what the interrupted run left as the JSON a JSON-era
-        // build would have written, through the serde shim.
-        let meta = cv_fingerprint(&cfg, None, false, 2);
-        let cp = Checkpoint::<FoldOutcome>::load(&path, &meta)
-            .unwrap()
-            .unwrap();
-        std::fs::write(&path, serde_json::to_string_pretty(&cp).unwrap()).unwrap();
-        let binary_snapshot = PathBuf::from(format!("{}.fold1.train.ckpt", path.display()));
-        let snap = forumcast_resilience::TrainCheckpoint::<forumcast_core::TrainProgress>::load(
-            &binary_snapshot,
-            &format!("subfold-v1 job=1 {meta}"),
-        )
-        .unwrap()
-        .expect("mid-training snapshot on disk");
-        std::fs::remove_file(&binary_snapshot).unwrap();
-        let snapshot = PathBuf::from(format!("{}.fold1.train.json", path.display()));
-        std::fs::write(&snapshot, serde_json::to_string_pretty(&snap).unwrap()).unwrap();
-
-        // Resume: both JSON files are read (sniffed / legacy fallback)
-        // and the result is bitwise identical to the uninterrupted run.
-        let resumed = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
-        let clean_bits: Vec<u64> = clean.iter().flat_map(outcome_bits).collect();
-        let resumed_bits: Vec<u64> = resumed.iter().flat_map(outcome_bits).collect();
-        assert_eq!(clean_bits, resumed_bits);
-        assert!(
-            !snapshot.exists(),
-            "completed fold discards the legacy snapshot too"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// A sub-fold snapshot left by a differently-configured run fails
-    /// fast with the stale-checkpoint remedy before any fold work.
-    #[test]
-    fn stale_subfold_snapshot_is_refused_with_the_remedy() {
-        let mut cfg = EvalConfig::quick();
-        cfg.folds = 2;
-        cfg.repeats = 1;
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let data = ExperimentData::build(&ds, &cfg);
-        let path = temp_checkpoint("stale-subfold");
-        let opts = CvOptions::with_checkpoint(&path);
-        SubfoldHandle::new(&path, 0, "some other run", 5, 2)
-            .save(&forumcast_core::TrainProgress::default());
-        let err = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap_err();
-        match &err {
-            CvError::Checkpoint(CheckpointError::Stale { .. }) => {}
-            other => panic!("expected Stale, got {other}"),
-        }
-        assert!(err.to_string().contains("--resume"), "{err}");
-        let snapshot = std::path::PathBuf::from(format!("{}.fold0.train.ckpt", path.display()));
-        std::fs::remove_file(&snapshot).unwrap();
     }
 
     #[test]

@@ -65,11 +65,11 @@ impl fmt::Display for Table1Report {
 ///
 /// Panics when the CV sweep fails despite per-fold retries.
 pub fn run(config: &EvalConfig) -> Table1Report {
-    run_with(config, None, None, &CvOptions::default()).unwrap_or_else(|e| panic!("table1: {e}"))
+    run_with(config, None, None).unwrap_or_else(|e| panic!("table1: {e}"))
 }
 
-/// [`run`] with an optional spill directory, an optional checkpoint
-/// file, and resilience options.
+/// [`run`] with an optional spill directory and an optional checkpoint
+/// file.
 ///
 /// With `data_dir` set, the experiment is built straight into that
 /// columnar on-disk store (one bucket of records resident at a time,
@@ -78,11 +78,8 @@ pub fn run(config: &EvalConfig) -> Table1Report {
 /// bitwise-identical either way.
 ///
 /// With `checkpoint` set, completed folds are saved after each fold
-/// and skipped when rerun with the same path, and every
-/// `opts.snapshot_every` training epochs the in-flight fold persists
-/// its trainer state so even a mid-fold crash resumes without losing
-/// the fold. `opts.checkpoint` itself is ignored — the `checkpoint`
-/// argument names the file.
+/// and skipped when rerun with the same path; a fold interrupted
+/// part-way recomputes from its start.
 ///
 /// # Errors
 ///
@@ -93,10 +90,12 @@ pub fn run_with(
     config: &EvalConfig,
     data_dir: Option<&Path>,
     checkpoint: Option<&Path>,
-    opts: &CvOptions,
 ) -> Result<Table1Report, CvError> {
     let (dataset, _) = config.synth.generate().preprocess();
-    let opts = opts.for_sub(checkpoint.map(Path::to_path_buf));
+    let opts = CvOptions {
+        checkpoint: checkpoint.map(Path::to_path_buf),
+        ..CvOptions::default()
+    };
     let outcomes = match data_dir {
         Some(dir) => {
             let spilled =

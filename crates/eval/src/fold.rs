@@ -10,7 +10,6 @@ use crate::baselines::Baselines;
 use crate::config::EvalConfig;
 use crate::data::{ExperimentData, RowMeta, RowSource, Side};
 use crate::metrics::{auc, rmse};
-use crate::subfold::SubfoldHandle;
 
 /// What to exclude from the feature vector in an importance study.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,7 +39,12 @@ pub struct FoldOutcome {
 
 /// Runs one CV iteration over resident experiment data: the
 /// infallible instantiation of [`run_fold_on`].
-#[allow(clippy::too_many_arguments)] // one knob per evaluation protocol axis
+///
+/// `_unused` is always `None`. It exists only so that the benchmark
+/// binary (`crates/bench/src/bin/benchmark`), which still makes the
+/// eight-argument call, keeps compiling. The next change to the
+/// benchmark drops it (ROADMAP.md, item 8).
+#[allow(clippy::too_many_arguments)] // the seven fold arguments plus `_unused`
 pub fn run_fold(
     data: &ExperimentData,
     config: &EvalConfig,
@@ -49,7 +53,7 @@ pub fn run_fold(
     test_fold: usize,
     mask: Option<MaskSpec>,
     run_baselines: bool,
-    subfold: Option<&SubfoldHandle>,
+    _unused: Option<std::convert::Infallible>,
 ) -> FoldOutcome {
     match run_fold_on(
         data,
@@ -59,7 +63,6 @@ pub fn run_fold(
         test_fold,
         mask,
         run_baselines,
-        subfold,
     ) {
         Ok(outcome) => outcome,
         Err(never) => match never {},
@@ -72,11 +75,7 @@ pub fn run_fold(
 /// zeroes feature slots everywhere (train and test), implementing the
 /// exclusion protocols of Figures 6–7. `run_baselines` can be
 /// disabled for masking sweeps (the baselines don't use features, so
-/// their numbers would not change). `subfold` optionally binds the
-/// fold to an epoch-granular training checkpoint: snapshots are
-/// persisted at the handle's cadence, and a snapshot left by an
-/// interrupted attempt is loaded back to fast-forward training along
-/// a bitwise-identical trajectory.
+/// their numbers would not change).
 ///
 /// Each side is read in one in-order pass: a training row goes to a
 /// [`TrainingRows`] builder (answer and vote samples in row order,
@@ -88,7 +87,6 @@ pub fn run_fold(
 /// # Errors
 ///
 /// [`RowSource::Error`] when the rows cannot be read.
-#[allow(clippy::too_many_arguments)] // one knob per evaluation protocol axis
 pub fn run_fold_on<S: RowSource>(
     rows: &S,
     config: &EvalConfig,
@@ -97,7 +95,6 @@ pub fn run_fold_on<S: RowSource>(
     test_fold: usize,
     mask: Option<MaskSpec>,
     run_baselines: bool,
-    subfold: Option<&SubfoldHandle>,
 ) -> Result<FoldOutcome, S::Error> {
     assert_eq!(
         pos_folds.len(),
@@ -160,26 +157,7 @@ pub fn run_fold_on<S: RowSource>(
     })?;
     let ts = train.finish(windows, rows.num_users());
 
-    let model = match subfold {
-        Some(handle) => {
-            let resume = handle.load();
-            if let Some(progress) = &resume {
-                forumcast_obs::counter_add("eval.subfold.resume_hits", 1);
-                forumcast_obs::counter_add(
-                    "eval.subfold.epochs_skipped",
-                    progress.epochs_done(&config.train),
-                );
-            }
-            ResponsePredictor::train_resumable(
-                &ts,
-                &config.train,
-                resume.as_ref(),
-                handle.snapshot_every(),
-                &mut |p| handle.save(p),
-            )
-        }
-        None => ResponsePredictor::train(&ts, &config.train),
-    };
+    let model = ResponsePredictor::train(&ts, &config.train);
     drop(ts);
 
     // --- evaluation ---
@@ -342,10 +320,8 @@ mod tests {
             let resident = run_fold(
                 &data, &cfg, &pos_folds, &neg_folds, 0, mask, baselines, None,
             );
-            let streamed = run_fold_on(
-                &spilled, &cfg, &pos_folds, &neg_folds, 0, mask, baselines, None,
-            )
-            .unwrap();
+            let streamed =
+                run_fold_on(&spilled, &cfg, &pos_folds, &neg_folds, 0, mask, baselines).unwrap();
             let bits = |o: &FoldOutcome| {
                 [
                     o.auc.to_bits(),

@@ -37,7 +37,6 @@ pub mod experiments;
 pub mod fold;
 pub mod metrics;
 pub mod split;
-pub mod subfold;
 
 pub use columnar::{ColumnarError, RowStream, SpilledExperiment};
 pub use config::EvalConfig;
@@ -45,4 +44,3 @@ pub use data::{ExperimentData, PairRecord, RowSource};
 pub use experiments::{run_cv, run_cv_resumable, CvError, CvOptions};
 pub use fold::{FoldOutcome, MaskSpec};
 pub use metrics::{auc, cdf_points, mae, pearson, rmse, spearman};
-pub use subfold::SubfoldHandle;

@@ -30,9 +30,7 @@ static TRAIN_THREADS: AtomicUsize = AtomicUsize::new(1);
 /// else the machine's available parallelism
 /// ([`forumcast_par::resolve_threads`]). Thanks to the fixed-order
 /// reduction this setting never changes training results, only wall
-/// time; it is deliberately *not* part of [`crate::TrainState`], so
-/// a run snapshotted at one thread count resumes bit-identically at
-/// another.
+/// time.
 pub fn set_train_threads(requested: usize) {
     let resolved = forumcast_par::resolve_threads(requested).max(1);
     TRAIN_THREADS.store(resolved, Ordering::Relaxed);

@@ -7,9 +7,7 @@
 //! factors that shape out once, on top of
 //! [`crate::batch::accumulate_batch`], so both fitters inherit the
 //! allocation-free kernels and the fixed-order 1-vs-N-thread
-//! determinism discipline — and stay numerically identical between
-//! their plain and resumable entry points, which is what makes
-//! resumed runs bitwise-equal to uninterrupted ones.
+//! determinism discipline.
 
 use rand::seq::SliceRandom;
 use rand::Rng;

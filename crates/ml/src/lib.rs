@@ -60,7 +60,6 @@ pub mod mlp;
 pub mod optim;
 pub mod poisson;
 pub mod sparfa;
-pub mod train_state;
 pub mod trainer;
 
 pub use activation::Activation;
@@ -72,5 +71,4 @@ pub use mlp::{ForwardCache, LayerSpec, Mlp, MlpScratch};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use poisson::PoissonRegression;
 pub use sparfa::{Sparfa, SparfaConfig};
-pub use train_state::{OptimizerState, SnapshotOptimizer, TrainState, TrainStateError};
 pub use trainer::Trainer;

@@ -6,7 +6,7 @@
 //! as blocked, autovectorizable slice loops with **fixed** blocking,
 //! because the blocking determines how floating-point sums associate:
 //! changing it changes results bitwise, and the crate's determinism
-//! guarantees (1-vs-N-thread parity, snapshot/resume) assume every
+//! guarantees (1-vs-N-thread parity, bitwise-reproducible folds) assume every
 //! code path reduces through these exact kernels.
 
 /// Dot product `aᵀb`.

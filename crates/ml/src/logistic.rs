@@ -5,7 +5,6 @@
 //! techniques prone to overfitting for this prediction task"
 //! (Section II-A1).
 
-use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -13,7 +12,6 @@ use crate::activation::sigmoid;
 use crate::glm::{self, GlmScratch};
 use crate::linalg::dot;
 use crate::optim::Adam;
-use crate::train_state::{glm_snapshot, restore_glm, TrainState, TrainStateError};
 
 /// Binary logistic-regression classifier
 /// `P(a = 1 | x) = 1 / (1 + e^{−xᵀβ − b})`.
@@ -104,10 +102,6 @@ impl LogisticRegression {
     /// batch size 32, learning rate `lr`, L2 strength `l2`, and the
     /// crate-global thread setting (see [`crate::set_train_threads`]).
     ///
-    /// Each epoch shuffles a fresh identity permutation, so the RNG
-    /// state alone determines the remaining schedule — the property
-    /// sub-fold resume ([`Self::fit_resumable`]) relies on.
-    ///
     /// # Panics
     ///
     /// Panics when `xs` and `ys` lengths differ or a sample has the
@@ -169,71 +163,6 @@ impl LogisticRegression {
         }
         self.bias = params.pop().expect("bias present");
         self.weights = params;
-    }
-
-    /// [`Self::fit`] with epoch-granular checkpointing: when `resume`
-    /// is given, training continues from that snapshot and finishes
-    /// bitwise-identically to an uninterrupted `fit`; every
-    /// `snapshot_every` completed epochs (0 disables) `on_snapshot`
-    /// receives a fresh [`TrainState`] to persist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainStateError`] when `resume` does not fit this
-    /// model (wrong parameter count, non-Adam optimizer, degenerate
-    /// RNG state).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::fit`].
-    #[allow(clippy::too_many_arguments)] // resume plumbing mirrors `fit` plus the snapshot triple
-    pub fn fit_resumable(
-        &mut self,
-        xs: &[Vec<f64>],
-        ys: &[bool],
-        epochs: usize,
-        lr: f64,
-        l2: f64,
-        rng: &mut StdRng,
-        resume: Option<&TrainState>,
-        snapshot_every: usize,
-        on_snapshot: &mut dyn FnMut(&TrainState),
-    ) -> Result<(), TrainStateError> {
-        assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
-        if xs.is_empty() {
-            return Ok(());
-        }
-        let dim = self.weights.len();
-        let mut opt = Adam::new(lr);
-        let mut params: Vec<f64> = self.weights.clone();
-        params.push(self.bias);
-        let mut start = 0;
-        if let Some(state) = resume {
-            restore_glm(state, &mut params, &mut opt, rng)?;
-            start = state.epoch as usize;
-        }
-        let mut scratch = GlmScratch::default();
-        for epoch in start..epochs {
-            forumcast_obs::counter_add("ml.logistic.epochs", 1);
-            glm::epoch_pass(
-                &mut params,
-                &mut opt,
-                xs,
-                l2,
-                32,
-                0,
-                &mut scratch,
-                rng,
-                |z, i| sigmoid(z) - if ys[i] { 1.0 } else { 0.0 },
-            );
-            if snapshot_every > 0 && (epoch + 1) % snapshot_every == 0 && epoch + 1 < epochs {
-                on_snapshot(&glm_snapshot(&params, &opt, l2, epoch + 1, rng));
-            }
-        }
-        debug_assert_eq!(params.len(), dim + 1);
-        self.bias = params.pop().expect("bias present");
-        self.weights = params;
-        Ok(())
     }
 }
 
@@ -329,89 +258,6 @@ mod tests {
     fn mismatched_labels_panic() {
         let mut rng = StdRng::seed_from_u64(0);
         LogisticRegression::new(1).fit(&[vec![1.0]], &[], 1, 0.1, 0.0, &mut rng);
-    }
-
-    fn bits(m: &LogisticRegression) -> Vec<u64> {
-        let mut out: Vec<u64> = m.weights().iter().map(|w| w.to_bits()).collect();
-        out.push(m.bias().to_bits());
-        out
-    }
-
-    #[test]
-    fn fit_resumable_without_resume_matches_fit_bitwise() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let (xs, ys) = separable(&mut rng, 120);
-        let mut plain = LogisticRegression::new(2);
-        plain.fit(&xs, &ys, 40, 0.05, 1e-4, &mut rng.clone());
-        let mut resumable = LogisticRegression::new(2);
-        resumable
-            .fit_resumable(&xs, &ys, 40, 0.05, 1e-4, &mut rng, None, 0, &mut |_| {})
-            .unwrap();
-        assert_eq!(bits(&plain), bits(&resumable));
-    }
-
-    #[test]
-    fn resume_from_every_snapshot_is_bitwise_identical() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let (xs, ys) = separable(&mut rng, 120);
-        let seed_rng = rng.clone();
-        let mut reference = LogisticRegression::new(2);
-        let mut snapshots = Vec::new();
-        reference
-            .fit_resumable(&xs, &ys, 30, 0.05, 1e-4, &mut rng, None, 7, &mut |s| {
-                snapshots.push(s.clone())
-            })
-            .unwrap();
-        assert!(!snapshots.is_empty());
-        for snap in &snapshots {
-            // Round-trip through JSON, as the on-disk checkpoint does.
-            let snap = TrainState::from_json(&snap.to_json()).unwrap();
-            let mut resumed = LogisticRegression::new(2);
-            let mut rng = seed_rng.clone();
-            resumed
-                .fit_resumable(
-                    &xs,
-                    &ys,
-                    30,
-                    0.05,
-                    1e-4,
-                    &mut rng,
-                    Some(&snap),
-                    0,
-                    &mut |_| {},
-                )
-                .unwrap();
-            assert_eq!(bits(&reference), bits(&resumed), "epoch {}", snap.epoch);
-        }
-    }
-
-    #[test]
-    fn resume_with_wrong_shape_is_a_typed_error() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let (xs, ys) = separable(&mut rng, 40);
-        let mut donor = LogisticRegression::new(2);
-        let mut snapshots = Vec::new();
-        donor
-            .fit_resumable(&xs, &ys, 10, 0.05, 0.0, &mut rng, None, 5, &mut |s| {
-                snapshots.push(s.clone())
-            })
-            .unwrap();
-        let xs3: Vec<Vec<f64>> = xs.iter().map(|x| vec![x[0], x[1], 0.0]).collect();
-        let mut other = LogisticRegression::new(3);
-        let err = other
-            .fit_resumable(
-                &xs3,
-                &ys,
-                10,
-                0.05,
-                0.0,
-                &mut rng,
-                Some(&snapshots[0]),
-                0,
-                &mut |_| {},
-            )
-            .unwrap_err();
-        assert!(matches!(err, TrainStateError::ParamShape { .. }));
     }
 
     #[test]

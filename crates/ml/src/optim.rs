@@ -54,24 +54,6 @@ impl Sgd {
         self.momentum = momentum;
         self
     }
-
-    /// The momentum velocity vector. Empty until the first step sizes
-    /// it to the parameter count.
-    pub fn velocity(&self) -> &[f64] {
-        &self.velocity
-    }
-
-    /// Rebuilds SGD from checkpointed state, velocity included.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `learning_rate <= 0` or `momentum` is outside
-    /// `[0, 1)` — checkpoint decoding validates these before calling.
-    pub fn from_parts(learning_rate: f64, momentum: f64, velocity: Vec<f64>) -> Self {
-        let mut sgd = Sgd::new(learning_rate).with_momentum(momentum);
-        sgd.velocity = velocity;
-        sgd
-    }
 }
 
 impl Optimizer for Sgd {
@@ -128,44 +110,6 @@ impl Adam {
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Number of update steps applied so far (the Adam `t` counter).
-    pub fn steps(&self) -> u64 {
-        self.t
-    }
-
-    /// The first- and second-moment vectors `(m, v)`. Empty until the
-    /// first step sizes them to the parameter count.
-    pub fn moments(&self) -> (&[f64], &[f64]) {
-        (&self.m, &self.v)
-    }
-
-    /// Rebuilds Adam from checkpointed state, moments and step
-    /// counter included.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `learning_rate <= 0` or the moment vectors differ
-    /// in length — checkpoint decoding validates both before calling.
-    pub fn from_parts(
-        learning_rate: f64,
-        beta1: f64,
-        beta2: f64,
-        epsilon: f64,
-        t: u64,
-        m: Vec<f64>,
-        v: Vec<f64>,
-    ) -> Self {
-        assert_eq!(m.len(), v.len(), "moment vectors must match in length");
-        let mut adam = Adam::new(learning_rate);
-        adam.beta1 = beta1;
-        adam.beta2 = beta2;
-        adam.epsilon = epsilon;
-        adam.t = t;
-        adam.m = m;
-        adam.v = v;
-        adam
     }
 }
 

@@ -6,14 +6,12 @@
 //! Poisson GLM, as used for web-traffic inter-arrival modeling
 //! (Karagiannis et al., INFOCOM 2004).
 
-use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::glm::{self, GlmScratch};
 use crate::linalg::dot;
 use crate::optim::Adam;
-use crate::train_state::{glm_snapshot, restore_glm, TrainState, TrainStateError};
 
 /// Poisson GLM `λ(x) = exp(xᵀβ + b)`, fitted by maximizing the
 /// Poisson log-likelihood `Σ (y ln λ − λ)` with Adam.
@@ -97,10 +95,6 @@ impl PoissonRegression {
     /// [`crate::set_train_threads`]). Targets must be non-negative
     /// (counts or discretized times).
     ///
-    /// Each epoch shuffles a fresh identity permutation, so the RNG
-    /// state alone determines the remaining schedule — the property
-    /// sub-fold resume ([`Self::fit_resumable`]) relies on.
-    ///
     /// # Panics
     ///
     /// Panics when lengths mismatch or a target is negative.
@@ -163,72 +157,6 @@ impl PoissonRegression {
         }
         self.bias = params.pop().expect("bias present");
         self.weights = params;
-    }
-
-    /// [`Self::fit`] with epoch-granular checkpointing: when `resume`
-    /// is given, training continues from that snapshot and finishes
-    /// bitwise-identically to an uninterrupted `fit`; every
-    /// `snapshot_every` completed epochs (0 disables) `on_snapshot`
-    /// receives a fresh [`TrainState`] to persist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainStateError`] when `resume` does not fit this
-    /// model (wrong parameter count, non-Adam optimizer, degenerate
-    /// RNG state).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::fit`].
-    #[allow(clippy::too_many_arguments)] // resume plumbing mirrors `fit` plus the snapshot triple
-    pub fn fit_resumable(
-        &mut self,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        epochs: usize,
-        lr: f64,
-        l2: f64,
-        rng: &mut StdRng,
-        resume: Option<&TrainState>,
-        snapshot_every: usize,
-        on_snapshot: &mut dyn FnMut(&TrainState),
-    ) -> Result<(), TrainStateError> {
-        assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
-        assert!(
-            ys.iter().all(|&y| y >= 0.0),
-            "poisson targets must be non-negative"
-        );
-        if xs.is_empty() {
-            return Ok(());
-        }
-        let mut params: Vec<f64> = self.weights.clone();
-        params.push(self.bias);
-        let mut opt = Adam::new(lr);
-        let mut start = 0;
-        if let Some(state) = resume {
-            restore_glm(state, &mut params, &mut opt, rng)?;
-            start = state.epoch as usize;
-        }
-        let mut scratch = GlmScratch::default();
-        for epoch in start..epochs {
-            glm::epoch_pass(
-                &mut params,
-                &mut opt,
-                xs,
-                l2,
-                32,
-                0,
-                &mut scratch,
-                rng,
-                |z, i| z.clamp(-30.0, 30.0).exp() - ys[i],
-            );
-            if snapshot_every > 0 && (epoch + 1) % snapshot_every == 0 && epoch + 1 < epochs {
-                on_snapshot(&glm_snapshot(&params, &opt, l2, epoch + 1, rng));
-            }
-        }
-        self.bias = params.pop().expect("bias present");
-        self.weights = params;
-        Ok(())
     }
 }
 
@@ -298,49 +226,6 @@ mod tests {
     fn negative_targets_rejected() {
         let mut rng = StdRng::seed_from_u64(0);
         PoissonRegression::new(1).fit(&[vec![0.0]], &[-1.0], 1, 0.1, 0.0, &mut rng);
-    }
-
-    #[test]
-    fn resume_from_snapshot_is_bitwise_identical() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let xs: Vec<Vec<f64>> = (0..80).map(|_| vec![rng.gen_range(-1.0..1.0)]).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| (0.5 + x[0]).exp().round()).collect();
-        let seed_rng = rng.clone();
-        let mut reference = PoissonRegression::new(1);
-        let mut snapshots = Vec::new();
-        reference
-            .fit_resumable(&xs, &ys, 24, 0.05, 1e-6, &mut rng, None, 10, &mut |s| {
-                snapshots.push(s.clone())
-            })
-            .unwrap();
-        // Plain fit matches the resumable path bitwise.
-        let mut plain = PoissonRegression::new(1);
-        plain.fit(&xs, &ys, 24, 0.05, 1e-6, &mut seed_rng.clone());
-        assert_eq!(plain.bias().to_bits(), reference.bias().to_bits());
-        assert!(!snapshots.is_empty());
-        for snap in &snapshots {
-            let snap = TrainState::from_json(&snap.to_json()).unwrap();
-            let mut resumed = PoissonRegression::new(1);
-            let mut rng = seed_rng.clone();
-            resumed
-                .fit_resumable(
-                    &xs,
-                    &ys,
-                    24,
-                    0.05,
-                    1e-6,
-                    &mut rng,
-                    Some(&snap),
-                    0,
-                    &mut |_| {},
-                )
-                .unwrap();
-            assert_eq!(
-                reference.weights()[0].to_bits(),
-                resumed.weights()[0].to_bits()
-            );
-            assert_eq!(reference.bias().to_bits(), resumed.bias().to_bits());
-        }
     }
 
     #[test]

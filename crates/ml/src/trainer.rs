@@ -1,6 +1,5 @@
 //! Mini-batch MSE regression driver for [`Mlp`] networks.
 
-use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -10,7 +9,6 @@ use crate::batch;
 use crate::error::TrainError;
 use crate::mlp::{Mlp, MlpScratch};
 use crate::optim::Optimizer;
-use crate::train_state::{SnapshotOptimizer, TrainState, TrainStateError};
 
 /// Trains an [`Mlp`] with scalar output on `(x, y)` pairs by
 /// mini-batch gradient descent on the mean-squared error — the
@@ -73,9 +71,7 @@ impl<O: Optimizer> Trainer<O> {
     /// setting from [`crate::set_train_threads`]. Accumulation uses
     /// the fixed-order chunk reduction of `forumcast-par`, so the
     /// thread count never changes the trained parameters — only wall
-    /// time. It is therefore not part of [`TrainState`] snapshots:
-    /// a run snapshotted at one thread count resumes bit-identically
-    /// at another.
+    /// time.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -86,8 +82,8 @@ impl<O: Optimizer> Trainer<O> {
     /// pre-update predictions). Returns NaN when training diverged —
     /// the loss or the parameters went non-finite; [`Self::try_epoch`]
     /// surfaces that as a typed error instead. An empty dataset is a
-    /// no-op: it neither advances the epoch counter nor consumes RNG
-    /// state, so snapshots are unaffected.
+    /// no-op: it neither advances the epoch or step counters nor
+    /// consumes RNG state.
     ///
     /// Per-sample forward/backward passes run through the trainer's
     /// pooled [`MlpScratch`] and, when more than one worker is
@@ -221,57 +217,6 @@ impl<O: Optimizer> Trainer<O> {
     }
 }
 
-impl<O: Optimizer + SnapshotOptimizer> Trainer<O> {
-    /// Captures a crash-consistent snapshot at the current epoch
-    /// boundary: network parameters, full optimizer state, weight
-    /// decay, epoch/step counters, and the shuffle-RNG state. Take it
-    /// only between [`Self::epoch`] calls — mid-epoch state is not
-    /// representable.
-    pub fn snapshot(&self, mlp: &Mlp, rng: &StdRng) -> TrainState {
-        TrainState {
-            params: mlp.params().to_vec(),
-            optimizer: self.optimizer.to_state(),
-            weight_decay: self.weight_decay,
-            epoch: self.epochs_run as u64,
-            steps: self.steps_run,
-            rng: rng.state(),
-        }
-    }
-
-    /// Restores a snapshot taken by [`Self::snapshot`], after which
-    /// further epochs continue bitwise-identically to the original
-    /// run (same parameters, moments, step indices, and shuffles).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainStateError`] when the snapshot's parameter
-    /// count does not match `mlp`, the optimizer variant differs, or
-    /// the RNG state is degenerate.
-    pub fn restore(
-        &mut self,
-        state: &TrainState,
-        mlp: &mut Mlp,
-        rng: &mut StdRng,
-    ) -> Result<(), TrainStateError> {
-        if state.params.len() != mlp.num_params() {
-            return Err(TrainStateError::ParamShape {
-                expected: mlp.num_params(),
-                found: state.params.len(),
-            });
-        }
-        if state.rng == [0; 4] {
-            return Err(TrainStateError::DegenerateRng);
-        }
-        self.optimizer = O::from_state(&state.optimizer)?;
-        self.weight_decay = state.weight_decay;
-        self.epochs_run = state.epoch as usize;
-        self.steps_run = state.steps;
-        mlp.params_mut().copy_from_slice(&state.params);
-        *rng = StdRng::from_state(state.rng);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -312,18 +257,18 @@ mod tests {
     }
 
     #[test]
-    fn empty_epoch_does_not_advance_counters_rng_or_snapshot() {
+    fn empty_epoch_does_not_advance_counters_or_rng() {
         let mut rng = StdRng::seed_from_u64(42);
         let mut mlp = Mlp::new(&[LayerSpec::new(1, 1, Activation::Identity)], &mut rng);
         let mut trainer = Trainer::new(Adam::new(0.01), 4);
-        let before = trainer.snapshot(&mlp, &rng);
+        let mut untouched = rng.clone();
         trainer.epoch(&mut mlp, &[], &[], &mut rng);
         assert_eq!(trainer.epochs_run(), 0, "empty epoch must not count");
-        let after = trainer.snapshot(&mlp, &rng);
+        assert_eq!(trainer.steps_run, 0, "empty epoch must not step");
         assert_eq!(
-            before.to_json(),
-            after.to_json(),
-            "empty epoch must leave snapshot state (epoch, steps, RNG) untouched"
+            rng.gen::<u64>(),
+            untouched.gen::<u64>(),
+            "empty epoch must not consume RNG state"
         );
         // A real epoch afterwards still numbers itself from 0.
         let (xs, ys) = toy();
@@ -368,66 +313,6 @@ mod tests {
             other => panic!("expected divergence at epoch 1, got {other:?}"),
         }
         assert_eq!(trainer.epochs_run(), 2);
-    }
-
-    #[test]
-    fn snapshot_restore_resumes_bitwise_identically() {
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut mlp = Mlp::new(
-            &[
-                LayerSpec::new(1, 6, Activation::Tanh),
-                LayerSpec::new(6, 1, Activation::Identity),
-            ],
-            &mut rng,
-        );
-        let (xs, ys) = toy();
-        let mut trainer = Trainer::new(Adam::new(0.01), 8).with_weight_decay(1e-3);
-        for _ in 0..5 {
-            trainer.epoch(&mut mlp, &xs, &ys, &mut rng);
-        }
-        let state = trainer.snapshot(&mlp, &rng);
-        // Round-trip through JSON, as the sub-fold checkpoint does.
-        let state = crate::TrainState::from_json(&state.to_json()).unwrap();
-        // Continue the original run 5 more epochs.
-        for _ in 0..5 {
-            trainer.epoch(&mut mlp, &xs, &ys, &mut rng);
-        }
-        // Restore into a fresh trainer/network/RNG and continue.
-        let mut rng2 = StdRng::seed_from_u64(0);
-        let mut mlp2 = Mlp::new(
-            &[
-                LayerSpec::new(1, 6, Activation::Tanh),
-                LayerSpec::new(6, 1, Activation::Identity),
-            ],
-            &mut rng2,
-        );
-        let mut trainer2 = Trainer::new(Adam::new(0.01), 8);
-        trainer2.restore(&state, &mut mlp2, &mut rng2).unwrap();
-        assert_eq!(trainer2.epochs_run(), 5);
-        for _ in 0..5 {
-            trainer2.epoch(&mut mlp2, &xs, &ys, &mut rng2);
-        }
-        let a: Vec<u64> = mlp.params().iter().map(|p| p.to_bits()).collect();
-        let b: Vec<u64> = mlp2.params().iter().map(|p| p.to_bits()).collect();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn restore_rejects_wrong_parameter_count() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut small = Mlp::new(&[LayerSpec::new(1, 1, Activation::Identity)], &mut rng);
-        let mut trainer = Trainer::new(Adam::new(0.01), 4);
-        trainer.epoch(&mut small, &[vec![0.5]], &[1.0], &mut rng);
-        let state = trainer.snapshot(&small, &rng);
-        let mut big = Mlp::new(&[LayerSpec::new(3, 1, Activation::Identity)], &mut rng);
-        let err = trainer.restore(&state, &mut big, &mut rng).unwrap_err();
-        assert!(matches!(
-            err,
-            crate::TrainStateError::ParamShape {
-                expected: 4,
-                found: 2
-            }
-        ));
     }
 
     #[test]

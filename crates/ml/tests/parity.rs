@@ -100,43 +100,3 @@ fn poisson_fit_is_bitwise_identical_across_thread_counts() {
         assert_eq!(serial, train_poisson(threads), "threads={threads}");
     }
 }
-
-/// The thread count is not part of [`forumcast_ml::TrainState`]: a run
-/// snapshotted while training serially must resume bit-identically on
-/// seven workers (and vice versa) — the PR 4 sub-fold resume guarantee
-/// carried over to the parallel kernels.
-#[test]
-fn snapshot_at_one_thread_resumes_bitwise_identically_at_seven() {
-    let make_net = |rng: &mut StdRng| {
-        Mlp::new(
-            &[
-                LayerSpec::new(4, 8, Activation::Tanh),
-                LayerSpec::new(8, 1, Activation::Identity),
-            ],
-            rng,
-        )
-    };
-    let xs = features(300, 4);
-    let ys: Vec<f64> = xs.iter().map(|x| 2.0 * x[0] - x[3]).collect();
-
-    let mut rng = StdRng::seed_from_u64(5);
-    let mut mlp = make_net(&mut rng);
-    let mut trainer = Trainer::new(Adam::new(0.01), 128).with_threads(1);
-    for _ in 0..3 {
-        trainer.epoch(&mut mlp, &xs, &ys, &mut rng);
-    }
-    let state = trainer.snapshot(&mlp, &rng);
-    for _ in 0..3 {
-        trainer.epoch(&mut mlp, &xs, &ys, &mut rng);
-    }
-
-    let mut rng7 = StdRng::seed_from_u64(0);
-    let mut mlp7 = make_net(&mut rng7);
-    let mut trainer7 = Trainer::new(Adam::new(0.01), 128).with_threads(7);
-    trainer7.restore(&state, &mut mlp7, &mut rng7).unwrap();
-    for _ in 0..3 {
-        trainer7.epoch(&mut mlp7, &xs, &ys, &mut rng7);
-    }
-
-    assert_eq!(mlp_bits(&mlp), mlp_bits(&mlp7));
-}

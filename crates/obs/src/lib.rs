@@ -512,7 +512,7 @@ pub fn counter_add(name: &str, delta: u64) {
 /// bucket increment in the thread's shard, not an event allocation,
 /// and shards merge by bucket sum at [`drain`]. Values are
 /// unit-agnostic; by convention the name carries the unit
-/// (`ckpt.subfold.write_ms`). Summaries report count/p50/p90/p99/max.
+/// (`data.columnar.write_ms`). Summaries report count/p50/p90/p99/max.
 pub fn observe(name: &str, value: u64) {
     if !is_enabled() {
         return;

@@ -382,13 +382,8 @@ mod tests {
     #[test]
     fn spawned_threads_inherit_the_armed_collector_and_plan() {
         use forumcast_resilience::fault::{fires, FaultSite};
-        let seen = |unit: u64| {
-            (
-                forumcast_obs::is_enabled(),
-                fires(FaultSite::IngestIo, unit),
-            )
-        };
-        let spec = "ingest-io:0,ingest-io:1,ingest-io:2,ingest-io:3,ingest-io:9";
+        let seen = |unit: u64| (forumcast_obs::is_enabled(), fires(FaultSite::NanGrad, unit));
+        let spec = "nan-grad:0,nan-grad:1,nan-grad:2,nan-grad:3,nan-grad:9";
         let _faults = forumcast_resilience::FaultPlan::parse(spec).unwrap().arm();
         let _obs = forumcast_obs::arm();
         let items: Vec<u64> = (0..4).collect();
@@ -400,7 +395,7 @@ mod tests {
         let log = forumcast_obs::drain().unwrap();
         assert!(
             log.counters
-                .contains(&("fault.fired.ingest-io".to_string(), 5)),
+                .contains(&("fault.fired.nan-grad".to_string(), 5)),
             "{:?}",
             log.counters
         );

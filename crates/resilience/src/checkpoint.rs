@@ -17,10 +17,8 @@
 //! then one CRC-guarded frame per entry. Torn tails truncate to the
 //! valid entry prefix (the lost tail is recomputed); any CRC mismatch
 //! quarantines the file to `<path>.corrupt` and surfaces as
-//! [`CheckpointError::Corrupt`]. Checkpoints from JSON-era builds are
-//! still **read**: loads sniff the file magic, so an old JSON
-//! checkpoint resumes seamlessly and the next save migrates it to
-//! binary.
+//! [`CheckpointError::Corrupt`]. So does a file that is not a store
+//! at all (no store magic), whatever wrote it.
 //!
 //! # Fault sites
 //!
@@ -31,13 +29,13 @@
 //! post-rename), and `fsync-fail` (save errors at the sync step, old
 //! checkpoint intact).
 
-use serde::{expect_object, missing_field, obj_get, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
 use std::fmt;
 use std::path::Path;
 
 use crate::fault::{self, FaultSite};
 use forumcast_store::{
-    decode_value, encode_value, is_store_bytes, Corruption, SaveOptions, StoreError, StoreFile,
+    decode_value, encode_value, tmp_path, Corruption, SaveOptions, StoreError, StoreFile,
 };
 
 pub use forumcast_store::reclaim_tmp;
@@ -78,8 +76,7 @@ fn ckpt_write_fault(
 ) -> Option<CheckpointError> {
     if fault::fires(FaultSite::CkptWrite, unit) {
         let bytes = bytes();
-        let tmp = path.with_extension("tmp");
-        let _ = std::fs::write(&tmp, &bytes[..bytes.len() / 2]);
+        let _ = std::fs::write(tmp_path(path), &bytes[..bytes.len() / 2]);
         Some(CheckpointError::Io {
             path: path.display().to_string(),
             message: format!("{} ckpt-write:{unit}", fault::INJECTED_PREFIX),
@@ -132,7 +129,7 @@ impl<T> Checkpoint<T> {
 
 impl<T: Serialize> Checkpoint<T> {
     /// Atomically and durably saves the checkpoint: writes
-    /// `<path>.tmp`, fsyncs, renames over `path`, fsyncs the parent
+    /// [`tmp_path`]`(path)`, fsyncs, renames over `path`, fsyncs the parent
     /// directory — a crash mid-write never corrupts an existing
     /// checkpoint, and a completed save survives power loss.
     ///
@@ -169,14 +166,12 @@ impl<T: Serialize> Checkpoint<T> {
 
 impl<T: Deserialize> Checkpoint<T> {
     /// Loads a checkpoint, verifying its meta fingerprint. `Ok(None)`
-    /// when `path` does not exist (a fresh run). The format is
-    /// sniffed from the file magic: binary stores and legacy JSON
-    /// checkpoints both load through this one entry point.
+    /// when `path` does not exist (a fresh run).
     ///
-    /// Corruption policy: a torn binary tail silently yields the
-    /// valid entry prefix (counted `store.frame.torn` — resume
-    /// recomputes the lost tail); a CRC mismatch or malformed JSON
-    /// quarantines the file to `<path>.corrupt` (counted
+    /// Corruption policy: a torn tail silently yields the valid entry
+    /// prefix (counted `store.frame.torn` — resume recomputes the lost
+    /// tail); a CRC mismatch, an undecodable entry or a file that is
+    /// not a store quarantines the file to `<path>.corrupt` (counted
     /// `ckpt.corrupt.quarantined`) and returns
     /// [`CheckpointError::Corrupt`].
     ///
@@ -187,70 +182,51 @@ impl<T: Deserialize> Checkpoint<T> {
     /// [`CheckpointError::MetaMismatch`] when the file belongs to a
     /// differently-configured run.
     pub fn load(path: &Path, expected_meta: &str) -> Result<Option<Self>, CheckpointError> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(CheckpointError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                })
+        let store = match StoreFile::load(path) {
+            Ok(store) => store,
+            Err(StoreError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
+                return Ok(None)
             }
+            Err(e) => return Err(load_error(path, e)),
         };
-        let cp = if is_store_bytes(&bytes) {
-            Self::load_binary(path)?
-        } else {
-            Self::load_json(path, &bytes)?
-        };
-        if cp.meta != expected_meta {
-            return Err(CheckpointError::MetaMismatch {
-                path: path.display().to_string(),
-                expected: expected_meta.to_string(),
-                found: cp.meta,
-            });
-        }
-        Ok(Some(cp))
-    }
-
-    fn load_binary(path: &Path) -> Result<Self, CheckpointError> {
-        let store = load_store(path)?;
         let mut entries = Vec::with_capacity(store.frames.len());
         for (i, frame) in store.frames.iter().enumerate() {
             entries.push(decode_entry::<T>(path, i, frame)?);
         }
-        Ok(Checkpoint {
+        if store.fingerprint != expected_meta {
+            return Err(CheckpointError::MetaMismatch {
+                path: path.display().to_string(),
+                expected: expected_meta.to_string(),
+                found: store.fingerprint,
+            });
+        }
+        Ok(Some(Checkpoint {
             meta: store.fingerprint,
             entries,
-        })
-    }
-
-    fn load_json(path: &Path, bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let corrupt = |message: String| {
-            forumcast_store::quarantine(path);
-            CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message,
-            }
-        };
-        let json = std::str::from_utf8(bytes).map_err(|e| corrupt(format!("not UTF-8: {e}")))?;
-        serde_json::from_str(json).map_err(|e| corrupt(e.to_string()))
+        }))
     }
 }
 
-/// Loads the raw store, translating store-level failures into
-/// checkpoint errors (the store has already counted and quarantined
-/// as its policy dictates).
-fn load_store(path: &Path) -> Result<StoreFile, CheckpointError> {
-    StoreFile::load(path).map_err(|e| match e {
+/// Translates a store-level load failure into a checkpoint error. The
+/// store has already counted and quarantined CRC damage; a file
+/// without the store magic is quarantined here, so a resume recomputes
+/// instead of tripping over the same file again.
+fn load_error(path: &Path, e: StoreError) -> CheckpointError {
+    match e {
         StoreError::Io { source, .. } => CheckpointError::Io {
             path: path.display().to_string(),
             message: source.to_string(),
         },
-        other => CheckpointError::Corrupt {
-            path: path.display().to_string(),
-            message: other.to_string(),
-        },
-    })
+        other => {
+            if matches!(other, StoreError::NotAStore { .. }) {
+                forumcast_store::quarantine(path);
+            }
+            CheckpointError::Corrupt {
+                path: path.display().to_string(),
+                message: other.to_string(),
+            }
+        }
+    }
 }
 
 /// Decodes one `(unit, result)` checkpoint frame. A frame that
@@ -286,235 +262,6 @@ fn decode_entry<T: Deserialize>(
     Ok((unit, result))
 }
 
-impl<T: Serialize> Serialize for Checkpoint<T> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("meta".to_string(), self.meta.to_value()),
-            ("entries".to_string(), self.entries.to_value()),
-        ])
-    }
-}
-
-impl<T: Deserialize> Deserialize for Checkpoint<T> {
-    fn from_value(v: &Value) -> Result<Self, serde::DeError> {
-        let fields = expect_object(v, "Checkpoint")?;
-        let meta = String::from_value(
-            obj_get(fields, "meta").ok_or_else(|| missing_field("meta", "Checkpoint"))?,
-        )?;
-        let entries = Vec::<(u64, T)>::from_value(
-            obj_get(fields, "entries").ok_or_else(|| missing_field("entries", "Checkpoint"))?,
-        )?;
-        Ok(Checkpoint { meta, entries })
-    }
-}
-
-/// Current on-disk format version for [`TrainCheckpoint`] files.
-/// Bumped whenever the payload layout changes incompatibly; readers
-/// refuse (as [`CheckpointError::Corrupt`]) anything else.
-pub const SUBFOLD_FORMAT_VERSION: u32 = 1;
-
-/// A versioned, fingerprinted single-payload checkpoint for sub-fold
-/// (mid-training) state. Where [`Checkpoint`] logs completed units,
-/// `TrainCheckpoint` holds *one* in-flight snapshot — the latest
-/// epoch-granular training state of the fold currently running — and
-/// nests beside the fold-level checkpoint (`<base>.fold<N>.train.ckpt`
-/// next to `<base>`; `.train.json` from JSON-era builds).
-///
-/// The same crash-consistency contract applies: saves are atomic and
-/// durable (tmp + fsync + rename, probing the save fault sites),
-/// loads verify the format version and the run fingerprint, and a
-/// file that fails either check is never silently trusted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainCheckpoint<T> {
-    /// On-disk format version; always [`SUBFOLD_FORMAT_VERSION`] for
-    /// values produced by this build.
-    pub version: u32,
-    /// Fingerprint of the run configuration *and* the fold this
-    /// snapshot belongs to. [`TrainCheckpoint::load`] refuses to
-    /// resume ([`CheckpointError::Stale`]) when it does not match.
-    pub fingerprint: String,
-    /// The mid-training snapshot.
-    pub payload: T,
-}
-
-impl<T> TrainCheckpoint<T> {
-    /// Wraps `payload` in the current format version under
-    /// `fingerprint`.
-    pub fn new(fingerprint: impl Into<String>, payload: T) -> Self {
-        TrainCheckpoint {
-            version: SUBFOLD_FORMAT_VERSION,
-            fingerprint: fingerprint.into(),
-            payload,
-        }
-    }
-}
-
-impl<T: Serialize> TrainCheckpoint<T> {
-    /// Atomically and durably saves the snapshot, probing the
-    /// `ckpt-write`/`torn-write`/`bit-flip`/`fsync-fail` fault sites
-    /// at `unit` — the caller picks a unit disjoint from fold-level
-    /// saves so shot plans can target either layer independently.
-    ///
-    /// Layout: frame 0 is the format version, frame 1 the payload;
-    /// the fingerprint rides in the store header.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path, unit: u64) -> Result<(), CheckpointError> {
-        let started = std::time::Instant::now();
-        let frames = vec![
-            encode_value(&Value::U64(u64::from(self.version))),
-            encode_value(&self.payload.to_value()),
-        ];
-        let store = StoreFile::new(&self.fingerprint, frames);
-        if let Some(err) = ckpt_write_fault(path, unit, || store.encode()) {
-            return Err(err);
-        }
-        let bytes =
-            crate::retry::save_with_retry(|_| store.save(path, &injected_save_options(unit)))
-                .map_err(|e| store_io_err(path, e))?;
-        forumcast_obs::counter_add("ckpt.subfold.saves", 1);
-        // Snapshot cost telemetry. Per-write durations go through the
-        // histogram path so the summary can report p50/p99 instead of
-        // only a lifetime total.
-        forumcast_obs::counter_add("ckpt.subfold.bytes", bytes);
-        forumcast_obs::observe(
-            "ckpt.subfold.write_ms",
-            started.elapsed().as_millis() as u64,
-        );
-        Ok(())
-    }
-}
-
-impl<T: Deserialize> TrainCheckpoint<T> {
-    /// Loads a sub-fold snapshot, verifying format version and
-    /// fingerprint; the on-disk format is sniffed from the file
-    /// magic. `Ok(None)` when `path` does not exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CheckpointError::Io`] on unreadable files,
-    /// [`CheckpointError::Corrupt`] on damage (a torn or
-    /// CRC-mismatched snapshot is never partially trusted — unlike
-    /// fold-level entries, half a training state is useless) or an
-    /// unknown format version, and [`CheckpointError::Stale`] when
-    /// the file belongs to a differently-configured run or a
-    /// different fold.
-    pub fn load(path: &Path, expected_fingerprint: &str) -> Result<Option<Self>, CheckpointError> {
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(CheckpointError::Io {
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                })
-            }
-        };
-        let cp = if is_store_bytes(&bytes) {
-            Self::load_binary(path)?
-        } else {
-            Self::load_json(path, &bytes)?
-        };
-        if cp.version != SUBFOLD_FORMAT_VERSION {
-            return Err(CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message: format!(
-                    "unknown sub-fold format version {} (this build reads version {})",
-                    cp.version, SUBFOLD_FORMAT_VERSION
-                ),
-            });
-        }
-        if cp.fingerprint != expected_fingerprint {
-            return Err(CheckpointError::Stale {
-                path: path.display().to_string(),
-                expected: expected_fingerprint.to_string(),
-                found: cp.fingerprint,
-            });
-        }
-        Ok(Some(cp))
-    }
-
-    fn load_binary(path: &Path) -> Result<Self, CheckpointError> {
-        let corrupt = |message: String| CheckpointError::Corrupt {
-            path: path.display().to_string(),
-            message,
-        };
-        let store = load_store(path)?;
-        // A torn tail left fewer than the two required frames: the
-        // snapshot is unusable, which for a sub-fold means "recompute
-        // the fold from its start".
-        if store.frames.len() < 2 {
-            return Err(corrupt(format!(
-                "sub-fold snapshot truncated: {} of 2 frames survived",
-                store.frames.len()
-            )));
-        }
-        let version = match decode_value(&store.frames[0])
-            .map_err(|e| corrupt(format!("version frame: {e}")))?
-        {
-            Value::U64(v) => u32::try_from(v).unwrap_or(u32::MAX),
-            Value::I64(v) if v >= 0 => u32::try_from(v).unwrap_or(u32::MAX),
-            other => return Err(corrupt(format!("version frame: unexpected {other:?}"))),
-        };
-        let payload_value =
-            decode_value(&store.frames[1]).map_err(|e| corrupt(format!("payload frame: {e}")))?;
-        let payload =
-            T::from_value(&payload_value).map_err(|e| corrupt(format!("payload: {e}")))?;
-        Ok(TrainCheckpoint {
-            version,
-            fingerprint: store.fingerprint,
-            payload,
-        })
-    }
-
-    fn load_json(path: &Path, bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let corrupt = |message: String| {
-            forumcast_store::quarantine(path);
-            CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message,
-            }
-        };
-        let json = std::str::from_utf8(bytes).map_err(|e| corrupt(format!("not UTF-8: {e}")))?;
-        serde_json::from_str(json).map_err(|e| corrupt(e.to_string()))
-    }
-}
-
-impl<T: Serialize> Serialize for TrainCheckpoint<T> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".to_string(), self.version.to_value()),
-            ("fingerprint".to_string(), self.fingerprint.to_value()),
-            ("payload".to_string(), self.payload.to_value()),
-        ])
-    }
-}
-
-impl<T: Deserialize> Deserialize for TrainCheckpoint<T> {
-    fn from_value(v: &Value) -> Result<Self, serde::DeError> {
-        let fields = expect_object(v, "TrainCheckpoint")?;
-        let version = u32::from_value(
-            obj_get(fields, "version")
-                .ok_or_else(|| missing_field("version", "TrainCheckpoint"))?,
-        )?;
-        let fingerprint = String::from_value(
-            obj_get(fields, "fingerprint")
-                .ok_or_else(|| missing_field("fingerprint", "TrainCheckpoint"))?,
-        )?;
-        let payload = T::from_value(
-            obj_get(fields, "payload")
-                .ok_or_else(|| missing_field("payload", "TrainCheckpoint"))?,
-        )?;
-        Ok(TrainCheckpoint {
-            version,
-            fingerprint,
-            payload,
-        })
-    }
-}
-
 /// Failure loading or saving a [`Checkpoint`].
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -542,17 +289,6 @@ pub enum CheckpointError {
         /// Fingerprint stored in the file.
         found: String,
     },
-    /// A sub-fold snapshot whose fingerprint does not match the
-    /// current run — left behind by an earlier, differently-configured
-    /// invocation.
-    Stale {
-        /// Sub-fold checkpoint path.
-        path: String,
-        /// Fingerprint of the current run.
-        expected: String,
-        /// Fingerprint stored in the file.
-        found: String,
-    },
 }
 
 impl fmt::Display for CheckpointError {
@@ -573,17 +309,6 @@ impl fmt::Display for CheckpointError {
                 "checkpoint {path}: belongs to a different run (expected `{expected}`, found `{found}`); \
                  delete it or pass a matching configuration"
             ),
-            CheckpointError::Stale {
-                path,
-                expected,
-                found,
-            } => write!(
-                f,
-                "stale sub-fold checkpoint {path}: this run expects fingerprint `{expected}` \
-                 but the file carries `{found}`; delete the file to discard that partial \
-                 training state, or rerun with the `--resume` path and configuration of the \
-                 run that wrote it"
-            ),
         }
     }
 }
@@ -598,87 +323,31 @@ mod tests {
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("forumcast-ckpt-{name}-{}.json", std::process::id()));
+        p.push(format!("forumcast-ckpt-{name}-{}.ckpt", std::process::id()));
         let _ = std::fs::remove_file(&p);
-        let _ = std::fs::remove_file(p.with_extension("json.corrupt"));
+        let _ = std::fs::remove_file(p.with_extension("ckpt.corrupt"));
         p
-    }
-
-    /// Writes `value` as a JSON-era build did, through the serde shim.
-    fn write_json<T: Serialize>(path: &Path, value: &T) {
-        std::fs::write(path, serde_json::to_string_pretty(value).unwrap()).unwrap();
     }
 
     #[test]
     fn save_load_roundtrip_preserves_entries_bitwise() {
-        for json_era in [false, true] {
-            let path = temp_path(&format!("roundtrip-{json_era}"));
-            let mut cp: Checkpoint<f64> = Checkpoint::new("run A");
-            cp.record(3, 0.1 + 0.2);
-            cp.record(1, f64::MIN_POSITIVE);
-            if json_era {
-                write_json(&path, &cp);
-            } else {
-                cp.save(&path).unwrap();
-            }
-            let back = Checkpoint::<f64>::load(&path, "run A").unwrap().unwrap();
-            assert_eq!(back.meta, "run A");
-            assert_eq!(back.entries.len(), 2);
-            for ((u, x), (bu, bx)) in cp.entries.iter().zip(&back.entries) {
-                assert_eq!(u, bu);
-                assert_eq!(x.to_bits(), bx.to_bits());
-            }
-            std::fs::remove_file(&path).unwrap();
-        }
-    }
-
-    #[test]
-    fn save_writes_binary_and_json_still_loads() {
-        let path = temp_path("default-binary");
-        let mut cp: Checkpoint<i32> = Checkpoint::new("m");
-        cp.record(0, 7);
+        let path = temp_path("roundtrip");
+        let mut cp: Checkpoint<f64> = Checkpoint::new("run A");
+        cp.record(3, 0.1 + 0.2);
+        cp.record(1, f64::MIN_POSITIVE);
         cp.save(&path).unwrap();
         let head = std::fs::read(&path).unwrap();
         assert!(
-            forumcast_store::is_store_bytes(&head),
+            head.starts_with(&forumcast_store::MAGIC),
             "save must write the binary store format"
         );
-        // Overwrite with the JSON-era encoding: the sniffing load
-        // reads it transparently.
-        write_json(&path, &cp);
-        let back = Checkpoint::<i32>::load(&path, "m").unwrap().unwrap();
-        assert_eq!(back.get(0), Some(&7));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn subfold_save_reports_bytes_and_write_duration() {
-        let path = temp_path("save-cost");
-        let cp = TrainCheckpoint::new("fp", vec![1u32, 2, 3]);
-        let guard = forumcast_obs::arm();
-        cp.save(&path, 0).unwrap();
-        let log = forumcast_obs::drain().expect("collector armed");
-        drop(guard);
-        let counter = |name: &str| {
-            log.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-        };
-        let written = std::fs::metadata(&path).unwrap().len();
-        assert_eq!(counter("ckpt.subfold.saves"), Some(1));
-        assert_eq!(
-            counter("ckpt.subfold.bytes"),
-            Some(written),
-            "byte counter must equal the saved file's size"
-        );
-        let write_hist = log
-            .hists
-            .iter()
-            .find(|(n, _)| n == "ckpt.subfold.write_ms")
-            .map(|(_, h)| h)
-            .expect("write duration must land in the latency histogram");
-        assert_eq!(write_hist.count(), 1);
+        let back = Checkpoint::<f64>::load(&path, "run A").unwrap().unwrap();
+        assert_eq!(back.meta, "run A");
+        assert_eq!(back.entries.len(), 2);
+        for ((u, x), (bu, bx)) in cp.entries.iter().zip(&back.entries) {
+            assert_eq!(u, bu);
+            assert_eq!(x.to_bits(), bx.to_bits());
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -710,16 +379,20 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_json_is_reported_and_quarantined() {
-        let path = temp_path("corrupt");
-        std::fs::write(&path, "{ not json").unwrap();
-        let err = Checkpoint::<i32>::load(&path, "m").unwrap_err();
-        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("forumcast-ckpt-corrupt"));
-        let quarantined = path.with_extension("json.corrupt");
-        assert!(quarantined.exists(), "corrupt JSON must be moved aside");
-        assert!(!path.exists());
-        std::fs::remove_file(&quarantined).unwrap();
+    fn non_store_file_is_reported_as_corrupt_and_quarantined() {
+        // Garbage, and a well-formed checkpoint in the JSON layout of
+        // old builds: neither is a store, so both are damage.
+        for bytes in ["{ not json", r#"{"meta":"m","entries":[[0,7]]}"#] {
+            let path = temp_path("corrupt");
+            std::fs::write(&path, bytes).unwrap();
+            let err = Checkpoint::<i32>::load(&path, "m").unwrap_err();
+            assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+            assert!(err.to_string().contains("forumcast-ckpt-corrupt"));
+            let quarantined = path.with_extension("ckpt.corrupt");
+            assert!(quarantined.exists(), "a non-store file must be moved aside");
+            assert!(!path.exists());
+            std::fs::remove_file(&quarantined).unwrap();
+        }
     }
 
     #[test]
@@ -756,7 +429,7 @@ mod tests {
         let err = Checkpoint::<f64>::load(&path, "m").unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
         assert!(err.to_string().contains("CRC mismatch"), "{err}");
-        let quarantined = path.with_extension("json.corrupt");
+        let quarantined = path.with_extension("ckpt.corrupt");
         assert!(quarantined.exists());
         assert!(!path.exists());
         std::fs::remove_file(&quarantined).unwrap();
@@ -810,7 +483,7 @@ mod tests {
                     .expect_err("the arming thread's save must fail");
                 assert!(err.to_string().contains("fsync-fail:2"), "{err}");
                 assert!(!path.exists(), "a failed first save leaves no checkpoint");
-                let _ = std::fs::remove_file(path.with_extension("tmp"));
+                let _ = std::fs::remove_file(tmp_path(&path));
             });
             s.spawn(|| {
                 let (path, cp) = two_entries("hermetic-unarmed");
@@ -850,117 +523,9 @@ mod tests {
     }
 
     #[test]
-    fn subfold_roundtrip_preserves_payload_bitwise() {
-        for json_era in [false, true] {
-            let path = temp_path(&format!("subfold-roundtrip-{json_era}"));
-            let cp = TrainCheckpoint::new("fold 3 of run A", vec![0.1 + 0.2, f64::MIN_POSITIVE]);
-            if json_era {
-                write_json(&path, &cp);
-            } else {
-                cp.save(&path, 0).unwrap();
-            }
-            let back = TrainCheckpoint::<Vec<f64>>::load(&path, "fold 3 of run A")
-                .unwrap()
-                .unwrap();
-            assert_eq!(back.version, SUBFOLD_FORMAT_VERSION);
-            for (x, bx) in cp.payload.iter().zip(&back.payload) {
-                assert_eq!(x.to_bits(), bx.to_bits());
-            }
-            std::fs::remove_file(&path).unwrap();
-        }
-    }
-
-    /// JSON drops NaN (serializes as null, rejected or zeroed on
-    /// read); binary must carry non-finite payload bits verbatim so
-    /// the validation layer above can reject them with its *typed*
-    /// error instead of silently mutating state.
-    #[test]
-    fn subfold_binary_preserves_nonfinite_bits() {
-        let path = temp_path("subfold-nan");
-        let bits = 0x7FF8_0000_DEAD_BEEFu64;
-        let cp = TrainCheckpoint::new("f", vec![f64::from_bits(bits)]);
-        cp.save(&path, 0).unwrap();
-        let back = TrainCheckpoint::<Vec<f64>>::load(&path, "f")
-            .unwrap()
-            .unwrap();
-        assert_eq!(back.payload[0].to_bits(), bits);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn subfold_missing_file_loads_as_none() {
-        let path = temp_path("subfold-missing");
-        assert_eq!(TrainCheckpoint::<i32>::load(&path, "f").unwrap(), None);
-    }
-
-    #[test]
-    fn subfold_unknown_version_is_corrupt_not_trusted() {
-        for json_era in [false, true] {
-            let path = temp_path(&format!("subfold-version-{json_era}"));
-            let mut cp = TrainCheckpoint::new("f", 7i32);
-            cp.version = SUBFOLD_FORMAT_VERSION + 1;
-            if json_era {
-                write_json(&path, &cp);
-            } else {
-                cp.save(&path, 0).unwrap();
-            }
-            let err = TrainCheckpoint::<i32>::load(&path, "f").unwrap_err();
-            assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
-            assert!(err.to_string().contains("format version"));
-            std::fs::remove_file(&path).unwrap();
-        }
-    }
-
-    #[test]
-    fn subfold_truncated_json_is_corrupt_not_trusted() {
-        let path = temp_path("subfold-truncated");
-        write_json(&path, &TrainCheckpoint::new("f", vec![1.0f64, 2.0]));
-        let json = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &json[..json.len() / 2]).unwrap();
-        let err = TrainCheckpoint::<Vec<f64>>::load(&path, "f").unwrap_err();
-        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
-        let quarantined = path.with_extension("json.corrupt");
-        assert!(quarantined.exists(), "corrupt JSON snapshot is moved aside");
-        std::fs::remove_file(&quarantined).unwrap();
-    }
-
-    #[test]
-    fn subfold_torn_binary_is_corrupt_not_partially_trusted() {
-        let path = temp_path("subfold-torn");
-        let cp = TrainCheckpoint::new("f", vec![1.0f64; 64]);
-        {
-            let _guard = FaultPlan::parse("torn-write:5").unwrap().arm();
-            cp.save(&path, 5).unwrap();
-        }
-        let err = TrainCheckpoint::<Vec<f64>>::load(&path, "f").unwrap_err();
-        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("truncated"), "{err}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// The stale-fingerprint error must hand the operator everything
-    /// needed to act: the offending path, both fingerprints, and the
-    /// `--resume` remedy.
-    #[test]
-    fn subfold_stale_fingerprint_names_path_fingerprints_and_remedy() {
-        let path = temp_path("subfold-stale");
-        TrainCheckpoint::new("quick scale, 5 folds", 7i32)
-            .save(&path, 0)
-            .unwrap();
-        let err = TrainCheckpoint::<i32>::load(&path, "full scale, 10 folds").unwrap_err();
-        assert!(matches!(err, CheckpointError::Stale { .. }), "{err}");
-        let msg = err.to_string();
-        assert!(msg.contains(path.display().to_string().as_str()), "{msg}");
-        assert!(msg.contains("full scale, 10 folds"), "{msg}");
-        assert!(msg.contains("quick scale, 5 folds"), "{msg}");
-        assert!(msg.contains("--resume"), "{msg}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn stale_tmp_is_reclaimed_and_counted() {
         let path = temp_path("tmp-reclaim");
-        let tmp = path.with_extension("tmp");
+        let tmp = tmp_path(&path);
         std::fs::write(&tmp, b"half a checkpoint").unwrap();
         let guard = forumcast_obs::arm();
         assert!(reclaim_tmp(&path));

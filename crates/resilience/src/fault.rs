@@ -2,7 +2,7 @@
 //!
 //! A [`FaultPlan`] names *sites* (places in the pipeline instrumented
 //! with a probe) and *unit indices* (the logical work item at that
-//! site: fold job number, record number, optimizer step number). When
+//! site: fold job number, optimizer step number, save number). When
 //! a plan is armed, the probe for `(site, unit)` fires as many times
 //! as the plan has shots for it, then goes quiet — so a retry of the
 //! same unit succeeds, and the healed output is bitwise-identical to
@@ -40,15 +40,8 @@ pub const INJECTED_PREFIX: &str = "injected fault:";
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FaultSite {
-    /// Panic inside a CV fold worker (unit = fold job index). The
-    /// sub-fold resume path adds a second probe right after each
-    /// mid-training snapshot save, at unit = total job count + fold
-    /// job index — a disjoint unit space, so a plan can kill a fold
-    /// *mid-training* (with snapshots already on disk) without also
-    /// tripping the fold-start probe.
+    /// Panic inside a CV fold worker (unit = fold job index).
     FoldPanic,
-    /// I/O error during record ingestion (unit = record index).
-    IngestIo,
     /// NaN written into the gradient buffer before an optimizer step
     /// (unit = cumulative step index within one trainer).
     NanGrad,
@@ -82,9 +75,8 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in spec-name order.
-    pub const ALL: [FaultSite; 8] = [
+    pub const ALL: [FaultSite; 7] = [
         FaultSite::FoldPanic,
-        FaultSite::IngestIo,
         FaultSite::NanGrad,
         FaultSite::CkptWrite,
         FaultSite::AllocPressure,
@@ -93,13 +85,11 @@ impl FaultSite {
         FaultSite::FsyncFail,
     ];
 
-    /// The spec name (`fold-panic`, `ingest-io`, `nan-grad`,
-    /// `ckpt-write`, `alloc-pressure`, `torn-write`, `bit-flip`,
-    /// `fsync-fail`).
+    /// The spec name (`fold-panic`, `nan-grad`, `ckpt-write`,
+    /// `alloc-pressure`, `torn-write`, `bit-flip`, `fsync-fail`).
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::FoldPanic => "fold-panic",
-            FaultSite::IngestIo => "ingest-io",
             FaultSite::NanGrad => "nan-grad",
             FaultSite::CkptWrite => "ckpt-write",
             FaultSite::AllocPressure => "alloc-pressure",
@@ -150,7 +140,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Parses a spec like `fold-panic:1,ingest-io:0,nan-grad:3x2`.
+    /// Parses a spec like `fold-panic:1,ckpt-write:0,nan-grad:3x2`.
     /// Empty (or all-whitespace) specs parse to an empty plan.
     ///
     /// # Errors
@@ -337,33 +327,18 @@ pub fn panic_point(site: FaultSite, unit: u64) {
     }
 }
 
-/// Returns an injected I/O error when `(site, unit)` fires.
-///
-/// # Errors
-///
-/// Returns [`std::io::Error`] exactly when the probe fires.
-pub fn io_point(site: FaultSite, unit: u64) -> std::io::Result<()> {
-    if fires(site, unit) {
-        Err(std::io::Error::other(format!(
-            "{INJECTED_PREFIX} {site}:{unit}"
-        )))
-    } else {
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parse_accepts_sites_indices_and_multiplicity() {
-        let plan = FaultPlan::parse(" fold-panic:1 , ingest-io:0, nan-grad:3x2 ").unwrap();
+        let plan = FaultPlan::parse(" fold-panic:1 , ckpt-write:0, nan-grad:3x2 ").unwrap();
         assert_eq!(
             plan.shots,
             vec![
                 (FaultSite::FoldPanic, 1, 1),
-                (FaultSite::IngestIo, 0, 1),
+                (FaultSite::CkptWrite, 0, 1),
                 (FaultSite::NanGrad, 3, 2),
             ]
         );
@@ -407,23 +382,15 @@ mod tests {
         assert!(fires(FaultSite::FoldPanic, 7));
         assert!(!fires(FaultSite::FoldPanic, 7));
         assert!(!fires(FaultSite::FoldPanic, 8));
-        assert!(!fires(FaultSite::IngestIo, 7));
+        assert!(!fires(FaultSite::NanGrad, 7));
     }
 
     #[test]
     fn disarmed_probes_never_fire() {
         {
-            let _guard = FaultPlan::parse("ingest-io:0").unwrap().arm();
+            let _guard = FaultPlan::parse("nan-grad:0").unwrap().arm();
         }
-        assert!(!fires(FaultSite::IngestIo, 0));
-    }
-
-    #[test]
-    fn io_point_reports_site_and_unit() {
-        let _guard = FaultPlan::parse("ingest-io:4").unwrap().arm();
-        let err = io_point(FaultSite::IngestIo, 4).unwrap_err();
-        assert!(err.to_string().contains("ingest-io:4"));
-        assert!(io_point(FaultSite::IngestIo, 4).is_ok());
+        assert!(!fires(FaultSite::NanGrad, 0));
     }
 
     #[test]

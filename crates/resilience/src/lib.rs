@@ -1,9 +1,9 @@
 //! Resilience layer for forumcast pipelines: deterministic fault
 //! injection, panic-isolated retry, and checkpoint/resume.
 //!
-//! A multi-hour evaluation sweep must not lose everything to a single
-//! malformed record, a panicking fold worker, or a diverged optimizer
-//! step. This crate provides the three mechanisms the rest of the
+//! A multi-hour evaluation sweep must not lose everything to a
+//! panicking fold worker, a diverged optimizer step, or a failed
+//! checkpoint write. This crate provides the three mechanisms the rest of the
 //! workspace plugs into:
 //!
 //! * [`fault`] — a [`FaultPlan`] parsed from the `FORUMCAST_FAULTS`
@@ -20,8 +20,8 @@
 //!
 //! # Determinism contract
 //!
-//! Faults fire by *logical unit index* (fold job number, record
-//! number, optimizer step number), never by wall clock or arrival
+//! Faults fire by *logical unit index* (fold job number, optimizer
+//! step number, checkpoint save number), never by wall clock or arrival
 //! order, and each configured shot fires a bounded number of times.
 //! Because retried work is itself a pure function of its inputs, a
 //! healed run produces output bitwise-identical to a fault-free run
@@ -31,8 +31,6 @@ pub mod checkpoint;
 pub mod fault;
 pub mod retry;
 
-pub use checkpoint::{
-    reclaim_tmp, Checkpoint, CheckpointError, TrainCheckpoint, SUBFOLD_FORMAT_VERSION,
-};
+pub use checkpoint::{reclaim_tmp, Checkpoint, CheckpointError};
 pub use fault::{FaultGuard, FaultPlan, FaultScope, FaultSite, FaultSpecError, FAULTS_ENV};
 pub use retry::{save_with_retry, with_retry, RetryExhausted, SAVE_ATTEMPTS};

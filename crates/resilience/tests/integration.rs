@@ -87,7 +87,7 @@ fn run_cv_under(spec: &str, data: &ExperimentData, cfg: &EvalConfig) -> Vec<Fold
 fn temp_checkpoint(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!(
-        "forumcast-resilience-{name}-{}.json",
+        "forumcast-resilience-{name}-{}.ckpt",
         std::process::id()
     ));
     let _ = std::fs::remove_file(&p);
@@ -155,11 +155,8 @@ fn failed_checkpoint_write_leaves_no_partial_checkpoint_and_resumes() {
     // holds 1 entry, the second 2. Fire the fault at the second save
     // so a good checkpoint already exists when the write "crashes".
     let path = temp_checkpoint("ckpt-write");
-    // Sub-fold snapshots off: this test aims `ckpt-write` at the
-    // *fold-level* save units (1 and 2 = entry counts), and the job-0
-    // sub-fold save probes the same site at unit 2 (= jobs + job).
-    let opts = CvOptions::with_checkpoint(&path).with_snapshot_every(0);
-    let tmp = path.with_extension("tmp");
+    let opts = CvOptions::with_checkpoint(&path);
+    let tmp = forumcast_store::tmp_path(&path);
     {
         let _guard = FaultPlan::parse("ckpt-write:2").unwrap().arm();
         let err = run_cv_resumable(data, &cfg, None, false, &opts).unwrap_err();

@@ -25,9 +25,9 @@
 //! | 9   | `F64Array` | varint count, then raw LE doubles           |
 //!
 //! Tag 9 is a write-side optimization: an `Array` whose elements are
-//! all `F64` (the dominant shape — `TrainState::params`, Adam
-//! moments) is packed as contiguous doubles, cutting the per-element
-//! tag byte and making large parameter vectors `memcpy`-shaped. It
+//! all `F64` (the dominant shape — feature vectors and other large
+//! numeric columns) is packed as contiguous doubles, cutting the
+//! per-element tag byte and making large vectors `memcpy`-shaped. It
 //! decodes back to a plain `Value::Array` of `F64`.
 //!
 //! The decoder is **total**: any byte slice yields either a `Value`

@@ -59,8 +59,7 @@ pub enum StoreError {
         /// Underlying error.
         source: std::io::Error,
     },
-    /// The file does not begin with [`MAGIC`] — not a binary store
-    /// (callers fall back to the legacy JSON parser on this).
+    /// The file does not begin with [`MAGIC`] — not a binary store.
     NotAStore {
         /// Offending path.
         path: PathBuf,
@@ -263,9 +262,8 @@ impl StoreFile {
     /// Atomically and durably writes the store to `path`, returning
     /// the number of bytes in the file.
     ///
-    /// Protocol: write `<path>.tmp` (same naming rule as the legacy
-    /// JSON checkpoints: the final extension is replaced), fsync the
-    /// file, rename over `path`, fsync the parent directory.
+    /// Protocol: write [`tmp_path`]`(path)`, fsync the file, rename
+    /// over `path`, fsync the parent directory.
     ///
     /// # Errors
     ///
@@ -307,7 +305,7 @@ impl StoreFile {
             }
         }
 
-        let tmp = path.with_extension("tmp");
+        let tmp = tmp_path(path);
         let io_err = |p: &Path| {
             let p = p.to_path_buf();
             move |source: std::io::Error| StoreError::Io { path: p, source }
@@ -340,8 +338,8 @@ impl StoreFile {
     ///   `<path>.corrupt` (`store.crc.mismatch` +
     ///   `ckpt.corrupt.quarantined` counted) and a typed error names
     ///   the frame;
-    /// - bad magic → [`StoreError::NotAStore`], file untouched, so
-    ///   callers can try the legacy JSON parser;
+    /// - bad magic → [`StoreError::NotAStore`], file untouched (the
+    ///   caller decides whether a foreign file is damage);
     /// - newer format version with a valid header CRC →
     ///   [`StoreError::UnsupportedVersion`], file untouched.
     ///
@@ -488,13 +486,6 @@ pub fn scan(bytes: &[u8], path: &Path) -> Result<Scan, StoreError> {
         file_len: bytes.len(),
         issue,
     })
-}
-
-/// Returns true if `bytes` begins with the store magic — the sniff
-/// used to route a checkpoint file to the binary or legacy JSON
-/// parser.
-pub fn is_store_bytes(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
 }
 
 /// What one incremental varint read found.
@@ -798,15 +789,21 @@ pub fn quarantine(path: &Path) -> Option<PathBuf> {
     }
 }
 
-/// Removes a stale `<path>.tmp` left behind by a crash between the
+/// The temporary file [`StoreFile::save`] writes before renaming it
+/// over `path`: `<path>.tmp`, the whole file name with `.tmp`
+/// appended, so a sibling that only shares the stem (`x.tmp` next to
+/// `x.ckpt`) is never touched.
+pub fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// Removes a stale [`tmp_path`] left behind by a crash between the
 /// tmp write and the rename, counting `ckpt.tmp.reclaimed` when one
 /// was present. Call at resume start, before any load.
 pub fn reclaim_tmp(path: &Path) -> bool {
-    let tmp = path.with_extension("tmp");
-    if tmp == path {
-        return false;
-    }
-    match fs::remove_file(&tmp) {
+    match fs::remove_file(tmp_path(path)) {
         Ok(()) => {
             forumcast_obs::counter_add("ckpt.tmp.reclaimed", 1);
             true
@@ -942,7 +939,7 @@ mod tests {
             .expect_err("sync failure must error");
         assert!(err.to_string().contains("injected fault: fsync-fail"));
         assert!(!path.exists());
-        assert!(!path.with_extension("tmp").exists());
+        assert!(!tmp_path(&path).exists());
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1017,13 +1014,16 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_tmp_removes_stale_leftover() {
+    fn reclaim_tmp_removes_stale_leftover_and_spares_stem_siblings() {
         let dir = tmp_dir("reclaim");
-        let path = dir.join("c.ckpt");
-        let stale = path.with_extension("tmp");
+        let path = dir.join("x.ckpt");
+        let stale = dir.join("x.ckpt.tmp");
+        let sibling = dir.join("x.tmp");
         fs::write(&stale, b"half-written").expect("write stale tmp");
+        fs::write(&sibling, b"a user's file").expect("write sibling");
         assert!(reclaim_tmp(&path));
         assert!(!stale.exists());
+        assert!(sibling.exists(), "a sibling sharing the stem is not ours");
         assert!(!reclaim_tmp(&path), "second reclaim finds nothing");
         fs::remove_dir_all(&dir).ok();
     }

@@ -18,8 +18,8 @@
 //!   directory fsync, so a completed [`StoreFile::save`] survives
 //!   power loss.
 //! - **Bitwise float fidelity.** `f64` payloads are stored as raw
-//!   IEEE bits — resumed training state is identical down to the
-//!   last NaN payload bit, which JSON cannot promise.
+//!   IEEE bits — checkpointed fold results come back identical down
+//!   to the last NaN payload bit, which JSON cannot promise.
 //!
 //! Layering: this crate depends only on the serde shim and
 //! `forumcast-obs` (counters). Fault *sites* live in
@@ -35,7 +35,6 @@ pub mod varint;
 pub use codec::{decode_value, encode_value, CodecError, MAX_DEPTH};
 pub use crc32::crc32;
 pub use frame::{
-    corrupt_path, frame_bytes, header_bytes, is_store_bytes, quarantine, reclaim_tmp, scan,
-    Corruption, FrameIssue, FrameReader, SaveOptions, Scan, StoreError, StoreFile, FORMAT_VERSION,
-    MAGIC,
+    corrupt_path, frame_bytes, header_bytes, quarantine, reclaim_tmp, scan, tmp_path, Corruption,
+    FrameIssue, FrameReader, SaveOptions, Scan, StoreError, StoreFile, FORMAT_VERSION, MAGIC,
 };

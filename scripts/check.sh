@@ -62,53 +62,69 @@ cargo run -q -p forumcast-obs --example validate_trace -- "$work_dir/train.trace
   train lda.train ml.answer.train ml.vote.train ml.timing.train
 
 echo "==> kill-storm smoke (repeated SIGKILLs at seeded points, bitwise heal)"
-# For each thread count: run clean, then restart the checkpointed run
-# and SIGKILL it three times — each kill lands a seeded delay after the
-# first observed checkpoint write of that attempt, so the storm samples
-# different epochs — and finally let one attempt run to completion. The
-# healed report must be byte-identical to the uninterrupted one.
+# For each thread count: run clean and time it, then restart the
+# checkpointed run and SIGKILL it three times, and finally let one
+# attempt run to completion. The healed report must be byte-identical
+# to the uninterrupted one. The fold is the unit of resume, so each
+# kill lands at a seeded fraction of the clean run's wall time, and
+# the fractions shrink because every resumed attempt has fewer folds
+# left. With set-up S and n fold rounds of F each (quick: 3 folds, so
+# n = 3 at 1 thread and 2 at 2), the 70% kill follows a save when
+# (0.7n - 1)·F > 0.3·S and always leaves a fold pending; the 25% kill
+# lands before its attempt can finish any fold (0.25·(S + nF) < S + F
+# for n <= 4), so the 10% attempt also has a fold left and cannot exit
+# before its kill. A kill counts only when the attempt died of it
+# (exit status 137); on a miss the stage prints the clean run's time
+# and every attempt's exit status.
 ckpt_activity() {
-  # Content fingerprint of every checkpoint artifact (fold-level file,
-  # sub-fold snapshots, tmp files); changes on every snapshot write.
-  # `|| true` keeps the unmatched glob from tripping pipefail before
-  # the first write.
+  # Content fingerprint of every checkpoint artifact (the fold-level
+  # file and its `.tmp`); changes on every save. `|| true` keeps the
+  # unmatched glob from tripping pipefail before the first write.
   { cat "$1"* 2>/dev/null || true; } | cksum
 }
+wall_ms() { echo $(( $(date +%s%N) / 1000000 )); }
 for t in 1 2; do
   ckpt="$work_dir/storm$t.ckpt"
+  start_ms=$(wall_ms)
   "$fc" evaluate --scale quick --threads "$t" > "$work_dir/storm$t.clean.txt"
+  clean_ms=$(( $(wall_ms) - start_ms ))
   kills=0
-  for delay in 0.05 0.15 0.30; do
+  saved=0
+  statuses=""
+  for percent in 70 25 10; do
     before="$(ckpt_activity "$ckpt")"
     "$fc" evaluate --scale quick --threads "$t" \
-      --resume "$ckpt" --snapshot-every 2 > /dev/null 2>&1 &
+      --resume "$ckpt" > /dev/null 2>&1 &
     victim=$!
-    for _ in $(seq 1 1200); do
-      [ "$(ckpt_activity "$ckpt")" != "$before" ] && break
-      kill -0 "$victim" 2>/dev/null || break
-      sleep 0.05
-    done
-    sleep "$delay"
-    if kill -9 "$victim" 2>/dev/null; then
+    sleep "$(awk -v ms="$clean_ms" -v p="$percent" 'BEGIN { printf "%.3f", ms * p / 100000 }')"
+    kill -9 "$victim" 2>/dev/null || true
+    status=0
+    wait "$victim" 2>/dev/null || status=$?
+    statuses="$statuses $status"
+    if [ "$status" -eq 137 ]; then
       kills=$((kills + 1))
     fi
-    wait "$victim" 2>/dev/null || true
+    if [ "$(ckpt_activity "$ckpt")" != "$before" ]; then
+      saved=$((saved + 1))
+    fi
   done
   if [ "$kills" -lt 3 ]; then
-    echo "kill-storm smoke: only $kills of 3 SIGKILLs landed (threads=$t)" >&2
+    echo "kill-storm smoke: only $kills of 3 SIGKILLs landed (threads=$t," \
+      "clean run ${clean_ms} ms, attempt exit statuses:$statuses)" >&2
     exit 1
   fi
-  if ! compgen -G "$ckpt*" > /dev/null; then
-    echo "kill-storm smoke: no checkpoint artifacts on disk after the storm (threads=$t)" >&2
+  if [ "$saved" -lt 1 ]; then
+    echo "kill-storm smoke: no attempt saved a fold before its kill (threads=$t," \
+      "clean run ${clean_ms} ms, attempt exit statuses:$statuses)" >&2
     exit 1
   fi
   "$fc" evaluate --scale quick --threads "$t" \
-    --resume "$ckpt" --snapshot-every 2 > "$work_dir/storm$t.healed.txt" 2> /dev/null
+    --resume "$ckpt" > "$work_dir/storm$t.healed.txt" 2> /dev/null
   # The healed report must be byte-identical to the uninterrupted one
   # (modulo the checkpointing banner the clean run doesn't print).
   diff <(grep -v '^checkpointing' "$work_dir/storm$t.clean.txt") \
        <(grep -v '^checkpointing' "$work_dir/storm$t.healed.txt")
-  echo "kill-storm[threads=$t]: $kills SIGKILLs, healed run bitwise-identical"
+  echo "kill-storm[threads=$t]: $kills SIGKILLs ($saved after a fold save), healed run bitwise-identical"
 done
 
 echo "==> disabled-probe golden smoke (quick evaluate output is byte-stable)"
@@ -142,25 +158,6 @@ grep -Eq 'frame [0-9]+' "$work_dir/verify.txt" \
 "$fc" ckpt repair --file "$bad" > /dev/null
 "$fc" ckpt verify --file "$bad" > /dev/null
 echo "corruption: $(head -1 "$work_dir/verify.txt"), repaired and re-verified"
-
-echo "==> checkpoint size report (ckpt.subfold.bytes, binary store)"
-# Informational, like the perf smoke: a checkpointed run's sub-fold
-# snapshot volume and write time.
-"$fc" evaluate --scale quick --threads 1 \
-  --resume "$work_dir/size.ckpt" --snapshot-every 2 --metrics \
-  > "$work_dir/size.txt"
-# write_ms lives in the histogram table: name count p50 p90 p99 max sum.
-awk '
-  $1 == "ckpt.subfold.saves"    { saves = $2 }
-  $1 == "ckpt.subfold.bytes"    { bytes = $2 }
-  $1 == "ckpt.subfold.write_ms" { wms = $7; wp50 = $3; wp99 = $5 }
-  END {
-    if (saves > 0)
-      printf "ckpt: %d sub-fold saves, %d bytes (%d/save), %d ms writing (p50 %d, p99 %d)\n",
-             saves, bytes, bytes / saves, wms, wp50, wp99
-    else
-      printf "ckpt: no sub-fold saves recorded\n"
-  }' "$work_dir/size.txt"
 
 echo "==> perf smoke (quick features.build, dense vs sparse Gibbs, release)"
 # Regressions surface in the log, not as a hard gate: the smoke prints
@@ -244,10 +241,10 @@ if [ "$rss_mb" -ge "$rss_bound_mb" ]; then
   exit 1
 fi
 # The spilled path shares the resident path's CV driver, so it also
-# checkpoints and resumes: a checkpointed run with sub-fold snapshots
-# must print the same report.
+# checkpoints and resumes: a checkpointed run must print the same
+# report.
 "$fcr" evaluate --scale quick --threads 2 --data-dir "$work_dir/resume-spill" \
-  --resume "$work_dir/streamed.ckpt" --snapshot-every 2 > "$work_dir/streamed.resume.txt"
+  --resume "$work_dir/streamed.ckpt" > "$work_dir/streamed.resume.txt"
 diff <(grep -v '^spilling\|^peak RSS\|^running\|^checkpointing' "$work_dir/streamed.resume.txt") \
      <(grep -v '^running' tests/golden/eval_quick_t1.txt) \
   || { echo "streamed smoke: --data-dir --resume metrics drifted from the resident golden" >&2; exit 1; }

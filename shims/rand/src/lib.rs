@@ -56,28 +56,6 @@ pub mod rngs {
         }
     }
 
-    impl StdRng {
-        /// Returns the raw xoshiro256++ state, for checkpointing.
-        /// Restoring the four words via [`StdRng::from_state`] resumes
-        /// the exact output stream.
-        pub fn state(&self) -> [u64; 4] {
-            self.s
-        }
-
-        /// Rebuilds a generator from a state captured by
-        /// [`StdRng::state`].
-        ///
-        /// # Panics
-        ///
-        /// Debug-panics on the all-zero state, which is a fixed point
-        /// of xoshiro256++ (the generator would emit zeros forever).
-        /// Seeding via SplitMix64 can never produce it.
-        pub fn from_state(s: [u64; 4]) -> Self {
-            debug_assert!(s != [0; 4], "all-zero xoshiro state is degenerate");
-            StdRng { s }
-        }
-    }
-
     impl crate::RngCore for StdRng {
         fn next_u64(&mut self) -> u64 {
             let s = &mut self.s;
@@ -394,18 +372,5 @@ mod tests {
         let _ = a.gen::<u64>();
         let mut b = a.clone();
         assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-    }
-
-    #[test]
-    fn state_roundtrip_resumes_exact_stream() {
-        let mut a = StdRng::seed_from_u64(11);
-        for _ in 0..17 {
-            let _ = a.gen::<u64>();
-        }
-        let saved = a.state();
-        let expected: Vec<u64> = (0..32).map(|_| a.gen::<u64>()).collect();
-        let mut resumed = StdRng::from_state(saved);
-        let got: Vec<u64> = (0..32).map(|_| resumed.gen::<u64>()).collect();
-        assert_eq!(expected, got);
     }
 }
