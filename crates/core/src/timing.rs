@@ -479,8 +479,10 @@ fn conditional_expectation(omega: f64, window: f64) -> f64 {
 /// `∫₀^Δ t λ(t) e^{−Λ(t)} dt / (1 − e^{−Λ(Δ)})` by composite Simpson
 /// integration (129 nodes — the integrand is smooth).
 fn first_event_expectation(mu: f64, omega: f64, window: f64) -> f64 {
-    let h_of = |t: f64| mu * (1.0 - (-omega * t).exp()) / omega;
-    let mass = 1.0 - (-h_of(window)).exp();
+    // `Λ(t)` from its decay factor `e^{−ωt}`, which the integrand
+    // also needs: one `exp` per node serves both.
+    let h_of = |decay: f64| mu * (1.0 - decay) / omega;
+    let mass = 1.0 - (-h_of((-omega * window).exp())).exp();
     if mass < 1e-12 {
         // Vanishing in-window probability: hazard is flat, fall back
         // to the rare-event conditional.
@@ -488,7 +490,10 @@ fn first_event_expectation(mu: f64, omega: f64, window: f64) -> f64 {
     }
     let n = 128; // even
     let step = window / n as f64;
-    let integrand = |t: f64| t * mu * (-omega * t).exp() * (-h_of(t)).exp();
+    let integrand = |t: f64| {
+        let decay = (-omega * t).exp();
+        t * mu * decay * (-h_of(decay)).exp()
+    };
     let mut sum = integrand(0.0) + integrand(window);
     for i in 1..n {
         let t = i as f64 * step;
@@ -1366,6 +1371,43 @@ mod tests {
         let fe = first_event_expectation(1e-6, 0.1, 50.0);
         let cond = conditional_expectation(0.1, 50.0);
         assert!((fe - cond).abs() / cond < 1e-3, "{fe} vs {cond}");
+    }
+
+    /// Sharing `e^{−ωt}` between `Λ(t)` and the integrand changes no
+    /// bit: the result equals the formula that evaluates it twice per
+    /// Simpson node, over a grid spanning the rare-event fallback, the
+    /// smooth middle and saturated windows.
+    #[test]
+    fn first_event_bits_match_the_two_exp_formula() {
+        fn two_exp(mu: f64, omega: f64, window: f64) -> f64 {
+            let h_of = |t: f64| mu * (1.0 - (-omega * t).exp()) / omega;
+            let mass = 1.0 - (-h_of(window)).exp();
+            if mass < 1e-12 {
+                return conditional_expectation(omega, window);
+            }
+            let n = 128;
+            let step = window / n as f64;
+            let integrand = |t: f64| t * mu * (-omega * t).exp() * (-h_of(t)).exp();
+            let mut sum = integrand(0.0) + integrand(window);
+            for i in 1..n {
+                let t = i as f64 * step;
+                sum += integrand(t) * if i % 2 == 1 { 4.0 } else { 2.0 };
+            }
+            (sum * step / 3.0) / mass
+        }
+        for mu in [1e-14, 1e-6, 0.003, 0.1, 0.7, 2.5, 40.0] {
+            for omega in [1e-4, 0.01, 0.05, 0.3, 1.0, 6.0] {
+                for window in [0.5, 3.0, 24.0, 100.0, 1000.0] {
+                    let got = first_event_expectation(mu, omega, window);
+                    let want = two_exp(mu, omega, window);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "μ={mu} ω={omega} Δ={window}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

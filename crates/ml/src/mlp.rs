@@ -8,6 +8,8 @@
 //! what lets `forumcast-core` train the point-process likelihood —
 //! a loss TensorFlow normally autodiffs for the paper's authors.
 
+use std::cell::RefCell;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -233,11 +235,18 @@ impl Mlp {
 
     /// Runs the network on `x`.
     ///
+    /// The layers run in a per-thread [`MlpScratch`], so the only
+    /// allocation is the returned output. The result is bitwise
+    /// identical to [`Self::forward_cache`]'s output.
+    ///
     /// # Panics
     ///
     /// Panics when `x.len() != input_dim()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        self.forward_cache(x).activations.pop().expect("output")
+        thread_local! {
+            static SCRATCH: RefCell<MlpScratch> = RefCell::new(MlpScratch::new());
+        }
+        SCRATCH.with(|scratch| self.forward_scratch(x, &mut scratch.borrow_mut()).to_vec())
     }
 
     /// Runs the network, caching every layer's activations for a
@@ -533,6 +542,33 @@ mod tests {
         Activation::Softplus,
         Activation::Identity,
     ];
+
+    #[test]
+    fn forward_matches_cache_output_bitwise_for_all_activations() {
+        for (k, act) in ALL_ACTIVATIONS.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(200 + k as u64);
+            let wide = Mlp::new(
+                &[
+                    LayerSpec::new(3, 6, act),
+                    LayerSpec::new(6, 3, act),
+                    LayerSpec::new(3, 2, Activation::Identity),
+                ],
+                &mut rng,
+            );
+            let narrow = Mlp::new(&[LayerSpec::new(3, 1, act)], &mut rng);
+            // Alternating shapes re-size the thread's scratch each call.
+            for x in [[0.4, -0.9, 1.3], [-2.0, 0.0, 0.75], [1e-3, 5.0, -0.2]] {
+                for mlp in [&wide, &narrow] {
+                    let got = mlp.forward(&x);
+                    let cache = mlp.forward_cache(&x);
+                    assert_eq!(got.len(), cache.output().len());
+                    for (a, b) in got.iter().zip(cache.output()) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{act:?} forward");
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn scratch_pass_matches_cache_pass_bitwise_for_all_activations() {

@@ -241,7 +241,18 @@ impl LdaModel {
         }
 
         match config.sampler {
-            LdaSampler::Dense => dense_sweeps(
+            LdaSampler::Dense if k >= PREFIX_DRAW_MIN_TOPICS => dense_sweeps::<true>(
+                config,
+                &tokens,
+                &doc_offsets,
+                &mut z,
+                &mut n_dk,
+                &mut n_kw,
+                &mut n_k,
+                v,
+                &mut rng,
+            ),
+            LdaSampler::Dense => dense_sweeps::<false>(
                 config,
                 &tokens,
                 &doc_offsets,
@@ -360,7 +371,10 @@ impl LdaModel {
             return vec![1.0 / k as f64; k];
         }
         let n_dk = match self.config.sampler {
-            LdaSampler::Dense => self.infer_counts_dense(&tokens, seed),
+            LdaSampler::Dense if k >= PREFIX_DRAW_MIN_TOPICS => {
+                self.infer_counts_dense::<true>(&tokens, seed)
+            }
+            LdaSampler::Dense => self.infer_counts_dense::<false>(&tokens, seed),
             LdaSampler::Sparse => self.infer_counts_sparse(&tokens, seed),
         };
         let alpha = self.config.alpha;
@@ -368,8 +382,10 @@ impl LdaModel {
         (0..k).map(|t| (n_dk[t] as f64 + alpha) / denom).collect()
     }
 
-    /// Reference fold-in: the full `K`-term conditional per token.
-    fn infer_counts_dense(&self, tokens: &[usize], seed: u64) -> Vec<u32> {
+    /// Reference fold-in: the full `K`-term conditional per token,
+    /// drawn by [`sample_index_prefix`] from [`PREFIX_DRAW_MIN_TOPICS`]
+    /// topics up (same index, same bits).
+    fn infer_counts_dense<const PREFIX_DRAW: bool>(&self, tokens: &[usize], seed: u64) -> Vec<u32> {
         let k = self.config.num_topics;
         let v = self.num_words;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -380,17 +396,27 @@ impl LdaModel {
         }
         let alpha = self.config.alpha;
         let mut probs = vec![0.0f64; k];
+        let mut prefix = vec![0.0f64; if PREFIX_DRAW { k + 1 } else { 0 }];
         for _sweep in 0..self.config.infer_iterations {
             for (ti, &w) in tokens.iter().enumerate() {
                 let old = z[ti];
                 n_dk[old] -= 1;
+                let conditional = |t: usize| (n_dk[t] as f64 + alpha) * self.phi[t * v + w];
                 let mut total = 0.0;
-                for t in 0..k {
-                    let p = (n_dk[t] as f64 + alpha) * self.phi[t * v + w];
-                    probs[t] = p;
-                    total += p;
-                }
-                let new = sample_index(&probs, total, &mut rng);
+                let new = if PREFIX_DRAW {
+                    for (t, (p, s)) in probs.iter_mut().zip(&mut prefix[1..]).enumerate() {
+                        *p = conditional(t);
+                        total += *p;
+                        *s = total;
+                    }
+                    sample_index_prefix(&probs, &prefix, &mut rng)
+                } else {
+                    for (t, p) in probs.iter_mut().enumerate() {
+                        *p = conditional(t);
+                        total += *p;
+                    }
+                    sample_index(&probs, total, &mut rng)
+                };
                 z[ti] = new;
                 n_dk[new] += 1;
             }
@@ -525,6 +551,11 @@ impl LdaModel {
     }
 }
 
+/// Topic count from which the dense samplers draw with
+/// [`sample_index_prefix`]. Below it, the fused conditional-and-total
+/// loop plus the short walk is faster (`sampler_throughput`).
+const PREFIX_DRAW_MIN_TOPICS: usize = 24;
+
 /// The reference dense Gibbs sweeps: per token, the full `K`-term
 /// conditional. Bitwise-identical to the historical implementation
 /// (same RNG stream, same floating-point operation order).
@@ -533,9 +564,12 @@ impl LdaModel {
 /// (`n_dk + α` for the current document, `n_k + Vβ` per topic) and only
 /// the two topics a token leaves and joins are refreshed. The cached
 /// values equal the ones computed inline, so every product and quotient
-/// is unchanged.
+/// is unchanged. From [`PREFIX_DRAW_MIN_TOPICS`] topics up, the
+/// conditionals are computed first and summed after, and the topic is
+/// drawn by [`sample_index_prefix`]; the total and the index are the
+/// same bits either way.
 #[allow(clippy::too_many_arguments)]
-fn dense_sweeps(
+fn dense_sweeps<const PREFIX_DRAW: bool>(
     config: &LdaConfig,
     tokens: &[u32],
     doc_offsets: &[usize],
@@ -551,6 +585,7 @@ fn dense_sweeps(
     let beta = config.beta;
     let vbeta = v as f64 * beta;
     let mut probs = vec![0.0f64; k];
+    let mut prefix = vec![0.0f64; k + 1];
     let mut nk_vbeta: Vec<f64> = n_k.iter().map(|&nk| nk as f64 + vbeta).collect();
     let mut ndk_alpha = vec![0.0f64; k];
     for _sweep in 0..config.iterations {
@@ -569,17 +604,30 @@ fn dense_sweeps(
                 ndk_alpha[old] = ndk[old] as f64 + alpha;
                 nk_vbeta[old] = n_k[old] as f64 + vbeta;
 
-                let mut total = 0.0;
-                for (((p, &a), &c), &denom) in probs
+                let conditionals = probs
                     .iter_mut()
                     .zip(&ndk_alpha)
                     .zip(nkw.iter())
-                    .zip(&nk_vbeta)
-                {
-                    *p = a * (c as f64 + beta) / denom;
-                    total += *p;
-                }
-                let new = sample_index(&probs, total, rng);
+                    .zip(&nk_vbeta);
+                let new = if PREFIX_DRAW {
+                    // No loop-carried dependency: the divisions vectorize.
+                    for (((p, &a), &c), &denom) in conditionals {
+                        *p = a * (c as f64 + beta) / denom;
+                    }
+                    let mut total = 0.0;
+                    for (s, &p) in prefix[1..].iter_mut().zip(&probs) {
+                        total += p;
+                        *s = total;
+                    }
+                    sample_index_prefix(&probs, &prefix, rng)
+                } else {
+                    let mut total = 0.0;
+                    for (((p, &a), &c), &denom) in conditionals {
+                        *p = a * (c as f64 + beta) / denom;
+                        total += *p;
+                    }
+                    sample_index(&probs, total, rng)
+                };
                 z[ti] = new as u32;
                 ndk[new] += 1;
                 nkw[new] += 1;
@@ -776,7 +824,67 @@ fn sparse_sweeps(
 /// uniform fallback, so bad rows are observable instead of silently
 /// mapped to the last index.
 fn sample_index(probs: &[f64], total: f64, rng: &mut StdRng) -> usize {
+    walk_index(probs, total, rng.gen::<f64>())
+}
+
+/// Draws the same index as [`sample_index`] from the same single RNG
+/// draw, but by comparing against prefix totals instead of walking.
+///
+/// `prefix` holds `K + 1` entries: `prefix[0] = 0` and
+/// `prefix[i + 1] = S_i = fl(S_{i−1} + p_i)`, the running total of the
+/// nonnegative `probs` summed in index order, so that `prefix[K]` is
+/// exactly the `total` [`sample_index`] is given.
+///
+/// # Why the index is exact
+///
+/// Both draws scale one `r ∈ [0, 1)` to `u = fl(r · total) ≤ total`.
+/// The walk keeps `w_i = fl(w_{i−1} − p_i)` (`w_{−1} = u`) and returns
+/// the first `i` with `w_i ≤ 0`, or `K − 1` if none. Every `p_i ≥ 0`,
+/// so `S_i` never decreases and `w_i` never increases. With unit
+/// roundoff `ε/2` (`ε` = [`f64::EPSILON`]), each of the `i` additions
+/// behind `S_i` and each of the `i + 1` subtractions behind `w_i`
+/// (taken while `w ≥ 0`) errs by at most `ε/2` of a partial result no
+/// larger than `total · (1 + Kε)`. Hence, for every `i` up to the
+/// walk's stop,
+///
+/// ```text
+/// |w_i − (u − S_i)| ≤ (2i + 1) · ε/2 · total · (1 + Kε) < (K + 1) · ε · total.
+/// ```
+///
+/// Let `j` be the number of `S_i` below `u`, i.e. the first index with
+/// `S_j ≥ u`. If `u − S_{j−1}` and `S_j − u` both exceed the guard band
+/// `(2K + 4) · ε · total`, then `w_{j−1} > 0` (so every earlier `w` is
+/// too) and `w_j < 0`: the walk stops at `j` as well. The band is twice
+/// the bound plus slack, which absorbs the rounding of the band itself
+/// and of the two differences. `S_{−1} = 0` and `S_{K−1} = total` make
+/// the test stricter than needed at the ends, which costs only draws
+/// within one band of `0` or `total`. A draw inside the band, or a
+/// row whose band is not a normal float (a degenerate or subnormal
+/// `total`), runs the walk itself.
+fn sample_index_prefix(probs: &[f64], prefix: &[f64], rng: &mut StdRng) -> usize {
     let r = rng.gen::<f64>();
+    prefix_index(prefix, r).unwrap_or_else(|| walk_index(probs, prefix[probs.len()], r))
+}
+
+/// The guarded comparison of [`sample_index_prefix`] for the uniform
+/// draw `r`: the walk's index, or `None` when `u` lies inside the
+/// guard band of a prefix total or the band is not a normal float.
+fn prefix_index(prefix: &[f64], r: f64) -> Option<usize> {
+    let k = prefix.len() - 1;
+    let total = prefix[k];
+    let band = total * ((2 * k + 4) as f64 * f64::EPSILON);
+    if !(f64::MIN_POSITIVE..f64::INFINITY).contains(&band) {
+        return None;
+    }
+    let u = r * total;
+    // A branch-free count, which vectorizes; `u ≤ total` keeps `j < K`.
+    let j = prefix[1..].iter().filter(|&&s| s < u).count();
+    ((u - prefix[j] > band) & (prefix[j + 1] - u > band)).then_some(j)
+}
+
+/// The subtract-and-test walk behind [`sample_index`], given its one
+/// uniform draw `r`.
+fn walk_index(probs: &[f64], total: f64, r: f64) -> usize {
     if !(total.is_finite() && total > 0.0) {
         debug_assert!(
             false,
@@ -861,12 +969,15 @@ mod tests {
     /// Pins the exact output bits of both samplers: φ, θ and one
     /// fold-in. Any change to the sweep's RNG use or floating-point
     /// operation order shows up here, not only as drift in quality.
+    /// The dense rows straddle [`PREFIX_DRAW_MIN_TOPICS`], and their
+    /// hashes predate the prefix-total draw: both the fused walk and
+    /// the prefix draw must reproduce them.
     #[test]
     fn output_bits_are_pinned() {
         let corpus = themed_corpus();
         // With one topic both samplers are forced to the same state.
         let k1 = [0x3068ae9f53d99165, 0xf8d0cf8b73597625, 0xaab1693229ba1db8];
-        let expected: [(LdaSampler, usize, [u64; 3]); 6] = [
+        let expected: [(LdaSampler, usize, [u64; 3]); 11] = [
             (LdaSampler::Dense, 1, k1),
             (
                 LdaSampler::Dense,
@@ -875,8 +986,33 @@ mod tests {
             ),
             (
                 LdaSampler::Dense,
+                16,
+                [0xb500cbcee01a770f, 0xd6e8058e9ee301fb, 0x608f3c5ea3c6d8bc],
+            ),
+            (
+                LdaSampler::Dense,
+                20,
+                [0x9d3035b8c38c1414, 0xbdd7e3ab45a758a9, 0x8c06247a7e4ad4df],
+            ),
+            (
+                LdaSampler::Dense,
+                24,
+                [0xc3f107777f78c62c, 0x55301b5082079adf, 0xb5ec956efb1c640c],
+            ),
+            (
+                LdaSampler::Dense,
+                32,
+                [0x1c5993e655ecc173, 0x0e3995218d344f63, 0x32c921f00667373d],
+            ),
+            (
+                LdaSampler::Dense,
                 64,
                 [0x95c435554b1fde7a, 0x2a919b1a5fb89dbd, 0x59bd50382cd59359],
+            ),
+            (
+                LdaSampler::Dense,
+                256,
+                [0x07d5aedd93401b3d, 0x40f9a5d1549f091d, 0xfd4c41fa26b92091],
             ),
             (LdaSampler::Sparse, 1, k1),
             (
@@ -910,6 +1046,122 @@ mod tests {
                 got_row, want,
                 "{sampler} K={k} [φ, θ, infer]; all rows: {got:#x?}"
             );
+        }
+    }
+
+    /// `prefix[0] = 0` followed by the running totals of `probs`, as the
+    /// dense sweeps build them.
+    fn prefix_of(probs: &[f64]) -> Vec<f64> {
+        let mut total = 0.0;
+        let mut prefix = vec![0.0];
+        prefix.extend(probs.iter().map(|&p| {
+            total += p;
+            total
+        }));
+        prefix
+    }
+
+    /// Asserts the prefix draw picks the walk's index for every `r` in
+    /// `spread` and for every `r` within `ulps` units in the last place
+    /// of one that scales to a prefix total (`0` included). Those
+    /// near-boundary draws must take the fallback whenever the row's
+    /// band is a normal float.
+    fn assert_prefix_draw_matches_walk(probs: &[f64], spread: &[f64], ulps: i64) {
+        let prefix = prefix_of(probs);
+        let k = probs.len();
+        let total = prefix[k];
+        let near: Vec<f64> = prefix
+            .iter()
+            .flat_map(|&s| {
+                let at = (s / total).to_bits() as i64;
+                (-ulps..=ulps).map(move |d| f64::from_bits((at + d).max(0) as u64))
+            })
+            .filter(|r| (0.0..1.0).contains(r))
+            .collect();
+        for &r in spread.iter().chain(&near) {
+            let walk = walk_index(probs, total, r);
+            let fast = prefix_index(&prefix, r);
+            assert!(
+                fast.is_none() || fast == Some(walk),
+                "K={k} r={r:e}: prefix draw {fast:?}, walk {walk}; probs {probs:?}"
+            );
+        }
+        if total * ((2 * k + 4) as f64 * f64::EPSILON) >= f64::MIN_POSITIVE {
+            for &r in &near {
+                assert_eq!(
+                    prefix_index(&prefix, r),
+                    None,
+                    "K={k}: r={r:e} sits near a prefix total but skipped the walk"
+                );
+            }
+        }
+    }
+
+    /// One row entry: zeros, the unit interval, values that vanish in a
+    /// sum, subnormals, tiny and huge values, and exact repeats.
+    fn adversarial_entry() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::strategy::Strategy;
+        (0u8..7, 0.0f64..1.0, 1u64..1 << 20).prop_map(|(kind, x, bits)| match kind {
+            0 => 0.0,
+            1 => x,
+            2 => 1.0,
+            3 => f64::EPSILON / 4.0,
+            4 => f64::from_bits(bits),
+            5 => x * 1e-300,
+            _ => x * 1e300,
+        })
+    }
+
+    proptest::proptest! {
+        /// The prefix-total draw returns the walk's index for random
+        /// and adversarial rows at K = 1…256, including draws a few
+        /// ulps from every prefix boundary (which must fall back).
+        #[test]
+        fn prefix_draw_equals_walk_on_adversarial_rows(
+            row in proptest::collection::vec(adversarial_entry(), 1..=256),
+            spread in proptest::collection::vec(0.0f64..1.0, 16),
+        ) {
+            let mut probs = row;
+            if probs.iter().all(|&p| p == 0.0) {
+                probs[0] = 1.0;
+            }
+            assert_prefix_draw_matches_walk(&probs, &spread, 3);
+        }
+    }
+
+    /// Every K from 1 to 256, on Gibbs-like rows (products and quotients
+    /// of small counts), draws from a seeded RNG, and the RNG stream:
+    /// both draws consume exactly one value.
+    #[test]
+    fn prefix_draw_equals_sample_index_for_every_k() {
+        let mut rows = StdRng::seed_from_u64(0x5EED);
+        for k in 1..=256usize {
+            for _ in 0..4 {
+                let probs: Vec<f64> = (0..k)
+                    .map(|_| {
+                        let a = rows.gen_range(0..20) as f64 + 1.0 / k as f64;
+                        let c = rows.gen_range(0..50) as f64 + 0.01;
+                        a * c / (rows.gen_range(0..2000) as f64 + 12.5)
+                    })
+                    .collect();
+                let spread: Vec<f64> = (0..32).map(|_| rows.gen::<f64>()).collect();
+                assert_prefix_draw_matches_walk(&probs, &spread, 2);
+                let prefix = prefix_of(&probs);
+                let mut a = StdRng::seed_from_u64(k as u64);
+                let mut b = a.clone();
+                for _ in 0..64 {
+                    assert_eq!(
+                        sample_index_prefix(&probs, &prefix, &mut a),
+                        sample_index(&probs, prefix[k], &mut b),
+                        "K={k}"
+                    );
+                }
+                assert_eq!(
+                    a.gen::<u64>(),
+                    b.gen::<u64>(),
+                    "K={k}: RNG streams diverged"
+                );
+            }
         }
     }
 

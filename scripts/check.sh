@@ -13,6 +13,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "==> LDA bit pins and prefix-draw equivalence (release)"
+# The dense sweep's conditionals and prefix-total counts vectorize
+# only in optimized code, so the pinned output bits and the
+# prefix-draw-equals-walk tests run again under --release.
+cargo test -q --release -p forumcast-topics --lib -- output_bits_are_pinned prefix_draw
+
 echo "==> hermetic harness (obs/resilience/data/par lib tests x10, default parallelism)"
 # Fault plans and telemetry collectors belong to the thread that armed
 # them, so these binaries must pass under cargo's parallel harness
