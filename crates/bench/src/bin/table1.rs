@@ -12,7 +12,7 @@ fn main() {
     let opts = parse_args();
     let root = root_span("table1");
     header("Table I — prediction performance vs. baselines", &opts);
-    let report = table1::run_with(&opts.config, None, opts.resume.as_deref()).unwrap_or_else(|e| {
+    let report = table1::run_with(&opts.config, opts.resume.as_deref()).unwrap_or_else(|e| {
         eprintln!("table1 failed: {e}");
         std::process::exit(1);
     });

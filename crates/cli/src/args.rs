@@ -20,7 +20,6 @@ commands:
              [--lambda X] [--epsilon X] [--capacity X] [--top N]
   evaluate   [--scale <quick|standard|paper>] [--threads N]
              [--lda-sampler <dense|sparse>] [--topics K]
-             [--data-dir <dir>]
              [--resume <checkpoint-file>]
              [--faults <spec>] [--trace <trace-file>] [--metrics]
              [--bench-json <report-file>]
@@ -35,20 +34,15 @@ commands:
 --gate` additionally checks the dataset's shape statistics
 (unanswered fraction, answers per answered question, posts per user,
 response-delay quantiles) against the paper's Section III ranges and
-exits non-zero on drift. `evaluate --data-dir` spills the experiment
-to a columnar on-disk store in the given directory and each fold
-streams its rows back from it — metrics are bitwise-identical to the
-in-memory path while peak RSS stays around one fold per worker
-thread; `--threads` and `--resume` work the same with or without
-it. `--resume` saves completed cross-validation folds to the given
-file and skips them on restart; a fold interrupted part-way
-recomputes from its start. Checkpoints are written in the framed,
-CRC-checksummed binary store; a damaged or foreign file is moved
-aside to `<file>.corrupt` and its folds recompute. `ckpt inspect`
-prints a checkpoint's header and frame layout, `ckpt verify` exits
-non-zero naming the first damaged frame, and `ckpt repair` truncates
-the file to its last valid frame. `--faults`
-arms the deterministic fault injector (same grammar as the
+exits non-zero on drift. `--resume` saves completed cross-validation
+folds to the given file and skips them on restart; a fold
+interrupted part-way recomputes from its start. Checkpoints are
+written in the framed, CRC-checksummed binary store; a damaged or
+foreign file is moved aside to `<file>.corrupt` and its folds
+recompute. `ckpt inspect` prints a checkpoint's header and frame
+layout, `ckpt verify` exits non-zero naming the first damaged frame,
+and `ckpt repair` truncates the file to its last valid frame.
+`--faults` arms the deterministic fault injector (same grammar as the
 FORUMCAST_FAULTS env var, e.g. `fold-panic:1`). `--trace` writes a
 Chrome trace-event JSON file of pipeline spans (open in Perfetto;
 FORUMCAST_TRACE sets a default path, also honoured by `train` and
@@ -146,10 +140,6 @@ pub enum Command {
         /// Latent topic count override (`None` keeps the scale
         /// preset's default).
         topics: Option<usize>,
-        /// Spill directory for the columnar on-disk experiment store:
-        /// when set, each fold streams its rows from disk instead of
-        /// the whole feature matrix staying resident.
-        data_dir: Option<String>,
         /// Checkpoint file: completed folds are saved here and
         /// skipped when the run restarts with the same path.
         resume: Option<String>,
@@ -280,9 +270,9 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
         let c = Command::BenchCompare {
             baseline,
             current,
-            tolerance: opts.get_parsed_or("tolerance", defaults.tolerance)?,
-            p99_tolerance: opts.get_parsed_or("p99-tolerance", defaults.p99_tolerance)?,
-            min_ms: opts.get_parsed_or("min-ms", defaults.min_ms)?,
+            tolerance: opts.get_real_or("tolerance", defaults.tolerance, true)?,
+            p99_tolerance: opts.get_real_or("p99-tolerance", defaults.p99_tolerance, true)?,
+            min_ms: opts.get_real_or("min-ms", defaults.min_ms, true)?,
         };
         opts.reject_unknown(&["tolerance", "p99-tolerance", "min-ms"])?;
         return Ok(c);
@@ -296,7 +286,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             let c = Command::Generate {
                 scale: opts.get_or("scale", "small")?,
                 seed: opts.get_parsed_opt("seed")?,
-                topics: opts.get_parsed_opt("topics")?,
+                topics: opts.get_topics()?,
                 threads: opts.get_parsed_or("threads", 0)?,
                 out: opts.require("out")?,
             };
@@ -357,8 +347,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 scale: opts.get_or("scale", "quick")?,
                 threads: opts.get_parsed_or("threads", 0)?,
                 lda_sampler: opts.get_parsed_or("lda-sampler", LdaSampler::Dense)?,
-                topics: opts.get_parsed_opt("topics")?,
-                data_dir: opts.get("data-dir").map(str::to_owned),
+                topics: opts.get_topics()?,
                 resume: opts.get("resume").map(str::to_owned),
                 faults: opts.get("faults").map(str::to_owned),
                 trace: opts.get("trace").map(str::to_owned),
@@ -370,7 +359,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 "threads",
                 "lda-sampler",
                 "topics",
-                "data-dir",
                 "resume",
                 "faults",
                 "trace",
@@ -487,6 +475,17 @@ impl Options {
         }
     }
 
+    /// The optional `--topics K` override; K = 0 is refused, since an
+    /// LDA model needs at least one topic.
+    fn get_topics(&self) -> Result<Option<usize>, ParseError> {
+        match self.get_parsed_opt("topics")? {
+            Some(0) => Err(ParseError(
+                "invalid value `0` for --topics: must be at least 1".into(),
+            )),
+            k => Ok(k),
+        }
+    }
+
     fn reject_unknown(&self, allowed: &[&str]) -> Result<(), ParseError> {
         for (k, _) in &self.pairs {
             if !allowed.contains(&k.as_str()) {
@@ -586,7 +585,6 @@ mod tests {
                 threads: 4,
                 lda_sampler: LdaSampler::Dense,
                 topics: None,
-                data_dir: None,
                 resume: None,
                 faults: None,
                 trace: None,
@@ -603,7 +601,6 @@ mod tests {
                 threads: 0,
                 lda_sampler: LdaSampler::Dense,
                 topics: None,
-                data_dir: None,
                 resume: None,
                 faults: None,
                 trace: None,
@@ -623,7 +620,6 @@ mod tests {
                 threads: 0,
                 lda_sampler: LdaSampler::Dense,
                 topics: None,
-                data_dir: None,
                 resume: Some("cv.json".into()),
                 faults: Some("fold-panic:1".into()),
                 trace: None,
@@ -634,18 +630,19 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_rejects_the_removed_sub_fold_snapshot_flag() {
-        // Spelled in two pieces so a search for the removed flag finds
-        // no live use of it.
-        let flag = concat!("--snapshot", "-every");
-        let mut out = Vec::new();
-        let code = crate::run(
-            argv(&format!("evaluate --resume cv.ckpt {flag} 2")),
-            &mut out,
-        );
-        let text = String::from_utf8(out).unwrap();
-        assert_eq!(code, 2, "{text}");
-        assert!(text.contains(&format!("unknown option {flag}")), "{text}");
+    fn evaluate_rejects_the_removed_options() {
+        // Spelled in two pieces so a search for the removed flags finds
+        // no live use of them.
+        for flag in [concat!("--snapshot", "-every"), concat!("--data", "-dir")] {
+            let mut out = Vec::new();
+            let code = crate::run(
+                argv(&format!("evaluate --resume cv.ckpt {flag} 2")),
+                &mut out,
+            );
+            let text = String::from_utf8(out).unwrap();
+            assert_eq!(code, 2, "{text}");
+            assert!(text.contains(&format!("unknown option {flag}")), "{text}");
+        }
     }
 
     #[test]
@@ -658,7 +655,6 @@ mod tests {
                 threads: 0,
                 lda_sampler: LdaSampler::Dense,
                 topics: None,
-                data_dir: None,
                 resume: None,
                 faults: None,
                 trace: Some("out.json".into()),
@@ -742,11 +738,14 @@ mod tests {
         }
     }
 
-    /// Out-of-domain routing knobs are usage errors (exit 2), caught
-    /// before any data is read.
+    /// Out-of-domain knobs are usage errors (exit 2), caught before
+    /// any data is read. A NaN `bench compare` tolerance would switch
+    /// the regression gate off, and an LDA model needs at least one
+    /// topic.
     #[test]
-    fn route_and_abtest_reject_out_of_domain_knobs() {
+    fn out_of_domain_knobs_are_usage_errors() {
         let route = |extra: &str| format!("route --data d --model m --question 1 {extra}");
+        let compare = |extra: &str| format!("bench compare a.json b.json {extra}");
         for (cmd, why) in [
             (route("--lambda nan"), "--lambda: must be finite"),
             (route("--lambda inf"), "--lambda: must be finite"),
@@ -759,6 +758,35 @@ mod tests {
             ),
             ("abtest --lambda nan".into(), "--lambda: must be finite"),
             ("abtest --lambda -inf".into(), "--lambda: must be finite"),
+            (
+                compare("--tolerance nan"),
+                "--tolerance: must be finite and non-negative",
+            ),
+            (
+                compare("--tolerance -1.5"),
+                "--tolerance: must be finite and non-negative",
+            ),
+            (
+                compare("--p99-tolerance NaN"),
+                "--p99-tolerance: must be finite and non-negative",
+            ),
+            (
+                compare("--p99-tolerance -2"),
+                "--p99-tolerance: must be finite and non-negative",
+            ),
+            (
+                compare("--min-ms nan"),
+                "--min-ms: must be finite and non-negative",
+            ),
+            (
+                compare("--min-ms -20"),
+                "--min-ms: must be finite and non-negative",
+            ),
+            (
+                "generate --topics 0 --out x.json".into(),
+                "--topics: must be at least 1",
+            ),
+            ("evaluate --topics 0".into(), "--topics: must be at least 1"),
         ] {
             let mut out = Vec::new();
             let code = crate::run(argv(&cmd), &mut out);
@@ -770,6 +798,10 @@ mod tests {
             Command::Route {
                 lambda, capacity, ..
             } => assert_eq!((lambda, capacity), (-2.0, 0.0)),
+            other => panic!("{other:?}"),
+        }
+        match parse(argv("evaluate --topics 1")).unwrap() {
+            Command::Evaluate { topics, .. } => assert_eq!(topics, Some(1)),
             other => panic!("{other:?}"),
         }
     }

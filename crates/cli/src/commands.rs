@@ -72,7 +72,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             threads,
             lda_sampler,
             topics,
-            data_dir,
             resume,
             faults,
             trace,
@@ -83,7 +82,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             threads,
             lda_sampler,
             topics,
-            data_dir.as_deref(),
             resume.as_deref(),
             faults.as_deref(),
             trace.as_deref(),
@@ -469,7 +467,6 @@ fn evaluate(
     threads: usize,
     lda_sampler: LdaSampler,
     topics: Option<usize>,
-    data_dir: Option<&str>,
     resume: Option<&str>,
     faults: Option<&str>,
     trace: Option<&str>,
@@ -523,25 +520,12 @@ fn evaluate(
     if let Some(path) = resume {
         writeln!(out, "checkpointing completed folds to `{path}`")?;
     }
-    if let Some(dir) = data_dir {
-        writeln!(
-            out,
-            "spilling the experiment to `{dir}` (columnar store, one fold \
-             resident per worker)"
-        )?;
-    }
     let report = {
         let _root = forumcast_obs::span("evaluate");
-        table1::run_with(&cfg, data_dir.map(Path::new), resume.map(Path::new))
+        table1::run_with(&cfg, resume.map(Path::new))
             .map_err(|e| format!("evaluation failed: {e}"))?
     };
     writeln!(out, "{report}")?;
-    if data_dir.is_some() {
-        let rss_kb = forumcast_obs::peak_rss_kb();
-        if rss_kb > 0 {
-            writeln!(out, "peak RSS: {:.1} MB", rss_kb as f64 / 1024.0)?;
-        }
-    }
     if collect {
         let log = forumcast_obs::drain().ok_or("trace collector was disarmed mid-run")?;
         if let Some(path) = &trace_path {
@@ -878,18 +862,17 @@ mod tests {
         std::fs::remove_file(&two).unwrap();
     }
 
-    /// `--data-dir` and `--resume` compose: a checkpointed streamed
-    /// run, and a rerun that restores every fold from its checkpoint,
-    /// print the plain streamed run's report.
+    /// `--resume` round-trips: a checkpointed run, and a rerun that
+    /// restores every fold from its checkpoint, print the plain run's
+    /// report.
     #[test]
-    fn evaluate_data_dir_resume_round_trips() {
-        let evaluate = |name: &str, resume: Option<String>| {
+    fn evaluate_resume_round_trips() {
+        let evaluate = |resume: Option<String>| {
             let (code, text) = run_cmd(Command::Evaluate {
                 scale: "quick".into(),
                 threads: 2,
                 lda_sampler: LdaSampler::Dense,
                 topics: None,
-                data_dir: Some(tmp(name)),
                 resume,
                 faults: None,
                 trace: None,
@@ -898,21 +881,17 @@ mod tests {
             });
             assert_eq!(code, 0, "{text}");
             text.lines()
-                .filter(|l| !l.starts_with("checkpointing") && !l.starts_with("spilling"))
-                .filter(|l| !l.starts_with("peak RSS"))
+                .filter(|l| !l.starts_with("checkpointing"))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let ckpt = tmp("spill-resume.ckpt");
+        let ckpt = tmp("evaluate-resume.ckpt");
         let _ = std::fs::remove_file(&ckpt);
-        let plain = evaluate("spill-plain", None);
+        let plain = evaluate(None);
         assert!(plain.contains("Table I"), "{plain}");
-        assert_eq!(evaluate("spill-resume", Some(ckpt.clone())), plain);
-        assert_eq!(evaluate("spill-resume", Some(ckpt.clone())), plain);
+        assert_eq!(evaluate(Some(ckpt.clone())), plain);
+        assert_eq!(evaluate(Some(ckpt.clone())), plain);
         std::fs::remove_file(&ckpt).unwrap();
-        for dir in ["spill-plain", "spill-resume"] {
-            std::fs::remove_dir_all(tmp(dir)).unwrap();
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 use forumcast_features::Normalizer;
 use forumcast_ml::{MatrixFactorization, MfConfig, PoissonRegression, Sparfa, SparfaConfig};
 
-use crate::data::RowMeta;
+use crate::data::PairRecord;
 
 /// Trained baselines for one CV fold.
 #[derive(Debug)]
@@ -24,35 +24,28 @@ pub struct Baselines {
 
 impl Baselines {
     /// Trains all three baselines on one fold's training records:
-    /// `pos` / `neg` are the training positives' and negatives'
-    /// metadata and `xs` the training positives' raw feature vectors,
-    /// all in row order.
+    /// `pos` / `neg` are the training positives and negatives, in row
+    /// order.
     ///
     /// SPARFA and MF learn **only from `(user, question)` indices**
     /// (that is the point of the comparison: it isolates the value of
     /// the feature vectors); Poisson regression uses the same features
     /// `x_{u,q}` as our models with the discretized target `⌈r⌉`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `xs` holds one vector per training positive.
     pub fn train(
         num_users: usize,
         num_targets: usize,
         dim: usize,
-        pos: &[RowMeta],
-        neg: &[RowMeta],
-        xs: &[Vec<f64>],
+        pos: &[&PairRecord],
+        neg: &[&PairRecord],
         seed: u64,
     ) -> Self {
-        assert_eq!(pos.len(), xs.len(), "one raw x per training positive");
         let mut rng = StdRng::seed_from_u64(seed);
 
         // SPARFA on the binary answer matrix (positives + negatives).
         let obs: Vec<(usize, usize, bool)> = pos
             .iter()
-            .map(|m| (m.user.index(), m.target, true))
-            .chain(neg.iter().map(|m| (m.user.index(), m.target, false)))
+            .map(|r| (r.user.index(), r.target, true))
+            .chain(neg.iter().map(|r| (r.user.index(), r.target, false)))
             .collect();
         let mut sparfa = Sparfa::new(num_users, num_targets, SparfaConfig::default(), &mut rng);
         sparfa.fit(&obs, &mut rng);
@@ -60,7 +53,7 @@ impl Baselines {
         // MF on observed votes.
         let triplets: Vec<(usize, usize, f64)> = pos
             .iter()
-            .map(|m| (m.user.index(), m.target, m.votes))
+            .map(|r| (r.user.index(), r.target, r.votes))
             .collect();
         let mut mf =
             MatrixFactorization::new(num_users, num_targets, MfConfig::default(), &mut rng);
@@ -74,9 +67,10 @@ impl Baselines {
         // `baselines` ablation bench also measures a z-scored variant,
         // which is stronger than the paper's.)
         let poisson_norm = Normalizer::identity(dim);
-        let ys: Vec<f64> = pos.iter().map(|m| m.response_time.ceil()).collect();
+        let xs: Vec<Vec<f64>> = pos.iter().map(|r| r.x.clone()).collect();
+        let ys: Vec<f64> = pos.iter().map(|r| r.response_time.ceil()).collect();
         let mut poisson = PoissonRegression::new(dim);
-        poisson.fit(xs, &ys, 120, 0.02, 1e-4, &mut rng);
+        poisson.fit(&xs, &ys, 120, 0.02, 1e-4, &mut rng);
         let max_train_delay = ys.iter().cloned().fold(1.0, f64::max);
 
         Baselines {
@@ -89,13 +83,13 @@ impl Baselines {
     }
 
     /// SPARFA score for a pair (answer-task baseline).
-    pub fn score_answer(&self, m: &RowMeta) -> f64 {
-        self.sparfa.predict_proba(m.user.index(), m.target)
+    pub fn score_answer(&self, r: &PairRecord) -> f64 {
+        self.sparfa.predict_proba(r.user.index(), r.target)
     }
 
     /// MF prediction for a pair (vote-task baseline).
-    pub fn predict_votes(&self, m: &RowMeta) -> f64 {
-        self.mf.predict(m.user.index(), m.target)
+    pub fn predict_votes(&self, r: &PairRecord) -> f64 {
+        self.mf.predict(r.user.index(), r.target)
     }
 
     /// Poisson-regression prediction from a pair's raw feature vector
@@ -122,10 +116,9 @@ mod tests {
 
     /// Baselines trained on every record of `d`.
     fn train_all(d: &ExperimentData, seed: u64) -> Baselines {
-        let pos: Vec<RowMeta> = d.positives.iter().map(|p| p.meta()).collect();
-        let neg: Vec<RowMeta> = d.negatives.iter().map(|n| n.meta()).collect();
-        let xs: Vec<Vec<f64>> = d.positives.iter().map(|p| p.x.clone()).collect();
-        Baselines::train(d.num_users, d.num_targets, d.dim, &pos, &neg, &xs, seed)
+        let pos: Vec<&PairRecord> = d.positives.iter().collect();
+        let neg: Vec<&PairRecord> = d.negatives.iter().collect();
+        Baselines::train(d.num_users, d.num_targets, d.dim, &pos, &neg, seed)
     }
 
     #[test]
@@ -133,8 +126,8 @@ mod tests {
         let d = data();
         let b = train_all(&d, 1);
         let p = &d.positives[0];
-        assert!((0.0..=1.0).contains(&b.score_answer(&p.meta())));
-        assert!(b.predict_votes(&p.meta()).is_finite());
+        assert!((0.0..=1.0).contains(&b.score_answer(p)));
+        assert!(b.predict_votes(p).is_finite());
         assert!(b.predict_response_time(&p.x) > 0.0);
     }
 
@@ -142,12 +135,8 @@ mod tests {
     fn sparfa_separates_train_positives_from_negatives() {
         let d = data();
         let b = train_all(&d, 2);
-        let avg = |records: &[crate::data::PairRecord]| {
-            records
-                .iter()
-                .map(|r| b.score_answer(&r.meta()))
-                .sum::<f64>()
-                / records.len() as f64
+        let avg = |records: &[PairRecord]| {
+            records.iter().map(|r| b.score_answer(r)).sum::<f64>() / records.len() as f64
         };
         let (avg_pos, avg_neg) = (avg(&d.positives), avg(&d.negatives));
         assert!(avg_pos > avg_neg, "{avg_pos} vs {avg_neg}");

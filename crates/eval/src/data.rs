@@ -4,7 +4,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::convert::Infallible;
 
 use forumcast_data::{Dataset, UserId};
 use forumcast_features::{
@@ -83,103 +82,162 @@ impl ExperimentData {
         warmup: usize,
         extractor_config: &ExtractorConfig,
     ) -> Self {
+        let _span = forumcast_obs::span("features.build");
+        let threads = dataset.threads();
+        assert!(
+            warmup >= 1 && warmup < threads.len(),
+            "warmup split {warmup} out of range for {} threads",
+            threads.len()
+        );
+        let horizon = dataset.horizon();
+        let num_targets = threads.len() - warmup;
+        let buckets = config.buckets.max(1).min(num_targets);
+        let worker_threads = config.worker_threads();
+        let mut rng = StdRng::seed_from_u64(config.seed ^ 0xDA7A);
+
         let mut positives = Vec::new();
         let mut negatives = Vec::new();
-        let shape = build_each(
-            dataset,
-            config,
-            warmup,
-            extractor_config,
-            &mut |pos, neg| {
+        let mut windows = vec![0.0; num_targets];
+
+        // Bucket `b` targets `threads[start..end]`, with every earlier
+        // thread as its history.
+        let bucket_size = num_targets.div_ceil(buckets);
+        let bounds: Vec<(usize, usize)> = (0..buckets)
+            .map(|b| {
+                let start = warmup + b * bucket_size;
+                (start, (start + bucket_size).min(threads.len()))
+            })
+            .take_while(|&(start, end)| start < end)
+            .collect();
+
+        // Pass 0 (parallel): every bucket's topic model. Each history is
+        // a prefix of the last bucket's, so the posts tokenize once; each
+        // fit is an independent Gibbs chain with its own seeded RNG, so
+        // the fits run concurrently and stay bit-identical. `parallel_map`
+        // claims items in index order, so the largest history goes first
+        // and the smaller ones share the other workers. Each fit gets a
+        // detached task span, so its `lda.train` path is the same whether
+        // it ran inline (one thread) or on a worker.
+        let fitted = {
+            let last_start = bounds.last().map_or(warmup, |&(start, _)| start);
+            let posts = TokenizedPosts::new(&threads[..last_start]);
+            let largest_first: Vec<usize> = (0..bounds.len()).rev().collect();
+            let mut fitted = forumcast_par::parallel_map(&largest_first, worker_threads, |&b| {
+                let _span = forumcast_obs::task_span("features.topics", b as u64);
+                PostTopics::fit_prefix(&posts, bounds[b].0, &extractor_config.lda)
+            });
+            fitted.reverse();
+            fitted
+        };
+
+        for (b, (&(start, end), topics)) in bounds.iter().zip(fitted).enumerate() {
+            let _bucket_span = forumcast_obs::span_unit("features.bucket", b as u64);
+
+            // Pass 1 (serial): windows, answerer lists, and negative
+            // sampling. Sampling stays sequential in thread order so
+            // the RNG stream — and therefore every sampled user — is
+            // identical to the serial implementation regardless of
+            // the worker-thread count.
+            let mut plans: Vec<(&forumcast_data::Thread, usize, Vec<UserId>, Vec<UserId>)> =
+                Vec::with_capacity(end - start);
+            for (gi, thread) in threads[start..end].iter().enumerate() {
+                let target = start + gi - warmup;
+                windows[target] = (horizon - thread.asked_at()).max(0.5);
+
+                let mut answerers: Vec<UserId> = thread.answers.iter().map(|a| a.author).collect();
+                answerers.sort_unstable();
+                answerers.dedup();
+                // Balanced negatives, sampled "equally across
+                // questions": one per positive in this thread.
+                let wanted =
+                    (answerers.len() as f64 * config.negatives_per_positive).round() as usize;
+                let mut guard = 0;
+                let mut sampled: Vec<UserId> = Vec::with_capacity(wanted);
+                while sampled.len() < wanted && guard < wanted * 50 {
+                    guard += 1;
+                    let u = UserId(rng.gen_range(0..dataset.num_users()));
+                    if u == thread.asker() || answerers.contains(&u) || sampled.contains(&u) {
+                        continue;
+                    }
+                    sampled.push(u);
+                }
+                plans.push((thread, target, answerers, sampled));
+            }
+
+            // The bucket's extractor: pass 0's topics plus the history's
+            // aggregates and centralities. It drops, topics and all, at
+            // the end of the bucket.
+            let extractor = FeatureExtractor::from_topics(
+                &threads[..start],
+                dataset.num_users(),
+                topics,
+                extractor_config.betweenness,
+            );
+
+            // Pass 2 (parallel): per-thread feature extraction. Each
+            // `(u, q)` vector is a pure function of the extractor and the
+            // plan, and results are flattened in thread order, so the
+            // output is identical for any worker-thread count. The RNG
+            // was consumed entirely in pass 1, so this pass can be
+            // retried wholesale. The `alloc-pressure` probe simulates
+            // an allocation failure here — the largest transient
+            // allocation of the build — and one bounded retry degrades
+            // it to a recomputed bucket instead of an aborted sweep.
+            let per_thread = with_retry(&format!("features bucket {b}"), 2, || {
+                fault::panic_point(FaultSite::AllocPressure, b as u64);
+                forumcast_par::parallel_map(
+                    &plans,
+                    worker_threads,
+                    |(thread, target, answerers, sampled)| {
+                        let d_q = extractor.question_topics(thread);
+                        let pos: Vec<PairRecord> = answerers
+                            .iter()
+                            .map(|&u| {
+                                let a = thread.answer_by(u).expect("answered");
+                                PairRecord {
+                                    user: u,
+                                    target: *target,
+                                    x: extractor.features(u, thread, &d_q),
+                                    votes: a.votes as f64,
+                                    response_time: a.timestamp - thread.asked_at(),
+                                }
+                            })
+                            .collect();
+                        let neg: Vec<PairRecord> = sampled
+                            .iter()
+                            .map(|&u| PairRecord {
+                                user: u,
+                                target: *target,
+                                x: extractor.features(u, thread, &d_q),
+                                votes: 0.0,
+                                response_time: 0.0,
+                            })
+                            .collect();
+                        (pos, neg)
+                    },
+                )
+            })
+            .unwrap_or_else(|e| panic!("experiment data build failed: {e}"));
+            for (pos, neg) in per_thread {
                 positives.extend(pos);
                 negatives.extend(neg);
-            },
-        );
+            }
+        }
+
+        forumcast_obs::counter_add("features.pairs.pos", positives.len() as u64);
+        forumcast_obs::counter_add("features.pairs.neg", negatives.len() as u64);
+        let layout = FeatureLayout::new(extractor_config.lda.num_topics);
         ExperimentData {
-            dim: shape.layout.dim(),
-            layout: shape.layout,
-            num_users: shape.num_users,
-            num_targets: shape.num_targets,
+            dim: layout.dim(),
+            layout,
+            num_users: dataset.num_users() as usize,
+            num_targets,
             positives,
             negatives,
-            windows: shape.windows,
+            windows,
         }
     }
-}
 
-/// Resident per-record metadata: everything about a pair except its
-/// feature vector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RowMeta {
-    /// The user.
-    pub user: UserId,
-    /// Dense target index.
-    pub target: usize,
-    /// `v_{u,q}` (0 for negatives).
-    pub votes: f64,
-    /// `r_{u,q}` in hours (0 for negatives).
-    pub response_time: f64,
-}
-
-impl PairRecord {
-    /// The record's metadata (everything but `x`).
-    pub fn meta(&self) -> RowMeta {
-        RowMeta {
-            user: self.user,
-            target: self.target,
-            votes: self.votes,
-            response_time: self.response_time,
-        }
-    }
-}
-
-/// One record side of an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// Observed answer pairs.
-    Positives,
-    /// Sampled non-answering pairs.
-    Negatives,
-}
-
-/// The rows of a prepared experiment, as one CV fold reads them:
-/// implemented by the resident [`ExperimentData`] and by the spilled
-/// [`SpilledExperiment`](crate::columnar::SpilledExperiment), so the
-/// fold body and the CV driver are written once for both.
-pub trait RowSource: Sync {
-    /// Why a pass over the rows can fail: [`Infallible`] when the
-    /// rows are resident, a read error when they stream from disk.
-    type Error: std::fmt::Display + Send;
-
-    /// Slot layout (and so the feature dimension).
-    fn layout(&self) -> FeatureLayout;
-
-    /// Population size `|U|`.
-    fn num_users(&self) -> usize;
-
-    /// Observation window per target; its length is the target count.
-    fn windows(&self) -> &[f64];
-
-    /// Number of records on `side`.
-    fn len(&self, side: Side) -> usize;
-
-    /// The user column of `side`, in row order — the strata of
-    /// [`stratified_folds`](crate::split::stratified_folds).
-    fn users(&self, side: Side) -> Vec<u32>;
-
-    /// Visits every record on `side` once, in row order.
-    ///
-    /// # Errors
-    ///
-    /// [`Self::Error`] when the rows cannot be read.
-    fn for_each_row(
-        &self,
-        side: Side,
-        f: &mut dyn FnMut(RowMeta, &[f64]),
-    ) -> Result<(), Self::Error>;
-}
-
-impl ExperimentData {
     /// Target `t`'s positive and negative records. The build stores
     /// both sides in target order, so each is one contiguous run.
     pub fn target_records(&self, t: usize) -> (&[PairRecord], &[PairRecord]) {
@@ -191,233 +249,6 @@ impl ExperimentData {
             &self.negatives[run(&self.negatives)],
         )
     }
-
-    fn records(&self, side: Side) -> &[PairRecord] {
-        match side {
-            Side::Positives => &self.positives,
-            Side::Negatives => &self.negatives,
-        }
-    }
-}
-
-impl RowSource for ExperimentData {
-    type Error = Infallible;
-
-    fn layout(&self) -> FeatureLayout {
-        self.layout
-    }
-
-    fn num_users(&self) -> usize {
-        self.num_users
-    }
-
-    fn windows(&self) -> &[f64] {
-        &self.windows
-    }
-
-    fn len(&self, side: Side) -> usize {
-        self.records(side).len()
-    }
-
-    fn users(&self, side: Side) -> Vec<u32> {
-        self.records(side).iter().map(|r| r.user.0).collect()
-    }
-
-    fn for_each_row(
-        &self,
-        side: Side,
-        f: &mut dyn FnMut(RowMeta, &[f64]),
-    ) -> Result<(), Infallible> {
-        for r in self.records(side) {
-            f(r.meta(), &r.x);
-        }
-        Ok(())
-    }
-}
-
-/// Everything a build produces besides the pair records themselves —
-/// the part a spilled (on-disk) experiment keeps resident.
-#[derive(Debug, Clone)]
-pub(crate) struct BuildShape {
-    pub layout: FeatureLayout,
-    pub num_users: usize,
-    pub num_targets: usize,
-    pub windows: Vec<f64>,
-}
-
-/// Core build loop shared by the resident and the spilled (columnar
-/// on-disk) experiment paths: runs the history protocol bucket by
-/// bucket and hands each bucket's records to `sink` instead of
-/// materializing the whole experiment. The record stream — contents
-/// *and* order — is identical to what
-/// [`ExperimentData::build_with_ranges`] accumulates, at any
-/// worker-thread count.
-pub(crate) fn build_each(
-    dataset: &Dataset,
-    config: &EvalConfig,
-    warmup: usize,
-    extractor_config: &ExtractorConfig,
-    sink: &mut dyn FnMut(Vec<PairRecord>, Vec<PairRecord>),
-) -> BuildShape {
-    let _span = forumcast_obs::span("features.build");
-    let threads = dataset.threads();
-    assert!(
-        warmup >= 1 && warmup < threads.len(),
-        "warmup split {warmup} out of range for {} threads",
-        threads.len()
-    );
-    let horizon = dataset.horizon();
-    let num_targets = threads.len() - warmup;
-    let buckets = config.buckets.max(1).min(num_targets);
-    let worker_threads = config.worker_threads();
-    let mut rng = StdRng::seed_from_u64(config.seed ^ 0xDA7A);
-
-    let mut total_pos = 0u64;
-    let mut total_neg = 0u64;
-    let mut windows = vec![0.0; num_targets];
-
-    // Bucket `b` targets `threads[start..end]`, with every earlier
-    // thread as its history.
-    let bucket_size = num_targets.div_ceil(buckets);
-    let bounds: Vec<(usize, usize)> = (0..buckets)
-        .map(|b| {
-            let start = warmup + b * bucket_size;
-            (start, (start + bucket_size).min(threads.len()))
-        })
-        .take_while(|&(start, end)| start < end)
-        .collect();
-
-    // Pass 0 (parallel): every bucket's topic model. Each history is
-    // a prefix of the last bucket's, so the posts tokenize once; each
-    // fit is an independent Gibbs chain with its own seeded RNG, so
-    // the fits run concurrently and stay bit-identical. `parallel_map`
-    // claims items in index order, so the largest history goes first
-    // and the smaller ones share the other workers. Each fit gets a
-    // detached task span, so its `lda.train` path is the same whether
-    // it ran inline (one thread) or on a worker.
-    let fitted = {
-        let last_start = bounds.last().map_or(warmup, |&(start, _)| start);
-        let posts = TokenizedPosts::new(&threads[..last_start]);
-        let largest_first: Vec<usize> = (0..bounds.len()).rev().collect();
-        let mut fitted = forumcast_par::parallel_map(&largest_first, worker_threads, |&b| {
-            let _span = forumcast_obs::task_span("features.topics", b as u64);
-            PostTopics::fit_prefix(&posts, bounds[b].0, &extractor_config.lda)
-        });
-        fitted.reverse();
-        fitted
-    };
-
-    for (b, (&(start, end), topics)) in bounds.iter().zip(fitted).enumerate() {
-        let _bucket_span = forumcast_obs::span_unit("features.bucket", b as u64);
-
-        // Pass 1 (serial): windows, answerer lists, and negative
-        // sampling. Sampling stays sequential in thread order so
-        // the RNG stream — and therefore every sampled user — is
-        // identical to the serial implementation regardless of
-        // the worker-thread count.
-        let mut plans: Vec<(&forumcast_data::Thread, usize, Vec<UserId>, Vec<UserId>)> =
-            Vec::with_capacity(end - start);
-        for (gi, thread) in threads[start..end].iter().enumerate() {
-            let target = start + gi - warmup;
-            windows[target] = (horizon - thread.asked_at()).max(0.5);
-
-            let mut answerers: Vec<UserId> = thread.answers.iter().map(|a| a.author).collect();
-            answerers.sort_unstable();
-            answerers.dedup();
-            // Balanced negatives, sampled "equally across
-            // questions": one per positive in this thread.
-            let wanted = (answerers.len() as f64 * config.negatives_per_positive).round() as usize;
-            let mut guard = 0;
-            let mut sampled: Vec<UserId> = Vec::with_capacity(wanted);
-            while sampled.len() < wanted && guard < wanted * 50 {
-                guard += 1;
-                let u = UserId(rng.gen_range(0..dataset.num_users()));
-                if u == thread.asker() || answerers.contains(&u) || sampled.contains(&u) {
-                    continue;
-                }
-                sampled.push(u);
-            }
-            plans.push((thread, target, answerers, sampled));
-        }
-
-        // The bucket's extractor: pass 0's topics plus the history's
-        // aggregates and centralities. It drops, topics and all, at
-        // the end of the bucket.
-        let extractor = FeatureExtractor::from_topics(
-            &threads[..start],
-            dataset.num_users(),
-            topics,
-            extractor_config.betweenness,
-        );
-
-        // Pass 2 (parallel): per-thread feature extraction. Each
-        // `(u, q)` vector is a pure function of the extractor and the
-        // plan, and results are flattened in thread order, so the
-        // output is identical for any worker-thread count. The RNG
-        // was consumed entirely in pass 1, so this pass can be
-        // retried wholesale. The `alloc-pressure` probe simulates
-        // an allocation failure here — the largest transient
-        // allocation of the build — and one bounded retry degrades
-        // it to a recomputed bucket instead of an aborted sweep.
-        let per_thread = with_retry(&format!("features bucket {b}"), 2, || {
-            fault::panic_point(FaultSite::AllocPressure, b as u64);
-            forumcast_par::parallel_map(
-                &plans,
-                worker_threads,
-                |(thread, target, answerers, sampled)| {
-                    let d_q = extractor.question_topics(thread);
-                    let pos: Vec<PairRecord> = answerers
-                        .iter()
-                        .map(|&u| {
-                            let a = thread.answer_by(u).expect("answered");
-                            PairRecord {
-                                user: u,
-                                target: *target,
-                                x: extractor.features(u, thread, &d_q),
-                                votes: a.votes as f64,
-                                response_time: a.timestamp - thread.asked_at(),
-                            }
-                        })
-                        .collect();
-                    let neg: Vec<PairRecord> = sampled
-                        .iter()
-                        .map(|&u| PairRecord {
-                            user: u,
-                            target: *target,
-                            x: extractor.features(u, thread, &d_q),
-                            votes: 0.0,
-                            response_time: 0.0,
-                        })
-                        .collect();
-                    (pos, neg)
-                },
-            )
-        })
-        .unwrap_or_else(|e| panic!("experiment data build failed: {e}"));
-        let mut bucket_pos = Vec::new();
-        let mut bucket_neg = Vec::new();
-        for (pos, neg) in per_thread {
-            bucket_pos.extend(pos);
-            bucket_neg.extend(neg);
-        }
-        total_pos += bucket_pos.len() as u64;
-        total_neg += bucket_neg.len() as u64;
-        sink(bucket_pos, bucket_neg);
-    }
-
-    forumcast_obs::counter_add("features.pairs.pos", total_pos);
-    forumcast_obs::counter_add("features.pairs.neg", total_neg);
-    BuildShape {
-        layout: FeatureLayout::new(extractor_dim_topics(extractor_config)),
-        num_users: dataset.num_users() as usize,
-        num_targets,
-        windows,
-    }
-}
-
-/// Topic count configured in an extractor config.
-fn extractor_dim_topics(config: &ExtractorConfig) -> usize {
-    config.lda.num_topics
 }
 
 #[cfg(test)]

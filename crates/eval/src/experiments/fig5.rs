@@ -76,7 +76,7 @@ pub fn run(config: &EvalConfig, ks: &[usize], reference_k: usize) -> Fig5Report 
 }
 
 /// [`run`] with an optional checkpoint base path: each swept `K`
-/// checkpoints into `<base>.k<K>.json`.
+/// checkpoints into `<base>.k<K>.ckpt`.
 ///
 /// # Errors
 ///

@@ -93,8 +93,8 @@ pub fn run_on(data: &ExperimentData, config: &EvalConfig) -> Fig6Report {
 }
 
 /// [`run_on`] with an optional checkpoint base path: the reference
-/// run checkpoints into `<base>.ref.json` and the run excluding the
-/// `i`-th feature into `<base>.feat<i>.json`.
+/// run checkpoints into `<base>.ref.ckpt` and the run excluding the
+/// `i`-th feature into `<base>.feat<i>.ckpt`.
 ///
 /// # Errors
 ///

@@ -93,8 +93,8 @@ pub fn run(config: &EvalConfig, windows: &[usize], eval_from_day: usize) -> Fig7
 
 /// [`run`] with an optional checkpoint base path: the cell for window
 /// `w` with the full feature set checkpoints into
-/// `<base>.w<w>.ref.json` and the cell excluding the `j`-th group
-/// into `<base>.w<w>.g<j>.json`.
+/// `<base>.w<w>.ref.ckpt` and the cell excluding the `j`-th group
+/// into `<base>.w<w>.g<j>.ckpt`.
 ///
 /// # Errors
 ///

@@ -30,8 +30,8 @@ use forumcast_resilience::fault::{self, FaultSite};
 use forumcast_resilience::{reclaim_tmp, with_retry, Checkpoint, CheckpointError};
 
 use crate::config::EvalConfig;
-use crate::data::{ExperimentData, RowSource, Side};
-use crate::fold::{run_fold_on, FoldOutcome, MaskSpec};
+use crate::data::{ExperimentData, PairRecord};
+use crate::fold::{run_fold, FoldOutcome, MaskSpec};
 use crate::split::stratified_folds;
 
 /// Resilience options for a CV sweep.
@@ -66,14 +66,14 @@ impl CvOptions {
 }
 
 /// Derives the checkpoint file for one sub-run of a multi-CV sweep:
-/// `<base>` with `.<tag>.json` appended. The figure drivers run many
+/// `<base>` with `.<tag>.ckpt` appended. The figure drivers run many
 /// independent CVs (per `K`, per excluded feature, per history
 /// window); giving each its own file under one `--resume` base path
 /// lets a restarted sweep skip every completed fold of every sub-run.
 pub fn sub_checkpoint(base: Option<&std::path::Path>, tag: &str) -> Option<PathBuf> {
     base.map(|b| {
         let mut name = b.as_os_str().to_os_string();
-        name.push(format!(".{tag}.json"));
+        name.push(format!(".{tag}.ckpt"));
         PathBuf::from(name)
     })
 }
@@ -93,13 +93,6 @@ pub enum CvError {
         /// Last panic message.
         message: String,
     },
-    /// The experiment's rows could not be read — a spilled
-    /// (columnar on-disk) row file is torn, corrupt, or unreadable.
-    /// Never retried: re-reading a damaged file cannot heal it.
-    Data {
-        /// What failed.
-        message: String,
-    },
 }
 
 impl fmt::Display for CvError {
@@ -114,7 +107,6 @@ impl fmt::Display for CvError {
                 f,
                 "cv fold job {job} failed after {attempts} attempt(s): {message}"
             ),
-            CvError::Data { message } => write!(f, "cv experiment data unusable: {message}"),
         }
     }
 }
@@ -169,13 +161,8 @@ pub fn run_cv(
         .unwrap_or_else(|e| panic!("cross-validation failed: {e}"))
 }
 
-/// [`run_cv`] over any [`RowSource`] — resident or spilled rows —
-/// with fault isolation and checkpoint/resume. Folds run in parallel
-/// either way; a spilled fold streams its rows from disk, so peak
-/// memory is one fold's working set per worker instead of the full
-/// feature matrix. Outcomes are the same bits for both sources, and
-/// the checkpoint fingerprint has no data-source term, so a sweep
-/// checkpointed over one source resumes over the other.
+/// [`run_cv`] with fault isolation and checkpoint/resume. Folds run
+/// in parallel.
 ///
 /// Each fold job runs under `catch_unwind` with bounded retry, and is
 /// instrumented with the `fold-panic` fault site (unit = job index).
@@ -194,19 +181,19 @@ pub fn run_cv(
 /// # Errors
 ///
 /// Returns [`CvError::FoldFailed`] when a fold exhausts its attempts,
-/// [`CvError::Checkpoint`] when the checkpoint file is unreadable,
-/// cannot be saved, or belongs to a different configuration, and
-/// [`CvError::Data`] when the rows cannot be read.
-pub fn run_cv_resumable<S: RowSource>(
-    rows: &S,
+/// and [`CvError::Checkpoint`] when the checkpoint file is unreadable,
+/// cannot be saved, or belongs to a different configuration.
+pub fn run_cv_resumable(
+    data: &ExperimentData,
     config: &EvalConfig,
     mask: Option<MaskSpec>,
     run_baselines: bool,
     options: &CvOptions,
 ) -> Result<Vec<FoldOutcome>, CvError> {
     let _span = forumcast_obs::span("eval.run_cv");
-    let pos_groups = rows.users(Side::Positives);
-    let neg_groups = rows.users(Side::Negatives);
+    let users = |rs: &[PairRecord]| -> Vec<u32> { rs.iter().map(|r| r.user.0).collect() };
+    let pos_groups = users(&data.positives);
+    let neg_groups = users(&data.negatives);
     let mut jobs = Vec::new();
     for rep in 0..config.repeats {
         let mut rng = StdRng::seed_from_u64(config.seed ^ (0xC5 + rep as u64));
@@ -257,19 +244,14 @@ pub fn run_cv_resumable<S: RowSource>(
         // event logs identical across thread counts.
         let _fold_span = forumcast_obs::task_span("eval.fold", job as u64);
         let (pf, nf, fold) = &jobs[job];
-        // Retry is for panics; a read error is returned as a value
-        // and fails the sweep on its first occurrence.
         let outcome = with_retry(&format!("cv fold job {job}"), options.fold_attempts, || {
             fault::panic_point(FaultSite::FoldPanic, job as u64);
-            run_fold_on(rows, config, pf, nf, *fold, mask, run_baselines)
+            run_fold(data, config, pf, nf, *fold, mask, run_baselines, None)
         })
         .map_err(|e| CvError::FoldFailed {
             job,
             attempts: e.attempts,
             message: e.message,
-        })?
-        .map_err(|e| CvError::Data {
-            message: e.to_string(),
         })?;
         if let Some((cp, path)) = &checkpoint {
             let mut cp = cp.lock().expect("checkpoint lock");
@@ -290,7 +272,22 @@ pub fn run_cv_resumable<S: RowSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columnar::SpilledExperiment;
+
+    /// Sub-run checkpoints are binary stores: the base path with
+    /// `.<tag>.ckpt` appended.
+    #[test]
+    fn sub_checkpoint_appends_the_tag_and_ckpt_extension() {
+        let base = std::path::Path::new("out/run.ckpt");
+        assert_eq!(
+            sub_checkpoint(Some(base), "k8"),
+            Some(PathBuf::from("out/run.ckpt.k8.ckpt"))
+        );
+        assert_eq!(
+            sub_checkpoint(Some(std::path::Path::new("cv")), "w3.g1"),
+            Some(PathBuf::from("cv.w3.g1.ckpt"))
+        );
+        assert_eq!(sub_checkpoint(None, "ref"), None);
+    }
 
     #[test]
     fn run_cv_yields_repeats_times_folds_outcomes() {
@@ -318,133 +315,6 @@ mod tests {
             let par = run_cv(&data, &cfg, None, false);
             assert_eq!(serial, par, "fold outcomes changed with {threads} threads");
         }
-    }
-
-    /// The data-plane headline: the one CV driver over the spilled
-    /// columnar experiment — parallel folds streaming their rows from
-    /// disk — reproduces the resident sweep bit for bit, across
-    /// repeats (each repeat re-derives its fold assignment from the
-    /// same seeds) and at any thread count.
-    #[test]
-    fn streamed_cv_is_bitwise_identical_to_resident_cv() {
-        let mut cfg = EvalConfig::quick();
-        cfg.folds = 2;
-        cfg.repeats = 2;
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let data = ExperimentData::build(&ds, &cfg);
-        let resident_bits: Vec<u64> = run_cv(&data, &cfg, None, false)
-            .iter()
-            .flat_map(outcome_bits)
-            .collect();
-
-        let dir = temp_spill("bitwise");
-        let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
-        for threads in [1, 2, 7] {
-            cfg.threads = threads;
-            let streamed =
-                run_cv_resumable(&spilled, &cfg, None, false, &CvOptions::default()).unwrap();
-            let streamed_bits: Vec<u64> = streamed.iter().flat_map(outcome_bits).collect();
-            assert_eq!(resident_bits, streamed_bits, "{threads} threads");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Damage a row file: the parallel sweep surfaces a typed data
-    /// error on the first read instead of retrying or computing on a
-    /// short experiment.
-    #[test]
-    fn truncated_row_file_fails_the_sweep_as_a_data_error() {
-        let mut cfg = EvalConfig::quick();
-        cfg.folds = 2;
-        cfg.repeats = 1;
-        cfg.threads = 2;
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let data = ExperimentData::build(&ds, &cfg);
-        let dir = temp_spill("torn");
-        let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
-        let pos = dir.join("pos.fcr");
-        let bytes = std::fs::read(&pos).unwrap();
-        std::fs::write(&pos, &bytes[..bytes.len() - 7]).unwrap();
-        let err = run_cv_resumable(&spilled, &cfg, None, false, &CvOptions::default()).unwrap_err();
-        assert!(matches!(err, CvError::Data { .. }), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// A streamed run killed at a fold (no in-process retry) resumes
-    /// from its fold-level checkpoint to the resident run's bits.
-    #[test]
-    fn streamed_fold_kill_then_resume_matches_resident() {
-        let mut cfg = EvalConfig::quick();
-        cfg.folds = 2;
-        cfg.repeats = 1;
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let data = ExperimentData::build(&ds, &cfg);
-        let clean = run_cv(&data, &cfg, None, false);
-        let dir = temp_spill("foldkill");
-        let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
-
-        let path = temp_checkpoint("streamed-foldkill");
-        let mut opts = CvOptions::with_checkpoint(&path);
-        // fold_attempts = 1: the injected panic at fold job 1 kills
-        // the whole run, the in-process analogue of a SIGKILL.
-        opts.fold_attempts = 1;
-        {
-            let _guard = forumcast_resilience::FaultPlan::parse("fold-panic:1")
-                .unwrap()
-                .arm();
-            let err = run_cv_resumable(&spilled, &cfg, None, false, &opts).unwrap_err();
-            assert!(matches!(err, CvError::FoldFailed { job: 1, .. }), "{err}");
-        }
-
-        let resumed = run_cv_resumable(&spilled, &cfg, None, false, &opts).unwrap();
-        let clean_bits: Vec<u64> = clean.iter().flat_map(outcome_bits).collect();
-        let resumed_bits: Vec<u64> = resumed.iter().flat_map(outcome_bits).collect();
-        assert_eq!(clean_bits, resumed_bits);
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The fingerprint has no data-source term: a fold-level
-    /// checkpoint written by a resident run resumes a streamed one,
-    /// and the restored folds are the resident run's outcomes.
-    #[test]
-    fn resident_checkpoint_resumes_a_streamed_run() {
-        let mut cfg = EvalConfig::quick();
-        cfg.folds = 2;
-        cfg.repeats = 1;
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let data = ExperimentData::build(&ds, &cfg);
-        let path = temp_checkpoint("resident-to-streamed");
-        let opts = CvOptions::with_checkpoint(&path);
-        let resident = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
-
-        // Mark the recorded outcomes: a restored fold carries the mark,
-        // a recomputed one would not.
-        let meta = cv_fingerprint(&cfg, None, false, 2);
-        let mut cp = Checkpoint::<FoldOutcome>::load(&path, &meta)
-            .unwrap()
-            .unwrap();
-        cp.entries.retain(|(unit, _)| *unit == 0);
-        cp.entries[0].1.auc = 0.123;
-        cp.save(&path).unwrap();
-
-        let dir = temp_spill("resume");
-        let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
-        let streamed = run_cv_resumable(&spilled, &cfg, None, false, &opts).unwrap();
-        assert_eq!(
-            streamed[0].auc, 0.123,
-            "fold 0 restored from the checkpoint"
-        );
-        assert_eq!(outcome_bits(&streamed[1]), outcome_bits(&resident[1]));
-        std::fs::remove_file(&path).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    fn temp_spill(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("forumcast-cv-spill-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
     }
 
     fn temp_checkpoint(name: &str) -> std::path::PathBuf {
@@ -502,20 +372,6 @@ mod tests {
             "{err}"
         );
         std::fs::remove_file(&path).unwrap();
-    }
-
-    fn outcome_bits(o: &FoldOutcome) -> Vec<u64> {
-        [
-            o.auc,
-            o.auc_baseline,
-            o.rmse_votes,
-            o.rmse_votes_baseline,
-            o.rmse_time,
-            o.rmse_time_baseline,
-        ]
-        .iter()
-        .map(|x| x.to_bits())
-        .collect()
     }
 
     /// A fold-level checkpoint that cannot be trusted — CRC damage,

@@ -4,7 +4,6 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::Path;
 
-use crate::columnar::SpilledExperiment;
 use crate::config::EvalConfig;
 use crate::data::ExperimentData;
 use crate::experiments::{run_cv_resumable, CvError, CvOptions};
@@ -65,17 +64,10 @@ impl fmt::Display for Table1Report {
 ///
 /// Panics when the CV sweep fails despite per-fold retries.
 pub fn run(config: &EvalConfig) -> Table1Report {
-    run_with(config, None, None).unwrap_or_else(|e| panic!("table1: {e}"))
+    run_with(config, None).unwrap_or_else(|e| panic!("table1: {e}"))
 }
 
-/// [`run`] with an optional spill directory and an optional checkpoint
-/// file.
-///
-/// With `data_dir` set, the experiment is built straight into that
-/// columnar on-disk store (one bucket of records resident at a time,
-/// never the full feature matrix) and each fold streams its rows back,
-/// so peak memory is roughly one training fold per worker. Metrics are
-/// bitwise-identical either way.
+/// [`run`] with an optional checkpoint file.
 ///
 /// With `checkpoint` set, completed folds are saved after each fold
 /// and skipped when rerun with the same path; a fold interrupted
@@ -83,33 +75,16 @@ pub fn run(config: &EvalConfig) -> Table1Report {
 ///
 /// # Errors
 ///
-/// Returns [`CvError`] when a fold exhausts its retries, the
-/// checkpoint file is unusable, or the spill cannot be written or
-/// read back.
-pub fn run_with(
-    config: &EvalConfig,
-    data_dir: Option<&Path>,
-    checkpoint: Option<&Path>,
-) -> Result<Table1Report, CvError> {
+/// Returns [`CvError`] when a fold exhausts its retries or the
+/// checkpoint file is unusable.
+pub fn run_with(config: &EvalConfig, checkpoint: Option<&Path>) -> Result<Table1Report, CvError> {
     let (dataset, _) = config.synth.generate().preprocess();
     let opts = CvOptions {
         checkpoint: checkpoint.map(Path::to_path_buf),
         ..CvOptions::default()
     };
-    let outcomes = match data_dir {
-        Some(dir) => {
-            let spilled =
-                SpilledExperiment::build(&dataset, config, dir).map_err(|e| CvError::Data {
-                    message: e.to_string(),
-                })?;
-            drop(dataset);
-            run_cv_resumable(&spilled, config, None, true, &opts)?
-        }
-        None => {
-            let data = ExperimentData::build(&dataset, config);
-            run_cv_resumable(&data, config, None, true, &opts)?
-        }
-    };
+    let data = ExperimentData::build(&dataset, config);
+    let outcomes = run_cv_resumable(&data, config, None, true, &opts)?;
     Ok(report_from(&outcomes))
 }
 

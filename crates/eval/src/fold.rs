@@ -8,7 +8,7 @@ use forumcast_features::{FeatureGroup, FeatureId};
 
 use crate::baselines::Baselines;
 use crate::config::EvalConfig;
-use crate::data::{ExperimentData, RowMeta, RowSource, Side};
+use crate::data::{ExperimentData, PairRecord};
 use crate::metrics::{auc, rmse};
 
 /// What to exclude from the feature vector in an importance study.
@@ -37,8 +37,17 @@ pub struct FoldOutcome {
     pub rmse_time_baseline: f64,
 }
 
-/// Runs one CV iteration over resident experiment data: the
-/// infallible instantiation of [`run_fold_on`].
+/// Runs one CV iteration. `pos_folds` / `neg_folds` assign a fold id
+/// to every positive / negative record; records with fold `test_fold`
+/// are held out. `mask` optionally zeroes feature slots everywhere
+/// (train and test), implementing the exclusion protocols of Figures
+/// 6–7. `run_baselines` can be disabled for masking sweeps (the
+/// baselines don't use features, so their numbers would not change).
+///
+/// Each side is walked once in row order: a training row goes to a
+/// [`TrainingRows`] builder (answer and vote samples in row order,
+/// timing threads in target order once both sides are done); a
+/// held-out row is kept by reference for evaluation.
 ///
 /// `_unused` is always `None`. It exists only so that the benchmark
 /// binary (`crates/bench/src/bin/benchmark`), which still makes the
@@ -55,60 +64,11 @@ pub fn run_fold(
     run_baselines: bool,
     _unused: Option<std::convert::Infallible>,
 ) -> FoldOutcome {
-    match run_fold_on(
-        data,
-        config,
-        pos_folds,
-        neg_folds,
-        test_fold,
-        mask,
-        run_baselines,
-    ) {
-        Ok(outcome) => outcome,
-        Err(never) => match never {},
-    }
-}
+    assert_eq!(pos_folds.len(), data.positives.len(), "pos fold map size");
+    assert_eq!(neg_folds.len(), data.negatives.len(), "neg fold map size");
 
-/// Runs one CV iteration over any [`RowSource`]. `pos_folds` /
-/// `neg_folds` assign a fold id to every positive / negative record;
-/// records with fold `test_fold` are held out. `mask` optionally
-/// zeroes feature slots everywhere (train and test), implementing the
-/// exclusion protocols of Figures 6–7. `run_baselines` can be
-/// disabled for masking sweeps (the baselines don't use features, so
-/// their numbers would not change).
-///
-/// Each side is read in one in-order pass: a training row goes to a
-/// [`TrainingRows`] builder (answer and vote samples in row order,
-/// timing threads in target order once both passes are done); a
-/// held-out row is kept for evaluation.
-/// The outcome is therefore the same bits whether the rows are
-/// resident or stream from disk.
-///
-/// # Errors
-///
-/// [`RowSource::Error`] when the rows cannot be read.
-pub fn run_fold_on<S: RowSource>(
-    rows: &S,
-    config: &EvalConfig,
-    pos_folds: &[usize],
-    neg_folds: &[usize],
-    test_fold: usize,
-    mask: Option<MaskSpec>,
-    run_baselines: bool,
-) -> Result<FoldOutcome, S::Error> {
-    assert_eq!(
-        pos_folds.len(),
-        rows.len(Side::Positives),
-        "pos fold map size"
-    );
-    assert_eq!(
-        neg_folds.len(),
-        rows.len(Side::Negatives),
-        "neg fold map size"
-    );
-
-    let layout = rows.layout();
-    let windows = rows.windows();
+    let layout = data.layout;
+    let windows = &data.windows;
     let masked = |x: &[f64]| -> Vec<f64> {
         let mut v = x.to_vec();
         match mask {
@@ -122,40 +82,33 @@ pub fn run_fold_on<S: RowSource>(
     // --- our models ---
     let mut train = TrainingRows::new(layout.dim());
     // Held-out rows for evaluation, and — for the baselines — the
-    // training rows' metadata and the positives' raw vectors (the
-    // Poisson regressor's design matrix).
-    let mut test_pos: Vec<(RowMeta, Vec<f64>)> = Vec::new();
-    let mut test_neg: Vec<(RowMeta, Vec<f64>)> = Vec::new();
-    let mut train_pos: Vec<RowMeta> = Vec::new();
-    let mut train_pos_x: Vec<Vec<f64>> = Vec::new();
-    let mut train_neg: Vec<RowMeta> = Vec::new();
+    // training rows.
+    let mut test_pos: Vec<&PairRecord> = Vec::new();
+    let mut test_neg: Vec<&PairRecord> = Vec::new();
+    let mut train_pos: Vec<&PairRecord> = Vec::new();
+    let mut train_neg: Vec<&PairRecord> = Vec::new();
 
-    let mut i = 0;
-    rows.for_each_row(Side::Positives, &mut |meta, x| {
-        if pos_folds[i] == test_fold {
-            test_pos.push((meta, x.to_vec()));
+    for (r, &fold) in data.positives.iter().zip(pos_folds) {
+        if fold == test_fold {
+            test_pos.push(r);
         } else {
-            train.answered(meta.target, masked(x), meta.votes, meta.response_time);
+            train.answered(r.target, masked(&r.x), r.votes, r.response_time);
             if run_baselines {
-                train_pos.push(meta);
-                train_pos_x.push(x.to_vec());
+                train_pos.push(r);
             }
         }
-        i += 1;
-    })?;
-    let mut i = 0;
-    rows.for_each_row(Side::Negatives, &mut |meta, x| {
-        if neg_folds[i] == test_fold {
-            test_neg.push((meta, x.to_vec()));
+    }
+    for (r, &fold) in data.negatives.iter().zip(neg_folds) {
+        if fold == test_fold {
+            test_neg.push(r);
         } else {
-            train.unanswered(meta.target, masked(x));
+            train.unanswered(r.target, masked(&r.x));
             if run_baselines {
-                train_neg.push(meta);
+                train_neg.push(r);
             }
         }
-        i += 1;
-    })?;
-    let ts = train.finish(windows, rows.num_users());
+    }
+    let ts = train.finish(windows, data.num_users);
 
     let model = ResponsePredictor::train(&ts, &config.train);
     drop(ts);
@@ -163,53 +116,52 @@ pub fn run_fold_on<S: RowSource>(
     // --- evaluation ---
     let mut scores = Vec::with_capacity(test_pos.len() + test_neg.len());
     let mut labels = Vec::with_capacity(scores.capacity());
-    for (_, x) in &test_pos {
-        scores.push(model.predict_answer(&masked(x)));
+    for r in &test_pos {
+        scores.push(model.predict_answer(&masked(&r.x)));
         labels.push(true);
     }
-    for (_, x) in &test_neg {
-        scores.push(model.predict_answer(&masked(x)));
+    for r in &test_neg {
+        scores.push(model.predict_answer(&masked(&r.x)));
         labels.push(false);
     }
     let our_auc = auc(&scores, &labels);
 
     let vote_pred: Vec<f64> = test_pos
         .iter()
-        .map(|(_, x)| model.predict_votes(&masked(x)))
+        .map(|r| model.predict_votes(&masked(&r.x)))
         .collect();
-    let vote_true: Vec<f64> = test_pos.iter().map(|(m, _)| m.votes).collect();
+    let vote_true: Vec<f64> = test_pos.iter().map(|r| r.votes).collect();
     let our_rmse_votes = rmse(&vote_pred, &vote_true);
 
     let time_pred: Vec<f64> = test_pos
         .iter()
-        .map(|(m, x)| model.predict_response_time(&masked(x), windows[m.target]))
+        .map(|r| model.predict_response_time(&masked(&r.x), windows[r.target]))
         .collect();
-    let time_true: Vec<f64> = test_pos.iter().map(|(m, _)| m.response_time).collect();
+    let time_true: Vec<f64> = test_pos.iter().map(|r| r.response_time).collect();
     let our_rmse_time = rmse(&time_pred, &time_true);
 
     // --- baselines ---
     let (auc_b, rmse_v_b, rmse_t_b) = if run_baselines {
         let baselines = Baselines::train(
-            rows.num_users(),
+            data.num_users,
             windows.len(),
             layout.dim(),
             &train_pos,
             &train_neg,
-            &train_pos_x,
             config.seed ^ 0xBA5E,
         );
         let scores_b: Vec<f64> = test_pos
             .iter()
             .chain(&test_neg)
-            .map(|(m, _)| baselines.score_answer(m))
+            .map(|r| baselines.score_answer(r))
             .collect();
         let votes_b: Vec<f64> = test_pos
             .iter()
-            .map(|(m, _)| baselines.predict_votes(m))
+            .map(|r| baselines.predict_votes(r))
             .collect();
         let times_b: Vec<f64> = test_pos
             .iter()
-            .map(|(_, x)| baselines.predict_response_time(x))
+            .map(|r| baselines.predict_response_time(&r.x))
             .collect();
         (
             auc(&scores_b, &labels),
@@ -220,14 +172,14 @@ pub fn run_fold_on<S: RowSource>(
         (0.0, 0.0, 0.0)
     };
 
-    Ok(FoldOutcome {
+    FoldOutcome {
         auc: our_auc,
         auc_baseline: auc_b,
         rmse_votes: our_rmse_votes,
         rmse_votes_baseline: rmse_v_b,
         rmse_time: our_rmse_time,
         rmse_time_baseline: rmse_t_b,
-    })
+    }
 }
 
 /// Mean and standard deviation of a metric across fold outcomes.
@@ -244,7 +196,6 @@ pub fn mean_std(values: &[f64]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columnar::SpilledExperiment;
     use crate::split::stratified_folds;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -292,49 +243,6 @@ mod tests {
         );
         assert_eq!(out.auc_baseline, 0.0);
         assert!(out.rmse_time.is_finite());
-    }
-
-    /// The one fold body over spilled rows: identical fold maps in, a
-    /// bitwise-identical outcome out — with baselines and with a
-    /// feature mask.
-    #[test]
-    fn streamed_fold_is_bitwise_identical_to_resident() {
-        let cfg = EvalConfig::quick();
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let data = ExperimentData::build(&ds, &cfg);
-        let dir =
-            std::env::temp_dir().join(format!("forumcast-fold-streamed-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let spilled = SpilledExperiment::spill(&data, &cfg, &dir).unwrap();
-
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let pos_groups: Vec<u32> = data.positives.iter().map(|p| p.user.0).collect();
-        let pos_folds = stratified_folds(&pos_groups, cfg.folds, &mut rng);
-        let neg_groups: Vec<u32> = data.negatives.iter().map(|p| p.user.0).collect();
-        let neg_folds = stratified_folds(&neg_groups, cfg.folds, &mut rng);
-
-        for (mask, baselines) in [
-            (None, true),
-            (Some(MaskSpec::Group(FeatureGroup::Social)), false),
-        ] {
-            let resident = run_fold(
-                &data, &cfg, &pos_folds, &neg_folds, 0, mask, baselines, None,
-            );
-            let streamed =
-                run_fold_on(&spilled, &cfg, &pos_folds, &neg_folds, 0, mask, baselines).unwrap();
-            let bits = |o: &FoldOutcome| {
-                [
-                    o.auc.to_bits(),
-                    o.auc_baseline.to_bits(),
-                    o.rmse_votes.to_bits(),
-                    o.rmse_votes_baseline.to_bits(),
-                    o.rmse_time.to_bits(),
-                    o.rmse_time_baseline.to_bits(),
-                ]
-            };
-            assert_eq!(bits(&resident), bits(&streamed), "mask {mask:?}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

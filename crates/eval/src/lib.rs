@@ -6,10 +6,7 @@
 //!   Pearson/Spearman correlation, CDFs;
 //! * [`data`] — assembling `(u, q)` pair records with features,
 //!   targets, balanced negative samples, and per-thread survival
-//!   samples from a dataset partition (`Ω`, `F(q)`), and the
-//!   [`RowSource`] trait every fold reads its rows through;
-//! * [`columnar`] — the experiment spilled to a columnar on-disk
-//!   store, streamed back one fold at a time for paper-scale++ runs;
+//!   samples from a dataset partition (`Ω`, `F(q)`);
 //! * [`split`] — 5-fold **stratified** cross-validation ("each user's
 //!   answers are allocated uniformly across folds", Section IV-A);
 //! * [`fold`] — one train/evaluate iteration of our three models and
@@ -30,7 +27,6 @@
 //! ```
 
 pub mod baselines;
-pub mod columnar;
 pub mod config;
 pub mod data;
 pub mod experiments;
@@ -38,9 +34,8 @@ pub mod fold;
 pub mod metrics;
 pub mod split;
 
-pub use columnar::{ColumnarError, RowStream, SpilledExperiment};
 pub use config::EvalConfig;
-pub use data::{ExperimentData, PairRecord, RowSource};
+pub use data::{ExperimentData, PairRecord};
 pub use experiments::{run_cv, run_cv_resumable, CvError, CvOptions};
 pub use fold::{FoldOutcome, MaskSpec};
 pub use metrics::{auc, cdf_points, mae, pearson, rmse, spearman};

@@ -507,12 +507,12 @@ pub fn counter_add(name: &str, delta: u64) {
 }
 
 /// Records `value` into the named latency histogram — the scalable
-/// path for high-frequency per-operation measurements (checkpoint
-/// write/read times, per-request latencies): each observation is one
-/// bucket increment in the thread's shard, not an event allocation,
-/// and shards merge by bucket sum at [`drain`]. Values are
-/// unit-agnostic; by convention the name carries the unit
-/// (`data.columnar.write_ms`). Summaries report count/p50/p90/p99/max.
+/// path for high-frequency per-operation measurements such as
+/// per-request prediction latencies: each observation is one bucket
+/// increment in the thread's shard, not an event allocation, and
+/// shards merge by bucket sum at [`drain`] into [`TraceLog::hists`].
+/// Values are unit-agnostic; by convention the name carries the unit
+/// (`…_ms`, `…_us`). Summaries report count/p50/p90/p99/max.
 pub fn observe(name: &str, value: u64) {
     if !is_enabled() {
         return;
@@ -558,9 +558,8 @@ pub fn mark(name: &str, unit: u64) {
 /// Peak resident set size of this process in KiB, read from the
 /// `VmHWM` line of `/proc/self/status`. Returns 0 when the procfs
 /// field is unavailable (non-Linux), so callers can gate the report
-/// on a non-zero value instead of special-casing platforms. Used by
-/// the streamed-fold evaluation path and the check.sh RSS smoke to
-/// assert that spilling keeps only one fold resident.
+/// on a non-zero value instead of special-casing platforms. The
+/// benchmark binary reports it next to its heap peak.
 pub fn peak_rss_kb() -> u64 {
     let status = match std::fs::read_to_string("/proc/self/status") {
         Ok(s) => s,

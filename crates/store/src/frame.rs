@@ -488,270 +488,6 @@ pub fn scan(bytes: &[u8], path: &Path) -> Result<Scan, StoreError> {
     })
 }
 
-/// What one incremental varint read found.
-enum VarintRead {
-    /// A complete varint: the value and its raw encoded bytes.
-    Value(u64, Vec<u8>),
-    /// Clean end of file before the first byte.
-    Eof,
-    /// The file ended mid-varint, or the encoding overflowed — the
-    /// incremental analogue of a torn tail.
-    Torn,
-}
-
-/// Reads one LEB128 varint from `r`, byte by byte.
-fn read_varint(r: &mut impl std::io::Read) -> std::io::Result<VarintRead> {
-    let mut buf = Vec::with_capacity(varint::MAX_LEN);
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte)? {
-            0 => {
-                return Ok(if buf.is_empty() {
-                    VarintRead::Eof
-                } else {
-                    VarintRead::Torn
-                });
-            }
-            _ => buf.push(byte[0]),
-        }
-        if byte[0] & 0x80 == 0 || buf.len() >= varint::MAX_LEN {
-            return Ok(match varint::read_u64(&buf) {
-                Ok((value, used)) if used == buf.len() => VarintRead::Value(value, buf),
-                _ => VarintRead::Torn,
-            });
-        }
-    }
-}
-
-/// A streaming store reader: parses the header on open, then yields
-/// one frame payload at a time — the whole file is never resident,
-/// which is what lets the columnar dataset reader hold a single row
-/// group in memory. Applies the same corruption policy as
-/// [`StoreFile::load`]: torn tail → the valid prefix was already
-/// yielded and the stream ends cleanly (`store.frame.torn` counted);
-/// CRC mismatch → the file is quarantined and a typed error names
-/// the frame.
-#[derive(Debug)]
-pub struct FrameReader {
-    path: PathBuf,
-    file: std::io::BufReader<File>,
-    version: u64,
-    fingerprint: String,
-    file_len: u64,
-    pos: u64,
-    frame_index: usize,
-    done: bool,
-}
-
-impl FrameReader {
-    /// Opens `path` and validates the header (magic, version,
-    /// fingerprint, header CRC).
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`StoreFile::load`]: [`StoreError::NotAStore`] on bad
-    /// magic (file untouched), [`StoreError::HeaderCorrupt`] on
-    /// header damage (file quarantined, `store.crc.mismatch`
-    /// counted), [`StoreError::UnsupportedVersion`] on a valid newer
-    /// header, [`StoreError::Io`] on filesystem failure.
-    pub fn open(path: &Path) -> Result<FrameReader, StoreError> {
-        let io_err = |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        let file = File::open(path).map_err(io_err)?;
-        let file_len = file.metadata().map_err(io_err)?.len();
-        let mut reader = std::io::BufReader::new(file);
-
-        let mut magic = [0u8; 8];
-        if std::io::Read::read_exact(&mut reader, &mut magic).is_err() || magic != MAGIC {
-            return Err(StoreError::NotAStore {
-                path: path.to_path_buf(),
-            });
-        }
-
-        let header_corrupt = |reader: std::io::BufReader<File>, detail: &str| {
-            drop(reader);
-            forumcast_obs::counter_add("store.crc.mismatch", 1);
-            quarantine(path);
-            StoreError::HeaderCorrupt {
-                path: path.to_path_buf(),
-                detail: detail.to_owned(),
-            }
-        };
-
-        // Header body: version varint, fingerprint length varint,
-        // fingerprint bytes — accumulated verbatim for the CRC check.
-        let mut header = Vec::new();
-        let version = match read_varint(&mut reader).map_err(io_err)? {
-            VarintRead::Value(v, raw) => {
-                header.extend_from_slice(&raw);
-                v
-            }
-            _ => return Err(header_corrupt(reader, "bad version varint")),
-        };
-        let fp_len = match read_varint(&mut reader).map_err(io_err)? {
-            VarintRead::Value(v, raw) => {
-                header.extend_from_slice(&raw);
-                v
-            }
-            _ => return Err(header_corrupt(reader, "bad fingerprint length varint")),
-        };
-        let Some(fp_len) = usize::try_from(fp_len)
-            .ok()
-            .filter(|&n| (n as u64) <= file_len.saturating_sub(MAGIC.len() as u64))
-        else {
-            return Err(header_corrupt(reader, "fingerprint length exceeds file"));
-        };
-        let fp_start = header.len();
-        header.resize(fp_start + fp_len, 0);
-        if std::io::Read::read_exact(&mut reader, &mut header[fp_start..]).is_err() {
-            return Err(header_corrupt(reader, "truncated fingerprint"));
-        }
-        let mut crc_bytes = [0u8; 4];
-        if std::io::Read::read_exact(&mut reader, &mut crc_bytes).is_err() {
-            return Err(header_corrupt(reader, "truncated header CRC"));
-        }
-        if crc32(&header) != u32::from_le_bytes(crc_bytes) {
-            return Err(header_corrupt(reader, "header CRC mismatch"));
-        }
-        let Ok(fingerprint) = std::str::from_utf8(&header[fp_start..]).map(str::to_owned) else {
-            return Err(header_corrupt(reader, "fingerprint is not UTF-8"));
-        };
-        if version > FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                path: path.to_path_buf(),
-                version,
-            });
-        }
-
-        let pos = MAGIC.len() as u64 + header.len() as u64 + 4;
-        Ok(FrameReader {
-            path: path.to_path_buf(),
-            file: reader,
-            version,
-            fingerprint,
-            file_len,
-            pos,
-            frame_index: 0,
-            done: false,
-        })
-    }
-
-    /// Container format version from the header.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Config fingerprint from the header.
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
-    }
-
-    /// Frames yielded so far.
-    pub fn frames_read(&self) -> usize {
-        self.frame_index
-    }
-
-    /// Reads the next frame payload. `Ok(None)` at the clean end of
-    /// the file *or* at a torn tail (the valid prefix semantics of
-    /// [`StoreFile::load`]; `store.frame.torn` is counted).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::CrcMismatch`] on a damaged complete frame — the
-    /// file is quarantined first — or [`StoreError::Io`].
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, StoreError> {
-        if self.done {
-            return Ok(None);
-        }
-        let io_err = |path: &Path| {
-            let path = path.to_path_buf();
-            move |source: std::io::Error| StoreError::Io { path, source }
-        };
-        let frame_start = self.pos;
-        let (payload_len, len_bytes) =
-            match read_varint(&mut self.file).map_err(io_err(&self.path))? {
-                VarintRead::Eof => {
-                    self.done = true;
-                    return Ok(None);
-                }
-                VarintRead::Torn => return Ok(self.torn()),
-                VarintRead::Value(v, raw) => (v, raw),
-            };
-        // A complete frame needs the length varint, the payload, and
-        // 4 CRC bytes; a declared length past the end of the file is
-        // a torn tail, exactly as in `scan`.
-        let fixed = frame_start + len_bytes.len() as u64 + 4;
-        let Some(payload_len) = usize::try_from(payload_len)
-            .ok()
-            .filter(|&n| fixed <= self.file_len && n as u64 <= self.file_len - fixed)
-        else {
-            return Ok(self.torn());
-        };
-        let len_used = len_bytes.len();
-        let mut frame = len_bytes;
-        frame.resize(len_used + payload_len, 0);
-        if std::io::Read::read_exact(&mut self.file, &mut frame[len_used..]).is_err() {
-            return Ok(self.torn());
-        }
-        let mut crc_bytes = [0u8; 4];
-        if std::io::Read::read_exact(&mut self.file, &mut crc_bytes).is_err() {
-            return Ok(self.torn());
-        }
-        if crc32(&frame) != u32::from_le_bytes(crc_bytes) {
-            self.done = true;
-            forumcast_obs::counter_add("store.crc.mismatch", 1);
-            let quarantined_to = quarantine(&self.path);
-            return Err(StoreError::CrcMismatch {
-                path: self.path.clone(),
-                frame: self.frame_index,
-                offset: frame_start as usize,
-                quarantined_to,
-            });
-        }
-        self.frame_index += 1;
-        self.pos = frame_start + len_used as u64 + payload_len as u64 + 4;
-        Ok(Some(frame.split_off(len_used)))
-    }
-
-    /// Marks the stream torn: count, stop, end-of-stream.
-    fn torn(&mut self) -> Option<Vec<u8>> {
-        self.done = true;
-        forumcast_obs::counter_add("store.frame.torn", 1);
-        None
-    }
-}
-
-/// Serializes just the container header — magic, format version,
-/// fingerprint, header CRC — the prefix an append-only writer lays
-/// down once before streaming frames with [`frame_bytes`].
-/// Concatenating this with any sequence of `frame_bytes` outputs
-/// yields exactly the byte layout [`scan`] parses.
-pub fn header_bytes(fingerprint: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC.len() + 16 + fingerprint.len());
-    out.extend_from_slice(&MAGIC);
-    let mut header = Vec::with_capacity(16 + fingerprint.len());
-    varint::write_u64(&mut header, FORMAT_VERSION);
-    varint::write_u64(&mut header, fingerprint.len() as u64);
-    header.extend_from_slice(fingerprint.as_bytes());
-    let crc = crc32(&header);
-    out.extend_from_slice(&header);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-/// Serializes one frame — length varint, payload, CRC32 over both —
-/// the unit an append-only writer adds per record.
-pub fn frame_bytes(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 14);
-    varint::write_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
 /// The quarantine destination for a corrupt file: the first *free* of
 /// `<path>.corrupt`, `<path>.corrupt.1`, `<path>.corrupt.2`, … so a
 /// repeat corruption of the same path never overwrites the forensic
@@ -1069,117 +805,5 @@ mod tests {
         assert_eq!(fs::read(&second).expect("second"), b"second corpse");
         assert_eq!(fs::read(&third).expect("third"), b"third corpse");
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn frame_reader_streams_a_clean_file() {
-        let dir = tmp_dir("reader-clean");
-        let path = dir.join("c.ckpt");
-        let store = sample();
-        store.save(&path, &SaveOptions::default()).expect("save");
-        let mut reader = FrameReader::open(&path).expect("open");
-        assert_eq!(reader.version(), FORMAT_VERSION);
-        assert_eq!(reader.fingerprint(), store.fingerprint);
-        let mut frames = Vec::new();
-        while let Some(frame) = reader.next_frame().expect("read") {
-            frames.push(frame);
-        }
-        assert_eq!(frames, store.frames);
-        assert_eq!(reader.frames_read(), 3);
-        assert!(reader.next_frame().expect("idempotent end").is_none());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn frame_reader_torn_tail_yields_valid_prefix() {
-        let dir = tmp_dir("reader-torn");
-        let path = dir.join("t.ckpt");
-        let store = sample();
-        store
-            .save(
-                &path,
-                &SaveOptions {
-                    corruption: Some(Corruption::TearLastFrame),
-                    fail_sync: None,
-                },
-            )
-            .expect("save");
-        let mut reader = FrameReader::open(&path).expect("open");
-        let mut frames = Vec::new();
-        while let Some(frame) = reader.next_frame().expect("read") {
-            frames.push(frame);
-        }
-        assert_eq!(frames, store.frames[..2].to_vec());
-        assert!(path.exists(), "torn file is not quarantined");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn frame_reader_crc_flip_quarantines_and_names_the_frame() {
-        let dir = tmp_dir("reader-flip");
-        let path = dir.join("f.ckpt");
-        sample()
-            .save(
-                &path,
-                &SaveOptions {
-                    // Payload byte 13 is inside frame 1.
-                    corruption: Some(Corruption::FlipPayloadBit { bit: 13 * 8 + 2 }),
-                    fail_sync: None,
-                },
-            )
-            .expect("save");
-        let mut reader = FrameReader::open(&path).expect("open");
-        assert!(reader.next_frame().expect("frame 0 is intact").is_some());
-        let err = reader.next_frame().expect_err("flip must be detected");
-        match err {
-            StoreError::CrcMismatch {
-                frame,
-                quarantined_to,
-                ..
-            } => {
-                assert_eq!(frame, 1);
-                let dest = quarantined_to.expect("quarantined");
-                assert!(dest.exists());
-                assert!(!path.exists(), "original must be moved aside");
-            }
-            other => panic!("expected CrcMismatch, got {other}"),
-        }
-        assert!(reader.next_frame().expect("stream over").is_none());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn frame_reader_matches_scan_on_appended_bytes() {
-        let dir = tmp_dir("reader-append");
-        let path = dir.join("a.ckpt");
-        let store = sample();
-        let mut appended = header_bytes(&store.fingerprint);
-        for frame in &store.frames {
-            appended.extend_from_slice(&frame_bytes(frame));
-        }
-        fs::write(&path, &appended).expect("write");
-        let mut reader = FrameReader::open(&path).expect("open");
-        let mut frames = Vec::new();
-        while let Some(frame) = reader.next_frame().expect("read") {
-            frames.push(frame);
-        }
-        assert_eq!(frames, store.frames);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn append_encoders_match_whole_file_encode() {
-        // `header_bytes` + a `frame_bytes` per payload must be
-        // byte-identical to `StoreFile::encode` — the contract that
-        // lets an append-only writer produce files `scan` parses.
-        let store = sample();
-        let mut appended = header_bytes(&store.fingerprint);
-        for frame in &store.frames {
-            appended.extend_from_slice(&frame_bytes(frame));
-        }
-        assert_eq!(appended, store.encode());
-        let report = scan(&appended, Path::new("a.ckpt")).expect("scannable");
-        assert_eq!(report.frames, store.frames);
-        assert!(report.issue.is_none());
     }
 }

@@ -1,10 +1,10 @@
 //! Crash-consistent framed binary record store.
 //!
-//! The durability substrate for forumcast's checkpoint/resume stack
-//! and the columnar experiment spill: a versioned file header
-//! carrying a config fingerprint, followed by length-prefixed frames
-//! that each carry a CRC32, with payloads in a postcard-style
-//! varint/little-endian codec over the serde shim's `Value` tree.
+//! The durability substrate for forumcast's checkpoint/resume stack:
+//! a versioned file header carrying a config fingerprint, followed by
+//! length-prefixed frames that each carry a CRC32, with payloads in a
+//! postcard-style varint/little-endian codec over the serde shim's
+//! `Value` tree.
 //!
 //! Guarantees:
 //!
@@ -35,6 +35,6 @@ pub mod varint;
 pub use codec::{decode_value, encode_value, CodecError, MAX_DEPTH};
 pub use crc32::crc32;
 pub use frame::{
-    corrupt_path, frame_bytes, header_bytes, quarantine, reclaim_tmp, scan, tmp_path, Corruption,
-    FrameIssue, FrameReader, SaveOptions, Scan, StoreError, StoreFile, FORMAT_VERSION, MAGIC,
+    corrupt_path, quarantine, reclaim_tmp, scan, tmp_path, Corruption, FrameIssue, SaveOptions,
+    Scan, StoreError, StoreFile, FORMAT_VERSION, MAGIC,
 };

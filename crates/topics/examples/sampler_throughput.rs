@@ -1,5 +1,9 @@
 //! Dense-vs-sparse Gibbs throughput on a Zipf-skewed synthetic
-//! corpus, across topic counts. Run with `--release`:
+//! corpus, across topic counts. Each (K, sampler) pair is timed over
+//! [`ROUNDS`] rounds that alternate which sampler goes first, and the
+//! example prints the median and the min–max of each. Every round of
+//! a pair must train the same model bits; the example panics if not.
+//! Run with `--release`:
 //!
 //! ```text
 //! cargo run --release -p forumcast-topics --example sampler_throughput
@@ -50,27 +54,66 @@ fn themed_corpus(num_docs: usize, themes: usize, words_per_theme: usize, seed: u
     Corpus::from_bows(docs, vocab)
 }
 
+/// Timed rounds per (K, sampler) pair.
+const ROUNDS: usize = 7;
+
+/// FNV-1a over the bit patterns of a model's φ and θ.
+fn model_bits(model: &LdaModel) -> u64 {
+    let phi = (0..model.num_topics()).flat_map(|t| model.topic_words(t));
+    let theta = (0..model.num_docs()).flat_map(|d| model.doc_topics(d));
+    phi.chain(theta).fold(0xcbf2_9ce4_8422_2325, |h, x| {
+        x.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    })
+}
+
+/// Median and min–max of `ms`, formatted for one report column.
+fn summary(ms: &mut [f64]) -> (f64, String) {
+    ms.sort_by(f64::total_cmp);
+    let median = ms[ms.len() / 2];
+    let range = format!("{median:7.1} ms [{:7.1}–{:7.1}]", ms[0], ms[ms.len() - 1]);
+    (median, range)
+}
+
 fn main() {
     let corpus = themed_corpus(400, 12, 50, 7);
     let tokens: usize = (0..corpus.num_docs())
         .map(|d| corpus.doc(d).total() as usize)
         .sum();
-    println!("corpus: {} docs, {} tokens", corpus.num_docs(), tokens);
+    println!(
+        "corpus: {} docs, {} tokens; {ROUNDS} alternating rounds per K, median [min–max]",
+        corpus.num_docs(),
+        tokens
+    );
+    let samplers = [LdaSampler::Dense, LdaSampler::Sparse];
     for &k in &[4usize, 8, 16, 32, 64] {
-        let mut times = Vec::new();
-        for sampler in [LdaSampler::Dense, LdaSampler::Sparse] {
-            let cfg = LdaConfig::new(k).with_iterations(30).with_sampler(sampler);
-            let t0 = Instant::now();
-            let m = LdaModel::train(&corpus, &cfg);
-            let dt = t0.elapsed().as_secs_f64();
-            times.push(dt);
-            std::hint::black_box(m.doc_topics(0));
+        let mut ms = [Vec::new(), Vec::new()];
+        let mut bits: [Option<u64>; 2] = [None, None];
+        for round in 0..ROUNDS {
+            let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+            for s in order {
+                let cfg = LdaConfig::new(k)
+                    .with_iterations(30)
+                    .with_sampler(samplers[s]);
+                let t0 = Instant::now();
+                let m = LdaModel::train(&corpus, &cfg);
+                ms[s].push(t0.elapsed().as_secs_f64() * 1e3);
+                let got = model_bits(&m);
+                let want = *bits[s].get_or_insert(got);
+                assert_eq!(
+                    got, want,
+                    "{} K={k}: round {round} trained different model bits",
+                    samplers[s]
+                );
+            }
         }
+        let (dense, dense_range) = summary(&mut ms[0]);
+        let (sparse, sparse_range) = summary(&mut ms[1]);
         println!(
-            "K={k:3}  dense {:7.1} ms  sparse {:7.1} ms  speedup {:.2}x",
-            times[0] * 1e3,
-            times[1] * 1e3,
-            times[0] / times[1]
+            "K={k:3}  dense {dense_range}  sparse {sparse_range}  speedup {:.2}x",
+            dense / sparse
         );
     }
 }

@@ -201,10 +201,7 @@ echo "==> perf gate (bench compare against committed BENCH_quick.json)"
 # bench report which `forumcast bench compare` diffs against the
 # committed baseline, failing on >=1.5x wall/span-total or >=2x span
 # p99 regressions (spans under 20 ms in the baseline are noise-exempt).
-# The gated run goes through `--data-dir` so the baseline also covers
-# sharded generation (synth.generate/shard/merge) and the columnar
-# spill + streamed-fold read path on top of the usual eval spans.
-"$fcr" evaluate --scale quick --threads 1 --data-dir "$work_dir/bench-spill" \
+"$fcr" evaluate --scale quick --threads 1 \
   --bench-json "$work_dir/BENCH_quick.json" > /dev/null
 "$fcr" bench compare BENCH_quick.json "$work_dir/BENCH_quick.json" \
   --tolerance 1.5 --p99-tolerance 2.0 --min-ms 20
@@ -217,44 +214,14 @@ echo "==> perf gate at K = 64 (bench compare against committed BENCH_quick_k64.j
 "$fcr" bench compare BENCH_quick_k64.json "$work_dir/BENCH_quick_k64.json" \
   --tolerance 1.5 --p99-tolerance 2.0 --min-ms 20
 
-echo "==> streamed-fold smoke (--data-dir: bitwise metrics, bounded RSS)"
-# The columnar data plane's end-to-end contract: sharded generation is
-# bitwise thread-count-invariant, and evaluating from the on-disk
-# spill reproduces the fully-resident report byte-for-byte while peak
-# RSS stays bounded. At --threads 2 two folds run concurrently, each
-# streaming its rows from the spill, so RSS is bounded by one fold per
-# worker rather than the full feature matrix.
+echo "==> sharded generation smoke (generate is bitwise thread-count-invariant)"
+# `generate --threads N` shards the synthesizer over N workers; the
+# forum it writes must be the same bytes at any worker count.
 "$fcr" generate --scale medium --seed 9 --threads 2 --out "$work_dir/med-t2.json" > /dev/null
 "$fcr" generate --scale medium --seed 9 --threads 7 --out "$work_dir/med-t7.json" > /dev/null
 cmp "$work_dir/med-t2.json" "$work_dir/med-t7.json" \
-  || { echo "streamed smoke: sharded generate differs at 2 vs 7 threads" >&2; exit 1; }
-"$fcr" evaluate --scale quick --threads 2 --data-dir "$work_dir/smoke-spill" \
-  > "$work_dir/streamed.txt"
-# Strip the spill banner, the RSS line, and the "N worker threads"
-# header (the golden ran at --threads 1; running the smoke at 2 also
-# proves the streamed path's thread invariance) before comparing.
-diff <(grep -v '^spilling\|^peak RSS\|^running' "$work_dir/streamed.txt") \
-     <(grep -v '^running' tests/golden/eval_quick_t1.txt) \
-  || { echo "streamed smoke: --data-dir metrics drifted from the resident golden" >&2; exit 1; }
-rss_mb="$(grep '^peak RSS:' "$work_dir/streamed.txt" | awk '{print int($3)}')"
-rss_bound_mb=512
-if [ -z "$rss_mb" ]; then
-  echo "streamed smoke: no peak RSS line in the --data-dir report" >&2
-  exit 1
-fi
-if [ "$rss_mb" -ge "$rss_bound_mb" ]; then
-  echo "streamed smoke: peak RSS ${rss_mb} MB exceeds the ${rss_bound_mb} MB bound" >&2
-  exit 1
-fi
-# The spilled path shares the resident path's CV driver, so it also
-# checkpoints and resumes: a checkpointed run must print the same
-# report.
-"$fcr" evaluate --scale quick --threads 2 --data-dir "$work_dir/resume-spill" \
-  --resume "$work_dir/streamed.ckpt" > "$work_dir/streamed.resume.txt"
-diff <(grep -v '^spilling\|^peak RSS\|^running\|^checkpointing' "$work_dir/streamed.resume.txt") \
-     <(grep -v '^running' tests/golden/eval_quick_t1.txt) \
-  || { echo "streamed smoke: --data-dir --resume metrics drifted from the resident golden" >&2; exit 1; }
-echo "streamed-fold: generate invariant at 2/7 threads, metrics bitwise-identical (plain and --resume), peak RSS ${rss_mb} MB < ${rss_bound_mb} MB"
+  || { echo "sharded generation smoke: generate differs at 2 vs 7 threads" >&2; exit 1; }
+echo "sharded generation: medium forum bitwise-identical at 2 and 7 threads"
 
 echo "==> model round-trip smoke (train without --fast at 1 and 2 workers, then predict and route)"
 # `predict` and `route` refit the feature extractor with the settings
