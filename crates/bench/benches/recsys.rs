@@ -1,14 +1,12 @@
-//! Criterion bench: the routing LP — greedy exact solver vs. the
-//! general simplex — and the stateful router.
+//! Criterion bench: the routing LP's greedy exact solver and the
+//! stateful router.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use forumcast_data::UserId;
-use forumcast_recsys::{
-    maximize, solve_routing, Candidate, QuestionRouter, RouterConfig, RoutingProblem,
-};
+use forumcast_recsys::{solve_routing, Candidate, QuestionRouter, RouterConfig, RoutingProblem};
 
 fn random_problem(n: usize, seed: u64) -> RoutingProblem {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -24,21 +22,6 @@ fn bench_recsys(c: &mut Criterion) {
         let p = random_problem(n, n as u64);
         group.bench_with_input(BenchmarkId::new("greedy", n), &p, |b, p| {
             b.iter(|| solve_routing(p))
-        });
-    }
-    // Simplex only at small sizes (dense tableau).
-    for &n in &[10usize, 50] {
-        let p = random_problem(n, n as u64);
-        let mut a = vec![vec![1.0; n], vec![-1.0; n]];
-        let mut b_vec = vec![1.0, -1.0];
-        for i in 0..n {
-            let mut row = vec![0.0; n];
-            row[i] = 1.0;
-            a.push(row);
-            b_vec.push(p.capacities[i]);
-        }
-        group.bench_with_input(BenchmarkId::new("simplex", n), &n, |bch, _| {
-            bch.iter(|| maximize(&p.scores, &a, &b_vec))
         });
     }
 

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use forumcast_features::LdaSampler;
-
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
 usage: forumcast <command> [options]
@@ -13,13 +11,11 @@ commands:
   generate   --scale <small|medium|paper> [--seed N] [--topics K]
              [--threads N] --out <file>
   stats      --data <file> [--gate]
-  train      --data <file> [--fast] [--seed N]
-             [--lda-sampler <dense|sparse>] --out <model-file>
+  train      --data <file> [--fast] [--seed N] --out <model-file>
   predict    --data <file> --model <model-file> --question <id> --user <id>
   route      --data <file> --model <model-file> --question <id>
              [--lambda X] [--epsilon X] [--capacity X] [--top N]
-  evaluate   [--scale <quick|standard|paper>] [--threads N]
-             [--lda-sampler <dense|sparse>] [--topics K]
+  evaluate   [--scale <quick|standard|paper>] [--threads N] [--topics K]
              [--resume <checkpoint-file>]
              [--faults <spec>] [--trace <trace-file>] [--metrics]
              [--bench-json <report-file>]
@@ -47,11 +43,8 @@ FORUMCAST_FAULTS env var, e.g. `fold-panic:1`). `--trace` writes a
 Chrome trace-event JSON file of pipeline spans (open in Perfetto;
 FORUMCAST_TRACE sets a default path, also honoured by `train` and
 `stats`) and `--metrics` prints a per-span wall/self-time summary.
-`--lda-sampler` picks the Gibbs kernel: `dense` is the reference
-O(K)-per-token sampler, `sparse` the bucket-decomposed fast path
-(same model, different — still seed-deterministic — chain). On
-`evaluate`, `--topics` overrides the scale preset's LDA topic count
-(priors re-derive from K; iterations/seed/sampler are kept).
+On `evaluate`, `--topics` overrides the scale preset's LDA topic
+count (priors re-derive from K; iterations and seed are kept).
 `--bench-json` writes a machine-readable bench report (versioned
 `forumcast-bench` schema: wall time, per-span totals and
 p50/p90/p99/max latencies, counter throughputs). `bench compare`
@@ -95,8 +88,6 @@ pub enum Command {
         fast: bool,
         /// Sampling seed.
         seed: Option<u64>,
-        /// LDA Gibbs sampler implementation.
-        lda_sampler: LdaSampler,
         /// Output model path.
         out: String,
     },
@@ -135,8 +126,6 @@ pub enum Command {
         /// Worker threads (0 = auto: `FORUMCAST_THREADS` env var,
         /// else available parallelism).
         threads: usize,
-        /// LDA Gibbs sampler implementation.
-        lda_sampler: LdaSampler,
         /// Latent topic count override (`None` keeps the scale
         /// preset's default).
         topics: Option<usize>,
@@ -308,10 +297,9 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 data: opts.require("data")?,
                 fast: opts.flag("fast"),
                 seed: opts.get_parsed_opt("seed")?,
-                lda_sampler: opts.get_parsed_or("lda-sampler", LdaSampler::Dense)?,
                 out: opts.require("out")?,
             };
-            opts.reject_unknown(&["data", "fast", "seed", "lda-sampler", "out"])?;
+            opts.reject_unknown(&["data", "fast", "seed", "out"])?;
             Ok(c)
         }
         "predict" => {
@@ -346,7 +334,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             let c = Command::Evaluate {
                 scale: opts.get_or("scale", "quick")?,
                 threads: opts.get_parsed_or("threads", 0)?,
-                lda_sampler: opts.get_parsed_or("lda-sampler", LdaSampler::Dense)?,
                 topics: opts.get_topics()?,
                 resume: opts.get("resume").map(str::to_owned),
                 faults: opts.get("faults").map(str::to_owned),
@@ -357,7 +344,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             opts.reject_unknown(&[
                 "scale",
                 "threads",
-                "lda-sampler",
                 "topics",
                 "resume",
                 "faults",
@@ -583,7 +569,6 @@ mod tests {
             Command::Evaluate {
                 scale: "quick".into(),
                 threads: 4,
-                lda_sampler: LdaSampler::Dense,
                 topics: None,
                 resume: None,
                 faults: None,
@@ -599,7 +584,6 @@ mod tests {
             Command::Evaluate {
                 scale: "quick".into(),
                 threads: 0,
-                lda_sampler: LdaSampler::Dense,
                 topics: None,
                 resume: None,
                 faults: None,
@@ -618,7 +602,6 @@ mod tests {
             Command::Evaluate {
                 scale: "quick".into(),
                 threads: 0,
-                lda_sampler: LdaSampler::Dense,
                 topics: None,
                 resume: Some("cv.json".into()),
                 faults: Some("fold-panic:1".into()),
@@ -633,15 +616,25 @@ mod tests {
     fn evaluate_rejects_the_removed_options() {
         // Spelled in two pieces so a search for the removed flags finds
         // no live use of them.
-        for flag in [concat!("--snapshot", "-every"), concat!("--data", "-dir")] {
+        let sampler = concat!("--lda", "-sampler");
+        for (cmd, flag, value) in [
+            (
+                "evaluate --resume cv.ckpt",
+                concat!("--snapshot", "-every"),
+                "2",
+            ),
+            ("evaluate --resume cv.ckpt", concat!("--data", "-dir"), "2"),
+            ("evaluate --resume cv.ckpt", sampler, "dense"),
+            ("train --data d.json --out m.json", sampler, "dense"),
+        ] {
             let mut out = Vec::new();
-            let code = crate::run(
-                argv(&format!("evaluate --resume cv.ckpt {flag} 2")),
-                &mut out,
-            );
+            let code = crate::run(argv(&format!("{cmd} {flag} {value}")), &mut out);
             let text = String::from_utf8(out).unwrap();
-            assert_eq!(code, 2, "{text}");
-            assert!(text.contains(&format!("unknown option {flag}")), "{text}");
+            assert_eq!(code, 2, "{cmd} {flag}: {text}");
+            assert!(
+                text.contains(&format!("unknown option {flag}")),
+                "{cmd} {flag}: {text}"
+            );
         }
     }
 
@@ -653,7 +646,6 @@ mod tests {
             Command::Evaluate {
                 scale: "quick".into(),
                 threads: 0,
-                lda_sampler: LdaSampler::Dense,
                 topics: None,
                 resume: None,
                 faults: None,
@@ -711,22 +703,6 @@ mod tests {
         assert!(err.to_string().contains("diff"), "{err}");
         let err = parse(argv("bench")).unwrap_err();
         assert!(err.to_string().contains("compare"), "{err}");
-    }
-
-    #[test]
-    fn parses_lda_sampler_spellings() {
-        let cmd = parse(argv("evaluate --lda-sampler sparse")).unwrap();
-        match cmd {
-            Command::Evaluate { lda_sampler, .. } => assert_eq!(lda_sampler, LdaSampler::Sparse),
-            other => panic!("{other:?}"),
-        }
-        let cmd = parse(argv("train --data d.json --lda-sampler dense --out m.json")).unwrap();
-        match cmd {
-            Command::Train { lda_sampler, .. } => assert_eq!(lda_sampler, LdaSampler::Dense),
-            other => panic!("{other:?}"),
-        }
-        let err = parse(argv("evaluate --lda-sampler turbo")).unwrap_err();
-        assert!(err.to_string().contains("turbo"), "{err}");
     }
 
     #[test]

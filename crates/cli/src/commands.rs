@@ -11,7 +11,7 @@ use forumcast_abtest::AbTestConfig;
 use forumcast_core::{sample_training_set, ResponsePredictor, TrainConfig};
 use forumcast_data::{io as data_io, Dataset, QuestionId, UserId};
 use forumcast_eval::{experiments::table1, EvalConfig};
-use forumcast_features::{ExtractorConfig, FeatureExtractor, LdaSampler};
+use forumcast_features::{ExtractorConfig, FeatureExtractor};
 use forumcast_graph::{dense_graph, qa_graph, GraphStats};
 use forumcast_recsys::{score_candidates, QuestionRouter, RouterConfig};
 use forumcast_resilience::FaultPlan;
@@ -47,11 +47,8 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             data,
             fast,
             seed,
-            lda_sampler,
             out: path,
-        } => with_env_trace("train", out, |out| {
-            train(&data, fast, seed, lda_sampler, &path, out)
-        }),
+        } => with_env_trace("train", out, |out| train(&data, fast, seed, &path, out)),
         Command::Predict {
             data,
             model,
@@ -70,7 +67,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
         Command::Evaluate {
             scale,
             threads,
-            lda_sampler,
             topics,
             resume,
             faults,
@@ -80,7 +76,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
         } => evaluate(
             &scale,
             threads,
-            lda_sampler,
             topics,
             resume.as_deref(),
             faults.as_deref(),
@@ -232,7 +227,16 @@ struct SavedModel {
     /// files written before the setting was recorded).
     fast: Option<bool>,
     /// The LDA sampler the extractor's topic model was fit with.
-    lda_sampler: Option<LdaSampler>,
+    lda_sampler: Option<GibbsSampler>,
+}
+
+/// The one Gibbs sampler a model file may record. Files record it so
+/// their bytes stay what earlier builds wrote; one that names a sampler
+/// since removed fails to parse, so it is refused rather than refit
+/// with a different sampler.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+enum GibbsSampler {
+    Dense,
 }
 
 /// Why `predict`/`route` cannot score a request.
@@ -279,30 +283,21 @@ impl std::fmt::Display for ScoreError {
 
 impl Error for ScoreError {}
 
-fn extractor_config(fast: bool, lda_sampler: LdaSampler) -> ExtractorConfig {
-    let mut cfg = if fast {
+fn extractor_config(fast: bool) -> ExtractorConfig {
+    if fast {
         ExtractorConfig::fast()
     } else {
         ExtractorConfig::paper()
-    };
-    cfg.lda.sampler = lda_sampler;
-    cfg
+    }
 }
 
-fn train(
-    data: &str,
-    fast: bool,
-    seed: Option<u64>,
-    lda_sampler: LdaSampler,
-    path: &str,
-    out: &mut dyn Write,
-) -> CmdResult {
+fn train(data: &str, fast: bool, seed: Option<u64>, path: &str, out: &mut dyn Write) -> CmdResult {
     // Training uses `FORUMCAST_THREADS` workers, else every core; the
     // model is bitwise identical at any count.
     forumcast_ml::set_train_threads(0);
     let dataset = load_dataset(data)?;
     let (clean, _) = dataset.preprocess();
-    let ex_cfg = extractor_config(fast, lda_sampler);
+    let ex_cfg = extractor_config(fast);
     let extractor = FeatureExtractor::fit(clean.threads(), clean.num_users(), &ex_cfg);
     // One random non-answerer per answer as negative/survival samples.
     let ts = sample_training_set(
@@ -328,7 +323,7 @@ fn train(
         predictor,
         history_threads: clean.num_questions(),
         fast: Some(fast),
-        lda_sampler: Some(lda_sampler),
+        lda_sampler: Some(GibbsSampler::Dense),
     };
     std::fs::write(path, serde_json::to_string(&saved)?)
         .map_err(|e| format!("cannot write model to `{path}`: {e}"))?;
@@ -346,13 +341,13 @@ fn load_model_and_extractor(
         std::fs::read_to_string(model).map_err(|e| format!("cannot read model `{model}`: {e}"))?;
     let saved: SavedModel =
         serde_json::from_str(&json).map_err(|e| format!("invalid model `{model}`: {e}"))?;
-    let (Some(fast), Some(lda_sampler)) = (saved.fast, saved.lda_sampler) else {
+    let (Some(fast), Some(GibbsSampler::Dense)) = (saved.fast, saved.lda_sampler) else {
         return Err(ScoreError::MissingSettings {
             model: model.to_owned(),
         }
         .into());
     };
-    let ex_cfg = extractor_config(fast, lda_sampler);
+    let ex_cfg = extractor_config(fast);
     // The width follows from the topic count alone, so a mismatch is
     // refused before paying for the fit.
     let model_dim = saved.predictor.normalizer().dim();
@@ -465,7 +460,6 @@ fn route(
 fn evaluate(
     scale: &str,
     threads: usize,
-    lda_sampler: LdaSampler,
     topics: Option<usize>,
     resume: Option<&str>,
     faults: Option<&str>,
@@ -485,7 +479,6 @@ fn evaluate(
     // fixed-order reduction keeps results bitwise identical at any
     // thread count, so this only affects wall time.
     forumcast_ml::set_train_threads(threads);
-    cfg.extractor.lda.sampler = lda_sampler;
     if let Some(k) = topics {
         cfg.extractor = cfg.extractor.with_topics(k);
     }
@@ -792,7 +785,6 @@ mod tests {
             data: data_path.clone(),
             fast: true,
             seed: Some(1),
-            lda_sampler: LdaSampler::Sparse,
             out: model_path.clone(),
         });
         assert_eq!(code, 0, "{text}");
@@ -871,7 +863,6 @@ mod tests {
             let (code, text) = run_cmd(Command::Evaluate {
                 scale: "quick".into(),
                 threads: 2,
-                lda_sampler: LdaSampler::Dense,
                 topics: None,
                 resume,
                 faults: None,
@@ -909,7 +900,6 @@ mod tests {
             data: data_path.clone(),
             fast: true,
             seed: None,
-            lda_sampler: LdaSampler::Dense,
             out: model_path.clone(),
         });
         let (code, text) = run_cmd(Command::Predict {
@@ -939,7 +929,6 @@ mod tests {
             data: data_path.clone(),
             fast: true,
             seed: None,
-            lda_sampler: LdaSampler::Dense,
             out: model_path.clone(),
         });
         let mut out = Vec::new();
@@ -967,8 +956,9 @@ mod tests {
     }
 
     /// A model whose recorded extractor settings do not reproduce its
-    /// feature width, or that records none, is refused with a typed
-    /// error instead of panicking inside the normalizer.
+    /// feature width, that records none, or that names a removed LDA
+    /// sampler is refused with a typed error instead of panicking
+    /// inside the normalizer or refitting with other settings.
     #[test]
     fn predict_refuses_a_model_with_wrong_or_missing_settings() {
         let data_path = tmp("settings.json");
@@ -985,7 +975,6 @@ mod tests {
             data: data_path.clone(),
             fast: true,
             seed: None,
-            lda_sampler: LdaSampler::Dense,
             out: model_path.clone(),
         });
         assert_eq!(code, 0, "{text}");
@@ -1006,7 +995,30 @@ mod tests {
         let json = std::fs::read_to_string(&model_path).unwrap();
         let mut saved: SavedModel = serde_json::from_str(&json).unwrap();
         assert_eq!(saved.fast, Some(true));
-        assert_eq!(saved.lda_sampler, Some(LdaSampler::Dense));
+        assert_eq!(saved.lda_sampler, Some(GibbsSampler::Dense));
+
+        // A model trained with the removed sparse sampler is refused by
+        // both commands instead of being refit with the dense one.
+        let sparse = json.replace(r#""lda_sampler":"Dense""#, r#""lda_sampler":"Sparse""#);
+        assert_ne!(sparse, json);
+        std::fs::write(&model_path, sparse).unwrap();
+        let route = run_cmd(Command::Route {
+            data: data_path.clone(),
+            model: model_path.clone(),
+            question: pair.question.0,
+            lambda: 0.5,
+            epsilon: 0.0,
+            capacity: 1.0,
+            top: 3,
+        });
+        for (code, text) in [predict(), route] {
+            assert_eq!(code, 1, "{text}");
+            assert!(
+                text.contains(&format!("invalid model `{model_path}`")),
+                "{text}"
+            );
+        }
+
         saved.fast = Some(false);
         std::fs::write(&model_path, serde_json::to_string(&saved).unwrap()).unwrap();
         let (code, text) = predict();

@@ -120,7 +120,9 @@ impl From<CheckpointError> for CvError {
 }
 
 /// Fingerprint stored in CV checkpoints: enough of the protocol to
-/// refuse resuming a differently-configured run.
+/// refuse resuming a differently-configured run. The constant
+/// `sampler=dense` keeps the string of checkpoints written when the
+/// Gibbs sampler was selectable, so they still resume.
 fn cv_fingerprint(
     config: &EvalConfig,
     mask: Option<MaskSpec>,
@@ -128,7 +130,7 @@ fn cv_fingerprint(
     jobs: usize,
 ) -> String {
     format!(
-        "cv folds={} repeats={} seed={} negs={} mask={:?} baselines={} jobs={} sampler={} k={}",
+        "cv folds={} repeats={} seed={} negs={} mask={:?} baselines={} jobs={} sampler=dense k={}",
         config.folds,
         config.repeats,
         config.seed,
@@ -136,7 +138,6 @@ fn cv_fingerprint(
         mask,
         run_baselines,
         jobs,
-        config.extractor.lda.sampler,
         config.extractor.lda.num_topics
     )
 }
@@ -349,6 +350,17 @@ mod tests {
         let resumed = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
         assert!(resumed.iter().all(|o| o.auc == 0.123));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Checkpoints carry this string, so it must stay what earlier
+    /// builds wrote or their folds would be refused on resume.
+    #[test]
+    fn fingerprint_matches_earlier_checkpoints() {
+        assert_eq!(
+            cv_fingerprint(&EvalConfig::quick(), None, true, 3),
+            "cv folds=3 repeats=1 seed=59297 negs=1 mask=None baselines=true \
+             jobs=3 sampler=dense k=4"
+        );
     }
 
     #[test]

@@ -38,15 +38,11 @@ impl ExtractorConfig {
     }
 
     /// Sets the number of topics, preserving other LDA settings
-    /// (iterations, seed, sampler); the priors re-derive from `k`.
+    /// (iterations, seed); the priors re-derive from `k`.
     pub fn with_topics(mut self, k: usize) -> Self {
         let iters = self.lda.iterations;
         let seed = self.lda.seed;
-        let sampler = self.lda.sampler;
-        self.lda = LdaConfig::new(k)
-            .with_iterations(iters)
-            .with_seed(seed)
-            .with_sampler(sampler);
+        self.lda = LdaConfig::new(k).with_iterations(iters).with_seed(seed);
         self
     }
 }

@@ -44,9 +44,9 @@ pub mod topics;
 
 pub use context::FeatureContext;
 pub use extractor::{ExtractorConfig, FeatureExtractor};
-// Re-exported so downstream crates (CLI flag plumbing) can select the
-// Gibbs sampler without depending on `forumcast-topics` directly.
-pub use forumcast_topics::{LdaConfig, LdaSampler};
+// Re-exported so callers can set `ExtractorConfig::lda` without
+// depending on `forumcast-topics` directly.
+pub use forumcast_topics::LdaConfig;
 pub use layout::{feature_dim, feature_names, FeatureGroup, FeatureId, FeatureLayout};
 pub use normalize::Normalizer;
 pub use topics::{PostTopics, TokenizedPosts};

@@ -2,8 +2,7 @@
 //!
 //! Mini-batch gradient accumulation fans out over `forumcast-par`'s
 //! fixed-order chunk reduction, so the thread count must never change
-//! a single output bit — the same discipline (and test shape) as
-//! `topics/tests/parity.rs` for the LDA samplers. Each case trains
+//! a single output bit. Each case trains
 //! with batches larger than `CHUNK_SIZE = 64` so the parallel path
 //! actually engages, then compares every learned parameter bitwise.
 

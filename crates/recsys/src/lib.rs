@@ -14,10 +14,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`simplex`] — a general dense two-phase simplex solver (the
-//!   substrate an LP needs; used to cross-check the fast path);
 //! * [`routing`] — the specialized exact greedy solver for the
-//!   paper's box-plus-simplex structure;
+//!   paper's box-plus-simplex structure (its tests cross-check it
+//!   against a general simplex solver);
 //! * [`router`] — a stateful [`QuestionRouter`] that tracks per-user
 //!   load over a sliding window and produces ranked recommendations,
 //!   and [`score_candidates`], which turns a question's feature rows
@@ -47,8 +46,6 @@
 
 pub mod router;
 pub mod routing;
-pub mod simplex;
 
 pub use router::{score_candidates, Candidate, QuestionRouter, Recommendation, RouterConfig};
 pub use routing::{solve_routing, RoutingProblem};
-pub use simplex::{maximize, LpError, LpSolution};

@@ -1,17 +1,17 @@
-//! A dense two-phase simplex solver for small linear programs.
+//! A dense two-phase simplex solver for small linear programs, the test
+//! oracle for `solve_routing`.
 //!
 //! Solves `maximize cᵀx subject to Ax ≤ b, x ≥ 0` (inequalities with
 //! possibly negative `b`, handled by phase-1 artificial variables).
 //! Equality constraints are expressed as two opposing inequalities by
-//! callers. Intended for the routing LPs of Section V — a few hundred
-//! variables — not as a production LP workhorse.
+//! callers. Sized for the routing LPs of Section V in tests — a few
+//! hundred variables at most.
 
 use std::error::Error;
 use std::fmt;
 
 /// Errors from [`maximize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
 pub enum LpError {
     /// The feasible region is empty.
     Infeasible,
@@ -52,16 +52,6 @@ const EPS: f64 = 1e-9;
 /// * [`LpError::DimensionMismatch`] when a row of `a` does not match
 ///   `c.len()` or `b.len() != a.len()`;
 /// * [`LpError::Infeasible`] / [`LpError::Unbounded`] as diagnosed.
-///
-/// # Example
-///
-/// ```
-/// use forumcast_recsys::simplex::maximize;
-/// // max x + y s.t. x + y <= 1, x <= 0.6.
-/// let sol = maximize(&[1.0, 1.0], &[vec![1.0, 1.0], vec![1.0, 0.0]], &[1.0, 0.6])?;
-/// assert!((sol.objective - 1.0).abs() < 1e-9);
-/// # Ok::<(), forumcast_recsys::LpError>(())
-/// ```
 pub fn maximize(c: &[f64], a: &[Vec<f64>], b: &[f64]) -> Result<LpSolution, LpError> {
     let n = c.len();
     let m = a.len();
@@ -263,6 +253,13 @@ mod tests {
         assert_close(sol.objective, 36.0);
         assert_close(sol.x[0], 2.0);
         assert_close(sol.x[1], 6.0);
+    }
+
+    #[test]
+    fn tied_optima_report_the_optimal_value() {
+        // max x + y s.t. x + y <= 1, x <= 0.6: every split is optimal.
+        let sol = maximize(&[1.0, 1.0], &[vec![1.0, 1.0], vec![1.0, 0.0]], &[1.0, 0.6]).unwrap();
+        assert_close(sol.objective, 1.0);
     }
 
     #[test]

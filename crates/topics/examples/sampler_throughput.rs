@@ -1,9 +1,11 @@
-//! Dense-vs-sparse Gibbs throughput on a Zipf-skewed synthetic
-//! corpus, across topic counts. Each (K, sampler) pair is timed over
-//! [`ROUNDS`] rounds that alternate which sampler goes first, and the
-//! example prints the median and the min–max of each. Every round of
-//! a pair must train the same model bits; the example panics if not.
-//! Run with `--release`:
+//! Gibbs sampler throughput on a Zipf-skewed synthetic corpus, across
+//! topic counts on both sides of the prefix-total draw's threshold
+//! (24 topics). Each of [`ROUNDS`] rounds trains every K once,
+//! alternating ascending and descending K order so drift in the host's
+//! speed spreads over all K, and the example prints each K's median
+//! and min–max time and its cost per token per sweep. Every round of a
+//! K must train the same model bits; the example panics if not. Run
+//! with `--release`:
 //!
 //! ```text
 //! cargo run --release -p forumcast-topics --example sampler_throughput
@@ -15,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use forumcast_text::{BagOfWords, Corpus};
-use forumcast_topics::{LdaConfig, LdaModel, LdaSampler};
+use forumcast_topics::{LdaConfig, LdaModel};
 
 /// Topic-structured corpus: `themes` disjoint word blocks, each doc
 /// drawing ~90% of its tokens from one home theme with Zipf-skewed
@@ -54,7 +56,7 @@ fn themed_corpus(num_docs: usize, themes: usize, words_per_theme: usize, seed: u
     Corpus::from_bows(docs, vocab)
 }
 
-/// Timed rounds per (K, sampler) pair.
+/// Timed rounds per K.
 const ROUNDS: usize = 7;
 
 /// FNV-1a over the bit patterns of a model's φ and θ.
@@ -69,13 +71,8 @@ fn model_bits(model: &LdaModel) -> u64 {
     })
 }
 
-/// Median and min–max of `ms`, formatted for one report column.
-fn summary(ms: &mut [f64]) -> (f64, String) {
-    ms.sort_by(f64::total_cmp);
-    let median = ms[ms.len() / 2];
-    let range = format!("{median:7.1} ms [{:7.1}–{:7.1}]", ms[0], ms[ms.len() - 1]);
-    (median, range)
-}
+/// Gibbs sweeps per training run.
+const SWEEPS: usize = 30;
 
 fn main() {
     let corpus = themed_corpus(400, 12, 50, 7);
@@ -83,37 +80,40 @@ fn main() {
         .map(|d| corpus.doc(d).total() as usize)
         .sum();
     println!(
-        "corpus: {} docs, {} tokens; {ROUNDS} alternating rounds per K, median [min–max]",
+        "corpus: {} docs, {} tokens, {SWEEPS} sweeps; {ROUNDS} alternating rounds per K, median [min–max]",
         corpus.num_docs(),
         tokens
     );
-    let samplers = [LdaSampler::Dense, LdaSampler::Sparse];
-    for &k in &[4usize, 8, 16, 32, 64] {
-        let mut ms = [Vec::new(), Vec::new()];
-        let mut bits: [Option<u64>; 2] = [None, None];
-        for round in 0..ROUNDS {
-            let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
-            for s in order {
-                let cfg = LdaConfig::new(k)
-                    .with_iterations(30)
-                    .with_sampler(samplers[s]);
-                let t0 = Instant::now();
-                let m = LdaModel::train(&corpus, &cfg);
-                ms[s].push(t0.elapsed().as_secs_f64() * 1e3);
-                let got = model_bits(&m);
-                let want = *bits[s].get_or_insert(got);
-                assert_eq!(
-                    got, want,
-                    "{} K={k}: round {round} trained different model bits",
-                    samplers[s]
-                );
-            }
+    let ks = [4usize, 8, 16, 20, 24, 32, 64];
+    let mut ms = vec![Vec::new(); ks.len()];
+    let mut bits: Vec<Option<u64>> = vec![None; ks.len()];
+    for round in 0..ROUNDS {
+        let mut order: Vec<usize> = (0..ks.len()).collect();
+        if round % 2 == 1 {
+            order.reverse();
         }
-        let (dense, dense_range) = summary(&mut ms[0]);
-        let (sparse, sparse_range) = summary(&mut ms[1]);
+        for i in order {
+            let k = ks[i];
+            let cfg = LdaConfig::new(k).with_iterations(SWEEPS);
+            let t0 = Instant::now();
+            let m = LdaModel::train(&corpus, &cfg);
+            ms[i].push(t0.elapsed().as_secs_f64() * 1e3);
+            let got = model_bits(&m);
+            let want = *bits[i].get_or_insert(got);
+            assert_eq!(
+                got, want,
+                "K={k}: round {round} trained different model bits"
+            );
+        }
+    }
+    for (k, ms) in ks.iter().zip(&mut ms) {
+        ms.sort_by(f64::total_cmp);
+        let median = ms[ms.len() / 2];
         println!(
-            "K={k:3}  dense {dense_range}  sparse {sparse_range}  speedup {:.2}x",
-            dense / sparse
+            "K={k:3}  {median:7.1} ms [{:7.1}–{:7.1}]  {:6.1} ns/token/sweep",
+            ms[0],
+            ms[ms.len() - 1],
+            median * 1e6 / (tokens * SWEEPS) as f64
         );
     }
 }

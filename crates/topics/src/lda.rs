@@ -1,25 +1,20 @@
 //! Collapsed Gibbs sampling for Latent Dirichlet Allocation.
 //!
-//! Two samplers share the same model: the [`Dense`](LdaSampler::Dense)
-//! reference path evaluates the full `K`-term conditional per token,
-//! while the [`Sparse`](LdaSampler::Sparse) path uses the SparseLDA
-//! decomposition (Yao, Mimno & McCallum, KDD 2009) of the collapsed
+//! Every token's topic is resampled from the full `K`-term collapsed
 //! conditional
 //!
 //! ```text
 //! p(z = k) ∝ (n_dk + α)(n_kw + β) / (n_k + Vβ)
-//!          =  αβ / (n_k + Vβ)            — smoothing bucket `s`
-//!          +  n_dk · β / (n_k + Vβ)      — document bucket `r`
-//!          + (n_dk + α) n_kw / (n_k + Vβ) — word bucket `q`
 //! ```
 //!
-//! into three buckets whose partial sums are maintained incrementally,
-//! so resampling a token only walks the document's active topics and
-//! the word's nonzero topics instead of all `K`. Both samplers draw
-//! from the *exact same* conditional distribution; the sparse path is
-//! deterministic given the seed but follows a different (equally
-//! valid) Gibbs trajectory than dense, so the two are compared by
-//! perplexity/total-variation parity rather than bitwise equality.
+//! with the token's own assignment excluded; fold-in inference holds
+//! `φ` fixed and samples `p(z = k) ∝ (n_dk + α) φ_kw`. Below 24 topics
+//! the sweep sums the conditional as it computes it and walks the sum
+//! to draw the topic. From 24 topics up it computes the conditionals
+//! first and draws by counting stored prefix totals, which picks the
+//! same index from the same uniform draw (the proof is on
+//! `sample_index_prefix`). Training and inference are deterministic
+//! given the seed.
 //!
 //! # Count layout
 //!
@@ -36,40 +31,6 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use forumcast_text::{BagOfWords, Corpus};
-
-/// Which Gibbs sampler [`LdaModel::train`] and [`LdaModel::infer`]
-/// use. `Dense` is the original reference implementation; `Sparse`
-/// samples the identical conditional with SparseLDA bucket sums.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum LdaSampler {
-    /// Full `K`-term conditional per token (reference path; bitwise
-    /// identical to the historical implementation).
-    #[default]
-    Dense,
-    /// SparseLDA three-bucket sampler (`s`/`r`/`q` partial sums).
-    Sparse,
-}
-
-impl std::str::FromStr for LdaSampler {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(LdaSampler::Dense),
-            "sparse" => Ok(LdaSampler::Sparse),
-            other => Err(format!("unknown sampler `{other}` (dense|sparse)")),
-        }
-    }
-}
-
-impl std::fmt::Display for LdaSampler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            LdaSampler::Dense => "dense",
-            LdaSampler::Sparse => "sparse",
-        })
-    }
-}
 
 /// Hyperparameters for [`LdaModel::train`].
 ///
@@ -89,10 +50,6 @@ pub struct LdaConfig {
     pub infer_iterations: usize,
     /// RNG seed (training is deterministic given the seed).
     pub seed: u64,
-    /// Gibbs sampler implementation (missing in configs saved before
-    /// the sparse path existed, so it defaults to `Dense`).
-    #[serde(default)]
-    pub sampler: LdaSampler,
 }
 
 impl LdaConfig {
@@ -112,7 +69,6 @@ impl LdaConfig {
             iterations: 200,
             infer_iterations: 30,
             seed: 0xF0CA,
-            sampler: LdaSampler::Dense,
         }
     }
 
@@ -132,12 +88,6 @@ impl LdaConfig {
     pub fn with_priors(mut self, alpha: f64, beta: f64) -> Self {
         self.alpha = alpha;
         self.beta = beta;
-        self
-    }
-
-    /// Sets the Gibbs sampler implementation.
-    pub fn with_sampler(mut self, sampler: LdaSampler) -> Self {
-        self.sampler = sampler;
         self
     }
 }
@@ -166,31 +116,6 @@ pub struct LdaModel {
     /// Row-major `D × K`: `theta[d * K + k]` — topic distribution of
     /// training document `d`.
     theta: Vec<f64>,
-}
-
-/// Per-sampler bucket-hit tallies, accumulated locally during a sweep
-/// and flushed to the obs counters in one batch (each counter add
-/// locks the thread's telemetry shard and hashes the counter name —
-/// per-token updates would tax the hot loop).
-#[derive(Default)]
-struct BucketHits {
-    s: u64,
-    r: u64,
-    q: u64,
-}
-
-impl BucketHits {
-    fn flush(&self) {
-        if self.s > 0 {
-            forumcast_obs::counter_add("lda.sparse.bucket_hits.s", self.s);
-        }
-        if self.r > 0 {
-            forumcast_obs::counter_add("lda.sparse.bucket_hits.r", self.r);
-        }
-        if self.q > 0 {
-            forumcast_obs::counter_add("lda.sparse.bucket_hits.q", self.q);
-        }
-    }
 }
 
 impl LdaModel {
@@ -240,41 +165,22 @@ impl LdaModel {
             }
         }
 
-        match config.sampler {
-            LdaSampler::Dense if k >= PREFIX_DRAW_MIN_TOPICS => dense_sweeps::<true>(
-                config,
-                &tokens,
-                &doc_offsets,
-                &mut z,
-                &mut n_dk,
-                &mut n_kw,
-                &mut n_k,
-                v,
-                &mut rng,
-            ),
-            LdaSampler::Dense => dense_sweeps::<false>(
-                config,
-                &tokens,
-                &doc_offsets,
-                &mut z,
-                &mut n_dk,
-                &mut n_kw,
-                &mut n_k,
-                v,
-                &mut rng,
-            ),
-            LdaSampler::Sparse => sparse_sweeps(
-                config,
-                &tokens,
-                &doc_offsets,
-                &mut z,
-                &mut n_dk,
-                &mut n_kw,
-                &mut n_k,
-                v,
-                &mut rng,
-            ),
-        }
+        let sweeps = if k >= PREFIX_DRAW_MIN_TOPICS {
+            dense_sweeps::<true>
+        } else {
+            dense_sweeps::<false>
+        };
+        sweeps(
+            config,
+            &tokens,
+            &doc_offsets,
+            &mut z,
+            &mut n_dk,
+            &mut n_kw,
+            &mut n_k,
+            v,
+            &mut rng,
+        );
         if !tokens.is_empty() && config.iterations > 0 {
             forumcast_obs::counter_add(
                 "lda.gibbs.tokens",
@@ -370,19 +276,17 @@ impl LdaModel {
         if tokens.is_empty() {
             return vec![1.0 / k as f64; k];
         }
-        let n_dk = match self.config.sampler {
-            LdaSampler::Dense if k >= PREFIX_DRAW_MIN_TOPICS => {
-                self.infer_counts_dense::<true>(&tokens, seed)
-            }
-            LdaSampler::Dense => self.infer_counts_dense::<false>(&tokens, seed),
-            LdaSampler::Sparse => self.infer_counts_sparse(&tokens, seed),
+        let n_dk = if k >= PREFIX_DRAW_MIN_TOPICS {
+            self.infer_counts_dense::<true>(&tokens, seed)
+        } else {
+            self.infer_counts_dense::<false>(&tokens, seed)
         };
         let alpha = self.config.alpha;
         let denom = tokens.len() as f64 + k as f64 * alpha;
         (0..k).map(|t| (n_dk[t] as f64 + alpha) / denom).collect()
     }
 
-    /// Reference fold-in: the full `K`-term conditional per token,
+    /// Fold-in: the full `K`-term conditional per token,
     /// drawn by [`sample_index_prefix`] from [`PREFIX_DRAW_MIN_TOPICS`]
     /// topics up (same index, same bits).
     fn infer_counts_dense<const PREFIX_DRAW: bool>(&self, tokens: &[usize], seed: u64) -> Vec<u32> {
@@ -420,94 +324,6 @@ impl LdaModel {
                 z[ti] = new;
                 n_dk[new] += 1;
             }
-        }
-        n_dk
-    }
-
-    /// Bucket fold-in: `p(z = k) ∝ α·φ_{k,w} + n_dk·φ_{k,w}` splits
-    /// into a per-word smoothing mass `s_w = α·Σ_k φ_{k,w}` (computed
-    /// once per token position, amortized over all sweeps) and a
-    /// document bucket walked over the doc's active topics only.
-    fn infer_counts_sparse(&self, tokens: &[usize], seed: u64) -> Vec<u32> {
-        let k = self.config.num_topics;
-        let v = self.num_words;
-        let alpha = self.config.alpha;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut z: Vec<usize> = tokens.iter().map(|_| rng.gen_range(0..k)).collect();
-        let mut n_dk = vec![0u32; k];
-        for &t in &z {
-            n_dk[t] += 1;
-        }
-        // Smoothing mass per token position; one K-walk per token for
-        // the whole call instead of one per token per sweep.
-        let s_w: Vec<f64> = tokens
-            .iter()
-            .map(|&w| alpha * (0..k).map(|t| self.phi[t * v + w]).sum::<f64>())
-            .collect();
-        let mut active: Vec<u32> = (0..k as u32).filter(|&t| n_dk[t as usize] > 0).collect();
-        let mut hits = BucketHits::default();
-        let mut degenerate = 0u64;
-        for _sweep in 0..self.config.infer_iterations {
-            for (ti, &w) in tokens.iter().enumerate() {
-                let old = z[ti];
-                n_dk[old] -= 1;
-                if n_dk[old] == 0 {
-                    let pos = active
-                        .iter()
-                        .position(|&t| t as usize == old)
-                        .expect("active-topic list out of sync with document counts");
-                    active.swap_remove(pos);
-                }
-                let mut r_sum = 0.0;
-                for &t in &active {
-                    r_sum += n_dk[t as usize] as f64 * self.phi[t as usize * v + w];
-                }
-                let total = s_w[ti] + r_sum;
-                let u = rng.gen::<f64>();
-                let new = if !(total.is_finite() && total > 0.0) {
-                    debug_assert!(
-                        false,
-                        "degenerate fold-in row: total = {total} over {k} topics"
-                    );
-                    degenerate += 1;
-                    ((u * k as f64) as usize).min(k - 1)
-                } else {
-                    let mut x = u * total;
-                    if x < r_sum {
-                        hits.r += 1;
-                        let mut pick = active[active.len() - 1] as usize;
-                        for &t in &active {
-                            x -= n_dk[t as usize] as f64 * self.phi[t as usize * v + w];
-                            if x <= 0.0 {
-                                pick = t as usize;
-                                break;
-                            }
-                        }
-                        pick
-                    } else {
-                        hits.s += 1;
-                        x -= r_sum;
-                        let mut pick = k - 1;
-                        for t in 0..k {
-                            x -= alpha * self.phi[t * v + w];
-                            if x <= 0.0 {
-                                pick = t;
-                                break;
-                            }
-                        }
-                        pick
-                    }
-                };
-                z[ti] = new;
-                n_dk[new] += 1;
-                if n_dk[new] == 1 {
-                    active.push(new as u32);
-                }
-            }
-        }
-        hits.flush();
-        if degenerate > 0 {
-            forumcast_obs::counter_add("lda.sample.degenerate", degenerate);
         }
         n_dk
     }
@@ -551,14 +367,14 @@ impl LdaModel {
     }
 }
 
-/// Topic count from which the dense samplers draw with
+/// Topic count from which the sweeps and fold-in draw with
 /// [`sample_index_prefix`]. Below it, the fused conditional-and-total
 /// loop plus the short walk is faster (`sampler_throughput`).
 const PREFIX_DRAW_MIN_TOPICS: usize = 24;
 
-/// The reference dense Gibbs sweeps: per token, the full `K`-term
-/// conditional. Bitwise-identical to the historical implementation
-/// (same RNG stream, same floating-point operation order).
+/// The Gibbs sweeps: per token, the full `K`-term conditional.
+/// Bitwise-identical to the historical implementation (same RNG
+/// stream, same floating-point operation order).
 ///
 /// The conditional's row and denominator operands are cached as `f64`
 /// (`n_dk + α` for the current document, `n_k + Vβ` per topic) and only
@@ -636,183 +452,6 @@ fn dense_sweeps<const PREFIX_DRAW: bool>(
                 nk_vbeta[new] = n_k[new] as f64 + vbeta;
             }
         }
-    }
-}
-
-/// SparseLDA sweeps: the conditional is split into smoothing (`s`),
-/// document (`r`), and word (`q`) buckets with incrementally
-/// maintained partial sums, so a token resample walks only the
-/// document's active topics and the word's nonzero topics. The bucket
-/// sums are rebuilt at sweep (`s`) and document (`r`, `q_coef`) starts
-/// to bound floating-point drift; the walks carry a guarded
-/// last-element fallback for the residual ulps.
-#[allow(clippy::too_many_arguments)]
-fn sparse_sweeps(
-    config: &LdaConfig,
-    tokens: &[u32],
-    doc_offsets: &[usize],
-    z: &mut [u32],
-    n_dk: &mut [u32],
-    n_kw: &mut [u32],
-    n_k: &mut [u64],
-    v: usize,
-    rng: &mut StdRng,
-) {
-    let k = config.num_topics;
-    let alpha = config.alpha;
-    let beta = config.beta;
-    let vbeta = v as f64 * beta;
-    let ab = alpha * beta;
-
-    // Cached reciprocals 1/(n_k + Vβ): the dense path pays K divisions
-    // per token, this pays two (one per changed topic).
-    let mut inv_nk: Vec<f64> = n_k.iter().map(|&nk| 1.0 / (nk as f64 + vbeta)).collect();
-    // Per-word list of topics with n_kw > 0, ascending — the `q` walk
-    // domain.
-    let mut word_topics: Vec<Vec<u32>> = n_kw
-        .chunks_exact(k)
-        .map(|counts| (0..k as u32).filter(|&t| counts[t as usize] > 0).collect())
-        .collect();
-    // Per-document scratch, reused across all documents.
-    let mut q_coef = vec![0.0f64; k];
-    let mut q_terms: Vec<f64> = Vec::with_capacity(k);
-    let mut active: Vec<u32> = Vec::with_capacity(k);
-
-    let mut hits = BucketHits::default();
-    let mut degenerate = 0u64;
-    for _sweep in 0..config.iterations {
-        forumcast_obs::counter_add("lda.gibbs.sweeps", 1);
-        // Rebuild the smoothing bucket each sweep to bound drift.
-        let mut s_sum: f64 = inv_nk.iter().map(|&inv| ab * inv).sum();
-        for di in 0..doc_offsets.len() - 1 {
-            let doc = &tokens[doc_offsets[di]..doc_offsets[di + 1]];
-            if doc.is_empty() {
-                continue;
-            }
-            // Document bucket and coefficients, rebuilt per document.
-            active.clear();
-            let mut r_sum = 0.0;
-            for t in 0..k {
-                let ndk = n_dk[di * k + t];
-                q_coef[t] = (ndk as f64 + alpha) * inv_nk[t];
-                if ndk > 0 {
-                    active.push(t as u32);
-                    r_sum += ndk as f64 * beta * inv_nk[t];
-                }
-            }
-            for ti in doc_offsets[di]..doc_offsets[di + 1] {
-                let w = tokens[ti] as usize;
-                let old = z[ti] as usize;
-
-                // Remove the token's current assignment, updating the
-                // bucket sums around the count changes.
-                s_sum -= ab * inv_nk[old];
-                r_sum -= n_dk[di * k + old] as f64 * beta * inv_nk[old];
-                n_dk[di * k + old] -= 1;
-                n_kw[w * k + old] -= 1;
-                if n_kw[w * k + old] == 0 {
-                    let wt = &mut word_topics[w];
-                    let pos = wt
-                        .iter()
-                        .position(|&t| t as usize == old)
-                        .expect("word-topic list out of sync with counts");
-                    wt.swap_remove(pos);
-                }
-                n_k[old] -= 1;
-                inv_nk[old] = 1.0 / (n_k[old] as f64 + vbeta);
-                s_sum += ab * inv_nk[old];
-                r_sum += n_dk[di * k + old] as f64 * beta * inv_nk[old];
-                q_coef[old] = (n_dk[di * k + old] as f64 + alpha) * inv_nk[old];
-                if n_dk[di * k + old] == 0 {
-                    let pos = active
-                        .iter()
-                        .position(|&t| t as usize == old)
-                        .expect("active-topic list out of sync with counts");
-                    active.swap_remove(pos);
-                }
-
-                // Word bucket: mass over the word's nonzero topics.
-                let wt = &word_topics[w];
-                q_terms.clear();
-                let mut q_sum = 0.0;
-                for &t in wt {
-                    let term = q_coef[t as usize] * n_kw[w * k + t as usize] as f64;
-                    q_terms.push(term);
-                    q_sum += term;
-                }
-
-                let total = q_sum + r_sum + s_sum;
-                let u = rng.gen::<f64>();
-                let new = if !(total.is_finite() && total > 0.0) {
-                    debug_assert!(
-                        false,
-                        "degenerate sparse sampling row: total = {total} over {k} topics"
-                    );
-                    degenerate += 1;
-                    ((u * k as f64) as usize).min(k - 1)
-                } else {
-                    let mut x = u * total;
-                    if x < q_sum {
-                        hits.q += 1;
-                        let mut pick = wt[wt.len() - 1] as usize;
-                        for (i, &t) in wt.iter().enumerate() {
-                            x -= q_terms[i];
-                            if x <= 0.0 {
-                                pick = t as usize;
-                                break;
-                            }
-                        }
-                        pick
-                    } else if x < q_sum + r_sum && !active.is_empty() {
-                        hits.r += 1;
-                        x -= q_sum;
-                        let mut pick = active[active.len() - 1] as usize;
-                        for &t in &active {
-                            x -= n_dk[di * k + t as usize] as f64 * beta * inv_nk[t as usize];
-                            if x <= 0.0 {
-                                pick = t as usize;
-                                break;
-                            }
-                        }
-                        pick
-                    } else {
-                        hits.s += 1;
-                        x -= q_sum + r_sum;
-                        let mut pick = k - 1;
-                        for (t, &inv) in inv_nk.iter().enumerate() {
-                            x -= ab * inv;
-                            if x <= 0.0 {
-                                pick = t;
-                                break;
-                            }
-                        }
-                        pick
-                    }
-                };
-
-                // Add the new assignment back, mirroring the removal.
-                s_sum -= ab * inv_nk[new];
-                r_sum -= n_dk[di * k + new] as f64 * beta * inv_nk[new];
-                if n_kw[w * k + new] == 0 {
-                    word_topics[w].push(new as u32);
-                }
-                n_kw[w * k + new] += 1;
-                n_k[new] += 1;
-                inv_nk[new] = 1.0 / (n_k[new] as f64 + vbeta);
-                n_dk[di * k + new] += 1;
-                if n_dk[di * k + new] == 1 {
-                    active.push(new as u32);
-                }
-                s_sum += ab * inv_nk[new];
-                r_sum += n_dk[di * k + new] as f64 * beta * inv_nk[new];
-                q_coef[new] = (n_dk[di * k + new] as f64 + alpha) * inv_nk[new];
-                z[ti] = new as u32;
-            }
-        }
-    }
-    hits.flush();
-    if degenerate > 0 {
-        forumcast_obs::counter_add("lda.sample.degenerate", degenerate);
     }
 }
 
@@ -966,73 +605,53 @@ mod tests {
         h
     }
 
-    /// Pins the exact output bits of both samplers: φ, θ and one
+    /// Pins the exact output bits of the sampler: φ, θ and one
     /// fold-in. Any change to the sweep's RNG use or floating-point
     /// operation order shows up here, not only as drift in quality.
-    /// The dense rows straddle [`PREFIX_DRAW_MIN_TOPICS`], and their
-    /// hashes predate the prefix-total draw: both the fused walk and
-    /// the prefix draw must reproduce them.
+    /// The rows straddle [`PREFIX_DRAW_MIN_TOPICS`], and their hashes
+    /// predate the prefix-total draw: both the fused walk and the
+    /// prefix draw must reproduce them.
     #[test]
     fn output_bits_are_pinned() {
         let corpus = themed_corpus();
-        // With one topic both samplers are forced to the same state.
-        let k1 = [0x3068ae9f53d99165, 0xf8d0cf8b73597625, 0xaab1693229ba1db8];
-        let expected: [(LdaSampler, usize, [u64; 3]); 11] = [
-            (LdaSampler::Dense, 1, k1),
+        let expected: [(usize, [u64; 3]); 8] = [
             (
-                LdaSampler::Dense,
+                1,
+                [0x3068ae9f53d99165, 0xf8d0cf8b73597625, 0xaab1693229ba1db8],
+            ),
+            (
                 4,
                 [0xc9591fb44c37bd8d, 0x44089a2374be7a3c, 0xe8272c7db14bacc6],
             ),
             (
-                LdaSampler::Dense,
                 16,
                 [0xb500cbcee01a770f, 0xd6e8058e9ee301fb, 0x608f3c5ea3c6d8bc],
             ),
             (
-                LdaSampler::Dense,
                 20,
                 [0x9d3035b8c38c1414, 0xbdd7e3ab45a758a9, 0x8c06247a7e4ad4df],
             ),
             (
-                LdaSampler::Dense,
                 24,
                 [0xc3f107777f78c62c, 0x55301b5082079adf, 0xb5ec956efb1c640c],
             ),
             (
-                LdaSampler::Dense,
                 32,
                 [0x1c5993e655ecc173, 0x0e3995218d344f63, 0x32c921f00667373d],
             ),
             (
-                LdaSampler::Dense,
                 64,
                 [0x95c435554b1fde7a, 0x2a919b1a5fb89dbd, 0x59bd50382cd59359],
             ),
             (
-                LdaSampler::Dense,
                 256,
                 [0x07d5aedd93401b3d, 0x40f9a5d1549f091d, 0xfd4c41fa26b92091],
-            ),
-            (LdaSampler::Sparse, 1, k1),
-            (
-                LdaSampler::Sparse,
-                4,
-                [0x53257a23bd1dd5ca, 0x762e84538c4a934d, 0x68037ac4b37f1a21],
-            ),
-            (
-                LdaSampler::Sparse,
-                64,
-                [0xb7d4dc60bffef26b, 0x1bae72f5eb1dc7d3, 0xc3d82d4005ab1e55],
             ),
         ];
         let got: Vec<[u64; 3]> = expected
             .iter()
-            .map(|&(sampler, k, _)| {
-                let cfg = LdaConfig::new(k)
-                    .with_iterations(25)
-                    .with_seed(0xD1CE)
-                    .with_sampler(sampler);
+            .map(|&(k, _)| {
+                let cfg = LdaConfig::new(k).with_iterations(25).with_seed(0xD1CE);
                 let model = LdaModel::train(&corpus, &cfg);
                 [
                     fnv_bits((0..k).flat_map(|t| model.topic_words(t))),
@@ -1041,11 +660,8 @@ mod tests {
                 ]
             })
             .collect();
-        for ((sampler, k, want), got_row) in expected.iter().zip(&got) {
-            assert_eq!(
-                got_row, want,
-                "{sampler} K={k} [φ, θ, infer]; all rows: {got:#x?}"
-            );
+        for ((k, want), got_row) in expected.iter().zip(&got) {
+            assert_eq!(got_row, want, "K={k} [φ, θ, infer]; all rows: {got:#x?}");
         }
     }
 
@@ -1232,14 +848,27 @@ mod tests {
     }
 
     #[test]
-    fn sparse_sampler_separates_themes_too() {
+    fn training_is_deterministic_given_seed() {
         let (corpus, _) = separable_corpus();
+        let cfg = LdaConfig::new(2).with_iterations(20).with_seed(5);
+        let m1 = LdaModel::train(&corpus, &cfg);
+        let m2 = LdaModel::train(&corpus, &cfg);
+        assert_eq!(m1.doc_topics(3), m2.doc_topics(3), "θ");
+        assert_eq!(m1.topic_words(1), m2.topic_words(1), "φ");
+    }
+
+    #[test]
+    fn inference_matches_training_theme() {
+        let (corpus, vocab) = separable_corpus();
         let cfg = LdaConfig::new(2)
             .with_iterations(100)
-            .with_priors(0.1, 0.01)
-            .with_seed(11)
-            .with_sampler(LdaSampler::Sparse);
+            .with_priors(0.1, 0.01);
         let model = LdaModel::train(&corpus, &cfg);
+        let cat_doc = forumcast_text::BagOfWords::encode(
+            &["cat", "meow", "purr", "cat", "whisker", "meow"],
+            &vocab,
+        );
+        let theta = model.infer(&cat_doc, 99);
         let cat_topic = model
             .doc_topics(0)
             .iter()
@@ -1247,82 +876,10 @@ mod tests {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .unwrap()
             .0;
-        for d in 0..corpus.num_docs() {
-            let theta = model.doc_topics(d);
-            let dominant = theta
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .unwrap()
-                .0;
-            assert_eq!(
-                dominant == cat_topic,
-                d % 2 == 0,
-                "doc {d} landed on the wrong theme: {theta:?}"
-            );
-            assert!(theta[dominant] > 0.7, "doc {d} not concentrated: {theta:?}");
-        }
-    }
-
-    #[test]
-    fn training_is_deterministic_given_seed() {
-        let (corpus, _) = separable_corpus();
-        for sampler in [LdaSampler::Dense, LdaSampler::Sparse] {
-            let cfg = LdaConfig::new(2)
-                .with_iterations(20)
-                .with_seed(5)
-                .with_sampler(sampler);
-            let m1 = LdaModel::train(&corpus, &cfg);
-            let m2 = LdaModel::train(&corpus, &cfg);
-            assert_eq!(m1.doc_topics(3), m2.doc_topics(3), "{sampler} θ");
-            assert_eq!(m1.topic_words(1), m2.topic_words(1), "{sampler} φ");
-        }
-    }
-
-    /// The sparse path maintains its counts incrementally; after
-    /// training, its final state must still describe the same corpus
-    /// (θ rows sum to 1, φ rows sum to 1 — i.e. no count was lost).
-    #[test]
-    fn sparse_final_state_is_consistent() {
-        let (corpus, _) = separable_corpus();
-        let cfg = LdaConfig::new(3)
-            .with_iterations(30)
-            .with_sampler(LdaSampler::Sparse);
-        let model = LdaModel::train(&corpus, &cfg);
-        for d in 0..corpus.num_docs() {
-            assert!((model.doc_topics(d).iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        }
-        for t in 0..3 {
-            assert!((model.topic_words(t).iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn inference_matches_training_theme() {
-        let (corpus, vocab) = separable_corpus();
-        for sampler in [LdaSampler::Dense, LdaSampler::Sparse] {
-            let cfg = LdaConfig::new(2)
-                .with_iterations(100)
-                .with_priors(0.1, 0.01)
-                .with_sampler(sampler);
-            let model = LdaModel::train(&corpus, &cfg);
-            let cat_doc = forumcast_text::BagOfWords::encode(
-                &["cat", "meow", "purr", "cat", "whisker", "meow"],
-                &vocab,
-            );
-            let theta = model.infer(&cat_doc, 99);
-            let cat_topic = model
-                .doc_topics(0)
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1))
-                .unwrap()
-                .0;
-            assert!(
-                theta[cat_topic] > 0.6,
-                "held-out cat doc got {theta:?} with {sampler} (cat topic {cat_topic})"
-            );
-        }
+        assert!(
+            theta[cat_topic] > 0.6,
+            "held-out cat doc got {theta:?} (cat topic {cat_topic})"
+        );
     }
 
     #[test]
@@ -1346,13 +903,10 @@ mod tests {
     #[test]
     fn single_topic_model_is_degenerate_but_valid() {
         let (corpus, _) = separable_corpus();
-        for sampler in [LdaSampler::Dense, LdaSampler::Sparse] {
-            let cfg = LdaConfig::new(1).with_iterations(5).with_sampler(sampler);
-            let model = LdaModel::train(&corpus, &cfg);
-            assert_eq!(model.doc_topics(0), &[1.0]);
-            let theta = model.infer(corpus.doc(0), 3);
-            assert_eq!(theta, vec![1.0]);
-        }
+        let model = LdaModel::train(&corpus, &LdaConfig::new(1).with_iterations(5));
+        assert_eq!(model.doc_topics(0), &[1.0]);
+        let theta = model.infer(corpus.doc(0), 3);
+        assert_eq!(theta, vec![1.0]);
     }
 
     #[test]
@@ -1364,38 +918,32 @@ mod tests {
     #[test]
     fn empty_corpus_trains_trivially() {
         let corpus = Corpus::from_bows(vec![], 0);
-        for sampler in [LdaSampler::Dense, LdaSampler::Sparse] {
-            let cfg = LdaConfig::new(2).with_iterations(5).with_sampler(sampler);
-            let model = LdaModel::train(&corpus, &cfg);
-            assert_eq!(model.num_topics(), 2);
-            assert_eq!(model.num_docs(), 0);
-        }
+        let model = LdaModel::train(&corpus, &LdaConfig::new(2).with_iterations(5));
+        assert_eq!(model.num_topics(), 2);
+        assert_eq!(model.num_docs(), 0);
     }
 
     #[test]
     fn batch_inference_bitwise_matches_serial_for_any_thread_count() {
         let (corpus, _) = separable_corpus();
-        for sampler in [LdaSampler::Dense, LdaSampler::Sparse] {
-            let cfg = LdaConfig::new(3).with_iterations(20).with_sampler(sampler);
-            let model = LdaModel::train(&corpus, &cfg);
-            let docs: Vec<(forumcast_text::BagOfWords, u64)> = (0..corpus.num_docs())
-                .map(|d| (corpus.doc(d).clone(), d as u64 * 13 + 1))
-                .collect();
-            let serial: Vec<Vec<f64>> = docs
-                .iter()
-                .map(|(doc, seed)| model.infer(doc, *seed))
-                .collect();
-            for threads in [1, 2, 7] {
-                let batch = model.infer_batch(&docs, threads);
-                assert_eq!(batch.len(), serial.len());
-                for (d, (a, b)) in serial.iter().zip(&batch).enumerate() {
-                    for (x, y) in a.iter().zip(b) {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "doc {d} differs with {threads} threads ({sampler})"
-                        );
-                    }
+        let model = LdaModel::train(&corpus, &LdaConfig::new(3).with_iterations(20));
+        let docs: Vec<(forumcast_text::BagOfWords, u64)> = (0..corpus.num_docs())
+            .map(|d| (corpus.doc(d).clone(), d as u64 * 13 + 1))
+            .collect();
+        let serial: Vec<Vec<f64>> = docs
+            .iter()
+            .map(|(doc, seed)| model.infer(doc, *seed))
+            .collect();
+        for threads in [1, 2, 7] {
+            let batch = model.infer_batch(&docs, threads);
+            assert_eq!(batch.len(), serial.len());
+            for (d, (a, b)) in serial.iter().zip(&batch).enumerate() {
+                for (x, y) in a.iter().zip(b) {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "doc {d} differs with {threads} threads"
+                    );
                 }
             }
         }
@@ -1410,26 +958,6 @@ mod tests {
         for (a, b) in back.doc_topics(0).iter().zip(model.doc_topics(0)) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
-    }
-
-    #[test]
-    fn config_missing_sampler_field_defaults_to_dense() {
-        let json = serde_json::to_string(&LdaConfig::new(2)).unwrap();
-        // Simulate a config saved before the sampler field existed.
-        let stripped = json
-            .replace(",\"sampler\":\"Dense\"", "")
-            .replace("\"sampler\":\"Dense\",", "");
-        assert!(!stripped.contains("sampler"), "{stripped}");
-        let back: LdaConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.sampler, LdaSampler::Dense);
-    }
-
-    #[test]
-    fn sampler_parses_from_cli_spelling() {
-        assert_eq!("dense".parse::<LdaSampler>().unwrap(), LdaSampler::Dense);
-        assert_eq!("sparse".parse::<LdaSampler>().unwrap(), LdaSampler::Sparse);
-        assert!("fancy".parse::<LdaSampler>().is_err());
-        assert_eq!(LdaSampler::Sparse.to_string(), "sparse");
     }
 
     #[test]

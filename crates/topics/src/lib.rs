@@ -37,9 +37,7 @@
 //! ```
 
 pub mod lda;
-pub mod perplexity;
 pub mod similarity;
 
-pub use lda::{LdaConfig, LdaModel, LdaSampler};
-pub use perplexity::{doc_log_likelihood, perplexity};
+pub use lda::{LdaConfig, LdaModel};
 pub use similarity::{mean_distribution, tv_similarity};

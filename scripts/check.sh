@@ -165,42 +165,13 @@ grep -Eq 'frame [0-9]+' "$work_dir/verify.txt" \
 "$fc" ckpt verify --file "$bad" > /dev/null
 echo "corruption: $(head -1 "$work_dir/verify.txt"), repaired and re-verified"
 
-echo "==> perf smoke (quick features.build, dense vs sparse Gibbs, release)"
-# Regressions surface in the log, not as a hard gate: the smoke prints
-# wall time and Gibbs tokens/sec for both samplers from the --metrics
-# summary (lda.gibbs.tokens counter / lda.train span wall time).
-# --topics 64 puts the run in the regime the sparse sampler targets
-# (realistic skewed per-word topic counts; the quick preset's K = 4 is
-# too small for bucket decomposition to pay for itself).
-cargo build -q --release -p forumcast-cli
-fcr=target/release/forumcast
-for sampler in dense sparse; do
-  "$fcr" evaluate --scale quick --threads 1 --topics 64 \
-    --lda-sampler "$sampler" --metrics > "$work_dir/perf.$sampler.txt"
-  awk -v sampler="$sampler" '
-    function ms(str) {
-      if (str ~ /us$/) return substr(str, 1, length(str) - 2) / 1000.0
-      if (str ~ /ms$/) return substr(str, 1, length(str) - 2) + 0
-      if (str ~ /s$/)  return substr(str, 1, length(str) - 1) * 1000.0
-      return str + 0
-    }
-    $1 == "lda.train"        { train_ms = ms($3) }
-    $1 == "features.build"   { build_ms = ms($3) }
-    $1 == "lda.gibbs.tokens" { tokens = $2 }
-    END {
-      if (train_ms > 0 && tokens > 0)
-        printf "perf[%s]: features.build %.1f ms, lda.train %.1f ms, %.0f Gibbs tokens/sec\n",
-               sampler, build_ms, train_ms, tokens / (train_ms / 1000.0)
-      else
-        printf "perf[%s]: metrics summary missing lda.train/tokens\n", sampler
-    }' "$work_dir/perf.$sampler.txt"
-done
-
 echo "==> perf gate (bench compare against committed BENCH_quick.json)"
 # Machine-readable regression gate: the quick run emits a versioned
 # bench report which `forumcast bench compare` diffs against the
 # committed baseline, failing on >=1.5x wall/span-total or >=2x span
 # p99 regressions (spans under 20 ms in the baseline are noise-exempt).
+cargo build -q --release -p forumcast-cli
+fcr=target/release/forumcast
 "$fcr" evaluate --scale quick --threads 1 \
   --bench-json "$work_dir/BENCH_quick.json" > /dev/null
 "$fcr" bench compare BENCH_quick.json "$work_dir/BENCH_quick.json" \
