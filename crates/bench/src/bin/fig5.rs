@@ -14,8 +14,8 @@ fn main() {
     } else {
         (vec![4, 8, 12, 15, 20], 8)
     };
-    let report = fig5::run_with(&opts.config, &ks, reference, opts.resume.as_deref())
-        .unwrap_or_else(|e| {
+    let report =
+        fig5::run(&opts.config, &ks, reference, opts.resume.as_deref()).unwrap_or_else(|e| {
             eprintln!("fig5 failed: {e}");
             std::process::exit(1);
         });

@@ -13,11 +13,10 @@ fn main() {
     header("Figure 6 — leave-one-feature-out importance", &opts);
     let (dataset, _) = opts.config.synth.generate().preprocess();
     let data = forumcast_eval::ExperimentData::build(&dataset, &opts.config);
-    let report =
-        fig6::run_on_with(&data, &opts.config, opts.resume.as_deref()).unwrap_or_else(|e| {
-            eprintln!("fig6 failed: {e}");
-            std::process::exit(1);
-        });
+    let report = fig6::run(&data, &opts.config, opts.resume.as_deref()).unwrap_or_else(|e| {
+        eprintln!("fig6 failed: {e}");
+        std::process::exit(1);
+    });
     status!("{report}");
     status!("top-5 for timing (r̂):");
     for (f, pct) in report.ranked(true).into_iter().take(5) {

@@ -15,7 +15,7 @@ fn main() {
         vec![5, 10, 15, 20, 24]
     };
     let report =
-        fig7::run_with(&opts.config, &windows, 25, opts.resume.as_deref()).unwrap_or_else(|e| {
+        fig7::run(&opts.config, &windows, 25, opts.resume.as_deref()).unwrap_or_else(|e| {
             eprintln!("fig7 failed: {e}");
             std::process::exit(1);
         });

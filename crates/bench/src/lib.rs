@@ -14,14 +14,19 @@
 //! `--resume <path>` checkpoints completed CV folds to `<path>` (plus
 //! per-sub-run suffixes for the sweep figures) and skips them when the
 //! run is restarted with the same path; a fold interrupted part-way
-//! recomputes from its start. `--faults <spec>` arms the
-//! deterministic fault injector (same grammar as `FORUMCAST_FAULTS`).
-//! `--trace <path>` writes a Chrome trace-event JSON file of pipeline
-//! spans (`FORUMCAST_TRACE` supplies a default path), `--metrics`
-//! prints the per-span timing summary, and `--bench-json <path>`
-//! writes the machine-readable bench report (versioned
-//! `forumcast-bench` schema, diffable with `forumcast bench
-//! compare`); binaries call [`finish`] last to flush all three.
+//! recomputes from its start.
+//!
+//! `--threads`, `--faults`, `--trace`, `--metrics` and `--bench-json`
+//! mean what they mean on `forumcast evaluate`: [`parse_args`] hands
+//! them to the same [`RunSession`] the CLI uses, which applies the
+//! flag-over-env rule (`FORUMCAST_FAULTS`, `FORUMCAST_TRACE`), arms
+//! the fault plan and the span collector, and sets the training
+//! workers. `--threads N` therefore sizes both the CV fold workers
+//! and the training workers. A malformed `--faults` is a usage error
+//! (exit 2); a malformed `FORUMCAST_FAULTS` fails the run (exit 1).
+//! Binaries call [`finish`] last to write the trace, the bench
+//! report (versioned `forumcast-bench` schema, diffable with
+//! `forumcast bench compare`) and the summary.
 //!
 //! All binary output goes through [`status!`] — one locked
 //! whole-line write per call — so lines from instrumented parallel
@@ -30,11 +35,11 @@
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use forumcast_eval::EvalConfig;
+use forumcast_eval::{EvalConfig, RunSession};
 use forumcast_resilience::FaultPlan;
 
 /// Command-line options shared by the regeneration binaries.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BinOptions {
     /// Resolved evaluation configuration.
     pub config: EvalConfig,
@@ -44,14 +49,8 @@ pub struct BinOptions {
     pub scale: String,
     /// Checkpoint file for resumable experiments (`--resume <path>`).
     pub resume: Option<PathBuf>,
-    /// Chrome trace-event JSON output path (`--trace <path>`, else
-    /// the `FORUMCAST_TRACE` env var).
-    pub trace: Option<PathBuf>,
-    /// Print the per-span timing summary after the run (`--metrics`).
-    pub metrics: bool,
-    /// Machine-readable bench report output path
-    /// (`--bench-json <path>`, `forumcast-bench` schema).
-    pub bench_json: Option<PathBuf>,
+    /// The started run session, flushed by [`finish`].
+    pub session: RunSession,
 }
 
 /// Writes one fully formatted status line to stdout in a single
@@ -74,8 +73,8 @@ macro_rules! status {
     ($($arg:tt)*) => { $crate::status(format_args!($($arg)*)) };
 }
 
-/// Parses `std::env::args` into [`BinOptions`]. Unknown arguments
-/// abort with a usage message.
+/// Parses `std::env::args` into [`BinOptions`] and starts the run
+/// session. Unknown arguments abort with a usage message.
 pub fn parse_args() -> BinOptions {
     let mut config = EvalConfig::standard();
     let mut scale = "standard".to_string();
@@ -193,38 +192,17 @@ pub fn parse_args() -> BinOptions {
         // parallelism) — the same convention as EvalConfig::threads.
         config.threads = t;
     }
-    // --faults wins over FORUMCAST_FAULTS; either arms the injector
-    // on the main thread, which every worker inherits.
-    let plan = match faults {
-        Some(plan) => Some(plan),
-        None => FaultPlan::from_env().unwrap_or_else(|e| {
-            eprintln!("invalid {}: {e}", forumcast_resilience::FAULTS_ENV);
-            std::process::exit(2);
-        }),
-    };
-    if let Some(plan) = plan {
-        if !plan.is_empty() {
-            plan.arm_for_process();
-        }
-    }
-    // --trace wins over FORUMCAST_TRACE; either (or --metrics) arms
-    // the span collector on the main thread, which every worker inherits.
-    let trace = trace.or_else(|| {
-        std::env::var(forumcast_obs::TRACE_ENV)
-            .ok()
-            .map(PathBuf::from)
-    });
-    if trace.is_some() || metrics || bench_json.is_some() {
-        forumcast_obs::arm_for_process();
-    }
+    let session = RunSession::start(config.threads, faults, trace, metrics, bench_json)
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(1);
+        });
     BinOptions {
         config,
         json,
         scale,
         resume,
-        trace,
-        metrics,
-        bench_json,
+        session,
     }
 }
 
@@ -236,37 +214,13 @@ pub fn root_span(experiment: &str) -> forumcast_obs::SpanGuard {
     forumcast_obs::span(experiment)
 }
 
-/// Flushes observability output: writes the Chrome trace file when
-/// `--trace`/`FORUMCAST_TRACE` was given, the bench report when
-/// `--bench-json` was, and prints the per-span summary when
-/// `--metrics` was. A no-op when none were requested.
+/// Flushes the run session: writes the trace, the bench report and
+/// the per-span summary that were asked for. Exits 1 naming the file
+/// that could not be written.
 pub fn finish(opts: &BinOptions) {
-    if opts.trace.is_none() && !opts.metrics && opts.bench_json.is_none() {
-        return;
-    }
-    let Some(log) = forumcast_obs::drain() else {
-        return;
-    };
-    if let Some(path) = &opts.trace {
-        match std::fs::write(path, log.to_chrome_json()) {
-            Ok(()) => status!("trace written to {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write trace to `{}`: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &opts.bench_json {
-        match std::fs::write(path, log.to_bench_json()) {
-            Ok(()) => status!("bench report written to {}", path.display()),
-            Err(e) => {
-                eprintln!("cannot write bench report to `{}`: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if opts.metrics {
-        status!("{}", log.summary().render());
+    if let Err(e) = opts.session.finish(&mut std::io::stdout()) {
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }
 
@@ -290,27 +244,5 @@ pub fn maybe_json<T: serde::Serialize>(opts: &BinOptions, report: &T) {
             "{}",
             serde_json::to_string_pretty(report).expect("report serializes")
         );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_options_are_standard_scale() {
-        // parse_args reads process args; here we just check defaults
-        // used by the binaries compile-time contract.
-        let opts = BinOptions {
-            config: EvalConfig::standard(),
-            json: false,
-            scale: "standard".into(),
-            resume: None,
-            trace: None,
-            metrics: false,
-            bench_json: None,
-        };
-        assert_eq!(opts.config.repeats, 1);
-        assert!(!opts.json);
     }
 }

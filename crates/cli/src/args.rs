@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use forumcast_resilience::FaultPlan;
+
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
 usage: forumcast <command> [options]
@@ -38,11 +40,13 @@ foreign file is moved aside to `<file>.corrupt` and its folds
 recompute. `ckpt inspect` prints a checkpoint's header and frame
 layout, `ckpt verify` exits non-zero naming the first damaged frame,
 and `ckpt repair` truncates the file to its last valid frame.
-`--faults` arms the deterministic fault injector (same grammar as the
-FORUMCAST_FAULTS env var, e.g. `fold-panic:1`). `--trace` writes a
-Chrome trace-event JSON file of pipeline spans (open in Perfetto;
-FORUMCAST_TRACE sets a default path, also honoured by `train` and
-`stats`) and `--metrics` prints a per-span wall/self-time summary.
+`--faults` arms the deterministic fault injector (e.g. `fold-panic:1`;
+without the flag, `evaluate`, `train` and `stats` read the
+FORUMCAST_FAULTS env var, whose malformed spec fails the run).
+`--trace` writes a Chrome trace-event JSON file of pipeline spans
+(open in Perfetto; FORUMCAST_TRACE sets a default path, also honoured
+by `train` and `stats`) and `--metrics` prints a per-span
+wall/self-time summary.
 On `evaluate`, `--topics` overrides the scale preset's LDA topic
 count (priors re-derive from K; iterations and seed are kept).
 `--bench-json` writes a machine-readable bench report (versioned
@@ -132,8 +136,8 @@ pub enum Command {
         /// Checkpoint file: completed folds are saved here and
         /// skipped when the run restarts with the same path.
         resume: Option<String>,
-        /// Fault-injection spec (same grammar as `FORUMCAST_FAULTS`).
-        faults: Option<String>,
+        /// Fault plan (same spec grammar as `FORUMCAST_FAULTS`).
+        faults: Option<FaultPlan>,
         /// Chrome trace-event JSON output path (`FORUMCAST_TRACE`
         /// supplies a default when the flag is absent).
         trace: Option<String>,
@@ -336,7 +340,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 threads: opts.get_parsed_or("threads", 0)?,
                 topics: opts.get_topics()?,
                 resume: opts.get("resume").map(str::to_owned),
-                faults: opts.get("faults").map(str::to_owned),
+                faults: opts.get_faults()?,
                 trace: opts.get("trace").map(str::to_owned),
                 metrics: opts.flag("metrics"),
                 bench_json: opts.get("bench-json").map(str::to_owned),
@@ -472,6 +476,17 @@ impl Options {
         }
     }
 
+    /// The optional `--faults` plan; a malformed spec is refused here,
+    /// before anything runs.
+    fn get_faults(&self) -> Result<Option<FaultPlan>, ParseError> {
+        self.get("faults")
+            .map(|spec| {
+                FaultPlan::parse(spec)
+                    .map_err(|e| ParseError(format!("invalid value `{spec}` for --faults: {e}")))
+            })
+            .transpose()
+    }
+
     fn reject_unknown(&self, allowed: &[&str]) -> Result<(), ParseError> {
         for (k, _) in &self.pairs {
             if !allowed.contains(&k.as_str()) {
@@ -604,7 +619,7 @@ mod tests {
                 threads: 0,
                 topics: None,
                 resume: Some("cv.json".into()),
-                faults: Some("fold-panic:1".into()),
+                faults: Some(FaultPlan::parse("fold-panic:1").unwrap()),
                 trace: None,
                 metrics: false,
                 bench_json: None,
@@ -716,8 +731,9 @@ mod tests {
 
     /// Out-of-domain knobs are usage errors (exit 2), caught before
     /// any data is read. A NaN `bench compare` tolerance would switch
-    /// the regression gate off, and an LDA model needs at least one
-    /// topic.
+    /// the regression gate off, an LDA model needs at least one
+    /// topic, and a fault spec that does not parse would otherwise
+    /// fail only once the run starts.
     #[test]
     fn out_of_domain_knobs_are_usage_errors() {
         let route = |extra: &str| format!("route --data d --model m --question 1 {extra}");
@@ -763,6 +779,10 @@ mod tests {
                 "--topics: must be at least 1",
             ),
             ("evaluate --topics 0".into(), "--topics: must be at least 1"),
+            (
+                "evaluate --faults nope:1".into(),
+                "for --faults: invalid FORUMCAST_FAULTS spec: unknown fault site `nope`",
+            ),
         ] {
             let mut out = Vec::new();
             let code = crate::run(argv(&cmd), &mut out);

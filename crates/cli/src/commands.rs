@@ -2,7 +2,7 @@
 
 use std::error::Error;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -10,11 +10,10 @@ use rand::SeedableRng;
 use forumcast_abtest::AbTestConfig;
 use forumcast_core::{sample_training_set, ResponsePredictor, TrainConfig};
 use forumcast_data::{io as data_io, Dataset, QuestionId, UserId};
-use forumcast_eval::{experiments::table1, EvalConfig};
+use forumcast_eval::{experiments::table1, EvalConfig, RunSession};
 use forumcast_features::{ExtractorConfig, FeatureExtractor};
 use forumcast_graph::{dense_graph, qa_graph, GraphStats};
 use forumcast_recsys::{score_candidates, QuestionRouter, RouterConfig};
-use forumcast_resilience::FaultPlan;
 use forumcast_synth::SynthConfig;
 
 use crate::args::{CkptAction, Command, USAGE};
@@ -41,14 +40,22 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             out: path,
         } => generate(&scale, seed, topics, threads, &path, out),
         Command::Stats { data, gate } => {
-            with_env_trace("stats", out, |out| stats(&data, gate, out))
+            let session = RunSession::start(0, None, None, false, None)?;
+            in_session(session, "stats", out, |out| stats(&data, gate, out))
         }
         Command::Train {
             data,
             fast,
             seed,
             out: path,
-        } => with_env_trace("train", out, |out| train(&data, fast, seed, &path, out)),
+        } => {
+            // Training uses `FORUMCAST_THREADS` workers, else every
+            // core; the model is bitwise identical at any count.
+            let session = RunSession::start(0, None, None, false, None)?;
+            in_session(session, "train", out, |out| {
+                train(&data, fast, seed, &path, out)
+            })
+        }
         Command::Predict {
             data,
             model,
@@ -73,17 +80,22 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             trace,
             metrics,
             bench_json,
-        } => evaluate(
-            &scale,
-            threads,
-            topics,
-            resume.as_deref(),
-            faults.as_deref(),
-            trace.as_deref(),
-            metrics,
-            bench_json.as_deref(),
-            out,
-        ),
+        } => {
+            // The same thread count drives mini-batch gradient
+            // accumulation; the fixed-order reduction keeps results
+            // bitwise identical at any count, so it only affects wall
+            // time.
+            let session = RunSession::start(
+                threads,
+                faults,
+                trace.map(PathBuf::from),
+                metrics,
+                bench_json.map(PathBuf::from),
+            )?;
+            in_session(session, "evaluate", out, |out| {
+                evaluate(&scale, threads, topics, resume.as_deref(), out)
+            })
+        }
         Command::Ckpt { action, file } => ckpt(action, &file, out),
         Command::BenchCompare {
             baseline,
@@ -96,33 +108,19 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
     }
 }
 
-/// Runs `body` under a root span, honouring the `FORUMCAST_TRACE` env
-/// var: when set, the trace collector is armed and the collected
-/// pipeline spans are written there afterwards. This is how commands
-/// without their own `--trace` flag (`train`, `stats`) get tracing;
-/// without the env var the probes stay no-ops.
-fn with_env_trace(
-    root: &'static str,
+/// Runs `body` under the root span `root`, then flushes the session's
+/// trace, bench report and summary. A failed body flushes nothing.
+fn in_session(
+    session: RunSession,
+    root: &str,
     out: &mut dyn Write,
     body: impl FnOnce(&mut dyn Write) -> CmdResult,
 ) -> CmdResult {
-    let trace_path = std::env::var(forumcast_obs::TRACE_ENV).ok();
-    if trace_path.is_some() {
-        forumcast_obs::arm_for_process();
-    }
-    let result = {
+    {
         let _root = forumcast_obs::span(root);
-        body(out)
-    };
-    if let Some(path) = trace_path {
-        if result.is_ok() {
-            let log = forumcast_obs::drain().ok_or("trace collector was disarmed mid-run")?;
-            std::fs::write(&path, log.to_chrome_json())
-                .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
-            writeln!(out, "trace written to {path}")?;
-        }
+        body(out)?;
     }
-    result
+    session.finish(out)
 }
 
 fn synth_config(scale: &str) -> Result<SynthConfig, String> {
@@ -292,9 +290,6 @@ fn extractor_config(fast: bool) -> ExtractorConfig {
 }
 
 fn train(data: &str, fast: bool, seed: Option<u64>, path: &str, out: &mut dyn Write) -> CmdResult {
-    // Training uses `FORUMCAST_THREADS` workers, else every core; the
-    // model is bitwise identical at any count.
-    forumcast_ml::set_train_threads(0);
     let dataset = load_dataset(data)?;
     let (clean, _) = dataset.preprocess();
     let ex_cfg = extractor_config(fast);
@@ -456,16 +451,11 @@ fn route(
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn evaluate(
     scale: &str,
     threads: usize,
     topics: Option<usize>,
     resume: Option<&str>,
-    faults: Option<&str>,
-    trace: Option<&str>,
-    metrics: bool,
-    bench_json: Option<&str>,
     out: &mut dyn Write,
 ) -> CmdResult {
     let mut cfg = match scale {
@@ -475,35 +465,8 @@ fn evaluate(
         other => return Err(format!("unknown scale `{other}`").into()),
     };
     cfg.threads = threads;
-    // The same flag drives mini-batch gradient accumulation; the
-    // fixed-order reduction keeps results bitwise identical at any
-    // thread count, so this only affects wall time.
-    forumcast_ml::set_train_threads(threads);
     if let Some(k) = topics {
         cfg.extractor = cfg.extractor.with_topics(k);
-    }
-    // --faults wins over the FORUMCAST_FAULTS env var.
-    let plan = match faults {
-        Some(spec) => Some(
-            FaultPlan::parse(spec)
-                .map_err(|e| format!("invalid value `{spec}` for --faults: {e}"))?,
-        ),
-        None => FaultPlan::from_env()
-            .map_err(|e| format!("invalid {}: {e}", forumcast_resilience::FAULTS_ENV))?,
-    };
-    if let Some(plan) = plan {
-        if !plan.is_empty() {
-            plan.arm_for_process();
-        }
-    }
-    // --trace wins over the FORUMCAST_TRACE env var. Either flag (or
-    // the env var) arms the collector; without them the probes stay
-    // no-ops and the output is byte-identical to an uninstrumented run.
-    let env_trace = std::env::var(forumcast_obs::TRACE_ENV).ok();
-    let trace_path = trace.map(str::to_owned).or(env_trace);
-    let collect = trace_path.is_some() || metrics || bench_json.is_some();
-    if collect {
-        forumcast_obs::arm_for_process();
     }
     writeln!(
         out,
@@ -513,102 +476,18 @@ fn evaluate(
     if let Some(path) = resume {
         writeln!(out, "checkpointing completed folds to `{path}`")?;
     }
-    let report = {
-        let _root = forumcast_obs::span("evaluate");
-        table1::run_with(&cfg, resume.map(Path::new))
-            .map_err(|e| format!("evaluation failed: {e}"))?
-    };
+    let report =
+        table1::run(&cfg, resume.map(Path::new)).map_err(|e| format!("evaluation failed: {e}"))?;
     writeln!(out, "{report}")?;
-    if collect {
-        let log = forumcast_obs::drain().ok_or("trace collector was disarmed mid-run")?;
-        if let Some(path) = &trace_path {
-            std::fs::write(path, log.to_chrome_json())
-                .map_err(|e| format!("cannot write trace to `{path}`: {e}"))?;
-            writeln!(out, "trace written to {path}")?;
-        }
-        if let Some(path) = bench_json {
-            std::fs::write(path, log.to_bench_json())
-                .map_err(|e| format!("cannot write bench report to `{path}`: {e}"))?;
-            writeln!(out, "bench report written to {path}")?;
-        }
-        if metrics {
-            writeln!(out, "{}", log.summary().render())?;
-        }
-    }
     Ok(())
 }
 
-/// Reads `key` out of a parsed JSON object.
-fn bench_field<'a>(v: &'a serde::Value, key: &str) -> Option<&'a serde::Value> {
-    match v {
-        serde::Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Any JSON number as `f64` (bench reports mix integers and floats).
-fn bench_f64(v: &serde::Value) -> Option<f64> {
-    match v {
-        serde::Value::F64(f) => Some(*f),
-        serde::Value::I64(i) => Some(*i as f64),
-        serde::Value::U64(u) => Some(*u as f64),
-        _ => None,
-    }
-}
-
-/// Parses a `forumcast-bench` document, rejecting wrong schemas and
-/// versions up front so the gate never silently compares garbage.
+/// Reads a `forumcast-bench` document from `path`.
 fn load_bench_report(path: &str) -> Result<forumcast_obs::BenchReport, Box<dyn Error>> {
     let json = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read bench report `{path}`: {e}"))?;
-    let v: serde::Value = serde_json::from_str(&json)
-        .map_err(|e| format!("invalid JSON in bench report `{path}`: {e}"))?;
-    let schema = bench_field(&v, "schema").and_then(|s| match s {
-        serde::Value::Str(s) => Some(s.as_str()),
-        _ => None,
-    });
-    if schema != Some(forumcast_obs::BENCH_SCHEMA) {
-        return Err(format!(
-            "`{path}` is not a `{}` document (schema: {})",
-            forumcast_obs::BENCH_SCHEMA,
-            schema.unwrap_or("missing")
-        )
-        .into());
-    }
-    let version = bench_field(&v, "version")
-        .and_then(bench_f64)
-        .ok_or_else(|| format!("`{path}` has no schema version"))? as u64;
-    if version != forumcast_obs::BENCH_VERSION {
-        return Err(format!(
-            "`{path}` is bench schema version {version}; this build reads version {}",
-            forumcast_obs::BENCH_VERSION
-        )
-        .into());
-    }
-    let wall_ms = bench_field(&v, "wall_ms")
-        .and_then(bench_f64)
-        .ok_or_else(|| format!("`{path}` has no wall_ms"))?;
-    let mut spans = Vec::new();
-    if let Some(serde::Value::Array(items)) = bench_field(&v, "spans") {
-        for item in items {
-            let name = match bench_field(item, "name") {
-                Some(serde::Value::Str(s)) => s.clone(),
-                _ => return Err(format!("`{path}` has a span without a name").into()),
-            };
-            let num = |key: &str| {
-                bench_field(item, key)
-                    .and_then(bench_f64)
-                    .ok_or_else(|| format!("`{path}` span `{name}` is missing {key}"))
-            };
-            spans.push(forumcast_obs::BenchSpanStat {
-                calls: num("calls")? as u64,
-                total_ms: num("total_ms")?,
-                p99_ms: num("p99_ms")?,
-                name,
-            });
-        }
-    }
-    Ok(forumcast_obs::BenchReport { wall_ms, spans })
+    forumcast_obs::BenchReport::from_json(&json)
+        .map_err(|e| format!("invalid bench report `{path}`: {e}").into())
 }
 
 /// `forumcast bench compare <baseline> <current>`: the perf-regression

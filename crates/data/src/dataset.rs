@@ -309,17 +309,6 @@ impl Dataset {
             threads: idx.into_iter().map(|i| self.threads[i].clone()).collect(),
         }
     }
-
-    /// Returns the indices of threads whose question was posted in
-    /// `[from, to)` hours.
-    pub fn questions_in_window(&self, from: Hours, to: Hours) -> Vec<usize> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.asked_at() >= from && t.asked_at() < to)
-            .map(|(i, _)| i)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -500,14 +489,6 @@ mod tests {
         let sub = ds.select(&[1, 1, 99]);
         assert_eq!(sub.num_questions(), 1);
         assert_eq!(sub.threads()[0].id, QuestionId(1));
-    }
-
-    #[test]
-    fn questions_in_window_half_open() {
-        let ds = simple();
-        assert_eq!(ds.questions_in_window(0.0, 5.0), vec![0]);
-        assert_eq!(ds.questions_in_window(0.0, 5.1), vec![0, 1]);
-        assert_eq!(ds.questions_in_window(5.0, 6.0), vec![1]);
     }
 
     #[test]

@@ -82,15 +82,6 @@ impl DayPartition {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Number of questions in each day `1 ..= num_days`.
-    pub fn counts_per_day(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.num_days];
-        for &d in &self.day_per_question {
-            counts[d - 1] += 1;
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -133,18 +124,11 @@ mod tests {
     }
 
     #[test]
-    fn counts_per_day_sums_to_total() {
-        let ds = ds_with_times(&[1.0, 2.0, 25.0, 49.0]);
-        let days = DayPartition::new(&ds);
-        assert_eq!(days.counts_per_day(), vec![2, 1, 1]);
-    }
-
-    #[test]
     fn empty_dataset_has_zero_days() {
         let ds = Dataset::new(0, vec![]).unwrap();
         let days = DayPartition::new(&ds);
         assert_eq!(days.num_days(), 0);
-        assert!(days.counts_per_day().is_empty());
+        assert!(days.questions_in_days(1, 30).is_empty());
     }
 
     #[test]

@@ -14,7 +14,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::io::{Read, Write};
 
 use crate::dataset::Dataset;
 use crate::error::DataError;
@@ -39,32 +38,6 @@ pub fn from_json(json: &str) -> Result<Dataset, DataError> {
     let ds: Dataset = serde_json::from_str(json)?;
     // Re-run validation: the JSON may come from an untrusted source.
     Dataset::new(ds.num_users(), ds.threads().to_vec())
-}
-
-/// Writes a dataset as JSON to any [`Write`] sink. A `&mut` reference
-/// may be passed for `w`.
-///
-/// # Errors
-///
-/// Returns [`DataError::Json`] on serialization or I/O failure.
-pub fn write_json<W: Write>(dataset: &Dataset, mut w: W) -> Result<(), DataError> {
-    let json = to_json(dataset)?;
-    w.write_all(json.as_bytes())
-        .map_err(|e| DataError::Json(e.to_string()))
-}
-
-/// Reads a dataset from any [`Read`] source. A `&mut` reference may be
-/// passed for `r`.
-///
-/// # Errors
-///
-/// Returns [`DataError::Json`] on I/O failure and [`DataError`] on
-/// malformed content.
-pub fn read_json<R: Read>(mut r: R) -> Result<Dataset, DataError> {
-    let mut buf = String::new();
-    r.read_to_string(&mut buf)
-        .map_err(|e| DataError::Json(e.to_string()))?;
-    from_json(&buf)
 }
 
 /// One post in the external record format.
@@ -261,15 +234,6 @@ mod tests {
             from_json(json),
             Err(DataError::UserOutOfRange { user: 5, .. })
         ));
-    }
-
-    #[test]
-    fn write_and_read_json_streams() {
-        let (ds, _) = import_records(&sample_records()).unwrap();
-        let mut buf = Vec::new();
-        write_json(&ds, &mut buf).unwrap();
-        let back = read_json(buf.as_slice()).unwrap();
-        assert_eq!(back, ds);
     }
 
     #[test]

@@ -109,6 +109,8 @@ mod tests {
     fn presets_differ_in_cost() {
         assert!(EvalConfig::quick().folds < EvalConfig::paper().folds);
         assert!(EvalConfig::paper().repeats > EvalConfig::standard().repeats);
+        // The binaries' default scale runs one CV repeat.
+        assert_eq!(EvalConfig::standard().repeats, 1);
     }
 
     #[test]

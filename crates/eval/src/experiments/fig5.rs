@@ -6,7 +6,7 @@ use std::path::Path;
 
 use crate::config::EvalConfig;
 use crate::data::ExperimentData;
-use crate::experiments::{run_cv_resumable, sub_checkpoint, CvError, CvOptions};
+use crate::experiments::{run_cv_resumable, sub_checkpoint, CvError};
 use crate::fold::mean_std;
 
 /// Metrics at one value of `K`.
@@ -65,18 +65,8 @@ impl fmt::Display for Fig5Report {
 
 /// Runs the sweep over `ks` (the paper varies K around its default
 /// of 8; pass e.g. `[4, 8, 12, 15, 20]`). Baselines are skipped —
-/// they do not use topics.
-///
-/// # Panics
-///
-/// Panics when `ks` does not contain `reference_k`, or when the
-/// sweep fails despite per-fold retries.
-pub fn run(config: &EvalConfig, ks: &[usize], reference_k: usize) -> Fig5Report {
-    run_with(config, ks, reference_k, None).unwrap_or_else(|e| panic!("fig5: {e}"))
-}
-
-/// [`run`] with an optional checkpoint base path: each swept `K`
-/// checkpoints into `<base>.k<K>.ckpt`.
+/// they do not use topics. With a `checkpoint` base path, each swept
+/// `K` checkpoints into `<base>.k<K>.ckpt`.
 ///
 /// # Errors
 ///
@@ -86,7 +76,7 @@ pub fn run(config: &EvalConfig, ks: &[usize], reference_k: usize) -> Fig5Report 
 /// # Panics
 ///
 /// Panics when `ks` does not contain `reference_k`.
-pub fn run_with(
+pub fn run(
     config: &EvalConfig,
     ks: &[usize],
     reference_k: usize,
@@ -102,11 +92,8 @@ pub fn run_with(
         let mut cfg = config.clone();
         cfg.extractor = cfg.extractor.with_topics(k);
         let data = ExperimentData::build(&dataset, &cfg);
-        let opts = CvOptions {
-            checkpoint: sub_checkpoint(checkpoint, &format!("k{k}")),
-            ..CvOptions::default()
-        };
-        let outcomes = run_cv_resumable(&data, &cfg, None, false, &opts)?;
+        let ckpt = sub_checkpoint(checkpoint, &format!("k{k}"));
+        let outcomes = run_cv_resumable(&data, &cfg, None, false, ckpt.as_deref())?;
         let auc = mean_std(&outcomes.iter().map(|o| o.auc).collect::<Vec<_>>()).0;
         let rv = mean_std(&outcomes.iter().map(|o| o.rmse_votes).collect::<Vec<_>>()).0;
         let rt = mean_std(&outcomes.iter().map(|o| o.rmse_time).collect::<Vec<_>>()).0;
@@ -169,7 +156,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "must be part of the sweep")]
     fn missing_reference_panics() {
-        run(&EvalConfig::quick(), &[4], 8);
+        let _ = run(&EvalConfig::quick(), &[4], 8, None);
     }
 
     #[test]
@@ -177,7 +164,7 @@ mod tests {
     fn sweep_runs_on_quick_config() {
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
-        let report = run(&cfg, &[2, 4], 4);
+        let report = run(&cfg, &[2, 4], 4, None).unwrap();
         assert_eq!(report.points.len(), 2);
         assert_eq!(report.points[1].pct_change.0, 0.0);
     }

@@ -8,7 +8,7 @@ use forumcast_features::FeatureId;
 
 use crate::config::EvalConfig;
 use crate::data::ExperimentData;
-use crate::experiments::{run_cv_resumable, sub_checkpoint, CvError, CvOptions};
+use crate::experiments::{run_cv_resumable, sub_checkpoint, CvError};
 use crate::fold::{mean_std, MaskSpec};
 
 /// Importance of one feature: % increase in RMSE when it is removed.
@@ -71,45 +71,23 @@ impl fmt::Display for Fig6Report {
     }
 }
 
-/// Runs the leave-one-feature-out study: a full CV per excluded
-/// feature (20 runs) plus one reference run, all without baselines.
-///
-/// # Panics
-///
-/// Panics when a CV run fails despite per-fold retries.
-pub fn run(config: &EvalConfig) -> Fig6Report {
-    let (dataset, _) = config.synth.generate().preprocess();
-    let data = ExperimentData::build(&dataset, config);
-    run_on(&data, config)
-}
-
-/// Runs the study on prebuilt experiment data (reused by benches).
-///
-/// # Panics
-///
-/// Panics when a CV run fails despite per-fold retries.
-pub fn run_on(data: &ExperimentData, config: &EvalConfig) -> Fig6Report {
-    run_on_with(data, config, None).unwrap_or_else(|e| panic!("fig6: {e}"))
-}
-
-/// [`run_on`] with an optional checkpoint base path: the reference
-/// run checkpoints into `<base>.ref.ckpt` and the run excluding the
-/// `i`-th feature into `<base>.feat<i>.ckpt`.
+/// Runs the leave-one-feature-out study on prebuilt experiment data:
+/// a full CV per excluded feature (20 runs) plus one reference run,
+/// all without baselines. With a `checkpoint` base path, the
+/// reference run checkpoints into `<base>.ref.ckpt` and the run
+/// excluding the `i`-th feature into `<base>.feat<i>.ckpt`.
 ///
 /// # Errors
 ///
 /// Returns [`CvError`] when a fold exhausts its retries or a
 /// checkpoint file is unusable.
-pub fn run_on_with(
+pub fn run(
     data: &ExperimentData,
     config: &EvalConfig,
     checkpoint: Option<&Path>,
 ) -> Result<Fig6Report, CvError> {
-    let ref_opts = CvOptions {
-        checkpoint: sub_checkpoint(checkpoint, "ref"),
-        ..CvOptions::default()
-    };
-    let reference = run_cv_resumable(data, config, None, false, &ref_opts)?;
+    let ref_ckpt = sub_checkpoint(checkpoint, "ref");
+    let reference = run_cv_resumable(data, config, None, false, ref_ckpt.as_deref())?;
     let ref_v = mean_std(&reference.iter().map(|o| o.rmse_votes).collect::<Vec<_>>()).0;
     let ref_t = mean_std(&reference.iter().map(|o| o.rmse_time).collect::<Vec<_>>()).0;
 
@@ -117,12 +95,9 @@ pub fn run_on_with(
     // features sequentially to bound memory.
     let mut bars = Vec::with_capacity(FeatureId::ALL.len());
     for (i, &feature) in FeatureId::ALL.iter().enumerate() {
-        let opts = CvOptions {
-            checkpoint: sub_checkpoint(checkpoint, &format!("feat{i}")),
-            ..CvOptions::default()
-        };
-        let outcomes =
-            run_cv_resumable(data, config, Some(MaskSpec::Feature(feature)), false, &opts)?;
+        let ckpt = sub_checkpoint(checkpoint, &format!("feat{i}"));
+        let mask = Some(MaskSpec::Feature(feature));
+        let outcomes = run_cv_resumable(data, config, mask, false, ckpt.as_deref())?;
         let v = mean_std(&outcomes.iter().map(|o| o.rmse_votes).collect::<Vec<_>>()).0;
         let t = mean_std(&outcomes.iter().map(|o| o.rmse_time).collect::<Vec<_>>()).0;
         bars.push(Fig6Bar {
@@ -169,7 +144,9 @@ mod tests {
     fn quick_study_runs() {
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
-        let report = run(&cfg);
+        let (dataset, _) = cfg.synth.generate().preprocess();
+        let data = ExperimentData::build(&dataset, &cfg);
+        let report = run(&data, &cfg, None).unwrap();
         assert_eq!(report.bars.len(), 20);
     }
 }

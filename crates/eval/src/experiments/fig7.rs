@@ -16,7 +16,7 @@ use forumcast_features::FeatureGroup;
 
 use crate::config::EvalConfig;
 use crate::data::ExperimentData;
-use crate::experiments::{run_cv_resumable, sub_checkpoint, CvError, CvOptions};
+use crate::experiments::{run_cv_resumable, sub_checkpoint, CvError};
 use crate::fold::{mean_std, MaskSpec};
 
 /// RMSEs for one (history window, excluded group) cell.
@@ -82,17 +82,8 @@ impl fmt::Display for Fig7Report {
 
 /// Runs the Figure 7 experiment. `windows` are the history lengths
 /// in days (paper: `[5, 10, 15, 20, 25]`); `eval_from_day` is the
-/// first evaluation day (paper: 25).
-///
-/// # Panics
-///
-/// Panics when a CV run fails despite per-fold retries.
-pub fn run(config: &EvalConfig, windows: &[usize], eval_from_day: usize) -> Fig7Report {
-    run_with(config, windows, eval_from_day, None).unwrap_or_else(|e| panic!("fig7: {e}"))
-}
-
-/// [`run`] with an optional checkpoint base path: the cell for window
-/// `w` with the full feature set checkpoints into
+/// first evaluation day (paper: 25). With a `checkpoint` base path,
+/// the cell for window `w` with the full feature set checkpoints into
 /// `<base>.w<w>.ref.ckpt` and the cell excluding the `j`-th group
 /// into `<base>.w<w>.g<j>.ckpt`.
 ///
@@ -100,7 +91,7 @@ pub fn run(config: &EvalConfig, windows: &[usize], eval_from_day: usize) -> Fig7
 ///
 /// Returns [`CvError`] when a fold exhausts its retries or a
 /// checkpoint file is unusable.
-pub fn run_with(
+pub fn run(
     config: &EvalConfig,
     windows: &[usize],
     eval_from_day: usize,
@@ -132,11 +123,8 @@ pub fn run_with(
 
         let run_cell = |excluded: Option<FeatureGroup>, tag: String| -> Result<Fig7Cell, CvError> {
             let mask = excluded.map(MaskSpec::Group);
-            let opts = CvOptions {
-                checkpoint: sub_checkpoint(checkpoint, &tag),
-                ..CvOptions::default()
-            };
-            let outcomes = run_cv_resumable(&data, &cfg, mask, false, &opts)?;
+            let ckpt = sub_checkpoint(checkpoint, &tag);
+            let outcomes = run_cv_resumable(&data, &cfg, mask, false, ckpt.as_deref())?;
             let v = mean_std(&outcomes.iter().map(|o| o.rmse_votes).collect::<Vec<_>>()).0;
             let t = mean_std(&outcomes.iter().map(|o| o.rmse_time).collect::<Vec<_>>()).0;
             Ok(Fig7Cell {
@@ -200,7 +188,7 @@ mod tests {
     fn quick_fig7_runs() {
         let mut cfg = EvalConfig::quick();
         cfg.folds = 2;
-        let report = run(&cfg, &[10, 20], 25);
+        let report = run(&cfg, &[10, 20], 25, None).unwrap();
         assert!(!report.cells.is_empty());
     }
 }

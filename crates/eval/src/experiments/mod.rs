@@ -22,7 +22,7 @@ pub mod table1;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use forumcast_par::parallel_try_map;
@@ -34,43 +34,17 @@ use crate::data::{ExperimentData, PairRecord};
 use crate::fold::{run_fold, FoldOutcome, MaskSpec};
 use crate::split::stratified_folds;
 
-/// Resilience options for a CV sweep.
-#[derive(Debug, Clone)]
-pub struct CvOptions {
-    /// Checkpoint file: completed fold outcomes are saved here after
-    /// every fold, and recorded folds are skipped on a rerun.
-    pub checkpoint: Option<PathBuf>,
-    /// Attempts per fold before the sweep fails (≥ 1). Fold work is a
-    /// pure function of its inputs, so a retried fold reproduces the
-    /// fault-free result bit for bit.
-    pub fold_attempts: usize,
-}
-
-impl Default for CvOptions {
-    fn default() -> Self {
-        CvOptions {
-            checkpoint: None,
-            fold_attempts: 3,
-        }
-    }
-}
-
-impl CvOptions {
-    /// Options writing to (and resuming from) `checkpoint`.
-    pub fn with_checkpoint(path: impl Into<PathBuf>) -> Self {
-        CvOptions {
-            checkpoint: Some(path.into()),
-            ..CvOptions::default()
-        }
-    }
-}
+/// Attempts per fold before a sweep fails. Fold work is a pure
+/// function of its inputs, so a retried fold reproduces the fault-free
+/// result bit for bit.
+const FOLD_ATTEMPTS: usize = 3;
 
 /// Derives the checkpoint file for one sub-run of a multi-CV sweep:
 /// `<base>` with `.<tag>.ckpt` appended. The figure drivers run many
 /// independent CVs (per `K`, per excluded feature, per history
 /// window); giving each its own file under one `--resume` base path
 /// lets a restarted sweep skip every completed fold of every sub-run.
-pub fn sub_checkpoint(base: Option<&std::path::Path>, tag: &str) -> Option<PathBuf> {
+pub fn sub_checkpoint(base: Option<&Path>, tag: &str) -> Option<PathBuf> {
     base.map(|b| {
         let mut name = b.as_os_str().to_os_string();
         name.push(format!(".{tag}.ckpt"));
@@ -145,9 +119,8 @@ fn cv_fingerprint(
 /// Runs the paper's CV protocol (`repeats` × `folds` iterations,
 /// stratified by user) over prepared experiment data, in parallel.
 ///
-/// Equivalent to [`run_cv_resumable`] with default [`CvOptions`]
-/// (bounded per-fold retry, no checkpoint); kept as the infallible
-/// entry point for callers without a resume path.
+/// [`run_cv_resumable`] without a checkpoint (bounded per-fold retry
+/// still applies), for callers without a resume path.
 ///
 /// # Panics
 ///
@@ -158,7 +131,7 @@ pub fn run_cv(
     mask: Option<MaskSpec>,
     run_baselines: bool,
 ) -> Vec<FoldOutcome> {
-    run_cv_resumable(data, config, mask, run_baselines, &CvOptions::default())
+    run_cv_resumable(data, config, mask, run_baselines, None)
         .unwrap_or_else(|e| panic!("cross-validation failed: {e}"))
 }
 
@@ -167,7 +140,7 @@ pub fn run_cv(
 ///
 /// Each fold job runs under `catch_unwind` with bounded retry, and is
 /// instrumented with the `fold-panic` fault site (unit = job index).
-/// With a checkpoint configured, every completed fold is appended to
+/// With a `checkpoint` path, every completed fold is appended to
 /// the file atomically; on a rerun, recorded folds are skipped and
 /// merged back in job order, so an interrupted sweep resumes to
 /// output bitwise-identical to an uninterrupted one at any thread
@@ -189,7 +162,7 @@ pub fn run_cv_resumable(
     config: &EvalConfig,
     mask: Option<MaskSpec>,
     run_baselines: bool,
-    options: &CvOptions,
+    checkpoint: Option<&Path>,
 ) -> Result<Vec<FoldOutcome>, CvError> {
     let _span = forumcast_obs::span("eval.run_cv");
     let users = |rs: &[PairRecord]| -> Vec<u32> { rs.iter().map(|r| r.user.0).collect() };
@@ -207,7 +180,7 @@ pub fn run_cv_resumable(
 
     let meta = cv_fingerprint(config, mask, run_baselines, jobs.len());
     let mut outcomes: Vec<Option<FoldOutcome>> = vec![None; jobs.len()];
-    let checkpoint = match &options.checkpoint {
+    let checkpoint = match checkpoint {
         Some(path) => {
             // A crash mid-save leaves `<path>.tmp` behind; the real
             // file (if any) is still the last complete save, so the
@@ -232,7 +205,7 @@ pub fn run_cv_resumable(
                     forumcast_obs::counter_add("eval.checkpoint.folds_skipped", 1);
                 }
             }
-            Some((Mutex::new(cp), path.clone()))
+            Some((Mutex::new(cp), path))
         }
         None => None,
     };
@@ -245,7 +218,7 @@ pub fn run_cv_resumable(
         // event logs identical across thread counts.
         let _fold_span = forumcast_obs::task_span("eval.fold", job as u64);
         let (pf, nf, fold) = &jobs[job];
-        let outcome = with_retry(&format!("cv fold job {job}"), options.fold_attempts, || {
+        let outcome = with_retry(&format!("cv fold job {job}"), FOLD_ATTEMPTS, || {
             fault::panic_point(FaultSite::FoldPanic, job as u64);
             run_fold(data, config, pf, nf, *fold, mask, run_baselines, None)
         })
@@ -278,13 +251,13 @@ mod tests {
     /// `.<tag>.ckpt` appended.
     #[test]
     fn sub_checkpoint_appends_the_tag_and_ckpt_extension() {
-        let base = std::path::Path::new("out/run.ckpt");
+        let base = Path::new("out/run.ckpt");
         assert_eq!(
             sub_checkpoint(Some(base), "k8"),
             Some(PathBuf::from("out/run.ckpt.k8.ckpt"))
         );
         assert_eq!(
-            sub_checkpoint(Some(std::path::Path::new("cv")), "w3.g1"),
+            sub_checkpoint(Some(Path::new("cv")), "w3.g1"),
             Some(PathBuf::from("cv.w3.g1.ckpt"))
         );
         assert_eq!(sub_checkpoint(None, "ref"), None);
@@ -334,8 +307,8 @@ mod tests {
         let data = ExperimentData::build(&ds, &cfg);
         let plain = run_cv(&data, &cfg, None, false);
         let path = temp_checkpoint("skip");
-        let opts = CvOptions::with_checkpoint(&path);
-        let first = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
+        let opts = Some(path.as_path());
+        let first = run_cv_resumable(&data, &cfg, None, false, opts).unwrap();
         assert_eq!(plain, first);
         // Rerun: every fold restored from the file. Corrupting the
         // recorded outcomes proves nothing was recomputed.
@@ -347,7 +320,7 @@ mod tests {
             o.auc = 0.123;
         }
         cp.save(&path).unwrap();
-        let resumed = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
+        let resumed = run_cv_resumable(&data, &cfg, None, false, opts).unwrap();
         assert!(resumed.iter().all(|o| o.auc == 0.123));
         std::fs::remove_file(&path).unwrap();
     }
@@ -374,8 +347,7 @@ mod tests {
         Checkpoint::<FoldOutcome>::new("other run")
             .save(&path)
             .unwrap();
-        let err = run_cv_resumable(&data, &cfg, None, false, &CvOptions::with_checkpoint(&path))
-            .unwrap_err();
+        let err = run_cv_resumable(&data, &cfg, None, false, Some(&path)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -409,8 +381,8 @@ mod tests {
         );
         for name in ["crc", "json-era"] {
             let path = temp_checkpoint(&format!("corrupt-fold-ckpt-{name}"));
-            let opts = CvOptions::with_checkpoint(&path);
-            run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
+            let opts = Some(path.as_path());
+            run_cv_resumable(&data, &cfg, None, false, opts).unwrap();
             let mut bytes = std::fs::read(&path).unwrap();
             if name == "crc" {
                 // Flip a bit in the last frame's CRC: the frame is
@@ -422,7 +394,7 @@ mod tests {
             std::fs::write(&path, &bytes).unwrap();
 
             let obs = forumcast_obs::arm();
-            let resumed = run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
+            let resumed = run_cv_resumable(&data, &cfg, None, false, opts).unwrap();
             let log = forumcast_obs::drain().expect("collector armed");
             drop(obs);
             assert_eq!(
@@ -457,8 +429,8 @@ mod tests {
         let path = temp_checkpoint("tmp-reclaim");
         let tmp = forumcast_store::tmp_path(&path);
         std::fs::write(&tmp, b"half-written checkpoint junk").unwrap();
-        let opts = CvOptions::with_checkpoint(&path);
-        run_cv_resumable(&data, &cfg, None, false, &opts).unwrap();
+        let opts = Some(path.as_path());
+        run_cv_resumable(&data, &cfg, None, false, opts).unwrap();
         assert!(!tmp.exists(), "stale tmp must be reclaimed at startup");
         std::fs::remove_file(&path).unwrap();
     }
@@ -473,7 +445,7 @@ mod tests {
         let _guard = forumcast_resilience::FaultPlan::parse("fold-panic:1x3")
             .unwrap()
             .arm();
-        let err = run_cv_resumable(&data, &cfg, None, false, &CvOptions::default()).unwrap_err();
+        let err = run_cv_resumable(&data, &cfg, None, false, None).unwrap_err();
         match err {
             CvError::FoldFailed { job, attempts, .. } => {
                 assert_eq!(job, 1);

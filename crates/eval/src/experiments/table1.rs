@@ -6,7 +6,7 @@ use std::path::Path;
 
 use crate::config::EvalConfig;
 use crate::data::ExperimentData;
-use crate::experiments::{run_cv_resumable, CvError, CvOptions};
+use crate::experiments::{run_cv_resumable, CvError};
 use crate::fold::mean_std;
 
 /// One row of Table I.
@@ -60,15 +60,6 @@ impl fmt::Display for Table1Report {
 /// Runs the Table I experiment: full CV with baselines on the
 /// standard protocol (`Ω = Q`, bucketed prior history).
 ///
-/// # Panics
-///
-/// Panics when the CV sweep fails despite per-fold retries.
-pub fn run(config: &EvalConfig) -> Table1Report {
-    run_with(config, None).unwrap_or_else(|e| panic!("table1: {e}"))
-}
-
-/// [`run`] with an optional checkpoint file.
-///
 /// With `checkpoint` set, completed folds are saved after each fold
 /// and skipped when rerun with the same path; a fold interrupted
 /// part-way recomputes from its start.
@@ -77,14 +68,10 @@ pub fn run(config: &EvalConfig) -> Table1Report {
 ///
 /// Returns [`CvError`] when a fold exhausts its retries or the
 /// checkpoint file is unusable.
-pub fn run_with(config: &EvalConfig, checkpoint: Option<&Path>) -> Result<Table1Report, CvError> {
+pub fn run(config: &EvalConfig, checkpoint: Option<&Path>) -> Result<Table1Report, CvError> {
     let (dataset, _) = config.synth.generate().preprocess();
-    let opts = CvOptions {
-        checkpoint: checkpoint.map(Path::to_path_buf),
-        ..CvOptions::default()
-    };
     let data = ExperimentData::build(&dataset, config);
-    let outcomes = run_cv_resumable(&data, config, None, true, &opts)?;
+    let outcomes = run_cv_resumable(&data, config, None, true, checkpoint)?;
     Ok(report_from(&outcomes))
 }
 
@@ -180,7 +167,7 @@ mod tests {
     #[test]
     #[ignore = "minutes-long: full quick-protocol CV with baselines"]
     fn quick_run_beats_baselines() {
-        let report = run(&EvalConfig::quick());
+        let report = run(&EvalConfig::quick(), None).unwrap();
         assert!(report.rows[0].improvement_pct > 0.0, "{report}");
     }
 }

@@ -14,7 +14,11 @@
 //! * [`experiments`] — the CV driver, Table I, Figure 3 (vote/time
 //!   correlation), Figure 4 (feature CDFs), Figure 5 (topic-count
 //!   sweep), Figure 6 (leave-one-feature-out importance), Figure 7
-//!   (feature groups × history length).
+//!   (feature groups × history length);
+//! * [`session`] — the run session every front door (the `forumcast`
+//!   CLI and the regeneration binaries) runs an experiment under:
+//!   flag-over-env resolution, fault and collector arming, training
+//!   workers, and the trace/bench-report/summary flush.
 //!
 //! # Example
 //!
@@ -22,7 +26,7 @@
 //! use forumcast_eval::experiments::table1;
 //! use forumcast_eval::EvalConfig;
 //!
-//! let report = table1::run(&EvalConfig::quick());
+//! let report = table1::run(&EvalConfig::quick(), None).expect("every fold completes");
 //! println!("{report}");
 //! ```
 
@@ -32,10 +36,12 @@ pub mod data;
 pub mod experiments;
 pub mod fold;
 pub mod metrics;
+pub mod session;
 pub mod split;
 
 pub use config::EvalConfig;
 pub use data::{ExperimentData, PairRecord};
-pub use experiments::{run_cv, run_cv_resumable, CvError, CvOptions};
+pub use experiments::{run_cv, run_cv_resumable, CvError};
 pub use fold::{FoldOutcome, MaskSpec};
 pub use metrics::{auc, cdf_points, mae, pearson, rmse, spearman};
+pub use session::RunSession;

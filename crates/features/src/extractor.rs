@@ -134,8 +134,8 @@ impl FeatureExtractor {
     }
 }
 
-/// Assembles the `18 + 2K` vector from a prepared context — shared by
-/// [`FeatureExtractor`] and the online pipeline.
+/// Assembles the `18 + 2K` vector from a prepared context — the body of
+/// [`FeatureExtractor::features`].
 ///
 /// # Panics
 ///

@@ -87,11 +87,6 @@ impl Normalizer {
             .map(|((&v, &m), &s)| if s > 1e-12 { (v - m) / s } else { 0.0 })
             .collect()
     }
-
-    /// Transforms a batch of rows.
-    pub fn transform_all(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        rows.iter().map(|r| self.transform(r)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -102,7 +97,7 @@ mod tests {
     fn transformed_training_set_has_zero_mean_unit_std() {
         let rows = vec![vec![1.0, -3.0], vec![3.0, 0.0], vec![5.0, 3.0]];
         let norm = Normalizer::fit(&rows);
-        let z = norm.transform_all(&rows);
+        let z: Vec<Vec<f64>> = rows.iter().map(|r| norm.transform(r)).collect();
         for d in 0..2 {
             let mean: f64 = z.iter().map(|r| r[d]).sum::<f64>() / 3.0;
             let var: f64 = z.iter().map(|r| r[d] * r[d]).sum::<f64>() / 3.0;

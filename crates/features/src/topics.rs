@@ -127,51 +127,6 @@ impl PostTopics {
         self.answer_topics.get(&(q, u)).map(Vec::as_slice)
     }
 
-    /// Folds new threads into the distribution cache **without
-    /// retraining** the topic–word distributions — the online
-    /// deployment mode: `φ` stays frozen, new posts get fold-in `θ`s.
-    pub fn extend(&mut self, threads: &[Thread]) {
-        self.extend_with_threads(threads, forumcast_par::configured_threads());
-    }
-
-    /// [`PostTopics::extend`] with an explicit worker-thread count
-    /// (`0` = auto). New posts are collected in thread order (first
-    /// occurrence wins for duplicates, matching serial behavior),
-    /// fold-in inference runs in parallel with per-post
-    /// content-derived seeds, and results are inserted in collection
-    /// order — bitwise-identical for any thread count.
-    pub fn extend_with_threads(&mut self, threads: &[Thread], worker_threads: usize) {
-        let mut keys: Vec<PostKey> = Vec::new();
-        let mut docs: Vec<(BagOfWords, u64)> = Vec::new();
-        let mut pending_q: std::collections::HashSet<QuestionId> = std::collections::HashSet::new();
-        let mut pending_a: std::collections::HashSet<(QuestionId, UserId)> =
-            std::collections::HashSet::new();
-        for t in threads {
-            if !self.question_topics.contains_key(&t.id) && pending_q.insert(t.id) {
-                keys.push(PostKey::Question(t.id));
-                docs.push(self.encode_with_seed(&t.question.body));
-            }
-            for a in &t.answers {
-                let key = (t.id, a.author);
-                if !self.answer_topics.contains_key(&key) && pending_a.insert(key) {
-                    keys.push(PostKey::Answer(t.id, a.author));
-                    docs.push(self.encode_with_seed(&a.body));
-                }
-            }
-        }
-        let thetas = self.lda.infer_batch(&docs, worker_threads);
-        for (key, theta) in keys.into_iter().zip(thetas) {
-            match key {
-                PostKey::Question(q) => {
-                    self.question_topics.insert(q, theta);
-                }
-                PostKey::Answer(q, u) => {
-                    self.answer_topics.insert((q, u), theta);
-                }
-            }
-        }
-    }
-
     /// Encodes a post body and derives its deterministic fold-in seed
     /// from the token content.
     fn encode_with_seed(&self, body: &PostBody) -> (BagOfWords, u64) {
@@ -318,36 +273,6 @@ mod tests {
         let (_, pt) = topics_over_small();
         let theta = pt.infer(&PostBody::default());
         assert_eq!(theta, vec![0.25; 4]);
-    }
-
-    #[test]
-    fn extend_bitwise_identical_across_thread_counts() {
-        let ds = SynthConfig::small().with_seed(11).generate();
-        let (clean, _) = ds.preprocess();
-        let history: Vec<Thread> = clean.threads()[..80].to_vec();
-        let new_threads: Vec<Thread> = clean.threads()[80..120].to_vec();
-        let base = PostTopics::fit(&history, &LdaConfig::new(4).with_iterations(20));
-
-        let mut serial = base.clone();
-        serial.extend_with_threads(&new_threads, 1);
-        for threads in [2, 7] {
-            let mut par = base.clone();
-            par.extend_with_threads(&new_threads, threads);
-            for t in &new_threads {
-                let a = serial.question(t.id).unwrap();
-                let b = par.question(t.id).unwrap();
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "question {:?}", t.id);
-                }
-                for ans in &t.answers {
-                    let a = serial.answer(t.id, ans.author).unwrap();
-                    let b = par.answer(t.id, ans.author).unwrap();
-                    for (x, y) in a.iter().zip(b) {
-                        assert_eq!(x.to_bits(), y.to_bits());
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -86,49 +86,6 @@ impl Graph {
         }
     }
 
-    /// Adds the undirected edge `{u, v}`. Returns `true` if the edge
-    /// was new. Self-loops are ignored (returns `false`).
-    ///
-    /// This is the incremental slow path (`O(E)` per call: the CSR
-    /// arrays are spliced); construct large graphs with
-    /// [`from_edges`](Graph::from_edges) instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `u` or `v` is out of range.
-    pub fn add_edge(&mut self, u: u32, v: u32) -> bool {
-        let n = self.num_nodes();
-        assert!(
-            (u as usize) < n && (v as usize) < n,
-            "edge ({u}, {v}) out of range for {n} nodes"
-        );
-        if u == v {
-            return false;
-        }
-        let pos = match self.neighbors_of(u).binary_search(&v) {
-            Ok(_) => return false,
-            Err(pos) => pos,
-        };
-        self.splice(u, pos, v);
-        let pos = self
-            .neighbors_of(v)
-            .binary_search(&u)
-            .expect_err("symmetric invariant violated");
-        self.splice(v, pos, u);
-        self.num_edges += 1;
-        true
-    }
-
-    /// Inserts `value` at position `pos` of node `u`'s slice, shifting
-    /// every later slice right by one.
-    fn splice(&mut self, u: u32, pos: usize, value: u32) {
-        let at = self.offsets[u as usize] as usize + pos;
-        self.neighbors.insert(at, value);
-        for off in &mut self.offsets[u as usize + 1..] {
-            *off += 1;
-        }
-    }
-
     fn neighbors_of(&self, u: u32) -> &[u32] {
         &self.neighbors[self.offsets[u as usize] as usize..self.offsets[u as usize + 1] as usize]
     }
@@ -219,29 +176,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn add_edge_is_symmetric_and_deduped() {
-        let mut g = Graph::new(3);
-        assert!(g.add_edge(0, 2));
-        assert!(!g.add_edge(2, 0));
-        assert!(g.has_edge(0, 2) && g.has_edge(2, 0));
-        assert_eq!(g.num_edges(), 1);
-    }
-
-    #[test]
-    fn self_loops_are_ignored() {
-        let mut g = Graph::new(2);
-        assert!(!g.add_edge(1, 1));
-        assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.degree(1), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_edge_panics() {
-        Graph::new(2).add_edge(0, 5);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_bulk_edge_panics() {
         Graph::from_edges(2, &[(0, 5)]);
@@ -254,18 +188,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_bulk_builds_agree() {
-        // Same edge multiset inserted in an adversarial order: CSR
-        // splicing must land in the exact state the bulk path builds.
+    fn bulk_build_is_symmetric_and_drops_duplicates_and_self_loops() {
         let edges = [(4u32, 1u32), (0, 3), (1, 0), (3, 4), (1, 4), (2, 2), (0, 1)];
-        let bulk = Graph::from_edges(5, &edges);
-        let mut inc = Graph::new(5);
-        for &(u, v) in &edges {
-            inc.add_edge(u, v);
-        }
-        assert_eq!(bulk, inc);
+        let g = Graph::from_edges(5, &edges);
         // {1,4}, {0,3}, {0,1}, {3,4} — duplicates and the self-loop drop.
-        assert_eq!(bulk.num_edges(), 4);
+        assert_eq!(g.num_edges(), 4);
+        assert!(g.has_edge(4, 1) && g.has_edge(1, 4));
+        assert_eq!(g.degree(2), 0);
     }
 
     #[test]

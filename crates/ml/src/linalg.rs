@@ -126,15 +126,6 @@ pub fn mean(x: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation (0 for empty input).
-pub fn std_dev(x: &[f64]) -> f64 {
-    if x.is_empty() {
-        return 0.0;
-    }
-    let m = mean(x);
-    (x.iter().map(|&v| (v - m).powi(2)).sum::<f64>() / x.len() as f64).sqrt()
-}
-
 /// Median of a slice (0 for empty input); the paper uses medians for
 /// response-time features to resist outliers (footnote 4).
 ///
@@ -260,11 +251,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_std() {
+    fn mean_of_a_slice() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert!((std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
     }
 
     #[test]

@@ -11,67 +11,42 @@ pub trait Optimizer {
     ///
     /// # Panics
     ///
-    /// Implementations panic when `params.len() != grads.len()` or the
-    /// length changes between calls.
+    /// Implementations panic when `params.len() != grads.len()`, and
+    /// stateful ones (Adam) when the length changes between calls.
     fn step(&mut self, params: &mut [f64], grads: &[f64]);
 
     /// Resets internal state (e.g. Adam moments).
     fn reset(&mut self);
 }
 
-/// Plain stochastic gradient descent with optional momentum.
+/// Plain stochastic gradient descent: `params -= learning_rate · grads`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Sgd {
     /// Learning rate.
     pub learning_rate: f64,
-    /// Momentum coefficient in `[0, 1)`; 0 disables momentum.
-    pub momentum: f64,
-    velocity: Vec<f64>,
 }
 
 impl Sgd {
-    /// Creates SGD with the given learning rate and no momentum.
+    /// Creates SGD with the given learning rate.
     ///
     /// # Panics
     ///
     /// Panics when `learning_rate <= 0`.
     pub fn new(learning_rate: f64) -> Self {
         assert!(learning_rate > 0.0, "learning rate must be positive");
-        Sgd {
-            learning_rate,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Sets the momentum coefficient.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `momentum` is not in `[0, 1)`.
-    pub fn with_momentum(mut self, momentum: f64) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
-        self.momentum = momentum;
-        self
+        Sgd { learning_rate }
     }
 }
 
 impl Optimizer for Sgd {
     fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-        if self.velocity.len() != params.len() {
-            assert!(self.velocity.is_empty(), "parameter count changed");
-            self.velocity = vec![0.0; params.len()];
-        }
-        for i in 0..params.len() {
-            self.velocity[i] = self.momentum * self.velocity[i] - self.learning_rate * grads[i];
-            params[i] += self.velocity[i];
+        for (p, g) in params.iter_mut().zip(grads) {
+            *p -= self.learning_rate * g;
         }
     }
 
-    fn reset(&mut self) {
-        self.velocity.clear();
-    }
+    fn reset(&mut self) {}
 }
 
 /// The Adam optimizer (Kingma & Ba, 2015) with bias correction —
@@ -164,12 +139,6 @@ mod tests {
     fn sgd_converges_on_quadratic() {
         let mut opt = Sgd::new(0.1);
         assert!((minimize(&mut opt, 200) - 3.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::new(0.05).with_momentum(0.9);
-        assert!((minimize(&mut opt, 400) - 3.0).abs() < 1e-4);
     }
 
     #[test]

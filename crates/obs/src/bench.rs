@@ -9,9 +9,8 @@
 //! above configurable tolerances while ignoring spans too short to
 //! measure reliably.
 //!
-//! The emitter is hand-rolled (this crate is zero-dep, like the
-//! Chrome trace writer); parsing lives in the CLI, which already
-//! carries a JSON reader.
+//! The emitter is hand-rolled, like the Chrome trace writer;
+//! [`BenchReport::from_json`] reads the documents back.
 
 use crate::report::{escape_json, json_f64};
 use crate::TraceLog;
@@ -143,14 +142,88 @@ pub struct BenchSpanStat {
 }
 
 /// A parsed bench report — the subset of the document the regression
-/// gate consumes. The CLI builds these from JSON; tests build them
-/// directly.
+/// gate consumes. [`BenchReport::from_json`] reads one; tests build
+/// them directly.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BenchReport {
     /// End-to-end wall milliseconds of the run.
     pub wall_ms: f64,
     /// Per-span stats, any order.
     pub spans: Vec<BenchSpanStat>,
+}
+
+impl BenchReport {
+    /// Parses a `forumcast-bench` document, as
+    /// [`TraceLog::to_bench_json`] writes it. Other schemas and
+    /// versions are refused up front, so the gate never silently
+    /// compares garbage.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the problem: invalid JSON, another
+    /// schema or version, or a missing `wall_ms` or span field.
+    pub fn from_json(json: &str) -> Result<BenchReport, String> {
+        let v: serde::Value =
+            serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
+        let schema = field(&v, "schema").and_then(|s| match s {
+            serde::Value::Str(s) => Some(s.as_str()),
+            _ => None,
+        });
+        if schema != Some(BENCH_SCHEMA) {
+            return Err(format!(
+                "not a `{BENCH_SCHEMA}` document (schema: {})",
+                schema.unwrap_or("missing")
+            ));
+        }
+        let version = field(&v, "version")
+            .and_then(number)
+            .ok_or("no schema version")? as u64;
+        if version != BENCH_VERSION {
+            return Err(format!(
+                "bench schema version {version}; this build reads version {BENCH_VERSION}"
+            ));
+        }
+        let wall_ms = field(&v, "wall_ms").and_then(number).ok_or("no wall_ms")?;
+        let mut spans = Vec::new();
+        if let Some(serde::Value::Array(items)) = field(&v, "spans") {
+            for item in items {
+                let name = match field(item, "name") {
+                    Some(serde::Value::Str(s)) => s.clone(),
+                    _ => return Err("a span has no name".into()),
+                };
+                let num = |key: &str| {
+                    field(item, key)
+                        .and_then(number)
+                        .ok_or_else(|| format!("span `{name}` is missing {key}"))
+                };
+                spans.push(BenchSpanStat {
+                    calls: num("calls")? as u64,
+                    total_ms: num("total_ms")?,
+                    p99_ms: num("p99_ms")?,
+                    name,
+                });
+            }
+        }
+        Ok(BenchReport { wall_ms, spans })
+    }
+}
+
+/// Reads `key` out of a parsed JSON object.
+fn field<'a>(v: &'a serde::Value, key: &str) -> Option<&'a serde::Value> {
+    match v {
+        serde::Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
+    }
+}
+
+/// Any JSON number as `f64` (bench reports mix integers and floats).
+fn number(v: &serde::Value) -> Option<f64> {
+    match v {
+        serde::Value::F64(f) => Some(*f),
+        serde::Value::I64(i) => Some(*i as f64),
+        serde::Value::U64(u) => Some(*u as f64),
+        _ => None,
+    }
 }
 
 /// Gate thresholds for [`compare_reports`].
@@ -476,6 +549,27 @@ mod tests {
         let json = log.to_bench_json();
         let v: serde::Value = serde_json::from_str(&json).expect("valid JSON");
         assert!(matches!(field(&v, "spans"), serde::Value::Array(a) if a.is_empty()));
+    }
+
+    #[test]
+    fn from_json_reads_back_the_written_document_and_refuses_others() {
+        let json = sample_log().to_bench_json();
+        let report = BenchReport::from_json(&json).unwrap();
+        assert!((report.wall_ms - 200.0).abs() < 1e-9);
+        assert_eq!(report.spans.len(), 2);
+        assert_eq!((report.spans[1].calls, report.spans[1].total_ms), (2, 80.0));
+        for (doc, why) in [
+            ("[]".to_string(), "not a `forumcast-bench` document"),
+            (
+                json.replace("\"version\": 1", "\"version\": 2"),
+                "version 2",
+            ),
+            (json.replace("\"wall_ms\"", "\"wall\""), "no wall_ms"),
+            (json.replacen("\"calls\": 2, ", "", 1), "is missing calls"),
+        ] {
+            let err = BenchReport::from_json(&doc).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     fn report(spans: &[(&str, f64, f64)], wall: f64) -> BenchReport {

@@ -27,6 +27,7 @@
 use std::cell::Cell;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use forumcast_obs::{ObsGuard, Scope};
 use forumcast_resilience::{FaultGuard, FaultScope};
@@ -169,12 +170,12 @@ where
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
     let mut results: Vec<Option<Result<U, E>>> = (0..items.len()).map(|_| None).collect();
-    let slots = parking_lot::Mutex::new(&mut results);
+    let slots = Mutex::new(&mut results);
     let enter = inherit();
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let _scope = enter();
                 mark_worker();
                 loop {
@@ -189,12 +190,11 @@ where
                     if out.is_err() {
                         stop.store(true, Ordering::Relaxed);
                     }
-                    slots.lock()[i] = Some(out);
+                    slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(out);
                 }
             });
         }
-    })
-    .expect("worker thread panicked");
+    });
 
     // Items are claimed in index order, so every unprocessed slot
     // sits *after* the first error — scanning in order finds the

@@ -1,7 +1,6 @@
 //! Stateful question router with sliding-window load constraints.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 use forumcast_core::ResponsePredictor;
 use forumcast_data::{Hours, UserId};
@@ -140,9 +139,6 @@ pub mod rand_like {
 #[derive(Debug, Clone)]
 pub struct QuestionRouter {
     config: RouterConfig,
-    /// Per-user capacity overrides (`c_u` "may also be user
-    /// specified").
-    capacity_overrides: HashMap<UserId, f64>,
     /// Recorded answer events `(time, user)` within the load window.
     recent: Vec<(Hours, UserId)>,
 }
@@ -152,14 +148,8 @@ impl QuestionRouter {
     pub fn new(config: RouterConfig) -> Self {
         QuestionRouter {
             config,
-            capacity_overrides: HashMap::new(),
             recent: Vec::new(),
         }
-    }
-
-    /// Sets a per-user capacity override `c_u`.
-    pub fn set_capacity(&mut self, user: UserId, capacity: f64) {
-        self.capacity_overrides.insert(user, capacity.max(0.0));
     }
 
     /// Records that `user` answered a recommended question at `time`,
@@ -205,14 +195,7 @@ impl QuestionRouter {
             .collect();
         let capacities: Vec<f64> = eligible
             .iter()
-            .map(|c| {
-                let cap = self
-                    .capacity_overrides
-                    .get(&c.user)
-                    .copied()
-                    .unwrap_or(self.config.default_capacity);
-                cap - self.load(now, c.user)
-            })
+            .map(|c| self.config.default_capacity - self.load(now, c.user))
             .collect();
         let problem = RoutingProblem::new(scores.clone(), capacities);
         let p = solve_routing(&problem)?;
@@ -347,9 +330,11 @@ mod tests {
     }
 
     #[test]
-    fn capacity_override_splits_probability() {
-        let mut router = QuestionRouter::new(RouterConfig::default());
-        router.set_capacity(UserId(0), 0.6);
+    fn capacity_below_one_splits_probability() {
+        let mut router = QuestionRouter::new(RouterConfig {
+            default_capacity: 0.6,
+            ..RouterConfig::default()
+        });
         let rec = router.recommend(0.0, 0.0, &candidates()).unwrap();
         let i0 = rec.users().iter().position(|&u| u == UserId(0)).unwrap();
         let i1 = rec.users().iter().position(|&u| u == UserId(1)).unwrap();
@@ -360,8 +345,10 @@ mod tests {
 
     #[test]
     fn draw_respects_distribution() {
-        let mut router = QuestionRouter::new(RouterConfig::default());
-        router.set_capacity(UserId(0), 0.5);
+        let mut router = QuestionRouter::new(RouterConfig {
+            default_capacity: 0.5,
+            ..RouterConfig::default()
+        });
         let rec = router.recommend(0.0, 0.0, &candidates()).unwrap();
         // Deterministic "rng" sequence.
         let mut seq = [0.25f64, 0.75].iter().cycle().copied();

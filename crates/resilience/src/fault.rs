@@ -13,9 +13,10 @@
 //! `fold-panic:1,nan-grad:3` ("panic the first attempt of fold job 1;
 //! corrupt optimizer step 3"), with an optional `xN` multiplicity
 //! suffix (`fold-panic:1x3` fires three attempts in a row — enough to
-//! exhaust a bounded retry and simulate a hard failure). The spec is
-//! read from the [`FAULTS_ENV`] environment variable or passed
-//! explicitly via a CLI flag.
+//! exhaust a bounded retry and simulate a hard failure). Front doors
+//! take the spec from a `--faults` flag or, without one, the
+//! [`FAULTS_ENV`] environment variable (the run session in
+//! `forumcast-eval` applies that rule for all of them).
 //!
 //! An armed plan belongs to the thread that armed it, not to the
 //! process; other threads see it only after entering its
@@ -182,20 +183,6 @@ impl FaultPlan {
             shots.push((site, unit, count));
         }
         Ok(FaultPlan { shots })
-    }
-
-    /// Reads the plan from [`FAULTS_ENV`]. `Ok(None)` when the
-    /// variable is unset or blank.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultSpecError`] when the variable is set but
-    /// malformed.
-    pub fn from_env() -> Result<Option<Self>, FaultSpecError> {
-        match std::env::var(FAULTS_ENV) {
-            Ok(spec) if !spec.trim().is_empty() => Ok(Some(Self::parse(&spec)?)),
-            _ => Ok(None),
-        }
     }
 
     /// True when the plan injects nothing.

@@ -55,11 +55,6 @@ impl BagOfWords {
         self.entries.iter().map(|&(_, c)| c).sum()
     }
 
-    /// Number of distinct words.
-    pub fn num_distinct(&self) -> usize {
-        self.entries.len()
-    }
-
     /// `true` when the document is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -138,11 +133,6 @@ impl Corpus {
     pub fn iter(&self) -> impl Iterator<Item = &BagOfWords> {
         self.docs.iter()
     }
-
-    /// Total tokens across all documents.
-    pub fn total_tokens(&self) -> u64 {
-        self.docs.iter().map(|d| d.total() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +153,6 @@ mod tests {
         assert_eq!(bow.count(3), 1);
         assert_eq!(bow.count(9), 0);
         assert_eq!(bow.total(), 3);
-        assert_eq!(bow.num_distinct(), 2);
     }
 
     #[test]
@@ -204,7 +193,6 @@ mod tests {
         let c = Corpus::from_token_docs(&[d1, d2], &v);
         assert_eq!(c.num_docs(), 2);
         assert_eq!(c.num_words(), 2);
-        assert_eq!(c.total_tokens(), 3);
         assert_eq!(c.doc(1).count(v.id_of("y").unwrap()), 1);
     }
 

@@ -83,13 +83,6 @@ impl LdaConfig {
         self.seed = seed;
         self
     }
-
-    /// Sets the Dirichlet priors.
-    pub fn with_priors(mut self, alpha: f64, beta: f64) -> Self {
-        self.alpha = alpha;
-        self.beta = beta;
-        self
-    }
 }
 
 impl Default for LdaConfig {
@@ -326,17 +319,6 @@ impl LdaModel {
             }
         }
         n_dk
-    }
-
-    /// Batch fold-in inference: [`LdaModel::infer`] over many
-    /// held-out documents on up to `threads` worker threads
-    /// (`0` = auto). Each document carries its own seed, so every
-    /// inference is independent and the output — collected in input
-    /// order — is bitwise-identical for any thread count.
-    pub fn infer_batch(&self, docs: &[(BagOfWords, u64)], threads: usize) -> Vec<Vec<f64>> {
-        let _span = forumcast_obs::span("lda.infer_batch");
-        let threads = forumcast_par::resolve_threads(threads);
-        forumcast_par::parallel_map(docs, threads, |(doc, seed)| self.infer(doc, *seed))
     }
 
     /// The `n` highest-probability word ids of `topic` (ties broken by
@@ -807,10 +789,11 @@ mod tests {
     #[test]
     fn separable_themes_get_distinct_topics() {
         let (corpus, vocab) = separable_corpus();
-        let cfg = LdaConfig::new(2)
-            .with_iterations(100)
-            .with_priors(0.1, 0.01)
-            .with_seed(11);
+        let cfg = LdaConfig {
+            alpha: 0.1,
+            beta: 0.01,
+            ..LdaConfig::new(2).with_iterations(100).with_seed(11)
+        };
         let model = LdaModel::train(&corpus, &cfg);
         // Every "cat" doc should concentrate on one topic, every
         // "code" doc on the other.
@@ -860,9 +843,11 @@ mod tests {
     #[test]
     fn inference_matches_training_theme() {
         let (corpus, vocab) = separable_corpus();
-        let cfg = LdaConfig::new(2)
-            .with_iterations(100)
-            .with_priors(0.1, 0.01);
+        let cfg = LdaConfig {
+            alpha: 0.1,
+            beta: 0.01,
+            ..LdaConfig::new(2).with_iterations(100)
+        };
         let model = LdaModel::train(&corpus, &cfg);
         let cat_doc = forumcast_text::BagOfWords::encode(
             &["cat", "meow", "purr", "cat", "whisker", "meow"],
@@ -921,32 +906,6 @@ mod tests {
         let model = LdaModel::train(&corpus, &LdaConfig::new(2).with_iterations(5));
         assert_eq!(model.num_topics(), 2);
         assert_eq!(model.num_docs(), 0);
-    }
-
-    #[test]
-    fn batch_inference_bitwise_matches_serial_for_any_thread_count() {
-        let (corpus, _) = separable_corpus();
-        let model = LdaModel::train(&corpus, &LdaConfig::new(3).with_iterations(20));
-        let docs: Vec<(forumcast_text::BagOfWords, u64)> = (0..corpus.num_docs())
-            .map(|d| (corpus.doc(d).clone(), d as u64 * 13 + 1))
-            .collect();
-        let serial: Vec<Vec<f64>> = docs
-            .iter()
-            .map(|(doc, seed)| model.infer(doc, *seed))
-            .collect();
-        for threads in [1, 2, 7] {
-            let batch = model.infer_batch(&docs, threads);
-            assert_eq!(batch.len(), serial.len());
-            for (d, (a, b)) in serial.iter().zip(&batch).enumerate() {
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "doc {d} differs with {threads} threads"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -141,6 +141,18 @@ diff tests/golden/eval_quick_t1.txt "$work_dir/storm1.clean.txt" \
   || { echo "disabled-probe smoke: quick evaluate output drifted from tests/golden/eval_quick_t1.txt" >&2; exit 1; }
 echo "disabled-probe: quick evaluate output matches the golden byte-for-byte"
 
+echo "==> front doors agree (table1 binary vs forumcast evaluate, quick, 1 thread)"
+# Both front doors run Table I through the same run session and the
+# same table1::run, so the bench binary must print the Table I block
+# that `forumcast evaluate` prints (lines 2-6 of the golden) byte for
+# byte.
+cargo build -q --release -p forumcast-bench --bin table1
+target/release/table1 quick --threads 1 > "$work_dir/table1.quick.txt"
+diff <(sed -n 2,6p tests/golden/eval_quick_t1.txt) \
+     <(grep -A4 '^Table I — ' "$work_dir/table1.quick.txt") \
+  || { echo "front doors agree: table1 quick prints a different Table I than evaluate" >&2; exit 1; }
+echo "front doors agree: table1 quick matches evaluate's Table I byte-for-byte"
+
 echo "==> corruption smoke (ckpt verify flags a flipped byte, repair heals)"
 # The storm leaves a completed fold-level binary checkpoint behind;
 # flip the last byte (the final frame's CRC) and the verifier must
