@@ -45,7 +45,7 @@ use forumcast_recsys::{score_candidates, QuestionRouter, RouterConfig};
 use forumcast_synth::{ForumSimulator, QuestionEvent, SynthConfig};
 
 /// Configuration of the simulated A/B test.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AbTestConfig {
     /// Forum generator settings.
     pub synth: SynthConfig,
@@ -72,6 +72,18 @@ pub struct AbTestConfig {
 }
 
 impl AbTestConfig {
+    /// The scale words [`AbTestConfig::from_scale`] resolves.
+    pub const SCALES: &'static [&'static str] = &["quick", "standard"];
+
+    /// The preset a scale word names, `None` for any other word.
+    pub fn from_scale(scale: &str) -> Option<Self> {
+        match scale {
+            "quick" => Some(AbTestConfig::quick()),
+            "standard" => Some(AbTestConfig::standard()),
+            _ => None,
+        }
+    }
+
     /// Small test-scale configuration (seconds).
     pub fn quick() -> Self {
         AbTestConfig {

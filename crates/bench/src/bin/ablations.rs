@@ -11,14 +11,14 @@
 //! * the Poisson baseline's feature scaling (raw, per the paper, vs.
 //!   z-scored — stronger than the paper's).
 
-use forumcast_bench::{finish, header, parse_args, root_span, status};
+use forumcast_bench::{finish, header, parse_args, root_span, status, ABLATIONS};
 use forumcast_core::{DecayMode, PredictionMode, TimingConfig};
 use forumcast_eval::experiments::run_cv;
 use forumcast_eval::fold::mean_std;
 use forumcast_eval::ExperimentData;
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&ABLATIONS);
     let root = root_span("ablations");
     header("Ablations — design-choice deltas", &opts);
     let base_cfg = opts.config.clone();
@@ -79,5 +79,5 @@ fn main() {
          delay noise, no regressor separates from the mean (see EXPERIMENTS.md)"
     );
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

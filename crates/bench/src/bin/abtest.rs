@@ -4,17 +4,14 @@
 //! use to one with it not", Section VI) — across a sweep of λ.
 
 use forumcast_abtest::{run, AbTestConfig};
-use forumcast_bench::{finish, header, parse_args, root_span, status};
+use forumcast_bench::{finish, header, parse_args, root_span, status, ABTEST};
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&ABTEST);
     let root = root_span("abtest");
     header("Section VI — simulated A/B test of the recommender", &opts);
-    let base = if opts.scale == "quick" {
-        AbTestConfig::quick()
-    } else {
-        AbTestConfig::standard()
-    };
+    let base =
+        AbTestConfig::from_scale(opts.scale).expect("ABTEST takes AbTestConfig's scale words");
     for &lambda in &[0.0, 0.5, 2.0] {
         let report = run(&base.clone().with_lambda(lambda));
         status!("{report}");
@@ -22,5 +19,5 @@ fn main() {
     status!("shape check: higher λ should reduce the treatment arm's mean delay;");
     status!("λ = 0 should maximize its mean votes.");
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

@@ -3,16 +3,13 @@
 //! 2.6 and 3.7), disconnectedness, and the degree distribution behind
 //! the visualization.
 
-use forumcast_bench::{finish, header, parse_args, root_span, status};
+use forumcast_bench::{finish, header, parse_args, root_span, status, FIG2};
 use forumcast_graph::{dense_graph, qa_graph, GraphStats};
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&FIG2);
     let root = root_span("fig2");
     header("Figure 2 — SLN graph structure", &opts);
-    if opts.resume.is_some() {
-        status!("note: --resume ignored — figure 2 is single-pass graph statistics");
-    }
     let (dataset, report) = opts.config.synth.generate().preprocess();
     status!("preprocessing: {report}");
     status!("dataset: {}", dataset.stats());
@@ -62,5 +59,5 @@ fn main() {
         }
     );
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

@@ -1,11 +1,11 @@
 //! Regenerates **Figure 3**: net votes vs. response time for every
 //! answered `(u, q)` pair — the paper finds *no correlation*.
 
-use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status};
+use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status, FIG3};
 use forumcast_eval::experiments::fig3;
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&FIG3);
     let root = root_span("fig3");
     header("Figure 3 — votes vs. response time", &opts);
     let (dataset, _) = opts.config.synth.generate().preprocess();
@@ -20,5 +20,5 @@ fn main() {
     }
     maybe_json(&opts, &report);
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

@@ -1,11 +1,11 @@
 //! Regenerates **Figure 4**: CDFs of selected features (panels a–f),
 //! printed as CSV series suitable for replotting.
 
-use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status};
+use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status, FIG4};
 use forumcast_eval::experiments::fig4;
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&FIG4);
     let root = root_span("fig4");
     header("Figure 4 — feature CDFs", &opts);
     let (dataset, _) = opts.config.synth.generate().preprocess();
@@ -31,5 +31,5 @@ fn main() {
     }
     maybe_json(&opts, &report);
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

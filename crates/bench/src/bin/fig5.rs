@@ -2,11 +2,11 @@
 //! the number of LDA topics `K` varies (paper: virtually no effect on
 //! `r̂`, small on `â`, larger on `v̂`; default K = 8).
 
-use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status};
+use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status, FIG5};
 use forumcast_eval::experiments::fig5;
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&FIG5);
     let root = root_span("fig5");
     header("Figure 5 — topic-count sensitivity", &opts);
     let (ks, reference): (Vec<usize>, usize) = if opts.scale == "quick" {
@@ -31,5 +31,5 @@ fn main() {
     status!("shape check: |Δr| spread {spread_r:.2}% vs |Δv| spread {spread_v:.2}% (paper: r least sensitive)");
     maybe_json(&opts, &report);
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

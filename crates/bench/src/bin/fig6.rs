@@ -4,11 +4,11 @@
 //! vote task ~8.6%; user features matter for timing, question features
 //! for votes; social features matter for both.
 
-use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status};
+use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status, FIG6};
 use forumcast_eval::experiments::fig6;
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&FIG6);
     let root = root_span("fig6");
     header("Figure 6 — leave-one-feature-out importance", &opts);
     let (dataset, _) = opts.config.synth.generate().preprocess();
@@ -28,5 +28,5 @@ fn main() {
     }
     maybe_json(&opts, &report);
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

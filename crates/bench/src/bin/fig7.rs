@@ -2,11 +2,11 @@
 //! as the history window grows (`F(q) = D_{25−i} … D_{25}`,
 //! evaluation on days 25–30).
 
-use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status};
+use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status, FIG7};
 use forumcast_eval::experiments::fig7;
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&FIG7);
     let root = root_span("fig7");
     header("Figure 7 — feature groups × history length", &opts);
     let windows: Vec<usize> = if opts.scale == "quick" {
@@ -29,5 +29,5 @@ fn main() {
     }
     maybe_json(&opts, &report);
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

@@ -3,14 +3,14 @@
 //! through the LP of Equation (2), sweeping the quality/timing
 //! tradeoff λ and showing the load constraints in action.
 
-use forumcast_bench::{finish, header, parse_args, root_span, status};
+use forumcast_bench::{finish, header, parse_args, root_span, status, RECSYS};
 use forumcast_core::{ResponsePredictor, TrainingRows};
 use forumcast_data::UserId;
 use forumcast_eval::ExperimentData;
 use forumcast_recsys::{score_candidates, Candidate, QuestionRouter, RouterConfig};
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&RECSYS);
     let root = root_span("recsys");
     header("Section V — question routing demo", &opts);
     let cfg = &opts.config;
@@ -100,5 +100,5 @@ fn main() {
         second.ranking()
     );
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

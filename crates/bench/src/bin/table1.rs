@@ -5,11 +5,11 @@
 //! `a`: 0.699 → 0.860 (+23.0%); `v`: 1.554 → 1.213 (+21.9%);
 //! `r`: 34.247 → 26.353 (+22.8%).
 
-use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status};
+use forumcast_bench::{finish, header, maybe_json, parse_args, root_span, status, TABLE1};
 use forumcast_eval::experiments::table1;
 
 fn main() {
-    let opts = parse_args();
+    let (opts, session) = parse_args(&TABLE1);
     let root = root_span("table1");
     header("Table I — prediction performance vs. baselines", &opts);
     let report = table1::run(&opts.config, opts.resume.as_deref()).unwrap_or_else(|e| {
@@ -27,5 +27,5 @@ fn main() {
     );
     maybe_json(&opts, &report);
     drop(root);
-    finish(&opts);
+    finish(&session);
 }

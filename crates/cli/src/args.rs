@@ -1,9 +1,22 @@
-//! Hand-rolled argument parsing for the `forumcast` CLI (no external
-//! dependencies; the allowed-crate list has no argument parser).
+//! Hand-rolled argument parsing for the `forumcast` CLI and the
+//! `forumcast-bench` regeneration binaries (no external dependencies;
+//! the allowed-crate list has no argument parser).
+//!
+//! Every command declares the options it reads, split into boolean
+//! flags and value-taking keys, and [`Options::parse`] refuses
+//! anything else. The run flags (`--threads`, `--faults`, `--trace`,
+//! `--metrics`, `--bench-json`) are declared once, as [`RUN_FLAGS`]
+//! and [`RUN_VALUES`], and read once, by [`Options::run_flags`]. A
+//! scale word resolves to its preset while parsing, through the
+//! preset family's `from_scale`.
 
 use std::fmt;
+use std::path::PathBuf;
 
+use forumcast_abtest::AbTestConfig;
+use forumcast_eval::{EvalConfig, RunFlags};
 use forumcast_resilience::FaultPlan;
+use forumcast_synth::SynthConfig;
 
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -57,6 +70,9 @@ regressed past tolerance: `--tolerance` bounds the wall-time and
 per-span total ratio (default 1.5), `--p99-tolerance` the per-span
 p99 ratio (default 2.0), and `--min-ms` is the noise floor below
 which baseline durations never gate (default 20).
+Every command refuses an option it does not list above, an option
+given twice, a value-taking option without its value, a flag
+followed by a value, and an unknown scale word (exit status 2).
 ";
 
 /// A parsed CLI invocation.
@@ -64,12 +80,10 @@ which baseline durations never gate (default 20).
 pub enum Command {
     /// Generate a synthetic dataset and write native JSON.
     Generate {
-        /// Dataset scale preset.
+        /// Dataset scale word, as given.
         scale: String,
-        /// RNG seed.
-        seed: Option<u64>,
-        /// Latent topic count.
-        topics: Option<usize>,
+        /// The scale's preset with `--seed` and `--topics` applied.
+        config: SynthConfig,
         /// Worker threads for sharded generation (0 = auto); output
         /// is bitwise-identical at any count.
         threads: usize,
@@ -125,27 +139,16 @@ pub enum Command {
     },
     /// Run the Table-I evaluation.
     Evaluate {
-        /// Protocol scale.
+        /// Protocol scale word, as given.
         scale: String,
-        /// Worker threads (0 = auto: `FORUMCAST_THREADS` env var,
-        /// else available parallelism).
-        threads: usize,
-        /// Latent topic count override (`None` keeps the scale
-        /// preset's default).
-        topics: Option<usize>,
+        /// The scale's preset with `--threads` and `--topics`
+        /// applied.
+        config: EvalConfig,
         /// Checkpoint file: completed folds are saved here and
         /// skipped when the run restarts with the same path.
         resume: Option<String>,
-        /// Fault plan (same spec grammar as `FORUMCAST_FAULTS`).
-        faults: Option<FaultPlan>,
-        /// Chrome trace-event JSON output path (`FORUMCAST_TRACE`
-        /// supplies a default when the flag is absent).
-        trace: Option<String>,
-        /// Print the per-span timing summary after the run.
-        metrics: bool,
-        /// Machine-readable bench report output path (versioned
-        /// `forumcast-bench` schema).
-        bench_json: Option<String>,
+        /// The run flags the session starts from.
+        run: RunFlags,
     },
     /// Inspect, verify, or repair a checkpoint file.
     Ckpt {
@@ -170,10 +173,8 @@ pub enum Command {
     },
     /// Run the simulated A/B test.
     AbTest {
-        /// Scale preset.
-        scale: String,
-        /// Router λ.
-        lambda: f64,
+        /// The scale's preset with `--lambda` applied.
+        config: AbTestConfig,
     },
     /// Print usage.
     Help,
@@ -201,6 +202,27 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
+
+/// The boolean run flags, read by [`Options::run_flags`].
+pub const RUN_FLAGS: &[&str] = &["metrics"];
+
+/// The value-taking run flags, read by [`Options::run_flags`].
+pub const RUN_VALUES: &[&str] = &["threads", "faults", "trace", "bench-json"];
+
+/// Resolves a scale word through its preset family's `from_scale`; an
+/// unknown word is a usage error listing the family's `scales`.
+///
+/// # Errors
+///
+/// Returns [`ParseError`] when `from_scale` names no preset.
+pub fn preset<T>(
+    scale: &str,
+    scales: &[&str],
+    from_scale: impl Fn(&str) -> Option<T>,
+) -> Result<T, ParseError> {
+    from_scale(scale)
+        .ok_or_else(|| ParseError(format!("unknown scale `{scale}` ({})", scales.join("|"))))
+}
 
 /// Parses `argv` (without the program name) into a [`Command`].
 ///
@@ -231,9 +253,8 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 ))
             }
         };
-        let opts = Options::parse(&rest[1..])?;
+        let opts = Options::parse(&rest[1..], &[], &["file"])?;
         let file = opts.require("file")?;
-        opts.reject_unknown(&["file"])?;
         return Ok(Command::Ckpt { action, file });
     }
     // `bench` takes an action word plus two positional report paths.
@@ -259,67 +280,67 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             .ok_or_else(|| ParseError("bench compare requires <baseline> <current>".into()))?
             .clone();
         let defaults = forumcast_obs::CompareOptions::default();
-        let opts = Options::parse(&rest[3..])?;
-        let c = Command::BenchCompare {
+        let opts = Options::parse(&rest[3..], &[], &["tolerance", "p99-tolerance", "min-ms"])?;
+        return Ok(Command::BenchCompare {
             baseline,
             current,
             tolerance: opts.get_real_or("tolerance", defaults.tolerance, true)?,
             p99_tolerance: opts.get_real_or("p99-tolerance", defaults.p99_tolerance, true)?,
             min_ms: opts.get_real_or("min-ms", defaults.min_ms, true)?,
-        };
-        opts.reject_unknown(&["tolerance", "p99-tolerance", "min-ms"])?;
-        return Ok(c);
+        });
     }
     // Options are parsed inside each arm, so an unknown command is
     // reported as such even when positional words follow it.
-    let opts = Options::parse(&rest);
     match cmd.as_str() {
         "generate" => {
-            let opts = opts?;
-            let c = Command::Generate {
-                scale: opts.get_or("scale", "small")?,
-                seed: opts.get_parsed_opt("seed")?,
-                topics: opts.get_topics()?,
+            let values = ["scale", "seed", "topics", "threads", "out"];
+            let opts = Options::parse(&rest, &[], &values)?;
+            let scale = opts.get("scale").unwrap_or("small");
+            let mut config = preset(scale, SynthConfig::SCALES, SynthConfig::from_scale)?;
+            if let Some(seed) = opts.get_parsed_opt("seed")? {
+                config = config.with_seed(seed);
+            }
+            if let Some(k) = opts.get_topics()? {
+                config = config.with_topics(k);
+            }
+            Ok(Command::Generate {
+                scale: scale.to_owned(),
+                config,
                 threads: opts.get_parsed_or("threads", 0)?,
                 out: opts.require("out")?,
-            };
-            opts.reject_unknown(&["scale", "seed", "topics", "threads", "out"])?;
-            Ok(c)
+            })
         }
         "stats" => {
-            let opts = opts?;
-            let c = Command::Stats {
+            let opts = Options::parse(&rest, &["gate"], &["data"])?;
+            Ok(Command::Stats {
                 data: opts.require("data")?,
                 gate: opts.flag("gate"),
-            };
-            opts.reject_unknown(&["data", "gate"])?;
-            Ok(c)
+            })
         }
         "train" => {
-            let opts = opts?;
-            let c = Command::Train {
+            let opts = Options::parse(&rest, &["fast"], &["data", "seed", "out"])?;
+            Ok(Command::Train {
                 data: opts.require("data")?,
                 fast: opts.flag("fast"),
                 seed: opts.get_parsed_opt("seed")?,
                 out: opts.require("out")?,
-            };
-            opts.reject_unknown(&["data", "fast", "seed", "out"])?;
-            Ok(c)
+            })
         }
         "predict" => {
-            let opts = opts?;
-            let c = Command::Predict {
+            let opts = Options::parse(&rest, &[], &["data", "model", "question", "user"])?;
+            Ok(Command::Predict {
                 data: opts.require("data")?,
                 model: opts.require("model")?,
                 question: opts.get_parsed("question")?,
                 user: opts.get_parsed("user")?,
-            };
-            opts.reject_unknown(&["data", "model", "question", "user"])?;
-            Ok(c)
+            })
         }
         "route" => {
-            let opts = opts?;
-            let c = Command::Route {
+            let values = [
+                "data", "model", "question", "lambda", "epsilon", "capacity", "top",
+            ];
+            let opts = Options::parse(&rest, &[], &values)?;
+            Ok(Command::Route {
                 data: opts.require("data")?,
                 model: opts.require("model")?,
                 question: opts.get_parsed("question")?,
@@ -327,89 +348,91 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 epsilon: opts.get_real_or("epsilon", 0.3, false)?,
                 capacity: opts.get_real_or("capacity", 1.0, true)?,
                 top: opts.get_parsed_or("top", 5)?,
-            };
-            opts.reject_unknown(&[
-                "data", "model", "question", "lambda", "epsilon", "capacity", "top",
-            ])?;
-            Ok(c)
+            })
         }
         "evaluate" => {
-            let opts = opts?;
-            let c = Command::Evaluate {
-                scale: opts.get_or("scale", "quick")?,
-                threads: opts.get_parsed_or("threads", 0)?,
-                topics: opts.get_topics()?,
+            let values = [RUN_VALUES, &["scale", "topics", "resume"]].concat();
+            let opts = Options::parse(&rest, RUN_FLAGS, &values)?;
+            let scale = opts.get("scale").unwrap_or("quick");
+            let mut config = preset(scale, EvalConfig::SCALES, EvalConfig::from_scale)?;
+            let run = opts.run_flags()?;
+            config.threads = run.threads;
+            if let Some(k) = opts.get_topics()? {
+                config.extractor = config.extractor.with_topics(k);
+            }
+            Ok(Command::Evaluate {
+                scale: scale.to_owned(),
+                config,
                 resume: opts.get("resume").map(str::to_owned),
-                faults: opts.get_faults()?,
-                trace: opts.get("trace").map(str::to_owned),
-                metrics: opts.flag("metrics"),
-                bench_json: opts.get("bench-json").map(str::to_owned),
-            };
-            opts.reject_unknown(&[
-                "scale",
-                "threads",
-                "topics",
-                "resume",
-                "faults",
-                "trace",
-                "metrics",
-                "bench-json",
-            ])?;
-            Ok(c)
+                run,
+            })
         }
         "abtest" => {
-            let opts = opts?;
-            let c = Command::AbTest {
-                scale: opts.get_or("scale", "quick")?,
-                lambda: opts.get_real_or("lambda", 0.5, false)?,
-            };
-            opts.reject_unknown(&["scale", "lambda"])?;
-            Ok(c)
+            let opts = Options::parse(&rest, &[], &["scale", "lambda"])?;
+            let scale = opts.get("scale").unwrap_or("quick");
+            let config = preset(scale, AbTestConfig::SCALES, AbTestConfig::from_scale)?;
+            Ok(Command::AbTest {
+                config: config.with_lambda(opts.get_real_or("lambda", 0.5, false)?),
+            })
         }
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(ParseError(format!("unknown command `{other}`"))),
     }
 }
 
-/// Flat `--key value` / `--flag` option bag.
-struct Options {
+/// The `--key value` / `--flag` options of one command, parsed
+/// against the keys it declares.
+pub struct Options {
     pairs: Vec<(String, Option<String>)>,
 }
 
 impl Options {
-    fn parse(args: &[String]) -> Result<Options, ParseError> {
-        let mut pairs = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
+    /// Parses `args` as the options of a command that reads the
+    /// boolean `flags` and the value-taking `values`. A token after an
+    /// option that does not start with `--` is that option's value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] for a token that is not an option, a key
+    /// the command does not declare, a key given twice, a
+    /// value-taking key without a value, and a flag followed by one.
+    pub fn parse(args: &[String], flags: &[&str], values: &[&str]) -> Result<Options, ParseError> {
+        let mut pairs: Vec<(String, Option<String>)> = Vec::new();
+        let mut args = args.iter().peekable();
+        while let Some(arg) = args.next() {
             let key = arg
                 .strip_prefix("--")
                 .ok_or_else(|| ParseError(format!("expected an option, got `{arg}`")))?;
-            // A following token that is not an option is this option's
-            // value; otherwise it is a boolean flag.
-            let value = args.get(i + 1).filter(|v| !v.starts_with("--"));
-            match value {
-                Some(v) => {
-                    pairs.push((key.to_owned(), Some(v.clone())));
-                    i += 2;
+            let is_flag = flags.contains(&key);
+            if !is_flag && !values.contains(&key) {
+                return Err(ParseError(format!("unknown option --{key}")));
+            }
+            if pairs.iter().any(|(k, _)| k == key) {
+                return Err(ParseError(format!("option --{key} given twice")));
+            }
+            match (is_flag, args.next_if(|v| !v.starts_with("--"))) {
+                (true, Some(v)) => {
+                    return Err(ParseError(format!(
+                        "option --{key} takes no value, got `{v}`"
+                    )))
                 }
-                None => {
-                    pairs.push((key.to_owned(), None));
-                    i += 1;
-                }
+                (false, None) => return Err(ParseError(format!("missing value for --{key}"))),
+                (_, value) => pairs.push((key.to_owned(), value.cloned())),
             }
         }
         Ok(Options { pairs })
     }
 
-    fn get(&self, key: &str) -> Option<&str> {
+    /// The value given for `key`, if any.
+    pub fn get(&self, key: &str) -> Option<&str> {
         self.pairs
             .iter()
             .find(|(k, _)| k == key)
             .and_then(|(_, v)| v.as_deref())
     }
 
-    fn flag(&self, key: &str) -> bool {
+    /// Whether the boolean flag `key` was given.
+    pub fn flag(&self, key: &str) -> bool {
         self.pairs.iter().any(|(k, _)| k == key)
     }
 
@@ -419,10 +442,6 @@ impl Options {
             .ok_or_else(|| ParseError(format!("missing required option --{key}")))
     }
 
-    fn get_or(&self, key: &str, default: &str) -> Result<String, ParseError> {
-        Ok(self.get(key).unwrap_or(default).to_owned())
-    }
-
     fn get_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<T, ParseError> {
         let raw = self.require(key)?;
         raw.parse()
@@ -430,12 +449,7 @@ impl Options {
     }
 
     fn get_parsed_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ParseError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse()
-                .map_err(|_| ParseError(format!("invalid value `{raw}` for --{key}"))),
-        }
+        Ok(self.get_parsed_opt(key)?.unwrap_or(default))
     }
 
     /// A real-valued option that must be finite, and non-negative
@@ -456,44 +470,58 @@ impl Options {
     }
 
     fn get_parsed_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ParseError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(raw) => raw
-                .parse()
-                .map(Some)
-                .map_err(|_| ParseError(format!("invalid value `{raw}` for --{key}"))),
-        }
+        self.get(key)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| ParseError(format!("invalid value `{raw}` for --{key}")))
+            })
+            .transpose()
     }
 
     /// The optional `--topics K` override; K = 0 is refused, since an
     /// LDA model needs at least one topic.
     fn get_topics(&self) -> Result<Option<usize>, ParseError> {
-        match self.get_parsed_opt("topics")? {
-            Some(0) => Err(ParseError(
-                "invalid value `0` for --topics: must be at least 1".into(),
-            )),
-            k => Ok(k),
+        self.get_count("topics", 1)
+    }
+
+    /// The count given for `key`, if any, refused below `min`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] naming the key when the value is not a
+    /// count or is below `min`.
+    pub fn get_count(&self, key: &str, min: usize) -> Result<Option<usize>, ParseError> {
+        match self.get_parsed_opt(key)? {
+            Some(n) if n < min => Err(ParseError(format!(
+                "invalid value `{n}` for --{key}: must be at least {min}"
+            ))),
+            n => Ok(n),
         }
     }
 
-    /// The optional `--faults` plan; a malformed spec is refused here,
-    /// before anything runs.
-    fn get_faults(&self) -> Result<Option<FaultPlan>, ParseError> {
-        self.get("faults")
+    /// The run flags ([`RUN_FLAGS`] and [`RUN_VALUES`]) as the run
+    /// session takes them. A malformed `--faults` spec is refused
+    /// here, before anything runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseError`] for a `--threads` that is not a count or
+    /// a `--faults` spec that does not parse.
+    pub fn run_flags(&self) -> Result<RunFlags, ParseError> {
+        let faults = self
+            .get("faults")
             .map(|spec| {
                 FaultPlan::parse(spec)
                     .map_err(|e| ParseError(format!("invalid value `{spec}` for --faults: {e}")))
             })
-            .transpose()
-    }
-
-    fn reject_unknown(&self, allowed: &[&str]) -> Result<(), ParseError> {
-        for (k, _) in &self.pairs {
-            if !allowed.contains(&k.as_str()) {
-                return Err(ParseError(format!("unknown option --{k}")));
-            }
-        }
-        Ok(())
+            .transpose()?;
+        Ok(RunFlags {
+            threads: self.get_parsed_or("threads", 0)?,
+            faults,
+            trace: self.get("trace").map(PathBuf::from),
+            metrics: self.flag("metrics"),
+            bench_json: self.get("bench-json").map(PathBuf::from),
+        })
     }
 }
 
@@ -505,6 +533,22 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
+    /// `evaluate` with the preset of `scale` at `threads` workers and
+    /// no other option.
+    fn evaluate(scale: &str, threads: usize) -> Command {
+        let mut config = EvalConfig::from_scale(scale).unwrap();
+        config.threads = threads;
+        Command::Evaluate {
+            scale: scale.into(),
+            config,
+            resume: None,
+            run: RunFlags {
+                threads,
+                ..RunFlags::default()
+            },
+        }
+    }
+
     #[test]
     fn parses_generate() {
         let cmd = parse(argv("generate --scale medium --seed 9 --out x.json")).unwrap();
@@ -512,21 +556,26 @@ mod tests {
             cmd,
             Command::Generate {
                 scale: "medium".into(),
-                seed: Some(9),
-                topics: None,
+                config: SynthConfig::medium().with_seed(9),
                 threads: 0,
                 out: "x.json".into()
             }
         );
+        match parse(argv("generate --scale paper --topics 3 --out x.json")).unwrap() {
+            Command::Generate { config, .. } => {
+                assert_eq!(config, SynthConfig::paper_scale().with_topics(3))
+            }
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]
     fn generate_defaults_scale() {
         let cmd = parse(argv("generate --out y.json")).unwrap();
         match cmd {
-            Command::Generate { scale, seed, .. } => {
+            Command::Generate { scale, config, .. } => {
                 assert_eq!(scale, "small");
-                assert_eq!(seed, None);
+                assert_eq!(config, SynthConfig::small());
             }
             other => panic!("{other:?}"),
         }
@@ -579,52 +628,22 @@ mod tests {
     #[test]
     fn parses_evaluate_threads() {
         let cmd = parse(argv("evaluate --scale quick --threads 4")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Evaluate {
-                scale: "quick".into(),
-                threads: 4,
-                topics: None,
-                resume: None,
-                faults: None,
-                trace: None,
-                metrics: false,
-                bench_json: None,
-            }
-        );
-        // Default: 0 = auto.
-        let cmd = parse(argv("evaluate")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Evaluate {
-                scale: "quick".into(),
-                threads: 0,
-                topics: None,
-                resume: None,
-                faults: None,
-                trace: None,
-                metrics: false,
-                bench_json: None,
-            }
-        );
+        assert_eq!(cmd, evaluate("quick", 4));
+        // Default: quick at 0 = auto.
+        assert_eq!(parse(argv("evaluate")).unwrap(), evaluate("quick", 0));
+        let cmd = parse(argv("evaluate --scale paper")).unwrap();
+        assert_eq!(cmd, evaluate("paper", 0));
     }
 
     #[test]
     fn parses_evaluate_resume_and_faults() {
         let cmd = parse(argv("evaluate --resume cv.json --faults fold-panic:1")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Evaluate {
-                scale: "quick".into(),
-                threads: 0,
-                topics: None,
-                resume: Some("cv.json".into()),
-                faults: Some(FaultPlan::parse("fold-panic:1").unwrap()),
-                trace: None,
-                metrics: false,
-                bench_json: None,
-            }
-        );
+        let mut expected = evaluate("quick", 0);
+        if let Command::Evaluate { resume, run, .. } = &mut expected {
+            *resume = Some("cv.json".into());
+            run.faults = Some(FaultPlan::parse("fold-panic:1").unwrap());
+        }
+        assert_eq!(cmd, expected);
     }
 
     #[test]
@@ -654,30 +673,21 @@ mod tests {
     }
 
     #[test]
-    fn parses_evaluate_trace_and_metrics() {
-        let cmd = parse(argv("evaluate --trace out.json --metrics")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Evaluate {
-                scale: "quick".into(),
-                threads: 0,
-                topics: None,
-                resume: None,
-                faults: None,
-                trace: Some("out.json".into()),
-                metrics: true,
-                bench_json: None,
-            }
-        );
-    }
-
-    #[test]
-    fn parses_evaluate_bench_json() {
-        let cmd = parse(argv("evaluate --bench-json bench.json")).unwrap();
+    fn parses_evaluate_trace_metrics_and_bench_json() {
+        let cmd = parse(argv(
+            "evaluate --trace out.json --metrics --bench-json bench.json",
+        ))
+        .unwrap();
         match cmd {
-            Command::Evaluate { bench_json, .. } => {
-                assert_eq!(bench_json.as_deref(), Some("bench.json"));
-            }
+            Command::Evaluate { run, .. } => assert_eq!(
+                run,
+                RunFlags {
+                    trace: Some("out.json".into()),
+                    metrics: true,
+                    bench_json: Some("bench.json".into()),
+                    ..RunFlags::default()
+                }
+            ),
             other => panic!("{other:?}"),
         }
     }
@@ -732,8 +742,10 @@ mod tests {
     /// Out-of-domain knobs are usage errors (exit 2), caught before
     /// any data is read. A NaN `bench compare` tolerance would switch
     /// the regression gate off, an LDA model needs at least one
-    /// topic, and a fault spec that does not parse would otherwise
-    /// fail only once the run starts.
+    /// topic, and a fault spec or scale word that does not parse would
+    /// otherwise fail only once the run starts. An option missing its
+    /// value, a flag given one and a repeated option would otherwise
+    /// be read as something the caller did not write.
     #[test]
     fn out_of_domain_knobs_are_usage_errors() {
         let route = |extra: &str| format!("route --data d --model m --question 1 {extra}");
@@ -783,6 +795,31 @@ mod tests {
                 "evaluate --faults nope:1".into(),
                 "for --faults: invalid FORUMCAST_FAULTS spec: unknown fault site `nope`",
             ),
+            (
+                "evaluate --scale nope".into(),
+                "unknown scale `nope` (quick|standard|paper)",
+            ),
+            (
+                "generate --scale nope --out x.json".into(),
+                "unknown scale `nope` (small|medium|paper)",
+            ),
+            (
+                "abtest --scale paper".into(),
+                "unknown scale `paper` (quick|standard)",
+            ),
+            ("evaluate --resume".into(), "missing value for --resume"),
+            (
+                "evaluate --threads --scale quick".into(),
+                "missing value for --threads",
+            ),
+            (
+                "train --data d --fast yes --out m".into(),
+                "option --fast takes no value, got `yes`",
+            ),
+            (
+                "evaluate --threads 1 --threads 2".into(),
+                "option --threads given twice",
+            ),
         ] {
             let mut out = Vec::new();
             let code = crate::run(argv(&cmd), &mut out);
@@ -797,7 +834,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match parse(argv("evaluate --topics 1")).unwrap() {
-            Command::Evaluate { topics, .. } => assert_eq!(topics, Some(1)),
+            Command::Evaluate { config, .. } => assert_eq!(config.extractor.lda.num_topics, 1),
             other => panic!("{other:?}"),
         }
     }

@@ -2,15 +2,14 @@
 
 use std::error::Error;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use forumcast_abtest::AbTestConfig;
 use forumcast_core::{sample_training_set, ResponsePredictor, TrainConfig};
 use forumcast_data::{io as data_io, Dataset, QuestionId, UserId};
-use forumcast_eval::{experiments::table1, EvalConfig, RunSession};
+use forumcast_eval::{experiments::table1, EvalConfig, RunFlags, RunSession};
 use forumcast_features::{ExtractorConfig, FeatureExtractor};
 use forumcast_graph::{dense_graph, qa_graph, GraphStats};
 use forumcast_recsys::{score_candidates, QuestionRouter, RouterConfig};
@@ -34,13 +33,12 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
         }
         Command::Generate {
             scale,
-            seed,
-            topics,
+            config,
             threads,
             out: path,
-        } => generate(&scale, seed, topics, threads, &path, out),
+        } => generate(&scale, &config, threads, &path, out),
         Command::Stats { data, gate } => {
-            let session = RunSession::start(0, None, None, false, None)?;
+            let session = RunSession::start(RunFlags::default())?;
             in_session(session, "stats", out, |out| stats(&data, gate, out))
         }
         Command::Train {
@@ -51,7 +49,7 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
         } => {
             // Training uses `FORUMCAST_THREADS` workers, else every
             // core; the model is bitwise identical at any count.
-            let session = RunSession::start(0, None, None, false, None)?;
+            let session = RunSession::start(RunFlags::default())?;
             in_session(session, "train", out, |out| {
                 train(&data, fast, seed, &path, out)
             })
@@ -73,27 +71,17 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
         } => route(&data, &model, question, lambda, epsilon, capacity, top, out),
         Command::Evaluate {
             scale,
-            threads,
-            topics,
+            config,
             resume,
-            faults,
-            trace,
-            metrics,
-            bench_json,
+            run,
         } => {
             // The same thread count drives mini-batch gradient
             // accumulation; the fixed-order reduction keeps results
             // bitwise identical at any count, so it only affects wall
             // time.
-            let session = RunSession::start(
-                threads,
-                faults,
-                trace.map(PathBuf::from),
-                metrics,
-                bench_json.map(PathBuf::from),
-            )?;
+            let session = RunSession::start(run)?;
             in_session(session, "evaluate", out, |out| {
-                evaluate(&scale, threads, topics, resume.as_deref(), out)
+                evaluate(&scale, &config, resume.as_deref(), out)
             })
         }
         Command::Ckpt { action, file } => ckpt(action, &file, out),
@@ -104,7 +92,10 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             p99_tolerance,
             min_ms,
         } => bench_compare(&baseline, &current, tolerance, p99_tolerance, min_ms, out),
-        Command::AbTest { scale, lambda } => abtest(&scale, lambda, out),
+        Command::AbTest { config } => {
+            writeln!(out, "{}", forumcast_abtest::run(&config))?;
+            Ok(())
+        }
     }
 }
 
@@ -123,31 +114,14 @@ fn in_session(
     session.finish(out)
 }
 
-fn synth_config(scale: &str) -> Result<SynthConfig, String> {
-    match scale {
-        "small" => Ok(SynthConfig::small()),
-        "medium" => Ok(SynthConfig::medium()),
-        "paper" => Ok(SynthConfig::paper_scale()),
-        other => Err(format!("unknown scale `{other}` (small|medium|paper)")),
-    }
-}
-
 fn generate(
     scale: &str,
-    seed: Option<u64>,
-    topics: Option<usize>,
+    config: &SynthConfig,
     threads: usize,
     path: &str,
     out: &mut dyn Write,
 ) -> CmdResult {
-    let mut cfg = synth_config(scale)?;
-    if let Some(s) = seed {
-        cfg = cfg.with_seed(s);
-    }
-    if let Some(k) = topics {
-        cfg = cfg.with_topics(k);
-    }
-    let dataset = forumcast_synth::generate_with_threads(&cfg, threads);
+    let dataset = forumcast_synth::generate_with_threads(config, threads);
     std::fs::write(path, data_io::to_json(&dataset)?)
         .map_err(|e| format!("cannot write dataset to `{path}`: {e}"))?;
     writeln!(
@@ -451,23 +425,7 @@ fn route(
     Ok(())
 }
 
-fn evaluate(
-    scale: &str,
-    threads: usize,
-    topics: Option<usize>,
-    resume: Option<&str>,
-    out: &mut dyn Write,
-) -> CmdResult {
-    let mut cfg = match scale {
-        "quick" => EvalConfig::quick(),
-        "standard" => EvalConfig::standard(),
-        "paper" => EvalConfig::paper(),
-        other => return Err(format!("unknown scale `{other}`").into()),
-    };
-    cfg.threads = threads;
-    if let Some(k) = topics {
-        cfg.extractor = cfg.extractor.with_topics(k);
-    }
+fn evaluate(scale: &str, cfg: &EvalConfig, resume: Option<&str>, out: &mut dyn Write) -> CmdResult {
     writeln!(
         out,
         "running Table-I evaluation at scale `{scale}` ({} worker threads) …",
@@ -477,7 +435,7 @@ fn evaluate(
         writeln!(out, "checkpointing completed folds to `{path}`")?;
     }
     let report =
-        table1::run(&cfg, resume.map(Path::new)).map_err(|e| format!("evaluation failed: {e}"))?;
+        table1::run(cfg, resume.map(Path::new)).map_err(|e| format!("evaluation failed: {e}"))?;
     writeln!(out, "{report}")?;
     Ok(())
 }
@@ -603,18 +561,6 @@ fn ckpt(action: CkptAction, file: &str, out: &mut dyn Write) -> CmdResult {
     }
 }
 
-fn abtest(scale: &str, lambda: f64, out: &mut dyn Write) -> CmdResult {
-    let cfg = match scale {
-        "quick" => AbTestConfig::quick(),
-        "standard" => AbTestConfig::standard(),
-        other => return Err(format!("unknown scale `{other}`").into()),
-    }
-    .with_lambda(lambda);
-    let report = forumcast_abtest::run(&cfg);
-    writeln!(out, "{report}")?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -624,6 +570,20 @@ mod tests {
         let dir = std::env::temp_dir().join("forumcast-cli-tests");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name).to_string_lossy().into_owned()
+    }
+
+    /// `generate --scale small --seed <seed> [--topics K]`.
+    fn generate_small(seed: u64, topics: Option<usize>, threads: usize, out: &str) -> Command {
+        let mut config = SynthConfig::small().with_seed(seed);
+        if let Some(k) = topics {
+            config = config.with_topics(k);
+        }
+        Command::Generate {
+            scale: "small".into(),
+            config,
+            threads,
+            out: out.into(),
+        }
     }
 
     fn run_cmd(cmd: Command) -> (i32, String) {
@@ -643,13 +603,7 @@ mod tests {
         let data_path = tmp("pipeline.json");
         let model_path = tmp("pipeline-model.json");
 
-        let (code, text) = run_cmd(Command::Generate {
-            scale: "small".into(),
-            seed: Some(11),
-            topics: Some(4),
-            threads: 0,
-            out: data_path.clone(),
-        });
+        let (code, text) = run_cmd(generate_small(11, Some(4), 0, &data_path));
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("questions"));
 
@@ -704,13 +658,7 @@ mod tests {
         let one = tmp("gen-t1.json");
         let two = tmp("gen-t2.json");
         for (threads, path) in [(1, &one), (2, &two)] {
-            let (code, text) = run_cmd(Command::Generate {
-                scale: "small".into(),
-                seed: Some(5),
-                topics: None,
-                threads,
-                out: path.clone(),
-            });
+            let (code, text) = run_cmd(generate_small(5, None, threads, path));
             assert_eq!(code, 0, "{text}");
         }
         assert_eq!(
@@ -739,15 +687,16 @@ mod tests {
     #[test]
     fn evaluate_resume_round_trips() {
         let evaluate = |resume: Option<String>| {
+            let mut config = EvalConfig::quick();
+            config.threads = 2;
             let (code, text) = run_cmd(Command::Evaluate {
                 scale: "quick".into(),
-                threads: 2,
-                topics: None,
+                config,
                 resume,
-                faults: None,
-                trace: None,
-                metrics: false,
-                bench_json: None,
+                run: RunFlags {
+                    threads: 2,
+                    ..RunFlags::default()
+                },
             });
             assert_eq!(code, 0, "{text}");
             text.lines()
@@ -768,13 +717,7 @@ mod tests {
     fn predict_unknown_question_fails_cleanly() {
         let data_path = tmp("unknown-q.json");
         let model_path = tmp("unknown-q-model.json");
-        run_cmd(Command::Generate {
-            scale: "small".into(),
-            seed: Some(2),
-            topics: Some(2),
-            threads: 0,
-            out: data_path.clone(),
-        });
+        run_cmd(generate_small(2, Some(2), 0, &data_path));
         run_cmd(Command::Train {
             data: data_path.clone(),
             fast: true,
@@ -797,13 +740,7 @@ mod tests {
     fn predict_unknown_user_fails_cleanly() {
         let data_path = tmp("unknown-u.json");
         let model_path = tmp("unknown-u-model.json");
-        run_cmd(Command::Generate {
-            scale: "small".into(),
-            seed: Some(2),
-            topics: Some(2),
-            threads: 0,
-            out: data_path.clone(),
-        });
+        run_cmd(generate_small(2, Some(2), 0, &data_path));
         run_cmd(Command::Train {
             data: data_path.clone(),
             fast: true,
@@ -842,13 +779,7 @@ mod tests {
     fn predict_refuses_a_model_with_wrong_or_missing_settings() {
         let data_path = tmp("settings.json");
         let model_path = tmp("settings-model.json");
-        let (code, text) = run_cmd(Command::Generate {
-            scale: "small".into(),
-            seed: Some(3),
-            topics: Some(2),
-            threads: 0,
-            out: data_path.clone(),
-        });
+        let (code, text) = run_cmd(generate_small(3, Some(2), 0, &data_path));
         assert_eq!(code, 0, "{text}");
         let (code, text) = run_cmd(Command::Train {
             data: data_path.clone(),

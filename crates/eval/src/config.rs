@@ -6,7 +6,7 @@ use forumcast_synth::SynthConfig;
 
 /// Configuration shared by all experiments: dataset scale, feature
 /// extraction, the history protocol, and training settings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalConfig {
     /// Synthetic dataset parameters (substitutes the paper's Stack
     /// Overflow crawl; see DESIGN.md §3).
@@ -36,6 +36,19 @@ pub struct EvalConfig {
 }
 
 impl EvalConfig {
+    /// The scale words [`EvalConfig::from_scale`] resolves.
+    pub const SCALES: &'static [&'static str] = &["quick", "standard", "paper"];
+
+    /// The preset a scale word names, `None` for any other word.
+    pub fn from_scale(scale: &str) -> Option<Self> {
+        match scale {
+            "quick" => Some(EvalConfig::quick()),
+            "standard" => Some(EvalConfig::standard()),
+            "paper" => Some(EvalConfig::paper()),
+            _ => None,
+        }
+    }
+
     /// Paper-faithful protocol on the medium synthetic dataset:
     /// 5 folds × 5 repeats.
     pub fn paper() -> Self {

@@ -44,4 +44,4 @@ pub use data::{ExperimentData, PairRecord};
 pub use experiments::{run_cv, run_cv_resumable, CvError};
 pub use fold::{FoldOutcome, MaskSpec};
 pub use metrics::{auc, cdf_points, mae, pearson, rmse, spearman};
-pub use session::RunSession;
+pub use session::{RunFlags, RunSession};

@@ -2,8 +2,9 @@
 //! `forumcast` CLI's `evaluate`, `train` and `stats`, and the
 //! `forumcast-bench` regeneration binaries.
 //!
-//! A front door parses its own flags and hands the session what it
-//! found. The session applies the one precedence rule — a flag beats
+//! Both front doors parse the run flags with one grammar
+//! (`forumcast_cli::args::Options::run_flags`) into a [`RunFlags`] and
+//! hand it to [`RunSession::start`]. The session applies the one precedence rule — a flag beats
 //! its environment variable (`--faults` beats `FORUMCAST_FAULTS`,
 //! `--trace` beats `FORUMCAST_TRACE`) — arms the fault plan and the
 //! span collector for the process, and sets the training workers.
@@ -22,6 +23,24 @@ use std::path::PathBuf;
 
 use forumcast_resilience::{FaultPlan, FaultSpecError, FAULTS_ENV};
 
+/// The run flags as parsed: `--threads`, `--faults`, `--trace`,
+/// `--metrics` and `--bench-json`. The default is the empty set, which
+/// `train` and `stats` run under.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunFlags {
+    /// Worker threads (`0` = auto: `FORUMCAST_THREADS`, else every
+    /// core).
+    pub threads: usize,
+    /// Fault plan (same spec grammar as `FORUMCAST_FAULTS`).
+    pub faults: Option<FaultPlan>,
+    /// Chrome trace-event JSON output path.
+    pub trace: Option<PathBuf>,
+    /// Print the per-span timing summary after the run.
+    pub metrics: bool,
+    /// Machine-readable bench report output path.
+    pub bench_json: Option<PathBuf>,
+}
+
 /// One run's fault plan and telemetry sinks, resolved from a front
 /// door's flags and the environment.
 #[derive(Debug)]
@@ -37,10 +56,8 @@ pub struct RunSession {
 }
 
 impl RunSession {
-    /// Starts a session from what a front door parsed: the worker
-    /// count (`0` = auto), the `--faults` plan, the `--trace` path,
-    /// `--metrics` and the `--bench-json` path. An absent flag falls
-    /// back to its environment variable. Arms the fault plan when it
+    /// Starts a session from the run flags a front door parsed. An
+    /// absent flag falls back to its environment variable. Arms the fault plan when it
     /// injects anything and the span collector when any sink was
     /// asked for, both for the calling thread and the threads it
     /// starts through `forumcast-par`; sets the training workers
@@ -50,16 +67,9 @@ impl RunSession {
     ///
     /// Returns [`FaultSpecError`] when `--faults` is absent and
     /// `FORUMCAST_FAULTS` is malformed. Nothing is armed then.
-    pub fn start(
-        threads: usize,
-        faults: Option<FaultPlan>,
-        trace: Option<PathBuf>,
-        metrics: bool,
-        bench_json: Option<PathBuf>,
-    ) -> Result<RunSession, FaultSpecError> {
-        let mut session = RunSession::resolve(faults, trace, metrics, bench_json, |key| {
-            std::env::var(key).ok()
-        })?;
+    pub fn start(flags: RunFlags) -> Result<RunSession, FaultSpecError> {
+        let threads = flags.threads;
+        let mut session = RunSession::resolve(flags, |key| std::env::var(key).ok())?;
         if let Some(plan) = session.faults.take() {
             plan.arm_for_process();
         }
@@ -73,12 +83,16 @@ impl RunSession {
     /// Applies the flag-beats-env rule, reading variables through
     /// `env`. Arms nothing.
     fn resolve(
-        faults: Option<FaultPlan>,
-        trace: Option<PathBuf>,
-        metrics: bool,
-        bench_json: Option<PathBuf>,
+        flags: RunFlags,
         env: impl Fn(&str) -> Option<String>,
     ) -> Result<RunSession, FaultSpecError> {
+        let RunFlags {
+            faults,
+            trace,
+            metrics,
+            bench_json,
+            ..
+        } = flags;
         let faults = match faults {
             Some(plan) => plan,
             None => FaultPlan::parse(&env(FAULTS_ENV).unwrap_or_default())?,
@@ -143,7 +157,12 @@ mod tests {
         trace: Option<&str>,
         env: &[(&str, &str)],
     ) -> Result<RunSession, FaultSpecError> {
-        RunSession::resolve(faults, trace.map(PathBuf::from), false, None, |key| {
+        let flags = RunFlags {
+            faults,
+            trace: trace.map(PathBuf::from),
+            ..RunFlags::default()
+        };
+        RunSession::resolve(flags, |key| {
             env.iter()
                 .find(|(k, _)| *k == key)
                 .map(|(_, v)| v.to_string())

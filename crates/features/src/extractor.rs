@@ -8,7 +8,7 @@ use crate::layout::FeatureLayout;
 use crate::topics::PostTopics;
 
 /// Configuration for [`FeatureExtractor::fit`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExtractorConfig {
     /// LDA hyperparameters (the paper's default is `K = 8`).
     pub lda: LdaConfig,

@@ -60,6 +60,19 @@ pub struct SynthConfig {
 }
 
 impl SynthConfig {
+    /// The scale words [`SynthConfig::from_scale`] resolves.
+    pub const SCALES: &'static [&'static str] = &["small", "medium", "paper"];
+
+    /// The preset a scale word names, `None` for any other word.
+    pub fn from_scale(scale: &str) -> Option<Self> {
+        match scale {
+            "small" => Some(SynthConfig::small()),
+            "medium" => Some(SynthConfig::medium()),
+            "paper" => Some(SynthConfig::paper_scale()),
+            _ => None,
+        }
+    }
+
     /// Tiny dataset for unit tests (~200 users, 300 questions).
     pub fn small() -> Self {
         SynthConfig {

@@ -153,6 +153,21 @@ diff <(sed -n 2,6p tests/golden/eval_quick_t1.txt) \
   || { echo "front doors agree: table1 quick prints a different Table I than evaluate" >&2; exit 1; }
 echo "front doors agree: table1 quick matches evaluate's Table I byte-for-byte"
 
+echo "==> usage errors agree (forumcast evaluate --scale nope vs table1 nope)"
+# Both front doors parse with one option grammar, so an unknown scale
+# word is a usage error (exit status 2) at each, refused before
+# anything runs.
+for cmd in "$fc evaluate --scale nope" "target/release/table1 nope"; do
+  status=0
+  $cmd > "$work_dir/usage.txt" 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "usage errors agree: \`$cmd\` exited $status, not 2" >&2
+    cat "$work_dir/usage.txt" >&2
+    exit 1
+  fi
+done
+echo "usage errors agree: both front doors exit 2 on an unknown scale"
+
 echo "==> corruption smoke (ckpt verify flags a flipped byte, repair heals)"
 # The storm leaves a completed fold-level binary checkpoint behind;
 # flip the last byte (the final frame's CRC) and the verifier must
