@@ -9,7 +9,6 @@ use forumcast_core::{
     AnswerConfig, AnswerPredictor, ThreadObservation, TimingConfig, TimingPredictor, VoteConfig,
     VotePredictor,
 };
-use forumcast_ml::{Activation, Adam, LayerSpec, Mlp, Trainer};
 
 fn synthetic_samples(n: usize, dim: usize) -> (Vec<Vec<f64>>, Vec<bool>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(1);
@@ -70,30 +69,6 @@ fn bench_training(c: &mut Criterion) {
         };
         b.iter(|| TimingPredictor::train(&threads, &cfg));
     });
-
-    // Batch-parallel Trainer kernels: batches span several CHUNK_SIZE
-    // chunks so the fixed-order reduction engages; 1-vs-2 workers
-    // quantifies the fan-out on this machine (results are bitwise
-    // identical either way — only wall time may differ).
-    for workers in [1usize, 2] {
-        group.bench_function(&format!("mlp_batch256_{workers}_threads"), |b| {
-            b.iter(|| {
-                let mut rng = StdRng::seed_from_u64(7);
-                let mut mlp = Mlp::new(
-                    &[
-                        LayerSpec::new(dim, 16, Activation::Tanh),
-                        LayerSpec::new(16, 1, Activation::Identity),
-                    ],
-                    &mut rng,
-                );
-                let mut trainer = Trainer::new(Adam::new(0.01), 256).with_threads(workers);
-                for _ in 0..5 {
-                    trainer.epoch(&mut mlp, &xs, &votes, &mut rng);
-                }
-                mlp.params()[0]
-            });
-        });
-    }
 
     let model = TimingPredictor::train(
         &threads,

@@ -54,6 +54,8 @@ use std::path::PathBuf;
 use forumcast_abtest::AbTestConfig;
 use forumcast_cli::args::{preset, Options, ParseError, RUN_FLAGS, RUN_VALUES};
 use forumcast_eval::{EvalConfig, RunFlags, RunSession};
+use forumcast_features::ExtractorConfig;
+use forumcast_synth::SynthConfig;
 
 /// What one regeneration binary reads from its command line besides
 /// the run flags, which every binary takes.
@@ -259,16 +261,32 @@ pub fn finish(session: &RunSession) {
     }
 }
 
-/// Prints the standard run header.
+/// Prints the standard run header of a binary that runs
+/// `opts.config`.
 pub fn header(experiment: &str, opts: &BinOptions) {
-    status!("=== forumcast :: {experiment} (scale: {}) ===", opts.scale);
+    let config = &opts.config;
     status!(
-        "dataset: {} users, {} questions, K = {}",
-        opts.config.synth.num_users,
-        opts.config.synth.num_questions,
-        opts.config.extractor.lda.num_topics
+        "{}",
+        header_text(experiment, opts.scale, &config.synth, &config.extractor)
     );
-    status!();
+}
+
+/// The run header for the forum `synth` generates, featurized with
+/// `extractor`; its trailing newline prints as the header's blank
+/// line. A binary that runs some other config than its scale word's
+/// [`EvalConfig`] (`abtest`) prints this with its own settings
+/// instead of calling [`header`].
+pub fn header_text(
+    experiment: &str,
+    scale: &str,
+    synth: &SynthConfig,
+    extractor: &ExtractorConfig,
+) -> String {
+    format!(
+        "=== forumcast :: {experiment} (scale: {scale}) ===\n\
+         dataset: {} users, {} questions, K = {}\n",
+        synth.num_users, synth.num_questions, extractor.lda.num_topics
+    )
 }
 
 /// Serializes a report as JSON when `--json` was passed.
@@ -359,6 +377,19 @@ mod tests {
         for scale in ABTEST.scales {
             assert!(AbTestConfig::from_scale(scale).is_some(), "{scale}");
         }
+    }
+
+    #[test]
+    fn header_names_the_forum_of_the_config_passed_in() {
+        let mut config = AbTestConfig::from_scale("quick").unwrap();
+        config.synth.num_users = 123;
+        config.synth.num_questions = 45;
+        config.extractor.lda.num_topics = 6;
+        assert_eq!(
+            header_text("A/B", "quick", &config.synth, &config.extractor),
+            "=== forumcast :: A/B (scale: quick) ===\n\
+             dataset: 123 users, 45 questions, K = 6\n"
+        );
     }
 
     #[test]

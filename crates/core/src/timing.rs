@@ -28,7 +28,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use forumcast_ml::{Activation, Adam, LayerSpec, Mlp, MlpScratch, Optimizer};
+use forumcast_ml::{Activation, Adam, LayerSpec, Mlp, MlpScratch};
 
 /// Lower clamp for the excitation μ inside logs and divisions.
 const MU_FLOOR: f64 = 1e-8;

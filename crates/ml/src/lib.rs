@@ -15,10 +15,7 @@
 //!   (e.g. the point-process likelihood in `forumcast-core`) can push
 //!   arbitrary output gradients through the network; hot loops reuse
 //!   an [`MlpScratch`] instead of allocating per sample;
-//! * [`optim`] — SGD and Adam (the paper's optimizer);
-//! * [`batch`] — deterministic batch-parallel gradient accumulation
-//!   ([`set_train_threads`]): fixed-order chunk reduction makes
-//!   1-vs-N-thread training bitwise identical;
+//! * [`optim`] — Adam (the paper's optimizer);
 //! * [`logistic`] — L2-regularized logistic regression (the `â`
 //!   predictor);
 //! * [`mf`] — biased matrix factorization (baseline for `v̂`);
@@ -26,6 +23,11 @@
 //!   (baseline for `â`);
 //! * [`poisson`] — Poisson regression (baseline for `r̂`);
 //! * [`trainer`] — mini-batch MSE regression driver for MLPs.
+//!
+//! Every mini-batch trainer folds each batch into its zeroed gradient
+//! buffer in sample order on the calling thread, so training is a
+//! pure function of the data, the hyperparameters and the RNG
+//! (`tests/fit_bits.rs` pins the learned bits).
 //!
 //! # Example
 //!
@@ -49,8 +51,9 @@
 //! assert!((pred - 1.0).abs() < 0.1);
 //! ```
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 pub mod activation;
-pub mod batch;
 pub mod error;
 mod glm;
 pub mod linalg;
@@ -63,12 +66,47 @@ pub mod sparfa;
 pub mod trainer;
 
 pub use activation::Activation;
-pub use batch::{set_train_threads, train_threads};
 pub use error::TrainError;
 pub use logistic::LogisticRegression;
 pub use mf::{MatrixFactorization, MfConfig};
 pub use mlp::{ForwardCache, LayerSpec, Mlp, MlpScratch};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::Adam;
 pub use poisson::PoissonRegression;
 pub use sparfa::{Sparfa, SparfaConfig};
 pub use trainer::Trainer;
+
+static TRAIN_THREADS: AtomicUsize = AtomicUsize::new(1);
+
+/// Sets the process-wide training worker count. It sizes only the
+/// point-process trainer in `forumcast-core`, whose μ and ω networks
+/// train on two threads in lockstep when it is at least 2; every
+/// trainer in this crate is serial. `0` means auto: the
+/// `FORUMCAST_THREADS` override, else the machine's available
+/// parallelism ([`forumcast_par::resolve_threads`]). The setting
+/// never changes a trained bit, only wall time.
+pub fn set_train_threads(requested: usize) {
+    let resolved = forumcast_par::resolve_threads(requested).max(1);
+    TRAIN_THREADS.store(resolved, Ordering::Relaxed);
+}
+
+/// The process-wide training worker count (default 1; see
+/// [`set_train_threads`]).
+pub fn train_threads() -> usize {
+    TRAIN_THREADS.load(Ordering::Relaxed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn thread_settings_resolve_and_default_to_one() {
+        assert_eq!(train_threads(), 1);
+        set_train_threads(3);
+        assert_eq!(train_threads(), 3);
+        set_train_threads(0);
+        assert!(train_threads() >= 1);
+        // Restore the default for other tests in this binary.
+        set_train_threads(1);
+    }
+}

@@ -5,9 +5,9 @@
 //! the GLM fitters and MF/SPARFA ([`dot`], [`axpy`]). They are written
 //! as blocked, autovectorizable slice loops with **fixed** blocking,
 //! because the blocking determines how floating-point sums associate:
-//! changing it changes results bitwise, and the crate's determinism
-//! guarantees (1-vs-N-thread parity, bitwise-reproducible folds) assume every
-//! code path reduces through these exact kernels.
+//! changing it changes results bitwise, and the crate's bitwise
+//! reproducibility assumes every code path reduces through these
+//! exact kernels.
 
 /// Dot product `aᵀb`.
 ///

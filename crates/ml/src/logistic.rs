@@ -99,8 +99,7 @@ impl LogisticRegression {
     }
 
     /// Fits by mini-batch gradient descent with Adam, `epochs` passes,
-    /// batch size 32, learning rate `lr`, L2 strength `l2`, and the
-    /// crate-global thread setting (see [`crate::set_train_threads`]).
+    /// batch size 32, learning rate `lr` and L2 strength `l2`.
     ///
     /// # Panics
     ///
@@ -115,29 +114,6 @@ impl LogisticRegression {
         l2: f64,
         rng: &mut R,
     ) {
-        self.fit_with(xs, ys, epochs, lr, l2, 32, 0, rng);
-    }
-
-    /// [`Self::fit`] with explicit batch size and worker-thread count
-    /// (`threads == 0` uses the crate-global setting). Gradient
-    /// accumulation follows the fixed-order chunk reduction, so any
-    /// thread count yields bitwise-identical parameters.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::fit`], plus `batch_size == 0`.
-    #[allow(clippy::too_many_arguments)] // fit's knobs plus the batch/thread pair
-    pub fn fit_with<R: Rng + ?Sized>(
-        &mut self,
-        xs: &[Vec<f64>],
-        ys: &[bool],
-        epochs: usize,
-        lr: f64,
-        l2: f64,
-        batch_size: usize,
-        threads: usize,
-        rng: &mut R,
-    ) {
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
         if xs.is_empty() {
             return;
@@ -149,17 +125,9 @@ impl LogisticRegression {
         let mut scratch = GlmScratch::default();
         for _ in 0..epochs {
             forumcast_obs::counter_add("ml.logistic.epochs", 1);
-            glm::epoch_pass(
-                &mut params,
-                &mut opt,
-                xs,
-                l2,
-                batch_size,
-                threads,
-                &mut scratch,
-                rng,
-                |z, i| sigmoid(z) - if ys[i] { 1.0 } else { 0.0 },
-            );
+            glm::epoch_pass(&mut params, &mut opt, xs, l2, &mut scratch, rng, |z, i| {
+                sigmoid(z) - if ys[i] { 1.0 } else { 0.0 }
+            });
         }
         self.bias = params.pop().expect("bias present");
         self.weights = params;

@@ -1,53 +1,6 @@
-//! First-order optimizers: SGD and Adam (the paper's optimizer).
+//! The Adam optimizer (the paper's optimizer).
 
 use serde::{Deserialize, Serialize};
-
-/// A first-order optimizer updating a flat parameter vector in place.
-///
-/// The trait is object-safe so training drivers can be configured at
-/// runtime.
-pub trait Optimizer {
-    /// Applies one update step: `params -= f(grads)`.
-    ///
-    /// # Panics
-    ///
-    /// Implementations panic when `params.len() != grads.len()`, and
-    /// stateful ones (Adam) when the length changes between calls.
-    fn step(&mut self, params: &mut [f64], grads: &[f64]);
-
-    /// Resets internal state (e.g. Adam moments).
-    fn reset(&mut self);
-}
-
-/// Plain stochastic gradient descent: `params -= learning_rate · grads`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub learning_rate: f64,
-}
-
-impl Sgd {
-    /// Creates SGD with the given learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `learning_rate <= 0`.
-    pub fn new(learning_rate: f64) -> Self {
-        assert!(learning_rate > 0.0, "learning rate must be positive");
-        Sgd { learning_rate }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
-        assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-        for (p, g) in params.iter_mut().zip(grads) {
-            *p -= self.learning_rate * g;
-        }
-    }
-
-    fn reset(&mut self) {}
-}
 
 /// The Adam optimizer (Kingma & Ba, 2015) with bias correction —
 /// the paper trains all its networks with "the standard Adam
@@ -86,10 +39,15 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f64], grads: &[f64]) {
+    /// Applies one update step to the flat parameter vector `params`
+    /// in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `params.len() != grads.len()` or the parameter
+    /// count changes between calls.
+    pub fn step(&mut self, params: &mut [f64], grads: &[f64]) {
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
         if self.m.len() != params.len() {
             assert!(self.m.is_empty(), "parameter count changed");
@@ -113,12 +71,6 @@ impl Optimizer for Adam {
             params[i] -= self.learning_rate * m_hat / (v_hat.sqrt() + self.epsilon);
         }
     }
-
-    fn reset(&mut self) {
-        self.t = 0;
-        self.m.clear();
-        self.v.clear();
-    }
 }
 
 #[cfg(test)]
@@ -126,19 +78,13 @@ mod tests {
     use super::*;
 
     /// Minimize f(x) = (x - 3)² from x = 0.
-    fn minimize<O: Optimizer>(opt: &mut O, steps: usize) -> f64 {
+    fn minimize(opt: &mut Adam, steps: usize) -> f64 {
         let mut x = vec![0.0f64];
         for _ in 0..steps {
             let g = vec![2.0 * (x[0] - 3.0)];
             opt.step(&mut x, &g);
         }
         x[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!((minimize(&mut opt, 200) - 3.0).abs() < 1e-6);
     }
 
     #[test]
@@ -229,26 +175,14 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut opt = Adam::new(0.1);
-        let mut x = vec![0.0];
-        opt.step(&mut x, &[1.0]);
-        opt.reset();
-        // After reset a different-size parameter vector is accepted.
-        let mut y = vec![0.0, 0.0];
-        opt.step(&mut y, &[1.0, 1.0]);
-        assert!(y[0] < 0.0 && y[1] < 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_lengths_panic() {
-        Sgd::new(0.1).step(&mut [0.0], &[1.0, 2.0]);
+        Adam::new(0.1).step(&mut [0.0], &[1.0, 2.0]);
     }
 
     #[test]
     #[should_panic(expected = "parameter count changed")]
-    fn changing_param_count_without_reset_panics() {
+    fn changing_param_count_panics() {
         let mut opt = Adam::new(0.1);
         let mut x = vec![0.0];
         opt.step(&mut x, &[1.0]);
@@ -260,16 +194,5 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn nonpositive_learning_rate_rejected() {
         Adam::new(0.0);
-    }
-
-    #[test]
-    fn optimizers_are_object_safe() {
-        let mut opts: Vec<Box<dyn Optimizer>> =
-            vec![Box::new(Sgd::new(0.1)), Box::new(Adam::new(0.1))];
-        let mut x = vec![1.0];
-        for o in &mut opts {
-            o.step(&mut x, &[0.5]);
-        }
-        assert!(x[0] < 1.0);
     }
 }

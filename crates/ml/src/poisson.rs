@@ -91,9 +91,8 @@ impl PoissonRegression {
     }
 
     /// Fits by mini-batch Adam on the negative log-likelihood with
-    /// batch size 32 and the crate-global thread setting (see
-    /// [`crate::set_train_threads`]). Targets must be non-negative
-    /// (counts or discretized times).
+    /// batch size 32. Targets must be non-negative (counts or
+    /// discretized times).
     ///
     /// # Panics
     ///
@@ -105,29 +104,6 @@ impl PoissonRegression {
         epochs: usize,
         lr: f64,
         l2: f64,
-        rng: &mut R,
-    ) {
-        self.fit_with(xs, ys, epochs, lr, l2, 32, 0, rng);
-    }
-
-    /// [`Self::fit`] with explicit batch size and worker-thread count
-    /// (`threads == 0` uses the crate-global setting). Gradient
-    /// accumulation follows the fixed-order chunk reduction, so any
-    /// thread count yields bitwise-identical parameters.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Self::fit`], plus `batch_size == 0`.
-    #[allow(clippy::too_many_arguments)] // fit's knobs plus the batch/thread pair
-    pub fn fit_with<R: Rng + ?Sized>(
-        &mut self,
-        xs: &[Vec<f64>],
-        ys: &[f64],
-        epochs: usize,
-        lr: f64,
-        l2: f64,
-        batch_size: usize,
-        threads: usize,
         rng: &mut R,
     ) {
         assert_eq!(xs.len(), ys.len(), "xs/ys length mismatch");
@@ -143,17 +119,9 @@ impl PoissonRegression {
         let mut opt = Adam::new(lr);
         let mut scratch = GlmScratch::default();
         for _ in 0..epochs {
-            glm::epoch_pass(
-                &mut params,
-                &mut opt,
-                xs,
-                l2,
-                batch_size,
-                threads,
-                &mut scratch,
-                rng,
-                |z, i| z.clamp(-30.0, 30.0).exp() - ys[i],
-            );
+            glm::epoch_pass(&mut params, &mut opt, xs, l2, &mut scratch, rng, |z, i| {
+                z.clamp(-30.0, 30.0).exp() - ys[i]
+            });
         }
         self.bias = params.pop().expect("bias present");
         self.weights = params;

@@ -5,10 +5,9 @@ use rand::Rng;
 
 use forumcast_resilience::fault::{self, FaultSite};
 
-use crate::batch;
 use crate::error::TrainError;
 use crate::mlp::{Mlp, MlpScratch};
-use crate::optim::Optimizer;
+use crate::optim::Adam;
 
 /// Trains an [`Mlp`] with scalar output on `(x, y)` pairs by
 /// mini-batch gradient descent on the mean-squared error — the
@@ -18,34 +17,30 @@ use crate::optim::Optimizer;
 ///
 /// See the crate-level example in [`crate`].
 #[derive(Debug)]
-pub struct Trainer<O> {
-    optimizer: O,
+pub struct Trainer {
+    optimizer: Adam,
     batch_size: usize,
     weight_decay: f64,
-    threads: usize,
     grads: Vec<f64>,
-    chunk_buf: Vec<f64>,
     scratch: MlpScratch,
     order: Vec<usize>,
     epochs_run: usize,
     steps_run: u64,
 }
 
-impl<O: Optimizer> Trainer<O> {
+impl Trainer {
     /// Creates a trainer with the given optimizer and batch size.
     ///
     /// # Panics
     ///
     /// Panics when `batch_size == 0`.
-    pub fn new(optimizer: O, batch_size: usize) -> Self {
+    pub fn new(optimizer: Adam, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         Trainer {
             optimizer,
             batch_size,
             weight_decay: 0.0,
-            threads: 0,
             grads: Vec::new(),
-            chunk_buf: Vec::new(),
             scratch: MlpScratch::new(),
             order: Vec::new(),
             epochs_run: 0,
@@ -66,17 +61,6 @@ impl<O: Optimizer> Trainer<O> {
         self
     }
 
-    /// Sets the worker-thread count for mini-batch gradient
-    /// accumulation; `0` (the default) follows the crate-global
-    /// setting from [`crate::set_train_threads`]. Accumulation uses
-    /// the fixed-order chunk reduction of `forumcast-par`, so the
-    /// thread count never changes the trained parameters — only wall
-    /// time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Runs one epoch over the data in shuffled mini-batches and
     /// returns the epoch's mean squared error (computed online from
     /// pre-update predictions). Returns NaN when training diverged —
@@ -86,10 +70,8 @@ impl<O: Optimizer> Trainer<O> {
     /// consumes RNG state.
     ///
     /// Per-sample forward/backward passes run through the trainer's
-    /// pooled [`MlpScratch`] and, when more than one worker is
-    /// configured ([`Self::with_threads`]), gradient accumulation
-    /// fans out across the batch with the fixed-order chunk
-    /// reduction — bitwise identical for any thread count.
+    /// pooled [`MlpScratch`], and each batch folds into the zeroed
+    /// gradient buffer in sample order.
     ///
     /// Each optimizer step probes the `nan-grad` fault site with the
     /// trainer's cumulative step index, so a [`fault::FaultPlan`] can
@@ -117,7 +99,6 @@ impl<O: Optimizer> Trainer<O> {
         }
         self.epochs_run += 1;
         self.grads.resize(mlp.num_params(), 0.0);
-        let threads = batch::effective_threads(self.threads);
         // Telemetry is read-only: norms are accumulated only when a
         // collector is armed and never feed back into the update.
         let telemetry = forumcast_obs::is_enabled();
@@ -127,30 +108,21 @@ impl<O: Optimizer> Trainer<O> {
         self.order.extend(0..xs.len());
         self.order.shuffle(rng);
         let mut sse = 0.0;
-        let order = std::mem::take(&mut self.order);
-        for chunk in order.chunks(self.batch_size) {
-            let mlp_ref: &Mlp = mlp;
-            sse += batch::accumulate_batch(
-                chunk.len(),
-                threads,
-                &mut self.grads,
-                &mut self.chunk_buf,
-                &mut self.scratch,
-                MlpScratch::new,
-                |range, scratch, buf| {
-                    let mut partial = 0.0;
-                    for pos in range {
-                        let i = chunk[pos];
-                        let out = mlp_ref.forward_scratch(&xs[i], scratch);
-                        let err = out[0] - ys[i];
-                        partial += err * err;
-                        // d/dŷ of ½(ŷ−y)² scaled by 2/batch → err * 2 / n.
-                        let go = [2.0 * err / chunk.len() as f64];
-                        mlp_ref.backward_scratch(scratch, &go, buf);
-                    }
-                    partial
-                },
-            );
+        for chunk in self.order.chunks(self.batch_size) {
+            self.grads.fill(0.0);
+            // Squared errors sum per batch, then into the epoch total;
+            // `tests/fit_bits.rs` pins that association through the
+            // reported loss.
+            let mut batch_sse = 0.0;
+            for &i in chunk {
+                let out = mlp.forward_scratch(&xs[i], &mut self.scratch);
+                let err = out[0] - ys[i];
+                batch_sse += err * err;
+                // d/dŷ of ½(ŷ−y)² scaled by 2/batch → err * 2 / n.
+                let go = [2.0 * err / chunk.len() as f64];
+                mlp.backward_scratch(&mut self.scratch, &go, &mut self.grads);
+            }
+            sse += batch_sse;
             if self.weight_decay > 0.0 {
                 for (g, p) in self.grads.iter_mut().zip(mlp.params()) {
                     *g += self.weight_decay * p;
@@ -166,7 +138,6 @@ impl<O: Optimizer> Trainer<O> {
             self.steps_run += 1;
             self.optimizer.step(mlp.params_mut(), &self.grads);
         }
-        self.order = order;
         // A NaN gradient poisons the parameters, not necessarily the
         // pre-update loss of this epoch — check both.
         let mse = if mlp.params().iter().all(|p| p.is_finite()) {

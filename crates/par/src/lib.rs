@@ -218,12 +218,9 @@ pub const CHUNK_SIZE: usize = 64;
 
 /// The fixed chunk decomposition of `0..num_items` used by
 /// [`parallel_chunk_fold`]: [`CHUNK_SIZE`]-item ranges in item order,
-/// the last one short. A pure function of `num_items`, so serial
-/// fallbacks that fold these ranges and merge them in order are
-/// bitwise-identical to the parallel reduction — callers that must
-/// match the parallel tree (e.g. gradient accumulation in
-/// `forumcast-ml`) iterate this instead of re-deriving the split.
-pub fn chunk_ranges(num_items: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+/// the last one short. A pure function of `num_items`, so the
+/// reduction tree never depends on the worker count.
+pub(crate) fn chunk_ranges(num_items: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
     (0..num_items)
         .step_by(CHUNK_SIZE)
         .map(move |start| start..(start + CHUNK_SIZE).min(num_items))

@@ -264,18 +264,4 @@ cp "$work_dir/roundtrip.model.json" "$golden_dir/train.model.json"
   || { echo "routing goldens: trained model bytes drifted" >&2; exit 1; }
 echo "routing goldens: recsys, abtest, question_routing and model bytes match"
 
-echo "==> training determinism smoke (serial vs --threads 2, bitwise params)"
-# Trains the same quick-scale MLP serially and with 2 workers: prints
-# samples/sec for both and hard-fails unless the learned parameters
-# are bit-for-bit identical (the fixed-order chunk reduction contract).
-cargo build -q --release -p forumcast-ml --example train_throughput
-for t in 1 2; do
-  target/release/examples/train_throughput --threads "$t" \
-    --samples 2048 --epochs 8 > "$work_dir/train.$t.txt"
-  echo "train[threads=$t]: $(grep samples_per_sec "$work_dir/train.$t.txt")"
-done
-diff <(grep params_fnv "$work_dir/train.1.txt") \
-     <(grep params_fnv "$work_dir/train.2.txt") \
-  || { echo "training determinism smoke: 1-vs-2-thread parameters differ" >&2; exit 1; }
-
 echo "All checks passed."
