@@ -34,7 +34,6 @@ commands:
              [--resume <checkpoint-file>]
              [--faults <spec>] [--trace <trace-file>] [--metrics]
              [--bench-json <report-file>]
-  ckpt       <inspect|verify|repair> --file <checkpoint-file>
   bench      compare <baseline.json> <current.json>
              [--tolerance X] [--p99-tolerance X] [--min-ms MS]
   abtest     [--scale <quick|standard>] [--lambda X]
@@ -47,12 +46,9 @@ commands:
 response-delay quantiles) against the paper's Section III ranges and
 exits non-zero on drift. `--resume` saves completed cross-validation
 folds to the given file and skips them on restart; a fold
-interrupted part-way recomputes from its start. Checkpoints are
-written in the framed, CRC-checksummed binary store; a damaged or
-foreign file is moved aside to `<file>.corrupt` and its folds
-recompute. `ckpt inspect` prints a checkpoint's header and frame
-layout, `ckpt verify` exits non-zero naming the first damaged frame,
-and `ckpt repair` truncates the file to its last valid frame.
+interrupted part-way recomputes from its start. A checkpoint is one
+JSON document guarded by a CRC-32; a damaged or foreign file is
+moved aside to `<file>.corrupt` and its folds recompute.
 `--faults` arms the deterministic fault injector (e.g. `fold-panic:1`;
 without the flag, `evaluate`, `train` and `stats` read the
 FORUMCAST_FAULTS env var, whose malformed spec fails the run).
@@ -150,13 +146,6 @@ pub enum Command {
         /// The run flags the session starts from.
         run: RunFlags,
     },
-    /// Inspect, verify, or repair a checkpoint file.
-    Ckpt {
-        /// What to do with the file.
-        action: CkptAction,
-        /// The checkpoint file.
-        file: String,
-    },
     /// Diff two bench reports and gate on regressions.
     BenchCompare {
         /// Committed baseline report path.
@@ -178,17 +167,6 @@ pub enum Command {
     },
     /// Print usage.
     Help,
-}
-
-/// Sub-action of the `ckpt` command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CkptAction {
-    /// Print the header and frame layout.
-    Inspect,
-    /// Exit non-zero naming the first damaged frame, if any.
-    Verify,
-    /// Truncate the file to its last valid frame.
-    Repair,
 }
 
 /// Argument-parsing failure.
@@ -236,27 +214,6 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
         .next()
         .ok_or_else(|| ParseError("missing command".into()))?;
     let rest: Vec<String> = args.collect();
-    // `ckpt` takes a positional action word before its options.
-    if cmd == "ckpt" {
-        let action = match rest.first().map(String::as_str) {
-            Some("inspect") => CkptAction::Inspect,
-            Some("verify") => CkptAction::Verify,
-            Some("repair") => CkptAction::Repair,
-            Some(other) => {
-                return Err(ParseError(format!(
-                    "unknown ckpt action `{other}` (inspect|verify|repair)"
-                )))
-            }
-            None => {
-                return Err(ParseError(
-                    "ckpt requires an action: inspect|verify|repair".into(),
-                ))
-            }
-        };
-        let opts = Options::parse(&rest[1..], &[], &["file"])?;
-        let file = opts.require("file")?;
-        return Ok(Command::Ckpt { action, file });
-    }
     // `bench` takes an action word plus two positional report paths.
     if cmd == "bench" {
         match rest.first().map(String::as_str) {
@@ -597,7 +554,11 @@ mod tests {
     fn unknown_command_rejected() {
         let err = parse(argv("frobnicate")).unwrap_err();
         assert!(err.to_string().contains("frobnicate"));
-        for line in ["ingest --wal w", "wal verify --dir w"] {
+        for line in [
+            "ingest --wal w",
+            "wal verify --dir w",
+            "ckpt verify --file x",
+        ] {
             let err = parse(argv(line)).unwrap_err();
             assert!(err.to_string().starts_with("unknown command"), "{err}");
         }
@@ -796,6 +757,14 @@ mod tests {
                 "for --faults: invalid FORUMCAST_FAULTS spec: unknown fault site `nope`",
             ),
             (
+                "evaluate --faults torn-write:1".into(),
+                "unknown fault site `torn-write`",
+            ),
+            (
+                "evaluate --faults bit-flip:1".into(),
+                "unknown fault site `bit-flip`",
+            ),
+            (
                 "evaluate --scale nope".into(),
                 "unknown scale `nope` (quick|standard|paper)",
             ),
@@ -843,33 +812,6 @@ mod tests {
     fn malformed_numbers_error() {
         let err = parse(argv("predict --data d --model m --question abc --user 1")).unwrap_err();
         assert!(err.to_string().contains("abc"));
-    }
-
-    #[test]
-    fn parses_ckpt_subcommand() {
-        let cmd = parse(argv("ckpt verify --file cv.ckpt")).unwrap();
-        assert_eq!(
-            cmd,
-            Command::Ckpt {
-                action: CkptAction::Verify,
-                file: "cv.ckpt".into()
-            }
-        );
-        for (word, action) in [
-            ("inspect", CkptAction::Inspect),
-            ("repair", CkptAction::Repair),
-        ] {
-            match parse(argv(&format!("ckpt {word} --file x"))).unwrap() {
-                Command::Ckpt { action: a, .. } => assert_eq!(a, action),
-                other => panic!("{other:?}"),
-            }
-        }
-        let err = parse(argv("ckpt --file x")).unwrap_err();
-        assert!(err.to_string().contains("action"), "{err}");
-        let err = parse(argv("ckpt defrag --file x")).unwrap_err();
-        assert!(err.to_string().contains("defrag"), "{err}");
-        let err = parse(argv("ckpt verify")).unwrap_err();
-        assert!(err.to_string().contains("--file"), "{err}");
     }
 
     #[test]

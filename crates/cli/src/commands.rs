@@ -15,7 +15,7 @@ use forumcast_graph::{dense_graph, qa_graph, GraphStats};
 use forumcast_recsys::{score_candidates, QuestionRouter, RouterConfig};
 use forumcast_synth::SynthConfig;
 
-use crate::args::{CkptAction, Command, USAGE};
+use crate::args::{Command, USAGE};
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -84,7 +84,6 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
                 evaluate(&scale, &config, resume.as_deref(), out)
             })
         }
-        Command::Ckpt { action, file } => ckpt(action, &file, out),
         Command::BenchCompare {
             baseline,
             current,
@@ -479,88 +478,6 @@ fn bench_compare(
     }
 }
 
-/// `forumcast ckpt <inspect|verify|repair> --file <path>`: offline
-/// tooling over the framed binary checkpoint store. All three run on
-/// a pure, non-mutating scan of the file; only `repair` writes (it
-/// truncates to the last valid frame via the same atomic tmp+rename+
-/// fsync protocol the checkpoints themselves use).
-fn ckpt(action: CkptAction, file: &str, out: &mut dyn Write) -> CmdResult {
-    use forumcast_store::{scan, FrameIssue, SaveOptions, StoreFile};
-    let path = Path::new(file);
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read checkpoint `{file}`: {e}"))?;
-    let report = scan(&bytes, path).map_err(|e| e.to_string())?;
-    let issue_text = report.issue.as_ref().map(|issue| match issue {
-        FrameIssue::Torn { offset } => {
-            format!("torn frame at byte {offset} (incomplete tail write)")
-        }
-        FrameIssue::CrcMismatch { frame, offset } => {
-            format!("CRC mismatch in frame {frame} at byte {offset}")
-        }
-    });
-    match action {
-        CkptAction::Inspect => {
-            writeln!(out, "{file}:")?;
-            writeln!(out, "  format version: {}", report.version)?;
-            writeln!(out, "  fingerprint:    {}", report.fingerprint)?;
-            writeln!(
-                out,
-                "  frames:         {} valid ({} of {} bytes)",
-                report.frames.len(),
-                report.valid_end,
-                report.file_len
-            )?;
-            for (i, frame) in report.frames.iter().enumerate() {
-                writeln!(out, "    frame {i}: {} payload bytes", frame.len())?;
-            }
-            match issue_text {
-                Some(text) => writeln!(out, "  issue:          {text}")?,
-                None => writeln!(out, "  issue:          none")?,
-            }
-            Ok(())
-        }
-        CkptAction::Verify => match issue_text {
-            Some(text) => Err(format!(
-                "checkpoint {file}: {text}; {} valid frame(s) precede the damage \
-                 (`forumcast ckpt repair --file {file}` truncates to them)",
-                report.frames.len()
-            )
-            .into()),
-            None => {
-                writeln!(
-                    out,
-                    "ok: {} frames, {} bytes, fingerprint `{}`",
-                    report.frames.len(),
-                    report.file_len,
-                    report.fingerprint
-                )?;
-                Ok(())
-            }
-        },
-        CkptAction::Repair => match issue_text {
-            None => {
-                writeln!(out, "nothing to repair: all frames verify")?;
-                Ok(())
-            }
-            Some(text) => {
-                let dropped = report.file_len - report.valid_end;
-                let mut repaired =
-                    StoreFile::new(report.fingerprint.clone(), report.frames.clone());
-                repaired.version = report.version;
-                repaired
-                    .save(path, &SaveOptions::default())
-                    .map_err(|e| format!("cannot write repaired checkpoint: {e}"))?;
-                writeln!(
-                    out,
-                    "repaired {file}: dropped {dropped} damaged byte(s) ({text}); \
-                     {} valid frame(s) kept — the next resume recomputes the lost tail",
-                    report.frames.len()
-                )?;
-                Ok(())
-            }
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -862,70 +779,6 @@ mod tests {
         );
         std::fs::remove_file(&data_path).unwrap();
         std::fs::remove_file(&model_path).unwrap();
-    }
-
-    #[test]
-    fn ckpt_inspect_verify_repair_roundtrip() {
-        use forumcast_store::{SaveOptions, StoreFile};
-        let file = tmp("ckpt-tool.ckpt");
-        let path = std::path::Path::new(&file);
-        StoreFile::new("cli-test v1", vec![vec![1, 2, 3], vec![4, 5], vec![6]])
-            .save(path, &SaveOptions::default())
-            .unwrap();
-
-        let (code, text) = run_cmd(Command::Ckpt {
-            action: CkptAction::Inspect,
-            file: file.clone(),
-        });
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("cli-test v1"), "{text}");
-        assert!(text.contains("frame 2"), "{text}");
-
-        let (code, text) = run_cmd(Command::Ckpt {
-            action: CkptAction::Verify,
-            file: file.clone(),
-        });
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("ok: 3 frames"), "{text}");
-
-        // Flip a bit in the last frame's CRC: verify must fail naming
-        // the frame, and repair must truncate to the 2 intact frames.
-        let mut bytes = std::fs::read(path).unwrap();
-        *bytes.last_mut().unwrap() ^= 0x01;
-        std::fs::write(path, &bytes).unwrap();
-        let (code, text) = run_cmd(Command::Ckpt {
-            action: CkptAction::Verify,
-            file: file.clone(),
-        });
-        assert_eq!(code, 1, "{text}");
-        assert!(text.contains("frame 2"), "{text}");
-
-        let (code, text) = run_cmd(Command::Ckpt {
-            action: CkptAction::Repair,
-            file: file.clone(),
-        });
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("2 valid frame(s)"), "{text}");
-        let (code, text) = run_cmd(Command::Ckpt {
-            action: CkptAction::Verify,
-            file: file.clone(),
-        });
-        assert_eq!(code, 0, "repaired file must verify clean: {text}");
-        assert!(text.contains("ok: 2 frames"), "{text}");
-        std::fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn ckpt_verify_rejects_non_store_files() {
-        let file = tmp("ckpt-tool.json");
-        std::fs::write(&file, "{\"meta\":\"legacy\"}").unwrap();
-        let (code, text) = run_cmd(Command::Ckpt {
-            action: CkptAction::Verify,
-            file: file.clone(),
-        });
-        assert_eq!(code, 1);
-        assert!(text.contains("is not a binary store (bad magic)"), "{text}");
-        std::fs::remove_file(&file).unwrap();
     }
 
     #[test]

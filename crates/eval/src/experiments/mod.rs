@@ -94,9 +94,7 @@ impl From<CheckpointError> for CvError {
 }
 
 /// Fingerprint stored in CV checkpoints: enough of the protocol to
-/// refuse resuming a differently-configured run. The constant
-/// `sampler=dense` keeps the string of checkpoints written when the
-/// Gibbs sampler was selectable, so they still resume.
+/// refuse resuming a differently-configured run.
 fn cv_fingerprint(
     config: &EvalConfig,
     mask: Option<MaskSpec>,
@@ -104,7 +102,7 @@ fn cv_fingerprint(
     jobs: usize,
 ) -> String {
     format!(
-        "cv folds={} repeats={} seed={} negs={} mask={:?} baselines={} jobs={} sampler=dense k={}",
+        "cv folds={} repeats={} seed={} negs={} mask={:?} baselines={} jobs={} k={}",
         config.folds,
         config.repeats,
         config.seed,
@@ -114,6 +112,31 @@ fn cv_fingerprint(
         jobs,
         config.extractor.lda.num_topics
     )
+}
+
+/// A fold's six metrics in field order: what its checkpoint entry holds.
+fn metrics(o: &FoldOutcome) -> [f64; 6] {
+    [
+        o.auc,
+        o.auc_baseline,
+        o.rmse_votes,
+        o.rmse_votes_baseline,
+        o.rmse_time,
+        o.rmse_time_baseline,
+    ]
+}
+
+/// Inverse of [`metrics`].
+fn from_metrics(m: [f64; 6]) -> FoldOutcome {
+    let [auc, auc_baseline, rmse_votes, rmse_votes_baseline, rmse_time, rmse_time_baseline] = m;
+    FoldOutcome {
+        auc,
+        auc_baseline,
+        rmse_votes,
+        rmse_votes_baseline,
+        rmse_time,
+        rmse_time_baseline,
+    }
 }
 
 /// Runs the paper's CV protocol (`repeats` × `folds` iterations,
@@ -147,9 +170,8 @@ pub fn run_cv(
 /// count. The fold is the unit of resume: a fold interrupted part-way
 /// recomputes from its start.
 ///
-/// A checkpoint that cannot be trusted — CRC damage, an undecodable
-/// entry, or a file that is not a checkpoint store at all — is
-/// quarantined to `<path>.corrupt` and its folds recompute (counted
+/// A checkpoint that cannot be trusted — CRC damage, the wrong shape,
+/// or a file that is not a JSON checkpoint at all — is quarantined to `<path>.corrupt` and its folds recompute (counted
 /// `eval.checkpoint.corrupt_recovered`); the run does not abort.
 ///
 /// # Errors
@@ -186,7 +208,7 @@ pub fn run_cv_resumable(
             // file (if any) is still the last complete save, so the
             // leftover is reclaimed (counted `ckpt.tmp.reclaimed`).
             reclaim_tmp(path);
-            let cp = match Checkpoint::<FoldOutcome>::load(path, &meta) {
+            let cp = match Checkpoint::load(path, &meta) {
                 Ok(found) => found.unwrap_or_else(|| Checkpoint::new(meta.clone())),
                 // An unusable checkpoint was already quarantined to
                 // `<path>.corrupt` by the loader: fall back to a
@@ -198,9 +220,9 @@ pub fn run_cv_resumable(
                 }
                 Err(e) => return Err(e.into()),
             };
-            for (unit, outcome) in &cp.entries {
+            for (unit, metrics) in &cp.entries {
                 if let Some(slot) = outcomes.get_mut(*unit as usize) {
-                    *slot = Some(*outcome);
+                    *slot = Some(from_metrics(*metrics));
                     forumcast_obs::mark("eval.checkpoint.hit", *unit);
                     forumcast_obs::counter_add("eval.checkpoint.folds_skipped", 1);
                 }
@@ -229,7 +251,7 @@ pub fn run_cv_resumable(
         })?;
         if let Some((cp, path)) = &checkpoint {
             let mut cp = cp.lock().expect("checkpoint lock");
-            cp.record(job as u64, outcome);
+            cp.record(job as u64, metrics(&outcome));
             cp.save(path)?;
         }
         Ok::<FoldOutcome, CvError>(outcome)
@@ -247,8 +269,8 @@ pub fn run_cv_resumable(
 mod tests {
     use super::*;
 
-    /// Sub-run checkpoints are binary stores: the base path with
-    /// `.<tag>.ckpt` appended.
+    /// A sub-run's checkpoint is the base path with `.<tag>.ckpt`
+    /// appended.
     #[test]
     fn sub_checkpoint_appends_the_tag_and_ckpt_extension() {
         let base = Path::new("out/run.ckpt");
@@ -313,11 +335,9 @@ mod tests {
         // Rerun: every fold restored from the file. Corrupting the
         // recorded outcomes proves nothing was recomputed.
         let meta = cv_fingerprint(&cfg, None, false, 2);
-        let mut cp = Checkpoint::<FoldOutcome>::load(&path, &meta)
-            .unwrap()
-            .unwrap();
-        for (_, o) in cp.entries.iter_mut() {
-            o.auc = 0.123;
+        let mut cp = Checkpoint::<6>::load(&path, &meta).unwrap().unwrap();
+        for (_, m) in cp.entries.iter_mut() {
+            m[0] = 0.123;
         }
         cp.save(&path).unwrap();
         let resumed = run_cv_resumable(&data, &cfg, None, false, opts).unwrap();
@@ -326,13 +346,15 @@ mod tests {
     }
 
     /// Checkpoints carry this string, so it must stay what earlier
-    /// builds wrote or their folds would be refused on resume.
+    /// builds wrote or their folds would be refused on resume. It
+    /// last changed when checkpoints became JSON and the constant
+    /// `sampler=dense` was dropped.
     #[test]
     fn fingerprint_matches_earlier_checkpoints() {
         assert_eq!(
             cv_fingerprint(&EvalConfig::quick(), None, true, 3),
             "cv folds=3 repeats=1 seed=59297 negs=1 mask=None baselines=true \
-             jobs=3 sampler=dense k=4"
+             jobs=3 k=4"
         );
     }
 
@@ -344,9 +366,7 @@ mod tests {
         let (ds, _) = cfg.synth.generate().preprocess();
         let data = ExperimentData::build(&ds, &cfg);
         let path = temp_checkpoint("meta");
-        Checkpoint::<FoldOutcome>::new("other run")
-            .save(&path)
-            .unwrap();
+        Checkpoint::<6>::new("other run").save(&path).unwrap();
         let err = run_cv_resumable(&data, &cfg, None, false, Some(&path)).unwrap_err();
         assert!(
             matches!(
@@ -359,8 +379,9 @@ mod tests {
     }
 
     /// A fold-level checkpoint that cannot be trusted — CRC damage,
-    /// or a file in the JSON layout of old builds — is quarantined by
-    /// the loader and the sweep recomputes (counted) instead of
+    /// a file in the un-checksummed JSON layout of old builds, or a
+    /// binary checkpoint from the builds after them — is quarantined
+    /// by the loader and the sweep recomputes (counted) instead of
     /// aborting.
     #[test]
     fn corrupt_fold_checkpoint_recomputes_instead_of_aborting() {
@@ -379,17 +400,18 @@ mod tests {
             serde_json::to_string(&clean[0]).unwrap(),
             serde_json::to_string(&clean[1]).unwrap()
         );
-        for name in ["crc", "json-era"] {
+        for name in ["crc", "json-era", "binary-era"] {
             let path = temp_checkpoint(&format!("corrupt-fold-ckpt-{name}"));
             let opts = Some(path.as_path());
             run_cv_resumable(&data, &cfg, None, false, opts).unwrap();
             let mut bytes = std::fs::read(&path).unwrap();
-            if name == "crc" {
-                // Flip a bit in the last frame's CRC: the frame is
-                // complete but its checksum no longer matches.
-                *bytes.last_mut().unwrap() ^= 0x08;
-            } else {
-                bytes = json_era.clone().into_bytes();
+            let crc_digit = bytes.len() - 2;
+            match name {
+                // Change the last digit of the stored CRC: the file
+                // still parses, but its checksum no longer matches.
+                "crc" => bytes[crc_digit] ^= 0x01,
+                "json-era" => bytes = json_era.clone().into_bytes(),
+                _ => bytes = b"FCSTBIN1\x01\x05junk".to_vec(),
             }
             std::fs::write(&path, &bytes).unwrap();
 
@@ -427,7 +449,7 @@ mod tests {
         let (ds, _) = cfg.synth.generate().preprocess();
         let data = ExperimentData::build(&ds, &cfg);
         let path = temp_checkpoint("tmp-reclaim");
-        let tmp = forumcast_store::tmp_path(&path);
+        let tmp = forumcast_resilience::tmp_path(&path);
         std::fs::write(&tmp, b"half-written checkpoint junk").unwrap();
         let opts = Some(path.as_path());
         run_cv_resumable(&data, &cfg, None, false, opts).unwrap();

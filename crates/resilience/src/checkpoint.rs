@@ -1,107 +1,68 @@
 //! Checkpoint files for resumable sweeps.
 //!
-//! A [`Checkpoint`] records `(unit index, result)` entries — one per
-//! completed work item, e.g. one CV fold — plus a free-form `meta`
-//! fingerprint describing the run configuration. Drivers save the
-//! checkpoint after every completed item (atomically: write to a
-//! temporary file, fsync, then rename) and, on resume, load it back,
-//! verify the fingerprint, and skip the recorded units. Because every
-//! unit is a pure function of its inputs, merging checkpointed and
-//! freshly computed results reproduces an uninterrupted run bit for
-//! bit.
+//! A [`Checkpoint`] records `(unit index, metrics)` entries — one per
+//! completed work item, e.g. one CV fold, whose result is `N` `f64`
+//! metrics — plus a free-form `meta` fingerprint describing the run
+//! configuration. Callers save the checkpoint after every completed
+//! item and, on resume, load it back, verify the fingerprint, and skip
+//! the recorded units. Because every unit is a pure function of its
+//! inputs, merging checkpointed and freshly computed results
+//! reproduces an uninterrupted run bit for bit.
 //!
 //! # Format
 //!
-//! Checkpoints are written in the framed binary store from
-//! `forumcast-store`: a CRC-guarded header carrying the fingerprint,
-//! then one CRC-guarded frame per entry. Torn tails truncate to the
-//! valid entry prefix (the lost tail is recomputed); any CRC mismatch
-//! quarantines the file to `<path>.corrupt` and surfaces as
-//! [`CheckpointError::Corrupt`]. So does a file that is not a store
-//! at all (no store magic), whatever wrote it.
+//! One JSON document, the only place that knows its layout:
+//!
+//! ```text
+//! {"fingerprint":"<meta>","entries":[[<unit>,[<bits>,…]],…],"crc32":<u32>}
+//! ```
+//!
+//! Entries are in completion order. Each metric is stored as its
+//! `f64::to_bits()` integer, so NaN payloads, −0.0, subnormals and
+//! infinities come back bit for bit (a JSON float cannot carry NaN or
+//! ±inf at all). `crc32` covers the compact serialization of
+//! `{fingerprint, entries}` and is checked before the fingerprint is
+//! compared.
+//!
+//! A file that is not UTF-8 JSON (e.g. a binary checkpoint written by
+//! older builds), has the wrong shape or fails its CRC is quarantined
+//! to `<path>.corrupt` and surfaces as [`CheckpointError::Corrupt`];
+//! the caller recomputes its units. Any damage costs the whole file.
+//!
+//! Saves write `<path>.tmp`, fsync it, rename it over `path` and fsync
+//! the parent directory, so a crash mid-save never damages the
+//! committed checkpoint and a completed save survives power loss. A
+//! tmp left by a crash is removed by [`reclaim_tmp`].
 //!
 //! # Fault sites
 //!
-//! Saves probe four sites (unit = the caller's save unit):
-//! `ckpt-write` (truncated tmp, error before rename — the legacy
-//! crash-mid-write), `torn-write` (final frame cut *after* a
-//! successful rename), `bit-flip` (one payload bit flipped
-//! post-rename), and `fsync-fail` (save errors at the sync step, old
-//! checkpoint intact).
+//! Saves probe two sites (unit = entries recorded at save time):
+//! `ckpt-write` (truncated tmp, error before the rename — a crash
+//! mid-write) and `fsync-fail` (the save errors at the sync step, the
+//! old checkpoint intact).
 
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use std::path::Path;
+use std::fs::{self, File};
+use std::io::Write as _;
+use std::path::{Path, PathBuf};
 
+use crate::crc32::crc32;
 use crate::fault::{self, FaultSite};
-use forumcast_store::{
-    decode_value, encode_value, tmp_path, Corruption, SaveOptions, StoreError, StoreFile,
-};
 
-pub use forumcast_store::reclaim_tmp;
-
-/// Builds the [`SaveOptions`] for one save by probing the
-/// media-damage fault sites at `unit`. `torn-write` and `bit-flip`
-/// complete the save and plant damage for the next reader;
-/// `fsync-fail` makes the save itself error.
-fn injected_save_options(unit: u64) -> SaveOptions {
-    let mut opts = SaveOptions::default();
-    if fault::fires(FaultSite::TornWrite, unit) {
-        opts.corruption = Some(Corruption::TearLastFrame);
-    }
-    if fault::fires(FaultSite::BitFlip, unit) {
-        opts.corruption = Some(Corruption::FlipPayloadBit { bit: unit });
-    }
-    if fault::fires(FaultSite::FsyncFail, unit) {
-        opts.fail_sync = Some(format!("{} fsync-fail:{unit}", fault::INJECTED_PREFIX));
-    }
-    opts
-}
-
-fn store_io_err(path: &Path, e: StoreError) -> CheckpointError {
-    CheckpointError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    }
-}
-
-/// The legacy `ckpt-write` fault: leave a truncated tmp behind and
-/// fail before the rename, exactly what a disk-full or power cut
-/// mid-write does. Returns the error to surface when fired; `bytes`
-/// is lazy so the unfired fast path costs one atomic load.
-fn ckpt_write_fault(
-    path: &Path,
-    unit: u64,
-    bytes: impl FnOnce() -> Vec<u8>,
-) -> Option<CheckpointError> {
-    if fault::fires(FaultSite::CkptWrite, unit) {
-        let bytes = bytes();
-        let _ = std::fs::write(tmp_path(path), &bytes[..bytes.len() / 2]);
-        Some(CheckpointError::Io {
-            path: path.display().to_string(),
-            message: format!("{} ckpt-write:{unit}", fault::INJECTED_PREFIX),
-        })
-    } else {
-        None
-    }
-}
-
-/// Completed-unit log for one resumable run.
-///
-/// Generic over the per-unit result type; the serde shim's derive
-/// does not handle generics, so `Serialize`/`Deserialize` are
-/// implemented by hand over the shim's [`Value`] model.
+/// Completed-unit log for one resumable run whose units each yield
+/// `N` `f64` metrics.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint<T> {
+pub struct Checkpoint<const N: usize> {
     /// Fingerprint of the run configuration. [`Checkpoint::load`]
     /// refuses to resume when it does not match, so a checkpoint from
     /// a differently-configured run can never be silently merged.
     pub meta: String,
-    /// `(unit index, result)` pairs, in completion order.
-    pub entries: Vec<(u64, T)>,
+    /// `(unit index, metrics)` pairs, in completion order.
+    pub entries: Vec<(u64, [f64; N])>,
 }
 
-impl<T> Checkpoint<T> {
+impl<const N: usize> Checkpoint<N> {
     /// An empty checkpoint for a run described by `meta`.
     pub fn new(meta: impl Into<String>) -> Self {
         Checkpoint {
@@ -110,31 +71,29 @@ impl<T> Checkpoint<T> {
         }
     }
 
-    /// Records the result for `unit`, replacing any earlier entry.
-    pub fn record(&mut self, unit: u64, result: T) {
+    /// Records the metrics for `unit`, replacing any earlier entry.
+    pub fn record(&mut self, unit: u64, metrics: [f64; N]) {
         match self.entries.iter_mut().find(|(u, _)| *u == unit) {
-            Some(slot) => slot.1 = result,
-            None => self.entries.push((unit, result)),
+            Some(slot) => slot.1 = metrics,
+            None => self.entries.push((unit, metrics)),
         }
     }
 
-    /// The recorded result for `unit`, if any.
-    pub fn get(&self, unit: u64) -> Option<&T> {
+    /// The recorded metrics for `unit`, if any.
+    pub fn get(&self, unit: u64) -> Option<&[f64; N]> {
         self.entries
             .iter()
             .find(|(u, _)| *u == unit)
-            .map(|(_, r)| r)
+            .map(|(_, m)| m)
     }
-}
 
-impl<T: Serialize> Checkpoint<T> {
     /// Atomically and durably saves the checkpoint: writes
-    /// [`tmp_path`]`(path)`, fsyncs, renames over `path`, fsyncs the parent
-    /// directory — a crash mid-write never corrupts an existing
-    /// checkpoint, and a completed save survives power loss.
+    /// [`tmp_path`]`(path)`, fsyncs, renames over `path`, fsyncs the
+    /// parent directory. A failed attempt is retried by
+    /// [`save_with_retry`](crate::retry::save_with_retry).
     ///
-    /// Probes the `ckpt-write`, `torn-write`, `bit-flip`, and
-    /// `fsync-fail` fault sites at unit = number of recorded entries.
+    /// Probes the `ckpt-write` and `fsync-fail` fault sites at unit =
+    /// number of recorded entries.
     ///
     /// # Errors
     ///
@@ -142,38 +101,36 @@ impl<T: Serialize> Checkpoint<T> {
     /// (including the injected `ckpt-write`/`fsync-fail` faults).
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
         let unit = self.entries.len() as u64;
-        // One frame per entry: a torn tail costs only the last
-        // entries, which resume recomputes.
-        let frames: Vec<Vec<u8>> = self
-            .entries
-            .iter()
-            .map(|(u, r)| encode_value(&Value::Array(vec![Value::U64(*u), r.to_value()])))
-            .collect();
-        let store = StoreFile::new(&self.meta, frames);
-        if let Some(err) = ckpt_write_fault(path, unit, || store.encode()) {
-            return Err(err);
+        let text = encode(&self.meta, &self.entries);
+        let tmp = tmp_path(path);
+        let io_error = |message: String| CheckpointError::Io {
+            path: path.display().to_string(),
+            message,
+        };
+        if fault::fires(FaultSite::CkptWrite, unit) {
+            let _ = fs::write(&tmp, &text.as_bytes()[..text.len() / 2]);
+            return Err(io_error(format!(
+                "{} ckpt-write:{unit}",
+                fault::INJECTED_PREFIX
+            )));
         }
         // Transient failures (an injected or real fsync error) cost a
         // counted, deterministically-backed-off retry, not the save;
-        // the options are re-probed per attempt so bounded fault shots
-        // drain across retries.
-        crate::retry::save_with_retry(|_| store.save(path, &injected_save_options(unit)))
-            .map_err(|e| store_io_err(path, e))?;
+        // the `fsync-fail` site is re-probed per attempt, so bounded
+        // fault shots drain across retries.
+        crate::retry::save_with_retry(|_| write_durably(path, &tmp, text.as_bytes(), unit))
+            .map_err(|e| io_error(e.to_string()))?;
         forumcast_obs::counter_add("ckpt.saves", 1);
         Ok(())
     }
-}
 
-impl<T: Deserialize> Checkpoint<T> {
-    /// Loads a checkpoint, verifying its meta fingerprint. `Ok(None)`
-    /// when `path` does not exist (a fresh run).
+    /// Loads a checkpoint, verifying its CRC and then its meta
+    /// fingerprint. `Ok(None)` when `path` does not exist (a fresh
+    /// run).
     ///
-    /// Corruption policy: a torn tail silently yields the valid entry
-    /// prefix (counted `store.frame.torn` — resume recomputes the lost
-    /// tail); a CRC mismatch, an undecodable entry or a file that is
-    /// not a store quarantines the file to `<path>.corrupt` (counted
-    /// `ckpt.corrupt.quarantined`) and returns
-    /// [`CheckpointError::Corrupt`].
+    /// A file that does not parse, has the wrong shape or fails its
+    /// CRC is quarantined to `<path>.corrupt` (counted
+    /// `ckpt.corrupt.quarantined`).
     ///
     /// # Errors
     ///
@@ -182,84 +139,169 @@ impl<T: Deserialize> Checkpoint<T> {
     /// [`CheckpointError::MetaMismatch`] when the file belongs to a
     /// differently-configured run.
     pub fn load(path: &Path, expected_meta: &str) -> Result<Option<Self>, CheckpointError> {
-        let store = match StoreFile::load(path) {
-            Ok(store) => store,
-            Err(StoreError::Io { source, .. }) if source.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(None)
+        let bytes = match fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => {
+                return Err(CheckpointError::Io {
+                    path: path.display().to_string(),
+                    message: e.to_string(),
+                })
             }
-            Err(e) => return Err(load_error(path, e)),
         };
-        let mut entries = Vec::with_capacity(store.frames.len());
-        for (i, frame) in store.frames.iter().enumerate() {
-            entries.push(decode_entry::<T>(path, i, frame)?);
-        }
-        if store.fingerprint != expected_meta {
+        let checkpoint = decode(&bytes).map_err(|why| {
+            let message = match quarantine(path) {
+                Some(dest) => format!("{why}; quarantined to {}", dest.display()),
+                None => why,
+            };
+            CheckpointError::Corrupt {
+                path: path.display().to_string(),
+                message,
+            }
+        })?;
+        if checkpoint.meta != expected_meta {
             return Err(CheckpointError::MetaMismatch {
                 path: path.display().to_string(),
                 expected: expected_meta.to_string(),
-                found: store.fingerprint,
+                found: checkpoint.meta,
             });
         }
-        Ok(Some(Checkpoint {
-            meta: store.fingerprint,
-            entries,
-        }))
+        Ok(Some(checkpoint))
     }
 }
 
-/// Translates a store-level load failure into a checkpoint error. The
-/// store has already counted and quarantined CRC damage; a file
-/// without the store magic is quarantined here, so a resume recomputes
-/// instead of tripping over the same file again.
-fn load_error(path: &Path, e: StoreError) -> CheckpointError {
-    match e {
-        StoreError::Io { source, .. } => CheckpointError::Io {
-            path: path.display().to_string(),
-            message: source.to_string(),
-        },
-        other => {
-            if matches!(other, StoreError::NotAStore { .. }) {
-                forumcast_store::quarantine(path);
-            }
-            CheckpointError::Corrupt {
-                path: path.display().to_string(),
-                message: other.to_string(),
-            }
+/// Compact JSON of an object with `fields`, in order.
+fn json(fields: &[(String, Value)]) -> String {
+    serde_json::to_string(&Value::Object(fields.to_vec())).expect("the JSON writer cannot fail")
+}
+
+/// The file's text: `{fingerprint, entries}` with every metric as its
+/// IEEE bits, then `crc32` over that much as compact JSON.
+fn encode<const N: usize>(meta: &str, entries: &[(u64, [f64; N])]) -> String {
+    let bits: Vec<(u64, [u64; N])> = entries
+        .iter()
+        .map(|(unit, metrics)| (*unit, metrics.map(f64::to_bits)))
+        .collect();
+    let mut doc = vec![
+        ("fingerprint".to_owned(), meta.to_value()),
+        ("entries".to_owned(), bits.to_value()),
+    ];
+    let crc = crc32(json(&doc).as_bytes());
+    doc.push(("crc32".to_owned(), crc.to_value()));
+    json(&doc)
+}
+
+/// Parses a checkpoint file, or says why it cannot be trusted.
+fn decode<const N: usize>(bytes: &[u8]) -> Result<Checkpoint<N>, String> {
+    let text = std::str::from_utf8(bytes).map_err(|_| "not a JSON checkpoint".to_owned())?;
+    let doc: Value =
+        serde_json::from_str(text).map_err(|e| format!("not a JSON checkpoint: {e}"))?;
+    let Value::Object(mut fields) = doc else {
+        return Err("not a JSON object".to_owned());
+    };
+    let stored = match fields.pop() {
+        Some((key, crc)) if key == "crc32" => {
+            u32::from_value(&crc).map_err(|e| format!("bad crc32: {e}"))?
         }
+        _ => return Err("no trailing crc32 field".to_owned()),
+    };
+    if crc32(json(&fields).as_bytes()) != stored {
+        return Err("CRC mismatch".to_owned());
+    }
+    let (fingerprint, entries) = match &fields[..] {
+        [(f, fingerprint), (e, entries)] if f == "fingerprint" && e == "entries" => {
+            (fingerprint, entries)
+        }
+        _ => return Err("expected the fields fingerprint, entries, crc32".to_owned()),
+    };
+    let shape = |e: serde::DeError| format!("wrong shape: {e}");
+    let fingerprint = String::from_value(fingerprint).map_err(shape)?;
+    let entries = Vec::<(u64, Vec<u64>)>::from_value(entries).map_err(shape)?;
+    let entries = entries
+        .into_iter()
+        .map(|(unit, bits)| {
+            let bits: [u64; N] = bits.try_into().map_err(|bits: Vec<u64>| {
+                format!(
+                    "wrong shape: unit {unit} holds {} metrics, expected {N}",
+                    bits.len()
+                )
+            })?;
+            Ok((unit, bits.map(f64::from_bits)))
+        })
+        .collect::<Result<_, String>>()?;
+    Ok(Checkpoint {
+        meta: fingerprint,
+        entries,
+    })
+}
+
+/// One save attempt: write `tmp`, fsync it, rename it over `path`,
+/// fsync the parent directory so the rename itself is durable. The
+/// `fsync-fail` site fails the attempt at the sync step and removes
+/// the tmp (a *real* crash mid-save is what leaves one behind).
+fn write_durably(path: &Path, tmp: &Path, bytes: &[u8], unit: u64) -> std::io::Result<()> {
+    let mut file = File::create(tmp)?;
+    file.write_all(bytes)?;
+    if fault::fires(FaultSite::FsyncFail, unit) {
+        drop(file);
+        let _ = fs::remove_file(tmp);
+        return Err(std::io::Error::other(format!(
+            "{} fsync-fail:{unit}",
+            fault::INJECTED_PREFIX
+        )));
+    }
+    file.sync_all()?;
+    drop(file);
+    fs::rename(tmp, path)?;
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    File::open(parent)?.sync_all()
+}
+
+/// The temporary file a save writes before renaming it over `path`:
+/// `<path>.tmp`, the whole file name with `.tmp` appended, so a
+/// sibling that only shares the stem (`x.tmp` next to `x.ckpt`) is
+/// never touched.
+pub fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
+}
+
+/// Removes a stale [`tmp_path`] left behind by a crash between the
+/// tmp write and the rename, counting `ckpt.tmp.reclaimed` when one
+/// was present. Call at resume start, before any load.
+pub fn reclaim_tmp(path: &Path) -> bool {
+    match fs::remove_file(tmp_path(path)) {
+        Ok(()) => {
+            forumcast_obs::counter_add("ckpt.tmp.reclaimed", 1);
+            true
+        }
+        Err(_) => false,
     }
 }
 
-/// Decodes one `(unit, result)` checkpoint frame. A frame that
-/// passed its CRC but fails decoding means schema drift, not media
-/// damage — still quarantined so resume falls back to recompute
-/// instead of looping on the same bad file.
-fn decode_entry<T: Deserialize>(
-    path: &Path,
-    index: usize,
-    frame: &[u8],
-) -> Result<(u64, T), CheckpointError> {
-    let corrupt = |message: String| {
-        forumcast_store::quarantine(path);
-        CheckpointError::Corrupt {
-            path: path.display().to_string(),
-            message,
-        }
-    };
-    let value = decode_value(frame).map_err(|e| corrupt(format!("entry frame {index}: {e}")))?;
-    let Value::Array(parts) = &value else {
-        return Err(corrupt(format!("entry frame {index}: not a pair")));
-    };
-    let (Some(unit_v), Some(result_v), 2) = (parts.first(), parts.get(1), parts.len()) else {
-        return Err(corrupt(format!("entry frame {index}: not a pair")));
-    };
-    let unit = match unit_v {
-        Value::U64(u) => *u,
-        Value::I64(u) if *u >= 0 => *u as u64,
-        _ => return Err(corrupt(format!("entry frame {index}: bad unit index"))),
-    };
-    let result =
-        T::from_value(result_v).map_err(|e| corrupt(format!("entry frame {index}: {e}")))?;
-    Ok((unit, result))
+/// Moves `path` aside to the first free of `<path>.corrupt`,
+/// `<path>.corrupt.1`, … (so a repeat quarantine never overwrites
+/// earlier evidence), counting `ckpt.corrupt.quarantined`.
+/// Best-effort: returns the destination if the rename succeeded.
+fn quarantine(path: &Path) -> Option<PathBuf> {
+    let mut base = path.as_os_str().to_owned();
+    base.push(".corrupt");
+    let dest = (0u64..)
+        .map(|n| {
+            let mut name = base.clone();
+            if n > 0 {
+                name.push(format!(".{n}"));
+            }
+            PathBuf::from(name)
+        })
+        .find(|candidate| !candidate.exists())?;
+    fs::rename(path, &dest).ok()?;
+    forumcast_obs::counter_add("ckpt.corrupt.quarantined", 1);
+    Some(dest)
 }
 
 /// Failure loading or saving a [`Checkpoint`].
@@ -319,7 +361,6 @@ impl std::error::Error for CheckpointError {}
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
-    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -329,49 +370,69 @@ mod tests {
         p
     }
 
+    /// Loads `path` expecting damage: the file must be reported
+    /// corrupt for the reason `why` and moved aside, not deleted.
+    fn assert_quarantined<const N: usize>(path: &Path, meta: &str, why: &str) {
+        let err = Checkpoint::<N>::load(path, meta).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::Corrupt { .. }) && err.to_string().contains(why),
+            "{why}: {err}"
+        );
+        let quarantined = path.with_extension("ckpt.corrupt");
+        assert!(quarantined.exists(), "{why}: must be moved aside");
+        assert!(!path.exists(), "{why}");
+        std::fs::remove_file(&quarantined).unwrap();
+    }
+
     #[test]
     fn save_load_roundtrip_preserves_entries_bitwise() {
         let path = temp_path("roundtrip");
-        let mut cp: Checkpoint<f64> = Checkpoint::new("run A");
-        cp.record(3, 0.1 + 0.2);
-        cp.record(1, f64::MIN_POSITIVE);
+        let mut cp: Checkpoint<4> = Checkpoint::new("run A");
+        let nan = f64::from_bits(0x7FF8_0000_DEAD_BEEF);
+        cp.record(3, [nan, -0.0, f64::from_bits(1), f64::INFINITY]);
+        cp.record(
+            1,
+            [0.1 + 0.2, f64::MIN_POSITIVE, -f64::NAN, f64::NEG_INFINITY],
+        );
         cp.save(&path).unwrap();
         let head = std::fs::read(&path).unwrap();
         assert!(
-            head.starts_with(&forumcast_store::MAGIC),
-            "save must write the binary store format"
+            head.starts_with(br#"{"fingerprint":"run A","entries":[[3,["#),
+            "save must write the JSON format"
         );
-        let back = Checkpoint::<f64>::load(&path, "run A").unwrap().unwrap();
+        let back = Checkpoint::<4>::load(&path, "run A").unwrap().unwrap();
         assert_eq!(back.meta, "run A");
-        assert_eq!(back.entries.len(), 2);
-        for ((u, x), (bu, bx)) in cp.entries.iter().zip(&back.entries) {
-            assert_eq!(u, bu);
-            assert_eq!(x.to_bits(), bx.to_bits());
-        }
+        let bits = |cp: &Checkpoint<4>| -> Vec<(u64, [u64; 4])> {
+            cp.entries
+                .iter()
+                .map(|(u, m)| (*u, m.map(f64::to_bits)))
+                .collect()
+        };
+        assert_eq!(bits(&cp), bits(&back));
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn record_replaces_existing_unit() {
-        let mut cp: Checkpoint<i32> = Checkpoint::new("m");
-        cp.record(5, 1);
-        cp.record(5, 2);
+        let mut cp: Checkpoint<1> = Checkpoint::new("m");
+        cp.record(5, [1.0]);
+        cp.record(5, [2.0]);
         assert_eq!(cp.entries.len(), 1);
-        assert_eq!(cp.get(5), Some(&2));
+        assert_eq!(cp.get(5), Some(&[2.0]));
         assert_eq!(cp.get(6), None);
     }
 
     #[test]
     fn missing_file_loads_as_none() {
         let path = temp_path("missing");
-        assert_eq!(Checkpoint::<f64>::load(&path, "m").unwrap(), None);
+        assert_eq!(Checkpoint::<1>::load(&path, "m").unwrap(), None);
     }
 
     #[test]
     fn meta_mismatch_is_refused() {
         let path = temp_path("meta");
-        Checkpoint::<i32>::new("run A").save(&path).unwrap();
-        let err = Checkpoint::<i32>::load(&path, "run B").unwrap_err();
+        Checkpoint::<1>::new("run A").save(&path).unwrap();
+        let err = Checkpoint::<1>::load(&path, "run B").unwrap_err();
         assert!(matches!(err, CheckpointError::MetaMismatch { .. }), "{err}");
         assert!(err.to_string().contains("run B"));
         assert!(path.exists(), "meta mismatch must not quarantine");
@@ -379,69 +440,54 @@ mod tests {
     }
 
     #[test]
-    fn non_store_file_is_reported_as_corrupt_and_quarantined() {
-        // Garbage, and a well-formed checkpoint in the JSON layout of
-        // old builds: neither is a store, so both are damage.
-        for bytes in ["{ not json", r#"{"meta":"m","entries":[[0,7]]}"#] {
+    fn damaged_or_foreign_file_is_reported_as_corrupt_and_quarantined() {
+        let mut cp: Checkpoint<2> = Checkpoint::new("run A");
+        cp.record(0, [1.0, 2.0]);
+        let full = encode(&cp.meta, &cp.entries);
+        assert!(full.contains("46071") && full.contains("run A"), "{full}");
+        for (text, why) in [
+            ("{ not json".to_owned(), "not a JSON checkpoint"),
+            // The un-checksummed JSON layout of old builds.
+            (
+                r#"{"meta":"run A","entries":[[0,[1.0,2.0]]]}"#.to_owned(),
+                "no trailing crc32",
+            ),
+            (full[..full.len() / 2].to_owned(), "not a JSON checkpoint"),
+            // Edits that leave the file parseable: one digit of a
+            // metric's bits, one character of the fingerprint. The CRC
+            // is checked first, so a damaged fingerprint is damage, not
+            // another run's file.
+            (full.replacen("46071", "46072", 1), "CRC mismatch"),
+            (full.replacen("run A", "run B", 1), "CRC mismatch"),
+        ] {
             let path = temp_path("corrupt");
-            std::fs::write(&path, bytes).unwrap();
-            let err = Checkpoint::<i32>::load(&path, "m").unwrap_err();
-            assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
-            assert!(err.to_string().contains("forumcast-ckpt-corrupt"));
-            let quarantined = path.with_extension("ckpt.corrupt");
-            assert!(quarantined.exists(), "a non-store file must be moved aside");
-            assert!(!path.exists());
-            std::fs::remove_file(&quarantined).unwrap();
+            std::fs::write(&path, text).unwrap();
+            assert_quarantined::<2>(&path, "run A", why);
         }
-    }
-
-    #[test]
-    fn torn_write_fault_loses_only_the_tail_entries() {
-        let path = temp_path("torn-write");
-        let mut cp: Checkpoint<i32> = Checkpoint::new("m");
-        cp.record(0, 10);
-        cp.record(1, 11);
-        cp.record(2, 12);
-        {
-            let _guard = FaultPlan::parse("torn-write:3").unwrap().arm();
-            // Save succeeds: the tear is post-rename media damage.
-            cp.save(&path).unwrap();
+        // A sound file whose entries hold another number of metrics.
+        let path = temp_path("corrupt");
+        cp.save(&path).unwrap();
+        assert_quarantined::<1>(&path, "run A", "wrong shape");
+        // A second quarantine of the same path keeps the first one's
+        // evidence.
+        for _ in 0..2 {
+            std::fs::write(&path, "{").unwrap();
+            Checkpoint::<2>::load(&path, "run A").unwrap_err();
         }
-        let back = Checkpoint::<i32>::load(&path, "m").unwrap().unwrap();
-        assert_eq!(back.entries, vec![(0, 10), (1, 11)]);
-        assert!(
-            path.exists(),
-            "torn checkpoint is truncated, not quarantined"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn bit_flip_fault_is_detected_and_quarantined() {
-        let path = temp_path("bit-flip");
-        let mut cp: Checkpoint<f64> = Checkpoint::new("m");
-        cp.record(0, 1.0);
-        cp.record(1, 2.0);
-        {
-            let _guard = FaultPlan::parse("bit-flip:2").unwrap().arm();
-            cp.save(&path).unwrap();
-        }
-        let err = Checkpoint::<f64>::load(&path, "m").unwrap_err();
-        assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
-        assert!(err.to_string().contains("CRC mismatch"), "{err}");
-        let quarantined = path.with_extension("ckpt.corrupt");
-        assert!(quarantined.exists());
-        assert!(!path.exists());
-        std::fs::remove_file(&quarantined).unwrap();
+        let first = path.with_extension("ckpt.corrupt");
+        let second = path.with_extension("ckpt.corrupt.1");
+        assert!(first.exists() && second.exists());
+        std::fs::remove_file(first).unwrap();
+        std::fs::remove_file(second).unwrap();
     }
 
     #[test]
     fn fsync_fail_fault_errors_and_keeps_the_old_checkpoint() {
         let path = temp_path("fsync-fail");
-        let mut cp: Checkpoint<i32> = Checkpoint::new("m");
-        cp.record(0, 1);
+        let mut cp: Checkpoint<1> = Checkpoint::new("m");
+        cp.record(0, [1.0]);
         cp.save(&path).unwrap();
-        cp.record(1, 2);
+        cp.record(1, [2.0]);
         {
             // Three shots exhaust the bounded save retry (x3 =
             // SAVE_ATTEMPTS), so the failure is permanent.
@@ -451,10 +497,11 @@ mod tests {
                 err.to_string().contains("fsync-fail:2"),
                 "injected sync failure must be typed: {err}"
             );
+            assert!(!tmp_path(&path).exists(), "a failed sync removes its tmp");
         }
         // The previous checkpoint survives untouched and loadable.
-        let back = Checkpoint::<i32>::load(&path, "m").unwrap().unwrap();
-        assert_eq!(back.entries, vec![(0, 1)]);
+        let back = Checkpoint::<1>::load(&path, "m").unwrap().unwrap();
+        assert_eq!(back.entries, vec![(0, [1.0])]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -466,9 +513,9 @@ mod tests {
         let armed = std::sync::Barrier::new(2);
         let saved = std::sync::Barrier::new(2);
         let two_entries = |name: &str| {
-            let mut cp: Checkpoint<i32> = Checkpoint::new("m");
-            cp.record(0, 1);
-            cp.record(1, 2);
+            let mut cp: Checkpoint<1> = Checkpoint::new("m");
+            cp.record(0, [1.0]);
+            cp.record(1, [2.0]);
             (temp_path(name), cp)
         };
         std::thread::scope(|s| {
@@ -499,9 +546,9 @@ mod tests {
     #[test]
     fn transient_fsync_fail_is_healed_by_counted_retries() {
         let path = temp_path("fsync-retry");
-        let mut cp: Checkpoint<i32> = Checkpoint::new("m");
-        cp.record(0, 1);
-        cp.record(1, 2);
+        let mut cp: Checkpoint<1> = Checkpoint::new("m");
+        cp.record(0, [1.0]);
+        cp.record(1, [2.0]);
         {
             // Two shots fail attempts 0 and 1; attempt 2 saves clean.
             let _guard = FaultPlan::parse("fsync-fail:2x2").unwrap().arm();
@@ -517,8 +564,8 @@ mod tests {
                 .unwrap_or(0);
             assert_eq!(retries, 2, "each failed attempt is one counted retry");
         }
-        let back = Checkpoint::<i32>::load(&path, "m").unwrap().unwrap();
-        assert_eq!(back.entries, vec![(0, 1), (1, 2)]);
+        let back = Checkpoint::<1>::load(&path, "m").unwrap().unwrap();
+        assert_eq!(back.entries, vec![(0, [1.0]), (1, [2.0])]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -527,11 +574,16 @@ mod tests {
         let path = temp_path("tmp-reclaim");
         let tmp = tmp_path(&path);
         std::fs::write(&tmp, b"half a checkpoint").unwrap();
+        // A sibling that only shares the stem is not a tmp of `path`.
+        let sibling = path.with_extension("tmp");
+        std::fs::write(&sibling, b"someone else's file").unwrap();
         let guard = forumcast_obs::arm();
         assert!(reclaim_tmp(&path));
         let log = forumcast_obs::drain().expect("collector armed");
         drop(guard);
         assert!(!tmp.exists());
+        assert!(sibling.exists(), "a stem sibling must be spared");
+        std::fs::remove_file(&sibling).unwrap();
         assert!(
             log.counters
                 .iter()

@@ -1,12 +1,11 @@
-//! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) — the checksum
-//! guarding every frame and the file header of the binary store.
+//! CRC-32 (IEEE 802.3, polynomial `0xEDB88320`) — the checksum that
+//! guards a checkpoint file.
 //!
 //! Implemented from scratch (the workspace is offline) as the
 //! classic reflected table-driven algorithm. CRC-32 detects **every**
 //! single-bit error and every burst error up to 32 bits regardless of
-//! message length — exactly the failure modes a torn or bit-flipped
-//! checkpoint produces — which is what lets the corruption proptest
-//! sweep promise "no silent load of mutated bytes".
+//! message length, so a flipped bit or a changed digit anywhere in a
+//! checkpoint never loads silently.
 
 /// 256-entry lookup table for the reflected IEEE polynomial.
 const TABLE: [u32; 256] = build_table();
@@ -31,44 +30,13 @@ const fn build_table() -> [u32; 256] {
     table
 }
 
-/// A streaming CRC-32 accumulator.
-#[derive(Debug, Clone)]
-pub struct Crc32 {
-    state: u32,
-}
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Starts a fresh checksum.
-    pub fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    /// Feeds `bytes` into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.state;
-        for &b in bytes {
-            crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.state = crc;
-    }
-
-    /// Finalizes and returns the checksum value.
-    pub fn finish(&self) -> u32 {
-        self.state ^ 0xFFFF_FFFF
-    }
-}
-
-/// One-shot checksum of `bytes`.
+/// Checksum of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
+    let mut crc = 0xFFFF_FFFF_u32;
+    for &b in bytes {
+        crc = TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    }
+    crc ^ 0xFFFF_FFFF
 }
 
 #[cfg(test)]
@@ -87,18 +55,8 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let mut c = Crc32::new();
-        for chunk in data.chunks(7) {
-            c.update(chunk);
-        }
-        assert_eq!(c.finish(), crc32(data));
-    }
-
-    /// The property the store leans on: flipping any single bit of a
-    /// message changes its CRC.
+    /// The property the checkpoint leans on: flipping any single bit
+    /// of a message changes its CRC.
     #[test]
     fn every_single_bit_flip_changes_the_crc() {
         let data: Vec<u8> = (0..97u8).collect();

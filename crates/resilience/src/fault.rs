@@ -56,18 +56,6 @@ pub enum FaultSite {
     /// panics as an out-of-memory condition would, and the retry
     /// wrapper must degrade gracefully instead of aborting the sweep.
     AllocPressure,
-    /// Media-level torn write: the checkpoint's final frame is cut
-    /// mid-payload *after* the rename completed, so the save reports
-    /// success and the damage is only visible to the next reader
-    /// (unit = same save-unit as `ckpt-write`). The store must
-    /// truncate to the valid frame prefix, never surface partial
-    /// bytes.
-    TornWrite,
-    /// Media-level bit rot: one payload bit of the written checkpoint
-    /// is flipped post-rename; the save reports success (unit = same
-    /// save-unit as `ckpt-write`). The reader must detect the CRC
-    /// mismatch and quarantine the file.
-    BitFlip,
     /// `fsync` failure during a checkpoint save: the save errors out
     /// before the rename, leaving the previous checkpoint intact
     /// (unit = same save-unit as `ckpt-write`).
@@ -76,26 +64,22 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in spec-name order.
-    pub const ALL: [FaultSite; 7] = [
+    pub const ALL: [FaultSite; 5] = [
         FaultSite::FoldPanic,
         FaultSite::NanGrad,
         FaultSite::CkptWrite,
         FaultSite::AllocPressure,
-        FaultSite::TornWrite,
-        FaultSite::BitFlip,
         FaultSite::FsyncFail,
     ];
 
     /// The spec name (`fold-panic`, `nan-grad`, `ckpt-write`,
-    /// `alloc-pressure`, `torn-write`, `bit-flip`, `fsync-fail`).
+    /// `alloc-pressure`, `fsync-fail`).
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::FoldPanic => "fold-panic",
             FaultSite::NanGrad => "nan-grad",
             FaultSite::CkptWrite => "ckpt-write",
             FaultSite::AllocPressure => "alloc-pressure",
-            FaultSite::TornWrite => "torn-write",
-            FaultSite::BitFlip => "bit-flip",
             FaultSite::FsyncFail => "fsync-fail",
         }
     }
@@ -350,15 +334,18 @@ mod tests {
             assert!(err.to_string().contains(FAULTS_ENV), "{err}");
         }
         // An unknown site is a typed error, not a panic, and the
-        // message lists exactly the sites that exist.
-        let err = FaultPlan::parse("wal-torn-append:0").unwrap_err();
-        let msg = err.to_string();
-        assert!(
-            msg.contains("unknown fault site `wal-torn-append`"),
-            "{msg}"
-        );
-        for site in FaultSite::ALL {
-            assert!(msg.contains(site.name()), "{msg} omits {site}");
+        // message lists exactly the sites that exist. The checkpoint
+        // media-damage sites are gone.
+        for unknown in ["wal-torn-append", "torn-write", "bit-flip"] {
+            let err = FaultPlan::parse(&format!("{unknown}:1")).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("unknown fault site `{unknown}`")),
+                "{msg}"
+            );
+            for site in FaultSite::ALL {
+                assert!(msg.contains(site.name()), "{msg} omits {site}");
+            }
         }
     }
 

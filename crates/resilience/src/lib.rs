@@ -13,10 +13,10 @@
 //! * [`retry`] — [`with_retry`], a `catch_unwind`-based bounded retry
 //!   wrapper that isolates panics from one work item (e.g. one CV
 //!   fold) without poisoning the rest of the run;
-//! * [`checkpoint`] — a generic [`Checkpoint`] file recording
-//!   completed work items so an interrupted run can resume and skip
-//!   them, with a meta fingerprint guarding against resuming into a
-//!   differently-configured run.
+//! * [`checkpoint`] — a [`Checkpoint`] file, one CRC-guarded JSON
+//!   document, recording the metrics of completed work items so an
+//!   interrupted run can resume and skip them, with a meta fingerprint
+//!   guarding against resuming into a differently-configured run.
 //!
 //! # Determinism contract
 //!
@@ -28,9 +28,10 @@
 //! at any thread count.
 
 pub mod checkpoint;
+mod crc32;
 pub mod fault;
 pub mod retry;
 
-pub use checkpoint::{reclaim_tmp, Checkpoint, CheckpointError};
+pub use checkpoint::{reclaim_tmp, tmp_path, Checkpoint, CheckpointError};
 pub use fault::{FaultGuard, FaultPlan, FaultScope, FaultSite, FaultSpecError, FAULTS_ENV};
 pub use retry::{save_with_retry, with_retry, RetryExhausted, SAVE_ATTEMPTS};

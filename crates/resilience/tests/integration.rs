@@ -11,7 +11,9 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use forumcast_eval::{run_cv, run_cv_resumable, CvError, EvalConfig, ExperimentData, FoldOutcome};
-use forumcast_resilience::{FaultPlan, FaultSite, FAULTS_ENV};
+use forumcast_resilience::{
+    tmp_path, Checkpoint, CheckpointError, FaultPlan, FaultSite, FAULTS_ENV,
+};
 
 fn quick_config(threads: usize) -> EvalConfig {
     let mut cfg = EvalConfig::quick();
@@ -154,7 +156,7 @@ fn failed_checkpoint_write_leaves_no_partial_checkpoint_and_resumes() {
     // so a good checkpoint already exists when the write "crashes".
     let path = temp_checkpoint("ckpt-write");
     let opts = Some(path.as_path());
-    let tmp = forumcast_store::tmp_path(&path);
+    let tmp = tmp_path(&path);
     {
         let _guard = FaultPlan::parse("ckpt-write:2").unwrap().arm();
         let err = run_cv_resumable(data, &cfg, None, false, opts).unwrap_err();
@@ -166,20 +168,22 @@ fn failed_checkpoint_write_leaves_no_partial_checkpoint_and_resumes() {
     }
 
     // The fired shot truncated the tmp file but never renamed it: the
-    // tmp is damaged (a torn store or a broken header), while the
-    // real checkpoint still scans clean.
-    let truncated = std::fs::read(&tmp).unwrap();
-    let tmp_damaged = match forumcast_store::scan(&truncated, &tmp) {
-        Err(_) => true,
-        Ok(report) => report.issue.is_some(),
-    };
+    // tmp does not load (and is moved aside), while the real
+    // checkpoint still passes its CRC. The fingerprint is the CV
+    // sweep's, so asking for another one proves the file parsed.
+    let err = Checkpoint::<6>::load(&tmp, "").unwrap_err();
     assert!(
-        tmp_damaged,
-        "tmp file should be a truncated, unparseable write"
+        matches!(err, CheckpointError::Corrupt { .. }),
+        "tmp file should be a truncated, unparseable write: {err}"
     );
-    let good = std::fs::read(&path).unwrap();
-    let report = forumcast_store::scan(&good, &path).expect("real checkpoint stayed intact");
-    assert!(report.issue.is_none(), "real checkpoint stayed intact");
+    let tmp_quarantined = PathBuf::from(format!("{}.corrupt", tmp.display()));
+    std::fs::remove_file(&tmp_quarantined).unwrap();
+    match Checkpoint::<6>::load(&path, "") {
+        Err(CheckpointError::MetaMismatch { found, .. }) => {
+            assert!(found.starts_with("cv folds=2 "), "{found}")
+        }
+        other => panic!("real checkpoint must stay intact, got {other:?}"),
+    }
 
     // A fault-free rerun resumes from the intact checkpoint (job 0
     // restored, job 1 recomputed) and reproduces the uninterrupted
@@ -187,7 +191,6 @@ fn failed_checkpoint_write_leaves_no_partial_checkpoint_and_resumes() {
     let resumed = run_cv_resumable(data, &cfg, None, false, opts).unwrap();
     assert_eq!(bits(&uninterrupted), bits(&resumed));
     std::fs::remove_file(&path).unwrap();
-    let _ = std::fs::remove_file(&tmp);
 }
 
 /// Smoke test for the `FORUMCAST_FAULTS` env path (`scripts/check.sh`

@@ -168,29 +168,27 @@ for cmd in "$fc evaluate --scale nope" "target/release/table1 nope"; do
 done
 echo "usage errors agree: both front doors exit 2 on an unknown scale"
 
-echo "==> corruption smoke (ckpt verify flags a flipped byte, repair heals)"
-# The storm leaves a completed fold-level binary checkpoint behind;
-# flip the last byte (the final frame's CRC) and the verifier must
-# reject it naming the offending frame, after which repair truncates
-# to the valid prefix and verify passes again.
-good="$work_dir/storm1.ckpt"
-bad="$work_dir/flipped.ckpt"
-[ -f "$good" ] || { echo "corruption smoke: storm left no checkpoint" >&2; exit 1; }
-cp "$good" "$bad"
-size=$(stat -c %s "$bad")
-last=$(dd if="$bad" bs=1 skip=$((size - 1)) count=1 2>/dev/null | od -An -tu1 | tr -d ' ')
-printf "$(printf '\\%03o' $((last ^ 8)))" \
-  | dd of="$bad" bs=1 seek=$((size - 1)) conv=notrunc 2>/dev/null
-if "$fc" ckpt verify --file "$bad" > "$work_dir/verify.txt" 2>&1; then
-  echo "corruption smoke: verify accepted a corrupted checkpoint" >&2
-  exit 1
-fi
-grep -Eq 'frame [0-9]+' "$work_dir/verify.txt" \
-  || { echo "corruption smoke: verify did not name the damaged frame" >&2; \
-       cat "$work_dir/verify.txt" >&2; exit 1; }
-"$fc" ckpt repair --file "$bad" > /dev/null
-"$fc" ckpt verify --file "$bad" > /dev/null
-echo "corruption: $(head -1 "$work_dir/verify.txt"), repaired and re-verified"
+echo "==> corruption smoke (a flipped checkpoint byte quarantines the file, resume heals bitwise)"
+# The storm leaves a completed fold-level checkpoint behind. Flip one
+# bit of its middle byte: the CRC (or the JSON parser) rejects the
+# file, the resumed run moves it aside to `<ckpt>.corrupt`, recomputes
+# every fold, exits 0 and prints the uninterrupted report.
+ckpt="$work_dir/storm1.ckpt"
+[ -f "$ckpt" ] || { echo "corruption smoke: storm left no checkpoint" >&2; exit 1; }
+mid=$(( $(stat -c %s "$ckpt") / 2 ))
+byte=$(dd if="$ckpt" bs=1 skip="$mid" count=1 2>/dev/null | od -An -tu1 | tr -d ' ')
+printf "$(printf '\\%03o' $((byte ^ 8)))" \
+  | dd of="$ckpt" bs=1 seek="$mid" conv=notrunc 2>/dev/null
+"$fc" evaluate --scale quick --threads 1 --resume "$ckpt" \
+  > "$work_dir/flipped.txt" 2> "$work_dir/flipped.err" \
+  || { echo "corruption smoke: the resumed run failed" >&2; cat "$work_dir/flipped.err" >&2; exit 1; }
+[ -f "$ckpt.corrupt" ] \
+  || { echo "corruption smoke: the damaged checkpoint was not quarantined" >&2; \
+       cat "$work_dir/flipped.err" >&2; exit 1; }
+diff <(grep -v '^checkpointing' "$work_dir/storm1.clean.txt") \
+     <(grep -v '^checkpointing' "$work_dir/flipped.txt") \
+  || { echo "corruption smoke: the resumed report differs from the uninterrupted one" >&2; exit 1; }
+echo "corruption: byte $mid flipped, file quarantined, resumed report bitwise-identical"
 
 echo "==> perf gate (bench compare against committed BENCH_quick.json)"
 # Machine-readable regression gate: the quick run emits a versioned
