@@ -104,7 +104,7 @@ impl AbTestConfig {
         }
     }
 
-    /// Medium-scale configuration for the `abtest` bench binary.
+    /// Medium-scale configuration (`forumcast abtest --scale standard`).
     pub fn standard() -> Self {
         AbTestConfig {
             synth: SynthConfig::medium(),

@@ -1,6 +1,5 @@
-//! Hand-rolled argument parsing for the `forumcast` CLI and the
-//! `forumcast-bench` regeneration binaries (no external dependencies;
-//! the allowed-crate list has no argument parser).
+//! Hand-rolled argument parsing for the `forumcast` CLI (no external
+//! dependencies; the allowed-crate list has no argument parser).
 //!
 //! Every command declares the options it reads, split into boolean
 //! flags and value-taking keys, and [`Options::parse`] refuses
@@ -18,6 +17,8 @@ use forumcast_eval::{EvalConfig, RunFlags};
 use forumcast_resilience::FaultPlan;
 use forumcast_synth::SynthConfig;
 
+use crate::experiments::Experiment;
+
 /// Usage text printed on parse errors and `--help`.
 pub const USAGE: &str = "\
 usage: forumcast <command> [options]
@@ -30,28 +31,48 @@ commands:
   predict    --data <file> --model <model-file> --question <id> --user <id>
   route      --data <file> --model <model-file> --question <id>
              [--lambda X] [--epsilon X] [--capacity X] [--top N]
-  evaluate   [--scale <quick|standard|paper>] [--threads N] [--topics K]
-             [--resume <checkpoint-file>]
-             [--faults <spec>] [--trace <trace-file>] [--metrics]
-             [--bench-json <report-file>]
   bench      compare <baseline.json> <current.json>
              [--tolerance X] [--p99-tolerance X] [--min-ms MS]
-  abtest     [--scale <quick|standard>] [--lambda X]
   help
+
+experiments (each also takes [--scale <quick|standard|paper>], default
+quick, and the run flags):
+  evaluate   Table I          [--topics K] [--json] [--folds N]
+                              [--repeats N] [--resume <checkpoint-file>]
+  fig2       Figure 2 (SLN graph structure)
+  fig3       Figure 3 (votes vs. response time)          [--json]
+  fig4       Figure 4 (feature CDFs)                     [--json]
+  fig5       Figure 5 (topic-count sensitivity)          [--json]
+             [--folds N] [--repeats N] [--resume <checkpoint-file>]
+  fig6       Figure 6 (leave-one-feature-out importance), as fig5
+  fig7       Figure 7 (feature groups x history length), as fig5
+  ablations  design-choice deltas         [--folds N] [--repeats N]
+  recsys     Section V question-routing demo
+  abtest     Section VI simulated A/B test [--lambda X]; its --scale
+             takes <quick|standard>
+
+run flags:   [--threads N] [--faults <spec>] [--trace <trace-file>]
+             [--metrics] [--bench-json <report-file>]
 
 `generate --threads` fans the sharded synthesizer out over N workers
 (0 = auto); output is bitwise-identical at any thread count. `stats
 --gate` additionally checks the dataset's shape statistics
 (unanswered fraction, answers per answered question, posts per user,
 response-delay quantiles) against the paper's Section III ranges and
-exits non-zero on drift. `--resume` saves completed cross-validation
-folds to the given file and skips them on restart; a fold
-interrupted part-way recomputes from its start. A checkpoint is one
-JSON document guarded by a CRC-32; a damaged or foreign file is
-moved aside to `<file>.corrupt` and its folds recompute.
+exits non-zero on drift. `--folds` (at least 2) and `--repeats` (at
+least 1) override the scale's cross-validation protocol, and `--json`
+dumps the report as JSON after it. `--resume` saves completed
+cross-validation folds to the given file and skips them on restart; a
+fold interrupted part-way recomputes from its start, and the sweeps
+of fig5-fig7 name each sub-run's file `<file>.<tag>.ckpt`. A
+checkpoint is one JSON document guarded by a CRC-32; a damaged or
+foreign file is moved aside to `<file>.corrupt` and its folds
+recompute.
+`--threads` sizes the cross-validation and training workers (0 =
+auto); results are bitwise identical at any count.
 `--faults` arms the deterministic fault injector (e.g. `fold-panic:1`;
-without the flag, `evaluate`, `train` and `stats` read the
-FORUMCAST_FAULTS env var, whose malformed spec fails the run).
+without the flag, every experiment, `abtest`, `train` and `stats` read
+the FORUMCAST_FAULTS env var, whose malformed spec fails the run).
 `--trace` writes a Chrome trace-event JSON file of pipeline spans
 (open in Perfetto; FORUMCAST_TRACE sets a default path, also honoured
 by `train` and `stats`) and `--metrics` prints a per-span
@@ -133,13 +154,18 @@ pub enum Command {
         /// How many recommendations to print.
         top: usize,
     },
-    /// Run the Table-I evaluation.
-    Evaluate {
+    /// Run one paper experiment: Table I, a figure, the ablations or
+    /// the routing demo.
+    Experiment {
+        /// Which experiment.
+        experiment: Experiment,
         /// Protocol scale word, as given.
         scale: String,
-        /// The scale's preset with `--threads` and `--topics`
-        /// applied.
+        /// The scale's preset with `--threads`, `--topics`, `--folds`
+        /// and `--repeats` applied.
         config: EvalConfig,
+        /// Dump the report as JSON after the human-readable one.
+        json: bool,
         /// Checkpoint file: completed folds are saved here and
         /// skipped when the run restarts with the same path.
         resume: Option<String>,
@@ -164,6 +190,8 @@ pub enum Command {
     AbTest {
         /// The scale's preset with `--lambda` applied.
         config: AbTestConfig,
+        /// The run flags the session starts from.
+        run: RunFlags,
     },
     /// Print usage.
     Help,
@@ -182,10 +210,10 @@ impl fmt::Display for ParseError {
 impl std::error::Error for ParseError {}
 
 /// The boolean run flags, read by [`Options::run_flags`].
-pub const RUN_FLAGS: &[&str] = &["metrics"];
+const RUN_FLAGS: &[&str] = &["metrics"];
 
 /// The value-taking run flags, read by [`Options::run_flags`].
-pub const RUN_VALUES: &[&str] = &["threads", "faults", "trace", "bench-json"];
+const RUN_VALUES: &[&str] = &["threads", "faults", "trace", "bench-json"];
 
 /// Resolves a scale word through its preset family's `from_scale`; an
 /// unknown word is a usage error listing the family's `scales`.
@@ -193,7 +221,7 @@ pub const RUN_VALUES: &[&str] = &["threads", "faults", "trace", "bench-json"];
 /// # Errors
 ///
 /// Returns [`ParseError`] when `from_scale` names no preset.
-pub fn preset<T>(
+fn preset<T>(
     scale: &str,
     scales: &[&str],
     from_scale: impl Fn(&str) -> Option<T>,
@@ -307,39 +335,57 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
                 top: opts.get_parsed_or("top", 5)?,
             })
         }
-        "evaluate" => {
-            let values = [RUN_VALUES, &["scale", "topics", "resume"]].concat();
-            let opts = Options::parse(&rest, RUN_FLAGS, &values)?;
-            let scale = opts.get("scale").unwrap_or("quick");
-            let mut config = preset(scale, EvalConfig::SCALES, EvalConfig::from_scale)?;
-            let run = opts.run_flags()?;
-            config.threads = run.threads;
-            if let Some(k) = opts.get_topics()? {
-                config.extractor = config.extractor.with_topics(k);
-            }
-            Ok(Command::Evaluate {
-                scale: scale.to_owned(),
-                config,
-                resume: opts.get("resume").map(str::to_owned),
-                run,
-            })
-        }
         "abtest" => {
-            let opts = Options::parse(&rest, &[], &["scale", "lambda"])?;
+            let values = [RUN_VALUES, &["scale", "lambda"]].concat();
+            let opts = Options::parse(&rest, RUN_FLAGS, &values)?;
             let scale = opts.get("scale").unwrap_or("quick");
             let config = preset(scale, AbTestConfig::SCALES, AbTestConfig::from_scale)?;
             Ok(Command::AbTest {
                 config: config.with_lambda(opts.get_real_or("lambda", 0.5, false)?),
+                run: opts.run_flags()?,
             })
         }
         "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(ParseError(format!("unknown command `{other}`"))),
+        other => match Experiment::from_name(other) {
+            Some(experiment) => parse_experiment(experiment, &rest),
+            None => Err(ParseError(format!("unknown command `{other}`"))),
+        },
     }
+}
+
+/// Parses the options of `experiment`: `--scale` (default `quick`),
+/// the options it declares and the run flags.
+fn parse_experiment(experiment: Experiment, rest: &[String]) -> Result<Command, ParseError> {
+    let (flags, values) = experiment.options();
+    let flags = [flags, RUN_FLAGS].concat();
+    let values = [&["scale"], values, RUN_VALUES].concat();
+    let opts = Options::parse(rest, &flags, &values)?;
+    let scale = opts.get("scale").unwrap_or("quick");
+    let mut config = preset(scale, EvalConfig::SCALES, EvalConfig::from_scale)?;
+    let run = opts.run_flags()?;
+    config.threads = run.threads;
+    if let Some(k) = opts.get_topics()? {
+        config.extractor = config.extractor.with_topics(k);
+    }
+    if let Some(folds) = opts.get_count("folds", 2)? {
+        config.folds = folds;
+    }
+    if let Some(repeats) = opts.get_count("repeats", 1)? {
+        config.repeats = repeats;
+    }
+    Ok(Command::Experiment {
+        experiment,
+        scale: scale.to_owned(),
+        config,
+        json: opts.flag("json"),
+        resume: opts.get("resume").map(str::to_owned),
+        run,
+    })
 }
 
 /// The `--key value` / `--flag` options of one command, parsed
 /// against the keys it declares.
-pub struct Options {
+struct Options {
     pairs: Vec<(String, Option<String>)>,
 }
 
@@ -353,7 +399,7 @@ impl Options {
     /// Returns [`ParseError`] for a token that is not an option, a key
     /// the command does not declare, a key given twice, a
     /// value-taking key without a value, and a flag followed by one.
-    pub fn parse(args: &[String], flags: &[&str], values: &[&str]) -> Result<Options, ParseError> {
+    fn parse(args: &[String], flags: &[&str], values: &[&str]) -> Result<Options, ParseError> {
         let mut pairs: Vec<(String, Option<String>)> = Vec::new();
         let mut args = args.iter().peekable();
         while let Some(arg) = args.next() {
@@ -381,7 +427,7 @@ impl Options {
     }
 
     /// The value given for `key`, if any.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    fn get(&self, key: &str) -> Option<&str> {
         self.pairs
             .iter()
             .find(|(k, _)| k == key)
@@ -389,7 +435,7 @@ impl Options {
     }
 
     /// Whether the boolean flag `key` was given.
-    pub fn flag(&self, key: &str) -> bool {
+    fn flag(&self, key: &str) -> bool {
         self.pairs.iter().any(|(k, _)| k == key)
     }
 
@@ -447,7 +493,7 @@ impl Options {
     ///
     /// Returns [`ParseError`] naming the key when the value is not a
     /// count or is below `min`.
-    pub fn get_count(&self, key: &str, min: usize) -> Result<Option<usize>, ParseError> {
+    fn get_count(&self, key: &str, min: usize) -> Result<Option<usize>, ParseError> {
         match self.get_parsed_opt(key)? {
             Some(n) if n < min => Err(ParseError(format!(
                 "invalid value `{n}` for --{key}: must be at least {min}"
@@ -464,7 +510,7 @@ impl Options {
     ///
     /// Returns [`ParseError`] for a `--threads` that is not a count or
     /// a `--faults` spec that does not parse.
-    pub fn run_flags(&self) -> Result<RunFlags, ParseError> {
+    fn run_flags(&self) -> Result<RunFlags, ParseError> {
         let faults = self
             .get("faults")
             .map(|spec| {
@@ -490,14 +536,16 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
-    /// `evaluate` with the preset of `scale` at `threads` workers and
-    /// no other option.
-    fn evaluate(scale: &str, threads: usize) -> Command {
+    /// `experiment` with the preset of `scale` at `threads` workers
+    /// and no other option.
+    fn experiment(experiment: Experiment, scale: &str, threads: usize) -> Command {
         let mut config = EvalConfig::from_scale(scale).unwrap();
         config.threads = threads;
-        Command::Evaluate {
+        Command::Experiment {
+            experiment,
             scale: scale.into(),
             config,
+            json: false,
             resume: None,
             run: RunFlags {
                 threads,
@@ -564,6 +612,102 @@ mod tests {
         }
     }
 
+    /// Table I is `evaluate`; the other name it had is no command.
+    #[test]
+    fn table1_is_an_unknown_command() {
+        for line in ["table1", "table1 --scale quick --json"] {
+            let mut out = Vec::new();
+            let code = crate::run(argv(line), &mut out);
+            let text = String::from_utf8(out).unwrap();
+            assert_eq!(code, 2, "{line}: {text}");
+            assert!(text.contains("unknown command `table1`"), "{line}: {text}");
+        }
+    }
+
+    #[test]
+    fn help_lists_every_experiment_and_its_options() {
+        for experiment in Experiment::ALL {
+            let name = experiment.name();
+            assert!(USAGE.contains(&format!("\n  {name:<10} ")), "{name}");
+            let (flags, values) = experiment.options();
+            for option in flags.iter().chain(values) {
+                assert!(
+                    USAGE.contains(&format!("[--{option} "))
+                        || USAGE.contains(&format!("[--{option}]")),
+                    "{name} --{option}"
+                );
+            }
+        }
+        assert!(USAGE.contains("\n  abtest     "));
+        for option in RUN_FLAGS.iter().chain(RUN_VALUES) {
+            assert!(USAGE.contains(&format!("[--{option}")), "--{option}");
+        }
+    }
+
+    #[test]
+    fn experiments_accept_what_they_read() {
+        for name in Experiment::ALL {
+            for scale in EvalConfig::SCALES {
+                let line = format!("{} --scale {scale}", name.name());
+                assert_eq!(parse(argv(&line)).unwrap(), experiment(name, scale, 0));
+            }
+        }
+        let cmd = parse(argv("evaluate --scale standard --resume /tmp/t1.json")).unwrap();
+        let mut expected = experiment(Experiment::Evaluate, "standard", 0);
+        if let Command::Experiment { resume, .. } = &mut expected {
+            *resume = Some("/tmp/t1.json".into());
+        }
+        assert_eq!(cmd, expected);
+        let mut expected = experiment(Experiment::Fig6, "quick", 1);
+        if let Command::Experiment { json, .. } = &mut expected {
+            *json = true;
+        }
+        assert_eq!(parse(argv("fig6 --json --threads 1")).unwrap(), expected);
+        match parse(argv("ablations --folds 2 --repeats 3")).unwrap() {
+            Command::Experiment { scale, config, .. } => {
+                assert_eq!(scale, "quick");
+                assert_eq!((config.folds, config.repeats), (2, 3));
+            }
+            other => panic!("{other:?}"),
+        }
+        match parse(argv("evaluate --json --folds 4 --repeats 2")).unwrap() {
+            Command::Experiment { json, config, .. } => {
+                assert!(json);
+                assert_eq!((config.folds, config.repeats), (4, 2));
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn abtest_accepts_the_run_flags() {
+        let cmd = parse(argv(
+            "abtest --lambda 2 --threads 2 --faults fold-panic:1 --trace t.json --metrics \
+             --bench-json b.json",
+        ))
+        .unwrap();
+        assert_eq!(
+            cmd,
+            Command::AbTest {
+                config: AbTestConfig::quick().with_lambda(2.0),
+                run: RunFlags {
+                    threads: 2,
+                    faults: Some(FaultPlan::parse("fold-panic:1").unwrap()),
+                    trace: Some("t.json".into()),
+                    metrics: true,
+                    bench_json: Some("b.json".into()),
+                },
+            }
+        );
+        assert_eq!(
+            parse(argv("abtest --scale standard")).unwrap(),
+            Command::AbTest {
+                config: AbTestConfig::standard().with_lambda(0.5),
+                run: RunFlags::default(),
+            }
+        );
+    }
+
     #[test]
     fn parses_route_with_defaults() {
         let cmd = parse(argv("route --data d.json --model m.json --question 4")).unwrap();
@@ -588,6 +732,7 @@ mod tests {
 
     #[test]
     fn parses_evaluate_threads() {
+        let evaluate = |scale, threads| experiment(Experiment::Evaluate, scale, threads);
         let cmd = parse(argv("evaluate --scale quick --threads 4")).unwrap();
         assert_eq!(cmd, evaluate("quick", 4));
         // Default: quick at 0 = auto.
@@ -599,8 +744,8 @@ mod tests {
     #[test]
     fn parses_evaluate_resume_and_faults() {
         let cmd = parse(argv("evaluate --resume cv.json --faults fold-panic:1")).unwrap();
-        let mut expected = evaluate("quick", 0);
-        if let Command::Evaluate { resume, run, .. } = &mut expected {
+        let mut expected = experiment(Experiment::Evaluate, "quick", 0);
+        if let Command::Experiment { resume, run, .. } = &mut expected {
             *resume = Some("cv.json".into());
             run.faults = Some(FaultPlan::parse("fold-panic:1").unwrap());
         }
@@ -640,7 +785,7 @@ mod tests {
         ))
         .unwrap();
         match cmd {
-            Command::Evaluate { run, .. } => assert_eq!(
+            Command::Experiment { run, .. } => assert_eq!(
                 run,
                 RunFlags {
                     trace: Some("out.json".into()),
@@ -706,7 +851,9 @@ mod tests {
     /// topic, and a fault spec or scale word that does not parse would
     /// otherwise fail only once the run starts. An option missing its
     /// value, a flag given one and a repeated option would otherwise
-    /// be read as something the caller did not write.
+    /// be read as something the caller did not write. Each experiment
+    /// reads `--scale`, the options it declares and the run flags, and
+    /// refuses everything else.
     #[test]
     fn out_of_domain_knobs_are_usage_errors() {
         let route = |extra: &str| format!("route --data d --model m --question 1 {extra}");
@@ -789,6 +936,41 @@ mod tests {
                 "evaluate --threads 1 --threads 2".into(),
                 "option --threads given twice",
             ),
+            (
+                "fig5 --scale nope".into(),
+                "unknown scale `nope` (quick|standard|paper)",
+            ),
+            ("fig2 --resume x".into(), "unknown option --resume"),
+            (
+                "recsys --scale quick --json".into(),
+                "unknown option --json",
+            ),
+            ("ablations --resume x".into(), "unknown option --resume"),
+            ("fig3 --folds 3".into(), "unknown option --folds"),
+            ("fig6 --topics 4".into(), "unknown option --topics"),
+            (
+                "evaluate --scale quick --threads".into(),
+                "missing value for --threads",
+            ),
+            ("fig7 --resume".into(), "missing value for --resume"),
+            (
+                "evaluate --json yes".into(),
+                "option --json takes no value, got `yes`",
+            ),
+            ("evaluate --json --json".into(), "option --json given twice"),
+            ("evaluate --folds 1".into(), "--folds: must be at least 2"),
+            ("fig5 --folds 1".into(), "--folds: must be at least 2"),
+            (
+                "evaluate --repeats 0".into(),
+                "--repeats: must be at least 1",
+            ),
+            (
+                "ablations --repeats 0".into(),
+                "--repeats: must be at least 1",
+            ),
+            ("fig5 --faults nope:1".into(), "unknown fault site `nope`"),
+            ("abtest --faults nope:1".into(), "unknown fault site `nope`"),
+            ("abtest --json".into(), "unknown option --json"),
         ] {
             let mut out = Vec::new();
             let code = crate::run(argv(&cmd), &mut out);
@@ -803,7 +985,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         match parse(argv("evaluate --topics 1")).unwrap() {
-            Command::Evaluate { config, .. } => assert_eq!(config.extractor.lda.num_topics, 1),
+            Command::Experiment { config, .. } => assert_eq!(config.extractor.lda.num_topics, 1),
             other => panic!("{other:?}"),
         }
     }

@@ -2,20 +2,20 @@
 
 use std::error::Error;
 use std::io::Write;
-use std::path::Path;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use forumcast_core::{sample_training_set, ResponsePredictor, TrainConfig};
 use forumcast_data::{io as data_io, Dataset, QuestionId, UserId};
-use forumcast_eval::{experiments::table1, EvalConfig, RunFlags, RunSession};
+use forumcast_eval::{RunFlags, RunSession};
 use forumcast_features::{ExtractorConfig, FeatureExtractor};
 use forumcast_graph::{dense_graph, qa_graph, GraphStats};
 use forumcast_recsys::{score_candidates, QuestionRouter, RouterConfig};
 use forumcast_synth::SynthConfig;
 
 use crate::args::{Command, USAGE};
+use crate::experiments;
 
 type CmdResult = Result<(), Box<dyn Error>>;
 
@@ -69,19 +69,20 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             capacity,
             top,
         } => route(&data, &model, question, lambda, epsilon, capacity, top, out),
-        Command::Evaluate {
+        Command::Experiment {
+            experiment,
             scale,
             config,
+            json,
             resume,
             run,
         } => {
-            // The same thread count drives mini-batch gradient
-            // accumulation; the fixed-order reduction keeps results
-            // bitwise identical at any count, so it only affects wall
-            // time.
+            // `--threads` sizes the CV fold workers (`config.threads`)
+            // and, through the session's `set_train_threads`, the
+            // training workers; neither changes a result bit.
             let session = RunSession::start(run)?;
-            in_session(session, "evaluate", out, |out| {
-                evaluate(&scale, &config, resume.as_deref(), out)
+            in_session(session, experiment.name(), out, |out| {
+                experiments::run(experiment, &scale, &config, json, resume.as_deref(), out)
             })
         }
         Command::BenchCompare {
@@ -91,9 +92,12 @@ pub fn execute(cmd: Command, out: &mut dyn Write) -> CmdResult {
             p99_tolerance,
             min_ms,
         } => bench_compare(&baseline, &current, tolerance, p99_tolerance, min_ms, out),
-        Command::AbTest { config } => {
-            writeln!(out, "{}", forumcast_abtest::run(&config))?;
-            Ok(())
+        Command::AbTest { config, run } => {
+            let session = RunSession::start(run)?;
+            in_session(session, "abtest", out, |out| {
+                writeln!(out, "{}", forumcast_abtest::run(&config))?;
+                Ok(())
+            })
         }
     }
 }
@@ -424,21 +428,6 @@ fn route(
     Ok(())
 }
 
-fn evaluate(scale: &str, cfg: &EvalConfig, resume: Option<&str>, out: &mut dyn Write) -> CmdResult {
-    writeln!(
-        out,
-        "running Table-I evaluation at scale `{scale}` ({} worker threads) …",
-        cfg.worker_threads()
-    )?;
-    if let Some(path) = resume {
-        writeln!(out, "checkpointing completed folds to `{path}`")?;
-    }
-    let report =
-        table1::run(cfg, resume.map(Path::new)).map_err(|e| format!("evaluation failed: {e}"))?;
-    writeln!(out, "{report}")?;
-    Ok(())
-}
-
 /// Reads a `forumcast-bench` document from `path`.
 fn load_bench_report(path: &str) -> Result<forumcast_obs::BenchReport, Box<dyn Error>> {
     let json = std::fs::read_to_string(path)
@@ -482,6 +471,8 @@ fn bench_compare(
 mod tests {
     use super::*;
     use crate::args::Command;
+    use crate::experiments::Experiment;
+    use forumcast_eval::EvalConfig;
 
     fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("forumcast-cli-tests");
@@ -606,9 +597,11 @@ mod tests {
         let evaluate = |resume: Option<String>| {
             let mut config = EvalConfig::quick();
             config.threads = 2;
-            let (code, text) = run_cmd(Command::Evaluate {
+            let (code, text) = run_cmd(Command::Experiment {
+                experiment: Experiment::Evaluate,
                 scale: "quick".into(),
                 config,
+                json: false,
                 resume,
                 run: RunFlags {
                     threads: 2,

@@ -1,6 +1,6 @@
 //! Library backing the `forumcast` command-line tool: argument
-//! parsing and the command implementations, separated from `main` so
-//! they are unit-testable.
+//! parsing, the command implementations and the paper's experiments,
+//! separated from `main` so they are unit-testable.
 //!
 //! ```text
 //! forumcast generate --scale small --seed 7 --out forum.json
@@ -9,11 +9,13 @@
 //! forumcast predict  --data forum.json --model model.json --question 12 --user 3
 //! forumcast route    --data forum.json --model model.json --question 12 --lambda 0.5
 //! forumcast evaluate --scale quick
+//! forumcast fig5     --scale standard --resume fig5.ckpt
 //! forumcast abtest   --scale quick --lambda 0.5
 //! ```
 
 pub mod args;
 pub mod commands;
+pub mod experiments;
 
 pub use args::{parse, Command, ParseError};
 

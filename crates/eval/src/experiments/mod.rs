@@ -10,7 +10,7 @@
 //! | [`fig7`] | Figure 7 — feature groups × history length |
 //!
 //! (Figure 2's graph statistics are reproduced directly from
-//! `forumcast_graph::GraphStats` by the `fig2` bench binary.)
+//! `forumcast_graph::GraphStats` by the `forumcast fig2` command.)
 
 pub mod fig3;
 pub mod fig4;

@@ -15,8 +15,8 @@
 //!   correlation), Figure 4 (feature CDFs), Figure 5 (topic-count
 //!   sweep), Figure 6 (leave-one-feature-out importance), Figure 7
 //!   (feature groups × history length);
-//! * [`session`] — the run session every front door (the `forumcast`
-//!   CLI and the regeneration binaries) runs an experiment under:
+//! * [`session`] — the run session every `forumcast` experiment runs
+//!   under:
 //!   flag-over-env resolution, fault and collector arming, training
 //!   workers, and the trace/bench-report/summary flush.
 //!

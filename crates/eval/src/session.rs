@@ -1,21 +1,22 @@
-//! The run session every front door runs an experiment under: the
-//! `forumcast` CLI's `evaluate`, `train` and `stats`, and the
-//! `forumcast-bench` regeneration binaries.
+//! The run session every `forumcast` experiment runs under: Table I
+//! (`evaluate`), the figures, the ablations, the routing demo and the
+//! A/B test, plus `train` and `stats`.
 //!
-//! Both front doors parse the run flags with one grammar
+//! The CLI parses the run flags with one grammar
 //! (`forumcast_cli::args::Options::run_flags`) into a [`RunFlags`] and
-//! hand it to [`RunSession::start`]. The session applies the one precedence rule — a flag beats
-//! its environment variable (`--faults` beats `FORUMCAST_FAULTS`,
-//! `--trace` beats `FORUMCAST_TRACE`) — arms the fault plan and the
-//! span collector for the process, and sets the training workers.
-//! After the run, [`RunSession::finish`] drains the collector once and
-//! writes the trace, the bench report and the per-span summary.
+//! hands it to [`RunSession::start`]. The session applies the one
+//! precedence rule — a flag beats its environment variable
+//! (`--faults` beats `FORUMCAST_FAULTS`, `--trace` beats
+//! `FORUMCAST_TRACE`) — arms the fault plan and the span collector for
+//! the process, and sets the training workers. After the run,
+//! [`RunSession::finish`] drains the collector once and writes the
+//! trace, the bench report and the per-span summary.
 //!
 //! A malformed `FORUMCAST_FAULTS` makes [`RunSession::start`] fail, and
-//! every front door reports that as a failed run (exit status 1): the
-//! spec is not on the command line, so usage text would not help. A
-//! malformed `--faults` never reaches the session; front doors refuse
-//! it while parsing, as a usage error (exit status 2).
+//! the CLI reports that as a failed run (exit status 1): the spec is
+//! not on the command line, so usage text would not help. A malformed
+//! `--faults` never reaches the session; the CLI refuses it while
+//! parsing, as a usage error (exit status 2).
 
 use std::error::Error;
 use std::io::Write;
@@ -41,8 +42,8 @@ pub struct RunFlags {
     pub bench_json: Option<PathBuf>,
 }
 
-/// One run's fault plan and telemetry sinks, resolved from a front
-/// door's flags and the environment.
+/// One run's fault plan and telemetry sinks, resolved from the
+/// command's flags and the environment.
 #[derive(Debug)]
 pub struct RunSession {
     /// The plan to arm; `None` when it would inject nothing.
@@ -56,7 +57,7 @@ pub struct RunSession {
 }
 
 impl RunSession {
-    /// Starts a session from the run flags a front door parsed. An
+    /// Starts a session from the run flags the CLI parsed. An
     /// absent flag falls back to its environment variable. Arms the fault plan when it
     /// injects anything and the span collector when any sink was
     /// asked for, both for the calling thread and the threads it

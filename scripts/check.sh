@@ -71,17 +71,18 @@ echo "==> kill-storm smoke (repeated SIGKILLs at seeded points, bitwise heal)"
 # For each thread count: run clean and time it, then restart the
 # checkpointed run and SIGKILL it three times, and finally let one
 # attempt run to completion. The healed report must be byte-identical
-# to the uninterrupted one. The fold is the unit of resume, so each
-# kill lands at a seeded fraction of the clean run's wall time, and
-# the fractions shrink because every resumed attempt has fewer folds
-# left. With set-up S and n fold rounds of F each (quick: 3 folds, so
-# n = 3 at 1 thread and 2 at 2), the 70% kill follows a save when
-# (0.7n - 1)·F > 0.3·S and always leaves a fold pending; the 25% kill
-# lands before its attempt can finish any fold (0.25·(S + nF) < S + F
-# for n <= 4), so the 10% attempt also has a fold left and cannot exit
-# before its kill. A kill counts only when the attempt died of it
-# (exit status 137); on a miss the stage prints the clean run's time
-# and every attempt's exit status.
+# to the uninterrupted one. The fold is the unit of resume. The first
+# attempt is killed as soon as its first save shows up in the
+# checkpoint's fingerprint (polled every 20 ms), so it always dies
+# after a save and with folds pending, however contention stretches
+# its wall time. The next two kills land at 25% and 10% of the clean
+# run's wall time. With set-up S and n fold rounds of F each (quick:
+# 3 folds, so n = 3 at 1 thread and 2 at 2), the 25% kill lands before
+# its attempt can finish any fold (0.25·(S + nF) < S + F for n <= 4),
+# so the 10% attempt also has a fold left and cannot exit before its
+# kill. A kill counts only when the attempt died of it (exit status
+# 137); on a miss the stage prints the clean run's time and every
+# attempt's exit status.
 ckpt_activity() {
   # Content fingerprint of every checkpoint artifact (the fold-level
   # file and its `.tmp`); changes on every save. `|| true` keeps the
@@ -97,12 +98,19 @@ for t in 1 2; do
   kills=0
   saved=0
   statuses=""
-  for percent in 70 25 10; do
+  for at in first-save 25 10; do
     before="$(ckpt_activity "$ckpt")"
     "$fc" evaluate --scale quick --threads "$t" \
       --resume "$ckpt" > /dev/null 2>&1 &
     victim=$!
-    sleep "$(awk -v ms="$clean_ms" -v p="$percent" 'BEGIN { printf "%.3f", ms * p / 100000 }')"
+    if [ "$at" = first-save ]; then
+      while kill -0 "$victim" 2>/dev/null \
+        && [ "$(ckpt_activity "$ckpt")" = "$before" ]; do
+        sleep 0.02
+      done
+    else
+      sleep "$(awk -v ms="$clean_ms" -v p="$at" 'BEGIN { printf "%.3f", ms * p / 100000 }')"
+    fi
     kill -9 "$victim" 2>/dev/null || true
     status=0
     wait "$victim" 2>/dev/null || status=$?
@@ -140,33 +148,6 @@ echo "==> disabled-probe golden smoke (quick evaluate output is byte-stable)"
 diff tests/golden/eval_quick_t1.txt "$work_dir/storm1.clean.txt" \
   || { echo "disabled-probe smoke: quick evaluate output drifted from tests/golden/eval_quick_t1.txt" >&2; exit 1; }
 echo "disabled-probe: quick evaluate output matches the golden byte-for-byte"
-
-echo "==> front doors agree (table1 binary vs forumcast evaluate, quick, 1 thread)"
-# Both front doors run Table I through the same run session and the
-# same table1::run, so the bench binary must print the Table I block
-# that `forumcast evaluate` prints (lines 2-6 of the golden) byte for
-# byte.
-cargo build -q --release -p forumcast-bench --bin table1
-target/release/table1 quick --threads 1 > "$work_dir/table1.quick.txt"
-diff <(sed -n 2,6p tests/golden/eval_quick_t1.txt) \
-     <(grep -A4 '^Table I — ' "$work_dir/table1.quick.txt") \
-  || { echo "front doors agree: table1 quick prints a different Table I than evaluate" >&2; exit 1; }
-echo "front doors agree: table1 quick matches evaluate's Table I byte-for-byte"
-
-echo "==> usage errors agree (forumcast evaluate --scale nope vs table1 nope)"
-# Both front doors parse with one option grammar, so an unknown scale
-# word is a usage error (exit status 2) at each, refused before
-# anything runs.
-for cmd in "$fc evaluate --scale nope" "target/release/table1 nope"; do
-  status=0
-  $cmd > "$work_dir/usage.txt" 2>&1 || status=$?
-  if [ "$status" -ne 2 ]; then
-    echo "usage errors agree: \`$cmd\` exited $status, not 2" >&2
-    cat "$work_dir/usage.txt" >&2
-    exit 1
-  fi
-done
-echo "usage errors agree: both front doors exit 2 on an unknown scale"
 
 echo "==> corruption smoke (a flipped checkpoint byte quarantines the file, resume heals bitwise)"
 # The storm leaves a completed fold-level checkpoint behind. Flip one
@@ -239,14 +220,23 @@ cmp "$work_dir/roundtrip.t1.model.json" "$work_dir/roundtrip.model.json" \
 "$fcr" route --data "$work_dir/roundtrip.json" --model "$work_dir/roundtrip.model.json" \
   --question 2
 
+echo "==> experiment goldens (fig2-fig7 and ablations at quick scale)"
+# Every paper figure and the ablations are pinned byte for byte at
+# quick scale, so no regenerated result can drift from the code
+# unnoticed. All are deterministic at any thread count.
+for exp in fig2 fig3 fig4 fig5 fig6 fig7 ablations; do
+  "$fcr" "$exp" --scale quick | diff "tests/golden/${exp}_quick.txt" - \
+    || { echo "experiment goldens: $exp quick drifted" >&2; exit 1; }
+done
+echo "experiment goldens: fig2-fig7 and ablations match"
+
 echo "==> routing goldens (recsys, abtest, question_routing, trained model bytes)"
 # The routing and training paths outside the CV harness are pinned
 # byte for byte: the `recsys` demo, the simulated A/B test, the
 # question_routing example, and the model files `train` writes with
 # and without --fast. All are deterministic at any thread count.
-cargo build -q --release -p forumcast-bench --bin recsys
 cargo build -q --release --example question_routing
-target/release/recsys quick | diff tests/golden/recsys_quick.txt - \
+"$fcr" recsys --scale quick | diff tests/golden/recsys_quick.txt - \
   || { echo "routing goldens: recsys quick drifted" >&2; exit 1; }
 "$fcr" abtest --scale quick | diff tests/golden/abtest_quick.txt - \
   || { echo "routing goldens: abtest quick drifted" >&2; exit 1; }
