@@ -536,6 +536,18 @@ mod tests {
         s.split_whitespace().map(str::to_owned).collect()
     }
 
+    /// Runs a `line` that must fail before any command starts: returns
+    /// the exit code and what went to stderr, checking that stdout
+    /// stayed empty and that stderr ends with the usage text.
+    fn run_usage_error(line: &str) -> (i32, String) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let code = crate::run(argv(line), &mut out, &mut err);
+        let text = String::from_utf8(err).unwrap();
+        assert!(out.is_empty(), "{line}: stdout got {out:?}");
+        assert!(text.ends_with(&format!("{USAGE}\n")), "{line}: {text}");
+        (code, text)
+    }
+
     /// `experiment` with the preset of `scale` at `threads` workers
     /// and no other option.
     fn experiment(experiment: Experiment, scale: &str, threads: usize) -> Command {
@@ -616,9 +628,7 @@ mod tests {
     #[test]
     fn table1_is_an_unknown_command() {
         for line in ["table1", "table1 --scale quick --json"] {
-            let mut out = Vec::new();
-            let code = crate::run(argv(line), &mut out);
-            let text = String::from_utf8(out).unwrap();
+            let (code, text) = run_usage_error(line);
             assert_eq!(code, 2, "{line}: {text}");
             assert!(text.contains("unknown command `table1`"), "{line}: {text}");
         }
@@ -767,9 +777,7 @@ mod tests {
             ("evaluate --resume cv.ckpt", sampler, "dense"),
             ("train --data d.json --out m.json", sampler, "dense"),
         ] {
-            let mut out = Vec::new();
-            let code = crate::run(argv(&format!("{cmd} {flag} {value}")), &mut out);
-            let text = String::from_utf8(out).unwrap();
+            let (code, text) = run_usage_error(&format!("{cmd} {flag} {value}"));
             assert_eq!(code, 2, "{cmd} {flag}: {text}");
             assert!(
                 text.contains(&format!("unknown option {flag}")),
@@ -972,9 +980,7 @@ mod tests {
             ("abtest --faults nope:1".into(), "unknown fault site `nope`"),
             ("abtest --json".into(), "unknown option --json"),
         ] {
-            let mut out = Vec::new();
-            let code = crate::run(argv(&cmd), &mut out);
-            let text = String::from_utf8(out).unwrap();
+            let (code, text) = run_usage_error(&cmd);
             assert_eq!(code, 2, "{cmd}: {text}");
             assert!(text.contains(why), "{cmd}: {text}");
         }

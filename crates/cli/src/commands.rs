@@ -657,7 +657,7 @@ mod tests {
             seed: None,
             out: model_path.clone(),
         });
-        let mut out = Vec::new();
+        let (mut out, mut err) = (Vec::new(), Vec::new());
         let code = crate::run(
             [
                 "predict",
@@ -672,12 +672,14 @@ mod tests {
             ]
             .map(str::to_owned),
             &mut out,
+            &mut err,
         );
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(err).unwrap();
         assert_eq!(code, 1, "{text}");
-        assert!(
-            text.contains("user u999999 not found: the dataset has 200 users"),
-            "{text}"
+        assert!(out.is_empty(), "stdout got {out:?}");
+        assert_eq!(
+            text,
+            "error: user u999999 not found: the dataset has 200 users\n"
         );
     }
 

@@ -10,7 +10,7 @@ use std::path::Path;
 
 use forumcast_core::{DecayMode, PredictionMode, ResponsePredictor, TimingConfig, TrainingRows};
 use forumcast_data::UserId;
-use forumcast_eval::experiments::{fig3, fig4, fig5, fig6, fig7, run_cv, table1};
+use forumcast_eval::experiments::{fig3, fig4, fig5, fig6, fig7, run_cv_resumable, table1};
 use forumcast_eval::fold::mean_std;
 use forumcast_eval::{EvalConfig, ExperimentData};
 use forumcast_graph::{dense_graph, qa_graph, GraphStats};
@@ -367,8 +367,12 @@ fn ablations(scale: &str, config: &EvalConfig, out: &mut dyn Write) -> CmdResult
     let (dataset, _) = config.synth.generate().preprocess();
     let data = ExperimentData::build(&dataset, config);
     let mean = |values: Vec<f64>| mean_std(&values).0;
+    let cv = |data: &ExperimentData, cfg: &EvalConfig, baselines: bool| {
+        run_cv_resumable(data, cfg, None, baselines, None)
+            .map_err(|e| format!("ablations failed: {e}"))
+    };
     let mut line = |label: &str, cfg: &EvalConfig| -> CmdResult {
-        let outcomes = run_cv(&data, cfg, None, false);
+        let outcomes = cv(&data, cfg, false)?;
         let auc = mean(outcomes.iter().map(|o| o.auc).collect());
         let rv = mean(outcomes.iter().map(|o| o.rmse_votes).collect());
         let rt = mean(outcomes.iter().map(|o| o.rmse_time).collect());
@@ -414,7 +418,7 @@ fn ablations(scale: &str, config: &EvalConfig, out: &mut dyn Write) -> CmdResult
     synth_pp.synth.timing_noise = forumcast_synth::config::TimingNoise::PointProcess;
     let (ds_pp, _) = synth_pp.synth.generate().preprocess();
     let data_pp = ExperimentData::build(&ds_pp, &synth_pp);
-    let outcomes = run_cv(&data_pp, &synth_pp, None, true);
+    let outcomes = cv(&data_pp, &synth_pp, true)?;
     let rt = mean(outcomes.iter().map(|o| o.rmse_time).collect());
     let rt_b = mean(outcomes.iter().map(|o| o.rmse_time_baseline).collect());
     writeln!(
@@ -534,12 +538,17 @@ fn recsys(scale: &str, config: &EvalConfig, out: &mut dyn Write) -> CmdResult {
 
 #[cfg(test)]
 mod tests {
-    /// Runs `line` through the CLI and returns its exit code and
-    /// output.
-    fn run_line(line: &str) -> (i32, String) {
-        let mut out = Vec::new();
-        let code = crate::run(line.split_whitespace().map(str::to_owned), &mut out);
-        (code, String::from_utf8(out).unwrap())
+    /// Runs `line` through the CLI and returns its exit code, stdout
+    /// and stderr.
+    fn run_line(line: &str) -> (i32, String, String) {
+        let (mut out, mut err) = (Vec::new(), Vec::new());
+        let code = crate::run(
+            line.split_whitespace().map(str::to_owned),
+            &mut out,
+            &mut err,
+        );
+        let text = |bytes| String::from_utf8(bytes).unwrap();
+        (code, text(out), text(err))
     }
 
     /// The two experiments that fit no model print their quick
@@ -553,18 +562,31 @@ mod tests {
             ),
             ("fig3", include_str!("../../../tests/golden/fig3_quick.txt")),
         ] {
-            let (code, text) = run_line(line);
-            assert_eq!(code, 0, "{line}: {text}");
+            let (code, text, err) = run_line(line);
+            assert_eq!(code, 0, "{line}: {err}");
             assert_eq!(text, golden, "{line}");
         }
     }
 
     #[test]
     fn json_follows_the_report() {
-        let (code, text) = run_line("fig3 --json");
-        assert_eq!(code, 0, "{text}");
+        let (code, text, err) = run_line("fig3 --json");
+        assert_eq!(code, 0, "{err}");
         let (report, json) = text.split_once("\n--- json ---\n").unwrap();
         assert_eq!(report, include_str!("../../../tests/golden/fig3_quick.txt"));
         assert!(json.starts_with("{\n  \"num_pairs\": 236,"), "{json}");
+    }
+
+    /// A fold that exhausts its retries fails the ablation sweep with a
+    /// named error and exit 1, not a panic.
+    #[test]
+    fn ablations_fail_cleanly_when_a_fold_fails() {
+        let (code, out, err) = run_line("ablations --threads 1 --faults fold-panic:0x9");
+        assert_eq!(code, 1, "{out}{err}");
+        assert_eq!(
+            err,
+            "error: ablations failed: cv fold job 0 failed after 3 attempt(s): \
+             injected fault: fold-panic:0\n"
+        );
     }
 }

@@ -19,20 +19,25 @@ pub mod experiments;
 
 pub use args::{parse, Command, ParseError};
 
-/// Entry point shared by `main` and tests. Returns the process exit
-/// code.
-pub fn run<I: IntoIterator<Item = String>>(argv: I, out: &mut dyn std::io::Write) -> i32 {
+/// Entry point shared by `main` and tests: a command's output goes to
+/// `out`, and its error message — with the usage text after a usage
+/// error — to `err`. Returns the process exit code.
+pub fn run<I: IntoIterator<Item = String>>(
+    argv: I,
+    out: &mut dyn std::io::Write,
+    err: &mut dyn std::io::Write,
+) -> i32 {
     match parse(argv) {
         Ok(cmd) => match commands::execute(cmd, out) {
             Ok(()) => 0,
             Err(e) => {
-                let _ = writeln!(out, "error: {e}");
+                let _ = writeln!(err, "error: {e}");
                 1
             }
         },
         Err(e) => {
-            let _ = writeln!(out, "error: {e}");
-            let _ = writeln!(out, "{}", args::USAGE);
+            let _ = writeln!(err, "error: {e}");
+            let _ = writeln!(err, "{}", args::USAGE);
             2
         }
     }

@@ -2,6 +2,10 @@
 //! commands.
 
 fn main() {
-    let code = forumcast_cli::run(std::env::args().skip(1), &mut std::io::stdout());
+    let code = forumcast_cli::run(
+        std::env::args().skip(1),
+        &mut std::io::stdout(),
+        &mut std::io::stderr(),
+    );
     std::process::exit(code);
 }

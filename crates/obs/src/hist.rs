@@ -2,10 +2,10 @@
 //! value distributions.
 //!
 //! The bucket layout is a pure function of the value, so recording is
-//! one index computation plus one increment, merging is element-wise
-//! bucket addition (commutative — the sharded collector relies on
-//! this for thread-count-independent drains), and memory is a fixed
-//! ~15 KB regardless of how many values are recorded.
+//! one index computation plus one increment, the buckets do not depend
+//! on the order values arrive in (the collector relies on this for
+//! thread-count-independent drains), and memory is a fixed ~15 KB
+//! regardless of how many values are recorded.
 //!
 //! Layout: values below 2⁵ = 32 get exact unit-width buckets; above
 //! that, each power-of-two range splits into 32 linear sub-buckets,
@@ -80,17 +80,6 @@ impl Histogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
-    }
-
-    /// Folds another histogram in: bucket-wise addition, so merging
-    /// is associative and commutative.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of recorded observations.
@@ -214,20 +203,6 @@ mod tests {
         assert!((960..=990).contains(&p99), "p99={p99}");
         assert_eq!(h.quantile(1.0), 1000);
         assert_eq!(h.quantile(0.0), 1); // rank clamps to the smallest
-    }
-
-    #[test]
-    fn merge_equals_recording_everything_in_one() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut all = Histogram::new();
-        for v in 0..500u64 {
-            let target = if v % 3 == 0 { &mut a } else { &mut b };
-            target.record(v * 7);
-            all.record(v * 7);
-        }
-        a.merge(&b);
-        assert_eq!(a, all);
     }
 
     #[test]

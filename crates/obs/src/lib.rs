@@ -6,12 +6,10 @@
 //! end-of-run summary table.
 //!
 //! The repo is offline, so this is built from scratch instead of
-//! vendoring `tracing`. The collector is **sharded**: each recording
-//! thread owns a private buffer (a [`Shard`]) registered with its
-//! collector, so the armed emit path takes no global lock — only one
-//! uncontended per-thread mutex plus one atomic fetch-add for the
-//! collector's arrival order. [`drain`] merges all shards back into
-//! the canonical event log.
+//! vendoring `tracing`. An armed collector is one mutex-guarded log —
+//! events in arrival order, counter totals and histograms — that every
+//! thread in its [`Scope`] pushes into. [`drain`] sorts the events into
+//! the canonical log.
 //!
 //! An armed collector belongs to the thread that called [`arm`], not to
 //! the process; other threads record into it only after entering its
@@ -28,14 +26,13 @@
 //! sequences regardless of thread count; only timestamps and thread
 //! ids differ, and [`TraceLog::canonical_lines`] excludes both.
 //!
-//! Sharding preserves the contract because nothing about the merge
-//! depends on which shard an event landed in: the sequence number is
-//! derived from the collector's arrival order (an atomic counter
-//! sampled at record time, so any happens-before chain between two
-//! events at the same `(path, unit)` — a retry after a failed attempt,
-//! epochs of one training loop — orders them identically at every
-//! thread count), counters merge by commutative sum, and histogram
-//! buckets merge by element-wise sum.
+//! The sequence number is assigned at [`drain`]: an event's rank among
+//! the same-`(path, unit)` events in arrival order, which is its push
+//! index under the collector's lock. Any happens-before chain between
+//! two events at the same `(path, unit)` — a retry after a failed
+//! attempt, epochs of one training loop — therefore orders them
+//! identically at every thread count. Counters merge by commutative
+//! sum and histograms by bucket increments.
 //!
 //! Parallel work items must be delimited with [`task_span`] (a
 //! *detached* span that roots its own path) so that the paths of
@@ -51,20 +48,16 @@
 //!
 //! # Cost when armed
 //!
-//! One atomic fetch-add (arrival order) plus one lock of the
-//! thread's own shard mutex, which no other thread touches until
-//! [`drain`] — so concurrent emitters never serialize against each
-//! other the way the pre-sharding single global mutex forced them
-//! to. Shards are pooled: a thread leaving its scope (the guard of
-//! [`Scope::enter`] dropping at the end of a `forumcast-par` worker)
-//! marks its shard free for the next thread that enters, so long runs
-//! with many short-lived worker scopes keep a bounded shard set.
+//! One lock of the collector's mutex per probe, held for one vector
+//! push or map update: labels are formatted and clocks read before
+//! the lock is taken. A traced `evaluate` emits a few hundred events,
+//! so the threads of a scope rarely meet at the lock.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 mod bench;
@@ -91,7 +84,7 @@ thread_local! {
     /// Whether this thread is in an armed scope: the one read a disarmed
     /// probe makes (`const`, no destructor).
     static ENABLED: Cell<bool> = const { Cell::new(false) };
-    static MEMBER: RefCell<Option<Member>> = const { RefCell::new(None) };
+    static COLLECTOR: RefCell<Option<Arc<Collector>>> = const { RefCell::new(None) };
 }
 
 struct Frame {
@@ -101,85 +94,26 @@ struct Frame {
     detached: bool,
 }
 
-/// One thread's private event buffer. The owning thread is the only
-/// writer; [`drain`] is the only other reader, so the mutex is
-/// effectively uncontended on the emit path.
-struct Shard {
-    /// Claimed by a thread in the scope. Cleared when the thread
-    /// leaves (its [`Member`] drops) so the shard returns to the pool
-    /// for the next thread that enters.
-    busy: AtomicBool,
-    data: Mutex<ShardData>,
-}
-
-#[derive(Default)]
-struct ShardData {
-    events: Vec<RawEvent>,
-    counters: HashMap<String, u64>,
-    hists: HashMap<String, Histogram>,
-}
-
-/// An event as buffered in a shard: no sequence number yet (that is
-/// assigned at drain from the collector's arrival order).
-struct RawEvent {
-    kind: EventKind,
-    path: String,
-    unit: Option<u64>,
-    order: u64,
-    ts_ns: u64,
-    tid: u64,
-}
-
 /// One armed collector, shared by the threads of its scope.
 struct Collector {
     start: Instant,
-    /// Arrival order, sampled once per event with one fetch-add.
-    /// Sequence numbers derive from it at drain time: any two events at
-    /// the same `(path, unit)` with a happens-before relation get the
-    /// same relative order at every thread count.
-    order: AtomicU64,
-    shards: Mutex<Vec<Arc<Shard>>>,
-    /// Claims served from the pool: a shard-pool diagnostic, not part of
-    /// the drained log (it depends on the thread count, which the
-    /// canonical log must not).
-    reused: AtomicU64,
+    log: Mutex<Log>,
 }
 
 impl Collector {
-    /// Claims a free pooled shard, or allocates one. Cold path: runs
-    /// once per thread per scope.
-    fn claim(&self) -> Arc<Shard> {
-        let mut shards = self.shards.lock().unwrap_or_else(PoisonError::into_inner);
-        for shard in shards.iter() {
-            if shard
-                .busy
-                .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.reused.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(shard);
-            }
-        }
-        let shard = Arc::new(Shard {
-            busy: AtomicBool::new(true),
-            data: Mutex::new(ShardData::default()),
-        });
-        shards.push(Arc::clone(&shard));
-        shard
+    fn log(&self) -> MutexGuard<'_, Log> {
+        self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// A thread's place in a collector: the shard it claimed, freed for
-/// reuse when the thread leaves the scope.
-struct Member {
-    collector: Arc<Collector>,
-    shard: Arc<Shard>,
-}
-
-impl Drop for Member {
-    fn drop(&mut self) {
-        self.shard.busy.store(false, Ordering::Release);
-    }
+/// What a collector holds between drains.
+#[derive(Default)]
+struct Log {
+    /// In arrival order, `seq` still 0: the push index under the lock
+    /// ranks events, and [`drain`] derives sequence numbers from it.
+    events: Vec<Event>,
+    counters: HashMap<String, u64>,
+    hists: HashMap<String, Histogram>,
 }
 
 /// What one recorded [`Event`] measured.
@@ -252,11 +186,10 @@ pub fn is_enabled() -> bool {
 }
 
 /// Ends an armed or entered scope on drop, restoring the thread's
-/// previous one and freeing its shard. It must drop on the thread that
-/// created it.
+/// previous one. It must drop on the thread that created it.
 #[must_use = "the scope ends when the guard drops"]
 pub struct ObsGuard {
-    prev: Option<Member>,
+    prev: Option<Arc<Collector>>,
     _thread_bound: PhantomData<*const ()>,
 }
 
@@ -264,9 +197,7 @@ impl Drop for ObsGuard {
     fn drop(&mut self) {
         let prev = self.prev.take();
         ENABLED.set(prev.is_some());
-        // The replaced member drops outside the borrow, freeing its
-        // shard.
-        let _ = MEMBER.try_with(|m| m.replace(prev));
+        let _ = COLLECTOR.try_with(|c| c.replace(prev));
     }
 }
 
@@ -276,9 +207,7 @@ impl Drop for ObsGuard {
 pub fn arm() -> ObsGuard {
     Scope(Some(Arc::new(Collector {
         start: Instant::now(),
-        order: AtomicU64::new(0),
-        shards: Mutex::new(Vec::new()),
-        reused: AtomicU64::new(0),
+        log: Mutex::new(Log::default()),
     })))
     .enter()
 }
@@ -298,52 +227,27 @@ pub struct Scope(Option<Arc<Collector>>);
 impl Scope {
     /// The current thread's scope.
     pub fn capture() -> Scope {
-        Scope(MEMBER.with_borrow(|m| m.as_ref().map(|m| Arc::clone(&m.collector))))
+        Scope(COLLECTOR.with_borrow(Clone::clone))
     }
 
-    /// Makes this scope the current thread's until the guard drops. An
-    /// armed scope claims the thread's shard here, before any timed
-    /// work.
+    /// Makes this scope the current thread's until the guard drops.
     pub fn enter(&self) -> ObsGuard {
-        let member = self.0.as_ref().map(|collector| Member {
-            shard: collector.claim(),
-            collector: Arc::clone(collector),
-        });
-        ENABLED.set(member.is_some());
+        ENABLED.set(self.0.is_some());
         ObsGuard {
-            prev: MEMBER.replace(member),
+            prev: COLLECTOR.replace(self.0.clone()),
             _thread_bound: PhantomData,
         }
     }
 }
 
-/// Shard-pool diagnostics for the current thread's armed scope: how
-/// many shards were freshly allocated and how many registrations
-/// reused a freed shard. Thread-count dependent, so deliberately *not*
-/// part of the drained log; exposed for tests and benches only.
-pub fn shard_stats() -> (u64, u64) {
-    Scope::capture().0.map_or((0, 0), |c| {
-        let created = c
-            .shards
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len();
-        (created as u64, c.reused.load(Ordering::Relaxed))
-    })
-}
-
-/// Runs `f` against the current thread's shard. Returns `None` outside
-/// an armed scope — the observation is dropped.
-fn with_shard<R>(f: impl FnOnce(&mut ShardData, &Collector) -> R) -> Option<R> {
-    MEMBER.with_borrow(|member| {
-        let member = member.as_ref()?;
-        let mut data = member
-            .shard
-            .data
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        Some(f(&mut data, &member.collector))
-    })
+/// Runs `f` against the current thread's collector, if it is armed;
+/// outside an armed scope the observation is dropped.
+fn with_collector(f: impl FnOnce(&Collector)) {
+    COLLECTOR.with_borrow(|c| {
+        if let Some(c) = c {
+            f(c);
+        }
+    });
 }
 
 /// Snapshots everything the current thread's collector recorded since
@@ -351,54 +255,34 @@ fn with_shard<R>(f: impl FnOnce(&mut ShardData, &Collector) -> R) -> Option<R> {
 /// ordered events, leaving the collector armed and empty. `None`
 /// outside an armed scope.
 ///
-/// The merge is thread-count independent: events sort by
+/// The log is thread-count independent: events sort by
 /// `(path, unit, arrival order)` and the per-`(path, unit)` sequence
-/// number is their rank in that order; counters sum; histogram
-/// buckets sum.
+/// number is their rank in that order; counters and histograms are
+/// sums.
 pub fn drain() -> Option<TraceLog> {
-    let mut raw: Vec<RawEvent> = Vec::new();
-    let mut counter_map: HashMap<String, u64> = HashMap::new();
-    let mut hist_map: HashMap<String, Histogram> = HashMap::new();
     let collector = Scope::capture().0?;
-    let shards = collector.shards.lock();
-    for shard in shards.unwrap_or_else(PoisonError::into_inner).iter() {
-        let mut data = shard.data.lock().unwrap_or_else(PoisonError::into_inner);
-        raw.append(&mut data.events);
-        for (name, total) in data.counters.drain() {
-            *counter_map.entry(name).or_insert(0) += total;
-        }
-        for (name, hist) in data.hists.drain() {
-            match hist_map.get_mut(&name) {
-                Some(merged) => merged.merge(&hist),
-                None => {
-                    hist_map.insert(name, hist);
-                }
-            }
-        }
-    }
+    let mut log = collector.log();
+    // Copied out, so the log keeps its capacity: a collector drained
+    // again and again (as the probe benches do) does not regrow it.
+    let mut events: Vec<Event> = log.events.drain(..).collect();
+    let counters = std::mem::take(&mut log.counters);
+    let hists = std::mem::take(&mut log.hists);
+    drop(log);
     let wall_ns = collector.start.elapsed().as_nanos() as u64;
     // Canonical total order: (path, unit, seq) is unique — seq ranks
-    // same-(path, unit) occurrences by arrival order — and
-    // none of the three depend on thread count or wall clock.
-    raw.sort_by(|a, b| (a.path.as_str(), a.unit, a.order).cmp(&(b.path.as_str(), b.unit, b.order)));
-    let mut events: Vec<Event> = Vec::with_capacity(raw.len());
-    for ev in raw {
-        let seq = match events.last() {
-            Some(prev) if prev.path == ev.path && prev.unit == ev.unit => prev.seq + 1,
-            _ => 0,
-        };
-        events.push(Event {
-            kind: ev.kind,
-            path: ev.path,
-            unit: ev.unit,
-            seq,
-            ts_ns: ev.ts_ns,
-            tid: ev.tid,
-        });
+    // same-(path, unit) occurrences by arrival order, which the stable
+    // sort keeps — and none of the three depend on thread count or
+    // wall clock.
+    events.sort_by(|a, b| (a.path.as_str(), a.unit).cmp(&(b.path.as_str(), b.unit)));
+    for i in 1..events.len() {
+        let (prev, ev) = (&events[i - 1], &events[i]);
+        if prev.path == ev.path && prev.unit == ev.unit {
+            events[i].seq = prev.seq + 1;
+        }
     }
-    let mut counters: Vec<(String, u64)> = counter_map.into_iter().collect();
+    let mut counters: Vec<(String, u64)> = counters.into_iter().collect();
     counters.sort();
-    let mut hists: Vec<(String, Histogram)> = hist_map.into_iter().collect();
+    let mut hists: Vec<(String, Histogram)> = hists.into_iter().collect();
     hists.sort_by(|a, b| a.0.cmp(&b.0));
     Some(TraceLog {
         events,
@@ -498,10 +382,13 @@ pub fn counter_add(name: &str, delta: u64) {
     if !is_enabled() {
         return;
     }
-    with_shard(|data, _| match data.counters.get_mut(name) {
-        Some(v) => *v += delta,
-        None => {
-            data.counters.insert(name.to_string(), delta);
+    with_collector(|c| {
+        let mut log = c.log();
+        match log.counters.get_mut(name) {
+            Some(v) => *v += delta,
+            None => {
+                log.counters.insert(name.to_string(), delta);
+            }
         }
     });
 }
@@ -509,20 +396,23 @@ pub fn counter_add(name: &str, delta: u64) {
 /// Records `value` into the named latency histogram — the scalable
 /// path for high-frequency per-operation measurements such as
 /// per-request prediction latencies: each observation is one bucket
-/// increment in the thread's shard, not an event allocation, and
-/// shards merge by bucket sum at [`drain`] into [`TraceLog::hists`].
+/// increment in the collector's histogram, not an event allocation,
+/// and [`drain`] hands the histograms out as [`TraceLog::hists`].
 /// Values are unit-agnostic; by convention the name carries the unit
 /// (`…_ms`, `…_us`). Summaries report count/p50/p90/p99/max.
 pub fn observe(name: &str, value: u64) {
     if !is_enabled() {
         return;
     }
-    with_shard(|data, _| match data.hists.get_mut(name) {
-        Some(h) => h.record(value),
-        None => {
-            let mut h = Histogram::new();
-            h.record(value);
-            data.hists.insert(name.to_string(), h);
+    with_collector(|c| {
+        let mut log = c.log();
+        match log.hists.get_mut(name) {
+            Some(h) => h.record(value),
+            None => {
+                let mut h = Histogram::new();
+                h.record(value);
+                log.hists.insert(name.to_string(), h);
+            }
         }
     });
 }
@@ -587,14 +477,13 @@ fn path_under_current(name: &str) -> String {
 
 fn record(kind: EventKind, path: String, unit: Option<u64>, at: Instant) {
     let tid = TID.with(|t| *t);
-    with_shard(|data, collector| {
-        let order = collector.order.fetch_add(1, Ordering::Relaxed);
-        let ts_ns = at.saturating_duration_since(collector.start).as_nanos() as u64;
-        data.events.push(RawEvent {
+    with_collector(|c| {
+        let ts_ns = at.saturating_duration_since(c.start).as_nanos() as u64;
+        c.log().events.push(Event {
             kind,
             path,
             unit,
-            order,
+            seq: 0,
             ts_ns,
             tid,
         });
@@ -764,42 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn armed_emit_takes_no_global_lock() {
-        // Regression guard for the sharding refactor: while one thread
-        // holds its own shard mutex, another thread must still finish
-        // an emit. Under one global emit lock the second emit blocks
-        // and the holder times out.
-        let _g = arm();
-        let scope = &Scope::capture();
-        let held = &std::sync::Barrier::new(2);
-        let (emitted, done) = std::sync::mpsc::channel();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                let _in = scope.enter();
-                with_shard(|_, _| {
-                    held.wait();
-                    done.recv_timeout(std::time::Duration::from_secs(30))
-                        .expect("an emit blocked on another thread's shard");
-                });
-            });
-            s.spawn(move || {
-                let _in = scope.enter();
-                held.wait();
-                {
-                    let _sp = task_span("hammer", 1);
-                    counter_add("hits", 1);
-                }
-                emitted.send(()).unwrap();
-            });
-        });
-        let log = drain().unwrap();
-        assert_eq!(log.counters, vec![("hits".to_string(), 1)]);
-        assert_eq!(log.events.len(), 1, "{:?}", log.events);
-        assert_eq!(shard_stats(), (3, 0), "each thread gets its own shard");
-    }
-
-    #[test]
-    fn shards_recycle_across_worker_scopes() {
+    fn counters_sum_across_sequential_worker_scopes() {
         let _g = arm();
         let scope = &Scope::capture();
         for round in 0..5u64 {
@@ -813,11 +667,6 @@ mod tests {
         }
         let log = drain().unwrap();
         assert_eq!(log.counters, vec![("round.hits".to_string(), 5)]);
-        assert_eq!(
-            shard_stats(),
-            (2, 4),
-            "sequential workers must reuse one pooled shard"
-        );
     }
 
     #[test]

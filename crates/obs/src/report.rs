@@ -17,8 +17,8 @@ pub struct TraceLog {
     /// `(name, total)` counter pairs, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(name, histogram)` pairs from [`crate::observe`], sorted by
-    /// name. Bucket counts are merged across shards by sum, so the
-    /// table is thread-count independent.
+    /// name. Bucket counts are sums over every thread's observations,
+    /// so the table is thread-count independent.
     pub hists: Vec<(String, Histogram)>,
     /// Nanoseconds from arming to the drain.
     pub wall_ns: u64,

@@ -38,13 +38,17 @@ echo "hermetic harness: 10 of 10 runs green"
 echo "==> fault-injection smoke (FORUMCAST_FAULTS=fold-panic:1)"
 FORUMCAST_FAULTS=fold-panic:1 cargo test -q -p forumcast-resilience
 
-echo "==> trace smoke (evaluate --trace + JSON/span validation)"
+echo "==> trace smoke (evaluate --trace + JSON/span validation, 1 and 2 threads)"
+# At 2 threads the CV fold workers push into the armed collector
+# concurrently.
 trace_file="$(mktemp -t forumcast-trace-XXXXXX.json)"
 trap 'rm -f "$trace_file"' EXIT
-cargo run -q -p forumcast-cli --bin forumcast -- \
-  evaluate --scale quick --threads 1 --trace "$trace_file" --metrics
-cargo run -q -p forumcast-obs --example validate_trace -- "$trace_file" \
-  evaluate eval.run_cv eval.fold lda.train features.build
+for threads in 1 2; do
+  cargo run -q -p forumcast-cli --bin forumcast -- \
+    evaluate --scale quick --threads "$threads" --trace "$trace_file" --metrics
+  cargo run -q -p forumcast-obs --example validate_trace -- "$trace_file" \
+    evaluate eval.run_cv eval.fold lda.train features.build
+done
 
 echo "==> trace smoke (train/stats via FORUMCAST_TRACE)"
 cargo build -q -p forumcast-cli
