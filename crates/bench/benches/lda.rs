@@ -53,7 +53,7 @@ fn bench_lda(c: &mut Criterion) {
     );
     let model = LdaModel::train(&corpus, &LdaConfig::new(8).with_iterations(30));
     group.bench_function("infer_one_doc", |b| {
-        let doc = corpus.doc(0).clone();
+        let doc = corpus.bag(0);
         b.iter(|| model.infer(&doc, 7));
     });
     group.finish();

@@ -2,13 +2,11 @@
 
 use std::collections::HashMap;
 
+use crate::topics::PostTopics;
 use forumcast_data::{Thread, UserId};
 use forumcast_graph::{
     betweenness, betweenness_sampled, closeness, dense_graph, qa_graph, resource_allocation, Graph,
 };
-use forumcast_topics::mean_distribution;
-
-use crate::topics::PostTopics;
 
 /// How betweenness centrality is computed for the SLN graphs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,10 +36,12 @@ pub struct FeatureContext {
     questions_asked: Vec<f64>,
     net_answer_votes: Vec<f64>,
     median_response_time: Vec<f64>,
-    user_topics: Vec<Vec<f64>>,
-    /// Topics *discussed* (asked + answered) — used by feature (xiii),
-    /// whose definition covers all of a user's discussion activity.
-    discussed_topics: Vec<Vec<f64>>,
+    /// `d_u` per user, flat `N × K`.
+    user_topics: Vec<f64>,
+    /// Topics *discussed* (asked + answered) per user, flat `N × K` —
+    /// used by feature (xiii), whose definition covers all of a user's
+    /// discussion activity.
+    discussed_topics: Vec<f64>,
     // --- social ---
     qa: Graph,
     dense: Graph,
@@ -52,9 +52,10 @@ pub struct FeatureContext {
     cooccurrence: HashMap<(u32, u32), f64>,
     // --- per-user answer history: (history question idx, votes) ---
     answered_by_user: Vec<Vec<(usize, i32)>>,
-    /// Topic distribution of each history question, indexed as in the
-    /// `history` slice passed to [`FeatureContext::build`].
-    hist_question_topics: Vec<Vec<f64>>,
+    /// Topic distribution of each history question, flat `H × K`,
+    /// indexed as in the `history` slice passed to
+    /// [`FeatureContext::build`].
+    hist_question_topics: Vec<f64>,
 }
 
 impl FeatureContext {
@@ -72,26 +73,28 @@ impl FeatureContext {
     ) -> Self {
         let n = num_users as usize;
         let k = topics.num_topics();
+        let uniform = vec![1.0 / k as f64; k];
         let mut answers_provided = vec![0.0; n];
         let mut questions_asked = vec![0.0; n];
         let mut net_answer_votes = vec![0.0; n];
         let mut response_times: Vec<Vec<f64>> = vec![Vec::new(); n];
-        let mut user_topic_lists: Vec<Vec<Vec<f64>>> = vec![Vec::new(); n];
-        let mut discussed_lists: Vec<Vec<Vec<f64>>> = vec![Vec::new(); n];
+        // Per-user sums of post distributions, in post order, and how
+        // many posts each sum holds: the mean is taken once, after.
+        let mut user_topics = vec![0.0; n * k];
+        let mut user_posts = vec![0usize; n];
+        let mut discussed_topics = vec![0.0; n * k];
+        let mut discussed_posts = vec![0usize; n];
         let mut cooccurrence: HashMap<(u32, u32), f64> = HashMap::new();
         let mut answered_by_user: Vec<Vec<(usize, i32)>> = vec![Vec::new(); n];
-        let mut hist_question_topics = Vec::with_capacity(history.len());
+        let mut hist_question_topics = Vec::with_capacity(history.len() * k);
 
         for (qi, t) in history.iter().enumerate() {
             let asker = t.asker().index();
             assert!(asker < n, "asker out of range");
             questions_asked[asker] += 1.0;
-            let d_q = topics
-                .question(t.id)
-                .map(<[f64]>::to_vec)
-                .unwrap_or_else(|| vec![1.0 / k as f64; k]);
-            discussed_lists[asker].push(d_q.clone());
-            hist_question_topics.push(d_q);
+            let d_q = topics.question(t.id).unwrap_or(&uniform);
+            add_row(&mut discussed_topics, &mut discussed_posts, asker, d_q);
+            hist_question_topics.extend_from_slice(d_q);
 
             // Per-user dedup within the thread (multi-answers are rare
             // and removed by preprocessing, but stay robust).
@@ -102,12 +105,9 @@ impl FeatureContext {
                 answers_provided[u] += 1.0;
                 net_answer_votes[u] += a.votes as f64;
                 response_times[u].push(a.timestamp - t.asked_at());
-                let d_a = topics
-                    .answer(t.id, a.author)
-                    .map(<[f64]>::to_vec)
-                    .unwrap_or_else(|| vec![1.0 / k as f64; k]);
-                discussed_lists[u].push(d_a.clone());
-                user_topic_lists[u].push(d_a);
+                let d_a = topics.answer(t.id, a.author).unwrap_or(&uniform);
+                add_row(&mut discussed_topics, &mut discussed_posts, u, d_a);
+                add_row(&mut user_topics, &mut user_posts, u, d_a);
                 if !seen.contains(&a.author) {
                     seen.push(a.author);
                     answered_by_user[u].push((qi, a.votes));
@@ -126,14 +126,8 @@ impl FeatureContext {
             .iter()
             .map(|v| forumcast_ml_median(v))
             .collect();
-        let user_topics = user_topic_lists
-            .iter()
-            .map(|lists| mean_distribution(lists, k))
-            .collect();
-        let discussed_topics = discussed_lists
-            .iter()
-            .map(|lists| mean_distribution(lists, k))
-            .collect();
+        to_means(&mut user_topics, &user_posts, &uniform);
+        to_means(&mut discussed_topics, &discussed_posts, &uniform);
 
         let qa = qa_graph(num_users, history);
         let dense = dense_graph(num_users, history);
@@ -197,14 +191,14 @@ impl FeatureContext {
 
     /// (v) `d_u` (uniform when the user never answered).
     pub fn user_topics(&self, u: UserId) -> &[f64] {
-        &self.user_topics[u.index()]
+        self.row(&self.user_topics, u.index())
     }
 
     /// Topics discussed by `u` across questions *and* answers —
     /// the distribution feature (xiii) compares between answerer and
     /// asker (uniform when the user never posted).
     pub fn discussed_topics(&self, u: UserId) -> &[f64] {
-        &self.discussed_topics[u.index()]
+        self.row(&self.discussed_topics, u.index())
     }
 
     /// (xiv) `h_{u,v}` — threads both users participated in.
@@ -257,7 +251,38 @@ impl FeatureContext {
     pub fn answer_history(&self, u: UserId) -> impl Iterator<Item = (&[f64], i32)> {
         self.answered_by_user[u.index()]
             .iter()
-            .map(|&(qi, votes)| (self.hist_question_topics[qi].as_slice(), votes))
+            .map(|&(qi, votes)| (self.row(&self.hist_question_topics, qi), votes))
+    }
+
+    /// Row `i` of a flat `K`-strided table.
+    fn row<'a>(&self, table: &'a [f64], i: usize) -> &'a [f64] {
+        &table[i * self.num_topics..(i + 1) * self.num_topics]
+    }
+}
+
+/// Adds the distribution `d` to user `u`'s row of the flat `K`-strided
+/// `sums` and counts it.
+fn add_row(sums: &mut [f64], posts: &mut [usize], u: usize, d: &[f64]) {
+    let k = d.len();
+    for (s, &x) in sums[u * k..(u + 1) * k].iter_mut().zip(d) {
+        *s += x;
+    }
+    posts[u] += 1;
+}
+
+/// Turns each row of summed distributions into their mean, the same
+/// bits [`forumcast_topics::mean_distribution`] gives for the summed
+/// list; a row of no posts becomes `uniform`.
+fn to_means(sums: &mut [f64], posts: &[usize], uniform: &[f64]) {
+    for (row, &count) in sums.chunks_exact_mut(uniform.len()).zip(posts) {
+        if count == 0 {
+            row.copy_from_slice(uniform);
+        } else {
+            let n = count as f64;
+            for m in row {
+                *m /= n;
+            }
+        }
     }
 }
 
@@ -288,8 +313,8 @@ fn forumcast_ml_median(v: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use forumcast_data::{Post, PostBody, Thread};
-    use forumcast_topics::LdaConfig;
+    use forumcast_data::{Post, PostBody, QuestionId, Thread};
+    use forumcast_topics::{mean_distribution, LdaConfig};
 
     fn post(u: u32, t: f64, v: i32, text: &str) -> Post {
         Post::new(UserId(u), t, v, PostBody::words(text))
@@ -380,6 +405,21 @@ mod tests {
         for (d, _) in &hist {
             assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn user_topics_are_the_mean_of_the_users_posts() {
+        let history = tiny_history();
+        let topics = PostTopics::fit(&history, &LdaConfig::new(2).with_iterations(20));
+        let c = FeatureContext::build(&history, 4, &topics, BetweennessMode::Exact);
+        let answer = |q: u32, u: u32| topics.answer(QuestionId(q), UserId(u)).unwrap().to_vec();
+        let question = |q: u32| topics.question(QuestionId(q)).unwrap().to_vec();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let answered = mean_distribution(&[answer(0, 2), answer(1, 2)], 2);
+        assert_eq!(bits(c.user_topics(UserId(2))), bits(&answered));
+        let discussed = mean_distribution(&[answer(0, 1), question(1)], 2);
+        assert_eq!(bits(c.discussed_topics(UserId(1))), bits(&discussed));
+        assert_eq!(c.discussed_topics(UserId(3)), &[0.5, 0.5]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use forumcast_data::{PostBody, QuestionId, Thread, UserId};
-use forumcast_text::{tokenize_filtered, BagOfWords, InternedDocs, Vocabulary};
+use forumcast_text::{for_each_filtered_token, BagOfWords, InternedDocs, Vocabulary};
 use forumcast_topics::{LdaConfig, LdaModel};
 
 /// An LDA model fitted on the posts of a history partition, plus the
@@ -11,13 +11,15 @@ use forumcast_topics::{LdaConfig, LdaModel};
 ///
 /// Mirrors the paper's pipeline: "each post `p` … is treated as a
 /// separate document" (Section II-B), trained per partition `Ω` so
-/// that no text from evaluation questions leaks into training.
+/// that no text from evaluation questions leaks into training. Each
+/// post's distribution is stored once, as its document's `θ` row in
+/// the model; the maps hold document indices.
 #[derive(Debug, Clone)]
 pub struct PostTopics {
     lda: LdaModel,
     vocab: Vocabulary,
-    question_topics: HashMap<QuestionId, Vec<f64>>,
-    answer_topics: HashMap<(QuestionId, UserId), Vec<f64>>,
+    question_docs: HashMap<QuestionId, usize>,
+    answer_docs: HashMap<(QuestionId, UserId), usize>,
 }
 
 /// Every post of a thread list tokenized once, in [`PostTopics`]
@@ -35,14 +37,15 @@ pub struct TokenizedPosts {
 impl TokenizedPosts {
     /// Tokenizes every post of `threads`.
     pub fn new(threads: &[Thread]) -> Self {
+        let _span = forumcast_obs::span("text.tokenize");
         let mut docs = InternedDocs::new();
         let mut keys = Vec::new();
         let mut thread_ends = Vec::with_capacity(threads.len());
         for t in threads {
-            docs.push(&tokenize_filtered(&t.question.body.text));
+            docs.push_text(&t.question.body.text);
             keys.push(PostKey::Question(t.id));
             for a in &t.answers {
-                docs.push(&tokenize_filtered(&a.body.text));
+                docs.push_text(&a.body.text);
                 keys.push(PostKey::Answer(t.id, a.author));
             }
             thread_ends.push(keys.len());
@@ -83,27 +86,26 @@ impl PostTopics {
             (vocab, LdaModel::train(&corpus, config))
         };
 
-        let mut question_topics = HashMap::new();
-        let mut answer_topics = HashMap::new();
+        let mut question_docs = HashMap::new();
+        let mut answer_docs = HashMap::new();
         for (i, &key) in posts.keys[..num_docs].iter().enumerate() {
-            let theta = lda.doc_topics(i).to_vec();
             match key {
                 PostKey::Question(q) => {
-                    question_topics.insert(q, theta);
+                    question_docs.insert(q, i);
                 }
                 PostKey::Answer(q, u) => {
                     // A user's duplicate answers (rare, pre-cleaning)
                     // keep the last distribution; preprocessing
                     // removes duplicates anyway.
-                    answer_topics.insert((q, u), theta);
+                    answer_docs.insert((q, u), i);
                 }
             }
         }
         PostTopics {
             lda,
             vocab,
-            question_topics,
-            answer_topics,
+            question_docs,
+            answer_docs,
         }
     }
 
@@ -119,19 +121,22 @@ impl PostTopics {
 
     /// Topic distribution of a history question.
     pub fn question(&self, q: QuestionId) -> Option<&[f64]> {
-        self.question_topics.get(&q).map(Vec::as_slice)
+        self.question_docs.get(&q).map(|&i| self.lda.doc_topics(i))
     }
 
     /// Topic distribution of `u`'s answer to history question `q`.
     pub fn answer(&self, q: QuestionId, u: UserId) -> Option<&[f64]> {
-        self.answer_topics.get(&(q, u)).map(Vec::as_slice)
+        self.answer_docs
+            .get(&(q, u))
+            .map(|&i| self.lda.doc_topics(i))
     }
 
     /// Encodes a post body and derives its deterministic fold-in seed
     /// from the token content.
     fn encode_with_seed(&self, body: &PostBody) -> (BagOfWords, u64) {
-        let tokens = tokenize_filtered(&body.text);
-        let bow = BagOfWords::encode(&tokens, &self.vocab);
+        let mut ids = Vec::new();
+        for_each_filtered_token(&body.text, |tok| ids.extend(self.vocab.id_of(tok)));
+        let bow = BagOfWords::from_ids(&ids);
         // Content-derived seed keeps inference deterministic without
         // threading an RNG through every feature computation.
         let seed = bow.iter().fold(0xBADC0FFEu64, |acc, (id, c)| {
@@ -175,15 +180,10 @@ mod tests {
     /// Asserts two fits equal bit for bit: θ, φ, the vocabulary, and
     /// the question and answer maps.
     fn assert_bitwise_equal(a: &PostTopics, b: &PostTopics) {
-        fn map_bits<K: Copy + Eq + std::hash::Hash>(
-            m: &HashMap<K, Vec<f64>>,
-        ) -> HashMap<K, Vec<u64>> {
-            m.iter().map(|(&k, v)| (k, bits(v))).collect()
-        }
         assert_eq!(a.vocab, b.vocab);
         assert_lda_bitwise_equal(&a.lda, &b.lda);
-        assert_eq!(map_bits(&a.question_topics), map_bits(&b.question_topics));
-        assert_eq!(map_bits(&a.answer_topics), map_bits(&b.answer_topics));
+        assert_eq!(a.question_docs, b.question_docs);
+        assert_eq!(a.answer_docs, b.answer_docs);
     }
 
     fn assert_lda_bitwise_equal(a: &LdaModel, b: &LdaModel) {
@@ -221,7 +221,7 @@ mod tests {
     /// post into strings, observing, pruning and encoding gives.
     #[test]
     fn fit_matches_the_string_token_pipeline() {
-        use forumcast_text::Corpus;
+        use forumcast_text::{tokenize_filtered, Corpus};
         let ds = SynthConfig::small().with_seed(11).generate();
         let (clean, _) = ds.preprocess();
         let history = &clean.threads()[..80];
@@ -252,6 +252,23 @@ mod tests {
                 assert!(pt.answer(t.id, a.author).is_some());
             }
         }
+    }
+
+    #[test]
+    fn repeated_answer_keeps_the_last_posts_row() {
+        use forumcast_data::Post;
+        let post = |u: u32, text: &str| Post::new(UserId(u), 1.0, 0, PostBody::words(text));
+        let history = vec![Thread::new(
+            0,
+            post(0, "alpha beta alpha beta"),
+            vec![post(1, "alpha alpha alpha"), post(1, "beta beta beta")],
+        )];
+        let pt = PostTopics::fit(&history, &LdaConfig::new(2).with_iterations(5));
+        assert_eq!(
+            pt.answer(QuestionId(0), UserId(1)),
+            Some(pt.model().doc_topics(2))
+        );
+        assert_eq!(pt.question(QuestionId(0)), Some(pt.model().doc_topics(0)));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Sparse bag-of-words documents and corpora.
+//! Sparse bag-of-words documents and flat token corpora.
 
 use serde::{Deserialize, Serialize};
 
@@ -35,13 +35,6 @@ impl BagOfWords {
         BagOfWords { entries }
     }
 
-    /// Encodes a token document against a vocabulary; unknown tokens
-    /// are skipped.
-    pub fn encode<S: AsRef<str>>(doc: &[S], vocab: &Vocabulary) -> Self {
-        let ids: Vec<usize> = doc.iter().filter_map(|t| vocab.id_of(t.as_ref())).collect();
-        BagOfWords::from_ids(&ids)
-    }
-
     /// Count of `word_id` in this document.
     pub fn count(&self, word_id: usize) -> u32 {
         self.entries
@@ -76,43 +69,82 @@ impl BagOfWords {
     }
 }
 
-/// A collection of bag-of-words documents over one vocabulary size.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Documents over one vocabulary, stored flat (CSR): the word ids of
+/// every document in one buffer, plus each document's offset into it.
+///
+/// Within a document the ids are ascending, with repeats: exactly the
+/// order [`BagOfWords::to_token_ids`] gives, so a sampler walking
+/// [`ids`](Corpus::ids) sees each token once, in a fixed order.
+///
+/// # Example
+///
+/// ```
+/// use forumcast_text::Corpus;
+/// let mut corpus = Corpus::new(4);
+/// corpus.push_doc([3, 1, 3]);
+/// corpus.push_doc([]);
+/// assert_eq!(corpus.doc(0), &[1, 3, 3]);
+/// assert_eq!(corpus.offsets(), &[0, 3, 3]);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Corpus {
-    docs: Vec<BagOfWords>,
+    ids: Vec<u32>,
+    /// `offsets[d]..offsets[d + 1]` is document `d`'s range of `ids`.
+    offsets: Vec<usize>,
     num_words: usize,
 }
 
 impl Corpus {
-    /// Builds a corpus by encoding token documents with `vocab`.
-    pub fn from_token_docs<S: AsRef<str>>(docs: &[Vec<S>], vocab: &Vocabulary) -> Self {
+    /// An empty corpus over `num_words` word ids.
+    pub fn new(num_words: usize) -> Self {
+        Corpus::with_capacity(num_words, 0, 0)
+    }
+
+    /// An empty corpus with room for `num_docs` documents of
+    /// `num_tokens` tokens in all.
+    pub(crate) fn with_capacity(num_words: usize, num_docs: usize, num_tokens: usize) -> Self {
+        let mut offsets = Vec::with_capacity(num_docs + 1);
+        offsets.push(0);
         Corpus {
-            docs: docs.iter().map(|d| BagOfWords::encode(d, vocab)).collect(),
-            num_words: vocab.len(),
+            ids: Vec::with_capacity(num_tokens),
+            offsets,
+            num_words,
         }
     }
 
-    /// Builds a corpus from pre-encoded documents. `num_words` must
-    /// exceed every word id used.
+    /// Builds a corpus by encoding token documents with `vocab`;
+    /// unknown tokens are skipped.
+    pub fn from_token_docs<S: AsRef<str>>(docs: &[Vec<S>], vocab: &Vocabulary) -> Self {
+        let mut corpus = Corpus::new(vocab.len());
+        for d in docs {
+            corpus.push_doc(d.iter().filter_map(|t| vocab.id_of(t.as_ref())));
+        }
+        corpus
+    }
+
+    /// Appends one document of word ids (any order, duplicates
+    /// counted).
     ///
     /// # Panics
     ///
-    /// Panics when a document references a word id `>= num_words`.
-    pub fn from_bows(docs: Vec<BagOfWords>, num_words: usize) -> Self {
-        for d in &docs {
-            if let Some((max_id, _)) = d.iter().last() {
-                assert!(
-                    max_id < num_words,
-                    "word id {max_id} out of range (num_words = {num_words})"
-                );
-            }
+    /// Panics when an id is `>= num_words`.
+    pub fn push_doc(&mut self, ids: impl IntoIterator<Item = usize>) {
+        let start = self.ids.len();
+        for id in ids {
+            assert!(
+                id < self.num_words,
+                "word id {id} out of range (num_words = {})",
+                self.num_words
+            );
+            self.ids.push(id as u32);
         }
-        Corpus { docs, num_words }
+        self.ids[start..].sort_unstable();
+        self.offsets.push(self.ids.len());
     }
 
     /// Number of documents.
     pub fn num_docs(&self) -> usize {
-        self.docs.len()
+        self.offsets.len() - 1
     }
 
     /// Vocabulary size this corpus is encoded against.
@@ -120,18 +152,44 @@ impl Corpus {
         self.num_words
     }
 
-    /// The `i`-th document.
+    /// Number of tokens over all documents.
+    pub fn num_tokens(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Every document's word ids, concatenated in document order.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// `num_docs() + 1` offsets into [`ids`](Corpus::ids): document
+    /// `d` is `ids()[offsets()[d]..offsets()[d + 1]]`.
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// The word ids of the `i`-th document, ascending with repeats.
     ///
     /// # Panics
     ///
     /// Panics when `i` is out of bounds.
-    pub fn doc(&self, i: usize) -> &BagOfWords {
-        &self.docs[i]
+    pub fn doc(&self, i: usize) -> &[u32] {
+        &self.ids[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// Iterates over documents.
-    pub fn iter(&self) -> impl Iterator<Item = &BagOfWords> {
-        self.docs.iter()
+    /// The `i`-th document as a bag of words, for fold-in inference.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `i` is out of bounds.
+    pub fn bag(&self, i: usize) -> BagOfWords {
+        let ids: Vec<usize> = self.doc(i).iter().map(|&id| id as usize).collect();
+        BagOfWords::from_ids(&ids)
+    }
+
+    /// Iterates over the documents' word ids.
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        self.offsets.windows(2).map(|w| &self.ids[w[0]..w[1]])
     }
 }
 
@@ -167,15 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_skips_unknown_tokens() {
-        let mut v = Vocabulary::new();
-        v.observe(&["known".to_string()]);
-        let bow = BagOfWords::encode(&["known", "unknown", "known"], &v);
-        assert_eq!(bow.total(), 2);
-        assert_eq!(bow.count(0), 2);
-    }
-
-    #[test]
     fn empty_bow() {
         let bow = BagOfWords::from_ids(&[]);
         assert!(bow.is_empty());
@@ -184,27 +233,49 @@ mod tests {
     }
 
     #[test]
-    fn corpus_from_token_docs() {
+    fn corpus_from_token_docs_skips_unknown_tokens() {
         let mut v = Vocabulary::new();
         let d1 = vec!["x".to_string(), "y".to_string()];
-        let d2 = vec!["y".to_string()];
+        let d2 = vec!["y".to_string(), "unknown".to_string()];
         v.observe(&d1);
-        v.observe(&d2);
+        v.observe(&d2[..1]);
         let c = Corpus::from_token_docs(&[d1, d2], &v);
         assert_eq!(c.num_docs(), 2);
         assert_eq!(c.num_words(), 2);
-        assert_eq!(c.doc(1).count(v.id_of("y").unwrap()), 1);
+        assert_eq!(c.num_tokens(), 3);
+        assert_eq!(c.doc(1), &[v.id_of("y").unwrap() as u32]);
+    }
+
+    #[test]
+    fn corpus_docs_are_sorted_token_ids() {
+        let mut c = Corpus::new(10);
+        c.push_doc([7, 2, 2, 9, 7, 7]);
+        c.push_doc([]);
+        c.push_doc([0]);
+        assert_eq!(c.doc(0), &[2, 2, 7, 7, 7, 9]);
+        assert_eq!(c.bag(0).to_token_ids(), vec![2, 2, 7, 7, 7, 9]);
+        let docs: Vec<&[u32]> = c.iter().collect();
+        assert_eq!(docs, vec![&[2, 2, 7, 7, 7, 9][..], &[], &[0]]);
+        assert_eq!(c.offsets(), &[0, 6, 6, 7]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
-    fn corpus_from_bows_validates_ids() {
-        Corpus::from_bows(vec![BagOfWords::from_ids(&[3])], 3);
+    fn corpus_push_doc_validates_ids() {
+        Corpus::new(3).push_doc([3]);
+    }
+
+    #[test]
+    fn empty_corpus_has_no_docs() {
+        let c = Corpus::new(3);
+        assert_eq!(c.num_docs(), 0);
+        assert_eq!(c.iter().count(), 0);
     }
 
     #[test]
     fn corpus_serde_roundtrip() {
-        let c = Corpus::from_bows(vec![BagOfWords::from_ids(&[0, 1])], 2);
+        let mut c = Corpus::new(2);
+        c.push_doc([0, 1]);
         let json = serde_json::to_string(&c).unwrap();
         let back: Corpus = serde_json::from_str(&json).unwrap();
         assert_eq!(back, c);

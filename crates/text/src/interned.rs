@@ -3,7 +3,8 @@
 
 use std::collections::HashMap;
 
-use crate::bow::{BagOfWords, Corpus};
+use crate::bow::Corpus;
+use crate::tokenizer::for_each_filtered_token;
 use crate::vocab::Vocabulary;
 
 /// Token documents stored as one string table plus `u32` token ids
@@ -27,9 +28,9 @@ use crate::vocab::Vocabulary;
 /// let (vocab, corpus) = docs.prefix_corpus(2, 2, 1.0);
 /// assert_eq!(vocab.len(), 1);
 /// assert_eq!(corpus.num_docs(), 2);
-/// assert_eq!(corpus.doc(1).count(0), 1);
+/// assert_eq!(corpus.doc(1), &[0]);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InternedDocs {
     lookup: HashMap<String, u32>,
     tokens: Vec<String>,
@@ -51,19 +52,36 @@ impl InternedDocs {
     /// Panics past `u32::MAX` distinct tokens.
     pub fn push<S: AsRef<str>>(&mut self, doc: &[S]) {
         for tok in doc {
-            let tok = tok.as_ref();
-            let id = match self.lookup.get(tok) {
-                Some(&id) => id,
-                None => {
-                    let id = u32::try_from(self.tokens.len()).expect("distinct tokens fit in u32");
-                    self.lookup.insert(tok.to_owned(), id);
-                    self.tokens.push(tok.to_owned());
-                    id
-                }
-            };
-            self.ids.push(id);
+            self.intern(tok.as_ref());
         }
         self.ends.push(self.ids.len());
+    }
+
+    /// Appends the document of `text`'s
+    /// [`tokenize_filtered`](crate::tokenize_filtered) tokens, streamed
+    /// from the tokenizer without collecting them: equal to
+    /// `push(&tokenize_filtered(text))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` distinct tokens.
+    pub fn push_text(&mut self, text: &str) {
+        for_each_filtered_token(text, |tok| self.intern(tok));
+        self.ends.push(self.ids.len());
+    }
+
+    /// Appends `tok`'s id to the open document, interning it if new.
+    fn intern(&mut self, tok: &str) {
+        let id = match self.lookup.get(tok) {
+            Some(&id) => id,
+            None => {
+                let id = u32::try_from(self.tokens.len()).expect("distinct tokens fit in u32");
+                self.lookup.insert(tok.to_owned(), id);
+                self.tokens.push(tok.to_owned());
+                id
+            }
+        };
+        self.ids.push(id);
     }
 
     /// Number of documents.
@@ -124,19 +142,18 @@ impl InternedDocs {
             max_doc_frac,
         );
 
+        // Each document's kept ids, ascending with repeats, written
+        // into a corpus sized to the kept tokens exactly.
         let mut new_id = vec![None; m];
+        let mut num_tokens = 0;
         for (new, &old) in keep.iter().enumerate() {
             new_id[old] = Some(new);
+            num_tokens += counts[old];
         }
-        let mut kept: Vec<usize> = Vec::new();
-        let bows = (0..num_docs)
-            .map(|d| {
-                kept.clear();
-                kept.extend(self.doc(d).iter().filter_map(|&id| new_id[id as usize]));
-                BagOfWords::from_ids(&kept)
-            })
-            .collect();
-        let corpus = Corpus::from_bows(bows, vocab.len());
+        let mut corpus = Corpus::with_capacity(vocab.len(), num_docs, num_tokens);
+        for d in 0..num_docs {
+            corpus.push_doc(self.doc(d).iter().filter_map(|&id| new_id[id as usize]));
+        }
         (vocab, corpus)
     }
 }
@@ -155,6 +172,18 @@ mod tests {
         assert_eq!(docs.doc(0), &[0, 1, 0]);
         assert!(docs.doc(1).is_empty());
         assert_eq!(docs.doc(2), &[2, 1]);
+    }
+
+    #[test]
+    fn push_text_streams_the_filtered_tokens() {
+        let mut streamed = InternedDocs::new();
+        let mut collected = InternedDocs::new();
+        for text in ["Sort the C++ vector", "", "sort a Vec<T> in Rust"] {
+            streamed.push_text(text);
+            collected.push(&crate::tokenize_filtered(text));
+        }
+        assert_eq!(streamed, collected);
+        assert_eq!(streamed.doc(2), &[0, 3, 4]);
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! provides the pieces between raw post text and the bag-of-words
 //! input LDA expects:
 //!
-//! * [`tokenize`] — lowercasing, punctuation-splitting tokenizer;
+//! * [`for_each_token`] — lowercasing, punctuation-splitting
+//!   tokenizer that streams each token as a borrowed `&str`
+//!   ([`tokenize`] collects them);
 //! * [`stopwords`] — a compact English stop-word list;
 //! * [`Vocabulary`] — interning of tokens to dense word ids with
 //!   frequency-based pruning;
-//! * [`BagOfWords`] / [`Corpus`] — sparse document–term counts;
+//! * [`Corpus`] — every document's word ids in one flat buffer, the
+//!   input LDA samples over; [`BagOfWords`] — one document's sparse
+//!   term counts, for fold-in inference;
 //! * [`InternedDocs`] — token documents interned once, from which the
 //!   pruned vocabulary and corpus of any prefix derive.
 //!
@@ -37,5 +41,5 @@ pub mod vocab;
 pub use bow::{BagOfWords, Corpus};
 pub use interned::InternedDocs;
 pub use stopwords::is_stopword;
-pub use tokenizer::{tokenize, tokenize_filtered};
+pub use tokenizer::{for_each_filtered_token, for_each_token, tokenize, tokenize_filtered};
 pub use vocab::Vocabulary;

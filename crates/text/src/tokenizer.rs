@@ -2,13 +2,60 @@
 
 use crate::stopwords::is_stopword;
 
-/// Splits text into lowercase alphanumeric tokens.
+/// Hands each lowercase alphanumeric token of `text` to `f`, in text
+/// order, as a `&str` borrowed from one reused buffer, so no token is
+/// allocated on its own.
 ///
 /// Rules: Unicode-aware lowercasing; any run of alphanumeric
 /// characters (plus `_`, `+`, `#` inside programming-language names
 /// like `c++`/`c#`) forms a token; everything else separates tokens;
 /// purely numeric tokens are kept (version numbers carry topical
-/// signal); single-character alphabetic tokens are dropped.
+/// signal); single-character alphabetic tokens and runs of only
+/// `+`/`#`/`_` are dropped.
+///
+/// # Example
+///
+/// ```
+/// use forumcast_text::for_each_token;
+/// let mut longest = 0;
+/// for_each_token("Sorting C++ vectors, in-place!", |tok| longest = longest.max(tok.len()));
+/// assert_eq!(longest, "sorting".len());
+/// ```
+pub fn for_each_token(text: &str, mut f: impl FnMut(&str)) {
+    let mut cur = String::new();
+    for ch in text.chars() {
+        if ch.is_alphanumeric() || ch == '_' || ch == '+' || ch == '#' {
+            cur.extend(ch.to_lowercase());
+        } else if !cur.is_empty() {
+            emit(&cur, &mut f);
+            cur.clear();
+        }
+    }
+    if !cur.is_empty() {
+        emit(&cur, &mut f);
+    }
+}
+
+fn emit(tok: &str, f: &mut impl FnMut(&str)) {
+    // Drop stray '+'/'#' only tokens and 1-char alphabetic noise.
+    let mut chars = tok.chars();
+    let single_letter =
+        matches!((chars.next(), chars.next()), (Some(c), None) if c.is_alphabetic());
+    if !single_letter && tok.chars().any(char::is_alphanumeric) {
+        f(tok);
+    }
+}
+
+/// [`for_each_token`] without English stop words.
+pub fn for_each_filtered_token(text: &str, mut f: impl FnMut(&str)) {
+    for_each_token(text, |tok| {
+        if !is_stopword(tok) {
+            f(tok);
+        }
+    });
+}
+
+/// The tokens [`for_each_token`] yields, collected.
 ///
 /// # Example
 ///
@@ -21,36 +68,11 @@ use crate::stopwords::is_stopword;
 /// ```
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut tokens = Vec::new();
-    let mut cur = String::new();
-    for ch in text.chars() {
-        let is_word_char = ch.is_alphanumeric() || ch == '_' || ch == '+' || ch == '#';
-        if is_word_char {
-            for lc in ch.to_lowercase() {
-                cur.push(lc);
-            }
-        } else if !cur.is_empty() {
-            push_token(&mut tokens, std::mem::take(&mut cur));
-        }
-    }
-    if !cur.is_empty() {
-        push_token(&mut tokens, cur);
-    }
+    for_each_token(text, |tok| tokens.push(tok.to_owned()));
     tokens
 }
 
-fn push_token(tokens: &mut Vec<String>, tok: String) {
-    // Drop stray '+'/'#' only tokens and 1-char alphabetic noise.
-    let has_alnum = tok.chars().any(|c| c.is_alphanumeric());
-    if !has_alnum {
-        return;
-    }
-    if tok.chars().count() == 1 && tok.chars().all(|c| c.is_alphabetic()) {
-        return;
-    }
-    tokens.push(tok);
-}
-
-/// Tokenizes and removes English stop words.
+/// The tokens [`for_each_filtered_token`] yields, collected.
 ///
 /// # Example
 ///
@@ -59,10 +81,9 @@ fn push_token(tokens: &mut Vec<String>, tok: String) {
 /// assert_eq!(tokenize_filtered("how do I sort the list"), vec!["sort", "list"]);
 /// ```
 pub fn tokenize_filtered(text: &str) -> Vec<String> {
-    tokenize(text)
-        .into_iter()
-        .filter(|t| !is_stopword(t))
-        .collect()
+    let mut tokens = Vec::new();
+    for_each_filtered_token(text, |tok| tokens.push(tok.to_owned()));
+    tokens
 }
 
 #[cfg(test)]
@@ -97,7 +118,7 @@ mod tests {
 
     #[test]
     fn drops_symbol_only_runs() {
-        assert_eq!(tokenize("++ ## + #"), Vec::<String>::new());
+        assert_eq!(tokenize("++ ## + # _ __"), Vec::<String>::new());
     }
 
     #[test]
@@ -109,6 +130,12 @@ mod tests {
     #[test]
     fn unicode_text_tokenizes() {
         assert_eq!(tokenize("Größe café"), vec!["größe", "café"]);
+    }
+
+    #[test]
+    fn multi_char_lowercase_is_one_token() {
+        // 'İ' lowercases to "i\u{307}": two chars, so it is kept.
+        assert_eq!(tokenize("İ x"), vec!["i\u{307}"]);
     }
 
     #[test]

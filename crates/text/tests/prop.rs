@@ -2,7 +2,75 @@
 
 use proptest::prelude::*;
 
-use forumcast_text::{tokenize, tokenize_filtered, BagOfWords, Corpus, InternedDocs, Vocabulary};
+use forumcast_text::{
+    for_each_filtered_token, for_each_token, is_stopword, tokenize, tokenize_filtered, BagOfWords,
+    Corpus, InternedDocs, Vocabulary,
+};
+
+/// The collecting tokenizer the streaming one replaced, kept verbatim
+/// as the oracle [`for_each_token`] must reproduce.
+fn oracle_tokenize(text: &str) -> Vec<String> {
+    fn push_token(tokens: &mut Vec<String>, tok: String) {
+        let has_alnum = tok.chars().any(|c| c.is_alphanumeric());
+        if !has_alnum {
+            return;
+        }
+        if tok.chars().count() == 1 && tok.chars().all(|c| c.is_alphabetic()) {
+            return;
+        }
+        tokens.push(tok);
+    }
+    let mut tokens = Vec::new();
+    let mut cur = String::new();
+    for ch in text.chars() {
+        let is_word_char = ch.is_alphanumeric() || ch == '_' || ch == '+' || ch == '#';
+        if is_word_char {
+            for lc in ch.to_lowercase() {
+                cur.push(lc);
+            }
+        } else if !cur.is_empty() {
+            push_token(&mut tokens, std::mem::take(&mut cur));
+        }
+    }
+    if !cur.is_empty() {
+        push_token(&mut tokens, cur);
+    }
+    tokens
+}
+
+fn streamed(text: &str, filtered: bool) -> Vec<String> {
+    let mut tokens = Vec::new();
+    let push = |tok: &str| tokens.push(tok.to_owned());
+    if filtered {
+        for_each_filtered_token(text, push);
+    } else {
+        for_each_token(text, push);
+    }
+    tokens
+}
+
+/// Pieces the tokenizer treats specially: `+`, `#`, `_`, separators,
+/// digits, single letters, stop words, and letters whose lowercase is
+/// more than one `char` (`'İ'` lowercases to `"i\u{307}"`).
+const PIECES: &[&str] = &[
+    "+", "#", "_", " ", ".", "-", "İ", "ẞ", "Σ", "\u{307}", "0", "7", "a", "Z", "the", "The", "of",
+    "is", "C++", "c#", "x_1",
+];
+
+/// Text of arbitrary Unicode scalar values mixed with [`PIECES`].
+fn tricky_text() -> impl Strategy<Value = String> {
+    let piece = (0..PIECES.len() * 2, 0u32..0x11_0000);
+    proptest::collection::vec(piece, 0..40).prop_map(|pieces| {
+        let mut text = String::new();
+        for (i, c) in pieces {
+            match PIECES.get(i) {
+                Some(p) => text.push_str(p),
+                None => text.extend(char::from_u32(c)),
+            }
+        }
+        text
+    })
+}
 
 /// Checks every prefix of `docs`: the interned prefix vocabulary
 /// (ids, tokens, counts, doc counts) and corpus equal observing the
@@ -46,7 +114,7 @@ fn prefix_corpus_handles_empty_docs_and_all_pruned_vocabularies() {
         interned.prefix_corpus(3, 2, 0.6)
     };
     assert!(vocab.is_empty());
-    assert!(corpus.iter().all(BagOfWords::is_empty));
+    assert!(corpus.iter().all(<[u32]>::is_empty));
     assert_prefixes_match(&singletons, 2, 0.6);
     // "c" and "d" are first seen after the shorter prefixes.
     assert_prefixes_match(
@@ -56,7 +124,54 @@ fn prefix_corpus_handles_empty_docs_and_all_pruned_vocabularies() {
     );
 }
 
+#[test]
+fn streaming_tokenizer_matches_the_oracle_on_edge_cases() {
+    for text in [
+        "",
+        "a b 1 xy",
+        "C# vs C++ vs F# __ ++ ## _x_ x_",
+        "İ İstanbul ß ẞ ΣΑΣ",
+        "the of is The OF",
+        "v2.7 python_3 +1 #1",
+    ] {
+        assert_eq!(streamed(text, false), oracle_tokenize(text), "{text:?}");
+        assert_eq!(tokenize(text), oracle_tokenize(text), "{text:?}");
+    }
+}
+
 proptest! {
+    /// The streaming tokenizer yields the oracle's tokens, and its
+    /// filtered form the oracle's tokens without stop words.
+    #[test]
+    fn streaming_tokenizer_matches_the_oracle(
+        text in tricky_text(),
+        printable in ".{0,200}",
+    ) {
+        let text = text + &printable;
+        let oracle = oracle_tokenize(&text);
+        prop_assert_eq!(&streamed(&text, false), &oracle);
+        prop_assert_eq!(&tokenize(&text), &oracle);
+        let oracle_filtered: Vec<String> =
+            oracle.into_iter().filter(|t| !is_stopword(t)).collect();
+        prop_assert_eq!(&streamed(&text, true), &oracle_filtered);
+        prop_assert_eq!(&tokenize_filtered(&text), &oracle_filtered);
+    }
+
+    /// Interning streamed text builds the same ids, tokens and document
+    /// ends as interning the collected filtered tokens.
+    #[test]
+    fn streamed_interning_matches_collected(
+        texts in proptest::collection::vec(tricky_text(), 0..12),
+    ) {
+        let mut streamed = InternedDocs::new();
+        let mut collected = InternedDocs::new();
+        for text in &texts {
+            streamed.push_text(text);
+            collected.push(&tokenize_filtered(text));
+        }
+        prop_assert_eq!(streamed, collected);
+    }
+
     /// Tokens never contain separators and are all lowercase.
     #[test]
     fn tokens_are_clean(text in ".{0,200}") {
@@ -101,6 +216,12 @@ proptest! {
         for w in entries.windows(2) {
             prop_assert!(w[0].0 < w[1].0);
         }
+        // A corpus document holds the bag's token ids, in its order.
+        let mut corpus = Corpus::new(50);
+        corpus.push_doc(ids.iter().copied());
+        let doc: Vec<usize> = corpus.doc(0).iter().map(|&id| id as usize).collect();
+        prop_assert_eq!(doc, bow.to_token_ids());
+        prop_assert_eq!(corpus.bag(0), bow);
     }
 
     /// Vocabulary ids stay dense and consistent under observation.

@@ -16,7 +16,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use forumcast_text::{BagOfWords, Corpus};
+use forumcast_text::Corpus;
 use forumcast_topics::{LdaConfig, LdaModel};
 
 /// Topic-structured corpus: `themes` disjoint word blocks, each doc
@@ -27,33 +27,32 @@ fn themed_corpus(num_docs: usize, themes: usize, words_per_theme: usize, seed: u
     let vocab = themes * words_per_theme;
     let mut rng = StdRng::seed_from_u64(seed);
     let h: f64 = (1..=words_per_theme).map(|j| 1.0 / j as f64).sum();
-    let docs: Vec<BagOfWords> = (0..num_docs)
-        .map(|d| {
-            let home = d % themes;
-            let len = rng.gen_range(20..80);
-            let ids: Vec<usize> = (0..len)
-                .map(|_| {
-                    let theme = if rng.gen_bool(0.9) {
-                        home
-                    } else {
-                        rng.gen_range(0..themes)
-                    };
-                    let mut u = rng.gen::<f64>() * h;
-                    let mut j = 0;
-                    while j + 1 < words_per_theme {
-                        u -= 1.0 / (j + 1) as f64;
-                        if u <= 0.0 {
-                            break;
-                        }
-                        j += 1;
+    let mut corpus = Corpus::new(vocab);
+    for d in 0..num_docs {
+        let home = d % themes;
+        let len = rng.gen_range(20..80);
+        let ids: Vec<usize> = (0..len)
+            .map(|_| {
+                let theme = if rng.gen_bool(0.9) {
+                    home
+                } else {
+                    rng.gen_range(0..themes)
+                };
+                let mut u = rng.gen::<f64>() * h;
+                let mut j = 0;
+                while j + 1 < words_per_theme {
+                    u -= 1.0 / (j + 1) as f64;
+                    if u <= 0.0 {
+                        break;
                     }
-                    theme * words_per_theme + j
-                })
-                .collect();
-            BagOfWords::from_ids(&ids)
-        })
-        .collect();
-    Corpus::from_bows(docs, vocab)
+                    j += 1;
+                }
+                theme * words_per_theme + j
+            })
+            .collect();
+        corpus.push_doc(ids);
+    }
+    corpus
 }
 
 /// Timed rounds per K.
@@ -76,9 +75,7 @@ const SWEEPS: usize = 30;
 
 fn main() {
     let corpus = themed_corpus(400, 12, 50, 7);
-    let tokens: usize = (0..corpus.num_docs())
-        .map(|d| corpus.doc(d).total() as usize)
-        .sum();
+    let tokens = corpus.num_tokens();
     println!(
         "corpus: {} docs, {} tokens, {SWEEPS} sweeps; {ROUNDS} alternating rounds per K, median [min–max]",
         corpus.num_docs(),

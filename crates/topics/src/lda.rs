@@ -129,17 +129,10 @@ impl LdaModel {
         let d = corpus.num_docs();
         let mut rng = StdRng::seed_from_u64(config.seed);
 
-        // Token-level view of the corpus, flattened to one contiguous
-        // buffer with per-document offsets (CSR layout).
-        let mut tokens: Vec<u32> = Vec::new();
-        let mut doc_offsets: Vec<usize> = Vec::with_capacity(d + 1);
-        doc_offsets.push(0);
-        for bow in corpus.iter() {
-            for w in bow.to_token_ids() {
-                tokens.push(w as u32);
-            }
-            doc_offsets.push(tokens.len());
-        }
+        // The corpus is already token-level and flat (CSR): the sweeps
+        // read its ids in place.
+        let tokens = corpus.ids();
+        let doc_offsets = corpus.offsets();
         // Topic assignment per token, initialized uniformly at random
         // (document order, so the init stream matches the historical
         // nested-vec layout bit for bit).
@@ -165,8 +158,8 @@ impl LdaModel {
         };
         sweeps(
             config,
-            &tokens,
-            &doc_offsets,
+            tokens,
+            doc_offsets,
             &mut z,
             &mut n_dk,
             &mut n_kw,
@@ -638,7 +631,7 @@ mod tests {
                 [
                     fnv_bits((0..k).flat_map(|t| model.topic_words(t))),
                     fnv_bits((0..corpus.num_docs()).flat_map(|d| model.doc_topics(d))),
-                    fnv_bits(&model.infer(corpus.doc(5), 17)),
+                    fnv_bits(&model.infer(&corpus.bag(5), 17)),
                 ]
             })
             .collect();
@@ -849,10 +842,9 @@ mod tests {
             ..LdaConfig::new(2).with_iterations(100)
         };
         let model = LdaModel::train(&corpus, &cfg);
-        let cat_doc = forumcast_text::BagOfWords::encode(
-            &["cat", "meow", "purr", "cat", "whisker", "meow"],
-            &vocab,
-        );
+        let cat_ids =
+            ["cat", "meow", "purr", "cat", "whisker", "meow"].map(|w| vocab.id_of(w).unwrap());
+        let cat_doc = forumcast_text::BagOfWords::from_ids(&cat_ids);
         let theta = model.infer(&cat_doc, 99);
         let cat_topic = model
             .doc_topics(0)
@@ -890,7 +882,7 @@ mod tests {
         let (corpus, _) = separable_corpus();
         let model = LdaModel::train(&corpus, &LdaConfig::new(1).with_iterations(5));
         assert_eq!(model.doc_topics(0), &[1.0]);
-        let theta = model.infer(corpus.doc(0), 3);
+        let theta = model.infer(&corpus.bag(0), 3);
         assert_eq!(theta, vec![1.0]);
     }
 
@@ -902,7 +894,7 @@ mod tests {
 
     #[test]
     fn empty_corpus_trains_trivially() {
-        let corpus = Corpus::from_bows(vec![], 0);
+        let corpus = Corpus::new(0);
         let model = LdaModel::train(&corpus, &LdaConfig::new(2).with_iterations(5));
         assert_eq!(model.num_topics(), 2);
         assert_eq!(model.num_docs(), 0);
@@ -923,10 +915,8 @@ mod tests {
     fn top_words_breaks_ties_by_word_id() {
         // Uniform φ row: every word ties, so top-n must be the first n
         // word ids.
-        let corpus = Corpus::from_bows(
-            vec![forumcast_text::BagOfWords::from_ids(&[0, 1, 2, 3, 4])],
-            5,
-        );
+        let mut corpus = Corpus::new(5);
+        corpus.push_doc(0..5);
         let model = LdaModel::train(&corpus, &LdaConfig::new(1).with_iterations(0));
         assert_eq!(model.top_words(0, 3), vec![0, 1, 2]);
         assert_eq!(model.top_words(0, 0), Vec::<usize>::new());

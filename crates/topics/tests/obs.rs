@@ -29,7 +29,7 @@ fn gibbs_sweep_counter_matches_configured_iterations() {
         let cfg = LdaConfig::new(3).with_iterations(iterations);
         let guard = forumcast_obs::arm();
         let model = LdaModel::train(&corpus, &cfg);
-        let _ = model.infer(corpus.doc(0), 7);
+        let _ = model.infer(&corpus.bag(0), 7);
         let log = forumcast_obs::drain().expect("collector armed");
         drop(guard);
         let counter = |name: &str| {

@@ -50,10 +50,10 @@ proptest! {
     #[test]
     fn lda_inference_valid(ids in proptest::collection::vec(0usize..12, 0..40), seed in 0u64..500) {
         // Train once per case on a small fixed corpus (cheap at 10 sweeps).
-        let docs: Vec<BagOfWords> = (0..6)
-            .map(|d| BagOfWords::from_ids(&[(d * 2) % 12, (d * 2 + 1) % 12, d % 12]))
-            .collect();
-        let corpus = Corpus::from_bows(docs, 12);
+        let mut corpus = Corpus::new(12);
+        for d in 0..6 {
+            corpus.push_doc([(d * 2) % 12, (d * 2 + 1) % 12, d % 12]);
+        }
         let model = LdaModel::train(&corpus, &LdaConfig::new(3).with_iterations(10));
         let theta = model.infer(&BagOfWords::from_ids(&ids), seed);
         prop_assert_eq!(theta.len(), 3);

@@ -195,6 +195,27 @@ echo "==> perf gate at K = 64 (bench compare against committed BENCH_quick_k64.j
 "$fcr" bench compare BENCH_quick_k64.json "$work_dir/BENCH_quick_k64.json" \
   --tolerance 1.5 --p99-tolerance 2.0 --min-ms 20
 
+echo "==> benchmark output digests (cv-fast, build-k64, build-paper)"
+# One untimed op of each workload of the frozen benchmark
+# (BENCHMARK.json) must report `"correct":true` and print the pinned
+# digest of its outputs: a perf change that moves a single output bit
+# of the CV fold, the K = 64 build or the paper-scale build fails here.
+cargo build -q --release -p forumcast-bench --bin benchmark
+for pin in cv-fast:72ba41e2bae1bc79 build-k64:4d4b8f4907d72e17 build-paper:e131d8a57dafe01f; do
+  workload="${pin%%:*}"
+  want="${pin#*:}"
+  target/release/benchmark --workload "$workload" --seconds 0 --trace 0 \
+    > "$work_dir/bench-$workload.out" 2>&1 \
+    || { cat "$work_dir/bench-$workload.out" >&2; echo "benchmark digests: $workload failed" >&2; exit 1; }
+  got="$(sed -n 's/^output_digest: //p' "$work_dir/bench-$workload.out")"
+  if [ "$got" != "$want" ] || ! tail -n 1 "$work_dir/bench-$workload.out" | grep -q '"correct":true'; then
+    tail -n 3 "$work_dir/bench-$workload.out" >&2
+    echo "benchmark digests: $workload printed digest '$got', want $want, and must be correct" >&2
+    exit 1
+  fi
+  echo "benchmark digests: $workload $got correct"
+done
+
 echo "==> sharded generation smoke (generate is bitwise thread-count-invariant)"
 # `generate --threads N` shards the synthesizer over N workers; the
 # forum it writes must be the same bytes at any worker count.
