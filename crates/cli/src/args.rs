@@ -10,10 +10,12 @@
 //! preset family's `from_scale`.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::path::PathBuf;
 
 use forumcast_abtest::AbTestConfig;
 use forumcast_eval::{EvalConfig, RunFlags};
+use forumcast_features::LdaConfig;
 use forumcast_resilience::FaultPlan;
 use forumcast_synth::SynthConfig;
 
@@ -78,7 +80,8 @@ the FORUMCAST_FAULTS env var, whose malformed spec fails the run).
 by `train` and `stats`) and `--metrics` prints a per-span
 wall/self-time summary.
 On `evaluate`, `--topics` overrides the scale preset's LDA topic
-count (priors re-derive from K; iterations and seed are kept).
+count, at most 65536 (priors re-derive from K; iterations and seed
+are kept).
 `--bench-json` writes a machine-readable bench report (versioned
 `forumcast-bench` schema: wall time, per-span totals and
 p50/p90/p99/max latencies, counter throughputs). `bench compare`
@@ -285,7 +288,7 @@ pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Command, ParseEr
             if let Some(seed) = opts.get_parsed_opt("seed")? {
                 config = config.with_seed(seed);
             }
-            if let Some(k) = opts.get_topics()? {
+            if let Some(k) = opts.get_count("topics", 1..=usize::MAX)? {
                 config = config.with_topics(k);
             }
             Ok(Command::Generate {
@@ -364,13 +367,13 @@ fn parse_experiment(experiment: Experiment, rest: &[String]) -> Result<Command, 
     let mut config = preset(scale, EvalConfig::SCALES, EvalConfig::from_scale)?;
     let run = opts.run_flags()?;
     config.threads = run.threads;
-    if let Some(k) = opts.get_topics()? {
+    if let Some(k) = opts.get_count("topics", 1..=LdaConfig::MAX_TOPICS)? {
         config.extractor = config.extractor.with_topics(k);
     }
-    if let Some(folds) = opts.get_count("folds", 2)? {
+    if let Some(folds) = opts.get_count("folds", 2..=usize::MAX)? {
         config.folds = folds;
     }
-    if let Some(repeats) = opts.get_count("repeats", 1)? {
+    if let Some(repeats) = opts.get_count("repeats", 1..=usize::MAX)? {
         config.repeats = repeats;
     }
     Ok(Command::Experiment {
@@ -481,22 +484,27 @@ impl Options {
             .transpose()
     }
 
-    /// The optional `--topics K` override; K = 0 is refused, since an
-    /// LDA model needs at least one topic.
-    fn get_topics(&self) -> Result<Option<usize>, ParseError> {
-        self.get_count("topics", 1)
-    }
-
-    /// The count given for `key`, if any, refused below `min`.
+    /// The count given for `key`, if any, refused outside `range`.
+    /// A `--topics K` needs K ≥ 1, and on `evaluate` also K ≤
+    /// [`LdaConfig::MAX_TOPICS`], the most an LDA model holds.
     ///
     /// # Errors
     ///
     /// Returns [`ParseError`] naming the key when the value is not a
-    /// count or is below `min`.
-    fn get_count(&self, key: &str, min: usize) -> Result<Option<usize>, ParseError> {
+    /// count or lies outside `range`.
+    fn get_count(
+        &self,
+        key: &str,
+        range: RangeInclusive<usize>,
+    ) -> Result<Option<usize>, ParseError> {
         match self.get_parsed_opt(key)? {
-            Some(n) if n < min => Err(ParseError(format!(
-                "invalid value `{n}` for --{key}: must be at least {min}"
+            Some(n) if n < *range.start() => Err(ParseError(format!(
+                "invalid value `{n}` for --{key}: must be at least {}",
+                range.start()
+            ))),
+            Some(n) if n > *range.end() => Err(ParseError(format!(
+                "invalid value `{n}` for --{key}: must be at most {}",
+                range.end()
             ))),
             n => Ok(n),
         }
@@ -908,6 +916,10 @@ mod tests {
             ),
             ("evaluate --topics 0".into(), "--topics: must be at least 1"),
             (
+                "evaluate --topics 65537".into(),
+                "--topics: must be at most 65536",
+            ),
+            (
                 "evaluate --faults nope:1".into(),
                 "for --faults: invalid FORUMCAST_FAULTS spec: unknown fault site `nope`",
             ),
@@ -990,9 +1002,13 @@ mod tests {
             } => assert_eq!((lambda, capacity), (-2.0, 0.0)),
             other => panic!("{other:?}"),
         }
-        match parse(argv("evaluate --topics 1")).unwrap() {
-            Command::Experiment { config, .. } => assert_eq!(config.extractor.lda.num_topics, 1),
-            other => panic!("{other:?}"),
+        for k in [1, 65536] {
+            match parse(argv(&format!("evaluate --topics {k}"))).unwrap() {
+                Command::Experiment { config, .. } => {
+                    assert_eq!(config.extractor.lda.num_topics, k)
+                }
+                other => panic!("{other:?}"),
+            }
         }
     }
 

@@ -293,11 +293,9 @@ impl ResponsePredictor {
                 x.to_vec()
             }
         };
-        // Normalizer fitted on the union of task inputs.
-        let mut all: Vec<Vec<f64>> = Vec::new();
-        all.extend(ts.answer_xs.iter().map(|x| pre(x)));
-        all.extend(ts.vote_xs.iter().map(|x| pre(x)));
-        let normalizer = Normalizer::fit(&all);
+        // Normalizer fitted on the union of task inputs, each row
+        // preprocessed as the fit reads it.
+        let normalizer = Normalizer::fit(ts.answer_xs.iter().chain(&ts.vote_xs).map(|x| pre(x)));
         let tf = |x: &[f64]| normalizer.transform(&pre(x));
 
         let answer = {

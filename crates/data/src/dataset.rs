@@ -117,6 +117,11 @@ impl Dataset {
         &self.threads
     }
 
+    /// The threads, sorted by question timestamp, taken by value.
+    pub fn into_threads(self) -> Vec<Thread> {
+        self.threads
+    }
+
     /// Looks up a thread by question id.
     pub fn thread(&self, id: QuestionId) -> Option<&Thread> {
         self.threads.iter().find(|t| t.id == id)
@@ -171,17 +176,21 @@ impl Dataset {
     /// was removed.
     pub fn preprocess(self) -> (Dataset, PreprocessReport) {
         let mut report = PreprocessReport::default();
-        let num_users = self.num_users;
-        let mut kept = Vec::with_capacity(self.threads.len());
-        for t in self.threads {
+        let Dataset {
+            num_users,
+            mut threads,
+        } = self;
+        // Threads are cleaned in place, and the list is then cut to
+        // the threads kept.
+        threads.retain_mut(|t| {
             if !t.is_answered() {
                 report.unanswered_questions += 1;
-                continue;
+                return false;
             }
             // Rule 2: deduplicate per-user answers, keeping max votes.
             let mut best: HashMap<UserId, crate::post::Post> = HashMap::new();
             let n_before = t.answers.len();
-            for a in t.answers {
+            for a in std::mem::take(&mut t.answers) {
                 match best.get(&a.author) {
                     Some(b) if b.votes >= a.votes => {}
                     _ => {
@@ -192,26 +201,23 @@ impl Dataset {
             report.duplicate_answers += n_before - best.len();
             // Rule 3: drop zero-delay answers.
             let asked = t.question.timestamp;
-            let answers: Vec<_> = best
-                .into_values()
-                .filter(|a| {
-                    let keep = a.timestamp > asked;
-                    if !keep {
-                        report.zero_delay_answers += 1;
-                    }
-                    keep
-                })
-                .collect();
+            let mut answers: Vec<_> = best.into_values().collect();
+            answers.retain(|a| {
+                let keep = a.timestamp > asked;
+                if !keep {
+                    report.zero_delay_answers += 1;
+                }
+                keep
+            });
             if answers.is_empty() {
                 report.unanswered_questions += 1;
-                continue;
+                return false;
             }
-            kept.push(Thread::new(t.id, t.question, answers));
-        }
-        let ds = Dataset {
-            num_users,
-            threads: kept,
-        };
+            t.set_answers(answers);
+            true
+        });
+        threads.shrink_to_fit();
+        let ds = Dataset { num_users, threads };
         report.questions_kept = ds.num_questions();
         report.answers_kept = ds.num_answers();
         (ds, report)

@@ -37,7 +37,8 @@ pub fn to_json(dataset: &Dataset) -> Result<String, DataError> {
 pub fn from_json(json: &str) -> Result<Dataset, DataError> {
     let ds: Dataset = serde_json::from_str(json)?;
     // Re-run validation: the JSON may come from an untrusted source.
-    Dataset::new(ds.num_users(), ds.threads().to_vec())
+    // The threads move into the checked dataset; none is copied.
+    Dataset::new(ds.num_users(), ds.into_threads())
 }
 
 /// One post in the external record format.

@@ -133,6 +133,8 @@ impl PostBody {
         while code.ends_with(' ') {
             code.pop();
         }
+        text.shrink_to_fit();
+        code.shrink_to_fit();
         PostBody { text, code }
     }
 

@@ -63,14 +63,24 @@ pub struct Thread {
 }
 
 impl Thread {
-    /// Creates a thread, sorting the answers chronologically.
-    pub fn new(id: impl Into<QuestionId>, question: Post, mut answers: Vec<Post>) -> Self {
-        answers.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
-        Thread {
+    /// Creates a thread, sorting the answers chronologically and
+    /// holding them at their exact length.
+    pub fn new(id: impl Into<QuestionId>, question: Post, answers: Vec<Post>) -> Self {
+        let mut thread = Thread {
             id: id.into(),
             question,
-            answers,
-        }
+            answers: Vec::new(),
+        };
+        thread.set_answers(answers);
+        thread
+    }
+
+    /// Replaces the answers, sorted chronologically and held at their
+    /// exact length.
+    pub(crate) fn set_answers(&mut self, mut answers: Vec<Post>) {
+        answers.sort_by(|a, b| a.timestamp.total_cmp(&b.timestamp));
+        answers.shrink_to_fit();
+        self.answers = answers;
     }
 
     /// The user `u(p_{q,0})` who asked the question.

@@ -38,28 +38,39 @@ impl Normalizer {
         }
     }
 
-    /// Fits means and standard deviations on `rows`.
+    /// Fits means and standard deviations on `rows`, in two passes
+    /// over them (means, then deviations), so the rows can be computed
+    /// on the fly rather than stored.
     ///
     /// # Panics
     ///
     /// Panics when `rows` is empty or row lengths differ.
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
-        assert!(!rows.is_empty(), "cannot fit a normalizer on no data");
-        let dim = rows[0].len();
-        let n = rows.len() as f64;
-        let mut means = vec![0.0; dim];
-        for r in rows {
-            assert_eq!(r.len(), dim, "inconsistent row lengths");
+    pub fn fit<I>(rows: I) -> Self
+    where
+        I: IntoIterator + Clone,
+        I::Item: AsRef<[f64]>,
+    {
+        let mut means: Vec<f64> = Vec::new();
+        let mut count = 0usize;
+        for r in rows.clone() {
+            let r = r.as_ref();
+            if count == 0 {
+                means = vec![0.0; r.len()];
+            }
+            assert_eq!(r.len(), means.len(), "inconsistent row lengths");
             for (m, &v) in means.iter_mut().zip(r) {
                 *m += v;
             }
+            count += 1;
         }
+        assert!(count > 0, "cannot fit a normalizer on no data");
+        let n = count as f64;
         for m in &mut means {
             *m /= n;
         }
-        let mut stds = vec![0.0; dim];
+        let mut stds = vec![0.0; means.len()];
         for r in rows {
-            for ((s, &v), &m) in stds.iter_mut().zip(r).zip(&means) {
+            for ((s, &v), &m) in stds.iter_mut().zip(r.as_ref()).zip(&means) {
                 *s += (v - m) * (v - m);
             }
         }
@@ -117,7 +128,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no data")]
     fn empty_fit_panics() {
-        Normalizer::fit(&[]);
+        Normalizer::fit(&[] as &[Vec<f64>]);
     }
 
     #[test]

@@ -38,8 +38,9 @@ impl TokenizedPosts {
     /// Tokenizes every post of `threads`.
     pub fn new(threads: &[Thread]) -> Self {
         let _span = forumcast_obs::span("text.tokenize");
+        let num_posts = threads.iter().map(|t| 1 + t.num_answers()).sum();
         let mut docs = InternedDocs::new();
-        let mut keys = Vec::new();
+        let mut keys = Vec::with_capacity(num_posts);
         let mut thread_ends = Vec::with_capacity(threads.len());
         for t in threads {
             docs.push_text(&t.question.body.text);
@@ -50,6 +51,7 @@ impl TokenizedPosts {
             }
             thread_ends.push(keys.len());
         }
+        docs.shrink_to_fit();
         TokenizedPosts {
             docs,
             keys,

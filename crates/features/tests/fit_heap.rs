@@ -133,7 +133,8 @@ fn topic_fit_heap_stays_within_its_bounds() {
     let (model, _, allocated) = measure(|| LdaModel::train(&corpus, &config));
     let (k, d, v) = (8, corpus.num_docs(), corpus.num_words());
     let model_bytes = 8 * (k * v + d * k);
-    let state_bytes = 4 * tokens + 4 * (d * k + v * k) + 8 * (5 * k + 1);
+    // One `u16` topic per token.
+    let state_bytes = 2 * tokens + 4 * (d * k + v * k) + 8 * (5 * k + 1);
     let ids_copy = 4 * tokens;
     assert!(
         allocated < model_bytes + state_bytes + ids_copy / 2,

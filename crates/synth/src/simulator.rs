@@ -411,7 +411,8 @@ impl ForumSimulator {
         for _ in 0..n {
             let ev = self.next_question();
             let answerers = self.organic_answerers(&ev);
-            let mut answers = Vec::new();
+            // One post per answerer, but for a rare duplicate.
+            let mut answers = Vec::with_capacity(answerers.len());
             for u in answerers {
                 answers.extend(self.realize_answer(&ev, u));
             }

@@ -1,5 +1,7 @@
 //! Topic-conditioned text generation for synthetic posts.
 
+use std::fmt::Write;
+
 use rand::Rng;
 
 /// Generates post bodies whose words are drawn from per-topic
@@ -60,11 +62,11 @@ impl TextGenerator {
             self.topic_vocab.len(),
             "mixture length must equal topic count"
         );
-        let mut out = String::new();
-        while out.len() < target_chars {
-            if !out.is_empty() {
-                out.push(' ');
-            }
+        // The words are drawn first, so the text is allocated once, at
+        // its final length. Every word is at least 4 bytes long.
+        let mut words: Vec<&str> = Vec::with_capacity(target_chars / 4 + 1);
+        let mut len = 0;
+        while len < target_chars {
             let word = if rng.gen_bool(0.8) {
                 let t = sample_categorical(rng, mixture);
                 let v = &self.topic_vocab[t];
@@ -72,21 +74,31 @@ impl TextGenerator {
             } else {
                 &self.shared_vocab[rng.gen_range(0..self.shared_vocab.len())]
             };
-            out.push_str(word);
+            len += usize::from(!words.is_empty()) + word.len();
+            words.push(word);
         }
-        out
+        words.join(" ")
     }
 
     /// Generates a code snippet of roughly `target_chars` characters
     /// (topic-agnostic — code length is a *question* feature, its
     /// content is never topic-modeled).
     pub fn code<R: Rng + ?Sized>(&self, rng: &mut R, target_chars: usize) -> String {
-        let mut out = String::new();
-        let mut i = 0;
-        while out.len() < target_chars {
-            out.push_str(&format!("let x{} = f{}(y{});\n", i, rng.gen_range(0..9), i));
-            i += 1;
+        // Line `i` is `let x{i} = f{d}(y{i});\n` with a one-digit `d`:
+        // 15 bytes plus `i`'s digits twice. The lines are counted
+        // first, so the snippet is allocated once, at its final length.
+        let line_len = |i: usize| 15 + 2 * i.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let (mut lines, mut len) = (0, 0);
+        while len < target_chars {
+            len += line_len(lines);
+            lines += 1;
         }
+        let mut out = String::with_capacity(len);
+        for i in 0..lines {
+            writeln!(out, "let x{i} = f{}(y{i});", rng.gen_range(0..9))
+                .expect("writing to a String cannot fail");
+        }
+        debug_assert_eq!(out.len(), len);
         out
     }
 }
@@ -121,6 +133,7 @@ mod tests {
         let gen = TextGenerator::new(4, 20);
         let text = gen.words(&mut rng, &[0.25; 4], 300);
         assert!(text.len() >= 300 && text.len() < 340, "len {}", text.len());
+        assert_eq!(text.capacity(), text.len());
     }
 
     #[test]
@@ -147,6 +160,10 @@ mod tests {
         let code = gen.code(&mut rng, 100);
         assert!(code.len() >= 100);
         assert!(code.contains("let x0"));
+        // Past 10 and 100 lines, the line numbers take more digits.
+        let code = gen.code(&mut rng, 2500);
+        assert!(code.contains("let x100 = f") && code.len() >= 2500);
+        assert_eq!(code.capacity(), code.len());
     }
 
     #[test]

@@ -45,6 +45,14 @@ impl InternedDocs {
         InternedDocs::default()
     }
 
+    /// Cuts the token storage to the tokens pushed, once the last
+    /// document is in.
+    pub fn shrink_to_fit(&mut self) {
+        self.tokens.shrink_to_fit();
+        self.ids.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
     /// Appends one document, interning its new tokens.
     ///
     /// # Panics

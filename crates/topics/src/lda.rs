@@ -38,7 +38,7 @@ use forumcast_text::{BagOfWords, Corpus};
 /// paper's `K = 8`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LdaConfig {
-    /// Number of topics `K`.
+    /// Number of topics `K`, at most [`LdaConfig::MAX_TOPICS`].
     pub num_topics: usize,
     /// Symmetric Dirichlet prior on document–topic distributions.
     pub alpha: f64,
@@ -53,13 +53,18 @@ pub struct LdaConfig {
 }
 
 impl LdaConfig {
+    /// The most topics a model can have: training stores each token's
+    /// topic in a `u16`.
+    pub const MAX_TOPICS: usize = 1 << 16;
+
     /// Creates a config with `K` topics and default priors.
     ///
     /// # Panics
     ///
-    /// Panics when `num_topics == 0`.
+    /// Panics when `num_topics` is 0 or above [`LdaConfig::MAX_TOPICS`].
     pub fn new(num_topics: usize) -> Self {
         assert!(num_topics > 0, "LDA requires at least one topic");
+        assert_topic_limit(num_topics);
         // Gensim's default symmetric prior is 1/K; forum posts are
         // short documents, so a weak prior keeps θ concentrated.
         LdaConfig {
@@ -83,6 +88,15 @@ impl LdaConfig {
         self.seed = seed;
         self
     }
+}
+
+/// Refuses a topic count whose ids do not fit the `u16` assignments.
+fn assert_topic_limit(num_topics: usize) {
+    assert!(
+        num_topics <= LdaConfig::MAX_TOPICS,
+        "LDA supports at most {} topics, got {num_topics}",
+        LdaConfig::MAX_TOPICS
+    );
 }
 
 impl Default for LdaConfig {
@@ -122,9 +136,15 @@ impl LdaModel {
     /// state.
     ///
     /// Empty documents receive the uniform topic distribution.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config.num_topics` is above
+    /// [`LdaConfig::MAX_TOPICS`].
     pub fn train(corpus: &Corpus, config: &LdaConfig) -> LdaModel {
         let _span = forumcast_obs::span("lda.train");
         let k = config.num_topics;
+        assert_topic_limit(k);
         let v = corpus.num_words().max(1);
         let d = corpus.num_docs();
         let mut rng = StdRng::seed_from_u64(config.seed);
@@ -133,10 +153,10 @@ impl LdaModel {
         // read its ids in place.
         let tokens = corpus.ids();
         let doc_offsets = corpus.offsets();
-        // Topic assignment per token, initialized uniformly at random
-        // (document order, so the init stream matches the historical
-        // nested-vec layout bit for bit).
-        let mut z: Vec<u32> = tokens.iter().map(|_| rng.gen_range(0..k) as u32).collect();
+        // Topic assignment per token (a `u16`, as K ≤ MAX_TOPICS),
+        // initialized uniformly at random (document order, so the init
+        // stream matches the historical nested-vec layout bit for bit).
+        let mut z: Vec<u16> = tokens.iter().map(|_| rng.gen_range(0..k) as u16).collect();
 
         let mut n_dk = vec![0u32; d * k]; // doc–topic counts, row-major D × K
         let mut n_kw = vec![0u32; v * k]; // topic–word counts, word-major V × K
@@ -364,7 +384,7 @@ fn dense_sweeps<const PREFIX_DRAW: bool>(
     config: &LdaConfig,
     tokens: &[u32],
     doc_offsets: &[usize],
-    z: &mut [u32],
+    z: &mut [u16],
     n_dk: &mut [u32],
     n_kw: &mut [u32],
     n_k: &mut [u64],
@@ -419,7 +439,7 @@ fn dense_sweeps<const PREFIX_DRAW: bool>(
                     }
                     sample_index(&probs, total, rng)
                 };
-                z[ti] = new as u32;
+                z[ti] = new as u16;
                 ndk[new] += 1;
                 nkw[new] += 1;
                 n_k[new] += 1;
@@ -890,6 +910,23 @@ mod tests {
     #[should_panic(expected = "at least one topic")]
     fn zero_topics_rejected() {
         LdaConfig::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 65536 topics")]
+    fn topics_beyond_u16_ids_rejected() {
+        LdaConfig::new(LdaConfig::MAX_TOPICS + 1);
+    }
+
+    #[test]
+    fn the_largest_topic_count_trains() {
+        let mut corpus = Corpus::new(3);
+        corpus.push_doc([0, 1, 2, 2]);
+        let config = LdaConfig::new(LdaConfig::MAX_TOPICS).with_iterations(2);
+        let model = LdaModel::train(&corpus, &config);
+        let theta = model.doc_topics(0);
+        assert_eq!(theta.len(), LdaConfig::MAX_TOPICS);
+        assert!((theta.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]

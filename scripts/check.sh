@@ -195,13 +195,15 @@ echo "==> perf gate at K = 64 (bench compare against committed BENCH_quick_k64.j
 "$fcr" bench compare BENCH_quick_k64.json "$work_dir/BENCH_quick_k64.json" \
   --tolerance 1.5 --p99-tolerance 2.0 --min-ms 20
 
-echo "==> benchmark output digests (cv-fast, build-k64, build-paper)"
+echo "==> benchmark output digests (cv-fast, build-k64, build-paper, route-medium)"
 # One untimed op of each workload of the frozen benchmark
 # (BENCHMARK.json) must report `"correct":true` and print the pinned
 # digest of its outputs: a perf change that moves a single output bit
-# of the CV fold, the K = 64 build or the paper-scale build fails here.
+# of the CV fold, the K = 64 build, the paper-scale build or the
+# trained router's rankings fails here.
 cargo build -q --release -p forumcast-bench --bin benchmark
-for pin in cv-fast:72ba41e2bae1bc79 build-k64:4d4b8f4907d72e17 build-paper:e131d8a57dafe01f; do
+for pin in cv-fast:72ba41e2bae1bc79 build-k64:4d4b8f4907d72e17 build-paper:e131d8a57dafe01f \
+  route-medium:e964c352c4308ce5; do
   workload="${pin%%:*}"
   want="${pin#*:}"
   target/release/benchmark --workload "$workload" --seconds 0 --trace 0 \

@@ -322,7 +322,14 @@ impl<T: Serialize> Serialize for Vec<T> {
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
+            Value::Array(items) => {
+                // Sized up front: the vector is held at its exact length.
+                let mut out = Vec::with_capacity(items.len());
+                for item in items {
+                    out.push(T::from_value(item)?);
+                }
+                Ok(out)
+            }
             other => Err(DeError(format!("expected array, found {}", kind(other)))),
         }
     }

@@ -66,3 +66,55 @@ fn external_record_import_to_prediction_pipeline() {
     assert_eq!(x.len(), extractor.dim());
     assert!(x.iter().all(|v| v.is_finite()));
 }
+
+/// Fails unless every post's text and code, every thread's answers
+/// and the thread list of `ds` are held at their exact length.
+fn assert_exact_size(what: &str, ds: Dataset) {
+    for t in ds.threads() {
+        assert_eq!(
+            t.answers.capacity(),
+            t.answers.len(),
+            "{what}: answers of {}",
+            t.id
+        );
+        for p in t.posts() {
+            let (text, code) = (&p.body.text, &p.body.code);
+            assert_eq!(text.capacity(), text.len(), "{what}: a text of {}", t.id);
+            assert_eq!(code.capacity(), code.len(), "{what}: a code of {}", t.id);
+        }
+    }
+    let threads = ds.into_threads();
+    assert_eq!(threads.capacity(), threads.len(), "{what}: the thread list");
+}
+
+#[test]
+fn datasets_are_held_at_their_exact_size() {
+    let config = SynthConfig::small().with_seed(5);
+    assert_exact_size("generate", config.generate());
+    let (clean, _) = config.generate().preprocess();
+    let json = io::to_json(&clean).expect("serializes");
+    let records: Vec<io::ThreadRecord> = clean
+        .threads()
+        .iter()
+        .map(|t| {
+            let record = |p: &Post| io::PostRecord {
+                user: format!("u{}", p.author.0),
+                creation_epoch_s: p.timestamp * 3600.0,
+                score: p.votes,
+                body_html: format!(
+                    "{} <code>{}</code> and <code>x</code>",
+                    p.body.text, p.body.code
+                ),
+            };
+            io::ThreadRecord {
+                question_id: t.id.0,
+                question: record(&t.question),
+                answers: t.answers.iter().map(record).collect(),
+            }
+        })
+        .collect();
+    assert_exact_size("preprocess", clean);
+    assert_exact_size("from_json", io::from_json(&json).expect("parses"));
+    let (imported, _) = io::import_records(&records).expect("imports");
+    assert_exact_size("import_records", imported);
+}
