@@ -156,7 +156,7 @@ impl VotePredictor {
         use rand::seq::SliceRandom;
         order.shuffle(&mut rng);
         let (val_idx, train_idx) = order.split_at(n_val);
-        let train_xs: Vec<Vec<f64>> = train_idx.iter().map(|&i| xs[i].clone()).collect();
+        let train_xs: Vec<&[f64]> = train_idx.iter().map(|&i| xs[i].as_slice()).collect();
         let train_ys: Vec<f64> = train_idx.iter().map(|&i| ys[i]).collect();
 
         let val_mse = |m: &Mlp| -> f64 {

@@ -63,11 +63,13 @@ impl Trainer {
 
     /// Runs one epoch over the data in shuffled mini-batches and
     /// returns the epoch's mean squared error (computed online from
-    /// pre-update predictions). Returns NaN when training diverged —
-    /// the loss or the parameters went non-finite; [`Self::try_epoch`]
-    /// surfaces that as a typed error instead. An empty dataset is a
-    /// no-op: it neither advances the epoch or step counters nor
-    /// consumes RNG state.
+    /// pre-update predictions). The rows `xs` may be owned
+    /// (`Vec<f64>`) or borrowed (`&[f64]`), so a caller training on a
+    /// subset of its rows need not copy them. Returns NaN when
+    /// training diverged — the loss or the parameters went non-finite;
+    /// [`Self::try_epoch`] surfaces that as a typed error instead. An
+    /// empty dataset is a no-op: it neither advances the epoch or step
+    /// counters nor consumes RNG state.
     ///
     /// Per-sample forward/backward passes run through the trainer's
     /// pooled [`MlpScratch`], and each batch folds into the zeroed
@@ -85,10 +87,10 @@ impl Trainer {
     ///
     /// Panics when `xs`/`ys` lengths differ, the network output is not
     /// scalar, or a sample has the wrong dimension.
-    pub fn epoch<R: Rng + ?Sized>(
+    pub fn epoch<X: AsRef<[f64]>, R: Rng + ?Sized>(
         &mut self,
         mlp: &mut Mlp,
-        xs: &[Vec<f64>],
+        xs: &[X],
         ys: &[f64],
         rng: &mut R,
     ) -> f64 {
@@ -115,7 +117,7 @@ impl Trainer {
             // reported loss.
             let mut batch_sse = 0.0;
             for &i in chunk {
-                let out = mlp.forward_scratch(&xs[i], &mut self.scratch);
+                let out = mlp.forward_scratch(xs[i].as_ref(), &mut self.scratch);
                 let err = out[0] - ys[i];
                 batch_sse += err * err;
                 // d/dŷ of ½(ŷ−y)² scaled by 2/batch → err * 2 / n.
@@ -166,10 +168,10 @@ impl Trainer {
     /// # Panics
     ///
     /// Same contract as [`Self::epoch`].
-    pub fn try_epoch<R: Rng + ?Sized>(
+    pub fn try_epoch<X: AsRef<[f64]>, R: Rng + ?Sized>(
         &mut self,
         mlp: &mut Mlp,
-        xs: &[Vec<f64>],
+        xs: &[X],
         ys: &[f64],
         rng: &mut R,
     ) -> Result<f64, TrainError> {
@@ -224,7 +226,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut mlp = Mlp::new(&[LayerSpec::new(1, 1, Activation::Identity)], &mut rng);
         let mut trainer = Trainer::new(Adam::new(0.01), 4);
-        assert_eq!(trainer.epoch(&mut mlp, &[], &[], &mut rng), 0.0);
+        assert_eq!(
+            trainer.epoch(&mut mlp, &[] as &[&[f64]], &[], &mut rng),
+            0.0
+        );
     }
 
     #[test]
@@ -233,7 +238,7 @@ mod tests {
         let mut mlp = Mlp::new(&[LayerSpec::new(1, 1, Activation::Identity)], &mut rng);
         let mut trainer = Trainer::new(Adam::new(0.01), 4);
         let mut untouched = rng.clone();
-        trainer.epoch(&mut mlp, &[], &[], &mut rng);
+        trainer.epoch(&mut mlp, &[] as &[&[f64]], &[], &mut rng);
         assert_eq!(trainer.epochs_run(), 0, "empty epoch must not count");
         assert_eq!(trainer.steps_run, 0, "empty epoch must not step");
         assert_eq!(

@@ -1,5 +1,5 @@
 //! Gibbs sampler throughput on a Zipf-skewed synthetic corpus, across
-//! topic counts on both sides of the prefix-total draw's threshold
+//! topic counts on both sides of the tree-summed draw's threshold
 //! (24 topics). Each of [`ROUNDS`] rounds trains every K once,
 //! alternating ascending and descending K order so drift in the host's
 //! speed spreads over all K, and the example prints each K's median

@@ -10,11 +10,13 @@
 //! with the token's own assignment excluded; fold-in inference holds
 //! `φ` fixed and samples `p(z = k) ∝ (n_dk + α) φ_kw`. Below 24 topics
 //! the sweep sums the conditional as it computes it and walks the sum
-//! to draw the topic. From 24 topics up it computes the conditionals
-//! first and draws by counting stored prefix totals, which picks the
-//! same index from the same uniform draw (the proof is on
-//! `sample_index_prefix`). Training and inference are deterministic
-//! given the seed.
+//! to draw the topic. From 24 topics up it draws from tree-summed
+//! totals (blocks of 8 summed pairwise, running totals over the
+//! blocks), with the sweep's conditionals multiplied by cached
+//! reciprocals of `n_k + Vβ`. A draw too close to a total to be sure
+//! recomputes the exact row and walks it, so the index is the walk's
+//! from the same uniform draw (the proof is on `TreeDraw`). Training
+//! and inference are deterministic given the seed.
 //!
 //! # Count layout
 //!
@@ -140,7 +142,8 @@ impl LdaModel {
     /// # Panics
     ///
     /// Panics when `config.num_topics` is above
-    /// [`LdaConfig::MAX_TOPICS`].
+    /// [`LdaConfig::MAX_TOPICS`], or when the corpus holds `2³¹` tokens
+    /// or more (the sweep reads its counts as `i32`).
     pub fn train(corpus: &Corpus, config: &LdaConfig) -> LdaModel {
         let _span = forumcast_obs::span("lda.train");
         let k = config.num_topics;
@@ -152,6 +155,11 @@ impl LdaModel {
         // The corpus is already token-level and flat (CSR): the sweeps
         // read its ids in place.
         let tokens = corpus.ids();
+        assert!(
+            tokens.len() <= i32::MAX as usize,
+            "LDA supports fewer than 2^31 tokens, got {}",
+            tokens.len()
+        );
         let doc_offsets = corpus.offsets();
         // Topic assignment per token (a `u16`, as K ≤ MAX_TOPICS),
         // initialized uniformly at random (document order, so the init
@@ -171,7 +179,7 @@ impl LdaModel {
             }
         }
 
-        let sweeps = if k >= PREFIX_DRAW_MIN_TOPICS {
+        let sweeps = if k >= TREE_DRAW_MIN_TOPICS {
             dense_sweeps::<true>
         } else {
             dense_sweeps::<false>
@@ -282,7 +290,7 @@ impl LdaModel {
         if tokens.is_empty() {
             return vec![1.0 / k as f64; k];
         }
-        let n_dk = if k >= PREFIX_DRAW_MIN_TOPICS {
+        let n_dk = if k >= TREE_DRAW_MIN_TOPICS {
             self.infer_counts_dense::<true>(&tokens, seed)
         } else {
             self.infer_counts_dense::<false>(&tokens, seed)
@@ -292,10 +300,11 @@ impl LdaModel {
         (0..k).map(|t| (n_dk[t] as f64 + alpha) / denom).collect()
     }
 
-    /// Fold-in: the full `K`-term conditional per token,
-    /// drawn by [`sample_index_prefix`] from [`PREFIX_DRAW_MIN_TOPICS`]
-    /// topics up (same index, same bits).
-    fn infer_counts_dense<const PREFIX_DRAW: bool>(&self, tokens: &[usize], seed: u64) -> Vec<u32> {
+    /// Fold-in: the full `K`-term conditional per token, drawn by
+    /// [`TreeDraw`] from [`TREE_DRAW_MIN_TOPICS`] topics up (same index,
+    /// same bits). Its conditional has no division, so the row the
+    /// totals are built from is already the exact row.
+    fn infer_counts_dense<const TREE_DRAW: bool>(&self, tokens: &[usize], seed: u64) -> Vec<u32> {
         let k = self.config.num_topics;
         let v = self.num_words;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -305,22 +314,20 @@ impl LdaModel {
             n_dk[t] += 1;
         }
         let alpha = self.config.alpha;
-        let mut probs = vec![0.0f64; k];
-        let mut prefix = vec![0.0f64; if PREFIX_DRAW { k + 1 } else { 0 }];
+        let mut probs = vec![0.0f64; if TREE_DRAW { 0 } else { k }];
+        let mut draw = TreeDraw::new(if TREE_DRAW { k } else { 0 });
         for _sweep in 0..self.config.infer_iterations {
             for (ti, &w) in tokens.iter().enumerate() {
                 let old = z[ti];
                 n_dk[old] -= 1;
-                let conditional = |t: usize| (n_dk[t] as f64 + alpha) * self.phi[t * v + w];
-                let mut total = 0.0;
-                let new = if PREFIX_DRAW {
-                    for (t, (p, s)) in probs.iter_mut().zip(&mut prefix[1..]).enumerate() {
-                        *p = conditional(t);
-                        total += *p;
-                        *s = total;
-                    }
-                    sample_index_prefix(&probs, &prefix, &mut rng)
+                let new = if TREE_DRAW {
+                    draw.fill(|b| {
+                        block_of(b, k, |t| (n_dk[t] as f64 + alpha) * self.phi[t * v + w])
+                    });
+                    draw.draw(&mut rng, |_| {})
                 } else {
+                    let conditional = |t: usize| (n_dk[t] as f64 + alpha) * self.phi[t * v + w];
+                    let mut total = 0.0;
                     for (t, p) in probs.iter_mut().enumerate() {
                         *p = conditional(t);
                         total += *p;
@@ -363,9 +370,9 @@ impl LdaModel {
 }
 
 /// Topic count from which the sweeps and fold-in draw with
-/// [`sample_index_prefix`]. Below it, the fused conditional-and-total
-/// loop plus the short walk is faster (`sampler_throughput`).
-const PREFIX_DRAW_MIN_TOPICS: usize = 24;
+/// [`TreeDraw`]. Below it, the fused conditional-and-total loop plus
+/// the short walk is faster (`sampler_throughput`).
+const TREE_DRAW_MIN_TOPICS: usize = 24;
 
 /// The Gibbs sweeps: per token, the full `K`-term conditional.
 /// Bitwise-identical to the historical implementation (same RNG
@@ -375,12 +382,12 @@ const PREFIX_DRAW_MIN_TOPICS: usize = 24;
 /// (`n_dk + α` for the current document, `n_k + Vβ` per topic) and only
 /// the two topics a token leaves and joins are refreshed. The cached
 /// values equal the ones computed inline, so every product and quotient
-/// is unchanged. From [`PREFIX_DRAW_MIN_TOPICS`] topics up, the
-/// conditionals are computed first and summed after, and the topic is
-/// drawn by [`sample_index_prefix`]; the total and the index are the
-/// same bits either way.
+/// is unchanged. From [`TREE_DRAW_MIN_TOPICS`] topics up, the topic is
+/// drawn by [`TreeDraw::gibbs`], whose index is the walk's, and the
+/// sweep caches `1/(n_k + Vβ)` in place of `n_k + Vβ` (two divisions
+/// per token instead of `K`).
 #[allow(clippy::too_many_arguments)]
-fn dense_sweeps<const PREFIX_DRAW: bool>(
+fn dense_sweeps<const TREE_DRAW: bool>(
     config: &LdaConfig,
     tokens: &[u32],
     doc_offsets: &[usize],
@@ -395,9 +402,14 @@ fn dense_sweeps<const PREFIX_DRAW: bool>(
     let alpha = config.alpha;
     let beta = config.beta;
     let vbeta = v as f64 * beta;
-    let mut probs = vec![0.0f64; k];
-    let mut prefix = vec![0.0f64; k + 1];
-    let mut nk_vbeta: Vec<f64> = n_k.iter().map(|&nk| nk as f64 + vbeta).collect();
+    let mut probs = vec![0.0f64; if TREE_DRAW { 0 } else { k }];
+    let mut draw = TreeDraw::new(if TREE_DRAW { k } else { 0 });
+    let denoms = n_k.iter().map(|&nk| nk as f64 + vbeta);
+    let (mut nk_vbeta, mut inv_nk_vbeta): (Vec<f64>, Vec<f64>) = if TREE_DRAW {
+        (Vec::new(), denoms.map(|denom| 1.0 / denom).collect())
+    } else {
+        (denoms.collect(), Vec::new())
+    };
     let mut ndk_alpha = vec![0.0f64; k];
     for _sweep in 0..config.iterations {
         forumcast_obs::counter_add("lda.gibbs.sweeps", 1);
@@ -413,25 +425,17 @@ fn dense_sweeps<const PREFIX_DRAW: bool>(
                 nkw[old] -= 1;
                 n_k[old] -= 1;
                 ndk_alpha[old] = ndk[old] as f64 + alpha;
-                nk_vbeta[old] = n_k[old] as f64 + vbeta;
 
-                let conditionals = probs
-                    .iter_mut()
-                    .zip(&ndk_alpha)
-                    .zip(nkw.iter())
-                    .zip(&nk_vbeta);
-                let new = if PREFIX_DRAW {
-                    // No loop-carried dependency: the divisions vectorize.
-                    for (((p, &a), &c), &denom) in conditionals {
-                        *p = a * (c as f64 + beta) / denom;
-                    }
-                    let mut total = 0.0;
-                    for (s, &p) in prefix[1..].iter_mut().zip(&probs) {
-                        total += p;
-                        *s = total;
-                    }
-                    sample_index_prefix(&probs, &prefix, rng)
+                let new = if TREE_DRAW {
+                    inv_nk_vbeta[old] = 1.0 / (n_k[old] as f64 + vbeta);
+                    draw.gibbs(&ndk_alpha, nkw, n_k, &inv_nk_vbeta, beta, vbeta, rng)
                 } else {
+                    nk_vbeta[old] = n_k[old] as f64 + vbeta;
+                    let conditionals = probs
+                        .iter_mut()
+                        .zip(&ndk_alpha)
+                        .zip(nkw.iter())
+                        .zip(&nk_vbeta);
                     let mut total = 0.0;
                     for (((p, &a), &c), &denom) in conditionals {
                         *p = a * (c as f64 + beta) / denom;
@@ -444,7 +448,11 @@ fn dense_sweeps<const PREFIX_DRAW: bool>(
                 nkw[new] += 1;
                 n_k[new] += 1;
                 ndk_alpha[new] = ndk[new] as f64 + alpha;
-                nk_vbeta[new] = n_k[new] as f64 + vbeta;
+                if TREE_DRAW {
+                    inv_nk_vbeta[new] = 1.0 / (n_k[new] as f64 + vbeta);
+                } else {
+                    nk_vbeta[new] = n_k[new] as f64 + vbeta;
+                }
             }
         }
     }
@@ -461,59 +469,217 @@ fn sample_index(probs: &[f64], total: f64, rng: &mut StdRng) -> usize {
     walk_index(probs, total, rng.gen::<f64>())
 }
 
-/// Draws the same index as [`sample_index`] from the same single RNG
-/// draw, but by comparing against prefix totals instead of walking.
+/// Conditionals per block of [`TreeDraw`]'s totals.
+const BLOCK: usize = 8;
+
+/// Draws the same index as [`sample_index`] on the exact row, from the
+/// same single RNG draw, by searching tree-summed totals of an
+/// approximate row instead of walking.
 ///
-/// `prefix` holds `K + 1` entries: `prefix[0] = 0` and
-/// `prefix[i + 1] = S_i = fl(S_{i−1} + p_i)`, the running total of the
-/// nonnegative `probs` summed in index order, so that `prefix[K]` is
-/// exactly the `total` [`sample_index`] is given.
+/// [`TreeDraw::fill`] takes the `K` conditionals `q_i` in fixed blocks
+/// of [`BLOCK`] (the tail zero-padded; adding zero is exact), sums each
+/// block by a fixed tree and keeps running totals over the blocks.
+/// [`TreeDraw::draw`] scales one `r ∈ [0, 1)` to `û = r · T̂`, `T̂` the
+/// last running total, picks the block by a branch-free count of the
+/// running totals below `û`, then the index `j` inside the block the
+/// same way over the block's own pairwise running sums. It accepts `j`
+/// only when `û` lies more than the guard band `(8K + 32) · ε · T̂`
+/// above `A_{j−1}` and below `A_j`, where `A_i` is the block's running
+/// total plus the running sum of its entries through `i`
+/// (`A_{−1} = 0`). Otherwise it rebuilds the exact row `p_i`, sums it
+/// serially to the walk's total `T` and walks it with the same `r`.
 ///
 /// # Why the index is exact
 ///
-/// Both draws scale one `r ∈ [0, 1)` to `u = fl(r · total) ≤ total`.
-/// The walk keeps `w_i = fl(w_{i−1} − p_i)` (`w_{−1} = u`) and returns
-/// the first `i` with `w_i ≤ 0`, or `K − 1` if none. Every `p_i ≥ 0`,
-/// so `S_i` never decreases and `w_i` never increases. With unit
-/// roundoff `ε/2` (`ε` = [`f64::EPSILON`]), each of the `i` additions
-/// behind `S_i` and each of the `i + 1` subtractions behind `w_i`
-/// (taken while `w ≥ 0`) errs by at most `ε/2` of a partial result no
-/// larger than `total · (1 + Kε)`. Hence, for every `i` up to the
-/// walk's stop,
+/// Let `ε` be [`f64::EPSILON`] (unit roundoff `ε/2`) and
+/// `P_i = p_0 + … + p_i` in real arithmetic. The approximate row errs
+/// by `|q_i − p_i| ≤ 2ε · p_i`: in the sweep `q_i = fl(x_i · fl(1/d_i))`
+/// against `p_i = fl(x_i / d_i)`, three roundings against one on the
+/// same `x_i = fl(a_i · fl(c_i + β))`; in fold-in `q_i = p_i`. Every sum
+/// adds nonnegative terms, so each rounding errs by at most `ε/2` of a
+/// partial result no larger than `R ≤ P · (1 + (K + 3)ε)`, the largest
+/// of the sums in play (`P = P_{K−1}`).
 ///
-/// ```text
-/// |w_i − (u − S_i)| ≤ (2i + 1) · ε/2 · total · (1 + Kε) < (K + 1) · ε · total.
-/// ```
+/// - `A_i` adds its `i + 1` terms with `i` roundings (the block sums, the
+///   running totals before its block, the sums inside it and the one
+///   addition joining them), and `T̂` its `K` terms with at most `K − 1`.
+///   So `|A_i − P_i|` and `|T̂ − P|` are at most `((K − 1)/2 + 2) · ε · R`.
+///   The serial `T` errs by at most `(K − 1)/2 · ε · R` against `P`.
+/// - The walk's `u = fl(r · T)` and `û = fl(r · T̂)` round once each,
+///   so `|u − û| ≤ |T − T̂| + ε · R ≤ (K + 2) · ε · R`.
+/// - The walk keeps `w_i = fl(w_{i−1} − p_i)` (`w_{−1} = u`) and
+///   returns the first `i` with `w_i ≤ 0`, or `K − 1` if none; `w` never
+///   increases. Each of its first `i + 1 ≤ K` subtractions errs by at
+///   most `ε/2 · R`, so `|w_i − (u − P_i)| ≤ K/2 · ε · R`.
 ///
-/// Let `j` be the number of `S_i` below `u`, i.e. the first index with
-/// `S_j ≥ u`. If `u − S_{j−1}` and `S_j − u` both exceed the guard band
-/// `(2K + 4) · ε · total`, then `w_{j−1} > 0` (so every earlier `w` is
-/// too) and `w_j < 0`: the walk stops at `j` as well. The band is twice
-/// the bound plus slack, which absorbs the rounding of the band itself
-/// and of the two differences. `S_{−1} = 0` and `S_{K−1} = total` make
-/// the test stricter than needed at the ends, which costs only draws
-/// within one band of `0` or `total`. A draw inside the band, or a
-/// row whose band is not a normal float (a degenerate or subnormal
-/// `total`), runs the walk itself.
-fn sample_index_prefix(probs: &[f64], prefix: &[f64], rng: &mut StdRng) -> usize {
-    let r = rng.gen::<f64>();
-    prefix_index(prefix, r).unwrap_or_else(|| walk_index(probs, prefix[probs.len()], r))
+/// Adding these, `w_{j−1} ≥ (û − A_{j−1}) − B` and
+/// `w_j ≤ B − (A_j − û)` with `B = (2K + 7/2) · ε · R`. Since
+/// `R ≤ T̂ · (1 + 3(K + 3)ε)`, and a product or quotient that rounds to a
+/// subnormal errs by at most `2^−1075` more (at most `4K + 2` of them,
+/// against a band of at least `f64::MIN_POSITIVE = 2^−1022`), `B` stays
+/// below `(2K + 4) · ε · T̂` for every `K` up to
+/// [`LdaConfig::MAX_TOPICS`]. The band is a float, so a computed
+/// difference above it means the exact one is too. An accepted `j`
+/// therefore has `w_{j−1} > 0`, so every earlier `w` too, and
+/// `w_j < 0`: the walk stops at `j`. The band is more than four times
+/// the bound, which absorbs its own rounding. A draw inside the band,
+/// or a row whose band is not in `[f64::MIN_POSITIVE, ε · f64::MAX)` (a
+/// degenerate, subnormal or near-overflowing total), takes the walk.
+/// Which tree sums the totals, and how the block and index are picked,
+/// change only how often a draw falls back, never the index.
+struct TreeDraw {
+    k: usize,
+    /// The conditionals, zero-padded to whole blocks.
+    probs: Vec<f64>,
+    /// `totals[0] = 0` and `totals[b + 1]`: the running total through
+    /// block `b`, so the last entry is `T̂`.
+    totals: Vec<f64>,
 }
 
-/// The guarded comparison of [`sample_index_prefix`] for the uniform
-/// draw `r`: the walk's index, or `None` when `u` lies inside the
-/// guard band of a prefix total or the band is not a normal float.
-fn prefix_index(prefix: &[f64], r: f64) -> Option<usize> {
-    let k = prefix.len() - 1;
-    let total = prefix[k];
-    let band = total * ((2 * k + 4) as f64 * f64::EPSILON);
-    if !(f64::MIN_POSITIVE..f64::INFINITY).contains(&band) {
-        return None;
+impl TreeDraw {
+    /// Buffers for a `k`-term row; `k = 0` allocates nothing.
+    fn new(k: usize) -> Self {
+        let blocks = k.div_ceil(BLOCK);
+        TreeDraw {
+            k,
+            probs: vec![0.0; blocks * BLOCK],
+            totals: if k == 0 {
+                Vec::new()
+            } else {
+                vec![0.0; blocks + 1]
+            },
+        }
     }
-    let u = r * total;
-    // A branch-free count, which vectorizes; `u ≤ total` keeps `j < K`.
-    let j = prefix[1..].iter().filter(|&&s| s < u).count();
-    ((u - prefix[j] > band) & (prefix[j + 1] - u > band)).then_some(j)
+
+    /// Draws the topic of a token from the sweep's conditional
+    /// `(n_dk + α)(n_kw + β)/(n_k + Vβ)`: the totals are built from
+    /// `(n_dk + α)(n_kw + β) · inv` (`inv` the cached reciprocals, the
+    /// counts read as `i32`), the fallback walks the division form.
+    #[allow(clippy::too_many_arguments)]
+    fn gibbs(
+        &mut self,
+        ndk_alpha: &[f64],
+        nkw: &[u32],
+        n_k: &[u64],
+        inv_nk_vbeta: &[f64],
+        beta: f64,
+        vbeta: f64,
+        rng: &mut StdRng,
+    ) -> usize {
+        let k = self.k;
+        let conditional = |a: f64, c: u32, inv: f64| a * (c as i32 as f64 + beta) * inv;
+        let (a, c, inv) = (
+            ndk_alpha.as_chunks::<BLOCK>().0,
+            nkw.as_chunks::<BLOCK>().0,
+            inv_nk_vbeta.as_chunks::<BLOCK>().0,
+        );
+        self.fill(|b| {
+            if b < a.len() {
+                std::array::from_fn(|j| conditional(a[b][j], c[b][j], inv[b][j]))
+            } else {
+                block_of(b, k, |t| conditional(ndk_alpha[t], nkw[t], inv_nk_vbeta[t]))
+            }
+        });
+        self.draw(rng, |row| {
+            let exact = row.iter_mut().zip(ndk_alpha).zip(nkw).zip(n_k);
+            for (((p, &a), &c), &nk) in exact {
+                *p = a * (c as f64 + beta) / (nk as f64 + vbeta);
+            }
+        })
+    }
+
+    /// Draws from the row [`TreeDraw::fill`] wrote; `exact_row`
+    /// overwrites its `K` entries with the exact conditionals when the
+    /// draw falls back.
+    fn draw(&mut self, rng: &mut StdRng, exact_row: impl FnOnce(&mut [f64])) -> usize {
+        let r = rng.gen::<f64>();
+        self.index(r).unwrap_or_else(|| {
+            let row = &mut self.probs[..self.k];
+            exact_row(row);
+            let total = row.iter().fold(0.0, |total, &p| total + p);
+            walk_index(row, total, r)
+        })
+    }
+
+    /// Writes the row one block at a time, `block(b)` giving the
+    /// conditionals of block `b`, and sums each block as it is written
+    /// (pairing entries two apart, which suits two-lane vector adds),
+    /// keeping the running totals over the blocks.
+    fn fill(&mut self, mut block: impl FnMut(usize) -> [f64; BLOCK]) {
+        let mut total = 0.0;
+        let blocks = self.probs.as_chunks_mut::<BLOCK>().0.iter_mut();
+        for (b, (probs, s)) in blocks.zip(&mut self.totals[1..]).enumerate() {
+            let q = block(b);
+            total += ((q[0] + q[2]) + (q[4] + q[6])) + ((q[1] + q[3]) + (q[5] + q[7]));
+            *s = total;
+            *probs = q;
+        }
+    }
+
+    /// The guarded search of the block totals for the uniform draw `r`:
+    /// the walk's index, or `None` when `û` lies inside the guard band of
+    /// a bracketing total or the band is out of range.
+    #[inline]
+    fn index(&self, r: f64) -> Option<usize> {
+        let blocks = self.totals.len() - 1;
+        let total = self.totals[blocks];
+        let band = guard_band(self.k, total);
+        if !(f64::MIN_POSITIVE..f64::MAX * f64::EPSILON).contains(&band) {
+            return None;
+        }
+        let u = r * total;
+        // Branch-free counts. `T̂ ≥ û` is not counted, so `b` names a
+        // block; `m` is kept inside the block's `last` real entry.
+        let b = self.totals[1..blocks].iter().filter(|&&s| s < u).count();
+        let start = self.totals[b];
+        let sums = block_sums(&self.probs.as_chunks::<BLOCK>().0[b]);
+        let last = (self.k - b * BLOCK).min(BLOCK) - 1;
+        let within = u - start;
+        let m = sums[1..BLOCK]
+            .iter()
+            .filter(|&&s| s < within)
+            .count()
+            .min(last);
+        let (below, through) = (start + sums[m], start + sums[m + 1]);
+        ((u - below > band) & (through - u > band)).then_some(b * BLOCK + m)
+    }
+}
+
+/// Block `b` of a `k`-term row whose entry `t` is `entry(t)`, zero past
+/// the row's end.
+fn block_of(b: usize, k: usize, entry: impl Fn(usize) -> f64) -> [f64; BLOCK] {
+    std::array::from_fn(|j| {
+        let t = b * BLOCK + j;
+        if t < k {
+            entry(t)
+        } else {
+            0.0
+        }
+    })
+}
+
+/// `0` and the running sums of one block through each of its entries,
+/// summed pairwise so that none waits on more than three additions.
+fn block_sums(q: &[f64; BLOCK]) -> [f64; BLOCK + 1] {
+    let (s01, s45) = (q[0] + q[1], q[4] + q[5]);
+    let s03 = s01 + (q[2] + q[3]);
+    [
+        0.0,
+        q[0],
+        s01,
+        s01 + q[2],
+        s03,
+        s03 + q[4],
+        s03 + s45,
+        s03 + (s45 + q[6]),
+        s03 + (s45 + (q[6] + q[7])),
+    ]
+}
+
+/// [`TreeDraw`]'s guard band for a `k`-term row whose approximate total
+/// is `total`: more than four times the rounding bound of its proof.
+fn guard_band(k: usize, total: f64) -> f64 {
+    total * ((8 * k + 32) as f64 * f64::EPSILON)
 }
 
 /// The subtract-and-test walk behind [`sample_index`], given its one
@@ -603,9 +769,9 @@ mod tests {
     /// Pins the exact output bits of the sampler: φ, θ and one
     /// fold-in. Any change to the sweep's RNG use or floating-point
     /// operation order shows up here, not only as drift in quality.
-    /// The rows straddle [`PREFIX_DRAW_MIN_TOPICS`], and their hashes
-    /// predate the prefix-total draw: both the fused walk and the
-    /// prefix draw must reproduce them.
+    /// The rows straddle [`TREE_DRAW_MIN_TOPICS`], and their hashes
+    /// predate both the prefix-total and the tree-summed draws: the
+    /// fused walk and the tree draw must reproduce them.
     #[test]
     fn output_bits_are_pinned() {
         let corpus = themed_corpus();
@@ -660,49 +826,70 @@ mod tests {
         }
     }
 
-    /// `prefix[0] = 0` followed by the running totals of `probs`, as the
-    /// dense sweeps build them.
-    fn prefix_of(probs: &[f64]) -> Vec<f64> {
+    /// A tree draw whose totals are built from `approx`.
+    fn tree_of(approx: &[f64]) -> TreeDraw {
+        let mut draw = TreeDraw::new(approx.len());
+        draw.fill(|b| block_of(b, approx.len(), |t| approx[t]));
+        draw
+    }
+
+    /// The running totals `0, p_0, p_0 + p_1, …` summed serially, as the
+    /// walk's total is.
+    fn serial_totals(probs: &[f64]) -> Vec<f64> {
         let mut total = 0.0;
-        let mut prefix = vec![0.0];
-        prefix.extend(probs.iter().map(|&p| {
+        let mut totals = vec![0.0];
+        totals.extend(probs.iter().map(|&p| {
             total += p;
             total
         }));
-        prefix
+        totals
     }
 
-    /// Asserts the prefix draw picks the walk's index for every `r` in
-    /// `spread` and for every `r` within `ulps` units in the last place
-    /// of one that scales to a prefix total (`0` included). Those
-    /// near-boundary draws must take the fallback whenever the row's
-    /// band is a normal float.
-    fn assert_prefix_draw_matches_walk(probs: &[f64], spread: &[f64], ulps: i64) {
-        let prefix = prefix_of(probs);
-        let k = probs.len();
-        let total = prefix[k];
-        let near: Vec<f64> = prefix
-            .iter()
+    /// Every `r` within `ulps` units in the last place of one that
+    /// scales `scale` to a value in `at`.
+    fn draws_near(at: &[f64], scale: f64, ulps: i64) -> Vec<f64> {
+        at.iter()
             .flat_map(|&s| {
-                let at = (s / total).to_bits() as i64;
-                (-ulps..=ulps).map(move |d| f64::from_bits((at + d).max(0) as u64))
+                let bits = (s / scale).to_bits() as i64;
+                (-ulps..=ulps).map(move |d| f64::from_bits((bits + d).max(0) as u64))
             })
             .filter(|r| (0.0..1.0).contains(r))
-            .collect();
+            .collect()
+    }
+
+    /// Asserts the tree draw built from `approx` picks the walk's index
+    /// on `exact` for every `r` in `spread`, and for every `r` within
+    /// `ulps` of one that scales to an approximate running total (a
+    /// block total, or a block's start plus its first entries) or an
+    /// exact one (`0` included). Those near-boundary draws must take the
+    /// fallback whenever the row's band is a normal float.
+    fn assert_tree_draw_matches_walk(approx: &[f64], exact: &[f64], spread: &[f64], ulps: i64) {
+        let k = exact.len();
+        let draw = tree_of(approx);
+        let blocks = draw.totals.len() - 1;
+        let approx_total = draw.totals[blocks];
+        let mut approx_totals = draw.totals.clone();
+        for (b, block) in draw.probs.as_chunks::<BLOCK>().0.iter().enumerate() {
+            approx_totals.extend(block_sums(block).map(|s| draw.totals[b] + s));
+        }
+        let exact_totals = serial_totals(exact);
+        let total = exact_totals[k];
+        let mut near = draws_near(&approx_totals, approx_total, ulps);
+        near.extend(draws_near(&exact_totals, total, ulps));
         for &r in spread.iter().chain(&near) {
-            let walk = walk_index(probs, total, r);
-            let fast = prefix_index(&prefix, r);
+            let walk = walk_index(exact, total, r);
+            let fast = draw.index(r);
             assert!(
                 fast.is_none() || fast == Some(walk),
-                "K={k} r={r:e}: prefix draw {fast:?}, walk {walk}; probs {probs:?}"
+                "K={k} r={r:e}: tree draw {fast:?}, walk {walk}; approx {approx:?} exact {exact:?}"
             );
         }
-        if total * ((2 * k + 4) as f64 * f64::EPSILON) >= f64::MIN_POSITIVE {
+        if guard_band(k, approx_total) >= f64::MIN_POSITIVE {
             for &r in &near {
                 assert_eq!(
-                    prefix_index(&prefix, r),
+                    draw.index(r),
                     None,
-                    "K={k}: r={r:e} sits near a prefix total but skipped the walk"
+                    "K={k}: r={r:e} sits near a running total but skipped the walk"
                 );
             }
         }
@@ -724,19 +911,29 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The prefix-total draw returns the walk's index for random
-        /// and adversarial rows at K = 1…256, including draws a few
-        /// ulps from every prefix boundary (which must fall back).
+        /// The tree draw returns the walk's index for random and
+        /// adversarial rows at K = 1…256 (ragged last blocks included),
+        /// built from the exact row or from one whose nonzero entries
+        /// are each off by up to one ulp (within the reciprocal form's
+        /// error), including draws a few ulps from every running total
+        /// (which must fall back).
         #[test]
-        fn prefix_draw_equals_walk_on_adversarial_rows(
+        fn tree_draw_equals_walk_on_adversarial_rows(
             row in proptest::collection::vec(adversarial_entry(), 1..=256),
+            nudges in proptest::collection::vec(-1i64..=1, 256),
             spread in proptest::collection::vec(0.0f64..1.0, 16),
         ) {
-            let mut probs = row;
-            if probs.iter().all(|&p| p == 0.0) {
-                probs[0] = 1.0;
+            let mut exact = row;
+            if exact.iter().all(|&p| p == 0.0) {
+                exact[0] = 1.0;
             }
-            assert_prefix_draw_matches_walk(&probs, &spread, 3);
+            let nudged: Vec<f64> = exact
+                .iter()
+                .zip(&nudges)
+                .map(|(&p, &d)| if p == 0.0 { p } else { f64::from_bits((p.to_bits() as i64 + d) as u64) })
+                .collect();
+            assert_tree_draw_matches_walk(&exact, &exact, &spread, 3);
+            assert_tree_draw_matches_walk(&nudged, &exact, &spread, 3);
         }
     }
 
@@ -744,7 +941,7 @@ mod tests {
     /// of small counts), draws from a seeded RNG, and the RNG stream:
     /// both draws consume exactly one value.
     #[test]
-    fn prefix_draw_equals_sample_index_for_every_k() {
+    fn tree_draw_equals_sample_index_for_every_k() {
         let mut rows = StdRng::seed_from_u64(0x5EED);
         for k in 1..=256usize {
             for _ in 0..4 {
@@ -756,14 +953,16 @@ mod tests {
                     })
                     .collect();
                 let spread: Vec<f64> = (0..32).map(|_| rows.gen::<f64>()).collect();
-                assert_prefix_draw_matches_walk(&probs, &spread, 2);
-                let prefix = prefix_of(&probs);
+                assert_tree_draw_matches_walk(&probs, &probs, &spread, 2);
+                let total = serial_totals(&probs)[k];
+                let mut draw = TreeDraw::new(k);
                 let mut a = StdRng::seed_from_u64(k as u64);
                 let mut b = a.clone();
                 for _ in 0..64 {
+                    draw.fill(|b| block_of(b, k, |t| probs[t]));
                     assert_eq!(
-                        sample_index_prefix(&probs, &prefix, &mut a),
-                        sample_index(&probs, prefix[k], &mut b),
+                        draw.draw(&mut a, |_| {}),
+                        sample_index(&probs, total, &mut b),
                         "K={k}"
                     );
                 }
@@ -773,6 +972,70 @@ mod tests {
                     "K={k}: RNG streams diverged"
                 );
             }
+        }
+    }
+
+    /// The sweep's draw on Gibbs-shaped rows at every K from 24 to 256:
+    /// totals built from cached reciprocals, `i32` count reads and
+    /// sparse topic–word counts pick the index the division form's walk
+    /// picks, near-boundary draws fall back, and each draw consumes
+    /// exactly one RNG value.
+    #[test]
+    fn gibbs_draw_equals_the_division_form_for_every_k() {
+        let mut rows = StdRng::seed_from_u64(0x61BB5);
+        let (alpha, beta, vbeta) = (0.02, 0.01, 31.7);
+        for k in TREE_DRAW_MIN_TOPICS..=256usize {
+            for _ in 0..4 {
+                let ndk_alpha: Vec<f64> = (0..k)
+                    .map(|_| rows.gen_range(0..4u32).pow(2) as f64 + alpha)
+                    .collect();
+                let nkw: Vec<u32> = (0..k)
+                    .map(|_| {
+                        if rows.gen_bool(0.7) {
+                            0
+                        } else {
+                            rows.gen_range(1..400)
+                        }
+                    })
+                    .collect();
+                let n_k: Vec<u64> = (0..k).map(|_| rows.gen_range(0..90_000)).collect();
+                let inv: Vec<f64> = n_k.iter().map(|&nk| 1.0 / (nk as f64 + vbeta)).collect();
+                let exact: Vec<f64> = (0..k)
+                    .map(|t| ndk_alpha[t] * (nkw[t] as f64 + beta) / (n_k[t] as f64 + vbeta))
+                    .collect();
+                let approx: Vec<f64> = (0..k)
+                    .map(|t| ndk_alpha[t] * (nkw[t] as i32 as f64 + beta) * inv[t])
+                    .collect();
+                let spread: Vec<f64> = (0..32).map(|_| rows.gen::<f64>()).collect();
+                assert_tree_draw_matches_walk(&approx, &exact, &spread, 3);
+                let total = serial_totals(&exact)[k];
+                let mut draw = TreeDraw::new(k);
+                let mut a = StdRng::seed_from_u64(k as u64);
+                let mut b = a.clone();
+                for _ in 0..64 {
+                    assert_eq!(
+                        draw.gibbs(&ndk_alpha, &nkw, &n_k, &inv, beta, vbeta, &mut a),
+                        sample_index(&exact, total, &mut b),
+                        "K={k}"
+                    );
+                }
+                assert_eq!(
+                    a.gen::<u64>(),
+                    b.gen::<u64>(),
+                    "K={k}: RNG streams diverged"
+                );
+            }
+        }
+    }
+
+    /// The guard band keeps at least twice the rounding bound
+    /// [`TreeDraw`]'s proof derives, `(2K + 4)·ε·total`, at every topic
+    /// count a model can have.
+    #[test]
+    fn guard_band_is_twice_the_error_bound() {
+        for k in 1..=LdaConfig::MAX_TOPICS {
+            let bound = (2 * k + 4) as f64 * f64::EPSILON;
+            assert!(guard_band(k, 1.0) >= 2.0 * bound, "K={k}");
         }
     }
 

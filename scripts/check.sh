@@ -13,11 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> LDA bit pins and prefix-draw equivalence (release)"
-# The dense sweep's conditionals and prefix-total counts vectorize
-# only in optimized code, so the pinned output bits and the
-# prefix-draw-equals-walk tests run again under --release.
-cargo test -q --release -p forumcast-topics --lib -- output_bits_are_pinned prefix_draw
+echo "==> LDA bit pins and tree-draw equivalence (release)"
+# The dense sweep's conditionals and block totals vectorize only in
+# optimized code, so the pinned output bits, the tree-draw-equals-walk
+# tests, the guard-band margin and the release-only degenerate-row
+# fallback run again under --release.
+cargo test -q --release -p forumcast-topics --lib -- \
+  output_bits_are_pinned tree_draw gibbs_draw guard_band degenerate_row
 
 echo "==> hermetic harness (obs/resilience/data/par lib tests x10, default parallelism)"
 # Fault plans and telemetry collectors belong to the thread that armed
@@ -188,8 +190,8 @@ fcr=target/release/forumcast
   --tolerance 1.5 --p99-tolerance 2.0 --min-ms 20
 
 echo "==> perf gate at K = 64 (bench compare against committed BENCH_quick_k64.json)"
-# The same gate with 64 topics, where the dense Gibbs sweep's K-term
-# walk per token is what lda.train spends its time on.
+# The same gate with 64 topics, where the Gibbs sweep's tree-summed
+# draw per token is what lda.train spends its time on.
 "$fcr" evaluate --scale quick --threads 1 --topics 64 \
   --bench-json "$work_dir/BENCH_quick_k64.json" > /dev/null
 "$fcr" bench compare BENCH_quick_k64.json "$work_dir/BENCH_quick_k64.json" \

@@ -87,7 +87,9 @@ const THREADS: usize = 300;
 /// 912,000-B copy of the rows and a 56,432-B model. `train` peaks at
 /// 597,344 B above its inputs. It peaked at 1,144,544 B when it kept a
 /// signed-log copy of every answer and vote row, made only to fit the
-/// normalizer, alive through all three trainers.
+/// normalizer, alive through all three trainers. The vote trainer no
+/// longer copies its non-validation rows (it lends them to the epoch
+/// loop); that copy was not held at the peak, so the peak is unchanged.
 #[test]
 fn training_peaks_within_one_normalized_copy_of_its_rows() {
     // The shape the route workload trains on: per thread, two answers
