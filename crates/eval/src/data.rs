@@ -1,6 +1,8 @@
 //! Assembling experiment data: pair records with features, targets,
 //! negative samples, and observation windows.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -91,7 +93,6 @@ impl ExperimentData {
         );
         let horizon = dataset.horizon();
         let num_targets = threads.len() - warmup;
-        let buckets = config.buckets.max(1).min(num_targets);
         let worker_threads = config.worker_threads();
         let mut rng = StdRng::seed_from_u64(config.seed ^ 0xDA7A);
 
@@ -99,16 +100,7 @@ impl ExperimentData {
         let mut negatives = Vec::new();
         let mut windows = vec![0.0; num_targets];
 
-        // Bucket `b` targets `threads[start..end]`, with every earlier
-        // thread as its history.
-        let bucket_size = num_targets.div_ceil(buckets);
-        let bounds: Vec<(usize, usize)> = (0..buckets)
-            .map(|b| {
-                let start = warmup + b * bucket_size;
-                (start, (start + bucket_size).min(threads.len()))
-            })
-            .take_while(|&(start, end)| start < end)
-            .collect();
+        let bounds = ExperimentData::bucket_ranges(threads.len(), warmup, config.buckets);
 
         // Pass 0 (parallel): every bucket's topic model. Each history is
         // a prefix of the last bucket's, so the posts tokenize once; each
@@ -119,18 +111,18 @@ impl ExperimentData {
         // detached task span, so its `lda.train` path is the same whether
         // it ran inline (one thread) or on a worker.
         let fitted = {
-            let last_start = bounds.last().map_or(warmup, |&(start, _)| start);
+            let last_start = bounds.last().map_or(warmup, |r| r.start);
             let posts = TokenizedPosts::new(&threads[..last_start]);
             let largest_first: Vec<usize> = (0..bounds.len()).rev().collect();
             let mut fitted = forumcast_par::parallel_map(&largest_first, worker_threads, |&b| {
                 let _span = forumcast_obs::task_span("features.topics", b as u64);
-                PostTopics::fit_prefix(&posts, bounds[b].0, &extractor_config.lda)
+                PostTopics::fit_prefix(&posts, bounds[b].start, &extractor_config.lda)
             });
             fitted.reverse();
             fitted
         };
 
-        for (b, (&(start, end), topics)) in bounds.iter().zip(fitted).enumerate() {
+        for (b, (&Range { start, end }, topics)) in bounds.iter().zip(fitted).enumerate() {
             let _bucket_span = forumcast_obs::span_unit("features.bucket", b as u64);
 
             // Pass 1 (serial): windows, answerer lists, and negative
@@ -165,9 +157,11 @@ impl ExperimentData {
             }
 
             // The bucket's extractor: pass 0's topics plus the history's
-            // aggregates and centralities. It drops, topics and all, at
-            // the end of the bucket.
-            let extractor = FeatureExtractor::from_topics(
+            // aggregates and centralities. The targets are never in
+            // their bucket's history, so it frees the history posts'
+            // distributions once the aggregates that read them are
+            // built; it drops at the end of the bucket.
+            let extractor = FeatureExtractor::for_targets(
                 &threads[..start],
                 dataset.num_users(),
                 topics,
@@ -218,6 +212,9 @@ impl ExperimentData {
                 )
             })
             .unwrap_or_else(|e| panic!("experiment data build failed: {e}"));
+            // Both sides grow by exactly this bucket's records.
+            positives.reserve_exact(per_thread.iter().map(|(pos, _)| pos.len()).sum());
+            negatives.reserve_exact(per_thread.iter().map(|(_, neg)| neg.len()).sum());
             for (pos, neg) in per_thread {
                 positives.extend(pos);
                 negatives.extend(neg);
@@ -236,6 +233,25 @@ impl ExperimentData {
             negatives,
             windows,
         }
+    }
+
+    /// The target threads of each bucket [`build_with_ranges`] fits one
+    /// extractor for, over `num_threads` threads with `warmup` history
+    /// threads in `buckets` buckets: bucket `b`'s history is every
+    /// thread before its range.
+    ///
+    /// [`build_with_ranges`]: ExperimentData::build_with_ranges
+    pub fn bucket_ranges(num_threads: usize, warmup: usize, buckets: usize) -> Vec<Range<usize>> {
+        let num_targets = num_threads.saturating_sub(warmup);
+        let buckets = buckets.clamp(1, num_targets.max(1));
+        let bucket_size = num_targets.div_ceil(buckets);
+        (0..buckets)
+            .map(|b| {
+                let start = warmup + b * bucket_size;
+                start..(start + bucket_size).min(num_threads)
+            })
+            .take_while(|r| r.start < r.end)
+            .collect()
     }
 
     /// Target `t`'s positive and negative records. The build stores
@@ -388,6 +404,30 @@ mod tests {
             assert_eq!(serial.positives, par.positives, "{threads} threads");
             assert_eq!(serial.negatives, par.negatives, "{threads} threads");
             assert_eq!(serial.windows, par.windows, "{threads} threads");
+        }
+    }
+
+    /// `FeatureExtractor::for_targets` infers every question's topics,
+    /// which equals the fitted `θ` only off the history: no target may
+    /// be in its bucket's history.
+    #[test]
+    fn no_target_is_in_its_buckets_history() {
+        let cfg = EvalConfig::quick();
+        let (ds, _) = cfg.synth.generate().preprocess();
+        let threads = ds.threads();
+        let warmup = (threads.len() as f64 * cfg.warmup_frac) as usize;
+        for buckets in [1, 2, 3, 7] {
+            let ranges = ExperimentData::bucket_ranges(threads.len(), warmup, buckets);
+            assert_eq!(ranges.first().map(|r| r.start), Some(warmup));
+            assert_eq!(ranges.last().map(|r| r.end), Some(threads.len()));
+            for r in &ranges {
+                let history: std::collections::HashSet<_> =
+                    threads[..r.start].iter().map(|t| t.id).collect();
+                assert!(
+                    threads[r.clone()].iter().all(|t| !history.contains(&t.id)),
+                    "{buckets} buckets: a target of {r:?} is in its history"
+                );
+            }
         }
     }
 

@@ -1,11 +1,10 @@
 //! Per-user and per-pair aggregates over a history partition `F(q)`.
 
-use std::collections::HashMap;
-
 use crate::topics::PostTopics;
-use forumcast_data::{Thread, UserId};
+use forumcast_data::{Post, Thread, UserId};
 use forumcast_graph::{
-    betweenness, betweenness_sampled, closeness, dense_graph, qa_graph, resource_allocation, Graph,
+    betweenness, betweenness_sampled, closeness, dense_graph_counted, qa_graph,
+    resource_allocation, Graph,
 };
 
 /// How betweenness centrality is computed for the SLN graphs.
@@ -49,9 +48,15 @@ pub struct FeatureContext {
     betweenness_qa: Vec<f64>,
     closeness_dense: Vec<f64>,
     betweenness_dense: Vec<f64>,
-    cooccurrence: HashMap<(u32, u32), f64>,
-    // --- per-user answer history: (history question idx, votes) ---
-    answered_by_user: Vec<Vec<(usize, i32)>>,
+    /// `h_{u,v}` per adjacency entry of `dense` (the same pairs), at
+    /// [`Graph::edge_index`].
+    cooccurrence: Vec<u32>,
+    // --- per-user answer history, CSR ---
+    /// `answered[answered_offsets[u]..answered_offsets[u + 1]]` is
+    /// user `u`'s answered history questions, in history order.
+    answered_offsets: Vec<u32>,
+    /// `(history question index, votes)` of each answered question.
+    answered: Vec<(u32, i32)>,
     /// Topic distribution of each history question, flat `H × K`,
     /// indexed as in the `history` slice passed to
     /// [`FeatureContext::build`].
@@ -71,6 +76,20 @@ impl FeatureContext {
         topics: &PostTopics,
         betweenness_mode: BetweennessMode,
     ) -> Self {
+        let mut context = FeatureContext::aggregate(history, num_users, topics);
+        context.add_graphs(history, betweenness_mode);
+        context
+    }
+
+    /// Every aggregate that reads `topics` (and the other per-user
+    /// ones), with empty graphs and centralities: only
+    /// [`add_graphs`](Self::add_graphs) makes it a usable context. That
+    /// step needs no topics, so a caller can free them in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a post references a user `>= num_users`.
+    pub(crate) fn aggregate(history: &[Thread], num_users: u32, topics: &PostTopics) -> Self {
         let n = num_users as usize;
         let k = topics.num_topics();
         let uniform = vec![1.0 / k as f64; k];
@@ -84,11 +103,10 @@ impl FeatureContext {
         let mut user_posts = vec![0usize; n];
         let mut discussed_topics = vec![0.0; n * k];
         let mut discussed_posts = vec![0usize; n];
-        let mut cooccurrence: HashMap<(u32, u32), f64> = HashMap::new();
-        let mut answered_by_user: Vec<Vec<(usize, i32)>> = vec![Vec::new(); n];
+        let mut answered_offsets = vec![0u32; n + 1];
         let mut hist_question_topics = Vec::with_capacity(history.len() * k);
 
-        for (qi, t) in history.iter().enumerate() {
+        for t in history {
             let asker = t.asker().index();
             assert!(asker < n, "asker out of range");
             questions_asked[asker] += 1.0;
@@ -96,9 +114,6 @@ impl FeatureContext {
             add_row(&mut discussed_topics, &mut discussed_posts, asker, d_q);
             hist_question_topics.extend_from_slice(d_q);
 
-            // Per-user dedup within the thread (multi-answers are rare
-            // and removed by preprocessing, but stay robust).
-            let mut seen: Vec<UserId> = Vec::new();
             for a in &t.answers {
                 let u = a.author.index();
                 assert!(u < n, "answerer out of range");
@@ -108,17 +123,9 @@ impl FeatureContext {
                 let d_a = topics.answer(t.id, a.author).unwrap_or(&uniform);
                 add_row(&mut discussed_topics, &mut discussed_posts, u, d_a);
                 add_row(&mut user_topics, &mut user_posts, u, d_a);
-                if !seen.contains(&a.author) {
-                    seen.push(a.author);
-                    answered_by_user[u].push((qi, a.votes));
-                }
             }
-            // Thread co-occurrence h_{u,v} over all participants.
-            let participants = t.participants();
-            for (i, &u) in participants.iter().enumerate() {
-                for &v in &participants[i + 1..] {
-                    *cooccurrence.entry(pair(u.0, v.0)).or_insert(0.0) += 1.0;
-                }
+            for a in first_answers(t) {
+                answered_offsets[a.author.index() + 1] += 1;
             }
         }
 
@@ -126,18 +133,24 @@ impl FeatureContext {
             .iter()
             .map(|v| forumcast_ml_median(v))
             .collect();
+        drop(response_times);
         to_means(&mut user_topics, &user_posts, &uniform);
         to_means(&mut discussed_topics, &discussed_posts, &uniform);
 
-        let qa = qa_graph(num_users, history);
-        let dense = dense_graph(num_users, history);
-        let (betweenness_qa, betweenness_dense) = match betweenness_mode {
-            BetweennessMode::Exact => (betweenness(&qa), betweenness(&dense)),
-            BetweennessMode::Sampled { pivots, seed } => (
-                betweenness_sampled(&qa, pivots, seed),
-                betweenness_sampled(&dense, pivots, seed ^ 0x9E3779B9),
-            ),
-        };
+        // Each user's answered questions, in history order.
+        for u in 0..n {
+            answered_offsets[u + 1] += answered_offsets[u];
+        }
+        let mut answered = vec![(0, 0); answered_offsets[n] as usize];
+        let mut next = answered_offsets.clone();
+        for (qi, t) in history.iter().enumerate() {
+            for a in first_answers(t) {
+                let at = &mut next[a.author.index()];
+                answered[*at as usize] = (qi as u32, a.votes);
+                *at += 1;
+            }
+        }
+
         FeatureContext {
             num_users,
             num_topics: k,
@@ -147,16 +160,39 @@ impl FeatureContext {
             median_response_time,
             user_topics,
             discussed_topics,
-            closeness_qa: closeness(&qa),
-            closeness_dense: closeness(&dense),
-            betweenness_qa,
-            betweenness_dense,
-            qa,
-            dense,
-            cooccurrence,
-            answered_by_user,
+            qa: Graph::new(0),
+            dense: Graph::new(0),
+            closeness_qa: Vec::new(),
+            betweenness_qa: Vec::new(),
+            closeness_dense: Vec::new(),
+            betweenness_dense: Vec::new(),
+            cooccurrence: Vec::new(),
+            answered_offsets,
+            answered,
             hist_question_topics,
         }
+    }
+
+    /// Builds the SLN graphs of `history`, their centralities and the
+    /// co-occurrence counts, completing an
+    /// [`aggregate`](Self::aggregate)d context.
+    pub(crate) fn add_graphs(&mut self, history: &[Thread], betweenness_mode: BetweennessMode) {
+        let qa = qa_graph(self.num_users, history);
+        let (dense, cooccurrence) = dense_graph_counted(self.num_users, history);
+        let (betweenness_qa, betweenness_dense) = match betweenness_mode {
+            BetweennessMode::Exact => (betweenness(&qa), betweenness(&dense)),
+            BetweennessMode::Sampled { pivots, seed } => (
+                betweenness_sampled(&qa, pivots, seed),
+                betweenness_sampled(&dense, pivots, seed ^ 0x9E3779B9),
+            ),
+        };
+        self.closeness_qa = closeness(&qa);
+        self.closeness_dense = closeness(&dense);
+        self.betweenness_qa = betweenness_qa;
+        self.betweenness_dense = betweenness_dense;
+        self.qa = qa;
+        self.dense = dense;
+        self.cooccurrence = cooccurrence;
     }
 
     /// Number of users.
@@ -203,7 +239,9 @@ impl FeatureContext {
 
     /// (xiv) `h_{u,v}` — threads both users participated in.
     pub fn cooccurrence(&self, u: UserId, v: UserId) -> f64 {
-        *self.cooccurrence.get(&pair(u.0, v.0)).unwrap_or(&0.0)
+        self.dense
+            .edge_index(u.0, v.0)
+            .map_or(0.0, |i| f64::from(self.cooccurrence[i]))
     }
 
     /// (xv) `l^QA_u`.
@@ -249,9 +287,13 @@ impl FeatureContext {
     /// (xi)/(xii): iterates over `u`'s answered history questions as
     /// `(topic distribution, votes received)` pairs.
     pub fn answer_history(&self, u: UserId) -> impl Iterator<Item = (&[f64], i32)> {
-        self.answered_by_user[u.index()]
+        let (start, end) = (
+            self.answered_offsets[u.index()],
+            self.answered_offsets[u.index() + 1],
+        );
+        self.answered[start as usize..end as usize]
             .iter()
-            .map(|&(qi, votes)| (self.row(&self.hist_question_topics, qi), votes))
+            .map(|&(qi, votes)| (self.row(&self.hist_question_topics, qi as usize), votes))
     }
 
     /// Row `i` of a flat `K`-strided table.
@@ -286,13 +328,13 @@ fn to_means(sums: &mut [f64], posts: &[usize], uniform: &[f64]) {
     }
 }
 
-/// Canonical unordered pair key.
-fn pair(a: u32, b: u32) -> (u32, u32) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+/// Each answerer of `t` once, with their first answer in `t`.
+fn first_answers(t: &Thread) -> impl Iterator<Item = &Post> {
+    t.answers
+        .iter()
+        .enumerate()
+        .filter(|&(i, a)| t.answers[..i].iter().all(|b| b.author != a.author))
+        .map(|(_, a)| a)
 }
 
 /// Median without pulling the ml crate into the dependency graph.
@@ -370,6 +412,58 @@ mod tests {
         assert_eq!(c.cooccurrence(UserId(2), UserId(1)), 2.0);
         assert_eq!(c.cooccurrence(UserId(0), UserId(2)), 1.0);
         assert_eq!(c.cooccurrence(UserId(0), UserId(3)), 0.0);
+    }
+
+    /// The co-occurrence counts on the dense graph's adjacency equal
+    /// counting every participant pair of every thread into a map, on
+    /// every pair, and the answer-history CSR equals per-user lists.
+    #[test]
+    fn dense_counts_and_answer_history_match_per_pair_maps() {
+        use forumcast_synth::SynthConfig;
+        use std::collections::HashMap;
+        let (clean, _) = SynthConfig::small().with_seed(3).generate().preprocess();
+        let history = &clean.threads()[..150];
+        let n = clean.num_users();
+        let topics = PostTopics::fit(history, &LdaConfig::new(2).with_iterations(2));
+        let c = FeatureContext::build(history, n, &topics, BetweennessMode::Exact);
+
+        let mut counts: HashMap<(u32, u32), f64> = HashMap::new();
+        let mut answered: Vec<Vec<(usize, i32)>> = vec![Vec::new(); n as usize];
+        for (qi, t) in history.iter().enumerate() {
+            let users = t.participants();
+            for (i, &u) in users.iter().enumerate() {
+                for &v in &users[i + 1..] {
+                    *counts.entry((u.0, v.0)).or_insert(0.0) += 1.0;
+                }
+            }
+            let mut seen = Vec::new();
+            for a in &t.answers {
+                if !seen.contains(&a.author) {
+                    seen.push(a.author);
+                    answered[a.author.index()].push((qi, a.votes));
+                }
+            }
+        }
+        assert!(
+            counts.values().any(|&h| h > 1.0),
+            "some pair shares threads"
+        );
+        for (&(u, v), &h) in &counts {
+            assert_eq!(c.cooccurrence(UserId(u), UserId(v)).to_bits(), h.to_bits());
+            assert_eq!(c.cooccurrence(UserId(v), UserId(u)).to_bits(), h.to_bits());
+        }
+        assert_eq!(c.dense_graph().num_edges(), counts.len());
+        for u in 0..n {
+            let got: Vec<(Vec<f64>, i32)> = c
+                .answer_history(UserId(u))
+                .map(|(d, votes)| (d.to_vec(), votes))
+                .collect();
+            let want: Vec<(Vec<f64>, i32)> = answered[u as usize]
+                .iter()
+                .map(|&(qi, votes)| (topics.question(history[qi].id).unwrap().to_vec(), votes))
+                .collect();
+            assert_eq!(got, want, "answer history of u{u}");
+        }
     }
 
     #[test]

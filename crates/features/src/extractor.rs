@@ -70,19 +70,33 @@ impl FeatureExtractor {
     /// Fits topics and aggregates on the history partition.
     pub fn fit(history: &[Thread], num_users: u32, config: &ExtractorConfig) -> Self {
         let topics = PostTopics::fit(history, &config.lda);
-        FeatureExtractor::from_topics(history, num_users, topics, config.betweenness)
+        let context = FeatureContext::build(history, num_users, &topics, config.betweenness);
+        FeatureExtractor::new(topics, context)
     }
 
     /// Fits the aggregates on the history partition around `topics`,
     /// which must already be fitted on that same history — for
-    /// callers that fit several histories' topics at once.
-    pub fn from_topics(
+    /// callers that fit several histories' topics at once and extract
+    /// features only for target questions outside `history`.
+    ///
+    /// The history posts' distributions are freed once the aggregates
+    /// that read them are built, before the graphs, so
+    /// [`question_topics`](FeatureExtractor::question_topics) infers
+    /// every question: for a target outside `history` that is what
+    /// [`FeatureExtractor::fit`]'s extractor gives too.
+    pub fn for_targets(
         history: &[Thread],
         num_users: u32,
-        topics: PostTopics,
+        mut topics: PostTopics,
         betweenness: BetweennessMode,
     ) -> Self {
-        let context = FeatureContext::build(history, num_users, &topics, betweenness);
+        let mut context = FeatureContext::aggregate(history, num_users, &topics);
+        topics.forget_history();
+        context.add_graphs(history, betweenness);
+        FeatureExtractor::new(topics, context)
+    }
+
+    fn new(topics: PostTopics, context: FeatureContext) -> Self {
         let layout = FeatureLayout::new(topics.num_topics());
         FeatureExtractor {
             topics,
@@ -266,6 +280,36 @@ mod tests {
             ex.topics().question(history[3].id).unwrap().to_vec(),
             "in-history questions should use the trained θ"
         );
+    }
+
+    /// An extractor that freed its history posts' distributions gives
+    /// every target outside the history the same topics and features,
+    /// bit for bit.
+    #[test]
+    fn for_targets_matches_fit_off_the_history() {
+        let ds = SynthConfig::small().with_seed(5).generate();
+        let (clean, _) = ds.preprocess();
+        let (history, targets) = clean.threads().split_at(100);
+        let config = ExtractorConfig::fast();
+        let fitted = FeatureExtractor::fit(history, clean.num_users(), &config);
+        let topics = PostTopics::fit(history, &config.lda);
+        let lean =
+            FeatureExtractor::for_targets(history, clean.num_users(), topics, config.betweenness);
+        assert_eq!(lean.topics().model().num_docs(), 0);
+        assert!(lean.topics().question(history[0].id).is_none());
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for target in &targets[..20] {
+            let d_q = fitted.question_topics(target);
+            assert_eq!(bits(&lean.question_topics(target)), bits(&d_q));
+            for u in (0..clean.num_users()).step_by(7).map(UserId) {
+                assert_eq!(
+                    bits(&lean.features(u, target, &d_q)),
+                    bits(&fitted.features(u, target, &d_q)),
+                    "{u} on q{}",
+                    target.id.0
+                );
+            }
+        }
     }
 
     #[test]

@@ -83,10 +83,8 @@ impl PostTopics {
         let num_docs = num_threads
             .checked_sub(1)
             .map_or(0, |last| posts.thread_ends[last]);
-        let (vocab, lda) = {
-            let (vocab, corpus) = posts.docs.prefix_corpus(num_docs, 2, 0.6);
-            (vocab, LdaModel::train(&corpus, config))
-        };
+        let (vocab, corpus) = posts.docs.prefix_view(num_docs, 2, 0.6);
+        let lda = LdaModel::train_view(&corpus, config);
 
         let mut question_docs = HashMap::new();
         let mut answer_docs = HashMap::new();
@@ -119,6 +117,16 @@ impl PostTopics {
     /// The underlying LDA model.
     pub fn model(&self) -> &LdaModel {
         &self.lda
+    }
+
+    /// Frees every history post's distribution (the model's `θ` and
+    /// the post maps), keeping what [`infer`](PostTopics::infer) needs:
+    /// [`question`](PostTopics::question) and
+    /// [`answer`](PostTopics::answer) return `None` after it.
+    pub fn forget_history(&mut self) {
+        self.lda.forget_documents();
+        self.question_docs = HashMap::new();
+        self.answer_docs = HashMap::new();
     }
 
     /// Topic distribution of a history question.
@@ -198,8 +206,8 @@ mod tests {
         }
         for k in 0..a.num_topics() {
             assert_eq!(
-                bits(a.topic_words(k)),
-                bits(b.topic_words(k)),
+                bits(&a.topic_words(k)),
+                bits(&b.topic_words(k)),
                 "φ of topic {k}"
             );
         }
@@ -219,28 +227,54 @@ mod tests {
         }
     }
 
-    /// The interned fit trains on the very corpus that tokenizing each
-    /// post into strings, observing, pruning and encoding gives.
+    /// The stream fit sweeps the interned token stream in place, through
+    /// the pruned vocabulary's id map. For every bucket history of a
+    /// three-bucket split it equals, bit for bit, training on the
+    /// corpus materialized by tokenizing, pruning and encoding that
+    /// history's posts, at topic counts on both sides of the tree
+    /// draw's threshold, with pruned words and empty documents present.
     #[test]
-    fn fit_matches_the_string_token_pipeline() {
+    fn stream_fit_equals_the_materialized_corpus_fit_on_every_bucket_history() {
+        use forumcast_data::Post;
         use forumcast_text::{tokenize_filtered, Corpus};
         let ds = SynthConfig::small().with_seed(11).generate();
         let (clean, _) = ds.preprocess();
-        let history = &clean.threads()[..80];
-        let config = LdaConfig::new(4).with_iterations(10);
-        let docs: Vec<Vec<String>> = history
-            .iter()
-            .flat_map(|t| t.posts().map(|p| tokenize_filtered(&p.body.text)))
-            .collect();
-        let mut vocab = Vocabulary::new();
-        for d in &docs {
-            vocab.observe(d);
+        let mut threads: Vec<Thread> = clean.threads()[..120].to_vec();
+        // An empty question and answers whose only words are pruned
+        // (each in one post), early enough to be in every history.
+        let post = |u: u32, text: &str| Post::new(UserId(u), 1.0, 0, PostBody::words(text));
+        for (i, at) in [0usize, 30].into_iter().enumerate() {
+            let id = 1_000_000 + i as u32;
+            let answers = vec![post(1, &format!("zzonce{i}")), post(2, "")];
+            threads.insert(at, Thread::new(id, post(0, ""), answers));
         }
-        vocab.prune(2, 0.6);
-        let reference = LdaModel::train(&Corpus::from_token_docs(&docs, &vocab), &config);
-        let fitted = PostTopics::fit(history, &config);
-        assert_eq!(fitted.vocab, vocab);
-        assert_lda_bitwise_equal(fitted.model(), &reference);
+        let posts = TokenizedPosts::new(&threads);
+        let warmup = threads.len() * 3 / 10;
+        let bucket = (threads.len() - warmup).div_ceil(3);
+        for k in [1, 4, 23, 24, 64] {
+            let config = LdaConfig::new(k).with_iterations(4);
+            for n in (0..3).map(|b| warmup + b * bucket) {
+                let docs: Vec<Vec<String>> = threads[..n]
+                    .iter()
+                    .flat_map(|t| t.posts().map(|p| tokenize_filtered(&p.body.text)))
+                    .collect();
+                let mut vocab = Vocabulary::new();
+                for d in &docs {
+                    vocab.observe(d);
+                }
+                let observed = vocab.len();
+                vocab.prune(2, 0.6);
+                assert!(vocab.len() < observed, "K={k}, {n} threads: no word pruned");
+                let corpus = Corpus::from_token_docs(&docs, &vocab);
+                assert!(
+                    corpus.iter().filter(|d| d.is_empty()).count() >= 4,
+                    "K={k}, {n} threads: empty documents missing"
+                );
+                let stream = PostTopics::fit_prefix(&posts, n, &config);
+                assert_eq!(stream.vocab, vocab, "K={k}, {n} threads");
+                assert_lda_bitwise_equal(stream.model(), &LdaModel::train(&corpus, &config));
+            }
+        }
     }
 
     #[test]

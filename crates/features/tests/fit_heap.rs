@@ -1,5 +1,5 @@
 //! Heap regression test for the topic fit: a counting global allocator
-//! measures what `PostTopics::fit_prefix` and `LdaModel::train` hold
+//! measures what `PostTopics::fit_prefix` and `LdaModel::train_view` hold
 //! and allocate on a generated small forum.
 //!
 //! The counters are process-wide, so this binary holds exactly one
@@ -86,12 +86,13 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     )
 }
 
-/// Peak heap of `fit_prefix` above its inputs, per corpus token. The
-/// flat corpus that `train` samples in place measures 14.6 B/token
-/// here (17,228 tokens, 459 posts, K = 8); the nested
-/// `Vec<BagOfWords>` corpus it replaced, which `train` copied into a
-/// second token buffer, measured 36.7 B/token.
-const FIT_PEAK_BYTES_PER_TOKEN: f64 = 18.0;
+/// Peak heap of `fit_prefix` above its inputs, per corpus token.
+/// Sweeping the interned token stream in place measures 9.1 B/token
+/// here (17,228 tokens, 459 posts, K = 8); the pruned corpus
+/// copy it replaced measured 14.6 B/token, and the nested
+/// `Vec<BagOfWords>` corpus before that, which `train` copied into a
+/// second token buffer, 36.7 B/token.
+const FIT_PEAK_BYTES_PER_TOKEN: f64 = 11.0;
 
 #[test]
 fn topic_fit_heap_stays_within_its_bounds() {
@@ -101,7 +102,7 @@ fn topic_fit_heap_stays_within_its_bounds() {
     let posts = TokenizedPosts::new(threads);
     let config = LdaConfig::new(8).with_iterations(3);
 
-    // The corpus `fit_prefix` trains on: every post, pruned as it
+    // The documents `fit_prefix` trains on: every post, pruned as it
     // prunes.
     let mut docs = InternedDocs::new();
     for t in threads {
@@ -109,37 +110,37 @@ fn topic_fit_heap_stays_within_its_bounds() {
             docs.push_text(&p.body.text);
         }
     }
-    let (_, corpus) = docs.prefix_corpus(docs.num_docs(), 2, 0.6);
-    let tokens = corpus.num_tokens();
+    let (_, view) = docs.prefix_view(docs.num_docs(), 2, 0.6);
+    let tokens = view.num_tokens();
     assert!(
         tokens > 10_000,
         "the forum is too small to measure: {tokens} tokens"
     );
 
     let (topics, peak, _) = measure(|| PostTopics::fit_prefix(&posts, threads.len(), &config));
-    assert_eq!(topics.model().num_docs(), corpus.num_docs());
+    assert_eq!(topics.model().num_docs(), view.num_docs());
     let per_token = peak as f64 / tokens as f64;
     assert!(
         per_token <= FIT_PEAK_BYTES_PER_TOKEN,
         "fit_prefix peaked {peak} B above its inputs: {per_token:.1} B per corpus token \
          ({tokens} tokens, {} posts), bound {FIT_PEAK_BYTES_PER_TOKEN}",
-        corpus.num_docs()
+        view.num_docs()
     );
     drop(topics);
 
-    // `train` reads the corpus ids in place: beyond the model it
+    // `train_view` reads the stream ids in place: beyond the model it
     // returns, it allocates its sampling state (one topic per token,
     // the count tables and per-topic rows) and no copy of the ids.
-    let (model, _, allocated) = measure(|| LdaModel::train(&corpus, &config));
-    let (k, d, v) = (8, corpus.num_docs(), corpus.num_words());
+    let (model, _, allocated) = measure(|| LdaModel::train_view(&view, &config));
+    let (k, d, v) = (8, view.num_docs(), view.num_words());
     let model_bytes = 8 * (k * v + d * k);
     // One `u16` topic per token.
     let state_bytes = 2 * tokens + 4 * (d * k + v * k) + 8 * (5 * k + 1);
     let ids_copy = 4 * tokens;
     assert!(
         allocated < model_bytes + state_bytes + ids_copy / 2,
-        "train allocated {allocated} B: model {model_bytes} B, sampling state {state_bytes} B, \
-         so {} B more, near a copy of the {ids_copy} B of corpus ids",
+        "train_view allocated {allocated} B: model {model_bytes} B, sampling state \
+         {state_bytes} B, so {} B more, near a copy of the {ids_copy} B of corpus ids",
         allocated - model_bytes - state_bytes
     );
     drop(model);

@@ -58,6 +58,18 @@ pub fn qa_graph(num_users: u32, threads: &[Thread]) -> Graph {
 /// assert!(g.has_edge(1, 2)); // co-answerers are linked in G_D
 /// ```
 pub fn dense_graph(num_users: u32, threads: &[Thread]) -> Graph {
+    Graph::from_edges(num_users as usize, &participant_pairs(threads))
+}
+
+/// [`dense_graph`] plus the thread co-occurrence count of each of its
+/// adjacency entries: how many threads both users took part in,
+/// indexed by [`Graph::edge_index`].
+pub fn dense_graph_counted(num_users: u32, threads: &[Thread]) -> (Graph, Vec<u32>) {
+    Graph::from_edges_counted(num_users as usize, &participant_pairs(threads))
+}
+
+/// Every pair of distinct participants of each thread, once per thread.
+fn participant_pairs(threads: &[Thread]) -> Vec<(u32, u32)> {
     let mut edges = Vec::new();
     for t in threads {
         let users = t.participants();
@@ -67,7 +79,7 @@ pub fn dense_graph(num_users: u32, threads: &[Thread]) -> Graph {
             }
         }
     }
-    Graph::from_edges(num_users as usize, &edges)
+    edges
 }
 
 #[cfg(test)]

@@ -52,6 +52,24 @@ impl Graph {
     ///
     /// Panics when an endpoint is `>= num_nodes`.
     pub fn from_edges(num_nodes: usize, edges: &[(u32, u32)]) -> Self {
+        Graph::build(num_nodes, edges, false).0
+    }
+
+    /// [`Graph::from_edges`], plus how many times each edge is listed
+    /// (either way round): entry `i` counts the edge of adjacency entry
+    /// `i`, the position [`Graph::edge_index`] gives, so both
+    /// directions of an edge carry its count.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an endpoint is `>= num_nodes`.
+    pub fn from_edges_counted(num_nodes: usize, edges: &[(u32, u32)]) -> (Self, Vec<u32>) {
+        Graph::build(num_nodes, edges, true)
+    }
+
+    /// The graph of `edges` and, when `counted`, each adjacency entry's
+    /// edge count (empty otherwise).
+    fn build(num_nodes: usize, edges: &[(u32, u32)], counted: bool) -> (Self, Vec<u32>) {
         let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(edges.len() * 2);
         for &(u, v) in edges {
             assert!(
@@ -65,6 +83,11 @@ impl Graph {
             pairs.push((v, u));
         }
         pairs.sort_unstable();
+        let mut counts = Vec::new();
+        if counted {
+            counts.reserve_exact(pairs.chunk_by(|a, b| a == b).count());
+            counts.extend(pairs.chunk_by(|a, b| a == b).map(|run| run.len() as u32));
+        }
         pairs.dedup();
         assert!(
             u32::try_from(pairs.len()).is_ok(),
@@ -78,12 +101,16 @@ impl Graph {
             offsets[i] += offsets[i - 1];
         }
         let num_edges = pairs.len() / 2;
-        let neighbors: Vec<u32> = pairs.into_iter().map(|(_, v)| v).collect();
-        Graph {
+        // Collected from a borrow, so the list is a fresh exact-size
+        // allocation: `into_iter` would reuse the pair buffer, holding
+        // 16 B per listed edge for the graph's life.
+        let neighbors: Vec<u32> = pairs.iter().map(|&(_, v)| v).collect();
+        let graph = Graph {
             offsets,
             neighbors,
             num_edges,
-        }
+        };
+        (graph, counts)
     }
 
     fn neighbors_of(&self, u: u32) -> &[u32] {
@@ -125,6 +152,19 @@ impl Graph {
     /// Panics when `u` is out of range.
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
         self.neighbors_of(u).binary_search(&v).is_ok()
+    }
+
+    /// Where `v` sits in the flat adjacency of all nodes (`u`'s slice
+    /// starts at its CSR offset), or `None` without the edge `{u, v}`.
+    /// Indexes the counts of [`Graph::from_edges_counted`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `u` is out of range.
+    pub fn edge_index(&self, u: u32, v: u32) -> Option<usize> {
+        let start = self.offsets[u as usize] as usize;
+        let at = self.neighbors_of(u).binary_search(&v).ok()?;
+        Some(start + at)
     }
 
     /// Mean degree `Σ_u deg(u) / n` (0 for the empty graph). The paper
@@ -195,6 +235,26 @@ mod tests {
         assert_eq!(g.num_edges(), 4);
         assert!(g.has_edge(4, 1) && g.has_edge(1, 4));
         assert_eq!(g.degree(2), 0);
+    }
+
+    #[test]
+    fn counted_build_counts_each_listing_of_an_edge() {
+        let edges = [(0u32, 1u32), (1, 0), (2, 1), (0, 1), (3, 3)];
+        let (g, counts) = Graph::from_edges_counted(4, &edges);
+        assert_eq!(g, Graph::from_edges(4, &edges));
+        assert_eq!(counts.len(), 2 * g.num_edges());
+        let count = |u, v| g.edge_index(u, v).map(|i| counts[i]);
+        assert_eq!((count(0, 1), count(1, 0)), (Some(3), Some(3)));
+        assert_eq!((count(1, 2), count(2, 1)), (Some(1), Some(1)));
+        assert_eq!((count(0, 2), count(3, 3)), (None, None));
+    }
+
+    #[test]
+    fn adjacency_is_held_at_its_exact_length() {
+        let edges: Vec<(u32, u32)> = (0..400).map(|i| (i % 5, 5 + i % 3)).collect();
+        let g = Graph::from_edges(8, &edges);
+        assert_eq!(g.neighbors.len(), 2 * g.num_edges());
+        assert_eq!(g.neighbors.capacity(), g.neighbors.len());
     }
 
     #[test]

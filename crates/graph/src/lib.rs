@@ -41,7 +41,7 @@ pub mod scratch;
 pub mod stats;
 
 pub use bfs::bfs_distances;
-pub use build::{dense_graph, qa_graph};
+pub use build::{dense_graph, dense_graph_counted, qa_graph};
 pub use centrality::{
     betweenness, betweenness_sampled, betweenness_sampled_with_threads, betweenness_with_threads,
     closeness, closeness_with_threads,

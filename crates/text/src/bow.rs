@@ -97,17 +97,9 @@ pub struct Corpus {
 impl Corpus {
     /// An empty corpus over `num_words` word ids.
     pub fn new(num_words: usize) -> Self {
-        Corpus::with_capacity(num_words, 0, 0)
-    }
-
-    /// An empty corpus with room for `num_docs` documents of
-    /// `num_tokens` tokens in all.
-    pub(crate) fn with_capacity(num_words: usize, num_docs: usize, num_tokens: usize) -> Self {
-        let mut offsets = Vec::with_capacity(num_docs + 1);
-        offsets.push(0);
         Corpus {
-            ids: Vec::with_capacity(num_tokens),
-            offsets,
+            ids: Vec::new(),
+            offsets: vec![0],
             num_words,
         }
     }
@@ -191,6 +183,104 @@ impl Corpus {
     pub fn iter(&self) -> impl Iterator<Item = &[u32]> {
         self.offsets.windows(2).map(|w| &self.ids[w[0]..w[1]])
     }
+
+    /// The corpus as a [`CorpusView`] that keeps every id.
+    pub fn view(&self) -> CorpusView<'_> {
+        CorpusView {
+            ids: &self.ids,
+            offsets: &self.offsets,
+            words: None,
+            num_words: self.num_words,
+            num_tokens: self.ids.len(),
+        }
+    }
+}
+
+/// Documents of word ids read in place from a flat id stream (CSR, as
+/// in [`Corpus`]), each stream id taken as is or mapped to a word id or
+/// dropped.
+///
+/// A view over [`InternedDocs`](crate::InternedDocs) maps its ids
+/// through the pruned vocabulary: the map keeps ids in order and each
+/// document's stream ids ascend, so each document's word ids ascend
+/// with repeats, as in a [`Corpus`].
+#[derive(Debug, Clone)]
+pub struct CorpusView<'a> {
+    ids: &'a [u32],
+    offsets: &'a [usize],
+    /// Stream id → word id, [`CorpusView::DROPPED`] for a dropped id;
+    /// `None` keeps every id as its word id.
+    words: Option<Vec<u32>>,
+    num_words: usize,
+    num_tokens: usize,
+}
+
+impl<'a> CorpusView<'a> {
+    /// The word id of a dropped stream id.
+    pub const DROPPED: u32 = u32::MAX;
+
+    /// The view of `ids` split at `offsets`, mapped through `words`, of
+    /// `num_tokens` kept tokens over `num_words` word ids.
+    pub(crate) fn mapped(
+        ids: &'a [u32],
+        offsets: &'a [usize],
+        words: Vec<u32>,
+        num_words: usize,
+        num_tokens: usize,
+    ) -> Self {
+        CorpusView {
+            ids,
+            offsets,
+            words: Some(words),
+            num_words,
+            num_tokens,
+        }
+    }
+
+    /// Number of documents.
+    pub fn num_docs(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of word ids.
+    pub fn num_words(&self) -> usize {
+        self.num_words
+    }
+
+    /// Number of kept tokens over all documents.
+    pub fn num_tokens(&self) -> usize {
+        self.num_tokens
+    }
+
+    /// The stream ids, every document's back to back, dropped ones
+    /// included.
+    pub fn ids(&self) -> &'a [u32] {
+        self.ids
+    }
+
+    /// `num_docs() + 1` offsets into [`ids`](CorpusView::ids).
+    pub fn offsets(&self) -> &'a [usize] {
+        self.offsets
+    }
+
+    /// The stream-id → word-id map ([`CorpusView::DROPPED`] for a
+    /// dropped id), or `None` when every id is its own word id.
+    pub fn word_map(&self) -> Option<&[u32]> {
+        self.words.as_deref()
+    }
+
+    /// The word ids of document `d`, in stream order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `d` is out of bounds.
+    pub fn doc(&self, d: usize) -> impl Iterator<Item = u32> + '_ {
+        let ids = &self.ids[self.offsets[d]..self.offsets[d + 1]];
+        ids.iter().filter_map(move |&id| match &self.words {
+            None => Some(id),
+            Some(words) => Some(words[id as usize]).filter(|&w| w != Self::DROPPED),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -257,6 +347,21 @@ mod tests {
         let docs: Vec<&[u32]> = c.iter().collect();
         assert_eq!(docs, vec![&[2, 2, 7, 7, 7, 9][..], &[], &[0]]);
         assert_eq!(c.offsets(), &[0, 6, 6, 7]);
+    }
+
+    #[test]
+    fn corpus_view_keeps_every_id() {
+        let mut c = Corpus::new(10);
+        c.push_doc([7, 2, 2]);
+        c.push_doc([]);
+        let view = c.view();
+        assert_eq!(
+            (view.num_docs(), view.num_words(), view.num_tokens()),
+            (2, 10, 3)
+        );
+        assert_eq!(view.word_map(), None);
+        assert_eq!(view.doc(0).collect::<Vec<_>>(), [2, 2, 7]);
+        assert_eq!(view.doc(1).count(), 0);
     }
 
     #[test]

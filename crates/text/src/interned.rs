@@ -3,18 +3,20 @@
 
 use std::collections::HashMap;
 
-use crate::bow::Corpus;
+use crate::bow::CorpusView;
 use crate::tokenizer::for_each_filtered_token;
 use crate::vocab::Vocabulary;
 
 /// Token documents stored as one string table plus `u32` token ids
-/// per document.
+/// per document, each document's ids sorted ascending.
 ///
 /// Ids are assigned in first-seen order, so the distinct tokens of
 /// the first `n` documents are exactly ids `0..m` for some `m`. That
-/// is what lets [`prefix_corpus`](InternedDocs::prefix_corpus) give,
-/// for any prefix, the same vocabulary and corpus as observing,
-/// pruning and encoding that prefix's token documents from scratch.
+/// is what lets [`prefix_view`](InternedDocs::prefix_view) give, for
+/// any prefix, the same vocabulary and corpus as observing, pruning
+/// and encoding that prefix's token documents from scratch. Pruning
+/// keeps ids in order, so it maps ascending ids to ascending word ids
+/// and the prefix's corpus is these very ids, read through that map.
 ///
 /// # Example
 ///
@@ -25,18 +27,29 @@ use crate::vocab::Vocabulary;
 /// docs.push(&["rust", "vec"]);
 /// docs.push(&["sort", "vec"]);
 /// // Of the first two documents, only "rust" is in two of them.
-/// let (vocab, corpus) = docs.prefix_corpus(2, 2, 1.0);
+/// let (vocab, corpus) = docs.prefix_view(2, 2, 1.0);
 /// assert_eq!(vocab.len(), 1);
 /// assert_eq!(corpus.num_docs(), 2);
-/// assert_eq!(corpus.doc(1), &[0]);
+/// assert_eq!(corpus.doc(1).collect::<Vec<_>>(), [0]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InternedDocs {
     lookup: HashMap<String, u32>,
     tokens: Vec<String>,
     ids: Vec<u32>,
-    /// End offset into `ids` of each document.
-    ends: Vec<usize>,
+    /// `offsets[d]..offsets[d + 1]` is document `d`'s range of `ids`.
+    offsets: Vec<usize>,
+}
+
+impl Default for InternedDocs {
+    fn default() -> Self {
+        InternedDocs {
+            lookup: HashMap::new(),
+            tokens: Vec::new(),
+            ids: Vec::new(),
+            offsets: vec![0],
+        }
+    }
 }
 
 impl InternedDocs {
@@ -50,7 +63,7 @@ impl InternedDocs {
     pub fn shrink_to_fit(&mut self) {
         self.tokens.shrink_to_fit();
         self.ids.shrink_to_fit();
-        self.ends.shrink_to_fit();
+        self.offsets.shrink_to_fit();
     }
 
     /// Appends one document, interning its new tokens.
@@ -62,7 +75,7 @@ impl InternedDocs {
         for tok in doc {
             self.intern(tok.as_ref());
         }
-        self.ends.push(self.ids.len());
+        self.close_doc();
     }
 
     /// Appends the document of `text`'s
@@ -75,7 +88,7 @@ impl InternedDocs {
     /// Panics past `u32::MAX` distinct tokens.
     pub fn push_text(&mut self, text: &str) {
         for_each_filtered_token(text, |tok| self.intern(tok));
-        self.ends.push(self.ids.len());
+        self.close_doc();
     }
 
     /// Appends `tok`'s id to the open document, interning it if new.
@@ -92,52 +105,50 @@ impl InternedDocs {
         self.ids.push(id);
     }
 
+    /// Sorts the open document's ids and ends it.
+    fn close_doc(&mut self) {
+        let start = self.offsets[self.offsets.len() - 1];
+        self.ids[start..].sort_unstable();
+        self.offsets.push(self.ids.len());
+    }
+
     /// Number of documents.
     pub fn num_docs(&self) -> usize {
-        self.ends.len()
+        self.offsets.len() - 1
     }
 
-    /// Token ids of document `i`, in token order.
-    fn doc(&self, i: usize) -> &[u32] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.ids[start..self.ends[i]]
-    }
-
-    /// The pruned vocabulary and encoded corpus of the first
-    /// `num_docs` documents: equal to
-    /// [`Vocabulary::observe`]-ing each of them,
+    /// The pruned vocabulary and corpus of the first `num_docs`
+    /// documents: equal to [`Vocabulary::observe`]-ing each of them,
     /// [`Vocabulary::prune`]`(min_docs, max_doc_frac)`, then
-    /// [`Corpus::from_token_docs`].
+    /// [`Corpus::from_token_docs`](crate::Corpus::from_token_docs).
+    /// The corpus reads these documents' ids in place, through the
+    /// pruned vocabulary's id map.
     ///
     /// # Panics
     ///
     /// Panics when `num_docs` exceeds [`num_docs`](InternedDocs::num_docs).
-    pub fn prefix_corpus(
+    pub fn prefix_view(
         &self,
         num_docs: usize,
         min_docs: usize,
         max_doc_frac: f64,
-    ) -> (Vocabulary, Corpus) {
+    ) -> (Vocabulary, CorpusView<'_>) {
         assert!(
             num_docs <= self.num_docs(),
             "prefix of {num_docs} documents out of {}",
             self.num_docs()
         );
-        let end = num_docs.checked_sub(1).map_or(0, |last| self.ends[last]);
-        let m = self.ids[..end]
-            .iter()
-            .max()
-            .map_or(0, |&id| id as usize + 1);
+        let offsets = &self.offsets[..=num_docs];
+        let ids = &self.ids[..offsets[num_docs]];
+        let m = ids.iter().max().map_or(0, |&id| id as usize + 1);
         let mut counts = vec![0usize; m];
         let mut doc_counts = vec![0usize; m];
-        let mut last_doc = vec![usize::MAX; m];
-        for d in 0..num_docs {
-            for &id in self.doc(d) {
-                let id = id as usize;
-                counts[id] += 1;
-                if last_doc[id] != d {
-                    last_doc[id] = d;
-                    doc_counts[id] += 1;
+        for doc in offsets.windows(2).map(|w| &ids[w[0]..w[1]]) {
+            // Sorted, so each distinct id opens a run.
+            for (i, &id) in doc.iter().enumerate() {
+                counts[id as usize] += 1;
+                if i == 0 || doc[i - 1] != id {
+                    doc_counts[id as usize] += 1;
                 }
             }
         }
@@ -149,20 +160,14 @@ impl InternedDocs {
             min_docs,
             max_doc_frac,
         );
-
-        // Each document's kept ids, ascending with repeats, written
-        // into a corpus sized to the kept tokens exactly.
-        let mut new_id = vec![None; m];
+        let mut words = vec![CorpusView::DROPPED; m];
         let mut num_tokens = 0;
-        for (new, &old) in keep.iter().enumerate() {
-            new_id[old] = Some(new);
-            num_tokens += counts[old];
+        for (word, &id) in keep.iter().enumerate() {
+            words[id] = word as u32;
+            num_tokens += counts[id];
         }
-        let mut corpus = Corpus::with_capacity(vocab.len(), num_docs, num_tokens);
-        for d in 0..num_docs {
-            corpus.push_doc(self.doc(d).iter().filter_map(|&id| new_id[id as usize]));
-        }
-        (vocab, corpus)
+        let view = CorpusView::mapped(ids, offsets, words, vocab.len(), num_tokens);
+        (vocab, view)
     }
 }
 
@@ -170,16 +175,21 @@ impl InternedDocs {
 mod tests {
     use super::*;
 
+    /// Token ids of document `i`.
+    fn doc(docs: &InternedDocs, i: usize) -> &[u32] {
+        &docs.ids[docs.offsets[i]..docs.offsets[i + 1]]
+    }
+
     #[test]
-    fn ids_follow_first_appearance() {
+    fn ids_follow_first_appearance_and_each_document_sorts() {
         let mut docs = InternedDocs::new();
         docs.push(&["b", "a", "b"]);
         docs.push::<&str>(&[]);
         docs.push(&["c", "a"]);
         assert_eq!(docs.num_docs(), 3);
-        assert_eq!(docs.doc(0), &[0, 1, 0]);
-        assert!(docs.doc(1).is_empty());
-        assert_eq!(docs.doc(2), &[2, 1]);
+        assert_eq!(doc(&docs, 0), &[0, 0, 1]);
+        assert!(doc(&docs, 1).is_empty());
+        assert_eq!(doc(&docs, 2), &[1, 2]);
     }
 
     #[test]
@@ -191,23 +201,43 @@ mod tests {
             collected.push(&crate::tokenize_filtered(text));
         }
         assert_eq!(streamed, collected);
-        assert_eq!(streamed.doc(2), &[0, 3, 4]);
+        assert_eq!(doc(&streamed, 2), &[0, 3, 4]);
+    }
+
+    #[test]
+    fn pruned_ids_drop_and_kept_ids_renumber_in_order() {
+        let mut docs = InternedDocs::new();
+        docs.push(&["a", "b", "c"]);
+        docs.push(&["c", "a", "a"]);
+        docs.push(&["d"]);
+        // "b" and "d" are in one document each.
+        let (vocab, corpus) = docs.prefix_view(3, 2, 1.0);
+        assert_eq!(vocab.id_of("a"), Some(0));
+        assert_eq!(vocab.id_of("c"), Some(1));
+        assert_eq!(
+            corpus.word_map(),
+            Some(&[0, CorpusView::DROPPED, 1, CorpusView::DROPPED][..])
+        );
+        assert_eq!(corpus.num_tokens(), 5);
+        let words: Vec<Vec<u32>> = (0..3).map(|d| corpus.doc(d).collect()).collect();
+        assert_eq!(words, [vec![0, 1], vec![0, 0, 1], vec![]]);
     }
 
     #[test]
     fn empty_prefix_is_empty() {
         let mut docs = InternedDocs::new();
         docs.push(&["x"]);
-        let (vocab, corpus) = docs.prefix_corpus(0, 2, 0.6);
+        let (vocab, corpus) = docs.prefix_view(0, 2, 0.6);
         assert!(vocab.is_empty());
         assert_eq!(vocab.num_docs(), 0);
         assert_eq!(corpus.num_docs(), 0);
         assert_eq!(corpus.num_words(), 0);
+        assert_eq!(corpus.num_tokens(), 0);
     }
 
     #[test]
     #[should_panic(expected = "out of")]
     fn prefix_past_the_end_panics() {
-        InternedDocs::new().prefix_corpus(1, 2, 0.6);
+        InternedDocs::new().prefix_view(1, 2, 0.6);
     }
 }

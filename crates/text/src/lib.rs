@@ -13,9 +13,10 @@
 //!   frequency-based pruning;
 //! * [`Corpus`] — every document's word ids in one flat buffer, the
 //!   input LDA samples over; [`BagOfWords`] — one document's sparse
-//!   term counts, for fold-in inference;
+//!   term counts, for fold-in inference; [`CorpusView`] — documents
+//!   read in place from a flat id stream, through an id map;
 //! * [`InternedDocs`] — token documents interned once, from which the
-//!   pruned vocabulary and corpus of any prefix derive.
+//!   pruned vocabulary and corpus view of any prefix derive.
 //!
 //! # Example
 //!
@@ -38,7 +39,7 @@ pub mod stopwords;
 pub mod tokenizer;
 pub mod vocab;
 
-pub use bow::{BagOfWords, Corpus};
+pub use bow::{BagOfWords, Corpus, CorpusView};
 pub use interned::InternedDocs;
 pub use stopwords::is_stopword;
 pub use tokenizer::{for_each_filtered_token, for_each_token, tokenize, tokenize_filtered};

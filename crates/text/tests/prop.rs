@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use forumcast_text::{
     for_each_filtered_token, for_each_token, is_stopword, tokenize, tokenize_filtered, BagOfWords,
-    Corpus, InternedDocs, Vocabulary,
+    Corpus, CorpusView, InternedDocs, Vocabulary,
 };
 
 /// The collecting tokenizer the streaming one replaced, kept verbatim
@@ -72,9 +72,19 @@ fn tricky_text() -> impl Strategy<Value = String> {
     })
 }
 
+/// The documents of a view, collected into a corpus.
+fn materialize(view: &CorpusView) -> Corpus {
+    let mut corpus = Corpus::new(view.num_words());
+    for d in 0..view.num_docs() {
+        corpus.push_doc(view.doc(d).map(|w| w as usize));
+    }
+    corpus
+}
+
 /// Checks every prefix of `docs`: the interned prefix vocabulary
-/// (ids, tokens, counts, doc counts) and corpus equal observing the
-/// prefix's token documents, pruning, and encoding them.
+/// (ids, tokens, counts, doc counts) and corpus view equal observing
+/// the prefix's token documents, pruning, and encoding them, and the
+/// view's documents read in the corpus's order.
 fn assert_prefixes_match(docs: &[Vec<String>], min_docs: usize, max_doc_frac: f64) {
     let mut interned = InternedDocs::new();
     for d in docs {
@@ -87,9 +97,20 @@ fn assert_prefixes_match(docs: &[Vec<String>], min_docs: usize, max_doc_frac: f6
         }
         vocab.prune(min_docs, max_doc_frac);
         let corpus = Corpus::from_token_docs(&docs[..n], &vocab);
-        let (prefix_vocab, prefix_corpus) = interned.prefix_corpus(n, min_docs, max_doc_frac);
+        let (prefix_vocab, view) = interned.prefix_view(n, min_docs, max_doc_frac);
         assert_eq!(prefix_vocab, vocab, "vocabulary of the first {n} docs");
-        assert_eq!(prefix_corpus, corpus, "corpus of the first {n} docs");
+        assert_eq!(
+            view.num_tokens(),
+            corpus.num_tokens(),
+            "tokens of the first {n} docs"
+        );
+        for (d, words) in corpus.iter().enumerate() {
+            assert!(
+                view.doc(d).eq(words.iter().copied()),
+                "doc {d} of the first {n} docs"
+            );
+        }
+        assert_eq!(materialize(&view), corpus, "corpus of the first {n} docs");
     }
 }
 
@@ -101,7 +122,7 @@ fn docs(words: &[&[&str]]) -> Vec<Vec<String>> {
 }
 
 #[test]
-fn prefix_corpus_handles_empty_docs_and_all_pruned_vocabularies() {
+fn prefix_view_handles_empty_docs_and_all_pruned_vocabularies() {
     // Empty documents, including a leading one.
     assert_prefixes_match(&docs(&[&[], &["a", "b"], &[], &["b", "a", "a"]]), 2, 0.6);
     // Every token is in one document only: everything prunes.
@@ -111,7 +132,8 @@ fn prefix_corpus_handles_empty_docs_and_all_pruned_vocabularies() {
         for d in &singletons {
             interned.push(d);
         }
-        interned.prefix_corpus(3, 2, 0.6)
+        let (vocab, view) = interned.prefix_view(3, 2, 0.6);
+        (vocab, materialize(&view))
     };
     assert!(vocab.is_empty());
     assert!(corpus.iter().all(<[u32]>::is_empty));

@@ -61,7 +61,7 @@ const ROUNDS: usize = 7;
 /// FNV-1a over the bit patterns of a model's φ and θ.
 fn model_bits(model: &LdaModel) -> u64 {
     let phi = (0..model.num_topics()).flat_map(|t| model.topic_words(t));
-    let theta = (0..model.num_docs()).flat_map(|d| model.doc_topics(d));
+    let theta = (0..model.num_docs()).flat_map(|d| model.doc_topics(d).iter().copied());
     phi.chain(theta).fold(0xcbf2_9ce4_8422_2325, |h, x| {
         x.to_bits()
             .to_le_bytes()

@@ -20,19 +20,27 @@
 //!
 //! # Count layout
 //!
-//! During a fit the topic–word counts are stored word-major,
-//! `n_kw[w * K + t]`, so the `K` counts a token's conditional reads
-//! sit in one contiguous row (one or a few cache lines, not `K`
-//! strided ones). Doc–topic counts are row-major `D × K`. Only the
-//! fitted `φ` is topic-major (`K × V`, what
-//! [`LdaModel::topic_words`] serves); it is transposed out of the
-//! word-major counts once, after the last sweep.
+//! The topic–word counts are stored word-major, `n_kw[w * K + t]`,
+//! so the `K` counts a token's conditional reads sit in one
+//! contiguous row (one or a few cache lines, not `K` strided ones).
+//! The fitted `φ` keeps that layout (`V × K`), so each fold-in token
+//! reads one contiguous row of it too; [`LdaModel::topic_words`]
+//! gathers a topic's column. Doc–topic counts and `θ` are row-major
+//! `D × K`.
+//!
+//! # Token stream
+//!
+//! The sweeps read a [`CorpusView`] in place: a [`Corpus`]'s ids as
+//! they are, or a prefix of an interned document stream through its
+//! pruned vocabulary's id map, skipping dropped ids. Either way the
+//! kept tokens, their order and so every RNG draw are those of the
+//! materialized corpus.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use forumcast_text::{BagOfWords, Corpus};
+use forumcast_text::{BagOfWords, Corpus, CorpusView};
 
 /// Hyperparameters for [`LdaModel::train`].
 ///
@@ -112,13 +120,13 @@ impl Default for LdaConfig {
 /// document–topic distributions `θ` of the training corpus.
 ///
 /// Both matrices are stored as contiguous row-major buffers (`φ` is
-/// `K × V`, `θ` is `D × K`) so sweeps and lookups stay on a single
+/// `V × K`, `θ` is `D × K`) so sweeps and lookups stay on a single
 /// cache-friendly allocation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LdaModel {
     config: LdaConfig,
     num_words: usize,
-    /// Row-major `K × V`: `phi[k * V + w]` — probability of word `w`
+    /// Row-major `V × K`: `phi[w * K + k]` — probability of word `w`
     /// under topic `k` (smoothed point estimate from the final Gibbs
     /// state).
     phi: Vec<f64>,
@@ -128,7 +136,18 @@ pub struct LdaModel {
 }
 
 impl LdaModel {
-    /// Trains LDA on `corpus` by collapsed Gibbs sampling.
+    /// Trains LDA on `corpus` by collapsed Gibbs sampling:
+    /// [`LdaModel::train_view`] on [`Corpus::view`].
+    ///
+    /// # Panics
+    ///
+    /// As [`LdaModel::train_view`].
+    pub fn train(corpus: &Corpus, config: &LdaConfig) -> LdaModel {
+        LdaModel::train_view(&corpus.view(), config)
+    }
+
+    /// Trains LDA on the documents of `corpus`, read in place, by
+    /// collapsed Gibbs sampling.
     ///
     /// Each token's topic assignment `z` is resampled
     /// `config.iterations` times from
@@ -144,92 +163,13 @@ impl LdaModel {
     /// Panics when `config.num_topics` is above
     /// [`LdaConfig::MAX_TOPICS`], or when the corpus holds `2³¹` tokens
     /// or more (the sweep reads its counts as `i32`).
-    pub fn train(corpus: &Corpus, config: &LdaConfig) -> LdaModel {
+    pub fn train_view(corpus: &CorpusView, config: &LdaConfig) -> LdaModel {
         let _span = forumcast_obs::span("lda.train");
-        let k = config.num_topics;
-        assert_topic_limit(k);
-        let v = corpus.num_words().max(1);
-        let d = corpus.num_docs();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-
-        // The corpus is already token-level and flat (CSR): the sweeps
-        // read its ids in place.
-        let tokens = corpus.ids();
-        assert!(
-            tokens.len() <= i32::MAX as usize,
-            "LDA supports fewer than 2^31 tokens, got {}",
-            tokens.len()
-        );
-        let doc_offsets = corpus.offsets();
-        // Topic assignment per token (a `u16`, as K ≤ MAX_TOPICS),
-        // initialized uniformly at random (document order, so the init
-        // stream matches the historical nested-vec layout bit for bit).
-        let mut z: Vec<u16> = tokens.iter().map(|_| rng.gen_range(0..k) as u16).collect();
-
-        let mut n_dk = vec![0u32; d * k]; // doc–topic counts, row-major D × K
-        let mut n_kw = vec![0u32; v * k]; // topic–word counts, word-major V × K
-        let mut n_k = vec![0u64; k]; // topic totals
-        for di in 0..d {
-            for ti in doc_offsets[di]..doc_offsets[di + 1] {
-                let w = tokens[ti] as usize;
-                let t = z[ti] as usize;
-                n_dk[di * k + t] += 1;
-                n_kw[w * k + t] += 1;
-                n_k[t] += 1;
-            }
-        }
-
-        let sweeps = if k >= TREE_DRAW_MIN_TOPICS {
-            dense_sweeps::<true>
-        } else {
-            dense_sweeps::<false>
-        };
-        sweeps(
-            config,
-            tokens,
-            doc_offsets,
-            &mut z,
-            &mut n_dk,
-            &mut n_kw,
-            &mut n_k,
-            v,
-            &mut rng,
-        );
-        if !tokens.is_empty() && config.iterations > 0 {
-            forumcast_obs::counter_add(
-                "lda.gibbs.tokens",
-                tokens.len() as u64 * config.iterations as u64,
-            );
-        }
-
-        // Point estimates.
-        let alpha = config.alpha;
-        let beta = config.beta;
-        let vbeta = v as f64 * beta;
-        // φ is served topic-major, so the word-major counts are
-        // transposed here, once, into the K × V output.
-        let denom: Vec<f64> = n_k.iter().map(|&nk| nk as f64 + vbeta).collect();
-        let mut phi = vec![0.0f64; k * v];
-        for (w, counts) in n_kw.chunks_exact(k).enumerate() {
-            for (t, &c) in counts.iter().enumerate() {
-                phi[t * v + w] = (c as f64 + beta) / denom[t];
-            }
-        }
-        let mut theta = vec![0.0f64; d * k];
-        for di in 0..d {
-            let row = &n_dk[di * k..(di + 1) * k];
-            let len: u32 = row.iter().sum();
-            let denom = len as f64 + k as f64 * alpha;
-            for t in 0..k {
-                theta[di * k + t] = (row[t] as f64 + alpha) / denom;
-            }
-        }
-
-        LdaModel {
-            config: config.clone(),
-            num_words: v,
-            phi,
-            theta,
+        match corpus.word_map() {
+            None => fit(corpus, config, Some),
+            Some(words) => fit(corpus, config, |id: u32| {
+                Some(words[id as usize]).filter(|&w| w != CorpusView::DROPPED)
+            }),
         }
     }
 
@@ -263,13 +203,21 @@ impl LdaModel {
         &self.theta[doc * k..(doc + 1) * k]
     }
 
-    /// Topic–word distribution `φ_k`.
+    /// Frees the training documents' `θ`, keeping `φ` for fold-in;
+    /// [`num_docs`](LdaModel::num_docs) reads 0 after it.
+    pub fn forget_documents(&mut self) {
+        self.theta = Vec::new();
+    }
+
+    /// Topic–word distribution `φ_k`, gathered from the word-major `φ`.
     ///
     /// # Panics
     ///
     /// Panics when `topic >= K`.
-    pub fn topic_words(&self, topic: usize) -> &[f64] {
-        &self.phi[topic * self.num_words..(topic + 1) * self.num_words]
+    pub fn topic_words(&self, topic: usize) -> Vec<f64> {
+        let k = self.config.num_topics;
+        assert!(topic < k, "topic {topic} out of {k}");
+        self.phi.iter().skip(topic).step_by(k).copied().collect()
     }
 
     /// Infers the topic distribution of a held-out document by fold-in
@@ -306,7 +254,6 @@ impl LdaModel {
     /// totals are built from is already the exact row.
     fn infer_counts_dense<const TREE_DRAW: bool>(&self, tokens: &[usize], seed: u64) -> Vec<u32> {
         let k = self.config.num_topics;
-        let v = self.num_words;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut z: Vec<usize> = tokens.iter().map(|_| rng.gen_range(0..k)).collect();
         let mut n_dk = vec![0u32; k];
@@ -318,15 +265,14 @@ impl LdaModel {
         let mut draw = TreeDraw::new(if TREE_DRAW { k } else { 0 });
         for _sweep in 0..self.config.infer_iterations {
             for (ti, &w) in tokens.iter().enumerate() {
+                let phi_w = &self.phi[w * k..(w + 1) * k];
                 let old = z[ti];
                 n_dk[old] -= 1;
                 let new = if TREE_DRAW {
-                    draw.fill(|b| {
-                        block_of(b, k, |t| (n_dk[t] as f64 + alpha) * self.phi[t * v + w])
-                    });
+                    draw.fill(|b| block_of(b, k, |t| (n_dk[t] as f64 + alpha) * phi_w[t]));
                     draw.draw(&mut rng, |_| {})
                 } else {
-                    let conditional = |t: usize| (n_dk[t] as f64 + alpha) * self.phi[t * v + w];
+                    let conditional = |t: usize| (n_dk[t] as f64 + alpha) * phi_w[t];
                     let mut total = 0.0;
                     for (t, p) in probs.iter_mut().enumerate() {
                         *p = conditional(t);
@@ -352,13 +298,15 @@ impl LdaModel {
     ///
     /// Panics when `topic >= K`.
     pub fn top_words(&self, topic: usize, n: usize) -> Vec<usize> {
-        let row = self.topic_words(topic);
+        let k = self.config.num_topics;
+        assert!(topic < k, "topic {topic} out of {k}");
         let n = n.min(self.num_words);
         if n == 0 {
             return Vec::new();
         }
+        let prob = |w: usize| self.phi[w * k + topic];
         let by_prob_desc_then_id =
-            |a: &usize, b: &usize| row[*b].total_cmp(&row[*a]).then_with(|| a.cmp(b));
+            |a: &usize, b: &usize| prob(*b).total_cmp(&prob(*a)).then_with(|| a.cmp(b));
         let mut idx: Vec<usize> = (0..self.num_words).collect();
         if n < idx.len() {
             idx.select_nth_unstable_by(n - 1, by_prob_desc_then_id);
@@ -366,6 +314,110 @@ impl LdaModel {
         }
         idx.sort_unstable_by(by_prob_desc_then_id);
         idx
+    }
+}
+
+/// [`LdaModel::train_view`] with each stream id's word id given by
+/// `word` (`None` drops the token).
+fn fit(corpus: &CorpusView, config: &LdaConfig, word: impl Fn(u32) -> Option<u32>) -> LdaModel {
+    let k = config.num_topics;
+    assert_topic_limit(k);
+    let v = corpus.num_words().max(1);
+    let d = corpus.num_docs();
+    let num_tokens = corpus.num_tokens();
+    assert!(
+        num_tokens <= i32::MAX as usize,
+        "LDA supports fewer than 2^31 tokens, got {num_tokens}"
+    );
+    let docs = Docs {
+        ids: corpus.ids(),
+        offsets: corpus.offsets(),
+        word,
+    };
+    let mut rng = StdRng::seed_from_u64(config.seed);
+
+    // Topic assignment per kept token (a `u16`, as K ≤ MAX_TOPICS),
+    // initialized uniformly at random in document order, so the init
+    // stream matches the historical nested-vec layout bit for bit.
+    let mut z: Vec<u16> = (0..num_tokens)
+        .map(|_| rng.gen_range(0..k) as u16)
+        .collect();
+
+    let mut n_dk = vec![0u32; d * k]; // doc–topic counts, row-major D × K
+    let mut n_kw = vec![0u32; v * k]; // topic–word counts, word-major V × K
+    let mut n_k = vec![0u64; k]; // topic totals
+    let mut zs = z.iter();
+    for di in 0..d {
+        for w in docs.words(di) {
+            let t = *zs.next().expect("one topic per kept token") as usize;
+            n_dk[di * k + t] += 1;
+            n_kw[w * k + t] += 1;
+            n_k[t] += 1;
+        }
+    }
+
+    let sweeps = if k >= TREE_DRAW_MIN_TOPICS {
+        dense_sweeps::<true, _>
+    } else {
+        dense_sweeps::<false, _>
+    };
+    sweeps(
+        config, &docs, &mut z, &mut n_dk, &mut n_kw, &mut n_k, v, &mut rng,
+    );
+    if num_tokens > 0 && config.iterations > 0 {
+        forumcast_obs::counter_add(
+            "lda.gibbs.tokens",
+            num_tokens as u64 * config.iterations as u64,
+        );
+    }
+
+    // Point estimates; φ keeps the counts' word-major layout.
+    let alpha = config.alpha;
+    let beta = config.beta;
+    let vbeta = v as f64 * beta;
+    let denom: Vec<f64> = n_k.iter().map(|&nk| nk as f64 + vbeta).collect();
+    let phi: Vec<f64> = n_kw
+        .iter()
+        .zip(denom.iter().cycle())
+        .map(|(&c, &dt)| (c as f64 + beta) / dt)
+        .collect();
+    let mut theta = vec![0.0f64; d * k];
+    for di in 0..d {
+        let row = &n_dk[di * k..(di + 1) * k];
+        let len: u32 = row.iter().sum();
+        let denom = len as f64 + k as f64 * alpha;
+        for t in 0..k {
+            theta[di * k + t] = (row[t] as f64 + alpha) / denom;
+        }
+    }
+
+    LdaModel {
+        config: config.clone(),
+        num_words: v,
+        phi,
+        theta,
+    }
+}
+
+/// The documents the sweeps read: stream ids split by offsets, each
+/// id's word id given by `word` (`None` for a dropped id).
+struct Docs<'a, W> {
+    ids: &'a [u32],
+    offsets: &'a [usize],
+    word: W,
+}
+
+impl<W: Fn(u32) -> Option<u32>> Docs<'_, W> {
+    /// The word ids of document `d`'s kept tokens, in stream order.
+    #[inline]
+    fn words(&self, d: usize) -> impl Iterator<Item = usize> + '_ {
+        self.ids[self.offsets[d]..self.offsets[d + 1]]
+            .iter()
+            .filter_map(|&id| (self.word)(id).map(|w| w as usize))
+    }
+
+    fn num_docs(&self) -> usize {
+        self.offsets.len() - 1
     }
 }
 
@@ -387,10 +439,9 @@ const TREE_DRAW_MIN_TOPICS: usize = 24;
 /// sweep caches `1/(n_k + Vβ)` in place of `n_k + Vβ` (two divisions
 /// per token instead of `K`).
 #[allow(clippy::too_many_arguments)]
-fn dense_sweeps<const TREE_DRAW: bool>(
+fn dense_sweeps<const TREE_DRAW: bool, W: Fn(u32) -> Option<u32>>(
     config: &LdaConfig,
-    tokens: &[u32],
-    doc_offsets: &[usize],
+    docs: &Docs<W>,
     z: &mut [u16],
     n_dk: &mut [u32],
     n_kw: &mut [u32],
@@ -413,14 +464,16 @@ fn dense_sweeps<const TREE_DRAW: bool>(
     let mut ndk_alpha = vec![0.0f64; k];
     for _sweep in 0..config.iterations {
         forumcast_obs::counter_add("lda.gibbs.sweeps", 1);
-        for di in 0..doc_offsets.len() - 1 {
+        let mut zs = z.iter_mut();
+        for di in 0..docs.num_docs() {
             let ndk = &mut n_dk[di * k..(di + 1) * k];
             for (a, &c) in ndk_alpha.iter_mut().zip(ndk.iter()) {
                 *a = c as f64 + alpha;
             }
-            for ti in doc_offsets[di]..doc_offsets[di + 1] {
-                let nkw = &mut n_kw[tokens[ti] as usize * k..][..k];
-                let old = z[ti] as usize;
+            for w in docs.words(di) {
+                let zt = zs.next().expect("one topic per kept token");
+                let nkw = &mut n_kw[w * k..][..k];
+                let old = *zt as usize;
                 ndk[old] -= 1;
                 nkw[old] -= 1;
                 n_k[old] -= 1;
@@ -443,7 +496,7 @@ fn dense_sweeps<const TREE_DRAW: bool>(
                     }
                     sample_index(&probs, total, rng)
                 };
-                z[ti] = new as u16;
+                *zt = new as u16;
                 ndk[new] += 1;
                 nkw[new] += 1;
                 n_k[new] += 1;
@@ -815,7 +868,11 @@ mod tests {
                 let cfg = LdaConfig::new(k).with_iterations(25).with_seed(0xD1CE);
                 let model = LdaModel::train(&corpus, &cfg);
                 [
-                    fnv_bits((0..k).flat_map(|t| model.topic_words(t))),
+                    fnv_bits(
+                        &(0..k)
+                            .flat_map(|t| model.topic_words(t))
+                            .collect::<Vec<_>>(),
+                    ),
                     fnv_bits((0..corpus.num_docs()).flat_map(|d| model.doc_topics(d))),
                     fnv_bits(&model.infer(&corpus.bag(5), 17)),
                 ]

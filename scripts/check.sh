@@ -202,12 +202,18 @@ echo "==> benchmark output digests (cv-fast, build-k64, build-paper, route-mediu
 # (BENCHMARK.json) must report `"correct":true` and print the pinned
 # digest of its outputs: a perf change that moves a single output bit
 # of the CV fold, the K = 64 build, the paper-scale build or the
-# trained router's rankings fails here.
+# trained router's rankings fails here. Each run's `peak_heap_mb` must
+# also stay at or below its workload's ceiling (MB): the value measured
+# when the ceilings were set (cv-fast 3.85, build-k64 9.69, build-paper
+# 24.00, route-medium 6.05) plus a 0.4 MB margin, as the phase of
+# concurrent topic fits moves by ~0.3 MB between runs.
 cargo build -q --release -p forumcast-bench --bin benchmark
-for pin in cv-fast:72ba41e2bae1bc79 build-k64:4d4b8f4907d72e17 build-paper:e131d8a57dafe01f \
-  route-medium:e964c352c4308ce5; do
+for pin in cv-fast:72ba41e2bae1bc79:4.25 build-k64:4d4b8f4907d72e17:10.1 \
+  build-paper:e131d8a57dafe01f:24.4 route-medium:e964c352c4308ce5:6.45; do
   workload="${pin%%:*}"
-  want="${pin#*:}"
+  rest="${pin#*:}"
+  want="${rest%%:*}"
+  ceiling="${rest#*:}"
   target/release/benchmark --workload "$workload" --seconds 0 --trace 0 \
     > "$work_dir/bench-$workload.out" 2>&1 \
     || { cat "$work_dir/bench-$workload.out" >&2; echo "benchmark digests: $workload failed" >&2; exit 1; }
@@ -217,7 +223,13 @@ for pin in cv-fast:72ba41e2bae1bc79 build-k64:4d4b8f4907d72e17 build-paper:e131d
     echo "benchmark digests: $workload printed digest '$got', want $want, and must be correct" >&2
     exit 1
   fi
-  echo "benchmark digests: $workload $got correct"
+  heap="$(tail -n 1 "$work_dir/bench-$workload.out" \
+    | sed -n 's/.*"peak_heap_mb":{"value":\([0-9.e+-]*\).*/\1/p')"
+  if [ -z "$heap" ] || ! awk -v h="$heap" -v c="$ceiling" 'BEGIN { exit !(h <= c) }'; then
+    echo "benchmark digests: $workload peak heap '$heap' MB, ceiling $ceiling MB" >&2
+    exit 1
+  fi
+  echo "benchmark digests: $workload $got correct, peak heap $heap MB (ceiling $ceiling)"
 done
 
 echo "==> sharded generation smoke (generate is bitwise thread-count-invariant)"
