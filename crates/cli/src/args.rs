@@ -932,6 +932,10 @@ mod tests {
                 "unknown fault site `bit-flip`",
             ),
             (
+                "evaluate --faults alloc-pressure:0".into(),
+                "unknown fault site `alloc-pressure`",
+            ),
+            (
                 "evaluate --scale nope".into(),
                 "unknown scale `nope` (quick|standard|paper)",
             ),

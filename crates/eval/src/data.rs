@@ -11,8 +11,6 @@ use forumcast_data::{Dataset, UserId};
 use forumcast_features::{
     ExtractorConfig, FeatureExtractor, FeatureLayout, PostTopics, TokenizedPosts,
 };
-use forumcast_resilience::fault::{self, FaultSite};
-use forumcast_resilience::with_retry;
 
 use crate::config::EvalConfig;
 
@@ -157,11 +155,10 @@ impl ExperimentData {
             }
 
             // The bucket's extractor: pass 0's topics plus the history's
-            // aggregates and centralities. The targets are never in
-            // their bucket's history, so it frees the history posts'
+            // aggregates and centralities. It frees the history posts'
             // distributions once the aggregates that read them are
-            // built; it drops at the end of the bucket.
-            let extractor = FeatureExtractor::for_targets(
+            // built, and drops at the end of the bucket.
+            let extractor = FeatureExtractor::new(
                 &threads[..start],
                 dataset.num_users(),
                 topics,
@@ -171,47 +168,38 @@ impl ExperimentData {
             // Pass 2 (parallel): per-thread feature extraction. Each
             // `(u, q)` vector is a pure function of the extractor and the
             // plan, and results are flattened in thread order, so the
-            // output is identical for any worker-thread count. The RNG
-            // was consumed entirely in pass 1, so this pass can be
-            // retried wholesale. The `alloc-pressure` probe simulates
-            // an allocation failure here — the largest transient
-            // allocation of the build — and one bounded retry degrades
-            // it to a recomputed bucket instead of an aborted sweep.
-            let per_thread = with_retry(&format!("features bucket {b}"), 2, || {
-                fault::panic_point(FaultSite::AllocPressure, b as u64);
-                forumcast_par::parallel_map(
-                    &plans,
-                    worker_threads,
-                    |(thread, target, answerers, sampled)| {
-                        let d_q = extractor.question_topics(thread);
-                        let pos: Vec<PairRecord> = answerers
-                            .iter()
-                            .map(|&u| {
-                                let a = thread.answer_by(u).expect("answered");
-                                PairRecord {
-                                    user: u,
-                                    target: *target,
-                                    x: extractor.features(u, thread, &d_q),
-                                    votes: a.votes as f64,
-                                    response_time: a.timestamp - thread.asked_at(),
-                                }
-                            })
-                            .collect();
-                        let neg: Vec<PairRecord> = sampled
-                            .iter()
-                            .map(|&u| PairRecord {
+            // output is identical for any worker-thread count.
+            let per_thread = forumcast_par::parallel_map(
+                &plans,
+                worker_threads,
+                |(thread, target, answerers, sampled)| {
+                    let d_q = extractor.question_topics(thread);
+                    let pos: Vec<PairRecord> = answerers
+                        .iter()
+                        .map(|&u| {
+                            let a = thread.answer_by(u).expect("answered");
+                            PairRecord {
                                 user: u,
                                 target: *target,
                                 x: extractor.features(u, thread, &d_q),
-                                votes: 0.0,
-                                response_time: 0.0,
-                            })
-                            .collect();
-                        (pos, neg)
-                    },
-                )
-            })
-            .unwrap_or_else(|e| panic!("experiment data build failed: {e}"));
+                                votes: a.votes as f64,
+                                response_time: a.timestamp - thread.asked_at(),
+                            }
+                        })
+                        .collect();
+                    let neg: Vec<PairRecord> = sampled
+                        .iter()
+                        .map(|&u| PairRecord {
+                            user: u,
+                            target: *target,
+                            x: extractor.features(u, thread, &d_q),
+                            votes: 0.0,
+                            response_time: 0.0,
+                        })
+                        .collect();
+                    (pos, neg)
+                },
+            );
             // Both sides grow by exactly this bucket's records.
             positives.reserve_exact(per_thread.iter().map(|(pos, _)| pos.len()).sum());
             negatives.reserve_exact(per_thread.iter().map(|(_, neg)| neg.len()).sum());
@@ -407,9 +395,9 @@ mod tests {
         }
     }
 
-    /// `FeatureExtractor::for_targets` infers every question's topics,
-    /// which equals the fitted `θ` only off the history: no target may
-    /// be in its bucket's history.
+    /// Each bucket's targets are outside its history, so the extractor
+    /// infers their topics from their text: no target may be in its
+    /// bucket's history.
     #[test]
     fn no_target_is_in_its_buckets_history() {
         let cfg = EvalConfig::quick();
@@ -437,47 +425,5 @@ mod tests {
         let cfg = EvalConfig::quick();
         let (ds, _) = SynthConfig::small().generate().preprocess();
         ExperimentData::build_with_ranges(&ds, &cfg, ds.num_questions(), &cfg.extractor);
-    }
-
-    /// One simulated allocation failure per bucket heals via the
-    /// bucket retry, and the healed build is identical to a
-    /// fault-free one — the sweep degrades gracefully instead of
-    /// aborting.
-    #[test]
-    fn alloc_pressure_heals_to_an_identical_build() {
-        let mut cfg = EvalConfig::quick();
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let clean = ExperimentData::build(&ds, &cfg);
-        for threads in [1, 2] {
-            cfg.threads = threads;
-            let _guard =
-                forumcast_resilience::FaultPlan::parse("alloc-pressure:0,alloc-pressure:1")
-                    .unwrap()
-                    .arm();
-            let _obs = forumcast_obs::arm();
-            let healed = ExperimentData::build(&ds, &cfg);
-            let log = forumcast_obs::drain().expect("collector armed");
-            assert!(
-                log.counters
-                    .contains(&("fault.fired.alloc-pressure".to_string(), 2)),
-                "both planned shots fire at {threads} thread(s): {:?}",
-                log.counters
-            );
-            assert_eq!(clean.positives, healed.positives);
-            assert_eq!(clean.negatives, healed.negatives);
-            assert_eq!(clean.windows, healed.windows);
-        }
-    }
-
-    /// Exhausting the bucket retry is a hard, labeled failure.
-    #[test]
-    #[should_panic(expected = "features bucket 0")]
-    fn alloc_pressure_exhausting_retries_aborts_with_the_bucket_label() {
-        let cfg = EvalConfig::quick();
-        let (ds, _) = cfg.synth.generate().preprocess();
-        let _guard = forumcast_resilience::FaultPlan::parse("alloc-pressure:0x2")
-            .unwrap()
-            .arm();
-        ExperimentData::build(&ds, &cfg);
     }
 }

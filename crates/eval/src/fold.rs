@@ -52,7 +52,7 @@ pub struct FoldOutcome {
 /// `_unused` is always `None`. It exists only so that the benchmark
 /// binary (`crates/bench/src/bin/benchmark`), which still makes the
 /// eight-argument call, keeps compiling. The next change to the
-/// benchmark drops it (ROADMAP.md, item 8).
+/// benchmark drops it (ROADMAP.md, item 12).
 #[allow(clippy::too_many_arguments)] // the seven fold arguments plus `_unused`
 pub fn run_fold(
     data: &ExperimentData,

@@ -1,7 +1,9 @@
 //! Per-user and per-pair aggregates over a history partition `F(q)`.
 
+use std::cmp::Reverse;
+
 use crate::topics::PostTopics;
-use forumcast_data::{Post, Thread, UserId};
+use forumcast_data::{Post, QuestionId, Thread, UserId};
 use forumcast_graph::{
     betweenness, betweenness_sampled, closeness, dense_graph_counted, qa_graph,
     resource_allocation, Graph,
@@ -31,8 +33,9 @@ pub struct FeatureContext {
     num_users: u32,
     num_topics: usize,
     // --- user features ---
-    answers_provided: Vec<f64>,
-    questions_asked: Vec<f64>,
+    // Post counts as `u32`s: exact, and half the bytes of `f64`s.
+    answers_provided: Vec<u32>,
+    questions_asked: Vec<u32>,
     net_answer_votes: Vec<f64>,
     median_response_time: Vec<f64>,
     /// `d_u` per user, flat `N × K`.
@@ -58,43 +61,40 @@ pub struct FeatureContext {
     /// `(history question index, votes)` of each answered question.
     answered: Vec<(u32, i32)>,
     /// Topic distribution of each history question, flat `H × K`,
-    /// indexed as in the `history` slice passed to
-    /// [`FeatureContext::build`].
+    /// indexed as in the `history` slice the context was built on.
     hist_question_topics: Vec<f64>,
+    /// `(question, history index)` sorted by question, one entry per
+    /// id: a repeated id keeps its last index.
+    history_questions: Vec<(QuestionId, u32)>,
 }
 
 impl FeatureContext {
-    /// Builds the context over `history` threads, using `topics` for
-    /// post topic distributions.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a post references a user `>= num_users`.
-    pub fn build(
-        history: &[Thread],
-        num_users: u32,
-        topics: &PostTopics,
-        betweenness_mode: BetweennessMode,
-    ) -> Self {
-        let mut context = FeatureContext::aggregate(history, num_users, topics);
-        context.add_graphs(history, betweenness_mode);
-        context
-    }
-
     /// Every aggregate that reads `topics` (and the other per-user
     /// ones), with empty graphs and centralities: only
     /// [`add_graphs`](Self::add_graphs) makes it a usable context. That
     /// step needs no topics, so a caller can free them in between.
     ///
+    /// `topics` must be fitted on `history`: post `p`'s distribution is
+    /// read as the `θ` row at `p`'s position in document order (each
+    /// thread's question, then its answers). A user who answers a
+    /// thread more than once gets their last answer's row for each.
+    ///
     /// # Panics
     ///
-    /// Panics when a post references a user `>= num_users`.
+    /// Panics when `topics` holds a different number of documents than
+    /// `history` has posts, or a post references a user `>= num_users`.
     pub(crate) fn aggregate(history: &[Thread], num_users: u32, topics: &PostTopics) -> Self {
         let n = num_users as usize;
         let k = topics.num_topics();
+        let lda = topics.model();
+        assert_eq!(
+            lda.num_docs(),
+            history.iter().map(|t| 1 + t.num_answers()).sum::<usize>(),
+            "topics must be fitted on this history"
+        );
         let uniform = vec![1.0 / k as f64; k];
-        let mut answers_provided = vec![0.0; n];
-        let mut questions_asked = vec![0.0; n];
+        let mut answers_provided = vec![0u32; n];
+        let mut questions_asked = vec![0u32; n];
         let mut net_answer_votes = vec![0.0; n];
         let mut response_times: Vec<Vec<f64>> = vec![Vec::new(); n];
         // Per-user sums of post distributions, in post order, and how
@@ -106,27 +106,31 @@ impl FeatureContext {
         let mut answered_offsets = vec![0u32; n + 1];
         let mut hist_question_topics = Vec::with_capacity(history.len() * k);
 
+        // Document index of `t`'s question; its answers follow it.
+        let mut doc = 0;
         for t in history {
             let asker = t.asker().index();
             assert!(asker < n, "asker out of range");
-            questions_asked[asker] += 1.0;
-            let d_q = topics.question(t.id).unwrap_or(&uniform);
+            questions_asked[asker] += 1;
+            let d_q = lda.doc_topics(doc);
             add_row(&mut discussed_topics, &mut discussed_posts, asker, d_q);
             hist_question_topics.extend_from_slice(d_q);
 
             for a in &t.answers {
                 let u = a.author.index();
                 assert!(u < n, "answerer out of range");
-                answers_provided[u] += 1.0;
+                answers_provided[u] += 1;
                 net_answer_votes[u] += a.votes as f64;
                 response_times[u].push(a.timestamp - t.asked_at());
-                let d_a = topics.answer(t.id, a.author).unwrap_or(&uniform);
+                let last = t.answers.iter().rposition(|b| b.author == a.author);
+                let d_a = lda.doc_topics(doc + 1 + last.expect("a is an answer of t"));
                 add_row(&mut discussed_topics, &mut discussed_posts, u, d_a);
                 add_row(&mut user_topics, &mut user_posts, u, d_a);
             }
             for a in first_answers(t) {
                 answered_offsets[a.author.index() + 1] += 1;
             }
+            doc += 1 + t.num_answers();
         }
 
         let median_response_time = response_times
@@ -151,6 +155,17 @@ impl FeatureContext {
             }
         }
 
+        let mut history_questions: Vec<(QuestionId, u32)> = history
+            .iter()
+            .enumerate()
+            .map(|(qi, t)| (t.id, qi as u32))
+            .collect();
+        // Sorted by id, a repeated id's last index first, which the
+        // dedup keeps.
+        history_questions.sort_unstable_by_key(|&(q, qi)| (q, Reverse(qi)));
+        history_questions.dedup_by_key(|&mut (q, _)| q);
+        history_questions.shrink_to_fit();
+
         FeatureContext {
             num_users,
             num_topics: k,
@@ -170,6 +185,7 @@ impl FeatureContext {
             answered_offsets,
             answered,
             hist_question_topics,
+            history_questions,
         }
     }
 
@@ -207,12 +223,12 @@ impl FeatureContext {
 
     /// (i) `a_u`.
     pub fn answers_provided(&self, u: UserId) -> f64 {
-        self.answers_provided[u.index()]
+        f64::from(self.answers_provided[u.index()])
     }
 
     /// (ii) `o_u = a_u / (1 + questions asked)`.
     pub fn answer_ratio(&self, u: UserId) -> f64 {
-        self.answers_provided[u.index()] / (1.0 + self.questions_asked[u.index()])
+        self.answers_provided(u) / (1.0 + f64::from(self.questions_asked[u.index()]))
     }
 
     /// (iii) `v_u`.
@@ -282,6 +298,17 @@ impl FeatureContext {
     /// The denser graph `G_D`.
     pub fn dense_graph(&self) -> &Graph {
         &self.dense
+    }
+
+    /// Topic distribution of history question `q` (its post's `θ` row),
+    /// or `None` when `q` is not in the history.
+    pub(crate) fn history_question_topics(&self, q: QuestionId) -> Option<&[f64]> {
+        let at = self
+            .history_questions
+            .binary_search_by_key(&q, |&(id, _)| id)
+            .ok()?;
+        let qi = self.history_questions[at].1 as usize;
+        Some(self.row(&self.hist_question_topics, qi))
     }
 
     /// (xi)/(xii): iterates over `u`'s answered history questions as
@@ -355,8 +382,33 @@ fn forumcast_ml_median(v: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use forumcast_data::{Post, PostBody, QuestionId, Thread};
+    use forumcast_data::{Post, PostBody, Thread};
     use forumcast_topics::{mean_distribution, LdaConfig};
+
+    /// The context over `history`, built as the extractor builds it.
+    fn build(
+        history: &[Thread],
+        num_users: u32,
+        topics: &PostTopics,
+        mode: BetweennessMode,
+    ) -> FeatureContext {
+        let mut context = FeatureContext::aggregate(history, num_users, topics);
+        context.add_graphs(history, mode);
+        context
+    }
+
+    /// The document index of each thread's question.
+    fn question_positions(history: &[Thread]) -> Vec<usize> {
+        let mut doc = 0;
+        history
+            .iter()
+            .map(|t| {
+                let question = doc;
+                doc += 1 + t.num_answers();
+                question
+            })
+            .collect()
+    }
 
     fn post(u: u32, t: f64, v: i32, text: &str) -> Post {
         Post::new(UserId(u), t, v, PostBody::words(text))
@@ -385,7 +437,7 @@ mod tests {
     fn ctx() -> FeatureContext {
         let history = tiny_history();
         let topics = PostTopics::fit(&history, &LdaConfig::new(2).with_iterations(20));
-        FeatureContext::build(&history, 4, &topics, BetweennessMode::Exact)
+        build(&history, 4, &topics, BetweennessMode::Exact)
     }
 
     #[test]
@@ -425,7 +477,8 @@ mod tests {
         let history = &clean.threads()[..150];
         let n = clean.num_users();
         let topics = PostTopics::fit(history, &LdaConfig::new(2).with_iterations(2));
-        let c = FeatureContext::build(history, n, &topics, BetweennessMode::Exact);
+        let c = build(history, n, &topics, BetweennessMode::Exact);
+        let question_positions = question_positions(history);
 
         let mut counts: HashMap<(u32, u32), f64> = HashMap::new();
         let mut answered: Vec<Vec<(usize, i32)>> = vec![Vec::new(); n as usize];
@@ -460,7 +513,10 @@ mod tests {
                 .collect();
             let want: Vec<(Vec<f64>, i32)> = answered[u as usize]
                 .iter()
-                .map(|&(qi, votes)| (topics.question(history[qi].id).unwrap().to_vec(), votes))
+                .map(|&(qi, votes)| {
+                    let d = topics.model().doc_topics(question_positions[qi]);
+                    (d.to_vec(), votes)
+                })
                 .collect();
             assert_eq!(got, want, "answer history of u{u}");
         }
@@ -505,15 +561,70 @@ mod tests {
     fn user_topics_are_the_mean_of_the_users_posts() {
         let history = tiny_history();
         let topics = PostTopics::fit(&history, &LdaConfig::new(2).with_iterations(20));
-        let c = FeatureContext::build(&history, 4, &topics, BetweennessMode::Exact);
-        let answer = |q: u32, u: u32| topics.answer(QuestionId(q), UserId(u)).unwrap().to_vec();
-        let question = |q: u32| topics.question(QuestionId(q)).unwrap().to_vec();
+        let c = build(&history, 4, &topics, BetweennessMode::Exact);
+        // Documents: q0 0, its answers by u1 1 and u2 2; q1 3, its
+        // answer by u2 4.
+        let theta = |d: usize| topics.model().doc_topics(d).to_vec();
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let answered = mean_distribution(&[answer(0, 2), answer(1, 2)], 2);
+        let answered = mean_distribution(&[theta(2), theta(4)], 2);
         assert_eq!(bits(c.user_topics(UserId(2))), bits(&answered));
-        let discussed = mean_distribution(&[answer(0, 1), question(1)], 2);
+        let discussed = mean_distribution(&[theta(1), theta(3)], 2);
         assert_eq!(bits(c.discussed_topics(UserId(1))), bits(&discussed));
         assert_eq!(c.discussed_topics(UserId(3)), &[0.5, 0.5]);
+    }
+
+    /// A user who answers a thread twice gets their last answer's `θ`
+    /// for both answers, in every aggregate that reads answer topics.
+    #[test]
+    fn a_repeated_answerer_reads_their_last_answers_row_for_each() {
+        let history = vec![Thread::new(
+            0,
+            post(0, 0.0, 0, "alpha beta gamma delta"),
+            vec![
+                post(1, 1.0, 2, "alpha alpha alpha alpha alpha alpha"),
+                post(2, 2.0, 0, "gamma delta gamma"),
+                post(1, 3.0, 1, "beta beta beta beta beta beta"),
+            ],
+        )];
+        let topics = PostTopics::fit(&history, &LdaConfig::new(2).with_iterations(20));
+        let c = build(&history, 3, &topics, BetweennessMode::Exact);
+        let theta = |d: usize| topics.model().doc_topics(d).to_vec();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // Each answer reading its own row would give a different mean.
+        let own = mean_distribution(&[theta(1), theta(3)], 2);
+        let last = mean_distribution(&[theta(3), theta(3)], 2);
+        assert_ne!(bits(&own), bits(&last), "the two answers' rows differ");
+        assert_eq!(bits(c.user_topics(UserId(1))), bits(&last));
+        assert_eq!(bits(c.discussed_topics(UserId(1))), bits(&last));
+        assert_eq!(bits(c.user_topics(UserId(2))), bits(&theta(2)));
+        assert_eq!(c.answers_provided(UserId(1)), 2.0);
+        // The answer history lists the thread once, with the first
+        // answer's votes.
+        let answered: Vec<i32> = c.answer_history(UserId(1)).map(|(_, v)| v).collect();
+        assert_eq!(answered, [2]);
+    }
+
+    /// A history question's row is found by id; a repeated id keeps its
+    /// last thread's row, and an id outside the history has none.
+    #[test]
+    fn history_questions_are_found_by_id() {
+        let history = vec![
+            Thread::new(5, post(0, 0.0, 0, "alpha alpha alpha"), vec![]),
+            Thread::new(
+                2,
+                post(1, 1.0, 0, "beta beta"),
+                vec![post(0, 2.0, 0, "beta")],
+            ),
+            Thread::new(5, post(2, 3.0, 0, "gamma gamma gamma"), vec![]),
+        ];
+        let topics = PostTopics::fit(&history, &LdaConfig::new(2).with_iterations(20));
+        let c = build(&history, 3, &topics, BetweennessMode::Exact);
+        let theta = |d: usize| Some(topics.model().doc_topics(d));
+        assert_eq!(c.history_question_topics(QuestionId(2)), theta(1));
+        assert_eq!(c.history_question_topics(QuestionId(5)), theta(3));
+        assert_eq!(c.history_question_topics(QuestionId(3)), None);
+        assert_eq!(c.history_questions.len(), 2);
+        assert_eq!(c.history_questions.capacity(), 2);
     }
 
     #[test]
@@ -526,7 +637,7 @@ mod tests {
     fn sampled_betweenness_mode_runs() {
         let history = tiny_history();
         let topics = PostTopics::fit(&history, &LdaConfig::new(2).with_iterations(10));
-        let c = FeatureContext::build(
+        let c = build(
             &history,
             4,
             &topics,
@@ -539,7 +650,7 @@ mod tests {
     #[test]
     fn empty_history_context() {
         let topics = PostTopics::fit(&[], &LdaConfig::new(2).with_iterations(5));
-        let c = FeatureContext::build(&[], 3, &topics, BetweennessMode::Exact);
+        let c = build(&[], 3, &topics, BetweennessMode::Exact);
         assert_eq!(c.answers_provided(UserId(0)), 0.0);
         assert_eq!(c.cooccurrence(UserId(0), UserId(1)), 0.0);
         assert_eq!(c.qa_graph().num_edges(), 0);

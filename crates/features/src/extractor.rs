@@ -70,21 +70,24 @@ impl FeatureExtractor {
     /// Fits topics and aggregates on the history partition.
     pub fn fit(history: &[Thread], num_users: u32, config: &ExtractorConfig) -> Self {
         let topics = PostTopics::fit(history, &config.lda);
-        let context = FeatureContext::build(history, num_users, &topics, config.betweenness);
-        FeatureExtractor::new(topics, context)
+        FeatureExtractor::new(history, num_users, topics, config.betweenness)
     }
 
-    /// Fits the aggregates on the history partition around `topics`,
-    /// which must already be fitted on that same history — for
-    /// callers that fit several histories' topics at once and extract
-    /// features only for target questions outside `history`.
+    /// Builds the aggregates of the history partition around `topics`,
+    /// which must be fitted on that same history (by
+    /// [`PostTopics::fit`], or [`PostTopics::fit_prefix`] for callers
+    /// that fit several histories' topics at once).
     ///
-    /// The history posts' distributions are freed once the aggregates
-    /// that read them are built, before the graphs, so
-    /// [`question_topics`](FeatureExtractor::question_topics) infers
-    /// every question: for a target outside `history` that is what
-    /// [`FeatureExtractor::fit`]'s extractor gives too.
-    pub fn for_targets(
+    /// The history posts' distributions (the model's `θ`) are freed
+    /// once the aggregates that read them are built, before the graphs:
+    /// [`question_topics`](FeatureExtractor::question_topics) reads a
+    /// history question's row from the context.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `topics` was fitted on another number of posts, or a
+    /// post references a user `>= num_users`.
+    pub fn new(
         history: &[Thread],
         num_users: u32,
         mut topics: PostTopics,
@@ -93,10 +96,6 @@ impl FeatureExtractor {
         let mut context = FeatureContext::aggregate(history, num_users, &topics);
         topics.forget_history();
         context.add_graphs(history, betweenness);
-        FeatureExtractor::new(topics, context)
-    }
-
-    fn new(topics: PostTopics, context: FeatureContext) -> Self {
         let layout = FeatureLayout::new(topics.num_topics());
         FeatureExtractor {
             topics,
@@ -125,11 +124,11 @@ impl FeatureExtractor {
         &self.context
     }
 
-    /// Topic distribution `d_q` of a **target** question: looked up if
-    /// the question is part of the history, otherwise inferred from
-    /// its text.
+    /// Topic distribution `d_q` of a **target** question: its fitted
+    /// `θ` row if the question is part of the history, otherwise
+    /// inferred from its text.
     pub fn question_topics(&self, question: &Thread) -> Vec<f64> {
-        match self.topics.question(question.id) {
+        match self.context.history_question_topics(question.id) {
             Some(d) => d.to_vec(),
             None => self.topics.infer(&question.question.body),
         }
@@ -271,39 +270,52 @@ mod tests {
         );
     }
 
-    #[test]
-    fn history_question_uses_trained_distribution() {
-        let (history, _, ex) = fixture();
-        let d = ex.question_topics(&history[3]);
-        assert_eq!(
-            d,
-            ex.topics().question(history[3].id).unwrap().to_vec(),
-            "in-history questions should use the trained θ"
-        );
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// An extractor that freed its history posts' distributions gives
-    /// every target outside the history the same topics and features,
-    /// bit for bit.
+    /// Every history question's `d_q` is, bit for bit, its post's `θ`
+    /// row in a fresh fit on the history, though the extractor holds no
+    /// `θ` once built.
     #[test]
-    fn for_targets_matches_fit_off_the_history() {
+    fn history_questions_use_their_trained_rows() {
+        let (history, _, ex) = fixture();
+        assert_eq!(ex.topics().model().num_docs(), 0);
+        let topics = PostTopics::fit(&history, &ExtractorConfig::fast().lda);
+        let mut doc = 0;
+        for t in &history {
+            assert_eq!(
+                bits(&ex.question_topics(t)),
+                bits(topics.model().doc_topics(doc)),
+                "q{}",
+                t.id.0
+            );
+            doc += 1 + t.num_answers();
+        }
+        assert_eq!(doc, topics.model().num_docs());
+    }
+
+    /// The wrapper's extractor and the constructor's, around topics fitted
+    /// as a prefix of a longer tokenized thread list (as the experiment
+    /// build fits them), give every target outside the history the same
+    /// topics and features, bit for bit.
+    #[test]
+    fn the_wrapper_equals_the_constructor_on_targets() {
         let ds = SynthConfig::small().with_seed(5).generate();
         let (clean, _) = ds.preprocess();
         let (history, targets) = clean.threads().split_at(100);
         let config = ExtractorConfig::fast();
         let fitted = FeatureExtractor::fit(history, clean.num_users(), &config);
-        let topics = PostTopics::fit(history, &config.lda);
-        let lean =
-            FeatureExtractor::for_targets(history, clean.num_users(), topics, config.betweenness);
-        assert_eq!(lean.topics().model().num_docs(), 0);
-        assert!(lean.topics().question(history[0].id).is_none());
-        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let posts = crate::TokenizedPosts::new(clean.threads());
+        let topics = PostTopics::fit_prefix(&posts, history.len(), &config.lda);
+        let built = FeatureExtractor::new(history, clean.num_users(), topics, config.betweenness);
+        assert_eq!(built.topics().model().num_docs(), 0);
         for target in &targets[..20] {
             let d_q = fitted.question_topics(target);
-            assert_eq!(bits(&lean.question_topics(target)), bits(&d_q));
+            assert_eq!(bits(&built.question_topics(target)), bits(&d_q));
             for u in (0..clean.num_users()).step_by(7).map(UserId) {
                 assert_eq!(
-                    bits(&lean.features(u, target, &d_q)),
+                    bits(&built.features(u, target, &d_q)),
                     bits(&fitted.features(u, target, &d_q)),
                     "{u} on q{}",
                     target.id.0

@@ -1,8 +1,6 @@
 //! Topic distributions `d(p)` for all posts of a history partition.
 
-use std::collections::HashMap;
-
-use forumcast_data::{PostBody, QuestionId, Thread, UserId};
+use forumcast_data::{PostBody, Thread};
 use forumcast_text::{for_each_filtered_token, BagOfWords, InternedDocs, Vocabulary};
 use forumcast_topics::{LdaConfig, LdaModel};
 
@@ -12,14 +10,12 @@ use forumcast_topics::{LdaConfig, LdaModel};
 /// Mirrors the paper's pipeline: "each post `p` … is treated as a
 /// separate document" (Section II-B), trained per partition `Ω` so
 /// that no text from evaluation questions leaks into training. Each
-/// post's distribution is stored once, as its document's `θ` row in
-/// the model; the maps hold document indices.
+/// post's distribution is its document's `θ` row in the model, in
+/// thread order: each thread's question, then its answers.
 #[derive(Debug, Clone)]
 pub struct PostTopics {
     lda: LdaModel,
     vocab: Vocabulary,
-    question_docs: HashMap<QuestionId, usize>,
-    answer_docs: HashMap<(QuestionId, UserId), usize>,
 }
 
 /// Every post of a thread list tokenized once, in [`PostTopics`]
@@ -29,7 +25,6 @@ pub struct PostTopics {
 #[derive(Debug, Clone)]
 pub struct TokenizedPosts {
     docs: InternedDocs,
-    keys: Vec<PostKey>,
     /// Documents in threads `..=i`, per thread `i`.
     thread_ends: Vec<usize>,
 }
@@ -38,25 +33,16 @@ impl TokenizedPosts {
     /// Tokenizes every post of `threads`.
     pub fn new(threads: &[Thread]) -> Self {
         let _span = forumcast_obs::span("text.tokenize");
-        let num_posts = threads.iter().map(|t| 1 + t.num_answers()).sum();
         let mut docs = InternedDocs::new();
-        let mut keys = Vec::with_capacity(num_posts);
         let mut thread_ends = Vec::with_capacity(threads.len());
         for t in threads {
-            docs.push_text(&t.question.body.text);
-            keys.push(PostKey::Question(t.id));
-            for a in &t.answers {
-                docs.push_text(&a.body.text);
-                keys.push(PostKey::Answer(t.id, a.author));
+            for p in t.posts() {
+                docs.push_text(&p.body.text);
             }
-            thread_ends.push(keys.len());
+            thread_ends.push(docs.num_docs());
         }
         docs.shrink_to_fit();
-        TokenizedPosts {
-            docs,
-            keys,
-            thread_ends,
-        }
+        TokenizedPosts { docs, thread_ends }
     }
 
     /// Number of threads tokenized.
@@ -85,28 +71,7 @@ impl PostTopics {
             .map_or(0, |last| posts.thread_ends[last]);
         let (vocab, corpus) = posts.docs.prefix_view(num_docs, 2, 0.6);
         let lda = LdaModel::train_view(&corpus, config);
-
-        let mut question_docs = HashMap::new();
-        let mut answer_docs = HashMap::new();
-        for (i, &key) in posts.keys[..num_docs].iter().enumerate() {
-            match key {
-                PostKey::Question(q) => {
-                    question_docs.insert(q, i);
-                }
-                PostKey::Answer(q, u) => {
-                    // A user's duplicate answers (rare, pre-cleaning)
-                    // keep the last distribution; preprocessing
-                    // removes duplicates anyway.
-                    answer_docs.insert((q, u), i);
-                }
-            }
-        }
-        PostTopics {
-            lda,
-            vocab,
-            question_docs,
-            answer_docs,
-        }
+        PostTopics { lda, vocab }
     }
 
     /// Number of topics `K`.
@@ -119,26 +84,10 @@ impl PostTopics {
         &self.lda
     }
 
-    /// Frees every history post's distribution (the model's `θ` and
-    /// the post maps), keeping what [`infer`](PostTopics::infer) needs:
-    /// [`question`](PostTopics::question) and
-    /// [`answer`](PostTopics::answer) return `None` after it.
-    pub fn forget_history(&mut self) {
+    /// Frees every history post's distribution (the model's `θ`),
+    /// keeping what [`infer`](PostTopics::infer) needs.
+    pub(crate) fn forget_history(&mut self) {
         self.lda.forget_documents();
-        self.question_docs = HashMap::new();
-        self.answer_docs = HashMap::new();
-    }
-
-    /// Topic distribution of a history question.
-    pub fn question(&self, q: QuestionId) -> Option<&[f64]> {
-        self.question_docs.get(&q).map(|&i| self.lda.doc_topics(i))
-    }
-
-    /// Topic distribution of `u`'s answer to history question `q`.
-    pub fn answer(&self, q: QuestionId, u: UserId) -> Option<&[f64]> {
-        self.answer_docs
-            .get(&(q, u))
-            .map(|&i| self.lda.doc_topics(i))
     }
 
     /// Encodes a post body and derives its deterministic fold-in seed
@@ -164,12 +113,6 @@ impl PostTopics {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum PostKey {
-    Question(QuestionId),
-    Answer(QuestionId, UserId),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,13 +130,10 @@ mod tests {
         xs.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Asserts two fits equal bit for bit: θ, φ, the vocabulary, and
-    /// the question and answer maps.
+    /// Asserts two fits equal bit for bit: θ, φ and the vocabulary.
     fn assert_bitwise_equal(a: &PostTopics, b: &PostTopics) {
         assert_eq!(a.vocab, b.vocab);
         assert_lda_bitwise_equal(&a.lda, &b.lda);
-        assert_eq!(a.question_docs, b.question_docs);
-        assert_eq!(a.answer_docs, b.answer_docs);
     }
 
     fn assert_lda_bitwise_equal(a: &LdaModel, b: &LdaModel) {
@@ -235,7 +175,7 @@ mod tests {
     /// draw's threshold, with pruned words and empty documents present.
     #[test]
     fn stream_fit_equals_the_materialized_corpus_fit_on_every_bucket_history() {
-        use forumcast_data::Post;
+        use forumcast_data::{Post, UserId};
         use forumcast_text::{tokenize_filtered, Corpus};
         let ds = SynthConfig::small().with_seed(11).generate();
         let (clean, _) = ds.preprocess();
@@ -280,38 +220,13 @@ mod tests {
     #[test]
     fn every_history_post_has_a_distribution() {
         let (history, pt) = topics_over_small();
-        for t in &history {
-            let dq = pt.question(t.id).expect("question distribution");
-            assert_eq!(dq.len(), 4);
-            assert!((dq.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            for a in &t.answers {
-                assert!(pt.answer(t.id, a.author).is_some());
-            }
+        let posts: usize = history.iter().map(|t| 1 + t.num_answers()).sum();
+        assert_eq!(pt.model().num_docs(), posts);
+        for d in 0..posts {
+            let theta = pt.model().doc_topics(d);
+            assert_eq!(theta.len(), 4);
+            assert!((theta.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn repeated_answer_keeps_the_last_posts_row() {
-        use forumcast_data::Post;
-        let post = |u: u32, text: &str| Post::new(UserId(u), 1.0, 0, PostBody::words(text));
-        let history = vec![Thread::new(
-            0,
-            post(0, "alpha beta alpha beta"),
-            vec![post(1, "alpha alpha alpha"), post(1, "beta beta beta")],
-        )];
-        let pt = PostTopics::fit(&history, &LdaConfig::new(2).with_iterations(5));
-        assert_eq!(
-            pt.answer(QuestionId(0), UserId(1)),
-            Some(pt.model().doc_topics(2))
-        );
-        assert_eq!(pt.question(QuestionId(0)), Some(pt.model().doc_topics(0)));
-    }
-
-    #[test]
-    fn unknown_question_returns_none() {
-        let (_, pt) = topics_over_small();
-        assert!(pt.question(QuestionId(9_999_999)).is_none());
-        assert!(pt.answer(QuestionId(9_999_999), UserId(0)).is_none());
     }
 
     #[test]

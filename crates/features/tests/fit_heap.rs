@@ -87,12 +87,13 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 }
 
 /// Peak heap of `fit_prefix` above its inputs, per corpus token.
-/// Sweeping the interned token stream in place measures 9.1 B/token
+/// Sweeping the interned token stream in place measures 8.5 B/token
 /// here (17,228 tokens, 459 posts, K = 8); the pruned corpus
 /// copy it replaced measured 14.6 B/token, and the nested
 /// `Vec<BagOfWords>` corpus before that, which `train` copied into a
-/// second token buffer, 36.7 B/token.
-const FIT_PEAK_BYTES_PER_TOKEN: f64 = 11.0;
+/// second token buffer, 36.7 B/token. The bound is the measured value
+/// plus 1.9 B/token of margin.
+const FIT_PEAK_BYTES_PER_TOKEN: f64 = 10.4;
 
 #[test]
 fn topic_fit_heap_stays_within_its_bounds() {

@@ -51,11 +51,6 @@ pub enum FaultSite {
     /// the real checkpoint intact (unit = entries recorded at save
     /// time).
     CkptWrite,
-    /// Simulated allocation failure while materializing the experiment
-    /// feature matrix (unit = feature-bucket index): the bucket build
-    /// panics as an out-of-memory condition would, and the retry
-    /// wrapper must degrade gracefully instead of aborting the sweep.
-    AllocPressure,
     /// `fsync` failure during a checkpoint save: the save errors out
     /// before the rename, leaving the previous checkpoint intact
     /// (unit = same save-unit as `ckpt-write`).
@@ -64,22 +59,20 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// All sites, in spec-name order.
-    pub const ALL: [FaultSite; 5] = [
+    pub const ALL: [FaultSite; 4] = [
         FaultSite::FoldPanic,
         FaultSite::NanGrad,
         FaultSite::CkptWrite,
-        FaultSite::AllocPressure,
         FaultSite::FsyncFail,
     ];
 
     /// The spec name (`fold-panic`, `nan-grad`, `ckpt-write`,
-    /// `alloc-pressure`, `fsync-fail`).
+    /// `fsync-fail`).
     pub fn name(self) -> &'static str {
         match self {
             FaultSite::FoldPanic => "fold-panic",
             FaultSite::NanGrad => "nan-grad",
             FaultSite::CkptWrite => "ckpt-write",
-            FaultSite::AllocPressure => "alloc-pressure",
             FaultSite::FsyncFail => "fsync-fail",
         }
     }
@@ -335,8 +328,15 @@ mod tests {
         }
         // An unknown site is a typed error, not a panic, and the
         // message lists exactly the sites that exist. The checkpoint
-        // media-damage sites are gone.
-        for unknown in ["wal-torn-append", "torn-write", "bit-flip"] {
+        // media-damage sites are gone, and so is the simulated
+        // allocation failure (a failed allocation aborts; it cannot be
+        // caught and retried).
+        for unknown in [
+            "wal-torn-append",
+            "torn-write",
+            "bit-flip",
+            "alloc-pressure",
+        ] {
             let err = FaultPlan::parse(&format!("{unknown}:1")).unwrap_err();
             let msg = err.to_string();
             assert!(

@@ -10,7 +10,7 @@ use std::mem::size_of;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use forumcast::eval::PairRecord;
-use forumcast::features::{FeatureContext, PostTopics, TokenizedPosts};
+use forumcast::features::{FeatureExtractor, PostTopics, TokenizedPosts};
 use forumcast::prelude::*;
 use forumcast::text::InternedDocs;
 
@@ -89,18 +89,19 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 ///   counts). No fit copies its corpus.
 /// - **Bucket `b`.** The records (all of them, an upper bound for the
 ///   ones built so far), pass 1's plans and pass 2's per-thread lists,
-///   one context's build peak, bucket `b`'s topics without their `θ`
-///   (freed before the graphs and pass 2), and the later buckets'
-///   fitted topics, which wait with their `θ`.
+///   bucket `b`'s fitted topics and its extractor's build peak above
+///   them (the extractor frees their `θ` before the graphs and pass 2),
+///   and the later buckets' fitted topics, which wait with their `θ`.
 ///
 /// On the quick forum in three buckets at two workers (x86-64) the fit
-/// phase binds: the bound is ~346 kB and the build peaks at ~287 kB
+/// phase binds: the bound is ~324 kB and the build peaks at ~275 kB
 /// (the measured terms move by a few kB between runs with the worker
-/// interleaving). With each fit training on a materialized copy of its
-/// pruned corpus, as it did before, the build peaks at ~385 kB and
-/// fails. Keeping a bucket's `θ` through its pass 2 stays within this
-/// bound at this scale; `scripts/check.sh`'s paper-scale heap ceiling
-/// is what catches that.
+/// interleaving). A fit that holds a 4-byte copy of each corpus token
+/// while it trains peaks at ~346 kB and fails. This bound does not
+/// catch an extractor that keeps its `θ`, since bucket `b`'s term
+/// counts its topics with `θ`: the extractor's unit tests check that it
+/// holds none, and `scripts/check.sh`'s paper-scale heap ceiling bounds
+/// the whole build.
 #[test]
 fn build_peaks_within_its_records_one_context_and_two_fits() {
     let mut cfg = EvalConfig::quick();
@@ -139,22 +140,15 @@ fn build_peaks_within_its_records_one_context_and_two_fits() {
         }
     }
     let mut fitted = Vec::new();
-    let mut lean = Vec::new();
-    let mut context_peak = Vec::new();
+    let mut extractor_peak = Vec::new();
     let mut sampling = Vec::new();
     for r in &ranges {
         let (topics, _, bytes) = measure(|| PostTopics::fit_prefix(&posts, r.start, lda));
         fitted.push(bytes);
         let history = &threads[..r.start];
-        let (_, peak, _) =
-            measure(|| FeatureContext::build(history, n, &topics, cfg.extractor.betweenness));
-        context_peak.push(peak);
-        let (_, _, bytes) = measure(|| {
-            let mut topics = PostTopics::fit_prefix(&posts, r.start, lda);
-            topics.forget_history();
-            topics
-        });
-        lean.push(bytes);
+        let betweenness = cfg.extractor.betweenness;
+        let (_, peak, _) = measure(|| FeatureExtractor::new(history, n, topics, betweenness));
+        extractor_peak.push(peak);
         let num_docs = history.iter().map(|t| 1 + t.num_answers()).sum();
         let (_, view) = docs.prefix_view(num_docs, 2, 0.6);
         let m = view.word_map().map_or(0, <[u32]>::len);
@@ -162,14 +156,13 @@ fn build_peaks_within_its_records_one_context_and_two_fits() {
     }
 
     let fits = tokenized + fitted.iter().sum::<usize>() + 2 * sampling.iter().max().unwrap();
-    let buckets = (0..ranges.len()).map(|b| {
-        records + plans + context_peak[b] + lean[b] + fitted[b + 1..].iter().sum::<usize>()
-    });
+    let buckets = (0..ranges.len())
+        .map(|b| records + plans + extractor_peak[b] + fitted[b..].iter().sum::<usize>());
     let bound = buckets.fold(fits, usize::max);
     assert!(
         peak <= bound,
         "build peaked {peak} B above its dataset, bound {bound} B: fits {fits} B \
          (tokenized {tokenized}, fitted {fitted:?}, sampling {sampling:?}); records {records}, \
-         plans {plans}, context peaks {context_peak:?}, lean topics {lean:?}"
+         plans {plans}, extractor peaks {extractor_peak:?}"
     );
 }
