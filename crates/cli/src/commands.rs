@@ -290,7 +290,7 @@ fn train(data: &str, fast: bool, seed: Option<u64>, path: &str, out: &mut dyn Wr
     } else {
         TrainConfig::default()
     };
-    let predictor = ResponsePredictor::train(&ts, &train_cfg);
+    let predictor = ResponsePredictor::try_train(&ts, &train_cfg)?;
     let saved = SavedModel {
         predictor,
         history_threads: clean.num_questions(),

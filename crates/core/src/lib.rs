@@ -50,7 +50,7 @@ pub mod votes;
 
 pub use answer::{AnswerConfig, AnswerPredictor};
 pub use predictor::{
-    sample_training_set, ResponsePredictor, TrainConfig, TrainingRows, TrainingSet,
+    sample_training_set, NoTrainingData, ResponsePredictor, TrainConfig, TrainingRows, TrainingSet,
 };
 pub use timing::{DecayMode, PredictionMode, ThreadObservation, TimingConfig, TimingPredictor};
 pub use votes::{VoteConfig, VotePredictor};

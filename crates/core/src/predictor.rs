@@ -264,14 +264,59 @@ fn signed_log(x: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// Why [`ResponsePredictor::try_train`] refused a training set: a
+/// task has no rows to learn from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NoTrainingData {
+    /// The first task without rows: `"answer"`, `"vote"` or `"timing"`.
+    pub task: &'static str,
+}
+
+impl std::fmt::Display for NoTrainingData {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "no training data for the {} task: the forum has no answered question to learn from",
+            self.task
+        )
+    }
+}
+
+impl std::error::Error for NoTrainingData {}
+
+impl TrainingSet {
+    /// The first task with no rows, if any.
+    fn missing_task(&self) -> Option<NoTrainingData> {
+        let task = if self.answer_xs.is_empty() {
+            "answer"
+        } else if self.vote_xs.is_empty() {
+            "vote"
+        } else if self.timing_threads.is_empty() {
+            "timing"
+        } else {
+            return None;
+        };
+        Some(NoTrainingData { task })
+    }
+}
+
 impl ResponsePredictor {
     /// Trains all three models on `ts`.
     ///
     /// # Panics
     ///
-    /// Panics when any task has no training data.
+    /// Panics when any task has no training data; callers that have
+    /// not checked use [`try_train`](Self::try_train).
     pub fn train(ts: &TrainingSet, config: &TrainConfig) -> Self {
         Self::train_with_workers(ts, config, crate::timing::training_workers())
+    }
+
+    /// [`train`](Self::train), or the task with no training data.
+    pub fn try_train(ts: &TrainingSet, config: &TrainConfig) -> Result<Self, NoTrainingData> {
+        match ts.missing_task() {
+            Some(missing) => Err(missing),
+            None => Ok(Self::train(ts, config)),
+        }
     }
 
     /// [`train`](Self::train) with the timing stage on an explicit
@@ -282,10 +327,9 @@ impl ResponsePredictor {
         config: &TrainConfig,
         timing_workers: usize,
     ) -> Self {
-        assert!(
-            !ts.answer_xs.is_empty() && !ts.vote_xs.is_empty() && !ts.timing_threads.is_empty(),
-            "all three tasks need training data"
-        );
+        if let Some(missing) = ts.missing_task() {
+            panic!("all three tasks need training data: {missing}");
+        }
         let pre = |x: &[f64]| -> Vec<f64> {
             if config.signed_log {
                 signed_log(x)
@@ -441,22 +485,41 @@ mod tests {
         );
     }
 
+    /// The logs agree but for the lockstep's per-lane clock counters,
+    /// which only the two-worker schedule has; the work counts agree.
     #[test]
     fn two_timing_workers_emit_the_same_obs_log() {
         let ts = training_set();
         let log = |workers: usize| {
             let _armed = forumcast_obs::arm();
             train_on(&ts, workers);
-            let log = forumcast_obs::drain().expect("armed");
-            (log.canonical_lines(), log.counters, log.hists)
+            let mut log = forumcast_obs::drain().expect("armed");
+            let lanes = ["ml.timing.mu_lane.", "ml.timing.omega_lane."];
+            let (clocks, counters): (Vec<_>, Vec<_>) = std::mem::take(&mut log.counters)
+                .into_iter()
+                .partition(|(name, _)| lanes.iter().any(|lane| name.starts_with(lane)));
+            log.counters = counters;
+            let clocks: Vec<String> = clocks.into_iter().map(|(name, _)| name).collect();
+            (log.canonical_lines(), log.counters, log.hists, clocks)
         };
-        let serial = log(1);
+        let mut serial = log(1);
         let calibrate = "span ml.timing.train/ml.timing.calibrate ";
         assert!(
             serial.0.iter().any(|l| l.starts_with(calibrate)),
             "{serial:?}"
         );
-        assert_eq!(serial, log(2));
+        for counter in [
+            "ml.timing.steps",
+            "ml.timing.rows",
+            "ml.timing.param_updates",
+        ] {
+            assert!(serial.1.iter().any(|(name, n)| name == counter && *n > 0));
+        }
+        assert!(serial.3.is_empty(), "{:?}", serial.3);
+        let lockstep = log(2);
+        assert_eq!(lockstep.3.len(), 4, "{:?}", lockstep.3);
+        serial.3 = lockstep.3.clone();
+        assert_eq!(serial, lockstep);
     }
 
     fn json(ts: &TrainingSet) -> String {
@@ -532,6 +595,21 @@ mod tests {
         let mut ts = TrainingSet::new(1);
         ts.push_answer(vec![1.0], true);
         ResponsePredictor::train(&ts, &TrainConfig::fast());
+    }
+
+    #[test]
+    fn try_train_names_the_task_without_rows() {
+        let mut ts = TrainingSet::new(1);
+        let missing =
+            |ts: &TrainingSet| ResponsePredictor::try_train(ts, &TrainConfig::fast()).err();
+        assert_eq!(missing(&ts), Some(NoTrainingData { task: "answer" }));
+        ts.push_answer(vec![1.0], true);
+        assert_eq!(missing(&ts), Some(NoTrainingData { task: "vote" }));
+        ts.push_vote(vec![1.0], 2.0);
+        assert_eq!(missing(&ts), Some(NoTrainingData { task: "timing" }));
+        let message = missing(&ts).unwrap().to_string();
+        assert!(message.contains("timing task"), "{message}");
+        assert!(ResponsePredictor::try_train(&training_set(), &TrainConfig::fast()).is_ok());
     }
 
     #[test]

@@ -18,17 +18,19 @@
 //! carries the thread's answerers plus a sample of non-answerers
 //! whose survival contribution is importance-weighted up to the full
 //! population — the standard estimator for sampled point-process
-//! likelihoods. Gradients flow through [`forumcast_ml::Mlp::backward`]
+//! likelihoods. Gradients flow through [`forumcast_ml::Mlp::backward_scratch`]
 //! exactly as TensorFlow's autodiff does for the paper's authors.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use forumcast_ml::{Activation, Adam, LayerSpec, Mlp, MlpScratch};
+use forumcast_ml::{backward_units, forward_units, Activation, Adam, LayerSpec, Mlp, MlpScratch};
 
 /// Lower clamp for the excitation μ inside logs and divisions.
 const MU_FLOOR: f64 = 1e-8;
@@ -209,12 +211,21 @@ pub struct TimingPredictor {
 }
 
 impl TimingPredictor {
-    /// Trains the model on thread observations.
+    /// Trains the model on thread observations: one Adam step of each
+    /// net per answered thread, every epoch in a fresh shuffle.
     ///
     /// With a learned decay network and two training workers free
     /// ([`forumcast_ml::train_threads`] ≥ 2, called outside a
     /// `forumcast-par` worker), the μ and ω networks train on two
-    /// threads in lockstep. The model is bit-identical either way.
+    /// threads in lockstep, and the heavier net lends part of its
+    /// first layer to the other thread. Otherwise both train on the
+    /// caller. The model is bit-identical either way.
+    ///
+    /// Counts its work as `ml.timing.steps`, `ml.timing.rows` and
+    /// `ml.timing.param_updates` (steps × parameters of both nets);
+    /// the lockstep also counts each lane's busy and waiting time
+    /// (`ml.timing.mu_lane.busy_ns`, `….wait_ns`, and the same for
+    /// `omega_lane`).
     ///
     /// # Panics
     ///
@@ -289,7 +300,11 @@ impl TimingPredictor {
         };
         let mut f = NetHalf::new(Net::Excitation, excitation, config.learning_rate);
         let g = decay_net.map(|g| NetHalf::new(Net::Decay, g, config.learning_rate));
-        let g = epochs.run(&mut f, g, &mut rng, workers);
+        let (g, tally) = epochs.run(&mut f, g, &mut rng, workers);
+        let params = f.net.num_params() + g.as_ref().map_or(0, |g| g.net.num_params());
+        forumcast_obs::counter_add("ml.timing.steps", tally.steps);
+        forumcast_obs::counter_add("ml.timing.rows", tally.rows);
+        forumcast_obs::counter_add("ml.timing.param_updates", tally.steps * params as u64);
 
         let mut model = TimingPredictor {
             excitation: f.net,
@@ -558,16 +573,46 @@ enum Net {
     Decay,
 }
 
+impl Net {
+    /// Whether row `i` passes a gradient to this net. f always gets
+    /// one; g gets none where its raw ω is clamped, and a NaN raw ω
+    /// fails the test and passes none either.
+    fn passes_gradient(self, omega_raw: Option<&[f64]>, i: usize) -> bool {
+        match self {
+            Net::Excitation => true,
+            Net::Decay => omega_raw.is_some_and(|raw| raw[i] >= OMEGA_FLOOR),
+        }
+    }
+}
+
+/// The feature rows of a thread: answers first, then non-answerers.
+fn feature_rows(t: &ThreadObservation) -> impl Iterator<Item = &[f64]> {
+    let answers = t.answers.iter().map(|(x, _)| x.as_slice());
+    answers.chain(t.non_answerers.iter().map(Vec::as_slice))
+}
+
 /// One network's training state: the net, its optimizer, its gradient
 /// buffer, and one scratch per row of a thread, since the backward
 /// half needs every row's forward pass. μ and ω share no
 /// floating-point state inside a thread step, so each half runs the
 /// same operations in the same order whichever thread runs it.
+///
+/// A half may lend the last `lent` units of its first layer to the
+/// other lockstep lane ([`NetHalf::lend`]). It then skips their
+/// forward pass, gradient accumulation and Adam update: it reads their
+/// outputs from the partner and hands back their `∂L/∂y`.
 struct NetHalf {
     kind: Net,
     net: Mlp,
-    opt: Adam,
+    /// Units of layer 0 lent to the partner lane.
+    lent: usize,
+    /// One Adam per run of the parameters this half updates: the whole
+    /// vector, or the runs around the lent units. They step together,
+    /// so each run sees the bias corrections one Adam would.
+    opts: Vec<(Range<usize>, Adam)>,
     grads: Vec<f64>,
+    /// `∂L/∂y` of the lent units, `lent` per row of the current thread.
+    lent_grads: Vec<f64>,
     scratches: Vec<MlpScratch>,
 }
 
@@ -576,31 +621,94 @@ impl NetHalf {
         NetHalf {
             kind,
             grads: vec![0.0; net.num_params()],
-            opt: Adam::new(learning_rate),
+            lent: 0,
+            opts: vec![(0..net.num_params(), Adam::new(learning_rate))],
             net,
+            lent_grads: Vec::new(),
             scratches: Vec::new(),
         }
+    }
+
+    /// The last `units` units of layer 0 (`W₁` rows and `b₁` entries)
+    /// as a [`Borrowed`] for the other lane; this half stops updating
+    /// them until [`take_back`](Self::take_back).
+    fn lend(&mut self, units: usize) -> Borrowed {
+        let spec = self.net.specs()[0];
+        let (n, inputs) = (spec.outputs, spec.inputs);
+        let own = n - units;
+        let (w, b) = (own * inputs..n * inputs, n * inputs + own..n * inputs + n);
+        let params = [&self.net.params()[w.clone()], &self.net.params()[b.clone()]].concat();
+        let learning_rate = self.opts[0].1.learning_rate;
+        self.lent = units;
+        self.opts = [0..w.start, w.end..b.start, b.end..self.net.num_params()]
+            .into_iter()
+            .filter(|run| !run.is_empty())
+            .map(|run| (run, Adam::new(learning_rate)))
+            .collect();
+        Borrowed {
+            owner: self.kind,
+            activation: spec.activation,
+            inputs,
+            units,
+            grads: vec![0.0; params.len()],
+            params,
+            opt: Adam::new(learning_rate),
+            acts: Vec::new(),
+            grad: Vec::new(),
+        }
+    }
+
+    /// Writes the trained lent units back into the net.
+    fn take_back(&mut self, borrowed: &Borrowed) {
+        let spec = self.net.specs()[0];
+        let (n, inputs) = (spec.outputs, spec.inputs);
+        let own = n - self.lent;
+        let (w, b) = borrowed.params.split_at(self.lent * inputs);
+        let params = self.net.params_mut();
+        params[own * inputs..n * inputs].copy_from_slice(w);
+        params[n * inputs + own..n * inputs + n].copy_from_slice(b);
     }
 
     /// Forward half of a thread step: the net's raw output for every
     /// row into `raw`, answers first, then non-answerers.
     fn forward(&mut self, t: &ThreadObservation, raw: &mut Vec<f64>) {
+        self.forward_first_layer(t);
+        self.forward_upper_layers(t.answers.len() + t.non_answerers.len(), &[], raw);
+    }
+
+    /// The first part of [`forward`](Self::forward): layer 0's own
+    /// units, for every row of `t`.
+    fn forward_first_layer(&mut self, t: &ThreadObservation) {
         let rows = t.answers.len() + t.non_answerers.len();
         if self.scratches.len() < rows {
             self.scratches.resize_with(rows, MlpScratch::new);
         }
+        let own = self.net.specs()[0].outputs - self.lent;
+        for (x, scratch) in feature_rows(t).zip(&mut self.scratches) {
+            self.net.forward_first_layer(x, scratch, own);
+        }
+    }
+
+    /// The rest of [`forward`](Self::forward) for the thread's `rows`
+    /// rows: takes the lent units' outputs from `lent_acts` (`lent` per
+    /// row), runs the upper layers and pushes each row's raw output
+    /// into `raw`.
+    fn forward_upper_layers(&mut self, rows: usize, lent_acts: &[f64], raw: &mut Vec<f64>) {
         raw.clear();
-        let xs = t.answers.iter().map(|(x, _)| x).chain(&t.non_answerers);
-        for (x, scratch) in xs.zip(&mut self.scratches) {
-            raw.push(self.net.forward_scratch(x, scratch)[0]);
+        let (lent, own) = (self.lent, self.net.specs()[0].outputs - self.lent);
+        for (i, scratch) in self.scratches[..rows].iter_mut().enumerate() {
+            let acts = &lent_acts[i * lent..(i + 1) * lent];
+            scratch.first_layer_mut()[own..].copy_from_slice(acts);
+            raw.push(self.net.forward_upper_layers(scratch)[0]);
         }
     }
 
     /// Backward half of a thread step: backpropagates each row's share
-    /// of `∂(−L_q)` in row order, then takes one Adam step. `mu_raw`
-    /// and `omega_raw` are both nets' forward outputs for the thread;
-    /// `omega_raw` is `None` under a constant decay.
-    fn backward_step(
+    /// of `∂(−L_q)` in row order into `grads`, and into `lent_grads`
+    /// the lent units' `∂L/∂y`. `mu_raw` and `omega_raw` are both
+    /// nets' forward outputs for the thread; `omega_raw` is `None`
+    /// under a constant decay.
+    fn backward(
         &mut self,
         epochs: &EpochLoop,
         t: &ThreadObservation,
@@ -608,26 +716,109 @@ impl NetHalf {
         omega_raw: Option<&[f64]>,
     ) {
         self.grads.fill(0.0);
+        let (lent, own) = (self.lent, self.net.specs()[0].outputs - self.lent);
+        self.lent_grads.resize(mu_raw.len() * lent, 0.0);
         let w_non = t.survival_weight().min(epochs.max_survival_weight);
         let rows = t.answers.iter().map(|&(_, r)| (Some(r), 1.0));
         let rows = rows.chain(t.non_answerers.iter().map(|_| (None, w_non)));
         for (i, (event, weight)) in rows.enumerate() {
+            if !self.kind.passes_gradient(omega_raw, i) {
+                continue;
+            }
             let omega = omega_raw.map_or(epochs.constant_decay, |raw| raw[i].max(OMEGA_FLOOR));
             let upstream = match self.kind {
-                Net::Excitation => Some(mu_upstream(mu_raw[i], omega, t.window, event, weight)),
-                // The clamped region passes no gradient; a NaN raw ω
-                // fails the test and passes none either.
-                Net::Decay => omega_raw
-                    .filter(|raw| raw[i] >= OMEGA_FLOOR)
-                    .map(|_| omega_upstream(mu_raw[i], omega, t.window, event, weight)),
+                Net::Excitation => mu_upstream(mu_raw[i], omega, t.window, event, weight),
+                Net::Decay => omega_upstream(mu_raw[i], omega, t.window, event, weight),
             };
-            if let Some(upstream) = upstream {
-                self.net
-                    .backward_scratch(&mut self.scratches[i], &[upstream], &mut self.grads);
+            let scratch = &mut self.scratches[i];
+            self.net
+                .backward_upper_layers(scratch, &[upstream], &mut self.grads);
+            self.lent_grads[i * lent..(i + 1) * lent]
+                .copy_from_slice(&scratch.first_layer_grad()[own..]);
+            self.net.backward_first_layer(scratch, &mut self.grads, own);
+        }
+    }
+
+    /// One Adam step over the parameters this half updates.
+    fn step(&mut self) {
+        let params = self.net.params_mut();
+        for (run, opt) in &mut self.opts {
+            opt.step(&mut params[run.clone()], &self.grads[run.clone()]);
+        }
+    }
+}
+
+/// The first-layer units a lane trains for its partner's net: their
+/// weight rows and biases as one flat `[w | b]`, with their own
+/// gradient buffer and Adam. The Adam steps once per thread step, as
+/// the owner's do, so its bias corrections are the owner's.
+struct Borrowed {
+    /// The net the units belong to.
+    owner: Net,
+    activation: Activation,
+    inputs: usize,
+    units: usize,
+    params: Vec<f64>,
+    grads: Vec<f64>,
+    opt: Adam,
+    /// The units' outputs, `units` per row of the current thread.
+    acts: Vec<f64>,
+    /// Their `∂L/∂y` from the owner, `units` per row.
+    grad: Vec<f64>,
+}
+
+impl Borrowed {
+    /// The units' outputs for every row of `t` into `acts`.
+    fn forward(&mut self, t: &ThreadObservation) {
+        let u = self.units;
+        let (w, b) = self.params.split_at(u * self.inputs);
+        self.acts
+            .resize((t.answers.len() + t.non_answerers.len()) * u, 0.0);
+        for (i, x) in feature_rows(t).enumerate() {
+            assert_eq!(x.len(), self.inputs, "input dimension mismatch");
+            forward_units(self.activation, w, b, x, &mut self.acts[i * u..(i + 1) * u]);
+        }
+    }
+
+    /// Accumulates, in row order, the rows whose gradient reached the
+    /// owner's net, from the `∂L/∂y` in `grad`, then takes one Adam
+    /// step.
+    fn backward_step(&mut self, t: &ThreadObservation, omega_raw: &[f64]) {
+        let u = self.units;
+        self.grads.fill(0.0);
+        let (gw, gb) = self.grads.split_at_mut(u * self.inputs);
+        for (i, x) in feature_rows(t).enumerate() {
+            if self.owner.passes_gradient(Some(omega_raw), i) {
+                let unit_rows = i * u..(i + 1) * u;
+                let (acts, grad) = (&self.acts[unit_rows.clone()], &mut self.grad[unit_rows]);
+                backward_units(self.activation, acts, x, grad, gw, gb);
             }
         }
-        self.opt.step(self.net.params_mut(), &self.grads);
+        self.opt.step(&mut self.params, &self.grads);
     }
+}
+
+/// How many units of its first layer the heavier net lends the other
+/// lane: each moves its `W₁` row and `b₁` entry, so this is the count
+/// that brings the two lanes' parameter counts closest. 0 when the
+/// heavier net has no hidden layer.
+fn lent_units(heavier: &Mlp, lighter: &Mlp) -> usize {
+    let specs = heavier.specs();
+    if specs.len() < 2 {
+        return 0;
+    }
+    let per_unit = specs[0].inputs + 1;
+    let gap = heavier.num_params() - lighter.num_params();
+    ((gap + per_unit) / (2 * per_unit)).min(specs[0].outputs)
+}
+
+/// The work of one training call, counted as it runs.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Tally {
+    /// Thread steps, one Adam step of each net apiece.
+    steps: u64,
+    /// Feature rows those steps pushed through the nets.
+    rows: u64,
 }
 
 /// The epoch loop of [`TimingPredictor::train`]: one Adam step per
@@ -641,40 +832,52 @@ struct EpochLoop<'a> {
 
 impl EpochLoop<'_> {
     /// Calls `step` on every answered thread, each epoch in a fresh
-    /// shuffle drawn from `rng`. Stops early when `step` returns false.
-    fn walk(&self, rng: &mut StdRng, mut step: impl FnMut(&ThreadObservation) -> bool) {
+    /// shuffle drawn from `rng`, and counts the steps it completed.
+    /// Stops early when `step` returns false.
+    fn walk(&self, rng: &mut StdRng, mut step: impl FnMut(&ThreadObservation) -> bool) -> Tally {
+        let mut tally = Tally::default();
         let mut order: Vec<usize> = (0..self.threads.len()).collect();
         for _ in 0..self.epochs {
             order.shuffle(rng);
             for &ti in &order {
                 let t = &self.threads[ti];
-                if !t.answers.is_empty() && !step(t) {
-                    return;
+                if t.answers.is_empty() {
+                    continue;
                 }
+                if !step(t) {
+                    return tally;
+                }
+                tally.steps += 1;
+                tally.rows += (t.answers.len() + t.non_answerers.len()) as u64;
             }
         }
+        tally
     }
 
-    /// Trains f, and g when the decay is learned, returning g: in
-    /// lockstep when g exists and `workers >= 2`, else serially.
+    /// Trains f, and g when the decay is learned, returning g and the
+    /// work done: in lockstep when g exists and `workers >= 2`, else
+    /// serially.
     fn run(
         &self,
         f: &mut NetHalf,
         g: Option<NetHalf>,
         rng: &mut StdRng,
         workers: usize,
-    ) -> Option<NetHalf> {
+    ) -> (Option<NetHalf>, Tally) {
         match g {
-            Some(g) if workers >= 2 => Some(self.run_lockstep(f, g, rng)),
+            Some(g) if workers >= 2 => {
+                let (g, tally) = self.run_lockstep(f, g, rng);
+                (Some(g), tally)
+            }
             mut g => {
-                self.run_serial(f, g.as_mut(), rng);
-                g
+                let tally = self.run_serial(f, g.as_mut(), rng);
+                (g, tally)
             }
         }
     }
 
     /// Both halves of every step on the caller, one after the other.
-    fn run_serial(&self, f: &mut NetHalf, mut g: Option<&mut NetHalf>, rng: &mut StdRng) {
+    fn run_serial(&self, f: &mut NetHalf, mut g: Option<&mut NetHalf>, rng: &mut StdRng) -> Tally {
         let (mut mu_raw, mut omega_raw) = (Vec::new(), Vec::new());
         self.walk(rng, |t| {
             f.forward(t, &mut mu_raw);
@@ -682,76 +885,138 @@ impl EpochLoop<'_> {
                 g.forward(t, &mut omega_raw);
             }
             let omega = g.is_some().then_some(omega_raw.as_slice());
-            f.backward_step(self, t, &mu_raw, omega);
+            f.backward(self, t, &mu_raw, omega);
+            f.step();
             if let Some(g) = g.as_deref_mut() {
-                g.backward_step(self, t, &mu_raw, omega);
+                g.backward(self, t, &mu_raw, omega);
+                g.step();
             }
             true
-        });
+        })
     }
 
     /// f's halves on the caller and g's on a [`forumcast_par::join`]
     /// helper (which inherits the caller's collector and fault plan),
     /// in lockstep. Both walk identical clones of `rng`, so they visit
-    /// the same threads in the same order. Returns the trained g.
-    /// A panic on either side aborts the other and reaches the caller.
-    fn run_lockstep(&self, f: &mut NetHalf, mut g: NetHalf, rng: &mut StdRng) -> NetHalf {
+    /// the same threads in the same order. The heavier net lends the
+    /// last [`lent_units`] of its first layer to the other lane, which
+    /// evens out the two lanes' work. Returns the trained g. A panic
+    /// on either side aborts the other and reaches the caller.
+    fn run_lockstep(&self, f: &mut NetHalf, mut g: NetHalf, rng: &mut StdRng) -> (NetHalf, Tally) {
+        let (mut f_borrowed, mut g_borrowed) = (None, None);
+        let units = if f.net.num_params() >= g.net.num_params() {
+            let units = lent_units(&f.net, &g.net);
+            g_borrowed = Some(f.lend(units));
+            units
+        } else {
+            let units = lent_units(&g.net, &f.net);
+            f_borrowed = Some(g.lend(units));
+            units
+        };
         let rows = self
             .threads
             .iter()
             .map(|t| t.answers.len() + t.non_answerers.len())
             .max()
             .unwrap_or(0);
-        let (lane_f, lane_g) = (Lane::new(rows), Lane::new(rows));
+        let (lane_f, lane_g) = (Lane::new(rows, units), Lane::new(rows, units));
         let abort = AtomicBool::new(false);
         let mut helper_rng = rng.clone();
         // The caller's lane stops early only when the helper panicked,
         // and `join` resumes that panic here.
-        let (g, ()) = forumcast_par::join(
+        let (mut g, tally) = forumcast_par::join(
             || {
-                self.run_lane(&mut g, &mut helper_rng, &lane_g, &lane_f, &abort);
+                let lane = (&lane_g, &lane_f);
+                self.run_lane(&mut g, &mut g_borrowed, &mut helper_rng, lane, &abort);
                 g
             },
-            || self.run_lane(f, rng, &lane_f, &lane_g, &abort),
+            || self.run_lane(f, &mut f_borrowed, rng, (&lane_f, &lane_g), &abort),
         );
-        g
+        if let Some(borrowed) = f_borrowed {
+            g.take_back(&borrowed);
+        }
+        if let Some(borrowed) = g_borrowed {
+            f.take_back(&borrowed);
+        }
+        (g, tally)
     }
 
-    /// One net's side of the lockstep schedule. Per step it publishes
-    /// its raw outputs into `mine`, waits once for the partner's step
-    /// counter, reads the partner's outputs and runs its backward
-    /// half. Stops early when the partner aborted.
+    /// One net's side of the lockstep schedule. Each step it publishes
+    /// two events into `mine` and waits for the partner's two in
+    /// `theirs`:
+    /// - a borrowing lane publishes the borrowed units' outputs, then
+    ///   its raw outputs; at the end of the step it reads the units'
+    ///   `∂L/∂y` and trains them;
+    /// - a lending lane runs its own first-layer units, waits for the
+    ///   lent ones, publishes its raw outputs, and after its backward
+    ///   pass the lent units' `∂L/∂y`.
+    ///
+    /// A lane writes a buffer again only after waiting for an event the
+    /// partner publishes after reading it, so one buffer of each kind
+    /// suffices. Stops early when the partner aborted.
     fn run_lane(
         &self,
         me: &mut NetHalf,
+        borrowed: &mut Option<Borrowed>,
         rng: &mut StdRng,
-        mine: &Lane,
-        theirs: &Lane,
+        (mine, theirs): (&Lane, &Lane),
         abort: &AtomicBool,
-    ) {
+    ) -> Tally {
         let _abort_on_panic = AbortOnPanic(abort);
-        let (mut own, mut partner) = (Vec::new(), Vec::new());
-        let mut steps = 0;
-        self.walk(rng, |t| {
-            me.forward(t, &mut own);
-            // Step `steps` uses buffer `steps % 2`. Writing it again at
-            // step `steps + 2` waits for the partner to publish step
-            // `steps + 1`, which it does only after reading this one.
-            let parity = steps % 2;
-            mine.publish(parity, &own);
-            steps += 1;
-            mine.step.0.store(steps, Ordering::Release);
-            if !theirs.wait_for(steps, abort) {
-                return false;
+        let mut clock = LaneClock::start();
+        let (mut own, mut partner, mut lent_acts) = (Vec::new(), Vec::new(), Vec::new());
+        let mut events = 0;
+        let tally = self.walk(rng, |t| {
+            let rows = t.answers.len() + t.non_answerers.len();
+            let (first, second) = (events + 1, events + 2);
+            events = second;
+            match borrowed.as_mut() {
+                Some(b) => {
+                    b.forward(t);
+                    mine.publish(Buffer::Units, &b.acts, first);
+                    me.forward(t, &mut own);
+                    mine.publish(Buffer::Raw, &own, second);
+                    if !clock.wait(theirs, first, abort) {
+                        return false;
+                    }
+                }
+                None => {
+                    me.forward_first_layer(t);
+                    if !clock.wait(theirs, first, abort) {
+                        return false;
+                    }
+                    theirs.read(Buffer::Units, rows * me.lent, &mut lent_acts);
+                    me.forward_upper_layers(rows, &lent_acts, &mut own);
+                    mine.publish(Buffer::Raw, &own, first);
+                    if !clock.wait(theirs, second, abort) {
+                        return false;
+                    }
+                }
             }
-            theirs.read(parity, own.len(), &mut partner);
+            theirs.read(Buffer::Raw, rows, &mut partner);
             let (mu_raw, omega_raw) = match me.kind {
                 Net::Excitation => (&own, &partner),
                 Net::Decay => (&partner, &own),
             };
-            me.backward_step(self, t, mu_raw, Some(omega_raw));
+            me.backward(self, t, mu_raw, Some(omega_raw));
+            match borrowed.as_mut() {
+                Some(b) => {
+                    me.step();
+                    if !clock.wait(theirs, second, abort) {
+                        return false;
+                    }
+                    theirs.read(Buffer::Units, rows * b.units, &mut b.grad);
+                    b.backward_step(t, omega_raw);
+                }
+                None => {
+                    mine.publish(Buffer::Units, &me.lent_grads, second);
+                    me.step();
+                }
+            }
             true
         });
+        clock.emit(me.kind);
+        tally
     }
 }
 
@@ -760,44 +1025,71 @@ impl EpochLoop<'_> {
 /// within the spin; yielding keeps an oversubscribed box moving.
 const SPINS_BEFORE_YIELD: u32 = 1 << 12;
 
-/// A step counter alone on its cache line, so publishing it does not
+/// An event counter alone on its cache line, so publishing it does not
 /// invalidate the line the partner polls for its own counter.
 #[repr(align(128))]
 struct PaddedCounter(AtomicUsize);
 
-/// One lockstep worker's outbox: how many steps it has published, and
-/// its raw outputs double-buffered by step parity (f64 bits).
+/// The two payloads of a lockstep lane's outbox.
+#[derive(Debug, Clone, Copy)]
+enum Buffer {
+    /// The lane's raw net outputs, one per row.
+    Raw,
+    /// Lent units' outputs (borrower) or `∂L/∂y` (lender), per row.
+    Units,
+}
+
+/// One lockstep worker's outbox: how many events it has published, and
+/// its payloads (f64 bits).
 struct Lane {
-    step: PaddedCounter,
-    raw: [Vec<AtomicU64>; 2],
+    events: PaddedCounter,
+    raw: Vec<AtomicU64>,
+    units: Vec<AtomicU64>,
 }
 
 impl Lane {
-    fn new(rows: usize) -> Self {
-        let buffer = || (0..rows).map(|_| AtomicU64::new(0)).collect();
+    fn new(rows: usize, units: usize) -> Self {
+        let buffer = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect();
         Lane {
-            step: PaddedCounter(AtomicUsize::new(0)),
-            raw: [buffer(), buffer()],
+            events: PaddedCounter(AtomicUsize::new(0)),
+            raw: buffer(rows),
+            units: buffer(rows * units),
         }
     }
 
-    fn publish(&self, parity: usize, raw: &[f64]) {
-        for (slot, v) in self.raw[parity].iter().zip(raw) {
+    fn slots(&self, buffer: Buffer) -> &[AtomicU64] {
+        match buffer {
+            Buffer::Raw => &self.raw,
+            Buffer::Units => &self.units,
+        }
+    }
+
+    /// Stores `values` into `buffer`, then publishes event `event`. The
+    /// counter's `Release` store pairs with the `Acquire` load in
+    /// [`published`](Self::published), so a partner that sees the event
+    /// also sees the payload stored before it.
+    fn publish(&self, buffer: Buffer, values: &[f64], event: usize) {
+        for (slot, v) in self.slots(buffer).iter().zip(values) {
             slot.store(v.to_bits(), Ordering::Relaxed);
         }
+        self.events.0.store(event, Ordering::Release);
     }
 
-    fn read(&self, parity: usize, rows: usize, out: &mut Vec<f64>) {
+    fn read(&self, buffer: Buffer, len: usize, out: &mut Vec<f64>) {
         out.clear();
-        let slots = self.raw[parity][..rows].iter();
+        let slots = self.slots(buffer)[..len].iter();
         out.extend(slots.map(|slot| f64::from_bits(slot.load(Ordering::Relaxed))));
     }
 
-    /// Waits until this lane has published `steps` steps. Returns
+    fn published(&self, events: usize) -> bool {
+        self.events.0.load(Ordering::Acquire) >= events
+    }
+
+    /// Waits until this lane has published `events` events. Returns
     /// false when `abort` is raised first.
-    fn wait_for(&self, steps: usize, abort: &AtomicBool) -> bool {
+    fn wait_for(&self, events: usize, abort: &AtomicBool) -> bool {
         let mut spins = 0;
-        while self.step.0.load(Ordering::Acquire) < steps {
+        while !self.published(events) {
             if abort.load(Ordering::Relaxed) {
                 return false;
             }
@@ -809,6 +1101,47 @@ impl Lane {
             }
         }
         true
+    }
+}
+
+/// A lockstep lane's wall time and the part of it spent waiting for
+/// the partner, kept only while telemetry is on.
+struct LaneClock {
+    start: Option<Instant>,
+    waited: Duration,
+}
+
+impl LaneClock {
+    fn start() -> Self {
+        LaneClock {
+            start: forumcast_obs::is_enabled().then(Instant::now),
+            waited: Duration::ZERO,
+        }
+    }
+
+    /// [`Lane::wait_for`], timed when the partner is not there yet.
+    fn wait(&mut self, theirs: &Lane, events: usize, abort: &AtomicBool) -> bool {
+        if self.start.is_none() || theirs.published(events) {
+            return theirs.wait_for(events, abort);
+        }
+        let start = Instant::now();
+        let arrived = theirs.wait_for(events, abort);
+        self.waited += start.elapsed();
+        arrived
+    }
+
+    /// Counts the lane's busy and waiting nanoseconds as
+    /// `ml.timing.<mu|omega>_lane.busy_ns` and `….wait_ns`.
+    fn emit(&self, kind: Net) {
+        let Some(start) = self.start else { return };
+        let lane = match kind {
+            Net::Excitation => "mu",
+            Net::Decay => "omega",
+        };
+        let busy = start.elapsed().saturating_sub(self.waited);
+        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        forumcast_obs::counter_add(&format!("ml.timing.{lane}_lane.busy_ns"), ns(busy));
+        forumcast_obs::counter_add(&format!("ml.timing.{lane}_lane.wait_ns"), ns(self.waited));
     }
 }
 
@@ -1061,8 +1394,7 @@ mod tests {
             };
             -model.log_likelihood(std::slice::from_ref(&t))
         };
-        // One thread step through the per-net halves; each half's
-        // gradient buffer keeps the step's gradient after its Adam step.
+        // One thread step's backward pass through the per-net halves.
         let epochs = EpochLoop {
             threads: std::slice::from_ref(&t),
             epochs: 1,
@@ -1074,8 +1406,8 @@ mod tests {
         let (mut mu_raw, mut omega_raw) = (Vec::new(), Vec::new());
         half_f.forward(&t, &mut mu_raw);
         half_g.forward(&t, &mut omega_raw);
-        half_f.backward_step(&epochs, &t, &mu_raw, Some(&omega_raw));
-        half_g.backward_step(&epochs, &t, &mu_raw, Some(&omega_raw));
+        half_f.backward(&epochs, &t, &mu_raw, Some(&omega_raw));
+        half_g.backward(&epochs, &t, &mu_raw, Some(&omega_raw));
         let (grads_f, grads_g) = (half_f.grads, half_g.grads);
         let eps = 1e-6;
         for i in (0..f.num_params()).step_by(7) {
@@ -1227,11 +1559,167 @@ mod tests {
             let mut half_f = NetHalf::new(Net::Excitation, f.clone(), 0.01);
             let half_g = NetHalf::new(Net::Decay, g.clone(), 0.01);
             let mut rng = StdRng::seed_from_u64(5);
-            let half_g = epochs.run(&mut half_f, Some(half_g), &mut rng, workers);
+            let (half_g, _) = epochs.run(&mut half_f, Some(half_g), &mut rng, workers);
             let json = |net: &Mlp| serde_json::to_string(net).unwrap();
             (json(&half_f.net), json(&half_g.expect("learned decay").net))
         };
         assert_eq!(train(1), train(2));
+    }
+
+    /// `n` threads of `dim`-wide features, with one to three answers
+    /// and zero to two sampled non-answerers each.
+    fn wide_threads(n: usize, dim: usize) -> Vec<ThreadObservation> {
+        let row = |i: usize, j: usize| -> Vec<f64> {
+            (0..dim)
+                .map(|d| ((i * 31 + j * 7 + d * 13) as f64 * 0.37).sin())
+                .collect()
+        };
+        (0..n)
+            .map(|i| ThreadObservation {
+                answers: (0..1 + i % 3)
+                    .map(|j| (row(i, j), 1.0 + (i % 7) as f64))
+                    .collect(),
+                non_answerers: (0..i % 3).map(|j| row(i, 10 + j)).collect(),
+                window: 60.0,
+                population: 40,
+            })
+            .collect()
+    }
+
+    /// Which net lends how many units to the other lane under `cfg` on
+    /// `dim` features.
+    fn lending(dim: usize, cfg: &TimingConfig) -> (Net, usize) {
+        let net = |hidden: &[usize], act: Activation| {
+            let mut specs = Vec::new();
+            let mut prev = dim;
+            for &h in hidden {
+                specs.push(LayerSpec::new(prev, h, cfg.activation));
+                prev = h;
+            }
+            specs.push(LayerSpec::new(prev, 1, act));
+            Mlp::new(&specs, &mut StdRng::seed_from_u64(0))
+        };
+        let f = net(&cfg.hidden, cfg.output_activation);
+        let DecayMode::Learned { hidden } = &cfg.decay else {
+            panic!("a learned decay")
+        };
+        let g = net(hidden, Activation::Softplus);
+        if f.num_params() >= g.num_params() {
+            (Net::Excitation, lent_units(&f, &g))
+        } else {
+            (Net::Decay, lent_units(&g, &f))
+        }
+    }
+
+    #[test]
+    fn lending_evens_out_the_lanes_in_both_directions() {
+        // The paper's μ [100, 50] outweighs ω [64, 32] and lends it 61
+        // units; the fast μ [32, 16] is the lighter, so ω lends 38.
+        assert_eq!(lending(34, &TimingConfig::default()), (Net::Excitation, 61));
+        assert_eq!(lending(34, &TimingConfig::fast()), (Net::Decay, 38));
+    }
+
+    #[test]
+    fn two_worker_schedule_matches_in_both_lending_directions() {
+        let threads = wide_threads(30, 34);
+        for base in [TimingConfig::default(), TimingConfig::fast()] {
+            let cfg = TimingConfig { epochs: 3, ..base };
+            assert_schedules_agree(&threads, &cfg);
+        }
+    }
+
+    #[test]
+    fn two_worker_schedule_matches_at_the_lending_edges() {
+        let threads = synthetic_threads(24);
+        let learned = |hidden: Vec<usize>, decay: Vec<usize>| TimingConfig {
+            hidden,
+            decay: DecayMode::Learned { hidden: decay },
+            ..short()
+        };
+        // Equal shapes lend nothing; a decay net with no hidden layer
+        // borrows μ's whole first layer; a one-unit first layer lends
+        // its only unit.
+        let cases = [
+            (learned(vec![8, 4], vec![8, 4]), (Net::Excitation, 0)),
+            (learned(vec![32, 16], vec![]), (Net::Excitation, 32)),
+            (learned(vec![1, 30], vec![4]), (Net::Excitation, 1)),
+            (learned(vec![3], vec![1, 40]), (Net::Decay, 1)),
+        ];
+        for (cfg, lends) in cases {
+            assert_eq!(lending(2, &cfg), lends, "{cfg:?}");
+            assert_schedules_agree(&threads, &cfg);
+        }
+    }
+
+    #[test]
+    fn lockstep_training_repeats_bit_for_bit() {
+        let threads = wide_threads(20, 34);
+        let cfg = TimingConfig {
+            epochs: 2,
+            ..TimingConfig::fast()
+        };
+        let train = || {
+            let model = TimingPredictor::train_with_workers(&threads, &cfg, 2);
+            serde_json::to_string(&model).unwrap()
+        };
+        let first = train();
+        for run in 1..50 {
+            assert_eq!(train(), first, "run {run}");
+        }
+    }
+
+    /// Every lockstep wait returns once the abort flag is up, as a
+    /// panicking partner leaves it: each lane is run against a partner
+    /// that published `partner_events` events and then stopped, and
+    /// must stop at the wait for the next one, having published
+    /// `published` events itself.
+    #[test]
+    fn every_lockstep_wait_honours_the_abort_flag() {
+        let threads = wide_threads(6, 34);
+        let epochs = EpochLoop {
+            threads: &threads,
+            epochs: 1,
+            constant_decay: 0.0,
+            max_survival_weight: 25.0,
+        };
+        let cfg = TimingConfig::fast();
+        let mut rng = StdRng::seed_from_u64(1);
+        let f = Mlp::new(
+            &[
+                LayerSpec::new(34, 32, Activation::Tanh),
+                LayerSpec::new(32, 1, Activation::Softplus),
+            ],
+            &mut rng,
+        );
+        let g = Mlp::new(
+            &[
+                LayerSpec::new(34, 64, Activation::Tanh),
+                LayerSpec::new(64, 1, Activation::Softplus),
+            ],
+            &mut rng,
+        );
+        // (this lane borrows, partner events, events published here)
+        for (borrows, partner_events, published) in
+            [(false, 0, 0), (false, 1, 1), (true, 0, 2), (true, 1, 2)]
+        {
+            let mut lender = NetHalf::new(Net::Decay, g.clone(), cfg.learning_rate);
+            let borrowed = lender.lend(lent_units(&g, &f));
+            let (mut me, mut borrowed) = if borrows {
+                let borrower = NetHalf::new(Net::Excitation, f.clone(), cfg.learning_rate);
+                (borrower, Some(borrowed))
+            } else {
+                (lender, None)
+            };
+            let (mine, theirs) = (Lane::new(5, 20), Lane::new(5, 20));
+            theirs.events.0.store(partner_events, Ordering::Release);
+            let abort = AtomicBool::new(true);
+            let mut rng = StdRng::seed_from_u64(2);
+            let lanes = (&mine, &theirs);
+            let tally = epochs.run_lane(&mut me, &mut borrowed, &mut rng, lanes, &abort);
+            assert_eq!(tally, Tally::default(), "{borrows} {partner_events}");
+            let events = mine.events.0.load(Ordering::Acquire);
+            assert_eq!(events, published, "{borrows} {partner_events}");
+        }
     }
 
     #[test]
@@ -1308,10 +1796,10 @@ mod tests {
 
     #[test]
     fn lockstep_wait_returns_on_abort() {
-        let lane = Lane::new(1);
+        let lane = Lane::new(1, 1);
         let abort = AtomicBool::new(true);
         assert!(!lane.wait_for(1, &abort));
-        lane.step.0.store(1, Ordering::Release);
+        lane.publish(Buffer::Raw, &[0.5], 1);
         assert!(lane.wait_for(1, &abort));
     }
 

@@ -11,7 +11,7 @@
 //!   associate floating-point sums identically;
 //! * [`activation`] — ReLU / tanh / sigmoid / softplus / identity;
 //! * [`mlp`] — fully-connected networks with flat parameter storage
-//!   and reverse-mode gradients ([`Mlp::backward`]), so custom losses
+//!   and reverse-mode gradients ([`Mlp::backward_scratch`]), so custom losses
 //!   (e.g. the point-process likelihood in `forumcast-core`) can push
 //!   arbitrary output gradients through the network; hot loops reuse
 //!   an [`MlpScratch`] instead of allocating per sample;
@@ -69,7 +69,7 @@ pub use activation::Activation;
 pub use error::TrainError;
 pub use logistic::LogisticRegression;
 pub use mf::{MatrixFactorization, MfConfig};
-pub use mlp::{ForwardCache, LayerSpec, Mlp, MlpScratch};
+pub use mlp::{backward_units, forward_units, LayerSpec, Mlp, MlpScratch};
 pub use optim::Adam;
 pub use poisson::PoissonRegression;
 pub use sparfa::{Sparfa, SparfaConfig};

@@ -3,7 +3,7 @@
 //! Parameters are stored in one flat `Vec<f64>` (per layer: weight
 //! matrix row-major `[outputs × inputs]`, then bias `[outputs]`), so
 //! optimizers ([`crate::optim`]) can treat the whole network as a
-//! single parameter vector. [`Mlp::backward`] accepts an arbitrary
+//! single parameter vector. [`Mlp::backward_scratch`] accepts an arbitrary
 //! gradient of the loss with respect to the network *output*, which is
 //! what lets `forumcast-core` train the point-process likelihood —
 //! a loss TensorFlow normally autodiffs for the paper's authors.
@@ -50,25 +50,8 @@ impl LayerSpec {
     }
 }
 
-/// Cached activations from [`Mlp::forward_cache`], consumed by
-/// [`Mlp::backward`].
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// `activations[0]` is the input; `activations[l + 1]` is the
-    /// output of layer `l`.
-    activations: Vec<Vec<f64>>,
-}
-
-impl ForwardCache {
-    /// The network output for this cached pass.
-    pub fn output(&self) -> &[f64] {
-        self.activations.last().expect("cache has at least input")
-    }
-}
-
 /// Reusable flat buffers for [`Mlp::forward_scratch`] /
-/// [`Mlp::backward_scratch`] — the allocation-free twin of
-/// [`ForwardCache`], following the graph crate's `BfsScratch`
+/// [`Mlp::backward_scratch`], following the graph crate's `BfsScratch`
 /// discipline: lazily sized on first use, resized only when the
 /// network shape changes, reused (with a [`reuses`](Self::reuses)
 /// count) otherwise. One scratch serves one network shape at a time;
@@ -102,6 +85,20 @@ impl MlpScratch {
     /// How many forward passes reused the buffers without resizing.
     pub fn reuses(&self) -> u64 {
         self.reuses
+    }
+
+    /// Layer 0's outputs of the pass in progress, for the units a
+    /// caller computes apart from the network (see
+    /// [`Mlp::forward_first_layer`]).
+    pub fn first_layer_mut(&mut self) -> &mut [f64] {
+        let start = self.offsets[1];
+        &mut self.acts[start..start + self.shape[0].1]
+    }
+
+    /// `∂L/∂y` of layer 0's outputs, as [`Mlp::backward_upper_layers`]
+    /// left it.
+    pub fn first_layer_grad(&self) -> &[f64] {
+        &self.delta[..self.shape[0].1]
     }
 
     /// Sizes the buffers for `mlp`, counting a reuse when they already
@@ -237,7 +234,7 @@ impl Mlp {
     ///
     /// The layers run in a per-thread [`MlpScratch`], so the only
     /// allocation is the returned output. The result is bitwise
-    /// identical to [`Self::forward_cache`]'s output.
+    /// identical to [`Self::forward_scratch`]'s output.
     ///
     /// # Panics
     ///
@@ -249,68 +246,73 @@ impl Mlp {
         SCRATCH.with(|scratch| self.forward_scratch(x, &mut scratch.borrow_mut()).to_vec())
     }
 
-    /// Runs the network, caching every layer's activations for a
-    /// later [`backward`](Mlp::backward) pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `x.len() != input_dim()`.
-    pub fn forward_cache(&self, x: &[f64]) -> ForwardCache {
-        assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
-        let mut activations = Vec::with_capacity(self.specs.len() + 1);
-        activations.push(x.to_vec());
-        let mut offset = 0;
-        for spec in &self.specs {
-            let input = activations.last().expect("non-empty");
-            let w = &self.params[offset..offset + spec.outputs * spec.inputs];
-            let b = &self.params[offset + spec.outputs * spec.inputs..offset + spec.num_params()];
-            let mut out = vec![0.0; spec.outputs];
-            crate::linalg::gemv(w, spec.outputs, spec.inputs, input, b, &mut out);
-            for y in &mut out {
-                *y = spec.activation.apply(*y);
-            }
-            offset += spec.num_params();
-            activations.push(out);
-        }
-        ForwardCache { activations }
-    }
-
-    /// [`Self::forward_cache`] without allocations: runs the network
-    /// on `x`, storing every layer's activations in `scratch`, and
-    /// returns the output slice. Bitwise-identical to
-    /// [`Self::forward_cache`] — both reduce through the same
-    /// [`crate::linalg`] kernels.
+    /// Runs the network on `x`, storing every layer's activations in
+    /// `scratch` for a later [`Self::backward_scratch`], and returns
+    /// the output slice.
     ///
     /// # Panics
     ///
     /// Panics when `x.len() != input_dim()`.
     pub fn forward_scratch<'s>(&self, x: &[f64], scratch: &'s mut MlpScratch) -> &'s [f64] {
+        self.forward_first_layer(x, scratch, self.specs[0].outputs);
+        self.forward_upper_layers(scratch)
+    }
+
+    /// The first half of [`Self::forward_scratch`]: loads `x` into
+    /// `scratch` and runs units `[0, units)` of layer 0. Units
+    /// `[units, n)` may be computed elsewhere with [`forward_units`]
+    /// and written through [`MlpScratch::first_layer_mut`] before
+    /// [`Self::forward_upper_layers`] finishes the pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `x.len() != input_dim()` or `units` exceeds layer
+    /// 0's width.
+    pub fn forward_first_layer(&self, x: &[f64], scratch: &mut MlpScratch, units: usize) {
         assert_eq!(x.len(), self.input_dim(), "input dimension mismatch");
         scratch.prepare(self);
-        scratch.acts[..x.len()].copy_from_slice(x);
-        let mut offset = 0;
-        for (l, spec) in self.specs.iter().enumerate() {
-            let w = &self.params[offset..offset + spec.outputs * spec.inputs];
-            let b = &self.params[offset + spec.outputs * spec.inputs..offset + spec.num_params()];
+        let spec = &self.specs[0];
+        let (w, b) = self.params[..spec.num_params()].split_at(spec.outputs * spec.inputs);
+        let (input, out) = scratch.acts.split_at_mut(spec.inputs);
+        input.copy_from_slice(x);
+        forward_units(
+            spec.activation,
+            &w[..units * spec.inputs],
+            &b[..units],
+            input,
+            &mut out[..units],
+        );
+    }
+
+    /// The second half of [`Self::forward_scratch`]: runs layers
+    /// `1..` on the layer-0 outputs in `scratch` and returns the
+    /// output slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `scratch` holds no pass for this network's shape.
+    pub fn forward_upper_layers<'s>(&self, scratch: &'s mut MlpScratch) -> &'s [f64] {
+        scratch.assert_prepared(self);
+        let mut offset = self.specs[0].num_params();
+        for (l, spec) in self.specs.iter().enumerate().skip(1) {
+            let (w, b) = self.params[offset..offset + spec.num_params()]
+                .split_at(spec.outputs * spec.inputs);
             // The output segment starts where the input segment ends,
             // so one split yields both without aliasing.
             let (head, tail) = scratch.acts.split_at_mut(scratch.offsets[l + 1]);
             let input = &head[scratch.offsets[l]..scratch.offsets[l] + spec.inputs];
-            let out = &mut tail[..spec.outputs];
-            crate::linalg::gemv(w, spec.outputs, spec.inputs, input, b, out);
-            for y in out.iter_mut() {
-                *y = spec.activation.apply(*y);
-            }
+            forward_units(spec.activation, w, b, input, &mut tail[..spec.outputs]);
             offset += spec.num_params();
         }
         let last = scratch.offsets[self.specs.len()];
         &scratch.acts[last..last + self.output_dim()]
     }
 
-    /// Backpropagates `grad_output = ∂L/∂y` through the cached pass,
+    /// Backpropagates `grad_output = ∂L/∂y` through the pass most
+    /// recently recorded in `scratch` by [`Self::forward_scratch`],
     /// **accumulating** parameter gradients into `grads` (which must
-    /// have length [`num_params`](Mlp::num_params)) and returning
-    /// `∂L/∂x`.
+    /// have length [`num_params`](Mlp::num_params)). The input
+    /// gradient `∂L/∂x` is not computed.
     ///
     /// Accumulation (rather than overwrite) lets callers sum gradients
     /// over a mini-batch or over the several likelihood terms of the
@@ -318,56 +320,27 @@ impl Mlp {
     ///
     /// # Panics
     ///
-    /// Panics when `grads` or `grad_output` has the wrong length.
-    pub fn backward(
-        &self,
-        cache: &ForwardCache,
-        grad_output: &[f64],
-        grads: &mut [f64],
-    ) -> Vec<f64> {
-        assert_eq!(grads.len(), self.params.len(), "grads length mismatch");
-        assert_eq!(
-            grad_output.len(),
-            self.output_dim(),
-            "grad_output dimension mismatch"
-        );
-        let mut grad = grad_output.to_vec();
-        let mut offset = self.params.len();
-        for (l, spec) in self.specs.iter().enumerate().rev() {
-            offset -= spec.num_params();
-            let input = &cache.activations[l];
-            let output = &cache.activations[l + 1];
-            // δ = ∂L/∂z = ∂L/∂y ⊙ σ'(z), with σ' from the output.
-            let delta: Vec<f64> = grad
-                .iter()
-                .zip(output)
-                .map(|(&g, &y)| g * spec.activation.derivative_from_output(y))
-                .collect();
-            let w = &self.params[offset..offset + spec.outputs * spec.inputs];
-            let (gw, gb) =
-                grads[offset..offset + spec.num_params()].split_at_mut(spec.outputs * spec.inputs);
-            crate::linalg::axpy(1.0, &delta, gb);
-            crate::linalg::rank1_accum(gw, spec.outputs, spec.inputs, &delta, input);
-            let mut grad_in = vec![0.0; spec.inputs];
-            crate::linalg::gemv_t_accum(w, spec.outputs, spec.inputs, &delta, &mut grad_in);
-            grad = grad_in;
-        }
-        grad
-    }
-
-    /// [`Self::backward`] without allocations: backpropagates
-    /// `grad_output` through the pass most recently recorded in
-    /// `scratch` by [`Self::forward_scratch`], **accumulating** into
-    /// `grads`. Produces bitwise-identical gradient accumulation to
-    /// [`Self::backward`] (same kernels, same order); the input
-    /// gradient is not materialized — callers that need `∂L/∂x` use
-    /// the cache-based API.
-    ///
-    /// # Panics
-    ///
     /// Panics when `grads` or `grad_output` has the wrong length, or
     /// when `scratch` holds no pass for this network's shape.
     pub fn backward_scratch(
+        &self,
+        scratch: &mut MlpScratch,
+        grad_output: &[f64],
+        grads: &mut [f64],
+    ) {
+        self.backward_upper_layers(scratch, grad_output, grads);
+        self.backward_first_layer(scratch, grads, self.specs[0].outputs);
+    }
+
+    /// The first half of [`Self::backward_scratch`]: backpropagates
+    /// `grad_output` through layers `1..`, accumulating their
+    /// gradients into `grads`, and leaves `∂L/∂y` of layer 0's outputs
+    /// in [`MlpScratch::first_layer_grad`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::backward_scratch`].
+    pub fn backward_upper_layers(
         &self,
         scratch: &mut MlpScratch,
         grad_output: &[f64],
@@ -382,29 +355,90 @@ impl Mlp {
         scratch.assert_prepared(self);
         scratch.delta[..grad_output.len()].copy_from_slice(grad_output);
         let mut offset = self.params.len();
-        for (l, spec) in self.specs.iter().enumerate().rev() {
+        for (l, spec) in self.specs.iter().enumerate().skip(1).rev() {
             offset -= spec.num_params();
             let input = &scratch.acts[scratch.offsets[l]..scratch.offsets[l] + spec.inputs];
             let output =
                 &scratch.acts[scratch.offsets[l + 1]..scratch.offsets[l + 1] + spec.outputs];
-            // δ = ∂L/∂z = ∂L/∂y ⊙ σ'(z), with σ' from the output.
-            for (d, &y) in scratch.delta[..spec.outputs].iter_mut().zip(output) {
-                *d *= spec.activation.derivative_from_output(y);
-            }
-            let delta = &scratch.delta[..spec.outputs];
-            let w = &self.params[offset..offset + spec.outputs * spec.inputs];
+            let delta = &mut scratch.delta[..spec.outputs];
             let (gw, gb) =
                 grads[offset..offset + spec.num_params()].split_at_mut(spec.outputs * spec.inputs);
-            crate::linalg::axpy(1.0, delta, gb);
-            crate::linalg::rank1_accum(gw, spec.outputs, spec.inputs, delta, input);
-            if l > 0 {
-                let grad_in = &mut scratch.delta_next[..spec.inputs];
-                grad_in.fill(0.0);
-                crate::linalg::gemv_t_accum(w, spec.outputs, spec.inputs, delta, grad_in);
-                std::mem::swap(&mut scratch.delta, &mut scratch.delta_next);
-            }
+            backward_units(spec.activation, output, input, delta, gw, gb);
+            let w = &self.params[offset..offset + spec.outputs * spec.inputs];
+            let grad_in = &mut scratch.delta_next[..spec.inputs];
+            grad_in.fill(0.0);
+            crate::linalg::gemv_t_accum(w, spec.outputs, spec.inputs, delta, grad_in);
+            std::mem::swap(&mut scratch.delta, &mut scratch.delta_next);
         }
     }
+
+    /// The second half of [`Self::backward_scratch`]: accumulates the
+    /// gradients of layer 0's units `[0, units)` from the `∂L/∂y` that
+    /// [`Self::backward_upper_layers`] left in `scratch`. Units
+    /// `[units, n)` may be accumulated elsewhere with
+    /// [`backward_units`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `grads` has the wrong length or `units` exceeds
+    /// layer 0's width.
+    pub fn backward_first_layer(&self, scratch: &mut MlpScratch, grads: &mut [f64], units: usize) {
+        assert_eq!(grads.len(), self.params.len(), "grads length mismatch");
+        let spec = &self.specs[0];
+        let (input, outputs) = scratch.acts.split_at(spec.inputs);
+        let (gw, gb) = grads[..spec.num_params()].split_at_mut(spec.outputs * spec.inputs);
+        backward_units(
+            spec.activation,
+            &outputs[..units],
+            input,
+            &mut scratch.delta[..units],
+            &mut gw[..units * spec.inputs],
+            &mut gb[..units],
+        );
+    }
+}
+
+/// The forward pass of some units of one dense layer:
+/// `out[o] = σ(w_o · x + b_o)`, where `w` holds their weight rows
+/// (row-major `[units × x.len()]`) and `b` their biases. Every layer of
+/// an [`Mlp`] runs through this, so a run of units computed apart from
+/// its network matches the network's own pass bit for bit.
+///
+/// # Panics
+///
+/// Panics when the slice lengths disagree.
+pub fn forward_units(activation: Activation, w: &[f64], b: &[f64], x: &[f64], out: &mut [f64]) {
+    crate::linalg::gemv(w, b.len(), x.len(), x, b, out);
+    for y in out.iter_mut() {
+        *y = activation.apply(*y);
+    }
+}
+
+/// The backward pass of the units [`forward_units`] ran: turns
+/// `grad = ∂L/∂y` into `δ = ∂L/∂y ⊙ σ'(z)` in place (σ' from the
+/// outputs `y`), then accumulates `gb += δ` and `gw += δ ⊗ x`.
+///
+/// # Panics
+///
+/// Panics when the slice lengths disagree.
+pub fn backward_units(
+    activation: Activation,
+    y: &[f64],
+    x: &[f64],
+    grad: &mut [f64],
+    gw: &mut [f64],
+    gb: &mut [f64],
+) {
+    assert_eq!(
+        y.len(),
+        grad.len(),
+        "backward_units: output length mismatch"
+    );
+    for (d, &y) in grad.iter_mut().zip(y) {
+        *d *= activation.derivative_from_output(y);
+    }
+    crate::linalg::axpy(1.0, grad, gb);
+    crate::linalg::rank1_accum(gw, grad.len(), x.len(), grad, x);
 }
 
 #[cfg(test)]
@@ -468,8 +502,8 @@ mod tests {
         small_net(&mut rng).forward(&[1.0]);
     }
 
-    /// Central finite-difference check of both parameter and input
-    /// gradients, for a scalar loss L = Σ y_i².
+    /// Central finite-difference check of the parameter gradients of a
+    /// net with two softplus outputs, for a scalar loss L = Σ y_i².
     #[test]
     fn backward_matches_finite_differences() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -483,10 +517,14 @@ mod tests {
         let x = vec![0.3, -0.7, 1.1];
         let loss = |m: &Mlp, x: &[f64]| -> f64 { m.forward(x).iter().map(|y| y * y).sum() };
 
-        let cache = mlp.forward_cache(&x);
-        let grad_out: Vec<f64> = cache.output().iter().map(|&y| 2.0 * y).collect();
+        let mut scratch = MlpScratch::new();
+        let grad_out: Vec<f64> = mlp
+            .forward_scratch(&x, &mut scratch)
+            .iter()
+            .map(|&y| 2.0 * y)
+            .collect();
         let mut grads = vec![0.0; mlp.num_params()];
-        let grad_in = mlp.backward(&cache, &grad_out, &mut grads);
+        mlp.backward_scratch(&mut scratch, &grad_out, &mut grads);
 
         let eps = 1e-6;
         #[allow(clippy::needless_range_loop)] // params are mutated per index below
@@ -504,35 +542,6 @@ mod tests {
                 grads[i]
             );
         }
-        for i in 0..x.len() {
-            let mut xp = x.clone();
-            xp[i] += eps;
-            let mut xm = x.clone();
-            xm[i] -= eps;
-            let numeric = (loss(&mlp, &xp) - loss(&mlp, &xm)) / (2.0 * eps);
-            assert!(
-                (numeric - grad_in[i]).abs() < 1e-5,
-                "input {i}: numeric {numeric} vs analytic {}",
-                grad_in[i]
-            );
-        }
-    }
-
-    #[test]
-    fn backward_accumulates_across_calls() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mlp = small_net(&mut rng);
-        let x = [0.2, 0.8];
-        let cache = mlp.forward_cache(&x);
-        let go = vec![1.0];
-        let mut g1 = vec![0.0; mlp.num_params()];
-        mlp.backward(&cache, &go, &mut g1);
-        let mut g2 = vec![0.0; mlp.num_params()];
-        mlp.backward(&cache, &go, &mut g2);
-        mlp.backward(&cache, &go, &mut g2);
-        for (a, b) in g1.iter().zip(&g2) {
-            assert!((2.0 * a - b).abs() < 1e-12);
-        }
     }
 
     const ALL_ACTIVATIONS: [Activation; 5] = [
@@ -544,7 +553,7 @@ mod tests {
     ];
 
     #[test]
-    fn forward_matches_cache_output_bitwise_for_all_activations() {
+    fn forward_matches_its_own_scratch_bitwise_for_all_activations() {
         for (k, act) in ALL_ACTIVATIONS.into_iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(200 + k as u64);
             let wide = Mlp::new(
@@ -560,9 +569,10 @@ mod tests {
             for x in [[0.4, -0.9, 1.3], [-2.0, 0.0, 0.75], [1e-3, 5.0, -0.2]] {
                 for mlp in [&wide, &narrow] {
                     let got = mlp.forward(&x);
-                    let cache = mlp.forward_cache(&x);
-                    assert_eq!(got.len(), cache.output().len());
-                    for (a, b) in got.iter().zip(cache.output()) {
+                    let mut scratch = MlpScratch::new();
+                    let want = mlp.forward_scratch(&x, &mut scratch);
+                    assert_eq!(got.len(), want.len());
+                    for (a, b) in got.iter().zip(want) {
                         assert_eq!(a.to_bits(), b.to_bits(), "{act:?} forward");
                     }
                 }
@@ -570,9 +580,11 @@ mod tests {
         }
     }
 
+    /// A pass split at layer 0, whose units `[units, n)` run apart
+    /// through `forward_units`/`backward_units` on their own rows,
+    /// matches the whole pass bit for bit, at every split point.
     #[test]
-    fn scratch_pass_matches_cache_pass_bitwise_for_all_activations() {
-        let mut scratch = MlpScratch::new();
+    fn split_first_layer_matches_the_whole_pass_bitwise() {
         for (k, act) in ALL_ACTIVATIONS.into_iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(100 + k as u64);
             let mlp = Mlp::new(
@@ -583,20 +595,31 @@ mod tests {
                 ],
                 &mut rng,
             );
-            let x = [0.4, -0.9, 1.3];
-            let cache = mlp.forward_cache(&x);
-            let out = mlp.forward_scratch(&x, &mut scratch);
-            assert_eq!(out.len(), 2);
-            for (a, b) in out.iter().zip(cache.output()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{act:?} forward");
-            }
-            let go = [0.7, -1.2];
-            let mut g_cache = vec![0.0; mlp.num_params()];
-            mlp.backward(&cache, &go, &mut g_cache);
-            let mut g_scratch = vec![0.0; mlp.num_params()];
-            mlp.backward_scratch(&mut scratch, &go, &mut g_scratch);
-            for (i, (a, b)) in g_scratch.iter().zip(&g_cache).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{act:?} grad {i}");
+            let (x, go) = ([0.4, -0.9, 1.3], [0.7, -1.2]);
+            let mut whole = MlpScratch::new();
+            let want = mlp.forward_scratch(&x, &mut whole).to_vec();
+            let mut g_want = vec![0.0; mlp.num_params()];
+            mlp.backward_scratch(&mut whole, &go, &mut g_want);
+            for units in 0..=5 {
+                let (w, rest) = mlp.params().split_at(15);
+                let (w_lent, b_lent) = (&w[units * 3..], &rest[units..5]);
+                let mut split = MlpScratch::new();
+                mlp.forward_first_layer(&x, &mut split, units);
+                let mut lent = vec![0.0; 5 - units];
+                forward_units(act, w_lent, b_lent, &x, &mut lent);
+                split.first_layer_mut()[units..].copy_from_slice(&lent);
+                let got = mlp.forward_upper_layers(&mut split);
+                assert_eq!(got, &want[..], "{act:?} forward, {units} units");
+                let mut grads = vec![0.0; mlp.num_params()];
+                mlp.backward_upper_layers(&mut split, &go, &mut grads);
+                let mut grad_lent = split.first_layer_grad()[units..].to_vec();
+                mlp.backward_first_layer(&mut split, &mut grads, units);
+                let (gw, gb) = grads.split_at_mut(15);
+                let (gw_lent, gb_lent) = (&mut gw[units * 3..], &mut gb[units..5]);
+                backward_units(act, &lent, &x, &mut grad_lent, gw_lent, gb_lent);
+                for (i, (a, b)) in grads.iter().zip(&g_want).enumerate() {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{act:?} grad {i}, {units} units");
+                }
             }
         }
     }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use forumcast_ml::{Activation, Adam, LayerSpec, Mlp};
+use forumcast_ml::{Activation, Adam, LayerSpec, Mlp, MlpScratch};
 
 fn arb_input(dim: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-5.0f64..5.0, dim)
@@ -39,11 +39,12 @@ proptest! {
             ],
             &mut rng,
         );
-        let cache = mlp.forward_cache(&x);
+        let mut scratch = MlpScratch::new();
+        mlp.forward_scratch(&x, &mut scratch);
         let mut g1 = vec![0.0; mlp.num_params()];
-        mlp.backward(&cache, &[1.0], &mut g1);
+        mlp.backward_scratch(&mut scratch, &[1.0], &mut g1);
         let mut g2 = vec![0.0; mlp.num_params()];
-        mlp.backward(&cache, &[scale], &mut g2);
+        mlp.backward_scratch(&mut scratch, &[scale], &mut g2);
         for (a, b) in g1.iter().zip(&g2) {
             prop_assert!(a.is_finite() && b.is_finite());
             prop_assert!((a * scale - b).abs() < 1e-9 * (1.0 + b.abs()));

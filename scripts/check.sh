@@ -21,6 +21,15 @@ echo "==> LDA bit pins and tree-draw equivalence (release)"
 cargo test -q --release -p forumcast-topics --lib -- \
   output_bits_are_pinned tree_draw gibbs_draw guard_band degenerate_row
 
+echo "==> two-worker timing trainer equivalence and repeat (release)"
+# The lockstep point-process trainer hands first-layer outputs and
+# gradients between its two threads every step. A race there shows
+# as a model that differs from the serial one or from its own repeat,
+# and may show only at release speed, so the equivalence, repeat and
+# abort tests run again under --release.
+cargo test -q --release -p forumcast-core --lib -- \
+  two_worker_schedule two_timing_workers lockstep a_panic_on_one_worker
+
 echo "==> hermetic harness (obs/resilience/data/par lib tests x10, default parallelism)"
 # Fault plans and telemetry collectors belong to the thread that armed
 # them, so these binaries must pass under cargo's parallel harness
@@ -42,21 +51,26 @@ FORUMCAST_FAULTS=fold-panic:1 cargo test -q -p forumcast-resilience
 
 echo "==> trace smoke (evaluate --trace + JSON/span validation, 1 and 2 threads)"
 # At 2 threads the CV fold workers push into the armed collector
-# concurrently.
+# concurrently. The point-process trainer's step count is a pure
+# function of the config, so quick evaluate reads 10,280 at both.
 trace_file="$(mktemp -t forumcast-trace-XXXXXX.json)"
-trap 'rm -f "$trace_file"' EXIT
+metrics_file="$(mktemp -t forumcast-metrics-XXXXXX.txt)"
+trap 'rm -f "$trace_file" "$metrics_file"' EXIT
 for threads in 1 2; do
   cargo run -q -p forumcast-cli --bin forumcast -- \
-    evaluate --scale quick --threads "$threads" --trace "$trace_file" --metrics
+    evaluate --scale quick --threads "$threads" --trace "$trace_file" --metrics \
+    | tee "$metrics_file"
   cargo run -q -p forumcast-obs --example validate_trace -- "$trace_file" \
     evaluate eval.run_cv eval.fold lda.train features.build
+  grep -Eq '^ml\.timing\.steps +10280$' "$metrics_file" \
+    || { echo "quick evaluate at $threads thread(s) did not count 10280 ml.timing.steps"; exit 1; }
 done
 
 echo "==> trace smoke (train/stats via FORUMCAST_TRACE)"
 cargo build -q -p forumcast-cli
 fc=target/debug/forumcast
 work_dir="$(mktemp -d -t forumcast-check-XXXXXX)"
-trap 'rm -f "$trace_file"; rm -rf "$work_dir"' EXIT
+trap 'rm -f "$trace_file" "$metrics_file"; rm -rf "$work_dir"' EXIT
 "$fc" generate --scale small --seed 1 --out "$work_dir/data.json" > /dev/null
 FORUMCAST_TRACE="$work_dir/stats.trace.json" "$fc" stats --data "$work_dir/data.json" > /dev/null
 
